@@ -13,7 +13,6 @@ from .complexes import Decomposition, cone_of_relative_cell, is_tropical_fiber, 
 from .exact import (
     GenericityCertificate,
     IntegerLattice,
-    RationalMatrix,
     hermite_normal_form,
     invariant_factors,
     is_generic_wrt,
@@ -51,7 +50,6 @@ __all__ = [
     "NovikovSeries",
     "Polyhedron",
     "QuasiSplitGraph",
-    "RationalMatrix",
     "TropicalGraph",
     "bg_potential",
     "component_splitting",

@@ -65,8 +65,10 @@ def _emit(report: dict, output: str | None):
 
 
 def _load_dec(path: str):
+    """(decomposition dict, Decomposition) of a decomposition file."""
+    data = _load_json(path)
     try:
-        return decomposition_from_dict(_load_json(path))
+        return data, decomposition_from_dict(data)
     except (DecompositionError, ValueError, KeyError, TypeError) as exc:
         _fail(f"bad decomposition {path}: {exc}")
 
@@ -78,23 +80,64 @@ def _load_graph_dict(path: str) -> dict:
     return data
 
 
-def _build_quasi_split(dec, top_dict, base_dir: str):
+def _base_loader(graph_path: str):
+    """Resolves a collapse's ``to_graph`` as a path relative to the graph file."""
+    return lambda ref: _load_json(os.path.join(os.path.dirname(graph_path), ref))
+
+
+def _fixture_graph(name: str) -> dict:
+    return fixtures.GRAPHS[name]()
+
+
+def _quasi_split(dec, top_dict, load_base):
+    """(QuasiSplitGraph, base graph dict) of a top graph with a collapse
+    block; ``load_base`` turns a ``to_graph`` reference into the base dict."""
     if "collapse" not in top_dict:
         _fail("graph file has no collapse block; a quasi-split input needs one")
-    vertex_map, to_graph = collapse_from_dict(top_dict)
-    if isinstance(to_graph, str):
-        base_dict = _load_json(os.path.join(base_dir, to_graph))
-    else:
-        base_dict = to_graph
     try:
-        return QuasiSplitGraph(
-            dec,
-            graph_from_dict(base_dict),
-            graph_from_dict(top_dict),
-            vertex_map,
-        ), base_dict
-    except (SplitError, GraphError, ValueError, KeyError) as exc:
+        vertex_map, to_graph = collapse_from_dict(top_dict)
+        base_dict = load_base(to_graph) if isinstance(to_graph, str) else to_graph
+        q = QuasiSplitGraph(
+            dec, graph_from_dict(base_dict), graph_from_dict(top_dict), vertex_map
+        )
+    except (SplitError, GraphError, ValueError, KeyError, TypeError) as exc:
         _fail(f"bad quasi-split input: {exc}")
+    return q, base_dict
+
+
+def _symmetry_report(dec, dec_dict, graph_dict, framed, load_base) -> dict:
+    """Symmetry report of a plain graph, or of the top graph of a collapse
+    with its split edges taken from the base."""
+    if "collapse" not in graph_dict:
+        return reports.symmetry_report(
+            dec, graph_from_dict(graph_dict), framed, {"dec": dec_dict, "graph": graph_dict}
+        )
+    q, base_dict = _quasi_split(dec, graph_dict, load_base)
+    return reports.symmetry_report(
+        dec, q.top, framed, {"dec": dec_dict, "top": graph_dict, "base": base_dict},
+        split_edge_ids=q.top_split_ids,
+    )
+
+
+def _cut_report(data: dict):
+    """(decomposition, report) of a multiple cut given as a toric-data dict."""
+    lam = parse_vec(data["lambda"])
+    dec, inner = toric_cut(
+        data["normals"],
+        [parse_rat(c) for c in data["constants"]],
+        [parse_rat(e) for e in data["epsilons"]],
+        lam,
+    )
+    return dec, reports.cut_report(dec, inner, lam, {"cut_input": data})
+
+
+def _potential_report(data: dict) -> dict:
+    return reports.potential_report(
+        data["normals"],
+        [parse_rat(c) for c in data["constants"]],
+        parse_vec(data["lambda"]),
+        {"potential_input": data},
+    )
 
 
 @click.group()
@@ -125,16 +168,9 @@ def cut_cmd(normals, constants, eps, lambda_, output, diagram):
         "lambda": _load_json_or_inline(lambda_),
     }
     try:
-        lam = parse_vec(data["lambda"])
-        dec, inner = toric_cut(
-            data["normals"],
-            [parse_rat(c) for c in data["constants"]],
-            [parse_rat(e) for e in data["epsilons"]],
-            lam,
-        )
+        dec, report = _cut_report(data)
     except (DecompositionError, ValueError) as exc:
         _fail(str(exc))
-    report = reports.cut_report(dec, inner, lam, {"cut_input": data})
     _emit(report, None)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -156,24 +192,21 @@ def graph_group():
 @click.option("--diagram", default=None, help="SVG of the dual complex with the witness")
 def graph_check(dec_path, graph_path, output, diagram):
     """Invariants, realizability and rigidity of a tropical graph."""
-    dec = _load_dec(dec_path)
+    dec_dict, dec = _load_dec(dec_path)
     gd = _load_graph_dict(graph_path)
     try:
         graph = graph_from_dict(gd)
-        report = reports.graph_report(dec, graph, {"dec": _load_json(dec_path), "graph": gd})
-    except (GraphError, ValueError, KeyError) as exc:
+        report = reports.graph_report(dec, graph, {"dec": dec_dict, "graph": gd})
+    except (GraphError, ValueError, KeyError, TypeError) as exc:
         _fail(f"bad graph: {exc}")
     _emit(report, output)
     if diagram:
-        from .graphs import vertex_positions
-
-        w = vertex_positions(dec, graph)
-        positions = None
-        edges = None
-        if w.witness is not None:
+        positions = edges = None
+        if report["witness"] is not None:
+            witness = parse_vec(report["witness"])
             n = dec.ambient_dim
             positions = {
-                v: w.witness[i * n : (i + 1) * n] for i, v in enumerate(w.vertex_order)
+                v: witness[i * n : (i + 1) * n] for i, v in enumerate(report["vertex_order"])
             }
             edges = [e.ends for e in graph.edges]
         with open(diagram, "w", encoding="utf-8") as fh:
@@ -195,18 +228,16 @@ def split_group():
 @click.option("-o", "--output", default=None)
 def split_check(dec_path, qsplit_path, eta, i_br, output):
     """Relative-position cone, discrepancy cone, cone condition, rigidity."""
-    dec = _load_dec(dec_path)
+    dec_dict, dec = _load_dec(dec_path)
     top_dict = _load_graph_dict(qsplit_path)
-    q, base_dict = _build_quasi_split(dec, top_dict, os.path.dirname(qsplit_path))
+    q, base_dict = _quasi_split(dec, top_dict, _base_loader(qsplit_path))
     try:
         eta_vec = tuple(Fraction(part.strip()) for part in eta.split(","))
     except ValueError as exc:
         _fail(f"bad eta: {exc}")
     try:
         report = reports.split_report(
-            q, eta_vec,
-            {"dec": _load_json(dec_path), "top": top_dict, "base": base_dict},
-            i_br=i_br,
+            q, eta_vec, {"dec": dec_dict, "top": top_dict, "base": base_dict}, i_br=i_br
         )
     except (SplitError, ValueError) as exc:
         _fail(str(exc))
@@ -222,18 +253,11 @@ def split_check(dec_path, qsplit_path, eta, i_br, output):
 @click.option("-o", "--output", default=None)
 def symmetry_cmd(dec_path, graph_path, framed, output):
     """Dimension, torsion, and component splitting of the symmetry group."""
-    dec = _load_dec(dec_path)
+    dec_dict, dec = _load_dec(dec_path)
     gd = _load_graph_dict(graph_path)
-    inputs = {"dec": _load_json(dec_path), "graph": gd}
     try:
-        if "collapse" in gd:
-            q, base_dict = _build_quasi_split(dec, gd, os.path.dirname(graph_path))
-            report = reports.symmetry_report(
-                dec, q.top, framed, inputs, split_edge_ids=q.top_split_ids
-            )
-        else:
-            report = reports.symmetry_report(dec, graph_from_dict(gd), framed, inputs)
-    except (GraphError, ValueError, KeyError) as exc:
+        report = _symmetry_report(dec, dec_dict, gd, framed, _base_loader(graph_path))
+    except (GraphError, ValueError, KeyError, TypeError) as exc:
         _fail(f"bad graph: {exc}")
     _emit(report, output)
 
@@ -244,13 +268,11 @@ def symmetry_cmd(dec_path, graph_path, framed, output):
 @click.option("-o", "--output", default=None)
 def mult_cmd(dec_path, qsplit_path, output):
     """Multiplicity: order of the framed tropical symmetry group."""
-    dec = _load_dec(dec_path)
+    dec_dict, dec = _load_dec(dec_path)
     top_dict = _load_graph_dict(qsplit_path)
-    q, base_dict = _build_quasi_split(dec, top_dict, os.path.dirname(qsplit_path))
+    q, base_dict = _quasi_split(dec, top_dict, _base_loader(qsplit_path))
     try:
-        report = reports.mult_report(
-            q, {"dec": _load_json(dec_path), "top": top_dict, "base": base_dict}
-        )
+        report = reports.mult_report(q, {"dec": dec_dict, "top": top_dict, "base": base_dict})
     except GraphError as exc:
         click.echo(f"verdict: {exc}", err=True)
         sys.exit(NEGATIVE)
@@ -275,12 +297,7 @@ def potential_bg(normals, constants, lambda_, output):
         "lambda": _load_json_or_inline(lambda_),
     }
     try:
-        report = reports.potential_report(
-            data["normals"],
-            [parse_rat(c) for c in data["constants"]],
-            parse_vec(data["lambda"]),
-            {"potential_input": data},
-        )
+        report = _potential_report(data)
     except ValueError as exc:
         _fail(str(exc))
     _emit(report, output)
@@ -358,54 +375,29 @@ def corpus_cases() -> list:
 
 
 def run_corpus_case(case: dict) -> dict:
-    if case["kind"] in ("graph", "split", "symmetry", "mult"):
-        dec_dict = fixtures.DECOMPOSITIONS[case["dec"]]()
-        dec = decomposition_from_dict(dec_dict)
-        top_dict = fixtures.GRAPHS[case["graph"]]()
-    if case["kind"] == "graph":
+    """The report of one corpus case, through the same helpers as the
+    matching command; fixtures stand in for files."""
+    kind = case["kind"]
+    if kind == "cut":
+        return _cut_report(getattr(fixtures, case["input"])())[1]
+    if kind == "potential":
+        return _potential_report(getattr(fixtures, case["input"])())
+    dec_dict = fixtures.DECOMPOSITIONS[case["dec"]]()
+    dec = decomposition_from_dict(dec_dict)
+    graph_dict = _fixture_graph(case["graph"])
+    if kind == "graph":
         return reports.graph_report(
-            dec, graph_from_dict(top_dict), {"dec": dec_dict, "graph": top_dict}
+            dec, graph_from_dict(graph_dict), {"dec": dec_dict, "graph": graph_dict}
         )
-    if case["kind"] in ("split", "mult") or (
-        case["kind"] == "symmetry" and "collapse" in top_dict
-    ):
-        vertex_map, to_graph = collapse_from_dict(top_dict)
-        base_dict = fixtures.GRAPHS[to_graph]()
-        q = QuasiSplitGraph(
-            dec, graph_from_dict(base_dict), graph_from_dict(top_dict), vertex_map
-        )
-        inputs = {"dec": dec_dict, "top": top_dict, "base": base_dict}
-        if case["kind"] == "split":
-            return reports.split_report(q, parse_vec(case["eta"]), inputs)
-        if case["kind"] == "mult":
-            return reports.mult_report(q, inputs)
-        return reports.symmetry_report(
-            dec, q.top, case["framed"], inputs, split_edge_ids=q.top_split_ids
-        )
-    if case["kind"] == "symmetry":
-        return reports.symmetry_report(
-            dec, graph_from_dict(top_dict), case["framed"],
-            {"dec": dec_dict, "graph": top_dict},
-        )
-    if case["kind"] == "cut":
-        data = getattr(fixtures, case["input"])()
-        lam = parse_vec(data["lambda"])
-        dec, inner = toric_cut(
-            data["normals"],
-            [parse_rat(c) for c in data["constants"]],
-            [parse_rat(e) for e in data["epsilons"]],
-            lam,
-        )
-        return reports.cut_report(dec, inner, lam, {"cut_input": data})
-    if case["kind"] == "potential":
-        data = getattr(fixtures, case["input"])()
-        return reports.potential_report(
-            data["normals"],
-            [parse_rat(c) for c in data["constants"]],
-            parse_vec(data["lambda"]),
-            {"potential_input": data},
-        )
-    raise ValueError(f"unknown corpus case kind {case['kind']}")
+    if kind == "symmetry":
+        return _symmetry_report(dec, dec_dict, graph_dict, case["framed"], _fixture_graph)
+    q, base_dict = _quasi_split(dec, graph_dict, _fixture_graph)
+    inputs = {"dec": dec_dict, "top": graph_dict, "base": base_dict}
+    if kind == "split":
+        return reports.split_report(q, parse_vec(case["eta"]), inputs)
+    if kind == "mult":
+        return reports.mult_report(q, inputs)
+    raise ValueError(f"unknown corpus case kind {kind}")
 
 
 def expected_report_path(name: str):
@@ -470,12 +462,10 @@ def corpus_regenerate(corpus_dir):
         got = canonical_json(run_corpus_case(case))
         if corpus_dir:
             path = os.path.join(corpus_dir, f"{case['name']}.expected.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(got + "\n")
         else:
-            target = expected_report_path(case["name"])
-            with open(str(target), "w", encoding="utf-8") as fh:
-                fh.write(got + "\n")
+            path = str(expected_report_path(case["name"]))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(got + "\n")
         click.echo(f"wrote    {case['name']}")
 
 

@@ -167,12 +167,6 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
     return _canon_rays(lift(y) for y in rays_y), _canon_span(lift(y) for y in lin_y)
 
 
-def _v_to_h(n: int, rays, lineality) -> tuple[tuple, tuple]:
-    """Minimal H-representation via double description on the dual cone."""
-    dual_rays, dual_lin = _h_to_v(n, rays, lineality)
-    return dual_rays, dual_lin
-
-
 class Cone:
     """Rational polyhedral cone in R^n."""
 
@@ -240,8 +234,8 @@ class Cone:
     def _ensure_h(self):
         if self._ineqs is None:
             self._ensure_v()
-            ineqs, eqs = _v_to_h(self.ambient_dim, self._rays, self._lineality)
-            self._ineqs, self._eqs = ineqs, eqs
+            # minimal H-representation: double description on the dual cone
+            self._ineqs, self._eqs = _h_to_v(self.ambient_dim, self._rays, self._lineality)
 
     @property
     def rays(self) -> tuple:
@@ -268,7 +262,7 @@ class Cone:
         if self._minimal is None:
             rays, lin = _h_to_v(self.ambient_dim, self.ineqs, self.eqs)
             c = Cone(self.ambient_dim, rays=rays, lineality=lin)
-            c._ineqs, c._eqs = _v_to_h(self.ambient_dim, rays, lin)
+            c._ineqs, c._eqs = _h_to_v(self.ambient_dim, rays, lin)
             c._minimal = c
             self._minimal = c
         return self._minimal
@@ -365,7 +359,8 @@ class Cone:
                 p = m.lineality[0]
             else:
                 raise ValueError("zero cone has no relative interior point")
-        assert self.contains(p)
+        if not self.contains(p):
+            raise RuntimeError("relative interior point outside the cone")
         return p
 
 

@@ -159,8 +159,9 @@ def kernel_basis(M: Mat, n: int | None = None) -> list[Vec]:
     ``n`` gives the ambient dimension when M has no rows.
     """
     if not M:
-        assert n is not None
-        return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+        if n is None:
+            raise ValueError("ambient dimension required for a matrix without rows")
+        return list(eye(n))
     n = len(M[0])
     R, pivots = rref(M)
     free = [c for c in range(n) if c not in pivots]
@@ -207,51 +208,6 @@ def det(M: Mat) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return d
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable exact matrix over the rationals."""
-
-    entries: Mat
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", mat(self.entries))
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(transpose(self.entries))
-
-    def matvec(self, x) -> Vec:
-        return matvec(self.entries, vec(x))
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(matmul(self.entries, other.entries))
-
-    def rank(self) -> int:
-        return rank(self.entries)
-
-    def kernel_basis(self) -> list[Vec]:
-        return kernel_basis(self.entries, self.cols)
-
-    def image_basis(self) -> list[Vec]:
-        """Basis of the column space: the pivot columns of the matrix."""
-        _, pivots = rref(self.entries)
-        cols = transpose(self.entries)
-        return [cols[c] for c in pivots]
-
-    def solve(self, b) -> Vec | None:
-        return solve(self.entries, vec(b))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +458,8 @@ def unimodular_completion(u) -> tuple:
     col = tuple((x,) for x in u)
     U, D, V = smith_normal_form(col)
     # U @ u * V[0][0] = D with D = e1 (u primitive)
-    assert D[0][0] == 1
+    if D[0][0] != 1:
+        raise RuntimeError("Smith form of a primitive vector is not e1")
     if V[0][0] == -1:
         U = tuple(tuple(-x for x in row) for row in U)
     return U

@@ -480,21 +480,3 @@ DECOMPOSITIONS = {
     "square_split": square_complex,
     "cube_split": cube_complex,
 }
-
-GRAPH_DECOMPOSITION = {
-    "fig_rigid_gamma1": "square_plain",
-    "fig_rigid_gamma2": "square_plain",
-    "fig_square_base": "square_split",
-    "fig_square_top1": "square_split",
-    "fig_square_top2": "square_split",
-    "fig_cube_base": "cube_split",
-    "fig_cube_top1": "cube_split",
-    "fig_cube_top2": "cube_split",
-    "fig_drop_single_base": "square_split",
-    "fig_drop_single_top": "square_split",
-    "fig_drop_three_base": "square_split",
-    "fig_drop_three_top": "square_split",
-    "fig_four_base": "square_split",
-    "fig_four_top": "square_split",
-    "fig_four_top_prime": "square_split",
-}

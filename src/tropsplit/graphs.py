@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Decomposition
-from .exact import vdot, vec
+from .exact import quotient_projection, vdot, vec
 from .polyhedra import Polyhedron
 
 TROPICAL = "tropical"
@@ -139,14 +139,15 @@ class VertexPositionPolyhedron:
         return witness[i * n : (i + 1) * n]
 
 
-def _block_row(n_vars: int, block: int, n: int, a):
+def block_row(n_vars: int, block: int, n: int, a):
+    """Row representing a.x_block."""
     row = [Fraction(0)] * n_vars
     for j, x in enumerate(vec(a)):
         row[block * n + j] = x
     return tuple(row)
 
 
-def _pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
+def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
     """Row representing a.(x_blockA - x_blockB)."""
     row = [Fraction(0)] * n_vars
     for j, x in enumerate(vec(a)):
@@ -155,21 +156,12 @@ def _pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
     return tuple(row)
 
 
-def _direction_rows(direction, n_vars, ia, ib, n):
+def direction_rows(direction, n_vars, ia, ib, n):
     """Equality rows forcing pos(a) - pos(b) onto the line of `direction`
-    (2x2 minors), plus the inequality row whose sign is the multiplier."""
-    d = vec(direction)
-    eqs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i] == 0 and d[j] == 0:
-                continue
-            coeff = [Fraction(0)] * n
-            coeff[i] = d[j]
-            coeff[j] = -d[i]
-            eqs.append(_pair_row(n_vars, ia, ib, n, coeff))
-    ineq = _pair_row(n_vars, ia, ib, n, d)
-    return eqs, ineq
+    (the rows of its quotient projection), plus the inequality row whose
+    sign is the multiplier."""
+    eqs = [pair_row(n_vars, ia, ib, n, p) for p in quotient_projection(direction)]
+    return eqs, pair_row(n_vars, ia, ib, n, direction)
 
 
 def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPositionPolyhedron:
@@ -186,16 +178,15 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
         dual = dec.dual(graph.label[v])
         cell_ineqs, cell_eqs = dual.hrep()
         for a, b in cell_ineqs:
-            row = (_block_row(n_vars, index[v], n, a), b)
+            row = (block_row(n_vars, index[v], n, a), b)
             ineqs.append(row)
             strict.append(row)
         for a, b in cell_eqs:
-            eqs.append((_block_row(n_vars, index[v], n, a), b))
+            eqs.append((block_row(n_vars, index[v], n, a), b))
     for e in graph.tropical_edges():
         ia, ib = index[e.ends[0]], index[e.ends[1]]
-        minor_rows, ineq_row = _direction_rows(e.direction, n_vars, ia, ib, n)
-        for r in minor_rows:
-            eqs.append((r, Fraction(0)))
+        line_rows, ineq_row = direction_rows(e.direction, n_vars, ia, ib, n)
+        eqs += [(r, Fraction(0)) for r in line_rows]
         # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
         row = (tuple(-x for x in ineq_row), Fraction(0))
         ineqs.append(row)
@@ -206,10 +197,10 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
         not closed.lies_in_hyperplane(a, b) for a, b in strict
     )
     witness = closed.relative_interior_point() if realizable else None
-    if witness is not None:
-        # a relative interior point avoids every strict boundary: no strict
-        # row is implicit, so each cuts out a proper face
-        assert all(vdot(vec(a), witness) < b for a, b in strict)
+    # a relative interior point avoids every strict boundary: no strict
+    # row is implicit, so each cuts out a proper face
+    if witness is not None and not all(vdot(vec(a), witness) < b for a, b in strict):
+        raise RuntimeError("relative interior point violates a strict row")
     return VertexPositionPolyhedron(
         vertex_order=order,
         closed=closed,
@@ -302,6 +293,24 @@ def match_collapse(dec: Decomposition, top: TropicalGraph, base: TropicalGraph,
                           frozenset(flipped))
 
 
+def image_direction(base: TropicalGraph, report: CollapseReport, eid: str) -> tuple:
+    """Direction of the base image of top edge ``eid``, oriented like the
+    top edge's stored ends."""
+    d = base.edge(report.edge_map[eid]).direction
+    return tuple(-x for x in d) if eid in report.flipped else d
+
+
+def direction_diagnostics(top: TropicalGraph, base: TropicalGraph,
+                          report: CollapseReport) -> list:
+    """Uncollapsed tropical edges whose direction is not their base image's."""
+    return [
+        f"edge {eid}: direction changes under the collapse"
+        for eid in report.edge_map
+        if top.edge(eid).kind == TROPICAL
+        and top.edge(eid).direction != image_direction(base, report, eid)
+    ]
+
+
 def validate_collapse(dec: Decomposition, top: TropicalGraph, base: TropicalGraph,
                       vertex_map: dict) -> CollapseReport:
     """Tropical edge collapse: structural match plus unchanged directions
@@ -309,19 +318,16 @@ def validate_collapse(dec: Decomposition, top: TropicalGraph, base: TropicalGrap
     validate_graph(dec, top)
     validate_graph(dec, base)
     report = match_collapse(dec, top, base, vertex_map)
-    diags = list(report.diagnostics)
-    for eid, bid in report.edge_map.items():
-        e = top.edge(eid)
-        img = base.edge(bid)
-        if e.kind != TROPICAL:
-            continue
-        want = img.direction if eid not in report.flipped else tuple(
-            -x for x in img.direction
-        )
-        if e.direction != want:
-            diags.append(f"edge {eid}: direction changes under the collapse")
-    return CollapseReport(not diags, tuple(diags), report.collapsed_edges,
+    diags = report.diagnostics + tuple(direction_diagnostics(top, base, report))
+    return CollapseReport(not diags, diags, report.collapsed_edges,
                           report.edge_map, report.flipped)
+
+
+def derived_split_ids(dec: Decomposition, graph: TropicalGraph) -> frozenset:
+    """Ids of the tropical edges whose cell lies in the split set."""
+    return frozenset(
+        e.id for e in graph.tropical_edges() if edge_cell(dec, graph, e) in dec.split_set
+    )
 
 
 def split_edges(dec: Decomposition, graph: TropicalGraph, order=None) -> tuple:
@@ -331,9 +337,7 @@ def split_edges(dec: Decomposition, graph: TropicalGraph, order=None) -> tuple:
     exactly the derived set; without one the edges come sorted by id.
     """
     validate_graph(dec, graph)
-    derived = {
-        e.id for e in graph.tropical_edges() if edge_cell(dec, graph, e) in dec.split_set
-    }
+    derived = derived_split_ids(dec, graph)
     if order is None:
         order = graph.split_order
     if order is None:

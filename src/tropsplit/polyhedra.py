@@ -168,7 +168,8 @@ class Polyhedron:
         for r in rays:
             p = vadd(p, r)
         p = vscale(Fraction(1, k), p)
-        assert self.contains(p)
+        if not self.contains(p):
+            raise RuntimeError("relative interior point outside the polyhedron")
         return p
 
     def lies_in_hyperplane(self, a, b) -> bool:

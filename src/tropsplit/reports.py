@@ -10,7 +10,7 @@ import hashlib
 
 from . import __version__
 from .complexes import Decomposition, is_tropical_fiber
-from .graphs import TropicalGraph, is_rigid, split_edges, vertex_positions
+from .graphs import TropicalGraph, split_edges, vertex_positions
 from .potential import NovikovSeries, bg_potential, leading_terms
 from .serialize import (
     canonical_json,
@@ -21,14 +21,7 @@ from .serialize import (
     series_to_list,
     vec_str,
 )
-from .splitting import (
-    QuasiSplitGraph,
-    cone_condition,
-    discrepancy,
-    index_shift,
-    is_rigid_split,
-    relative_position_cone,
-)
+from .splitting import QuasiSplitGraph, cone_condition, index_shift, is_rigid_split
 from .symmetry import component_splitting, multiplicity, symmetry_group
 
 
@@ -56,7 +49,7 @@ def graph_report(dec: Decomposition, graph: TropicalGraph, inputs: dict) -> dict
             "dim": w.dim,
             "vertex_order": list(w.vertex_order),
             "witness": vec_str(w.witness) if w.witness is not None else None,
-            "rigid": is_rigid(dec, graph) if w.realizable else None,
+            "rigid": w.dim == 0 if w.realizable else None,
             "split_edges": list(split_edges(dec, graph)),
         }
     )
@@ -64,16 +57,15 @@ def graph_report(dec: Decomposition, graph: TropicalGraph, inputs: dict) -> dict
 
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
-    data = discrepancy(q)
     cc = cone_condition(q, eta)
     out = _head("split-check", inputs)
     out.update(
         {
             "eta": vec_str(eta),
             "split_order": list(q.split_order),
-            "w_cone": cone_to_dict(relative_position_cone(q)),
-            "w_dim": relative_position_cone(q).dim(),
-            "disc_cone": cone_to_dict(data.disc),
+            "w_cone": cone_to_dict(q.w),
+            "w_dim": q.w.dim(),
+            "disc_cone": cone_to_dict(q.disc.disc),
             "disc_dim": cc.disc_dim,
             "expected_disc_dim": cc.expected_disc_dim,
             "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,

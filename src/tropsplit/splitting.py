@@ -11,10 +11,11 @@ all discrepancy data follow that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, is_increasing
+from .cones import Cone, _canon_span, is_increasing
 from .exact import (
     GenericityCertificate,
     is_generic_wrt,
@@ -25,19 +26,21 @@ from .exact import (
     primitive,
     quotient_projection,
     rank,
-    rref,
-    sign_normalized,
     vec,
-    vzero,
 )
 from .graphs import (
     TROPICAL,
     CollapseReport,
     Edge,
     TropicalGraph,
+    block_row,
     components_without,
+    derived_split_ids,
+    direction_diagnostics,
+    direction_rows,
+    image_direction,
     match_collapse,
-    split_edges,
+    pair_row,
     subgraph,
     validate_graph,
     vertex_positions,
@@ -55,6 +58,9 @@ class QuasiSplitGraph:
     With ``partial=True`` the order may cover only a subset of the derived
     split set (used by the one-edge-at-a-time check); the remaining split
     cells are then treated as ordinary tropical edges.
+
+    The relative-position cone ``w``, the discrepancy data ``disc`` and the
+    ``genericity_family`` are computed once, on first use.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -63,23 +69,21 @@ class QuasiSplitGraph:
         self.base = base
         self.vertex_map = dict(vertex_map)
         self.partial = bool(partial)
-        validate_graph(dec, base)
-        wbase = vertex_positions(dec, base)
-        if not wbase.realizable:
+        self.base_positions = vertex_positions(dec, base)
+        if not self.base_positions.realizable:
             raise SplitError("base graph is not realizable")
-        self._wbase = wbase
-        derived = split_edges(dec, base, order=None)
+        derived = derived_split_ids(dec, base)
         if split_order is None:
-            split_order = base.split_order if base.split_order is not None else derived
+            split_order = base.split_order if base.split_order is not None else sorted(derived)
         self.split_order = tuple(split_order)
         if partial:
-            if not set(self.split_order) <= set(derived):
+            if not set(self.split_order) <= derived:
                 raise SplitError("partial split order exceeds the derived split set")
-        else:
-            if set(self.split_order) != set(derived) or len(self.split_order) != len(derived):
-                raise SplitError(
-                    f"split order {self.split_order} does not cover the derived set {derived}"
-                )
+        elif sorted(self.split_order) != sorted(derived):
+            raise SplitError(
+                f"split order {self.split_order} does not cover the derived set "
+                f"{tuple(sorted(derived))}"
+            )
         report = match_collapse(dec, top, base, self.vertex_map)
         if not report.ok:
             raise SplitError("invalid collapse: " + "; ".join(report.diagnostics))
@@ -97,10 +101,10 @@ class QuasiSplitGraph:
         self.top = self._with_inherited_directions(top)
         validate_graph(dec, self.top)
         self.top_split_ids = frozenset(self.split_top.values())
-        self._check_directions()
+        diags = direction_diagnostics(self.top, base, report)
+        if diags:
+            raise SplitError("invalid collapse: " + "; ".join(diags))
         self._check_components()
-        self._w: Cone | None = None
-        self._disc = None
 
     # construction checks ------------------------------------------------------
 
@@ -108,26 +112,11 @@ class QuasiSplitGraph:
         """Split edges may omit their direction; they inherit the base's."""
         edges = []
         for e in top.edges:
-            bid = self.collapse.edge_map.get(e.id)
-            if bid in self.split_top and e.direction is None:
-                d = self.base.edge(bid).direction
-                if e.id in self.collapse.flipped:
-                    d = tuple(-x for x in d)
+            if self.collapse.edge_map.get(e.id) in self.split_top and e.direction is None:
+                d = image_direction(self.base, self.collapse, e.id)
                 e = Edge(e.id, e.ends, e.kind, d, e.maps_to)
             edges.append(e)
         return TropicalGraph(top.vertices, tuple(edges), top.split_order)
-
-    def _check_directions(self):
-        for eid, bid in self.collapse.edge_map.items():
-            e = self.top.edge(eid)
-            if e.kind != TROPICAL:
-                continue
-            img = self.base.edge(bid)
-            want = img.direction
-            if eid in self.collapse.flipped:
-                want = tuple(-x for x in want)
-            if e.direction != want:
-                raise SplitError(f"edge {eid}: direction differs from its base image")
 
     def _check_components(self):
         self.components = components_without(self.top, self.top_split_ids)
@@ -138,6 +127,20 @@ class QuasiSplitGraph:
                 raise SplitError(
                     f"component containing {min(vs)} is not realizable"
                 )
+
+    # cached analyses ------------------------------------------------------------
+
+    @cached_property
+    def w(self) -> Cone:
+        return relative_position_cone(self)
+
+    @cached_property
+    def disc(self) -> DiscrepancyData:
+        return discrepancy(self)
+
+    @cached_property
+    def genericity_family(self) -> tuple:
+        return _genericity_family(self)
 
     # basic data -----------------------------------------------------------------
 
@@ -171,55 +174,27 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     """Cone of relative vertex positions: per-vertex relative cells with
     the direction condition on new edges (nonnegative multiples) and on
     retained non-split edges (real multiples); split edges are free."""
-    if q._w is not None:
-        return q._w
-    dec = q.dec
     n = q.n
     order = q.vertex_order()
     index = {v: i for i, v in enumerate(order)}
     n_vars = n * len(order)
     ineqs: list = []
     eqs: list = []
-
-    def block_row(i, a):
-        row = [Fraction(0)] * n_vars
-        for j, x in enumerate(vec(a)):
-            row[i * n + j] = x
-        return tuple(row)
-
-    def pair_row(ia, ib, a):
-        row = [Fraction(0)] * n_vars
-        for j, x in enumerate(vec(a)):
-            row[ia * n + j] += x
-            row[ib * n + j] -= x
-        return tuple(row)
-
-    label_top = q.top.label
-    label_base = q.base.label
     for v in order:
-        cone_v = cone_of_relative_cell(dec, label_top[v], label_base[q.vertex_map[v]])
-        for a in cone_v.ineqs:
-            ineqs.append(block_row(index[v], a))
-        for a in cone_v.eqs:
-            eqs.append(block_row(index[v], a))
+        cone_v = cone_of_relative_cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
+        ineqs += [block_row(n_vars, index[v], n, a) for a in cone_v.ineqs]
+        eqs += [block_row(n_vars, index[v], n, a) for a in cone_v.eqs]
     collapsed = set(q.collapse.collapsed_edges)
     for e in q.top.edges:
         if e.kind != TROPICAL or e.id in q.top_split_ids:
             continue
-        ia, ib = index[e.ends[0]], index[e.ends[1]]
-        d = vec(e.direction)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i] == 0 and d[j] == 0:
-                    continue
-                coeff = [Fraction(0)] * n
-                coeff[i] = d[j]
-                coeff[j] = -d[i]
-                eqs.append(pair_row(ia, ib, coeff))
+        line_rows, ineq_row = direction_rows(
+            e.direction, n_vars, index[e.ends[0]], index[e.ends[1]], n
+        )
+        eqs += line_rows
         if e.id in collapsed:
-            ineqs.append(pair_row(ia, ib, d))  # new edge: nonnegative multiple
-    q._w = Cone(n_vars, ineqs=ineqs, eqs=eqs)
-    return q._w
+            ineqs.append(ineq_row)  # new edge: nonnegative multiple
+    return Cone(n_vars, ineqs=ineqs, eqs=eqs)
 
 
 @dataclass(frozen=True)
@@ -233,8 +208,6 @@ class DiscrepancyData:
 def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
     """The discrepancy map Diff (projected split-edge mismatches of a
     relative position) and the discrepancy cone, its image over w."""
-    if q._disc is not None:
-        return q._disc
     n = q.n
     order = q.vertex_order()
     index = {v: i for i, v in enumerate(order)}
@@ -243,25 +216,18 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
     blocks = []
     for bid, e, ends, d, proj in q.split_edge_blocks():
         ia, ib = index[ends[0]], index[ends[1]]
-        for prow in proj:
-            row = [Fraction(0)] * n_vars
-            for j, x in enumerate(prow):
-                row[ia * n + j] += x
-                row[ib * n + j] -= x
-            rows.append(tuple(row))
+        rows += [pair_row(n_vars, ia, ib, n, prow) for prow in proj]
         blocks.append((bid, tuple(d), proj))
-    w = relative_position_cone(q)
     s = q.num_split
-    disc = w.linear_image(mat(rows), codim=s * (n - 1)) if s else Cone.zero(0)
-    data = DiscrepancyData(tuple(rows), disc, w, tuple(blocks))
-    q._disc = data
-    return data
+    disc = q.w.linear_image(mat(rows), codim=s * (n - 1)) if s else Cone.zero(0)
+    return DiscrepancyData(tuple(rows), disc, q.w, tuple(blocks))
 
 
-def _genericity_family(q: QuasiSplitGraph, data: DiscrepancyData):
+def _genericity_family(q: QuasiSplitGraph):
     """Proper rational subspaces of t that the cone direction must avoid:
     per split edge, the direction span, the block slice of span(Disc) when
     proper, and block slices of the facet hyperplanes of Disc."""
+    data = q.disc
     n = q.n
     s = q.num_split
     full = s * (n - 1)
@@ -272,7 +238,7 @@ def _genericity_family(q: QuasiSplitGraph, data: DiscrepancyData):
         basis_rows = [vec(b) for b in basis_rows]
         if not basis_rows or rank(mat(basis_rows)) >= n:
             return
-        key = tuple(sorted(_canon_rows(basis_rows)))
+        key = _canon_span(basis_rows)
         if key in seen:
             return
         seen.add(key)
@@ -308,11 +274,6 @@ def _genericity_family(q: QuasiSplitGraph, data: DiscrepancyData):
     return fam, labels
 
 
-def _canon_rows(rows):
-    R, pivots = rref(mat(rows))
-    return [tuple(sign_normalized(R[i])) for i in range(len(pivots))]
-
-
 @dataclass(frozen=True)
 class ConeConditionVerdict:
     holds: bool
@@ -338,7 +299,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
         raise SplitError("cone direction has wrong dimension")
     if is_zero_vec(eta):
         raise SplitError("cone direction must be nonzero")
-    data = discrepancy(q)
+    data = q.disc
     n, s = q.n, q.num_split
     if s == 0:
         cert = GenericityCertificate(True, (), ())
@@ -359,7 +320,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     )
     D = pre.intersect(orthant).minimal()
     holds = is_increasing(D)
-    fam, labels = _genericity_family(q, data)
+    fam, labels = q.genericity_family
     cert = is_generic_wrt(eta, fam, labels)
     return ConeConditionVerdict(
         holds=holds,
@@ -395,10 +356,7 @@ def is_split_graph(q: QuasiSplitGraph, eta) -> SplitGraphVerdict:
 
 def is_rigid_split(q: QuasiSplitGraph) -> bool:
     """Base rigid and dim w = |split edges| (dim t - 1)."""
-    if q._wbase.dim != 0:
-        return False
-    w = relative_position_cone(q)
-    return w.dim() == q.num_split * (q.n - 1)
+    return q.base_positions.dim == 0 and q.w.dim() == q.num_split * (q.n - 1)
 
 
 def index_shift(q: QuasiSplitGraph, i_br: int) -> tuple[int, int]:

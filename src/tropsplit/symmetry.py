@@ -29,7 +29,7 @@ from .graphs import (
     GraphError,
     TropicalGraph,
     components_without,
-    edge_cell,
+    derived_split_ids,
     subgraph,
     validate_graph,
 )
@@ -95,12 +95,7 @@ def symmetry_group(dec: Decomposition, graph: TropicalGraph, framed: bool = Fals
     """
     validate_graph(dec, graph)
     if split_edge_ids is None:
-        split_edge_ids = {
-            e.id
-            for e in graph.tropical_edges()
-            if edge_cell(dec, graph, e) in dec.split_set
-        }
-    split_edge_ids = frozenset(split_edge_ids)
+        split_edge_ids = derived_split_ids(dec, graph)
     constrained = [
         e
         for e in graph.edges
@@ -132,13 +127,9 @@ def component_splitting(dec: Decomposition, graph: TropicalGraph,
     dimension."""
     validate_graph(dec, graph)
     if split_edge_ids is None:
-        split_edge_ids = {
-            e.id
-            for e in graph.tropical_edges()
-            if edge_cell(dec, graph, e) in dec.split_set
-        }
+        split_edge_ids = derived_split_ids(dec, graph)
     out = []
-    for vs, es in components_without(graph, frozenset(split_edge_ids)):
+    for vs, es in components_without(graph, split_edge_ids):
         sub = subgraph(graph, vs, es)
         out.append(symmetry_group(dec, sub, framed=False, split_edge_ids=frozenset()))
     return out

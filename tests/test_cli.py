@@ -217,3 +217,69 @@ def test_collapse_via_path_reference(fixture_dir):
     (ray,) = report["w_cone"]["rays"]
     # single generating ray, (2,1) in the moving vertex's block
     assert [x for x in ray if x != "0"] == ["2", "1"]
+
+
+def _drop_vertex_map(data):
+    del data["collapse"]["vertex_map"]
+
+
+def _set(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [
+        pytest.param(["split", "check"], _drop_vertex_map, id="split-no-vertex-map"),
+        pytest.param(["mult"], _drop_vertex_map, id="mult-no-vertex-map"),
+        pytest.param(["split", "check"], _set("collapse", "x"), id="split-collapse-string"),
+        pytest.param(["split", "check"], _set("vertices", 5), id="split-vertices-int"),
+        pytest.param(["graph", "check"], _set("vertices", 5), id="graph-vertices-int"),
+    ],
+)
+def test_malformed_quasi_split_input_exits_two(fixture_dir, tmp_path, command, mutate):
+    data = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
+    # keep the base reachable from the mutated copy
+    data["collapse"]["to_graph"] = str(fixture_dir / data["collapse"]["to_graph"])
+    mutate(data)
+    path = tmp_path / "mutated.graph.json"
+    path.write_text(json.dumps(data))
+    args = command + [str(fixture_dir / "square_split.dec.json"), str(path)]
+    if command == ["split", "check"]:
+        args += ["--eta", "1,-1"]
+    res = run_cli(args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "Traceback" not in res.output
+
+
+CORPUS_COMMANDS = {
+    "graph": ["graph", "check"],
+    "split": ["split", "check"],
+    "symmetry": ["symmetry"],
+    "mult": ["mult"],
+}
+
+
+def test_commands_reproduce_corpus_reports(fixture_dir):
+    """Each graph, split, symmetry and mult case gives the stored report
+    through its command on the exported files.  Input digests differ, as
+    the exported top graphs name their base by path."""
+    checked = 0
+    for case in corpus_cases():
+        if case["kind"] not in CORPUS_COMMANDS:
+            continue
+        args = CORPUS_COMMANDS[case["kind"]] + [
+            str(fixture_dir / f"{case['dec']}.dec.json"),
+            str(fixture_dir / f"{case['graph']}.graph.json"),
+        ]
+        if "eta" in case:
+            args += ["--eta", ",".join(case["eta"])]
+        if case.get("framed"):
+            args.append("--framed")
+        got = json.loads(run_cli(args).stdout)
+        want = json.loads(expected_report_path(case["name"]).read_text())
+        assert sorted(got.pop("inputs")) == sorted(want.pop("inputs")), case["name"]
+        assert got == want, case["name"]
+        checked += 1
+    assert checked == 15

@@ -5,7 +5,6 @@ import pytest
 
 from tropsplit.exact import (
     IntegerLattice,
-    RationalMatrix,
     det,
     invariant_factors,
     is_generic_wrt,
@@ -201,16 +200,6 @@ def test_generic_rejects_full_space():
 
 
 # -- misc kernels --------------------------------------------------------------
-
-
-def test_rational_matrix_kernel_and_image():
-    M = RationalMatrix([[1, 2, 3], [2, 4, 6]])
-    assert M.rank() == 1
-    kb = M.kernel_basis()
-    assert len(kb) == 2
-    for v in kb:
-        assert M.matvec(v) == (0, 0)
-    assert len(M.image_basis()) == 1
 
 
 def test_quotient_projection_kernel_and_surjectivity():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +187,37 @@ def test_split_edge_direction_may_be_omitted(square_split):
         top["collapse"]["vertex_map"],
     )
     assert cone_condition(q, (1, -1)).holds
+
+
+def test_analyses_run_once_per_graph(cube_split, monkeypatch):
+    """One graph computes its cones and genericity family once, however
+    many cone directions its reports test."""
+    from tropsplit import reports, splitting
+
+    calls = Counter()
+    for name in ("relative_position_cone", "discrepancy", "_genericity_family"):
+        original = getattr(splitting, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(splitting, name, counted)
+    q = quasi(cube_split, "fig_cube_top2")
+    for eta in ((F(3, 4), 1, 0), (3, 1, 0), (1, F(5, 4), 0)):
+        reports.split_report(q, eta, {})
+    assert calls == {"relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1}
+
+
+def test_split_edge_direction_must_match_base(square_split):
+    top = fx.fig_square_top1()
+    (e,) = [x for x in top["edges"] if x["id"] == "e"]
+    e["direction"] = [-2, -2]
+    with pytest.raises(SplitError, match="edge e: direction changes under the collapse"):
+        QuasiSplitGraph(
+            square_split, graph_from_dict(fx.fig_square_base()), graph_from_dict(top),
+            top["collapse"]["vertex_map"],
+        )
 
 
 # -- rigidity and index bookkeeping ------------------------------------------------------
