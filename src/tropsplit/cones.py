@@ -7,6 +7,14 @@ deterministic insertion order (input order), with redundancy eliminated
 after every step, so converted representations are minimal (extreme rays,
 facet inequalities) and reproducible.
 
+The double description runs on Python ints only: every input row, kernel
+vector and ray is scaled by a positive factor to a primitive integer
+vector, lineality bases are primitive integer rref rows, new rays
+``(a.r+) r- - (a.r-) r+`` and every elimination step are fraction-free
+with a gcd division, and a ray's zero-set is an int bitmask over the input
+rows.  Every result is still an exact ``Fraction`` vector (with
+denominator 1), identical to what rational elimination gives.
+
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
 """
@@ -14,29 +22,49 @@ per value, so concurrent readers always observe a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .exact import (
     Vec,
+    fr,
     is_zero_vec,
-    kernel_basis,
     mat,
     matvec,
-    primitive,
     rank,
-    rref,
-    sign_normalized,
+    rref,  # unused here; the tracer tests in perfbench patch cones.rref
     transpose,
     vadd,
     vdot,
     vec,
     vscale,
-    vsub,
     vzero,
 )
 
 
+def _int_row(v) -> tuple:
+    """Primitive integer vector positively proportional to a rational one
+    (the zero vector maps to zeros)."""
+    v = [fr(x) for x in v]
+    l = lcm(*(x.denominator for x in v))
+    return _primitive([x.numerator * (l // x.denominator) for x in v])
+
+
+def _primitive(v) -> tuple:
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _frac(v) -> Vec:
+    return tuple(map(Fraction, v))
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
 def _prim(v) -> Vec:
-    return vec(primitive(v))
+    return _frac(_int_row(v))
 
 
 def _unit(n: int, j: int) -> Vec:
@@ -44,127 +72,190 @@ def _unit(n: int, j: int) -> Vec:
 
 
 def _canon_rays(rays) -> tuple:
-    out = sorted({_prim(r) for r in rays if not is_zero_vec(vec(r))})
-    return tuple(out)
+    return _sorted_rays(map(_int_row, rays))
+
+
+def _sorted_rays(rays) -> tuple:
+    """Canonical ray tuple from primitive integer vectors."""
+    return tuple(map(_frac, sorted({r for r in rays if any(r)})))
 
 
 def _canon_span(rows) -> tuple:
     """Canonical basis (primitive rref rows) of the span of the given rows."""
-    rows = [vec(r) for r in rows if not is_zero_vec(vec(r))]
-    if not rows:
-        return ()
-    R, pivots = rref(mat(rows))
-    return tuple(vec(sign_normalized(R[i])) for i in range(len(pivots)))
+    return tuple(map(_frac, _rref_int(map(_int_row, rows))))
 
 
-def _reduce_mod_span(span_rref, v) -> Vec:
-    """Canonical coset representative of v modulo the row span (rref rows)."""
-    v = list(vec(v))
-    for row in span_rref:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if v[p] != 0:
-            f = v[p] / row[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return tuple(v)
+def _rref_int(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns the nonzero rows of the reduced row echelon form, each scaled
+    to a primitive integer vector with a positive pivot.  A pivot row is
+    negated when its pivot is negative; every other step combines two rows
+    as ``p*row - row[c]*pivot_row`` with ``p > 0`` and divides by the gcd.
+    The result is the sign-normalized primitive form of the rational rref
+    rows.
+    """
+    rows = [r for r in rows if any(r)]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        piv = rows[pr]
+        if piv[c] < 0:
+            piv = tuple(-x for x in piv)
+        rows[pr] = rows[r]
+        rows[r] = piv
+        p = piv[c]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], piv)])
+        r += 1
+    return tuple(map(_primitive, rows[:r]))
+
+
+def _kernel_int(R, n: int) -> list:
+    """Primitive integer basis of the kernel of a matrix in the form that
+    ``_rref_int`` returns, one vector per free column in increasing order;
+    each is a positive multiple of the vector ``exact.kernel_basis`` gives."""
+    pivots = [next(i for i, x in enumerate(row) if x) for row in R]
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        l = lcm(*(row[pc] for row, pc in zip(R, pivots)))
+        v = [0] * n
+        v[fc] = l
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc] * (l // row[pc])
+        basis.append(_primitive(v))
+    return basis
+
+
+def _reduce_mod_span(span, v) -> tuple:
+    """Primitive canonical coset representative of v modulo the span of
+    primitive rref rows: the one that vanishes at every pivot."""
+    for row in span:
+        p = next(i for i, x in enumerate(row) if x)
+        f = v[p]
+        if f:
+            q = row[p]
+            v = [q * x - f * y for x, y in zip(v, row)]
+    return _primitive(v)
 
 
 # ---------------------------------------------------------------------------
 # double description core
+#
+# Everything below runs on primitive integer vectors.  Rows and rays are only
+# ever rescaled by positive factors, so the cones and the sign tests are those
+# of the rational input.  A ray's zero-set, the input rows it is tight on, is
+# an int bitmask over the row indices.
 
 
 def _dd_pointed(d: int, rows) -> tuple[list, list]:
-    """Generators of {y in R^d : a.y >= 0 for a in rows}.
+    """Generators of {y in R^d : a.y >= 0 for a in rows}, for integer rows.
 
-    Returns (rays, lineality).  Rays are kept extreme modulo the lineality
-    space throughout; insertion follows the input row order.
+    Returns (rays, lineality) as primitive integer vectors.  Rays are kept
+    extreme modulo the lineality space throughout; insertion follows the
+    input row order.
     """
-    lin: list[Vec] = [_unit(d, j) for j in range(d)]
-    rays: list[tuple[Vec, frozenset]] = []
-    processed: list[Vec] = []
+    lin = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+    rays: list[tuple[tuple, int]] = []
 
-    def renorm(v) -> Vec:
-        return _prim(_reduce_mod_span(lin, v))
-
-    for a in rows:
-        a = vec(a)
-        idx = len(processed)
-        if is_zero_vec(a):
-            processed.append(a)
-            rays = [(r, z | {idx}) for r, z in rays]
+    for idx, a in enumerate(rows):
+        bit = 1 << idx
+        if not any(a):
+            rays = [(r, z | bit) for r, z in rays]
             continue
-        i0 = next((i for i, l in enumerate(lin) if vdot(a, l) != 0), None)
+        i0 = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
         if i0 is not None:
             l0 = lin[i0]
-            if vdot(a, l0) < 0:
-                l0 = vec(vscale(-1, l0))
-            al0 = vdot(a, l0)
-            rest = [l for i, l in enumerate(lin) if i != i0]
-            lin = list(
-                _canon_span(vsub(l, vscale(vdot(a, l) / al0, l0)) for l in rest)
+            al0 = _dot(a, l0)
+            if al0 < 0:
+                l0, al0 = tuple(-x for x in l0), -al0
+            lin = _rref_int(
+                [al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]
+                for i, l in enumerate(lin)
+                if i != i0
             )
             new_rays = [
-                (renorm(vsub(r, vscale(vdot(a, r) / al0, l0))), z | {idx})
+                (
+                    _reduce_mod_span(
+                        lin, [al0 * x - _dot(a, r) * y for x, y in zip(r, l0)]
+                    ),
+                    z | bit,
+                )
                 for r, z in rays
             ]
-            new_rays.append((renorm(l0), frozenset(range(idx))))
+            new_rays.append((_reduce_mod_span(lin, l0), bit - 1))
             rays = _dedupe(new_rays)
-            processed.append(a)
             continue
-        plus = [(r, z) for r, z in rays if vdot(a, r) > 0]
-        zero = [(r, z | {idx}) for r, z in rays if vdot(a, r) == 0]
-        minus = [(r, z) for r, z in rays if vdot(a, r) < 0]
+        # a vanishes on the lineality space and every ray already vanishes
+        # at the pivots of its basis, so combinations need no reduction
+        vals = [_dot(a, r) for r, _ in rays]
+        plus = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
+        minus = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
+        zero = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
         if not minus:
-            rays = plus + zero
-            processed.append(a)
+            rays = [(r, z) for r, z, _ in plus] + zero
             continue
+        # rp and rm are adjacent unless a third ray is tight on every row
+        # that both are tight on; rp and rm themselves always are
+        nots = [~z for _, z in rays]
         combos = []
-        for rp, zp in plus:
-            for rm, zm in minus:
+        for rp, zp, vp in plus:
+            for rm, zm, vm in minus:
                 inter = zp & zm
-                blocked = any(
-                    inter <= z3
-                    for r3, z3 in rays
-                    if r3 is not rp and r3 is not rm
-                )
-                if blocked:
-                    continue
-                w = vsub(vscale(vdot(a, rp), rm), vscale(vdot(a, rm), rp))
-                combos.append((renorm(w), frozenset(inter | {idx})))
-        rays = _dedupe(plus + zero + combos)
-        processed.append(a)
-    return [r for r, _ in rays], lin
+                tight = 0
+                for nz in nots:
+                    if not inter & nz:
+                        tight += 1
+                        if tight > 2:
+                            break
+                if tight <= 2:
+                    w = [vp * x - vm * y for x, y in zip(rm, rp)]
+                    combos.append((_primitive(w), inter | bit))
+        rays = _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
+    return [r for r, _ in rays], list(lin)
 
 
 def _dedupe(pairs):
     seen = {}
     for r, z in pairs:
-        if is_zero_vec(r):
-            continue
-        if r not in seen:
-            seen[r] = frozenset(z)
-    return [(r, z) for r, z in seen.items()]
+        if any(r) and r not in seen:
+            seen[r] = z
+    return list(seen.items())
 
 
 def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
-    """V-representation of {x : ineq.x >= 0, eq.x = 0}."""
-    eqs = [vec(e) for e in eqs if not is_zero_vec(vec(e))]
-    if eqs:
-        K = kernel_basis(mat(eqs), n)
-    else:
-        K = [_unit(n, j) for j in range(n)]
-    d = len(K)
+    """V-representation of {x : ineq.x >= 0, eq.x = 0}.
+
+    The conversion runs on primitive integer vectors; the canonical rays
+    and lineality basis come back as ``Fraction`` vectors.
+    """
+    ineqs = [_int_row(a) for a in ineqs]
+    eqs = [_int_row(e) for e in eqs]
+    if any(len(a) != n for a in ineqs + eqs):
+        raise ValueError("constraint row of wrong dimension")
+    E = _rref_int(eqs)
+    K = _kernel_int(E, n) if E else None
+    d = len(K) if E else n
     if d == 0:
         return (), ()
-    restricted = [tuple(vdot(vec(a), k) for k in K) for a in ineqs]
-    rays_y, lin_y = _dd_pointed(d, restricted)
-
-    def lift(y):
-        out = vzero(n)
-        for c, k in zip(y, K):
-            out = vadd(out, vscale(c, k))
-        return out
-
-    return _canon_rays(lift(y) for y in rays_y), _canon_span(lift(y) for y in lin_y)
+    if K is not None:
+        ineqs = [_primitive([_dot(a, k) for k in K]) for a in ineqs]
+    rays_y, lin_y = _dd_pointed(d, ineqs)
+    if K is not None:
+        Kt = list(zip(*K))
+        rays_y = [[_dot(y, col) for col in Kt] for y in rays_y]
+        lin_y = [[_dot(y, col) for col in Kt] for y in lin_y]
+    return _sorted_rays(map(_primitive, rays_y)), tuple(map(_frac, _rref_int(lin_y)))
 
 
 class Cone:
@@ -182,9 +273,7 @@ class Cone:
         self._rays = _canon_rays(rays or ()) if has_v else None
         self._lineality = _canon_span(lineality or ()) if has_v else None
         if has_h:
-            self._ineqs = tuple(
-                _prim(a) for a in (ineqs or ()) if not is_zero_vec(vec(a))
-            )
+            self._ineqs = tuple(r for r in map(_prim, ineqs or ()) if any(r))
             self._eqs = _canon_span(eqs or ())
         else:
             self._ineqs = None

@@ -1,9 +1,12 @@
 """Exact rational and integer linear algebra.
 
-Everything runs on arbitrary-precision integers and ``fractions.Fraction``;
-no operation in this package ever produces a float.  Elimination always
-pivots on the first usable entry in row-major order, so ranks, kernels and
-normal forms are reproducible across runs.
+Everything here runs on arbitrary-precision integers and
+``fractions.Fraction``; no operation in this package ever produces a float.
+Elimination always pivots on the first usable entry in row-major order, so
+ranks, kernels and normal forms are reproducible across runs.  The cone
+conversions in ``cones`` do not use this rational elimination: their
+double description runs on primitive integer vectors with bitmask
+zero-sets, and hands back exact ``Fraction`` results.
 """
 
 from __future__ import annotations
@@ -391,7 +394,7 @@ class IntegerLattice:
     def contains(self, v) -> bool:
         """Exact membership of an integer vector."""
         if not self.basis:
-            return all(int(x) == 0 for x in v)
+            return is_zero_vec(vec(v))
         sol = solve(transpose(mat(self.basis)), vec(v))
         return sol is not None and all(x.denominator == 1 for x in sol)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -188,6 +192,21 @@ def test_corpus_run_matches_and_is_stable():
     assert first.exit_code == 0, first.output
     second = run_cli(["corpus", "run"])
     assert second.output == first.output
+
+
+def test_corpus_run_under_optimize_flag():
+    """``python -O`` strips asserts; the corpus must not depend on any."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tropsplit.cli", "corpus", "run"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(corpus_cases())
+    assert all(line.split()[0] == "ok" for line in lines), proc.stdout
 
 
 def test_corpus_contains_cube_torsion_three():

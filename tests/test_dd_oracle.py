@@ -3,13 +3,19 @@
 The brute-force oracle enumerates candidate extreme rays of a pointed cone
 as kernel lines of (d-1)-subsets of the constraint rows, keeps the feasible
 sign, and drops conic-hull duplicates.  It shares no code path with the
-incremental algorithm.
+incremental algorithm.  The integer-only conversion is also compared, for
+exact equality, with the frozen ``Fraction`` implementation in
+``oracles.py``.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
-from tropsplit.cones import Cone
+import pytest
+
+import oracles
+from tropsplit.cones import Cone, _h_to_v
 from tropsplit.exact import (
     is_zero_vec,
     kernel_basis,
@@ -98,3 +104,67 @@ def test_double_dual_is_identity():
         # C** = C for closed convex cones
         ddual = Cone(n, ineqs=dual.rays, eqs=dual.lineality)
         assert ddual.same_set(c)
+
+
+def random_differential_input(rng):
+    """Rows mixing non-integral rationals, zero rows, duplicate and
+    negated rows (which make lineality), with optional equalities.  Some
+    inputs start from rescaled axis constraints, so that pointed cones
+    with many rays occur as well."""
+    n = rng.randint(1, 5)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    def row():
+        return [entry() for _ in range(n)]
+
+    ineqs = []
+    if rng.random() < 0.4:
+        for i in range(n):
+            scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            ineqs.append([scale if j == i else Fraction(0) for j in range(n)])
+    ineqs += [row() for _ in range(rng.randint(0, 2 * n))]
+    for _ in range(rng.randint(0, 2)):
+        if not ineqs:
+            break
+        base = rng.choice(ineqs)
+        kind = rng.choice(("zero", "duplicate", "negated", "scaled"))
+        if kind == "zero":
+            new = [Fraction(0)] * n
+        elif kind == "duplicate":
+            new = list(base)
+        elif kind == "negated":
+            new = [-x for x in base]
+        else:
+            new = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) * x for x in base]
+        ineqs.insert(rng.randint(0, len(ineqs)), new)
+    eqs = [row() for _ in range(rng.choice((0, 0, 1, 2)))]
+    if eqs and rng.random() < 0.3:
+        eqs.append([Fraction(0)] * n)
+    return n, ineqs, eqs
+
+
+def test_h_to_v_matches_fraction_reference():
+    """The integer-only conversion returns exactly what the frozen
+    Fraction implementation returns, as Fractions with denominator 1."""
+    rng = random.Random(31337)
+    with_lineality = with_eqs = 0
+    for _ in range(600):
+        n, ineqs, eqs = random_differential_input(rng)
+        got = _h_to_v(n, ineqs, eqs)
+        assert got == oracles._h_to_v(n, ineqs, eqs), (n, ineqs, eqs)
+        for group in got:
+            for v in group:
+                assert all(type(x) is Fraction and x.denominator == 1 for x in v)
+        with_lineality += bool(got[1]) and bool(got[0])
+        with_eqs += bool(eqs)
+    # the sample reaches cones with both rays and lineality, and equalities
+    assert with_lineality >= 50 and with_eqs >= 150
+
+
+def test_h_to_v_rejects_rows_of_wrong_dimension():
+    with pytest.raises(ValueError):
+        _h_to_v(2, [(1, 2, 3)], [])
+    with pytest.raises(ValueError):
+        _h_to_v(3, [(1, 0, 0)], [(1, 2)])

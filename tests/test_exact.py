@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -172,6 +173,56 @@ def test_snf_medium_stress():
     for _ in range(8):
         M = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(6)]
         snf_checks(M)
+
+
+def random_snf_input(rng):
+    """Random integer matrix, 1 x n and m x 1 shapes included, with some
+    rows and columns forced to zero."""
+    m, n = rng.choice(((1, rng.randint(1, 5)), (rng.randint(1, 5), 1),
+                       (rng.randint(1, 5), rng.randint(1, 5))))
+    M = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        M[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def test_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices import normalforms
+
+    Matrix, ZZ = sympy.Matrix, sympy.ZZ
+    rng = random.Random(1729)
+    shapes = set()
+    for _ in range(150):
+        M = random_snf_input(rng)
+        shapes.add((len(M) == 1, len(M[0]) == 1, any(not any(r) for r in M)))
+        U, D, V = smith_normal_form(M)
+        assert matmul(mat(U), matmul(mat(M), mat(V))) == mat(D)
+        assert abs(det(mat(U))) == 1
+        assert abs(det(mat(V))) == 1
+        want = normalforms.smith_normal_form(Matrix(M), domain=ZZ)
+        assert [list(r) for r in D] == [[abs(x) for x in r] for r in want.tolist()]
+        sym_factors = normalforms.invariant_factors(Matrix(M), domain=ZZ)
+        assert invariant_factors(M) == tuple(abs(int(x)) for x in sym_factors if x != 0)
+    # row vectors, column vectors and zero rows all occurred
+    assert {(True, False), (False, True)} <= {s[:2] for s in shapes}
+    assert any(s[2] for s in shapes)
+
+
+# -- lattice membership ---------------------------------------------------------
+
+
+def test_zero_lattice_contains_only_zero():
+    L = IntegerLattice(2, ())
+    assert L.contains((0, 0))
+    assert L.contains((Fraction(0), Fraction(0)))
+    assert not L.contains((Fraction(1, 2), 0))
+    assert not L.contains((0, Fraction(-1, 3)))
+    assert not L.contains((1, 0))
 
 
 # -- genericity ----------------------------------------------------------------
