@@ -169,7 +169,7 @@ def cut_cmd(normals, constants, eps, lambda_, output, diagram):
     }
     try:
         dec, report = _cut_report(data)
-    except (DecompositionError, ValueError) as exc:
+    except (DecompositionError, ValueError, TypeError) as exc:
         _fail(str(exc))
     _emit(report, None)
     if output:
@@ -298,7 +298,7 @@ def potential_bg(normals, constants, lambda_, output):
     }
     try:
         report = _potential_report(data)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         _fail(str(exc))
     _emit(report, output)
 

@@ -112,6 +112,13 @@ class Decomposition:
         """Whether cell q is a face of cell p (or equal)."""
         return q == p or (q, p) in self._closure()
 
+    def listed_faces(self, poly: Polyhedron, *cells: str):
+        """Ids, in sorted order, of the listed cells that are faces of every
+        given cell and equal poly as a set."""
+        for q in sorted(self.polytopes):
+            if all(self.face_le(q, p) for p in cells) and self.cell(q).same_set(poly):
+                yield q
+
     def intersection_cell(self, p1: str, p2: str) -> str | None:
         """Id of the listed cell equal to p1 n p2, or None when empty.
 
@@ -124,11 +131,7 @@ class Decomposition:
         inter = self.cell(p1).intersect(self.cell(p2))
         result: str | None = None
         if not inter.is_empty():
-            for q in sorted(self.polytopes):
-                if (self.face_le(q, p1) and self.face_le(q, p2)
-                        and self.cell(q).same_set(inter)):
-                    result = q
-                    break
+            result = next(self.listed_faces(inter, p1, p2), None)
             if result is None:
                 raise DecompositionError(
                     f"intersection of {p1} and {p2} is not a listed common face"
@@ -284,12 +287,6 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
                     if s > 0:
                         v = tuple(x + y for x, y in zip(v, normals[i]))
                 verts.add(v)
-        if not zeros:
-            v = vec([0] * n)
-            for i, s in enumerate(sigma):
-                if s > 0:
-                    v = tuple(x + y for x, y in zip(v, normals[i]))
-            verts = {v}
         dual_cells.append(DualCell(pid, tuple(sorted(verts)), ()))
     sigmas = list(kept)
     for s1 in sigmas:
@@ -324,10 +321,6 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
             return False
     for a, b in ineqs:
         facet = geom.intersect_hrep(eqs=[(a, b)])
-        found = any(
-            dec.face_le(q, p0) and q != p0 and dec.cell(q).same_set(facet)
-            for q in sorted(dec.polytopes)
-        )
-        if not found:
+        if not any(q != p0 for q in dec.listed_faces(facet, p0)):
             return False
     return True

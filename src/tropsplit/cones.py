@@ -31,7 +31,6 @@ from .exact import (
     is_zero_vec,
     mat,
     matvec,
-    rank,
     rref,  # unused here; the tracer tests in perfbench patch cones.rref
     transpose,
     vadd,
@@ -368,8 +367,7 @@ class Cone:
 
     def dim(self) -> int:
         self._ensure_v()
-        gens = mat(self._rays + self._lineality)
-        return rank(gens) if gens else 0
+        return len(_rref_int(map(_int_row, self._rays + self._lineality)))
 
     def is_zero(self) -> bool:
         return self.dim() == 0

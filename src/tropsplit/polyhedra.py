@@ -1,22 +1,23 @@
 """Exact polyhedra via homogenization over the cone engine.
 
-A polyhedron {x : A x <= b, E x = d} is handled as the cone
-{(x, t) : b t - A x >= 0, d t - E x = 0, t >= 0} in one extra dimension.
-Emptiness, dimension, affine hulls, faces and relative interior points all
-reduce to cone computations, exactly and without any LP solver.
+A polyhedron {x : A x <= b, E x = d} is stored as its homogenization cone
+{(x, t) : b t - A x >= 0, d t - E x = 0, t >= 0} in one extra dimension, and
+every polyhedron query is a cone query: containment, equality, intersection
+and the hyperplane test run on that cone, and emptiness, dimension, affine
+hulls, faces and relative interior points are read off its generators,
+exactly and without any LP solver.  Vertices are the generators with
+t > 0 scaled to t = 1; recession rays and lineality lie at t = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cones import Cone
+from .cones import Cone, _canon_span
 from .exact import (
     fr,
     is_zero_vec,
-    mat,
-    rref,
-    sign_normalized,
+    rref,  # unused here; the tracer tests in perfbench call polyhedra.rref
     vadd,
     vdot,
     vec,
@@ -24,6 +25,12 @@ from .exact import (
     vsub,
     vzero,
 )
+
+
+def _hom(a, b) -> tuple:
+    """Cone row of ``a.x <= b`` (or of ``a.x = b``) on the homogenization:
+    ``(-a, b) . (x, t) >= 0``, that is ``b t - a.x >= 0``."""
+    return tuple(-x for x in vec(a)) + (fr(b),)
 
 
 class Polyhedron:
@@ -41,16 +48,9 @@ class Polyhedron:
     def from_hrep(cls, ambient_dim: int, ineqs=(), eqs=()):
         """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs)."""
         n = int(ambient_dim)
-        rows = []
-        for a, b in ineqs:
-            a = vec(a)
-            rows.append(tuple(-x for x in a) + (fr(b),))
-        eq_rows = []
-        for a, b in eqs:
-            a = vec(a)
-            eq_rows.append(tuple(-x for x in a) + (fr(b),))
+        rows = [_hom(a, b) for a, b in ineqs]
         rows.append(vzero(n) + (Fraction(1),))  # t >= 0
-        return cls(n, Cone(n + 1, ineqs=rows, eqs=eq_rows))
+        return cls(n, Cone(n + 1, ineqs=rows, eqs=[_hom(a, b) for a, b in eqs]))
 
     @classmethod
     def from_vrep(cls, ambient_dim: int, vertices=(), rays=(), lineality=()):
@@ -118,31 +118,10 @@ class Polyhedron:
         return self.cone.contains(p + (Fraction(1),))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        verts, rays, lin = other._generators()
-        if not verts and not rays and not lin:
-            return True
-        ineqs, eqs = self.hrep()
-        for v in verts:
-            if not self.contains(v):
-                return False
-        for r in rays:
-            for a, b in ineqs:
-                if vdot(vec(a), r) > 0:
-                    return False
-            for a, b in eqs:
-                if vdot(vec(a), r) != 0:
-                    return False
-        for l in lin:
-            for a, b in ineqs:
-                if vdot(vec(a), l) != 0:
-                    return False
-            for a, b in eqs:
-                if vdot(vec(a), l) != 0:
-                    return False
-        return True
+        return self.cone.contains_cone(other.cone)
 
     def same_set(self, other: "Polyhedron") -> bool:
-        return self.contains_polyhedron(other) and other.contains_polyhedron(self)
+        return self.cone.same_set(other.cone)
 
     def direction_space(self) -> list:
         """Basis rows of the affine hull's direction space."""
@@ -150,12 +129,7 @@ class Polyhedron:
         if not verts:
             return []
         v0 = verts[0]
-        rows = [vsub(v, v0) for v in verts[1:]] + list(rays) + list(lin)
-        rows = [r for r in rows if not is_zero_vec(r)]
-        if not rows:
-            return []
-        R, pivots = rref(mat(rows))
-        return [vec(sign_normalized(R[i])) for i in range(len(pivots))]
+        return list(_canon_span([vsub(v, v0) for v in verts[1:]] + rays + lin))
 
     def relative_interior_point(self):
         verts, rays, lin = self._generators()
@@ -174,45 +148,35 @@ class Polyhedron:
 
     def lies_in_hyperplane(self, a, b) -> bool:
         """Whether the whole polyhedron satisfies a.x = b."""
-        a = vec(a)
-        b = fr(b)
-        verts, rays, lin = self._generators()
-        return (
-            all(vdot(a, v) == b for v in verts)
-            and all(vdot(a, r) == 0 for r in rays)
-            and all(vdot(a, l) == 0 for l in lin)
-        )
+        row = _hom(a, b)
+        return not any(vdot(row, g) for g in self.cone.rays + self.cone.lineality)
 
     def intersect_hrep(self, ineqs=(), eqs=()) -> "Polyhedron":
         """Intersection with additional rows (a, b)."""
-        n = self.ambient_dim
-        extra_ineq = [tuple(-x for x in vec(a)) + (fr(b),) for a, b in ineqs]
-        extra_eq = [tuple(-x for x in vec(a)) + (fr(b),) for a, b in eqs]
-        c = Cone(
-            n + 1,
-            ineqs=self.cone.ineqs + tuple(extra_ineq),
-            eqs=self.cone.eqs + tuple(extra_eq),
+        rows = Cone(
+            self.ambient_dim + 1,
+            ineqs=[_hom(a, b) for a, b in ineqs],
+            eqs=[_hom(a, b) for a, b in eqs],
         )
-        return Polyhedron(n, c)
+        return Polyhedron(self.ambient_dim, self.cone.intersect(rows))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        c = Cone(
-            self.ambient_dim + 1,
-            ineqs=self.cone.ineqs + other.cone.ineqs,
-            eqs=self.cone.eqs + other.cone.eqs,
-        )
-        return Polyhedron(self.ambient_dim, c)
+        return Polyhedron(self.ambient_dim, self.cone.intersect(other.cone))
 
     def is_face_of(self, other: "Polyhedron") -> bool:
-        """Whether self is a (proper or improper) face of other."""
+        """Whether self is a (proper or improper) face of other.
+
+        The smallest face of other containing self is cut out by the rows
+        of any H-representation of other's cone that vanish on self's rays
+        (they vanish on its lineality once self lies in other).
+        """
         if self.is_empty():
             return True
         if not other.contains_polyhedron(self):
             return False
-        ineqs, eqs = other.hrep()
-        tight = [(a, b) for a, b in ineqs if self.lies_in_hyperplane(a, b)]
-        face = other.intersect_hrep(eqs=tight)
-        return face.same_set(self)
+        tight = [a for a in other.cone.ineqs if not any(vdot(a, r) for r in self.cone.rays)]
+        face = other.cone.intersect(Cone(self.ambient_dim + 1, eqs=tight))
+        return self.cone.contains_cone(face)
 
     def __repr__(self):
         return f"Polyhedron(n={self.ambient_dim}, dim={self.dim()})"

@@ -109,7 +109,9 @@ def leading_terms(series: NovikovSeries) -> NovikovSeries:
 def bg_potential(normals, constants, lam) -> NovikovSeries:
     """Batyrev-Givental potential: one term y^mu_i q^(c_i - <lam, mu_i>)
     per facet of the moment polytope, for lam strictly interior."""
-    normals = [tuple(int(x) for x in m) for m in normals]
+    normals = [vec(m) for m in normals]
+    if any(x.denominator != 1 for m in normals for x in m):
+        raise ValueError("normals must be integer vectors")
     constants = [fr(c) for c in constants]
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")
@@ -119,7 +121,7 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
         raise ValueError("base point of wrong dimension")
     terms = []
     for m, c in zip(normals, constants):
-        area = c - vdot(vec(m), lam)
+        area = c - vdot(m, lam)
         if area <= 0:
             raise ValueError("base point is not strictly interior to the polytope")
         terms.append((Fraction(1), area, m))

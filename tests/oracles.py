@@ -4,6 +4,12 @@
 description conversion as it ran on ``fractions.Fraction`` vectors with
 frozenset zero-sets, kept verbatim so that the integer-only conversion in
 ``tropsplit.cones`` can be checked against it for exact equality.
+
+``contains_polyhedron``, ``same_set``, ``lies_in_hyperplane``,
+``is_face_of`` and ``direction_space`` are the ``Polyhedron`` queries as
+they ran de-homogenized on vertices, recession rays and the minimal
+``hrep()``, kept verbatim (with ``self`` as an argument) so that the cone
+form in ``tropsplit.polyhedra`` can be checked against them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from fractions import Fraction
 
 from tropsplit.exact import (
     Vec,
+    fr,
     is_zero_vec,
     kernel_basis,
     mat,
@@ -157,3 +164,74 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
         return out
 
     return _canon_rays(lift(y) for y in rays_y), _canon_span(lift(y) for y in lin_y)
+
+
+# ---------------------------------------------------------------------------
+# de-homogenized polyhedron queries
+
+
+def contains_polyhedron(self, other) -> bool:
+    verts, rays, lin = other._generators()
+    if not verts and not rays and not lin:
+        return True
+    ineqs, eqs = self.hrep()
+    for v in verts:
+        if not self.contains(v):
+            return False
+    for r in rays:
+        for a, b in ineqs:
+            if vdot(vec(a), r) > 0:
+                return False
+        for a, b in eqs:
+            if vdot(vec(a), r) != 0:
+                return False
+    for l in lin:
+        for a, b in ineqs:
+            if vdot(vec(a), l) != 0:
+                return False
+        for a, b in eqs:
+            if vdot(vec(a), l) != 0:
+                return False
+    return True
+
+
+def same_set(self, other) -> bool:
+    return contains_polyhedron(self, other) and contains_polyhedron(other, self)
+
+
+def lies_in_hyperplane(self, a, b) -> bool:
+    """Whether the whole polyhedron satisfies a.x = b."""
+    a = vec(a)
+    b = fr(b)
+    verts, rays, lin = self._generators()
+    return (
+        all(vdot(a, v) == b for v in verts)
+        and all(vdot(a, r) == 0 for r in rays)
+        and all(vdot(a, l) == 0 for l in lin)
+    )
+
+
+def is_face_of(self, other) -> bool:
+    """Whether self is a (proper or improper) face of other."""
+    if self.is_empty():
+        return True
+    if not contains_polyhedron(other, self):
+        return False
+    ineqs, eqs = other.hrep()
+    tight = [(a, b) for a, b in ineqs if lies_in_hyperplane(self, a, b)]
+    face = other.intersect_hrep(eqs=tight)
+    return same_set(face, self)
+
+
+def direction_space(self) -> list:
+    """Basis rows of the affine hull's direction space."""
+    verts, rays, lin = self._generators()
+    if not verts:
+        return []
+    v0 = verts[0]
+    rows = [vsub(v, v0) for v in verts[1:]] + list(rays) + list(lin)
+    rows = [r for r in rows if not is_zero_vec(r)]
+    if not rows:
+        return []
+    R, pivots = rref(mat(rows))
+    return [vec(sign_normalized(R[i])) for i in range(len(pivots))]

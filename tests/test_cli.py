@@ -187,6 +187,27 @@ def test_lambda_outside_exits_two():
     assert res.exit_code == 2
 
 
+TRIANGLE = {
+    "--constants": '["1","1","1"]',
+    "--eps": '["1/10","1/10","1/10"]',
+    "--lambda": '["0","0"]',
+}
+
+
+@pytest.mark.parametrize("normals", ["5", "[[1.5,0],[0,1],[-1,-1]]"])
+@pytest.mark.parametrize("command", [["cut"], ["potential", "bg"]])
+def test_malformed_normals_exit_two(command, normals):
+    args = command + ["--normals", normals]
+    for option, value in TRIANGLE.items():
+        if option != "--eps" or command == ["cut"]:
+            args += [option, value]
+    res = run_cli(args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "error:" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_corpus_run_matches_and_is_stable():
     first = run_cli(["corpus", "run"])
     assert first.exit_code == 0, first.output

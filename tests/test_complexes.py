@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -205,3 +206,27 @@ def test_intersection_audit_catches_missing_cell():
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError):
         dec.validate(geometric=True)
+
+
+def test_intersection_cell_needs_no_minimal_cone(monkeypatch):
+    """The intersection audit compares cells as cones; it never asks for a
+    minimal H-representation."""
+    calls = []
+    original = Cone.minimal
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cone, "minimal", counted)
+    dec = decomposition_from_dict(fx.square_complex())
+    meets = {
+        (p1, p2): dec.intersection_cell(p1, p2)
+        for p1, p2 in itertools.combinations(sorted(dec.polytopes), 2)
+    }
+    assert calls == []
+    assert meets[("Qpm", "Qpp")] == "Hxp"
+    assert meets[("Qmm", "Qpp")] == "vc"
+    assert meets[("Hxp", "Hyp")] == "vc"
+    assert meets[("Hxp", "Qpp")] == "Hxp"
+    assert all(dec.face_le(q, p1) and dec.face_le(q, p2) for (p1, p2), q in meets.items())

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from tropsplit.cones import Cone
 from tropsplit.exact import mat, vec
 from tropsplit.polyhedra import Polyhedron
@@ -78,3 +80,84 @@ def test_image_dim_equality_for_injective_maps():
     c = Cone.from_rays([(1, 0), (1, 1)])
     M = mat([(1, 1), (0, 1)])  # invertible
     assert c.linear_image(M).dim() == c.dim()
+
+
+# -- differential check against the de-homogenized queries -----------------------
+
+
+def _random_polyhedron(rng, n):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Polyhedron.from_vrep(
+            n,
+            vertices=[[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))],
+            rays=[[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 2))],
+            lineality=[[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))],
+        )
+    rows = [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+            for _ in range(rng.randint(1, 5))]
+    eqs = [([rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1))
+           for _ in range(rng.randint(0, 1))]
+    if kind == 2:
+        # a slab with no point between its walls: empty, with the walls'
+        # direction space as recession lineality
+        a, b = rows[0]
+        rows.append(([-x for x in a], -b - 1))
+    return Polyhedron.from_hrep(n, ineqs=rows, eqs=eqs)
+
+
+def _derived(rng, p, q):
+    """Polyhedra built from p that are often contained in or equal to it."""
+    out = [p.intersect(q), Polyhedron.from_hrep(p.ambient_dim, *p.hrep()),
+           Polyhedron.from_vrep(p.ambient_dim, p.vertices, p.recession_rays, p.lineality)]
+    ineqs, _ = p.hrep()
+    if ineqs:
+        out.append(p.intersect_hrep(eqs=rng.sample(ineqs, rng.randint(1, len(ineqs)))))
+    return out
+
+
+def _hyperplanes(rng, p):
+    n = p.ambient_dim
+    ineqs, eqs = p.hrep()
+    out = list(ineqs) + list(eqs)
+    for _ in range(2):
+        a = [rng.randint(-2, 2) for _ in range(n)]
+        out.append((a, rng.randint(-2, 2)))
+        if p.vertices:
+            out.append((a, sum(x * y for x, y in zip(a, rng.choice(p.vertices)))))
+    return out
+
+
+def test_polyhedron_queries_match_dehomogenized_reference():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        p, q = _random_polyhedron(rng, n), _random_polyhedron(rng, n)
+        for poly in (p, q):
+            if poly.is_empty() and (poly.recession_rays or poly.lineality):
+                seen["empty with recession"] += 1
+            if not poly.is_empty() and poly.hrep()[1]:
+                seen["with equalities"] += 1
+            if not poly.is_empty() and poly.lineality:
+                seen["with lineality"] += 1
+        for x, y in [(p, q), (q, p)] + [(d, p) for d in _derived(rng, p, q)]:
+            for x, y in ((x, y), (y, x)):
+                got = x.contains_polyhedron(y)
+                assert got == oracles.contains_polyhedron(x, y)
+                assert x.same_set(y) == oracles.same_set(x, y)
+                assert y.is_face_of(x) == oracles.is_face_of(y, x)
+                seen["contained"] += got
+                seen["equal"] += x.same_set(y)
+                seen["proper face"] += (
+                    y.is_face_of(x) and not y.is_empty() and not x.same_set(y))
+        for poly in (p, q):
+            assert poly.direction_space() == oracles.direction_space(poly)
+            for a, b in _hyperplanes(rng, poly):
+                got = poly.lies_in_hyperplane(a, b)
+                assert got == oracles.lies_in_hyperplane(poly, a, b)
+                seen["in hyperplane"] += got
+    for key in ("empty with recession", "with equalities", "with lineality"):
+        assert seen[key] >= 10, seen
+    for key in ("contained", "equal", "proper face", "in hyperplane"):
+        assert seen[key] >= 50, seen
