@@ -211,6 +211,8 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     marked split.  Returns (decomposition, inner_cell_id).
     """
     normals = [vec(m) for m in normals]
+    if any(x.denominator != 1 for m in normals for x in m):
+        raise DecompositionError("normals must be integer vectors")
     constants = [fr(c) for c in constants]
     epsilons = [fr(e) for e in epsilons]
     if not normals:

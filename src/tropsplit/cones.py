@@ -7,13 +7,15 @@ deterministic insertion order (input order), with redundancy eliminated
 after every step, so converted representations are minimal (extreme rays,
 facet inequalities) and reproducible.
 
-The double description runs on Python ints only: every input row, kernel
-vector and ray is scaled by a positive factor to a primitive integer
-vector, lineality bases are primitive integer rref rows, new rays
-``(a.r+) r- - (a.r-) r+`` and every elimination step are fraction-free
-with a gcd division, and a ray's zero-set is an int bitmask over the input
-rows.  Every result is still an exact ``Fraction`` vector (with
-denominator 1), identical to what rational elimination gives.
+A cone is primitive integer vectors end to end.  Rational input rows and
+generators are scaled once, by a positive factor, with
+``exact.primitive``; the cone then stores and hands out Python int tuples:
+rays and inequality rows are primitive vectors, and the lineality and
+equality bases are sign-normalized primitive rref rows.  The double
+description runs on the same ints: new rays ``(a.r+) r- - (a.r-) r+`` and
+every elimination step are fraction-free with a gcd division, and a ray's
+zero-set is an int bitmask over the input rows.  Positive scaling keeps
+every cone and every sign test that of the rational input.
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -21,67 +23,39 @@ per value, so concurrent readers always observe a pure function.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .exact import (
     Vec,
-    fr,
+    gcd_reduce,
     is_zero_vec,
     mat,
     matvec,
+    primitive,
     rref,  # unused here; the tracer tests in perfbench patch cones.rref
     transpose,
     vadd,
-    vdot,
     vec,
-    vscale,
-    vzero,
 )
-
-
-def _int_row(v) -> tuple:
-    """Primitive integer vector positively proportional to a rational one
-    (the zero vector maps to zeros)."""
-    v = [fr(x) for x in v]
-    l = lcm(*(x.denominator for x in v))
-    return _primitive([x.numerator * (l // x.denominator) for x in v])
-
-
-def _primitive(v) -> tuple:
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-def _frac(v) -> Vec:
-    return tuple(map(Fraction, v))
 
 
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _prim(v) -> Vec:
-    return _frac(_int_row(v))
-
-
-def _unit(n: int, j: int) -> Vec:
-    return tuple(Fraction(1 if i == j else 0) for i in range(n))
+def _unit(n: int, j: int) -> tuple:
+    return tuple(int(i == j) for i in range(n))
 
 
 def _canon_rays(rays) -> tuple:
-    return _sorted_rays(map(_int_row, rays))
-
-
-def _sorted_rays(rays) -> tuple:
-    """Canonical ray tuple from primitive integer vectors."""
-    return tuple(map(_frac, sorted({r for r in rays if any(r)})))
+    """Canonical ray tuple: the sorted distinct nonzero primitive vectors."""
+    return tuple(sorted({r for r in map(primitive, rays) if any(r)}))
 
 
 def _canon_span(rows) -> tuple:
     """Canonical basis (primitive rref rows) of the span of the given rows."""
-    return tuple(map(_frac, _rref_int(map(_int_row, rows))))
+    return _rref_int(map(primitive, rows))
 
 
 def _rref_int(rows) -> tuple:
@@ -113,9 +87,9 @@ def _rref_int(rows) -> tuple:
         for i in range(m):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], piv)])
+                rows[i] = gcd_reduce([p * x - f * y for x, y in zip(rows[i], piv)])
         r += 1
-    return tuple(map(_primitive, rows[:r]))
+    return tuple(map(gcd_reduce, rows[:r]))
 
 
 def _kernel_int(R, n: int) -> list:
@@ -132,7 +106,7 @@ def _kernel_int(R, n: int) -> list:
         v[fc] = l
         for row, pc in zip(R, pivots):
             v[pc] = -row[fc] * (l // row[pc])
-        basis.append(_primitive(v))
+        basis.append(gcd_reduce(v))
     return basis
 
 
@@ -145,7 +119,7 @@ def _reduce_mod_span(span, v) -> tuple:
         if f:
             q = row[p]
             v = [q * x - f * y for x, y in zip(v, row)]
-    return _primitive(v)
+    return gcd_reduce(v)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +138,7 @@ def _dd_pointed(d: int, rows) -> tuple[list, list]:
     extreme modulo the lineality space throughout; insertion follows the
     input row order.
     """
-    lin = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+    lin = tuple(_unit(d, j) for j in range(d))
     rays: list[tuple[tuple, int]] = []
 
     for idx, a in enumerate(rows):
@@ -219,7 +193,7 @@ def _dd_pointed(d: int, rows) -> tuple[list, list]:
                             break
                 if tight <= 2:
                     w = [vp * x - vm * y for x, y in zip(rm, rp)]
-                    combos.append((_primitive(w), inter | bit))
+                    combos.append((gcd_reduce(w), inter | bit))
         rays = _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
     return [r for r, _ in rays], list(lin)
 
@@ -235,11 +209,12 @@ def _dedupe(pairs):
 def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
     """V-representation of {x : ineq.x >= 0, eq.x = 0}.
 
-    The conversion runs on primitive integer vectors; the canonical rays
-    and lineality basis come back as ``Fraction`` vectors.
+    Rows may be rational; the conversion runs on their primitive integer
+    forms and returns the canonical rays and lineality basis as primitive
+    integer tuples.
     """
-    ineqs = [_int_row(a) for a in ineqs]
-    eqs = [_int_row(e) for e in eqs]
+    ineqs = [primitive(a) for a in ineqs]
+    eqs = [primitive(e) for e in eqs]
     if any(len(a) != n for a in ineqs + eqs):
         raise ValueError("constraint row of wrong dimension")
     E = _rref_int(eqs)
@@ -248,13 +223,13 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
     if d == 0:
         return (), ()
     if K is not None:
-        ineqs = [_primitive([_dot(a, k) for k in K]) for a in ineqs]
+        ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
     rays_y, lin_y = _dd_pointed(d, ineqs)
     if K is not None:
         Kt = list(zip(*K))
         rays_y = [[_dot(y, col) for col in Kt] for y in rays_y]
         lin_y = [[_dot(y, col) for col in Kt] for y in lin_y]
-    return _sorted_rays(map(_primitive, rays_y)), tuple(map(_frac, _rref_int(lin_y)))
+    return _canon_rays(rays_y), _rref_int(lin_y)
 
 
 class Cone:
@@ -272,7 +247,7 @@ class Cone:
         self._rays = _canon_rays(rays or ()) if has_v else None
         self._lineality = _canon_span(lineality or ()) if has_v else None
         if has_h:
-            self._ineqs = tuple(r for r in map(_prim, ineqs or ()) if any(r))
+            self._ineqs = tuple(r for r in map(primitive, ineqs or ()) if any(r))
             self._eqs = _canon_span(eqs or ())
         else:
             self._ineqs = None
@@ -284,8 +259,7 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, lineality=(), ambient_dim=None):
-        rays = [vec(r) for r in rays]
-        lineality = [vec(l) for l in lineality]
+        rays, lineality = list(rays), list(lineality)
         if ambient_dim is None:
             probe = rays or lineality
             if not probe:
@@ -295,8 +269,7 @@ class Cone:
 
     @classmethod
     def from_hrep(cls, ineqs, eqs=(), ambient_dim=None):
-        ineqs = [vec(a) for a in ineqs]
-        eqs = [vec(a) for a in eqs]
+        ineqs, eqs = list(ineqs), list(eqs)
         if ambient_dim is None:
             probe = ineqs or eqs
             if not probe:
@@ -367,23 +340,24 @@ class Cone:
 
     def dim(self) -> int:
         self._ensure_v()
-        return len(_rref_int(map(_int_row, self._rays + self._lineality)))
+        return len(_rref_int(self._rays + self._lineality))
 
     def is_zero(self) -> bool:
         return self.dim() == 0
 
     def contains(self, p) -> bool:
-        p = vec(p)
+        p = primitive(p)  # a positive multiple: the signs are those of p
         if len(p) != self.ambient_dim:
             raise ValueError("point of wrong dimension")
         self._ensure_h()
-        return all(vdot(a, p) >= 0 for a in self._ineqs) and all(
-            vdot(a, p) == 0 for a in self._eqs
+        return all(_dot(a, p) >= 0 for a in self._ineqs) and not any(
+            _dot(a, p) for a in self._eqs
         )
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(vscale(-1, l)) for l in other.lineality
+            self.contains(l) and self.contains(tuple(-x for x in l))
+            for l in other.lineality
         )
 
     def same_set(self, other: "Cone") -> bool:
@@ -424,7 +398,7 @@ class Cone:
         Mt = transpose(M)
 
         def pull(a):
-            return matvec(Mt, a) if Mt else vzero(cols)
+            return matvec(Mt, a) if Mt else (0,) * cols
 
         return Cone(
             cols,
@@ -438,7 +412,7 @@ class Cone:
         Sum of the extreme rays, with a lineality tiebreak for subspaces.
         """
         m = self.minimal()
-        p = vzero(self.ambient_dim)
+        p = (0,) * self.ambient_dim
         for r in m.rays:
             p = vadd(p, r)
         if is_zero_vec(p):

@@ -4,18 +4,18 @@ Everything here runs on arbitrary-precision integers and
 ``fractions.Fraction``; no operation in this package ever produces a float.
 Elimination always pivots on the first usable entry in row-major order, so
 ranks, kernels and normal forms are reproducible across runs.  The cone
-conversions in ``cones`` do not use this rational elimination: their
-double description runs on primitive integer vectors with bitmask
-zero-sets, and hands back exact ``Fraction`` results.
+conversions in ``cones`` do not use this rational elimination: a cone is
+primitive integer vectors end to end, and ``primitive`` is the one routine
+that scales a rational vector to that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of exact rationals: Fraction, or int (cone generators and rows)
 Mat = tuple  # tuple of Vec
 
 
@@ -67,22 +67,21 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def primitive(a) -> tuple:
-    """Scale a rational vector to a primitive integer vector, keeping direction.
+def gcd_reduce(v) -> tuple:
+    """Integer vector divided by the gcd of its entries (zeros stay zeros)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
-    The zero vector maps to itself.
+
+def primitive(a) -> tuple:
+    """Primitive integer vector positively proportional to a rational one.
+
+    Int entries pass through; others are coerced with ``fr``, so floats
+    are rejected.  The zero vector maps to zeros.
     """
-    a = vec(a)
-    if is_zero_vec(a):
-        return tuple(0 for _ in a)
-    l = 1
-    for x in a:
-        l = l * x.denominator // gcd(l, x.denominator)
-    ints = [int(x * l) for x in a]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    a = [x if type(x) is int else fr(x) for x in a]
+    l = lcm(*(x.denominator for x in a))
+    return gcd_reduce([x.numerator * (l // x.denominator) for x in a])
 
 
 def sign_normalized(a) -> tuple:

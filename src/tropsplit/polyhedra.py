@@ -5,8 +5,12 @@ A polyhedron {x : A x <= b, E x = d} is stored as its homogenization cone
 every polyhedron query is a cone query: containment, equality, intersection
 and the hyperplane test run on that cone, and emptiness, dimension, affine
 hulls, faces and relative interior points are read off its generators,
-exactly and without any LP solver.  Vertices are the generators with
-t > 0 scaled to t = 1; recession rays and lineality lie at t = 0.
+exactly and without any LP solver.  Containment and equality first ask
+whether a side is empty, because the cone of an empty polyhedron keeps
+recession directions at t = 0 that are no points of the set.  Vertices are
+the generators with t > 0 scaled to t = 1, as ``Fraction`` tuples;
+recession rays and lineality lie at t = 0 and stay the cone's primitive
+integer tuples.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class Polyhedron:
             for g in self.cone.rays:
                 t = g[-1]
                 if t > 0:
-                    verts.append(tuple(x / t for x in g[:-1]))
+                    verts.append(tuple(Fraction(x, t) for x in g[:-1]))
                 else:
                     rays.append(g[:-1])
             lin = [l[:-1] for l in self.cone.lineality]
@@ -118,9 +122,11 @@ class Polyhedron:
         return self.cone.contains(p + (Fraction(1),))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        return self.cone.contains_cone(other.cone)
+        return other.is_empty() or self.cone.contains_cone(other.cone)
 
     def same_set(self, other: "Polyhedron") -> bool:
+        if other.is_empty():
+            return self.is_empty()
         return self.cone.same_set(other.cone)
 
     def direction_space(self) -> list:

@@ -23,7 +23,6 @@ from .exact import (
     kernel_basis,
     mat,
     matvec,
-    primitive,
     quotient_projection,
     rank,
     vec,
@@ -252,7 +251,7 @@ def _genericity_family(q: QuasiSplitGraph):
         kernel_basis(mat(span_rows), full) if s and span_rank < full else []
     )
     for i, (bid, d, proj) in enumerate(data.blocks):
-        add([vec(primitive(d))], f"direction span of {bid}")
+        add([d], f"direction span of {bid}")
         width = n - 1
         lo = i * width
         if complement:

@@ -194,7 +194,9 @@ TRIANGLE = {
 }
 
 
-@pytest.mark.parametrize("normals", ["5", "[[1.5,0],[0,1],[-1,-1]]"])
+@pytest.mark.parametrize(
+    "normals", ["5", "[[1.5,0],[0,1],[-1,-1]]", '[["1/2",0],[0,1],[-1,-1]]']
+)
 @pytest.mark.parametrize("command", [["cut"], ["potential", "bg"]])
 def test_malformed_normals_exit_two(command, normals):
     args = command + ["--normals", normals]

@@ -270,3 +270,29 @@ def test_normal_cone_helper():
     c = Cone.from_hrep([(1, -1), (0, 1)])  # x1 >= x2 >= 0
     n = normal_cone_at_first_axis(c)
     assert n.ambient_dim == 1 and n.dim() == 1
+
+
+def test_int_cone_builds_no_fraction(monkeypatch):
+    """A cone built from int rows stays in ints through both conversions
+    and the queries, and every representation it stores is int tuples."""
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    c = Cone.from_hrep([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)])
+    m = c.minimal()
+    assert c.dim() == m.dim() == 3
+    assert c.contains((1, 1, 1)) and not c.contains((0, 0, 5))
+    assert c.same_set(m) and m.same_set(c)
+    flat = Cone.from_rays([(2, 0, 0)], lineality=[(0, 3, -3)])
+    assert flat.dim() == 2 and flat.contains((1, -1, 1)) and not flat.same_set(c)
+    cones = (c, m, flat)
+    reps = [g for k in cones for g in (k.rays, k.lineality, k.ineqs, k.eqs)]
+    monkeypatch.undo()
+    assert built == []
+    assert flat.lineality == ((0, 1, -1),) and flat.eqs == ((0, 1, 1),)
+    assert all(type(x) is int for group in reps for v in group for x in v)

@@ -82,6 +82,18 @@ def test_image_dim_equality_for_injective_maps():
     assert c.linear_image(M).dim() == c.dim()
 
 
+def test_empty_polyhedra_get_set_answers():
+    """Empty polyhedra whose cones keep different recession directions."""
+    slab1 = Polyhedron.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
+    slab2 = Polyhedron.from_hrep(2, ineqs=[((0, 1), 0), ((0, -1), -1)])
+    square = Polyhedron.from_vrep(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert slab1.is_empty() and slab2.is_empty()
+    assert slab1.same_set(slab2) and slab2.same_set(slab1)
+    assert square.contains_polyhedron(slab1) and slab2.contains_polyhedron(slab1)
+    assert not slab1.contains_polyhedron(square)
+    assert not square.same_set(slab1) and not slab1.same_set(square)
+
+
 # -- differential check against the de-homogenized queries -----------------------
 
 
@@ -144,6 +156,13 @@ def test_polyhedron_queries_match_dehomogenized_reference():
         for x, y in [(p, q), (q, p)] + [(d, p) for d in _derived(rng, p, q)]:
             for x, y in ((x, y), (y, x)):
                 got = x.contains_polyhedron(y)
+                if x.is_empty() or y.is_empty():
+                    # set answers; the frozen code answered by the cones
+                    assert got == y.is_empty()
+                    assert x.same_set(y) == (x.is_empty() and y.is_empty())
+                    assert y.is_face_of(x) == y.is_empty()
+                    seen["empty side"] += 1
+                    continue
                 assert got == oracles.contains_polyhedron(x, y)
                 assert x.same_set(y) == oracles.same_set(x, y)
                 assert y.is_face_of(x) == oracles.is_face_of(y, x)
@@ -157,7 +176,7 @@ def test_polyhedron_queries_match_dehomogenized_reference():
                 got = poly.lies_in_hyperplane(a, b)
                 assert got == oracles.lies_in_hyperplane(poly, a, b)
                 seen["in hyperplane"] += got
-    for key in ("empty with recession", "with equalities", "with lineality"):
+    for key in ("empty with recession", "with equalities", "with lineality", "empty side"):
         assert seen[key] >= 10, seen
     for key in ("contained", "equal", "proper face", "in hyperplane"):
         assert seen[key] >= 50, seen
