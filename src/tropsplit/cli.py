@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 
 import click
@@ -232,7 +231,7 @@ def split_check(dec_path, qsplit_path, eta, i_br, output):
     top_dict = _load_graph_dict(qsplit_path)
     q, base_dict = _quasi_split(dec, top_dict, _base_loader(qsplit_path))
     try:
-        eta_vec = tuple(Fraction(part.strip()) for part in eta.split(","))
+        eta_vec = tuple(parse_rat(part.strip()) for part in eta.split(","))
     except ValueError as exc:
         _fail(f"bad eta: {exc}")
     try:

@@ -15,7 +15,8 @@ equality bases are sign-normalized primitive rref rows.  The double
 description runs on the same ints: new rays ``(a.r+) r- - (a.r-) r+`` and
 every elimination step are fraction-free with a gcd division, and a ray's
 zero-set is an int bitmask over the input rows.  Positive scaling keeps
-every cone and every sign test that of the rational input.
+every cone and every sign test that of the rational input.  The integer
+Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``.
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -28,13 +29,11 @@ from operator import mul
 
 from .exact import (
     Vec,
+    _rref_int,
     gcd_reduce,
     is_zero_vec,
-    mat,
-    matvec,
     primitive,
     rref,  # unused here; the tracer tests in perfbench patch cones.rref
-    transpose,
     vadd,
     vec,
 )
@@ -56,40 +55,6 @@ def _canon_rays(rays) -> tuple:
 def _canon_span(rows) -> tuple:
     """Canonical basis (primitive rref rows) of the span of the given rows."""
     return _rref_int(map(primitive, rows))
-
-
-def _rref_int(rows) -> tuple:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
-
-    Returns the nonzero rows of the reduced row echelon form, each scaled
-    to a primitive integer vector with a positive pivot.  A pivot row is
-    negated when its pivot is negative; every other step combines two rows
-    as ``p*row - row[c]*pivot_row`` with ``p > 0`` and divides by the gcd.
-    The result is the sign-normalized primitive form of the rational rref
-    rows.
-    """
-    rows = [r for r in rows if any(r)]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        piv = rows[pr]
-        if piv[c] < 0:
-            piv = tuple(-x for x in piv)
-        rows[pr] = rows[r]
-        rows[r] = piv
-        p = piv[c]
-        for i in range(m):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = gcd_reduce([p * x - f * y for x, y in zip(rows[i], piv)])
-        r += 1
-    return tuple(map(gcd_reduce, rows[:r]))
 
 
 def _kernel_int(R, n: int) -> list:
@@ -235,11 +200,12 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
 class Cone:
     """Rational polyhedral cone in R^n."""
 
-    __slots__ = ("ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal")
+    __slots__ = ("ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim")
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
         self.ambient_dim = int(ambient_dim)
         self._minimal = None
+        self._dim = None
         has_v = rays is not None or lineality is not None
         has_h = ineqs is not None or eqs is not None
         if not has_v and not has_h:
@@ -339,8 +305,10 @@ class Cone:
     # queries ----------------------------------------------------------------
 
     def dim(self) -> int:
-        self._ensure_v()
-        return len(_rref_int(self._rays + self._lineality))
+        if self._dim is None:
+            self._ensure_v()
+            self._dim = len(_rref_int(self._rays + self._lineality))
+        return self._dim
 
     def is_zero(self) -> bool:
         return self.dim() == 0
@@ -373,35 +341,36 @@ class Cone:
         )
 
     def linear_image(self, M, codim: int | None = None) -> "Cone":
-        """Image cone under x -> M x, computed on the V-representation."""
-        M = mat(M)
+        """Image cone under x -> M x, computed on the V-representation.
+
+        M has int or ``Fraction`` entries."""
         m = len(M) if M else (codim if codim is not None else 0)
         if M and len(M[0]) != self.ambient_dim:
             raise ValueError("matrix has wrong number of columns")
         return Cone(
             m,
-            rays=[matvec(M, r) for r in self.rays],
-            lineality=[matvec(M, l) for l in self.lineality],
+            rays=[tuple(_dot(row, r) for row in M) for r in self.rays],
+            lineality=[tuple(_dot(row, l) for row in M) for l in self.lineality],
         )
 
     def preimage(self, M, domain_dim: int | None = None) -> "Cone":
-        """Preimage cone {x : M x in C}, computed on the H-representation."""
-        M = mat(M)
+        """Preimage cone {x : M x in C}, computed on the H-representation.
+
+        M has int or ``Fraction`` entries."""
         if len(M) != self.ambient_dim:
             raise ValueError("matrix has wrong number of rows")
         if M:
-            cols = len(M[0])
+            cols = list(zip(*M))
         elif domain_dim is not None:
-            cols = domain_dim
+            cols = [()] * domain_dim
         else:
             raise ValueError("domain_dim required for an empty matrix")
-        Mt = transpose(M)
 
         def pull(a):
-            return matvec(Mt, a) if Mt else (0,) * cols
+            return tuple(_dot(a, col) for col in cols)
 
         return Cone(
-            cols,
+            len(cols),
             ineqs=[pull(a) for a in self.ineqs],
             eqs=[pull(a) for a in self.eqs],
         )
@@ -432,13 +401,17 @@ def is_increasing(cone: Cone) -> bool:
     The i-th slice is C with coordinates i+1..n forced to zero; C is
     increasing when slice i has dimension exactly i for all i.  Raises if C
     is not contained in the orthant.
+
+    Inside the orthant each slice is a face of C, cut out by the valid
+    inequalities x_k >= 0 for k > i, and a face of a pointed cone is
+    generated by the extreme rays of C that lie in it.  So slice i has the
+    rank of the rays that vanish at coordinates i+1..n, and the test needs
+    no conversion beyond C's own rays.
     """
     n = cone.ambient_dim
     _check_in_orthant(cone)
     for i in range(1, n + 1):
-        tail = [_unit(n, k) for k in range(i, n)]
-        sliced = Cone(n, ineqs=cone.ineqs, eqs=cone.eqs + tuple(tail))
-        if sliced.dim() != i:
+        if len(_rref_int([r for r in cone.rays if not any(r[i:])])) != i:
             return False
     return True
 

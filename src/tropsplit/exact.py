@@ -6,7 +6,10 @@ Elimination always pivots on the first usable entry in row-major order, so
 ranks, kernels and normal forms are reproducible across runs.  The cone
 conversions in ``cones`` do not use this rational elimination: a cone is
 primitive integer vectors end to end, and ``primitive`` is the one routine
-that scales a rational vector to that form.
+that scales a rational vector to that form.  The fraction-free integer
+Gauss-Jordan ``_rref_int`` lives here as well; ``cones`` imports it for the
+double description and the increasing test, and ``is_generic_wrt`` ranks
+primitive rows with it.
 """
 
 from __future__ import annotations
@@ -84,13 +87,38 @@ def primitive(a) -> tuple:
     return gcd_reduce([x.numerator * (l // x.denominator) for x in a])
 
 
-def sign_normalized(a) -> tuple:
-    """Primitive integer vector with first nonzero entry positive."""
-    p = primitive(a)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else tuple(-y for y in p)
-    return p
+def _rref_int(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns the nonzero rows of the reduced row echelon form, each scaled
+    to a primitive integer vector with a positive pivot.  A pivot row is
+    negated when its pivot is negative; every other step combines two rows
+    as ``p*row - row[c]*pivot_row`` with ``p > 0`` and divides by the gcd.
+    The result is the sign-normalized primitive form of the rational rref
+    rows; its length is the rank.
+    """
+    rows = [r for r in rows if any(r)]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        piv = rows[pr]
+        if piv[c] < 0:
+            piv = tuple(-x for x in piv)
+        rows[pr] = rows[r]
+        rows[r] = piv
+        p = piv[c]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = gcd_reduce([p * x - f * y for x, y in zip(rows[i], piv)])
+        r += 1
+    return tuple(map(gcd_reduce, rows[:r]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +414,6 @@ class IntegerLattice:
         if rank(mat(self.basis)) != len(self.basis):
             raise ValueError("lattice basis is not linearly independent")
 
-    @property
-    def lattice_rank(self) -> int:
-        return len(self.basis)
-
     def contains(self, v) -> bool:
         """Exact membership of an integer vector."""
         if not self.basis:
@@ -470,12 +494,11 @@ def unimodular_completion(u) -> tuple:
 def quotient_projection(direction) -> Mat:
     """Rational projection t -> t/<direction> in deterministic coordinates.
 
-    Returns the (n-1) x n matrix of the projection; its kernel is the span
-    of ``direction`` and it maps Z^n onto Z^(n-1).
+    Returns the (n-1) x n integer matrix of the projection, the last rows
+    of a unimodular completion; its kernel is the span of ``direction``
+    and it maps Z^n onto Z^(n-1).
     """
-    u = primitive(direction)
-    M = unimodular_completion(u)
-    return mat(M[1:])
+    return unimodular_completion(primitive(direction))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +520,19 @@ class GenericityCertificate:
 def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
     """Effective genericity: v lies in none of the given proper subspaces.
 
-    Each subspace is a list of rational basis vectors.  Raises ValueError
-    if a listed subspace is the whole space.
+    Each subspace is a list of rational spanning vectors.  Everything is
+    ranked on primitive integer rows: v lies in span(B) when appending it
+    to the integer rref of B keeps the rank.  Raises ValueError if a
+    listed subspace is the whole space.
     """
-    v = vec(v)
+    v = primitive(v)
     n = len(v)
     labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(subspaces)))
     violations = []
     for idx, B in enumerate(subspaces):
-        Bm = mat(B)
-        r = rank(Bm)
-        if r >= n:
+        R = _rref_int(map(primitive, B))
+        if len(R) >= n:
             raise ValueError("subspace %s is the full space" % labels[idx])
-        if rank(Bm + (v,)) == r:
+        if len(_rref_int(R + (v,))) == len(R):
             violations.append(idx)
     return GenericityCertificate(not violations, tuple(violations), labels)

@@ -153,9 +153,12 @@ class Polyhedron:
         return p
 
     def lies_in_hyperplane(self, a, b) -> bool:
-        """Whether the whole polyhedron satisfies a.x = b."""
+        """Whether the whole polyhedron satisfies a.x = b (the empty one
+        lies in every hyperplane)."""
         row = _hom(a, b)
-        return not any(vdot(row, g) for g in self.cone.rays + self.cone.lineality)
+        return self.is_empty() or not any(
+            vdot(row, g) for g in self.cone.rays + self.cone.lineality
+        )
 
     def intersect_hrep(self, ineqs=(), eqs=()) -> "Polyhedron":
         """Intersection with additional rows (a, b)."""

@@ -89,12 +89,6 @@ class NovikovSeries:
     def __hash__(self):
         return hash((self.num_vars, self.terms))
 
-    def truncate(self, max_area) -> "NovikovSeries":
-        max_area = fr(max_area)
-        return NovikovSeries(
-            self.num_vars, tuple(t for t in self.terms if t[1] <= max_area)
-        )
-
 
 def leading_terms(series: NovikovSeries) -> NovikovSeries:
     """Sub-series of terms with minimal area exponent; error on zero."""

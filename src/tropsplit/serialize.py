@@ -17,6 +17,8 @@ from .graphs import Edge, TropicalGraph
 
 
 def rat_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     x = fr(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -25,7 +27,10 @@ def parse_rat(x) -> Fraction:
     if isinstance(x, bool):
         raise ValueError("expected a rational, got a bool")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
         return x
     raise ValueError(f"expected a rational, got {type(x).__name__}")

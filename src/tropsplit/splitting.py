@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, _canon_span, is_increasing
+from .cones import Cone, _canon_span, _dot, _unit, is_increasing
 from .exact import (
     GenericityCertificate,
     is_generic_wrt,
@@ -23,8 +22,8 @@ from .exact import (
     kernel_basis,
     mat,
     matvec,
+    primitive,
     quotient_projection,
-    rank,
     vec,
 )
 from .graphs import (
@@ -218,14 +217,15 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
         rows += [pair_row(n_vars, ia, ib, n, prow) for prow in proj]
         blocks.append((bid, tuple(d), proj))
     s = q.num_split
-    disc = q.w.linear_image(mat(rows), codim=s * (n - 1)) if s else Cone.zero(0)
+    disc = q.w.linear_image(rows, codim=s * (n - 1)) if s else Cone.zero(0)
     return DiscrepancyData(tuple(rows), disc, q.w, tuple(blocks))
 
 
 def _genericity_family(q: QuasiSplitGraph):
     """Proper rational subspaces of t that the cone direction must avoid:
     per split edge, the direction span, the block slice of span(Disc) when
-    proper, and block slices of the facet hyperplanes of Disc."""
+    proper, and block slices of the facet hyperplanes of Disc.  Each is
+    listed once, by its canonical basis of primitive integer rref rows."""
     data = q.disc
     n = q.n
     s = q.num_split
@@ -234,21 +234,19 @@ def _genericity_family(q: QuasiSplitGraph):
     seen = set()
 
     def add(basis_rows, label):
-        basis_rows = [vec(b) for b in basis_rows]
-        if not basis_rows or rank(mat(basis_rows)) >= n:
+        if not basis_rows:
             return
         key = _canon_span(basis_rows)
-        if key in seen:
+        if len(key) >= n or key in seen:
             return
         seen.add(key)
-        fam.append(basis_rows)
+        fam.append(key)
         labels.append(label)
 
     disc_min = data.disc.minimal() if s else None
     span_rows = (disc_min.rays + disc_min.lineality) if s else ()
-    span_rank = rank(mat(span_rows)) if span_rows else 0
     complement = (
-        kernel_basis(mat(span_rows), full) if s and span_rank < full else []
+        kernel_basis(mat(span_rows), full) if s and disc_min.dim() < full else []
     )
     for i, (bid, d, proj) in enumerate(data.blocks):
         add([d], f"direction span of {bid}")
@@ -303,24 +301,22 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     if s == 0:
         cert = GenericityCertificate(True, (), ())
         return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, ())
-    projected = []
-    for bid, d, proj in data.blocks:
-        projected.append(matvec(proj, eta))
+    # M_eta maps the scalings x to the blocks x_i pi_i(eta); it is built from
+    # the primitive integer multiple of eta, which leaves the preimage cone
+    # unchanged
+    eta_int = primitive(eta)
     m_eta_rows = []
-    width = n - 1
-    for i in range(s):
-        for r in range(width):
-            row = [Fraction(0)] * s
-            row[i] = projected[i][r]
-            m_eta_rows.append(tuple(row))
-    pre = data.disc.preimage(mat(m_eta_rows), domain_dim=s)
-    orthant = Cone.from_hrep(
-        [tuple(Fraction(1 if j == i else 0) for j in range(s)) for i in range(s)]
-    )
+    for i, (bid, d, proj) in enumerate(data.blocks):
+        for prow in proj:
+            row = [0] * s
+            row[i] = _dot(prow, eta_int)
+            m_eta_rows.append(row)
+    pre = data.disc.preimage(m_eta_rows, domain_dim=s)
+    orthant = Cone.from_hrep([_unit(s, i) for i in range(s)])
     D = pre.intersect(orthant).minimal()
     holds = is_increasing(D)
     fam, labels = q.genericity_family
-    cert = is_generic_wrt(eta, fam, labels)
+    cert = is_generic_wrt(eta_int, fam, labels)
     return ConeConditionVerdict(
         holds=holds,
         certified=cert.generic,
@@ -329,7 +325,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
         D=D,
         disc_dim=data.disc.dim(),
         expected_disc_dim=s * (n - 1),
-        projected_eta=tuple(projected),
+        projected_eta=tuple(matvec(proj, eta) for _, _, proj in data.blocks),
     )
 
 

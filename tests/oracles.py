@@ -10,21 +10,30 @@ frozenset zero-sets, kept verbatim so that the integer-only conversion in
 they ran de-homogenized on vertices, recession rays and the minimal
 ``hrep()``, kept verbatim (with ``self`` as an argument) so that the cone
 form in ``tropsplit.polyhedra`` can be checked against them.
+
+``is_increasing`` is the increasing-cone test as it ran one double
+description per coordinate slice, and ``is_generic_wrt`` the genericity
+test as it ran ``Fraction`` ranks; both are kept verbatim so that the
+face-based test in ``tropsplit.cones`` and the integer test in
+``tropsplit.exact`` can be checked against them.  ``sign_normalized`` is
+kept for ``direction_space``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.exact import (
+    GenericityCertificate,
     Vec,
     fr,
     is_zero_vec,
     kernel_basis,
     mat,
     primitive,
+    rank,
     rref,
-    sign_normalized,
     vadd,
     vdot,
     vec,
@@ -32,6 +41,15 @@ from tropsplit.exact import (
     vsub,
     vzero,
 )
+
+
+def sign_normalized(a) -> tuple:
+    """Primitive integer vector with first nonzero entry positive."""
+    p = primitive(a)
+    for x in p:
+        if x != 0:
+            return p if x > 0 else tuple(-y for y in p)
+    return p
 
 
 def _prim(v) -> Vec:
@@ -235,3 +253,45 @@ def direction_space(self) -> list:
         return []
     R, pivots = rref(mat(rows))
     return [vec(sign_normalized(R[i])) for i in range(len(pivots))]
+
+
+# ---------------------------------------------------------------------------
+# the cone condition by slices, genericity by rational ranks
+
+
+def is_increasing(cone: Cone) -> bool:
+    """Increasing-cone test: every coordinate truncation slice of C inside
+    the nonnegative orthant is a cone of the expected dimension.
+
+    The i-th slice is C with coordinates i+1..n forced to zero; C is
+    increasing when slice i has dimension exactly i for all i.  Raises if C
+    is not contained in the orthant.
+    """
+    n = cone.ambient_dim
+    _check_in_orthant(cone)
+    for i in range(1, n + 1):
+        tail = [_unit(n, k) for k in range(i, n)]
+        sliced = Cone(n, ineqs=cone.ineqs, eqs=cone.eqs + tuple(tail))
+        if sliced.dim() != i:
+            return False
+    return True
+
+
+def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
+    """Effective genericity: v lies in none of the given proper subspaces.
+
+    Each subspace is a list of rational basis vectors.  Raises ValueError
+    if a listed subspace is the whole space.
+    """
+    v = vec(v)
+    n = len(v)
+    labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(subspaces)))
+    violations = []
+    for idx, B in enumerate(subspaces):
+        Bm = mat(B)
+        r = rank(Bm)
+        if r >= n:
+            raise ValueError("subspace %s is the full space" % labels[idx])
+        if rank(Bm + (v,)) == r:
+            violations.append(idx)
+    return GenericityCertificate(not violations, tuple(violations), labels)

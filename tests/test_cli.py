@@ -210,6 +210,32 @@ def test_malformed_normals_exit_two(command, normals):
     assert "Traceback" not in res.output
 
 
+def _zero_denominator_in_ineqs(fixture_dir, tmp_path):
+    data = json.loads((fixture_dir / "square_split.dec.json").read_text())
+    data["polytopes"][0]["ineqs"][0][0] = "1/0"
+    path = tmp_path / "zero.dec.json"
+    path.write_text(json.dumps(data))
+    return ["graph", "check", str(path), str(fixture_dir / "fig_rigid_gamma1.graph.json")]
+
+
+def _zero_denominator_in_eta(fixture_dir, tmp_path):
+    return [
+        "split", "check",
+        str(fixture_dir / "square_split.dec.json"),
+        str(fixture_dir / "fig_square_top1.graph.json"),
+        "--eta", "1,2/0",
+    ]
+
+
+@pytest.mark.parametrize("make_args", [_zero_denominator_in_eta, _zero_denominator_in_ineqs],
+                         ids=["eta", "ineqs"])
+def test_zero_denominator_exits_two(fixture_dir, tmp_path, make_args):
+    res = run_cli(make_args(fixture_dir, tmp_path))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "error:" in res.output
+
+
 def test_corpus_run_matches_and_is_stable():
     first = run_cli(["corpus", "run"])
     assert first.exit_code == 0, first.output

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from tropsplit import cones
 from tropsplit.cones import (
     Cone,
     is_increasing,
@@ -235,6 +238,75 @@ def test_increasing_generic_blocks_full_dim():
             assert c.dim() == n
         if c.dim() < n:
             assert not generic
+
+
+def _random_hrep_rows(rng, n):
+    """Rows and equalities of a random cone, mostly cut out of the orthant: the axis
+    rows, staircase rows x_i >= c x_j (i < j) and random rows in random
+    order, redundant positive rational multiples and sums of them, and
+    sometimes rational equalities."""
+    rows = []
+    if rng.random() < 0.85:
+        rows += [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        if n > 1 and rng.random() < 0.6:
+            i, j = sorted(rng.sample(range(n), 2))
+            if rng.random() < 0.2:
+                i, j = j, i
+            row = [0] * n
+            row[i], row[j] = 1, -F(rng.randint(0, 4), rng.randint(1, 2))
+        else:
+            row = [rng.randint(-2, 2) for _ in range(n)]
+        rows.append(row)
+    for _ in range(rng.randint(0, 2)):
+        if rows:
+            c = F(rng.randint(1, 5), rng.randint(1, 3))
+            rows.append([c * x + y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rng.shuffle(rows)
+    eqs = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+           for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    return rows, eqs
+
+
+def test_is_increasing_matches_slice_reference():
+    """The face-based test gives the verdicts (and the orthant error) of
+    the frozen test that converts every coordinate slice."""
+    rng = random.Random(606)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows, eqs = _random_hrep_rows(rng, n)
+        c = Cone.from_hrep(rows, eqs, ambient_dim=n)
+        try:
+            want = oracles.is_increasing(Cone.from_hrep(rows, eqs, ambient_dim=n))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                is_increasing(c)
+            seen["outside the orthant"] += 1
+            continue
+        assert is_increasing(c) == want
+        seen[want] += 1
+        seen["with equalities"] += bool(eqs)
+        seen["redundant rows"] += len(c.minimal().ineqs) < len(c.ineqs)
+    assert seen[True] >= 50 and seen[False] >= 100, seen
+    for key in ("outside the orthant", "with equalities", "redundant rows"):
+        assert seen[key] >= 30, seen
+
+
+def test_is_increasing_reads_known_rays_without_conversion(monkeypatch):
+    calls = Counter()
+    original = cones._h_to_v
+
+    def counted(*args):
+        calls["dd"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    staircase = Cone.from_rays([(1, 0, 0), (1, 1, 0), (1, 1, 1)])
+    assert is_increasing(staircase) and not is_increasing(Cone.from_rays([(1, 1)]))
+    assert calls["dd"] == 0
+    assert is_increasing(Cone.from_hrep([(1, -1, 0), (0, 1, -1), (0, 0, 1)]))
+    assert calls["dd"] == 1  # the cone's own rays, no slice
 
 
 def test_roundtrip_random():

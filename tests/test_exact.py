@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import oracles
 from tropsplit.exact import (
     IntegerLattice,
     det,
@@ -248,6 +250,53 @@ def test_generic_cube_span():
 def test_generic_rejects_full_space():
     with pytest.raises(ValueError):
         is_generic_wrt((1, 1), [[(1, 0), (0, 1)]])
+
+
+def test_is_generic_wrt_matches_fraction_reference():
+    """Integer ranks give the certificate (and the full-space error) of the
+    frozen test that ranks ``Fraction`` matrices."""
+    rng = random.Random(77)
+    seen = Counter()
+
+    def rvec(n):
+        if rng.random() < 0.3:
+            return tuple(rng.randint(-3, 3) for _ in range(n))
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        family = []
+        for _ in range(rng.randint(0, 4)):
+            k = n if rng.random() < 0.08 else rng.randint(0, n - 1)
+            B = [rvec(n) for _ in range(k)]
+            if B and rng.random() < 0.3:  # a dependent spanning vector
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                B.append(tuple(c * x + y for x, y in zip(B[0], B[-1])))
+            family.append(B)
+        spans = [B for B in family if B]
+        if spans and rng.random() < 0.5:  # often a vector of a listed span
+            v = [Fraction(0)] * n
+            for b in rng.choice(spans):
+                c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                v = [x + c * y for x, y in zip(v, b)]
+        else:
+            v = rvec(n)
+        labels = [f"S{i}" for i in range(len(family))] if rng.random() < 0.5 else None
+        try:
+            want = oracles.is_generic_wrt(v, family, labels)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                is_generic_wrt(v, family, labels)
+            seen["full space"] += 1
+            continue
+        assert is_generic_wrt(v, family, labels) == want
+        seen["generic" if want.generic else "violated"] += 1
+        seen["several violations"] += len(want.violations) > 1
+        seen["zero vector"] += not any(v)
+    for key in ("generic", "violated"):
+        assert seen[key] >= 100, seen
+    for key in ("full space", "several violations", "zero vector"):
+        assert seen[key] >= 10, seen
 
 
 # -- misc kernels --------------------------------------------------------------

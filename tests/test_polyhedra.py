@@ -94,6 +94,15 @@ def test_empty_polyhedra_get_set_answers():
     assert not square.same_set(slab1) and not slab1.same_set(square)
 
 
+def test_empty_polyhedron_lies_in_every_hyperplane():
+    """The cone of {x1 <= 0, x1 >= 1} keeps the recession line of x2, which
+    does not lie in x2 = 0; the empty set does."""
+    slab = Polyhedron.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
+    assert slab.is_empty()
+    for a, b in (((0, 1), 0), ((1, 0), 0), ((1, 1), 5)):
+        assert slab.lies_in_hyperplane(a, b)
+
+
 # -- differential check against the de-homogenized queries -----------------------
 
 
@@ -174,9 +183,15 @@ def test_polyhedron_queries_match_dehomogenized_reference():
             assert poly.direction_space() == oracles.direction_space(poly)
             for a, b in _hyperplanes(rng, poly):
                 got = poly.lies_in_hyperplane(a, b)
+                if poly.is_empty():
+                    # the set answer; the frozen code answered by the cone
+                    assert got
+                    seen["empty in hyperplane"] += 1
+                    continue
                 assert got == oracles.lies_in_hyperplane(poly, a, b)
                 seen["in hyperplane"] += got
-    for key in ("empty with recession", "with equalities", "with lineality", "empty side"):
+    for key in ("empty with recession", "with equalities", "with lineality", "empty side",
+                "empty in hyperplane"):
         assert seen[key] >= 10, seen
     for key in ("contained", "equal", "proper face", "in hyperplane"):
         assert seen[key] >= 50, seen

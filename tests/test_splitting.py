@@ -209,6 +209,59 @@ def test_analyses_run_once_per_graph(cube_split, monkeypatch):
     assert calls == {"relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1}
 
 
+WARM_CASES = (
+    ("square", "fig_square_top1", (1, -1)),
+    ("square", "fig_square_top1", (-1, 1)),
+    ("square", "fig_four_top", (5, 1)),
+    ("square", "fig_four_top_prime", (5, 1)),
+    ("cube", "fig_cube_top1", (1, 1, 0)),
+    ("cube", "fig_cube_top2", (F(3, 4), 1, 0)),
+    ("cube", "fig_cube_top2", (3, 1, 0)),
+)
+
+
+def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monkeypatch):
+    """Once a graph's cones are cached, a cone direction costs the two
+    conversions of ``D.minimal()`` and nothing else: the increasing test
+    reads D's rays and the genericity test runs no conversion."""
+    from tropsplit import cones
+
+    decs = {"square": square_split, "cube": cube_split}
+    calls = Counter()
+    original = cones._h_to_v
+
+    def counted(*args):
+        calls["dd"] += 1
+        return original(*args)
+
+    warm = []
+    for dec, name, eta in WARM_CASES:
+        q = quasi(decs[dec], name)
+        cone_condition(q, (1,) * q.n)  # warm the graph's cached cones
+        warm.append((q, eta))
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    for q, eta in warm:
+        calls.clear()
+        cone_condition(q, eta)
+        assert calls["dd"] == 2, q.top
+
+
+def test_cone_condition_ignores_the_scale_of_eta(square_split, cube_split):
+    decs = {"square": square_split, "cube": cube_split}
+    verdicts = set()
+    for dec, name, eta in WARM_CASES:
+        q = quasi(decs[dec], name)
+        a = cone_condition(q, eta)
+        b = cone_condition(q, tuple(F(3, 2) * x for x in eta))
+        assert (b.D.rays, b.D.lineality, b.D.ineqs, b.D.eqs) == (
+            a.D.rays, a.D.lineality, a.D.ineqs, a.D.eqs)
+        assert (b.holds, b.certified) == (a.holds, a.certified)
+        assert b.projected_eta == tuple(
+            tuple(F(3, 2) * x for x in p) for p in a.projected_eta)
+        verdicts.add((a.holds, a.certified))
+    assert verdicts == {(True, True), (True, False), (False, True)}
+
+
 def test_split_edge_direction_must_match_base(square_split):
     top = fx.fig_square_top1()
     (e,) = [x for x in top["edges"] if x["id"] == "e"]
