@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 negative verdict, 2 input error.  All reports are
+Exit codes: 0 success, 1 negative verdict, 2 input error, 3 internal error
+(any other exception; a crash never reads as a verdict).  All reports are
 canonical JSON on stdout (or the -o target); diagnostics go to stderr.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 
 import click
@@ -31,6 +33,7 @@ from .splitting import QuasiSplitGraph, SplitError
 
 INPUT_ERROR = 2
 NEGATIVE = 1
+INTERNAL_ERROR = 3
 
 
 def _fail(message: str, code: int = INPUT_ERROR):
@@ -139,7 +142,21 @@ def _potential_report(data: dict) -> dict:
     )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an exception that escapes a command exits 3 with
+    its traceback and an error line on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(traceback.format_exc(), err=True, nl=False)
+            _fail(f"internal error: {type(exc).__name__}: {exc}", INTERNAL_ERROR)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact combinatorics of split tropical graphs."""
 
@@ -317,7 +334,7 @@ def potential_combine(mult_, split_edges_, d_black, sign, series_paths, output):
         data = _load_json_or_inline(path)
         data_in.append(data)
         try:
-            series.append(series_from_list(data["terms"], int(data["num_vars"])))
+            series.append(series_from_list(data["terms"], data["num_vars"]))
         except (KeyError, ValueError, TypeError) as exc:
             _fail(f"bad series {path}: {exc}")
     try:

@@ -14,7 +14,7 @@ from .cones import Cone
 from .exact import (
     IntegerLattice,
     fr,
-    mat,
+    imat,
     saturated_kernel_lattice,
     vdot,
     vec,
@@ -84,7 +84,7 @@ class Decomposition:
         """Saturated integer basis of t_P = ann(TP)."""
         if pid not in self._normal:
             dirs = self.cell(pid).direction_space()
-            self._normal[pid] = saturated_kernel_lattice(mat(dirs), self.ambient_dim)
+            self._normal[pid] = saturated_kernel_lattice(dirs, self.ambient_dim)
         return self._normal[pid]
 
     # face poset ----------------------------------------------------------------
@@ -210,9 +210,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     strictly) is the inner polytope.  All cells of positive codimension are
     marked split.  Returns (decomposition, inner_cell_id).
     """
-    normals = [vec(m) for m in normals]
-    if any(x.denominator != 1 for m in normals for x in m):
-        raise DecompositionError("normals must be integer vectors")
+    normals = imat(normals)
     constants = [fr(c) for c in constants]
     epsilons = [fr(e) for e in epsilons]
     if not normals:

@@ -16,7 +16,8 @@ description runs on the same ints: new rays ``(a.r+) r- - (a.r-) r+`` and
 every elimination step are fraction-free with a gcd division, and a ray's
 zero-set is an int bitmask over the input rows.  Positive scaling keeps
 every cone and every sign test that of the rational input.  The integer
-Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``.
+Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``,
+and ``exact._kernel_int`` reads kernels off its rows.
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -24,18 +25,18 @@ per value, so concurrent readers always observe a pure function.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .exact import (
     Vec,
+    _kernel_int,
+    _lead,
     _rref_int,
     gcd_reduce,
     is_zero_vec,
     primitive,
     rref,  # unused here; the tracer tests in perfbench patch cones.rref
     vadd,
-    vec,
 )
 
 
@@ -57,29 +58,11 @@ def _canon_span(rows) -> tuple:
     return _rref_int(map(primitive, rows))
 
 
-def _kernel_int(R, n: int) -> list:
-    """Primitive integer basis of the kernel of a matrix in the form that
-    ``_rref_int`` returns, one vector per free column in increasing order;
-    each is a positive multiple of the vector ``exact.kernel_basis`` gives."""
-    pivots = [next(i for i, x in enumerate(row) if x) for row in R]
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        l = lcm(*(row[pc] for row, pc in zip(R, pivots)))
-        v = [0] * n
-        v[fc] = l
-        for row, pc in zip(R, pivots):
-            v[pc] = -row[fc] * (l // row[pc])
-        basis.append(gcd_reduce(v))
-    return basis
-
-
 def _reduce_mod_span(span, v) -> tuple:
     """Primitive canonical coset representative of v modulo the span of
     primitive rref rows: the one that vanishes at every pivot."""
     for row in span:
-        p = next(i for i, x in enumerate(row) if x)
+        p = _lead(row)
         f = v[p]
         if f:
             q = row[p]
@@ -424,6 +407,7 @@ def _check_in_orthant(cone: Cone):
             raise ValueError("cone is not contained in the nonnegative orthant")
 
 
+# These two stay here: perfbench's eta-sweep oracle calls cones.is_increasing_inductive.
 def normal_cone_at_first_axis(cone: Cone) -> Cone:
     """Directions v with (1, t v) in C for all small t > 0; assumes e1 in C.
 
@@ -447,31 +431,3 @@ def is_increasing_inductive(cone: Cone) -> bool:
     if not cone.contains(_unit(n, 0)):
         return False
     return is_increasing_inductive(normal_cone_at_first_axis(cone.minimal()).minimal())
-
-
-def tail_of_sequence_in(cone: Cone, scales) -> bool:
-    """Whether (s_1 nu^{n-1}, s_2 nu^{n-2}, ..., s_n) lies in C for all
-    large nu; decided symbolically by leading coefficients in nu.
-
-    ``scales`` are n positive rationals multiplying the standard
-    increasing sequence.
-    """
-    n = cone.ambient_dim
-    scales = vec(scales)
-    if len(scales) != n or any(s <= 0 for s in scales):
-        raise ValueError("scales must be n positive rationals")
-
-    def sign_at_infinity(a):
-        for i in range(n):  # falling degrees n-1 .. 0
-            c = a[i] * scales[i]
-            if c != 0:
-                return 1 if c > 0 else -1
-        return 0
-
-    for a in cone.ineqs:
-        if sign_at_infinity(a) < 0:
-            return False
-    for a in cone.eqs:
-        if sign_at_infinity(a) != 0:
-            return False
-    return True

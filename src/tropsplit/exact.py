@@ -2,14 +2,12 @@
 
 Everything here runs on arbitrary-precision integers and
 ``fractions.Fraction``; no operation in this package ever produces a float.
-Elimination always pivots on the first usable entry in row-major order, so
-ranks, kernels and normal forms are reproducible across runs.  The cone
-conversions in ``cones`` do not use this rational elimination: a cone is
-primitive integer vectors end to end, and ``primitive`` is the one routine
-that scales a rational vector to that form.  The fraction-free integer
-Gauss-Jordan ``_rref_int`` lives here as well; ``cones`` imports it for the
-double description and the increasing test, and ``is_generic_wrt`` ranks
-primitive rows with it.
+There is one Gauss-Jordan elimination, the fraction-free ``_rref_int`` on
+integer rows, and ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are its
+``Fraction`` views: the rational rref of a matrix is unique, so they are
+exact.  Kernel lattices come from one Smith form U M V = D: the columns of V
+past the rank span the saturated kernel.  ``primitive`` scales a rational
+vector to integer form and ``as_int`` is the one strict integer coercion.
 """
 
 from __future__ import annotations
@@ -37,6 +35,23 @@ def fr(x) -> Fraction:
     return Fraction(x)
 
 
+def as_int(x) -> int:
+    """Exact value of an int, an integral ``Fraction`` or an integer string.
+
+    Bools, floats and non-integral values raise ValueError; nothing is
+    rounded.
+    """
+    if type(x) is int:
+        return x
+    try:
+        q = Fraction(x) if isinstance(x, (Fraction, str)) else None
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or q.denominator != 1:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return q.numerator
+
+
 def vec(xs) -> Vec:
     return tuple(fr(x) for x in xs)
 
@@ -51,10 +66,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def vscale(c, a: Vec) -> Vec:
@@ -85,6 +96,10 @@ def primitive(a) -> tuple:
     a = [x if type(x) is int else fr(x) for x in a]
     l = lcm(*(x.denominator for x in a))
     return gcd_reduce([x.numerator * (l // x.denominator) for x in a])
+
+
+# ---------------------------------------------------------------------------
+# elimination: one integer Gauss-Jordan and its rational views
 
 
 def _rref_int(rows) -> tuple:
@@ -121,123 +136,82 @@ def _rref_int(rows) -> tuple:
     return tuple(map(gcd_reduce, rows[:r]))
 
 
-# ---------------------------------------------------------------------------
-# rational matrices
+def _lead(row) -> int:
+    """Column of the first nonzero entry: the pivot of an rref row."""
+    return next(i for i, x in enumerate(row) if x)
 
 
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def eye(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(M: Mat) -> Mat:
-    return tuple(zip(*M)) if M else ()
+def _kernel_int(R, n: int) -> list:
+    """Primitive integer basis of the kernel of a matrix in the form that
+    ``_rref_int`` returns, one vector per free column in increasing order;
+    the vector of free column c is positive at c and zero at every other
+    free column."""
+    pivots = [_lead(row) for row in R]
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        l = lcm(*(row[pc] for row, pc in zip(R, pivots)))
+        v = [0] * n
+        v[fc] = l
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc] * (l // row[pc])
+        basis.append(gcd_reduce(v))
+    return basis
 
 
 def matvec(M: Mat, x: Vec) -> Vec:
     return tuple(vdot(row, x) for row in M)
 
 
-def matmul(A: Mat, B: Mat) -> Mat:
-    Bt = transpose(B)
-    return tuple(tuple(vdot(row, col) for col in Bt) for row in A)
-
-
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with deterministic pivoting.
+    """Reduced row echelon form of a rational matrix, as ``Fraction`` rows.
 
-    Returns (R, pivot_columns).  The pivot in each step is the first row
-    (top to bottom) with a nonzero entry in the first unused column.
+    Returns (R, pivot_columns): all m rows of R, the zero rows last.  Each
+    row of ``_rref_int`` on the primitive rows is divided by its pivot.
     """
-    rows = [list(r) for r in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    R = _rref_int(map(primitive, M))
+    pivots = tuple(map(_lead, R))
+    zero = (Fraction(0),) * (len(M[0]) if M else 0)
+    rows = tuple(tuple(Fraction(x, row[p]) for x in row) for row, p in zip(R, pivots))
+    return rows + (zero,) * (len(M) - len(R)), pivots
 
 
 def rank(M: Mat) -> int:
-    if not M:
-        return 0
-    return len(rref(M)[1])
+    return len(_rref_int(map(primitive, M)))
 
 
 def kernel_basis(M: Mat, n: int | None = None) -> list[Vec]:
-    """Basis of the right kernel {x : M x = 0}, in canonical order.
+    """Basis of the right kernel {x : M x = 0}, in canonical order: one
+    ``Fraction`` vector per free column, 1 there and 0 at the other free
+    columns.
 
     ``n`` gives the ambient dimension when M has no rows.
     """
-    if not M:
-        if n is None:
-            raise ValueError("ambient dimension required for a matrix without rows")
-        return list(eye(n))
-    n = len(M[0])
-    R, pivots = rref(M)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(tuple(v))
-    return basis
+    if M:
+        n = len(M[0])
+    elif n is None:
+        raise ValueError("ambient dimension required for a matrix without rows")
+    R = _rref_int(map(primitive, M))
+    pivots = set(map(_lead, R))
+    free = (c for c in range(n) if c not in pivots)
+    return [tuple(Fraction(x, v[c]) for x in v) for c, v in zip(free, _kernel_int(R, n))]
 
 
 def solve(M: Mat, b: Vec) -> Vec | None:
-    """One exact solution of M x = b, or None if inconsistent."""
+    """One exact solution of M x = b, or None if inconsistent; the free
+    variables are 0."""
     if not M:
         return ()
     n = len(M[0])
-    aug = tuple(tuple(row) + (bb,) for row, bb in zip(M, b, strict=True))
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
     x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
+    aug = (primitive(tuple(row) + (bb,)) for row, bb in zip(M, b, strict=True))
+    for row in _rref_int(aug):
+        p = _lead(row)
+        if p == n:
+            return None
+        x[p] = Fraction(row[n], row[p])
     return tuple(x)
-
-
-def det(M: Mat) -> Fraction:
-    rows = [list(r) for r in M]
-    n = len(rows)
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +219,8 @@ def det(M: Mat) -> Fraction:
 
 
 def imat(rows) -> tuple:
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("non-integer entry in integer matrix")
-                x = x.numerator
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    """Integer matrix of exact integer entries, coerced with ``as_int``."""
+    return tuple(tuple(map(as_int, r)) for r in rows)
 
 
 def smith_normal_form(M) -> tuple[tuple, tuple, tuple]:
@@ -390,15 +355,6 @@ def invariant_factors(M) -> tuple[int, ...]:
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0)
 
 
-def torsion_order(M) -> int:
-    """Product of the invariant factors exceeding 1."""
-    out = 1
-    for d in invariant_factors(M):
-        if d > 1:
-            out *= d
-    return out
-
-
 @dataclass(frozen=True)
 class IntegerLattice:
     """Sublattice of Z^n given by an independent integer basis."""
@@ -411,66 +367,59 @@ class IntegerLattice:
         for b in self.basis:
             if len(b) != self.ambient_dim:
                 raise ValueError("basis vector of wrong dimension")
-        if rank(mat(self.basis)) != len(self.basis):
+        if len(_rref_int(self.basis)) != len(self.basis):
             raise ValueError("lattice basis is not linearly independent")
 
     def contains(self, v) -> bool:
-        """Exact membership of an integer vector."""
-        if not self.basis:
-            return is_zero_vec(vec(v))
-        sol = solve(transpose(mat(self.basis)), vec(v))
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        """Exact membership of a rational vector.
+
+        v = B^T x has one rational solution x when v spans with the basis B;
+        the integer rref of [B^T | v] gives x_p = row[k] / row[p] for the
+        row with pivot p, and v lies in the lattice when all are integers.
+        """
+        v = vec(v)
+        if any(x.denominator != 1 for x in v):
+            return False
+        k = len(self.basis)
+        R = _rref_int(zip(*self.basis, (x.numerator for x in v), strict=True))
+        return all(_lead(row) < k and row[k] % row[_lead(row)] == 0 for row in R)
 
     def spans(self, v) -> bool:
         """Membership of a rational vector in the rational span."""
-        if not self.basis:
-            return is_zero_vec(vec(v))
-        return solve(transpose(mat(self.basis)), vec(v)) is not None
+        return len(_rref_int(self.basis + (primitive(v),))) == len(self.basis)
 
 
-def saturate(L: IntegerLattice) -> IntegerLattice:
-    """Largest lattice of the same rank in the same rational span.
+def smith_kernel(A) -> tuple[tuple, IntegerLattice]:
+    """Nonzero invariant factors of an integer matrix with at least one row,
+    and the saturated integer lattice of its kernel, from one Smith form.
 
-    Computed from the Smith decomposition of the basis matrix (the first r
-    rows of V^-1 span the saturation) and returned in Hermite normal form,
-    which makes the operation literally idempotent.
+    With U A V = D, an integer x has A x = 0 exactly when V^-1 x vanishes at
+    the first r = rank coordinates, so the columns of V past the rank are a
+    basis of the saturated kernel; it is returned in Hermite normal form.
     """
-    if not L.basis:
-        return L
-    B = imat(L.basis)
-    r = len(B)
-    _, _, V = smith_normal_form(B)
-    Vinv = _integer_inverse(V)
-    return IntegerLattice(L.ambient_dim, hermite_normal_form(Vinv[:r]))
-
-
-def _integer_inverse(V) -> tuple:
+    _, D, V = smith_normal_form(A)
     n = len(V)
-    aug = tuple(
-        tuple(Fraction(V[i][j]) for j in range(n))
-        + tuple(Fraction(1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    R, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = R[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    factors = tuple(D[i][i] for i in range(min(len(D), n)) if D[i][i])
+    return factors, IntegerLattice(n, hermite_normal_form(tuple(zip(*V))[len(factors):]))
 
 
 def saturated_kernel_lattice(M: Mat, n: int | None = None) -> IntegerLattice:
-    """Saturated integer lattice of the rational kernel of M."""
-    kb = kernel_basis(M, n)
-    n = n if n is not None else (len(M[0]) if M else 0)
-    if not kb:
-        return IntegerLattice(n, ())
-    prim = [primitive(v) for v in kb]
-    return saturate(IntegerLattice(n, tuple(prim)))
+    """Saturated integer lattice of the rational kernel of M.
+
+    ``n`` gives the ambient dimension when M has no rows.
+    """
+    if not M and n is None:
+        raise ValueError("ambient dimension required for a matrix without rows")
+    return smith_kernel([primitive(r) for r in M] or [(0,) * n])[1]
+
+
+def saturate(L: IntegerLattice) -> IntegerLattice:
+    """Largest lattice of the same rank in the same rational span: the
+    saturated kernel of L's annihilator, in Hermite normal form, which makes
+    the operation literally idempotent."""
+    if not L.basis:
+        return L
+    return saturated_kernel_lattice(saturated_kernel_lattice(L.basis).basis, L.ambient_dim)
 
 
 def unimodular_completion(u) -> tuple:
@@ -478,7 +427,7 @@ def unimodular_completion(u) -> tuple:
 
     Rows 2..n of M give deterministic coordinates on Z^n / Zu.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(as_int, u))
     if tuple(primitive(u)) != u:
         raise ValueError("vector must be primitive")
     col = tuple((x,) for x in u)

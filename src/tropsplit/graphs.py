@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Decomposition
-from .exact import quotient_projection, vdot, vec
+from .exact import as_int, quotient_projection, vdot, vec
 from .polyhedra import Polyhedron
 
 TROPICAL = "tropical"
@@ -37,7 +37,7 @@ class Edge:
         if self.kind not in EDGE_KINDS:
             raise GraphError(f"edge {self.id}: unknown kind {self.kind}")
         if self.direction is not None:
-            object.__setattr__(self, "direction", tuple(int(x) for x in self.direction))
+            object.__setattr__(self, "direction", tuple(map(as_int, self.direction)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import fr, vdot, vec
+from .exact import as_int, fr, imat, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class NovikovSeries:
             c, a = fr(c), fr(a)
             if a < 0:
                 raise ValueError("negative area exponent")
-            m = tuple(int(x) for x in m)
+            m = tuple(map(as_int, m))
             if len(m) != self.num_vars:
                 raise ValueError("monomial of wrong arity")
             key = (a, m)
@@ -103,9 +103,7 @@ def leading_terms(series: NovikovSeries) -> NovikovSeries:
 def bg_potential(normals, constants, lam) -> NovikovSeries:
     """Batyrev-Givental potential: one term y^mu_i q^(c_i - <lam, mu_i>)
     per facet of the moment polytope, for lam strictly interior."""
-    normals = [vec(m) for m in normals]
-    if any(x.denominator != 1 for m in normals for x in m):
-        raise ValueError("normals must be integer vectors")
+    normals = imat(normals)
     constants = [fr(c) for c in constants]
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")

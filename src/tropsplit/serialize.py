@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complexes import Decomposition, DualCell, Polytope
 from .cones import Cone
-from .exact import fr
+from .exact import as_int, fr
 from .graphs import Edge, TropicalGraph
 
 
@@ -77,7 +77,7 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> Decomposition:
-    n = int(data["ambient_dim"])
+    n = as_int(data["ambient_dim"])
     polytopes = []
     for p in data["polytopes"]:
         rows = []
@@ -132,9 +132,7 @@ def graph_from_dict(data: dict) -> TropicalGraph:
             id=str(e["id"]),
             ends=(str(e["ends"][0]), str(e["ends"][1])),
             kind=e.get("kind", "tropical"),
-            direction=tuple(int(x) for x in e["direction"])
-            if e.get("direction") is not None
-            else None,
+            direction=e.get("direction"),
             maps_to=e.get("maps_to"),
         )
         for e in data["edges"]
@@ -195,9 +193,6 @@ def series_from_list(data, num_vars) -> "NovikovSeries":
     from .potential import NovikovSeries
 
     return NovikovSeries(
-        num_vars,
-        tuple(
-            (parse_rat(t["coeff"]), parse_rat(t["area"]), tuple(int(x) for x in t["monomial"]))
-            for t in data
-        ),
+        as_int(num_vars),
+        tuple((parse_rat(t["coeff"]), parse_rat(t["area"]), t["monomial"]) for t in data),
     )

@@ -17,10 +17,10 @@ from .complexes import Decomposition, cone_of_relative_cell
 from .cones import Cone, _canon_span, _dot, _unit, is_increasing
 from .exact import (
     GenericityCertificate,
+    _kernel_int,
+    _rref_int,
     is_generic_wrt,
     is_zero_vec,
-    kernel_basis,
-    mat,
     matvec,
     primitive,
     quotient_projection,
@@ -228,46 +228,35 @@ def _genericity_family(q: QuasiSplitGraph):
     listed once, by its canonical basis of primitive integer rref rows."""
     data = q.disc
     n = q.n
-    s = q.num_split
-    full = s * (n - 1)
+    full = q.num_split * (n - 1)
     fam, labels = [], []
     seen = set()
 
     def add(basis_rows, label):
-        if not basis_rows:
-            return
         key = _canon_span(basis_rows)
-        if len(key) >= n or key in seen:
+        if not key or len(key) >= n or key in seen:
             return
         seen.add(key)
         fam.append(key)
         labels.append(label)
 
-    disc_min = data.disc.minimal() if s else None
-    span_rows = (disc_min.rays + disc_min.lineality) if s else ()
-    complement = (
-        kernel_basis(mat(span_rows), full) if s and disc_min.dim() < full else []
-    )
+    disc_min = data.disc.minimal()
+    complement = _kernel_int(_rref_int(disc_min.rays + disc_min.lineality), full)
+    width = n - 1
+
+    def sliced_kernel(vs, proj, lo):
+        """Subspace of t on which every block slice of vs vanishes after
+        the projection; the whole space when every slice is zero."""
+        cols = tuple(zip(*proj))
+        rows = [tuple(_dot(col, v[lo : lo + width]) for col in cols) for v in vs]
+        return _kernel_int(_rref_int(rows), n)
+
     for i, (bid, d, proj) in enumerate(data.blocks):
         add([d], f"direction span of {bid}")
-        width = n - 1
         lo = i * width
-        if complement:
-            rows = []
-            for c in complement:
-                c_i = c[lo : lo + width]
-                if not is_zero_vec(c_i):
-                    rows.append(matvec(tuple(zip(*proj)), c_i))
-            if rows:
-                sub = kernel_basis(mat(rows), n)
-                add(sub, f"span(Disc) sliced at {bid}")
-        for k, a in enumerate(disc_min.ineqs if s else ()):
-            a_i = a[lo : lo + width]
-            if is_zero_vec(a_i):
-                continue
-            row = matvec(tuple(zip(*proj)), a_i)
-            sub = kernel_basis(mat([row]), n)
-            add(sub, f"facet {k} of Disc sliced at {bid}")
+        add(sliced_kernel(complement, proj, lo), f"span(Disc) sliced at {bid}")
+        for k, a in enumerate(disc_min.ineqs):
+            add(sliced_kernel([a], proj, lo), f"facet {k} of Disc sliced at {bid}")
     return fam, labels
 
 

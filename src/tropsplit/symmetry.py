@@ -4,25 +4,19 @@ A symmetry assigns a translation g_v in the torus of the vertex's normal
 lattice to every vertex and a rotation z_e to every constrained tropical
 edge, subject to g(v+) g(v-)^{-1} = z_e^{T(e)} per edge (interior edges
 force z_e = 1).  The group is the kernel of the induced homomorphism of
-complex tori; its dimension and component group come from the Smith
-normal form of the integer relation matrix.  No complex numbers are ever
-materialized.
+complex tori.  One Smith form of the integer relation matrix gives all of
+it: the rank fixes the dimension, the invariant factors the component
+group, and the columns past the rank the exponent lattice.  No complex
+numbers are ever materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 
 from .complexes import Decomposition
-from .exact import (
-    IntegerLattice,
-    imat,
-    mat,
-    rank,
-    saturated_kernel_lattice,
-    torsion_order as _torsion,
-)
+from .exact import IntegerLattice, smith_kernel
 from .graphs import (
     INTERIOR,
     TROPICAL,
@@ -50,7 +44,6 @@ class SymmetryGroup:
     exponent_lattice: IntegerLattice
     variables: tuple
     relations: tuple  # integer relation matrix rows
-    component_splitting: tuple | None = None  # per-subgraph dimensions
 
 
 def _relation_system(dec: Decomposition, graph: TropicalGraph, constrained_edges):
@@ -103,17 +96,10 @@ def symmetry_group(dec: Decomposition, graph: TropicalGraph, framed: bool = Fals
         or (e.kind == TROPICAL and (framed or e.id not in split_edge_ids))
     ]
     variables, rows = _relation_system(dec, graph, constrained)
-    nvars = len(variables)
-    r = rank(mat(rows)) if rows else 0
-    lattice = (
-        saturated_kernel_lattice(mat(rows), nvars)
-        if rows
-        else IntegerLattice(nvars, tuple(tuple(1 if i == j else 0 for j in range(nvars))
-                                         for i in range(nvars)))
-    )
+    factors, lattice = smith_kernel(rows or ((0,) * len(variables),))
     return SymmetryGroup(
-        complex_dimension=nvars - r,
-        torsion_order=_torsion(rows) if rows else 1,
+        complex_dimension=len(variables) - len(factors),
+        torsion_order=prod(factors),
         exponent_lattice=lattice,
         variables=variables,
         relations=rows,
@@ -145,19 +131,3 @@ def multiplicity(q) -> int:
     if not is_rigid_split(q):
         raise GraphError("non-rigid split graph: multiplicity undefined")
     return group.torsion_order
-
-
-def count_root_solutions(rows, nvars: int, order: int, cap: int = 2_000_000) -> int:
-    """Brute-force oracle: number of solutions of the multiplicative system
-    with all variables `order`-th roots of unity, i.e. of A u = 0 over
-    Z/order.  For a zero-dimensional group this equals the torsion order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    if order ** nvars > cap:
-        raise ValueError("enumeration too large")
-    rows = imat(rows)
-    count = 0
-    for u in product(range(order), repeat=nvars):
-        if all(sum(r * x for r, x in zip(row, u)) % order == 0 for row in rows):
-            count += 1
-    return count

@@ -17,23 +17,37 @@ test as it ran ``Fraction`` ranks; both are kept verbatim so that the
 face-based test in ``tropsplit.cones`` and the integer test in
 ``tropsplit.exact`` can be checked against them.  ``sign_normalized`` is
 kept for ``direction_space``.
+
+``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
+Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
+lattices as they ran through an inverse of the Smith transform, and
+``symmetry_numbers`` is how ``symmetry_group`` computed its dimension,
+torsion and exponent lattice; all are kept verbatim so that the views of
+the integer elimination and the one-Smith-form lattices in
+``tropsplit.exact`` can be checked against them.  The oracles above use
+these frozen versions too.  ``mat``, ``transpose``, ``det``, ``matmul``,
+``vneg``, ``count_root_solutions`` and ``tail_of_sequence_in`` are helpers
+and brute-force checks that only the tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.exact import (
     GenericityCertificate,
+    IntegerLattice,
+    Mat,
     Vec,
     fr,
+    hermite_normal_form,
+    imat,
+    invariant_factors,
     is_zero_vec,
-    kernel_basis,
-    mat,
     primitive,
-    rank,
-    rref,
+    smith_normal_form,
     vadd,
     vdot,
     vec,
@@ -295,3 +309,239 @@ def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
         if rank(Bm + (v,)) == r:
             violations.append(idx)
     return GenericityCertificate(not violations, tuple(violations), labels)
+
+
+# ---------------------------------------------------------------------------
+# rational elimination and lattices as they ran on ``Fraction`` rows
+
+
+def mat(rows) -> Mat:
+    return tuple(vec(r) for r in rows)
+
+
+def transpose(M: Mat) -> Mat:
+    return tuple(zip(*M)) if M else ()
+
+
+def vneg(a: Vec) -> Vec:
+    return tuple(-x for x in a)
+
+
+def eye(n: int) -> Mat:
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def matmul(A: Mat, B: Mat) -> Mat:
+    Bt = transpose(B)
+    return tuple(tuple(vdot(row, col) for col in Bt) for row in A)
+
+
+def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form with deterministic pivoting.
+
+    Returns (R, pivot_columns).  The pivot in each step is the first row
+    (top to bottom) with a nonzero entry in the first unused column.
+    """
+    rows = [list(r) for r in M]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def rank(M: Mat) -> int:
+    if not M:
+        return 0
+    return len(rref(M)[1])
+
+
+def kernel_basis(M: Mat, n: int | None = None) -> list[Vec]:
+    """Basis of the right kernel {x : M x = 0}, in canonical order.
+
+    ``n`` gives the ambient dimension when M has no rows.
+    """
+    if not M:
+        if n is None:
+            raise ValueError("ambient dimension required for a matrix without rows")
+        return list(eye(n))
+    n = len(M[0])
+    R, pivots = rref(M)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve(M: Mat, b: Vec) -> Vec | None:
+    """One exact solution of M x = b, or None if inconsistent."""
+    if not M:
+        return ()
+    n = len(M[0])
+    aug = tuple(tuple(row) + (bb,) for row, bb in zip(M, b, strict=True))
+    R, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][n]
+    return tuple(x)
+
+
+def det(M: Mat) -> Fraction:
+    rows = [list(r) for r in M]
+    n = len(rows)
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            d = -d
+        d *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+def torsion_order(M) -> int:
+    """Product of the invariant factors exceeding 1."""
+    out = 1
+    for d in invariant_factors(M):
+        if d > 1:
+            out *= d
+    return out
+
+
+def saturate(L: IntegerLattice) -> IntegerLattice:
+    """Largest lattice of the same rank in the same rational span.
+
+    Computed from the Smith decomposition of the basis matrix (the first r
+    rows of V^-1 span the saturation) and returned in Hermite normal form,
+    which makes the operation literally idempotent.
+    """
+    if not L.basis:
+        return L
+    B = imat(L.basis)
+    r = len(B)
+    _, _, V = smith_normal_form(B)
+    Vinv = _integer_inverse(V)
+    return IntegerLattice(L.ambient_dim, hermite_normal_form(Vinv[:r]))
+
+
+def _integer_inverse(V) -> tuple:
+    n = len(V)
+    aug = tuple(
+        tuple(Fraction(V[i][j]) for j in range(n))
+        + tuple(Fraction(1 if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+    R, pivots = rref(aug)
+    if list(pivots) != list(range(n)):
+        raise ValueError("matrix is singular")
+    out = []
+    for i in range(n):
+        row = R[i][n:]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("inverse is not integral")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
+
+
+def saturated_kernel_lattice(M: Mat, n: int | None = None) -> IntegerLattice:
+    """Saturated integer lattice of the rational kernel of M."""
+    kb = kernel_basis(M, n)
+    n = n if n is not None else (len(M[0]) if M else 0)
+    if not kb:
+        return IntegerLattice(n, ())
+    prim = [primitive(v) for v in kb]
+    return saturate(IntegerLattice(n, tuple(prim)))
+
+
+def symmetry_numbers(rows, nvars: int) -> tuple:
+    """(complex dimension, torsion order, exponent lattice) of a relation
+    matrix, as ``symmetry.symmetry_group`` computed them: a ``Fraction``
+    rank, the saturated ``Fraction`` kernel, and the torsion of a separate
+    Smith form."""
+    r = rank(mat(rows)) if rows else 0
+    lattice = (
+        saturated_kernel_lattice(mat(rows), nvars)
+        if rows
+        else IntegerLattice(nvars, tuple(tuple(1 if i == j else 0 for j in range(nvars))
+                                         for i in range(nvars)))
+    )
+    return nvars - r, torsion_order(rows) if rows else 1, lattice
+
+
+# ---------------------------------------------------------------------------
+# brute-force checks used only by the tests
+
+
+def count_root_solutions(rows, nvars: int, order: int, cap: int = 2_000_000) -> int:
+    """Brute-force oracle: number of solutions of the multiplicative system
+    with all variables `order`-th roots of unity, i.e. of A u = 0 over
+    Z/order.  For a zero-dimensional group this equals the torsion order."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    if order ** nvars > cap:
+        raise ValueError("enumeration too large")
+    rows = imat(rows)
+    count = 0
+    for u in product(range(order), repeat=nvars):
+        if all(sum(r * x for r, x in zip(row, u)) % order == 0 for row in rows):
+            count += 1
+    return count
+
+
+def tail_of_sequence_in(cone: Cone, scales) -> bool:
+    """Whether (s_1 nu^{n-1}, s_2 nu^{n-2}, ..., s_n) lies in C for all
+    large nu; decided symbolically by leading coefficients in nu.
+
+    ``scales`` are n positive rationals multiplying the standard
+    increasing sequence.
+    """
+    n = cone.ambient_dim
+    scales = vec(scales)
+    if len(scales) != n or any(s <= 0 for s in scales):
+        raise ValueError("scales must be n positive rationals")
+
+    def sign_at_infinity(a):
+        for i in range(n):  # falling degrees n-1 .. 0
+            c = a[i] * scales[i]
+            if c != 0:
+                return 1 if c > 0 else -1
+        return 0
+
+    for a in cone.ineqs:
+        if sign_at_infinity(a) < 0:
+            return False
+    for a in cone.eqs:
+        if sign_at_infinity(a) != 0:
+            return False
+    return True

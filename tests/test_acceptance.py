@@ -10,8 +10,9 @@ import sys
 from fractions import Fraction as F
 
 from conftest import graph, quasi
+from oracles import count_root_solutions, tail_of_sequence_in
 from tropsplit import fixtures as fx
-from tropsplit.cones import Cone, is_increasing, is_increasing_inductive, tail_of_sequence_in
+from tropsplit.cones import Cone, is_increasing, is_increasing_inductive
 from tropsplit.exact import vec
 from tropsplit.graphs import is_rigid, vertex_positions
 from tropsplit.potential import bg_potential
@@ -27,7 +28,6 @@ from tropsplit.splitting import (
 )
 from tropsplit.symmetry import (
     component_splitting,
-    count_root_solutions,
     multiplicity,
     symmetry_group,
 )

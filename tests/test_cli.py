@@ -351,3 +351,75 @@ def test_commands_reproduce_corpus_reports(fixture_dir):
         assert got == want, case["name"]
         checked += 1
     assert checked == 15
+
+
+def _exits_two_with_error(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "error:" in res.stderr and "expected an integer" in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("direction", [[1.5, 1.5], [True, True]], ids=["float", "bool"])
+def test_non_integer_graph_direction_exits_two(fixture_dir, tmp_path, direction):
+    data = json.loads((fixture_dir / "fig_rigid_gamma1.graph.json").read_text())
+    data["edges"][0]["direction"] = direction
+    path = tmp_path / "g.graph.json"
+    path.write_text(json.dumps(data))
+    _exits_two_with_error(run_cli([
+        "graph", "check", str(fixture_dir / "square_plain.dec.json"), str(path)
+    ]))
+
+
+@pytest.mark.parametrize("change", [{"monomial": [1.5, 0]}, {"num_vars": 2.5}],
+                         ids=["monomial", "num-vars"])
+def test_non_integer_series_exits_two(tmp_path, change):
+    term = {"coeff": "1", "area": "1/2", "monomial": [1, 0]}
+    series = {"num_vars": 2, "terms": [term]}
+    if "monomial" in change:
+        term.update(change)
+    else:
+        series.update(change)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(series))
+    _exits_two_with_error(run_cli([
+        "potential", "combine", "--mult", "1", "--split-edges", "0",
+        "--d-black", "0", "--sign", "+1", str(path),
+    ]))
+
+
+def test_non_integer_ambient_dim_exits_two(fixture_dir, tmp_path):
+    data = json.loads((fixture_dir / "square_plain.dec.json").read_text())
+    data["ambient_dim"] = 2.5
+    path = tmp_path / "d.dec.json"
+    path.write_text(json.dumps(data))
+    _exits_two_with_error(run_cli([
+        "graph", "check", str(path), str(fixture_dir / "fig_rigid_gamma1.graph.json")
+    ]))
+
+
+def test_internal_error_exits_three(fixture_dir):
+    """An exception no command turns into a verdict or an input error exits
+    3, never 1, with its traceback and an error line; forced here in a
+    report function."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys, tropsplit.reports as r\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise RuntimeError('forced')\n"
+        "r.graph_report = boom\n"
+        "from tropsplit.cli import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "graph", "check",
+         str(fixture_dir / "square_plain.dec.json"),
+         str(fixture_dir / "fig_rigid_gamma1.graph.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-1] == "error: internal error: RuntimeError: forced"
+    assert proc.stdout == ""

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import kernel_basis, mat, rank
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
     DecompositionError,
@@ -11,7 +12,7 @@ from tropsplit.complexes import (
     toric_cut,
 )
 from tropsplit.cones import Cone
-from tropsplit.exact import kernel_basis, mat, rank, vec
+from tropsplit.exact import vec
 from tropsplit.serialize import decomposition_from_dict
 
 

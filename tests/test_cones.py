@@ -5,15 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import mat, tail_of_sequence_in
 from tropsplit import cones
 from tropsplit.cones import (
     Cone,
     is_increasing,
     is_increasing_inductive,
     normal_cone_at_first_axis,
-    tail_of_sequence_in,
 )
-from tropsplit.exact import mat, vec
+from tropsplit.exact import vec
 
 # -- conversions ---------------------------------------------------------------
 

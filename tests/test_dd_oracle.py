@@ -15,17 +15,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import kernel_basis, mat, rank, vneg
 from tropsplit.cones import Cone, _h_to_v
-from tropsplit.exact import (
-    is_zero_vec,
-    kernel_basis,
-    mat,
-    primitive,
-    rank,
-    vdot,
-    vec,
-    vneg,
-)
+from tropsplit.exact import is_zero_vec, primitive, vdot, vec
 
 
 def brute_force_rays(n, rows):

@@ -1,26 +1,29 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import oracles
+from oracles import det, mat, matmul, transpose
 from tropsplit.exact import (
     IntegerLattice,
-    det,
+    imat,
     invariant_factors,
     is_generic_wrt,
     kernel_basis,
-    mat,
-    matmul,
     primitive,
     quotient_projection,
     rank,
+    rref,
     saturate,
+    saturated_kernel_lattice,
+    smith_kernel,
     smith_normal_form,
-    torsion_order,
+    solve,
     unimodular_completion,
+    vec,
 )
 
 # -- Smith normal form -------------------------------------------------------
@@ -82,7 +85,8 @@ def framed_cube_relations():
 def test_snf_framed_cube_relations_torsion_three():
     M = framed_cube_relations()
     snf_checks(M)
-    assert torsion_order(M) == 3
+    factors, _ = smith_kernel(M)
+    assert prod(factors) == 3
     nontrivial = [d for d in invariant_factors(M) if d > 1]
     assert nontrivial == [3]
 
@@ -322,3 +326,123 @@ def test_quotient_projection_kernel_and_surjectivity():
 def test_kernel_of_empty_matrix_is_identity():
     kb = kernel_basis((), 3)
     assert len(kb) == 3
+
+
+# -- rational views of the integer elimination, one-Smith-form lattices ---------
+
+
+def random_rational_matrix(rng, seen):
+    """Random rational matrix with 0 to 5 rows and 1 to 5 columns; some have
+    zero rows, rows that are rational combinations of others, or the 1 x n
+    and m x 1 shapes.  ``seen`` counts what each draw covers."""
+    m, n = rng.choice(((0, rng.randint(1, 5)), (1, rng.randint(1, 5)),
+                       (rng.randint(1, 5), 1), (rng.randint(2, 5), rng.randint(2, 5))))
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rows[rng.randrange(m)] = [c * x + y for x, y in zip(rows[a], rows[b])]
+        seen["dependent rows"] += 1
+    if m and rng.random() < 0.25:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+        seen["zero row"] += 1
+    seen["no rows" if m == 0 else "1 x n" if m == 1 else "m x 1" if n == 1 else "m x n"] += 1
+    return mat(rows), n
+
+
+def test_rational_views_match_fraction_elimination():
+    """``rref``, ``rank``, ``kernel_basis`` and ``solve`` on ``_rref_int``
+    give exactly what the frozen ``Fraction`` Gauss-Jordan gave."""
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(600):
+        M, n = random_rational_matrix(rng, seen)
+        assert rref(M) == oracles.rref(M)
+        assert rank(M) == oracles.rank(M)
+        assert kernel_basis(M, n) == oracles.kernel_basis(M, n)
+        if not M:
+            continue
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        for b in (tuple(sum(a * y for a, y in zip(row, x)) for row in M),
+                  tuple(Fraction(rng.randint(-5, 5)) for _ in M)):
+            want = oracles.solve(M, b)
+            assert solve(M, b) == want
+            seen["inconsistent" if want is None else "solved"] += 1
+    for key in ("no rows", "1 x n", "m x 1", "m x n", "zero row", "dependent rows",
+                "inconsistent", "solved"):
+        assert seen[key] >= 40, seen
+
+
+def test_views_return_fractions_on_int_input():
+    assert rref(((1, 2), (3, 4))) == (((1, 0), (0, 1)), (0, 1))
+    assert solve(((2,),), (1,)) == (Fraction(1, 2),)
+    entries = [
+        *(x for row in rref(((1, 2), (3, 4), (0, 0)))[0] for x in row),
+        *(x for row in rref(((2, 4, 1), (1, 2, 0)))[0] for x in row),
+        *(x for v in kernel_basis(((2, 4, 6),)) for x in v),
+        *(x for v in kernel_basis((), 2) for x in v),
+        *solve(((2, 1), (0, 3)), (1, 1)),
+        *solve(((2, 4),), (3,)),
+    ]
+    assert entries and all(type(x) is Fraction for x in entries), entries
+
+
+def independent_int_rows(rng, n, k):
+    """k independent integer rows in Z^n, some scaled so that their lattice
+    is not saturated."""
+    while True:
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        if oracles.rank(mat(rows)) == k:
+            return [[rng.choice((1, 1, 2, 3)) * x for x in r] for r in rows]
+
+
+def test_lattices_match_inverse_smith_saturation():
+    """``saturated_kernel_lattice`` and ``saturate`` from one Smith form give
+    the lattices of the frozen inverse-of-V construction; membership agrees
+    with an exact rational solve."""
+    rng = random.Random(1618)
+    seen = Counter()
+    for _ in range(500):
+        M, n = random_rational_matrix(rng, seen)
+        K = saturated_kernel_lattice(M, n)
+        assert K == oracles.saturated_kernel_lattice(M, n)
+        seen["zero kernel" if not K.basis else "full kernel" if len(K.basis) == n
+             else "proper kernel"] += 1
+        k = rng.randint(0, n)
+        L = IntegerLattice(n, tuple(map(tuple, independent_int_rows(rng, n, k))) if k else ())
+        S = saturate(L)
+        assert S == oracles.saturate(L)
+        seen["empty lattice" if k == 0 else "full rank" if k == n else "proper lattice"] += 1
+        for v in (*L.basis, *S.basis, tuple(rng.randint(-3, 3) for _ in range(n)),
+                  tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n))):
+            sol = oracles.solve(transpose(mat(L.basis)), vec(v)) if L.basis else None
+            want = (sol is not None and all(x.denominator == 1 for x in sol)) if L.basis \
+                else all(x == 0 for x in v)
+            assert L.contains(v) == want
+            assert L.spans(v) == ((sol is not None) if L.basis else all(x == 0 for x in v))
+            seen["member" if want else "non-member"] += 1
+    for key in ("zero kernel", "full kernel", "proper kernel", "empty lattice",
+                "full rank", "proper lattice", "member", "non-member"):
+        assert seen[key] >= 40, seen
+
+
+# -- strict integer coercion ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Fraction(3, 2), "3/2", "x", 2.0, None])
+def test_imat_rejects_inexact_integers(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        imat(((1, bad),))
+    with pytest.raises(ValueError, match="expected an integer"):
+        smith_normal_form(((bad, 0),))
+
+
+def test_imat_keeps_exact_integers():
+    assert imat(((1, Fraction(4, 2), "-3"),)) == ((1, 2, -3),)
+    assert all(type(x) is int for x in imat(((Fraction(6, 3), "7"),))[0])

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import mat
 from tropsplit.cones import Cone
-from tropsplit.exact import mat, vec
+from tropsplit.exact import vec
 from tropsplit.polyhedra import Polyhedron
 
 

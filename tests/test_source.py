@@ -16,3 +16,27 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# Imports kept unused on purpose: the benchmark's tracer tests patch and
+# call ``cones.rref`` and ``polyhedra.rref``.
+UNUSED_IMPORT_ALLOWED = {("cones", "rref"), ("polyhedra", "rref")}
+
+
+def test_no_unused_imports_in_library():
+    """Every name a module imports is used in it (``__init__`` re-exports)."""
+    found = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {(path.stem, name) for name in imported - used}
+    assert found == UNUSED_IMPORT_ALLOWED

@@ -1,10 +1,17 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import oracles
 from conftest import graph, quasi
+from oracles import count_root_solutions
+from tropsplit import fixtures as fx
+from tropsplit.cli import corpus_cases
 from tropsplit.graphs import Edge, GraphError, TropicalGraph
+from tropsplit.serialize import decomposition_from_dict
 from tropsplit.symmetry import (
     component_splitting,
-    count_root_solutions,
     multiplicity,
     symmetry_group,
 )
@@ -150,3 +157,66 @@ def test_interior_edges_identify_translations(square_plain):
     group = symmetry_group(square_plain, g)
     assert group.complex_dimension == 2
     assert group.torsion_order == 1
+
+
+def _corpus_groups():
+    """Every symmetry group the corpus graphs give: framed and unframed, of
+    each plain graph, each top graph (split edges from its base) and each
+    base graph, and of their components without split edges."""
+    decs = {}
+    for case in corpus_cases():
+        if case["kind"] not in ("graph", "split", "symmetry", "mult"):
+            continue
+        if case["dec"] not in decs:
+            decs[case["dec"]] = decomposition_from_dict(fx.DECOMPOSITIONS[case["dec"]]())
+        dec = decs[case["dec"]]
+        if "collapse" in fx.GRAPHS[case["graph"]]():
+            q = quasi(dec, case["graph"])
+            graphs = [(q.top, q.top_split_ids), (q.base, None)]
+        else:
+            graphs = [(graph(case["graph"]), None)]
+        for g, split_ids in graphs:
+            for framed in (False, True):
+                yield case["name"], symmetry_group(dec, g, framed, split_ids)
+            for comp in component_splitting(dec, g, split_ids):
+                yield case["name"], comp
+
+
+def test_corpus_groups_match_fraction_rank_and_kernel():
+    """Dimension, torsion and exponent lattice read off one Smith form equal
+    the frozen ``Fraction`` rank, saturated kernel and separate torsion."""
+    compared = 0
+    for name, group in _corpus_groups():
+        want = oracles.symmetry_numbers(group.relations, len(group.variables))
+        got = (group.complex_dimension, group.torsion_order, group.exponent_lattice)
+        assert got == want, name
+        compared += 1
+    assert compared >= 100
+
+
+def test_symmetry_group_runs_one_smith_form(cube_split, monkeypatch):
+    """With the decomposition's normal lattices cached, a symmetry group is
+    one Smith form of its relation matrix and no rational elimination."""
+    from tropsplit import exact
+    from tropsplit.graphs import validate_graph
+
+    q = quasi(cube_split, "fig_cube_top2")
+    validate_graph(cube_split, q.top)  # caches the normal lattices
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("tropsplit")]
+    for name in ("smith_normal_form", "rank", "kernel_basis", "saturate", "rref", "solve"):
+        fn = getattr(exact, name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    for framed in (True, False):
+        calls.clear()
+        symmetry_group(cube_split, q.top, framed=framed, split_edge_ids=q.top_split_ids)
+        assert calls == Counter(smith_normal_form=1), (framed, calls)
