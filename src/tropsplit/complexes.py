@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .cones import Cone
 from .exact import (
     IntegerLattice,
+    as_int,
     fr,
     imat,
     saturated_kernel_lattice,
@@ -45,7 +46,7 @@ class Decomposition:
     """Polyhedral decomposition with dual complex and split designation."""
 
     def __init__(self, ambient_dim, polytopes, faces, dual_cells, split_set=()):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = as_int(ambient_dim)
         self.polytopes: dict[str, Polytope] = {p.id: p for p in polytopes}
         if len(self.polytopes) != len(list(polytopes)):
             raise DecompositionError("duplicate polytope ids")
@@ -201,6 +202,11 @@ def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
     return Cone(dec.ambient_dim, rays=rays, lineality=())
 
 
+# The cut visits all 3^N sign vectors of its N facets, one polyhedron each;
+# 3^10 covers every bundled fixture, the 8-facet prism and the 4-cube.
+MAX_SIGN_VECTORS = 3**10
+
+
 def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     """Multiple-cut decomposition of a moment polytope.
 
@@ -208,15 +214,22 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     <mu_i, x> = c_i - eps_i.  Cells are indexed by sign vectors; the cell
     containing ``lam`` (which must satisfy <mu_i, lam> < c_i - eps_i
     strictly) is the inner polytope.  All cells of positive codimension are
-    marked split.  Returns (decomposition, inner_cell_id).
+    marked split.  Returns (decomposition, inner_cell_id).  A cut whose
+    3^N sign vectors exceed ``MAX_SIGN_VECTORS`` raises before any
+    conversion.
     """
     normals = imat(normals)
+    N = len(normals)
+    if 3**N > MAX_SIGN_VECTORS:
+        raise DecompositionError(
+            f"{N} facets give 3^{N} = {3**N} sign vectors, more than the "
+            f"bound of {MAX_SIGN_VECTORS} sign vectors a cut may visit"
+        )
     constants = [fr(c) for c in constants]
     epsilons = [fr(e) for e in epsilons]
     if not normals:
         raise DecompositionError("no facets")
     n = len(normals[0])
-    N = len(normals)
     if len(constants) != N or len(epsilons) != N:
         raise DecompositionError("normals, constants, epsilons must have equal length")
     if any(e <= 0 for e in epsilons):

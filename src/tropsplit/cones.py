@@ -25,23 +25,19 @@ per value, so concurrent readers always observe a pure function.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .exact import (
     Vec,
+    _dot,
     _kernel_int,
     _lead,
     _rref_int,
+    as_int,
     gcd_reduce,
     is_zero_vec,
     primitive,
     rref,  # unused here; the tracer tests in perfbench patch cones.rref
     vadd,
 )
-
-
-def _dot(a, b) -> int:
-    return sum(map(mul, a, b))
 
 
 def _unit(n: int, j: int) -> tuple:
@@ -186,7 +182,7 @@ class Cone:
     __slots__ = ("ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim")
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = as_int(ambient_dim)
         self._minimal = None
         self._dim = None
         has_v = rays is not None or lineality is not None

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple  # tuple of exact rationals: Fraction, or int (cone generators and rows)
 Mat = tuple  # tuple of Vec
@@ -75,6 +76,11 @@ def vscale(c, a: Vec) -> Vec:
 
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def _dot(a, b):
+    """Dot product without a ``Fraction`` start value: an int on int rows."""
+    return sum(map(mul, a, b))
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -158,10 +164,6 @@ def _kernel_int(R, n: int) -> list:
             v[pc] = -row[fc] * (l // row[pc])
         basis.append(gcd_reduce(v))
     return basis
-
-
-def matvec(M: Mat, x: Vec) -> Vec:
-    return tuple(vdot(row, x) for row in M)
 
 
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -466,22 +468,42 @@ class GenericityCertificate:
         return self.generic
 
 
+@dataclass(frozen=True)
+class Subspace:
+    """A rational subspace of R^n, held by its canonical basis (primitive
+    integer rref rows) and an annihilator: primitive integer rows whose
+    common kernel is the subspace, so that a vector lies in it exactly when
+    it is orthogonal to every annihilator row.  The full space has no
+    annihilator rows."""
+
+    basis: tuple
+    annihilator: tuple
+
+    @classmethod
+    def spanned_by(cls, rows, n: int) -> "Subspace":
+        """The span in R^n of rational rows."""
+        R = _rref_int(map(primitive, rows))
+        return cls(R, tuple(_kernel_int(R, n)))
+
+
 def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
     """Effective genericity: v lies in none of the given proper subspaces.
 
-    Each subspace is a list of rational spanning vectors.  Everything is
-    ranked on primitive integer rows: v lies in span(B) when appending it
-    to the integer rref of B keeps the rank.  Raises ValueError if a
+    Each subspace is a list of rational spanning vectors or a ``Subspace``.
+    v lies in a subspace when its primitive integer form is orthogonal to
+    every annihilator row; a ``Subspace`` carries its annihilator, so
+    testing against one runs no elimination.  Raises ValueError if a
     listed subspace is the whole space.
     """
     v = primitive(v)
     n = len(v)
     labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(subspaces)))
     violations = []
-    for idx, B in enumerate(subspaces):
-        R = _rref_int(map(primitive, B))
-        if len(R) >= n:
+    for idx, S in enumerate(subspaces):
+        if not isinstance(S, Subspace):
+            S = Subspace.spanned_by(S, n)
+        if not S.annihilator:
             raise ValueError("subspace %s is the full space" % labels[idx])
-        if len(_rref_int(R + (v,))) == len(R):
+        if not any(_dot(a, v) for a in S.annihilator):
             violations.append(idx)
     return GenericityCertificate(not violations, tuple(violations), labels)

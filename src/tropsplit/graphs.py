@@ -9,10 +9,9 @@ forces position(a) - position(b) onto the positive span of its direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import Decomposition
-from .exact import as_int, quotient_projection, vdot, vec
+from .exact import as_int, quotient_projection, vdot
 from .polyhedra import Polyhedron
 
 TROPICAL = "tropical"
@@ -141,16 +140,16 @@ class VertexPositionPolyhedron:
 
 def block_row(n_vars: int, block: int, n: int, a):
     """Row representing a.x_block."""
-    row = [Fraction(0)] * n_vars
-    for j, x in enumerate(vec(a)):
+    row = [0] * n_vars
+    for j, x in enumerate(a):
         row[block * n + j] = x
     return tuple(row)
 
 
 def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
     """Row representing a.(x_blockA - x_blockB)."""
-    row = [Fraction(0)] * n_vars
-    for j, x in enumerate(vec(a)):
+    row = [0] * n_vars
+    for j, x in enumerate(a):
         row[block_a * n + j] += x
         row[block_b * n + j] -= x
     return tuple(row)
@@ -186,9 +185,9 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
     for e in graph.tropical_edges():
         ia, ib = index[e.ends[0]], index[e.ends[1]]
         line_rows, ineq_row = direction_rows(e.direction, n_vars, ia, ib, n)
-        eqs += [(r, Fraction(0)) for r in line_rows]
+        eqs += [(r, 0) for r in line_rows]
         # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
-        row = (tuple(-x for x in ineq_row), Fraction(0))
+        row = (tuple(-x for x in ineq_row), 0)
         ineqs.append(row)
         strict.append(row)
     closed = Polyhedron.from_hrep(n_vars, ineqs=ineqs, eqs=eqs)
@@ -199,7 +198,7 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
     witness = closed.relative_interior_point() if realizable else None
     # a relative interior point avoids every strict boundary: no strict
     # row is implicit, so each cuts out a proper face
-    if witness is not None and not all(vdot(vec(a), witness) < b for a, b in strict):
+    if witness is not None and not all(vdot(a, witness) < b for a, b in strict):
         raise RuntimeError("relative interior point violates a strict row")
     return VertexPositionPolyhedron(
         vertex_order=order,

@@ -19,12 +19,12 @@ from fractions import Fraction
 
 from .cones import Cone, _canon_span
 from .exact import (
-    fr,
+    _dot,
+    as_int,
     is_zero_vec,
+    primitive,
     rref,  # unused here; the tracer tests in perfbench call polyhedra.rref
     vadd,
-    vdot,
-    vec,
     vscale,
     vsub,
     vzero,
@@ -33,8 +33,11 @@ from .exact import (
 
 def _hom(a, b) -> tuple:
     """Cone row of ``a.x <= b`` (or of ``a.x = b``) on the homogenization:
-    ``(-a, b) . (x, t) >= 0``, that is ``b t - a.x >= 0``."""
-    return tuple(-x for x in vec(a)) + (fr(b),)
+    ``(-a, b) . (x, t) >= 0``, that is ``b t - a.x >= 0``, as a primitive
+    integer row.  (a, b) and (-a, b) have the same primitive scale, so only
+    the integer entries of a are negated."""
+    row = primitive((*a, b))
+    return tuple(-x for x in row[:-1]) + row[-1:]
 
 
 class Polyhedron:
@@ -43,7 +46,7 @@ class Polyhedron:
     __slots__ = ("ambient_dim", "cone", "_gens", "_hrep")
 
     def __init__(self, ambient_dim: int, cone: Cone):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
         self._gens = None
         self._hrep = None
@@ -51,17 +54,17 @@ class Polyhedron:
     @classmethod
     def from_hrep(cls, ambient_dim: int, ineqs=(), eqs=()):
         """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs)."""
-        n = int(ambient_dim)
+        n = as_int(ambient_dim)
         rows = [_hom(a, b) for a, b in ineqs]
-        rows.append(vzero(n) + (Fraction(1),))  # t >= 0
+        rows.append((0,) * n + (1,))  # t >= 0
         return cls(n, Cone(n + 1, ineqs=rows, eqs=[_hom(a, b) for a, b in eqs]))
 
     @classmethod
     def from_vrep(cls, ambient_dim: int, vertices=(), rays=(), lineality=()):
-        n = int(ambient_dim)
-        gen = [vec(v) + (Fraction(1),) for v in vertices]
-        gen += [vec(r) + (Fraction(0),) for r in rays]
-        lin = [vec(l) + (Fraction(0),) for l in lineality]
+        n = as_int(ambient_dim)
+        gen = [(*v, 1) for v in vertices]
+        gen += [(*r, 0) for r in rays]
+        lin = [(*l, 0) for l in lineality]
         return cls(n, Cone(n + 1, rays=gen, lineality=lin))
 
     # structure ---------------------------------------------------------------
@@ -118,8 +121,7 @@ class Polyhedron:
         return self._hrep
 
     def contains(self, p) -> bool:
-        p = vec(p)
-        return self.cone.contains(p + (Fraction(1),))
+        return self.cone.contains((*p, 1))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         return other.is_empty() or self.cone.contains_cone(other.cone)
@@ -157,7 +159,7 @@ class Polyhedron:
         lies in every hyperplane)."""
         row = _hom(a, b)
         return self.is_empty() or not any(
-            vdot(row, g) for g in self.cone.rays + self.cone.lineality
+            _dot(row, g) for g in self.cone.rays + self.cone.lineality
         )
 
     def intersect_hrep(self, ineqs=(), eqs=()) -> "Polyhedron":
@@ -183,7 +185,7 @@ class Polyhedron:
             return True
         if not other.contains_polyhedron(self):
             return False
-        tight = [a for a in other.cone.ineqs if not any(vdot(a, r) for r in self.cone.rays)]
+        tight = [a for a in other.cone.ineqs if not any(_dot(a, r) for r in self.cone.rays)]
         face = other.cone.intersect(Cone(self.ambient_dim + 1, eqs=tight))
         return self.cone.contains_cone(face)
 

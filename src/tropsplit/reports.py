@@ -19,6 +19,7 @@ from .serialize import (
     lattice_to_dict,
     rat_str,
     series_to_list,
+    thaw,
     vec_str,
 )
 from .splitting import QuasiSplitGraph, cone_condition, index_shift, is_rigid_split
@@ -30,6 +31,9 @@ def digest(data: bytes) -> str:
 
 
 def _head(command: str, inputs: dict) -> dict:
+    # The input digests are computed on every call and never cached: the
+    # caller's dicts are mutable, so a digest kept by the dict's identity
+    # could describe contents that have since changed.
     return {
         "tool": "tropsplit",
         "version": __version__,
@@ -58,14 +62,15 @@ def graph_report(dec: Decomposition, graph: TropicalGraph, inputs: dict) -> dict
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
     cc = cone_condition(q, eta)
+    w_dict, disc_dict = q.cone_dicts
     out = _head("split-check", inputs)
     out.update(
         {
             "eta": vec_str(eta),
             "split_order": list(q.split_order),
-            "w_cone": cone_to_dict(q.w),
+            "w_cone": thaw(w_dict),
             "w_dim": q.w.dim(),
-            "disc_cone": cone_to_dict(q.disc.disc),
+            "disc_cone": thaw(disc_dict),
             "disc_dim": cc.disc_dim,
             "expected_disc_dim": cc.expected_disc_dim,
             "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,

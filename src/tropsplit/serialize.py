@@ -48,6 +48,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+def freeze(data: dict) -> tuple:
+    """Immutable (key, value) pairs of a dict of scalars and lists of rows,
+    each list and row a tuple; for caching a serialized object."""
+    return tuple(
+        (k, tuple(map(tuple, v)) if isinstance(v, list) else v) for k, v in data.items()
+    )
+
+
+def thaw(frozen: tuple) -> dict:
+    """A fresh dict, with fresh lists, of what ``freeze`` froze."""
+    return {k: [list(r) for r in v] if isinstance(v, tuple) else v for k, v in frozen}
+
+
 # ---------------------------------------------------------------------------
 # decompositions
 
@@ -165,7 +178,7 @@ def cone_to_dict(cone: Cone) -> dict:
 
 def cone_from_dict(data: dict) -> Cone:
     return Cone(
-        int(data["ambient_dim"]),
+        as_int(data["ambient_dim"]),
         rays=[parse_vec(r) for r in data["rays"]],
         lineality=[parse_vec(l) for l in data["lineality"]],
     )

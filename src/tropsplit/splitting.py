@@ -11,18 +11,20 @@ all discrepancy data follow that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, _canon_span, _dot, _unit, is_increasing
+from .cones import Cone, _unit, is_increasing
 from .exact import (
     GenericityCertificate,
+    Subspace,
+    _dot,
     _kernel_int,
     _rref_int,
     is_generic_wrt,
     is_zero_vec,
-    matvec,
-    primitive,
     quotient_projection,
     vec,
 )
@@ -43,6 +45,7 @@ from .graphs import (
     validate_graph,
     vertex_positions,
 )
+from .serialize import cone_to_dict, freeze
 
 
 class SplitError(ValueError):
@@ -57,8 +60,14 @@ class QuasiSplitGraph:
     split set (used by the one-edge-at-a-time check); the remaining split
     cells are then treated as ordinary tropical edges.
 
-    The relative-position cone ``w``, the discrepancy data ``disc`` and the
-    ``genericity_family`` are computed once, on first use.
+    Everything about the graph that no cone direction changes is computed
+    once, on first use, and cached: the relative-position cone ``w``, the
+    discrepancy data ``disc`` with Disc's H-representation, the
+    ``genericity_family`` (each subspace with its annihilator rows) and
+    ``cone_dicts`` (w and Disc serialized, frozen, for reports).  A cone
+    direction then costs Disc's rows pulled back along M_eta, one scalings
+    cone, that cone's two conversions, the increasing test and one dot
+    product per annihilator row.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -139,6 +148,12 @@ class QuasiSplitGraph:
     @cached_property
     def genericity_family(self) -> tuple:
         return _genericity_family(self)
+
+    @cached_property
+    def cone_dicts(self) -> tuple:
+        """``cone_to_dict`` of w and of Disc, frozen; a report thaws a
+        fresh copy of each."""
+        return freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
 
     # basic data -----------------------------------------------------------------
 
@@ -225,7 +240,8 @@ def _genericity_family(q: QuasiSplitGraph):
     """Proper rational subspaces of t that the cone direction must avoid:
     per split edge, the direction span, the block slice of span(Disc) when
     proper, and block slices of the facet hyperplanes of Disc.  Each is
-    listed once, by its canonical basis of primitive integer rref rows."""
+    listed once, as a ``Subspace`` with its canonical basis of primitive
+    integer rref rows and its annihilator."""
     data = q.disc
     n = q.n
     full = q.num_split * (n - 1)
@@ -233,11 +249,11 @@ def _genericity_family(q: QuasiSplitGraph):
     seen = set()
 
     def add(basis_rows, label):
-        key = _canon_span(basis_rows)
-        if not key or len(key) >= n or key in seen:
+        S = Subspace.spanned_by(basis_rows, n)
+        if not S.basis or not S.annihilator or S.basis in seen:
             return
-        seen.add(key)
-        fam.append(key)
+        seen.add(S.basis)
+        fam.append(S)
         labels.append(label)
 
     disc_min = data.disc.minimal()
@@ -290,22 +306,28 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     if s == 0:
         cert = GenericityCertificate(True, (), ())
         return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, ())
-    # M_eta maps the scalings x to the blocks x_i pi_i(eta); it is built from
-    # the primitive integer multiple of eta, which leaves the preimage cone
-    # unchanged
-    eta_int = primitive(eta)
-    m_eta_rows = []
-    for i, (bid, d, proj) in enumerate(data.blocks):
-        for prow in proj:
-            row = [0] * s
-            row[i] = _dot(prow, eta_int)
-            m_eta_rows.append(row)
-    pre = data.disc.preimage(m_eta_rows, domain_dim=s)
-    orthant = Cone.from_hrep([_unit(s, i) for i in range(s)])
-    D = pre.intersect(orthant).minimal()
+    # eta = num / den over one common denominator.  M_eta maps the scalings
+    # x to the blocks x_i pi_i(eta); D is built from num, a positive
+    # multiple of eta, which leaves D unchanged.  Column i of M_eta is
+    # pi_i(num) in block i, and a row of Disc pulls back to its dot
+    # products with the columns.
+    den = lcm(*(x.denominator for x in eta))
+    num = tuple(x.numerator * (den // x.denominator) for x in eta)
+    pi_num = [tuple(_dot(prow, num) for prow in proj) for _, _, proj in data.blocks]
+    width = n - 1
+    cols = [(0,) * (i * width) + p + (0,) * ((s - 1 - i) * width) for i, p in enumerate(pi_num)]
+
+    def pull(a):
+        return tuple(_dot(a, col) for col in cols)
+
+    D = Cone(
+        s,
+        ineqs=[pull(a) for a in data.disc.ineqs] + [_unit(s, i) for i in range(s)],
+        eqs=[pull(a) for a in data.disc.eqs],
+    ).minimal()
     holds = is_increasing(D)
     fam, labels = q.genericity_family
-    cert = is_generic_wrt(eta_int, fam, labels)
+    cert = is_generic_wrt(num, fam, labels)
     return ConeConditionVerdict(
         holds=holds,
         certified=cert.generic,
@@ -314,7 +336,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
         D=D,
         disc_dim=data.disc.dim(),
         expected_disc_dim=s * (n - 1),
-        projected_eta=tuple(matvec(proj, eta) for _, _, proj in data.blocks),
+        projected_eta=tuple(tuple(Fraction(x, den) for x in p) for p in pi_num),
     )
 
 

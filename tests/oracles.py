@@ -11,6 +11,14 @@ they ran de-homogenized on vertices, recession rays and the minimal
 ``hrep()``, kept verbatim (with ``self`` as an argument) so that the cone
 form in ``tropsplit.polyhedra`` can be checked against them.
 
+``cone_condition`` and ``split_report`` are the cone-condition verdict and
+the split report as they ran with every step repeated per cone direction:
+Disc's preimage, an orthant ``intersect``, a full elimination per
+genericity subspace and ``Fraction`` projections, and both cached cones
+serialized again; they are kept verbatim (the family passed by its bases)
+so that the per-graph caches of ``tropsplit.splitting`` can be checked
+against them.
+
 ``is_increasing`` is the increasing-cone test as it ran one double
 description per coordinate slice, and ``is_generic_wrt`` the genericity
 test as it ran ``Fraction`` ranks; both are kept verbatim so that the
@@ -35,9 +43,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from tropsplit import reports
 from tropsplit.cones import Cone, _check_in_orthant
+from tropsplit.cones import is_increasing as cones_is_increasing
 from tropsplit.exact import (
     GenericityCertificate,
+    _dot,
     IntegerLattice,
     Mat,
     Vec,
@@ -54,6 +65,13 @@ from tropsplit.exact import (
     vscale,
     vsub,
     vzero,
+)
+from tropsplit.serialize import cone_to_dict, vec_str
+from tropsplit.splitting import (
+    ConeConditionVerdict,
+    SplitError,
+    index_shift,
+    is_rigid_split,
 )
 
 
@@ -312,11 +330,91 @@ def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
 
 
 # ---------------------------------------------------------------------------
+# the cone condition and split report with every step run per direction
+
+
+def cone_condition(q, eta) -> ConeConditionVerdict:
+    """Literal cone-condition verdict plus the effective-genericity
+    certificate.  A failed certificate does not flip ``holds``; it marks
+    the verdict as not certified."""
+    eta = vec(eta)
+    if len(eta) != q.n:
+        raise SplitError("cone direction has wrong dimension")
+    if is_zero_vec(eta):
+        raise SplitError("cone direction must be nonzero")
+    data = q.disc
+    n, s = q.n, q.num_split
+    if s == 0:
+        cert = GenericityCertificate(True, (), ())
+        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, ())
+    # M_eta maps the scalings x to the blocks x_i pi_i(eta); it is built from
+    # the primitive integer multiple of eta, which leaves the preimage cone
+    # unchanged
+    eta_int = primitive(eta)
+    m_eta_rows = []
+    for i, (bid, d, proj) in enumerate(data.blocks):
+        for prow in proj:
+            row = [0] * s
+            row[i] = _dot(prow, eta_int)
+            m_eta_rows.append(row)
+    pre = data.disc.preimage(m_eta_rows, domain_dim=s)
+    orthant = Cone.from_hrep([_unit(s, i) for i in range(s)])
+    D = pre.intersect(orthant).minimal()
+    holds = cones_is_increasing(D)
+    fam, labels = q.genericity_family
+    cert = is_generic_wrt(eta_int, [S.basis for S in fam], labels)
+    return ConeConditionVerdict(
+        holds=holds,
+        certified=cert.generic,
+        certificate=cert,
+        certificate_labels=tuple(labels),
+        D=D,
+        disc_dim=data.disc.dim(),
+        expected_disc_dim=s * (n - 1),
+        projected_eta=tuple(matvec(proj, eta) for _, _, proj in data.blocks),
+    )
+
+
+def split_report(q, eta, inputs: dict, i_br=None) -> dict:
+    cc = cone_condition(q, eta)
+    out = reports._head("split-check", inputs)
+    out.update(
+        {
+            "eta": vec_str(eta),
+            "split_order": list(q.split_order),
+            "w_cone": cone_to_dict(q.w),
+            "w_dim": q.w.dim(),
+            "disc_cone": cone_to_dict(q.disc.disc),
+            "disc_dim": cc.disc_dim,
+            "expected_disc_dim": cc.expected_disc_dim,
+            "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
+            "projected_eta": [vec_str(p) for p in cc.projected_eta],
+            "scalings_cone": cone_to_dict(cc.D),
+            "cone_condition_holds": cc.holds,
+            "genericity_certified": cc.certified,
+            "genericity_violations": [
+                cc.certificate_labels[i] for i in cc.certificate.violations
+            ],
+            "accepted": cc.holds and cc.certified,
+            "rigid_split": is_rigid_split(q),
+        }
+    )
+    if i_br is not None:
+        i_split, i_red = index_shift(q, i_br)
+        out["index_shift"] = {"i_br": int(i_br), "i_split": i_split, "i_red": i_red}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rational elimination and lattices as they ran on ``Fraction`` rows
 
 
 def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
+
+
+def matvec(M: Mat, x: Vec) -> Vec:
+    return tuple(vdot(row, x) for row in M)
 
 
 def transpose(M: Mat) -> Mat:

@@ -187,6 +187,17 @@ def test_lambda_outside_exits_two():
     assert res.exit_code == 2
 
 
+def test_cut_over_the_sign_vector_bound_exits_two():
+    n = 11
+    res = run_cli([
+        "cut", "--normals", json.dumps([[1, k] for k in range(n)]),
+        "--constants", json.dumps(["1"] * n), "--eps", json.dumps(["1/10"] * n),
+        "--lambda", '["0","0"]',
+    ])
+    assert res.exit_code == 2, res.output
+    assert "sign vectors" in res.output
+
+
 TRIANGLE = {
     "--constants": '["1","1","1"]',
     "--eps": '["1/10","1/10","1/10"]',

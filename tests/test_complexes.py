@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import kernel_basis, mat, rank
+from tropsplit import cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
+    MAX_SIGN_VECTORS,
+    Decomposition,
     DecompositionError,
     cone_of_relative_cell,
     is_tropical_fiber,
@@ -144,6 +147,24 @@ def test_toric_cut_rejects_outside_lambda():
             t["normals"], [F(c) for c in t["constants"]],
             [F(e) for e in t["epsilons"]], (F(95, 100), F(1, 2)),
         )
+
+
+def test_toric_cut_rejects_too_many_facets_before_any_conversion(monkeypatch):
+    """11 facets give 3^11 sign vectors, over the bound: the cut raises,
+    naming the bound, before it converts a single polyhedron."""
+    calls = []
+    monkeypatch.setattr(cones, "_h_to_v", lambda *args: calls.append(args))
+    normals = [(1, k) for k in range(-5, 6)]
+    assert 3 ** len(normals) > MAX_SIGN_VECTORS >= 3**10
+    with pytest.raises(DecompositionError, match=str(MAX_SIGN_VECTORS)):
+        toric_cut(normals, [1] * 11, [F(1, 10)] * 11, (0, 0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_decomposition_rejects_a_non_integer_ambient_dim(dim):
+    with pytest.raises(ValueError):
+        Decomposition(dim, [], [], [])
 
 
 def test_toric_cut_rejects_unbounded():

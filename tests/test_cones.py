@@ -368,3 +368,11 @@ def test_int_cone_builds_no_fraction(monkeypatch):
     assert built == []
     assert flat.lineality == ((0, 1, -1),) and flat.eqs == ((0, 1, 1),)
     assert all(type(x) is int for group in reps for v in group for x in v)
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_cone_rejects_a_non_integer_ambient_dim(dim):
+    with pytest.raises(ValueError):
+        Cone(dim, rays=())
+    with pytest.raises(ValueError):
+        Cone(dim, ineqs=())

@@ -196,3 +196,14 @@ def test_polyhedron_queries_match_dehomogenized_reference():
         assert seen[key] >= 10, seen
     for key in ("contained", "equal", "proper face", "in hyperplane"):
         assert seen[key] >= 50, seen
+
+
+@pytest.mark.parametrize("dim", [1.5, 1.0, True])
+def test_polyhedron_rejects_a_non_integer_ambient_dim(dim):
+    with pytest.raises(ValueError):
+        Polyhedron.from_hrep(dim, ineqs=[((1,), 1)])
+    with pytest.raises(ValueError):
+        Polyhedron.from_vrep(dim, vertices=[(0,)])
+    with pytest.raises(ValueError):
+        Polyhedron(dim, Cone.zero(2))
+

@@ -81,3 +81,11 @@ def test_series_roundtrip():
     s = NovikovSeries(2, ((F(1, 2), F(3, 4), (1, -1)), (F(-2), F(0), (0, 0))))
     s2 = series_from_list(series_to_list(s), 2)
     assert s2 == s
+
+
+@pytest.mark.parametrize("dim", [2.9, 2.0, True, "5/2"])
+def test_cone_from_dict_rejects_a_non_integer_ambient_dim(dim):
+    """A float, bool or fractional dimension raises; nothing is rounded."""
+    with pytest.raises(ValueError):
+        cone_from_dict({"ambient_dim": dim, "rays": [], "lineality": []})
+    assert cone_from_dict({"ambient_dim": "2", "rays": [], "lineality": []}).ambient_dim == 2

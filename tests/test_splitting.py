@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from conftest import graph, quasi
+from oracles import matvec
 from tropsplit import fixtures as fx
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
@@ -78,8 +80,6 @@ def test_disc_square_top1(square_split):
     # the discrepancy ray is the projection of (2,1); the projection of
     # (1,-1) must lie on it (hand check: (2,1) and (1,-1) agree modulo (1,1))
     (bid, direction, proj) = d.blocks[0]
-    from tropsplit.exact import matvec
-
     assert d.disc.contains(matvec(proj, vec((1, -1))))
     assert not d.disc.contains(matvec(proj, vec((-1, 1))))
 
@@ -190,23 +190,117 @@ def test_split_edge_direction_may_be_omitted(square_split):
 
 
 def test_analyses_run_once_per_graph(cube_split, monkeypatch):
-    """One graph computes its cones and genericity family once, however
-    many cone directions its reports test."""
-    from tropsplit import reports, splitting
+    """One graph computes its cones, genericity family and serialized cones
+    once, however many cone directions its reports test: a warm report
+    serializes only its scalings cone, and its genericity certificate
+    runs no elimination."""
+    from tropsplit import exact, reports, splitting
 
     calls = Counter()
-    for name in ("relative_position_cone", "discrepancy", "_genericity_family"):
-        original = getattr(splitting, name)
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original):
+            calls[key] += 1
             return _original(*args)
 
-        monkeypatch.setattr(splitting, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("relative_position_cone", "discrepancy", "_genericity_family"):
+        count(splitting, name, name)
     q = quasi(cube_split, "fig_cube_top2")
+    reports.split_report(q, (1, 1, 1), {})
+    count(reports, "cone_to_dict", "cone_to_dict")
+    count(splitting, "cone_to_dict", "cone_to_dict")
+    count(exact, "_rref_int", "_rref_int")
     for eta in ((F(3, 4), 1, 0), (3, 1, 0), (1, F(5, 4), 0)):
         reports.split_report(q, eta, {})
-    assert calls == {"relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1}
+    assert calls == {
+        "relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1,
+        "cone_to_dict": 3,
+    }
+
+
+def test_reports_share_no_mutable_data(square_split):
+    """A caller that edits one report changes no later report."""
+    from tropsplit import reports
+    from tropsplit.serialize import canonical_json
+
+    q = quasi(square_split, "fig_square_top1")
+    want = canonical_json(reports.split_report(q, (1, -1), {}))
+    first = reports.split_report(q, (1, -1), {})
+    first["w_cone"]["rays"].append(["9", "9"])
+    first["w_cone"]["rays"][0][0] = "7"
+    first["w_cone"]["dim"] = -1
+    first["disc_cone"]["ineqs"].clear()
+    first["projected_eta"][0].append("5")
+    assert canonical_json(reports.split_report(q, (1, -1), {})) == want
+
+
+def _eta_sweep_graphs():
+    """The eight quasi-split graphs of the eta-sweep benchmark, each with
+    the inputs its corpus report digests."""
+    from tropsplit.cli import corpus_cases
+    from tropsplit.serialize import decomposition_from_dict
+
+    names = (
+        "fig_square_top1", "fig_square_top2", "fig_cube_top1", "fig_cube_top2",
+        "fig_drop_single_top", "fig_drop_three_top", "fig_four_top", "fig_four_top_prime",
+    )
+    dec_of = {c["graph"]: c["dec"] for c in corpus_cases() if c["kind"] == "split"}
+    out = []
+    for name in names:
+        dec_dict = fx.DECOMPOSITIONS[dec_of[name]]()
+        top_dict = fx.GRAPHS[name]()
+        base_dict = fx.GRAPHS[top_dict["collapse"]["to_graph"]]()
+        q = QuasiSplitGraph(
+            decomposition_from_dict(dec_dict), graph_from_dict(base_dict),
+            graph_from_dict(top_dict), top_dict["collapse"]["vertex_map"],
+        )
+        out.append((q, {"dec": dec_dict, "top": top_dict, "base": base_dict}))
+    return out
+
+
+def test_cached_split_report_matches_per_direction_reference():
+    """Verdicts and report bytes of the per-graph caches equal those of the
+    frozen cone condition that redoes every step for each direction, on the
+    eight eta-sweep graphs and 40 seeded directions each: some with zero
+    coordinates and some inside a genericity subspace."""
+    from tropsplit import reports
+    from tropsplit.serialize import canonical_json
+
+    rng = random.Random(8)
+    seen = Counter()
+    for q, inputs in _eta_sweep_graphs():
+        fam, _ = q.genericity_family
+        etas = []
+        while len(etas) < 40:
+            if len(etas) % 4 == 0:  # a direction inside a genericity subspace
+                basis = rng.choice(fam).basis
+                eta = [0] * q.n
+                for b in basis:
+                    c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    eta = [x + c * y for x, y in zip(eta, b)]
+            else:
+                eta = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q.n)]
+            if any(eta):
+                etas.append(tuple(eta))
+        for eta in etas:
+            got, want = cone_condition(q, eta), oracles.cone_condition(q, eta)
+            for field in ("holds", "certified", "certificate", "certificate_labels",
+                          "disc_dim", "expected_disc_dim", "projected_eta"):
+                assert getattr(got, field) == getattr(want, field), (q.top, eta, field)
+            assert (got.D.ambient_dim, got.D.rays, got.D.lineality, got.D.ineqs,
+                    got.D.eqs) == (want.D.ambient_dim, want.D.rays, want.D.lineality,
+                                   want.D.ineqs, want.D.eqs)
+            assert canonical_json(reports.split_report(q, eta, inputs)) == canonical_json(
+                oracles.split_report(q, eta, inputs))
+            seen["holds" if got.holds else "fails"] += 1
+            seen["certified" if got.certified else "not certified"] += 1
+            seen["zero coordinate"] += 0 in eta
+    for key in ("holds", "fails", "certified", "not certified", "zero coordinate"):
+        assert seen[key], seen
 
 
 WARM_CASES = (
@@ -311,8 +405,6 @@ def test_single_edge_membership_equivalence(square_split, cube_split):
     """For one split edge and a certified direction, the cone condition is
     exactly membership of the projected direction, and membership then
     forces a full-dimensional discrepancy cone."""
-    from tropsplit.exact import matvec
-
     cases = [
         (square_split, "fig_square_top1", [(1, -1), (-1, 1), (3, -2), (-2, 5)]),
         (square_split, "fig_square_top2", [(1, -1), (-1, 1), (2, -3)]),
