@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone
+from .cones import Cone, _dd_pointed, _dd_step
 from .exact import (
     IntegerLattice,
+    _rref_int,
     as_int,
     fr,
     imat,
@@ -21,7 +22,7 @@ from .exact import (
     vec,
     vsub,
 )
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _hom
 
 
 class DecompositionError(ValueError):
@@ -202,8 +203,10 @@ def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
     return Cone(dec.ambient_dim, rays=rays, lineality=())
 
 
-# The cut visits all 3^N sign vectors of its N facets, one polyhedron each;
-# 3^10 covers every bundled fixture, the 8-facet prism and the 4-cube.
+# The cut walks the 3^N sign vectors of its N facets as a tree of sign
+# prefixes and prunes it, but the bound is on all 3^N, checked before any
+# conversion; 3^10 covers every bundled fixture, the 8-facet prism and the
+# 4-cube.
 MAX_SIGN_VECTORS = 3**10
 
 
@@ -217,6 +220,16 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     marked split.  Returns (decomposition, inner_cell_id).  A cut whose
     3^N sign vectors exceed ``MAX_SIGN_VECTORS`` raises before any
     conversion.
+
+    The cells come from a depth-first walk over sign prefixes that carries
+    the double description of the prefix's cell (on Delta's homogenization
+    cone) from parent to child: sign -1 or +1 on facet i is one DD step
+    with the cut row or its negation, and sign 0 adds the negated row to
+    the -1 child's state.  A prefix whose cell is empty, or lies in the
+    hyperplane of a strict sign on its path (every ray is tight on that
+    row), stays so in every refinement, so its whole subtree is dropped.
+    Delta is bounded, so every cone on the walk is pointed and its walked
+    rays are the extreme rays ``_h_to_v`` would return.
     """
     normals = imat(normals)
     N = len(normals)
@@ -234,46 +247,76 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("normals, constants, epsilons must have equal length")
     if any(e <= 0 for e in epsilons):
         raise DecompositionError("epsilons must be positive")
+    if any(len(m) != n for m in normals):
+        raise DecompositionError("normals must have equal length")
     lam = vec(lam)
-    delta_rows = [(m, c) for m, c in zip(normals, constants)]
-    delta = Polyhedron.from_hrep(n, ineqs=delta_rows)
-    if delta.is_empty() or delta.dim() != n:
+    # Delta's homogenization cone; its rays at t = 0 and its lineality span
+    # the recession cone of Delta
+    delta_rows = [_hom(m, c) for m, c in zip(normals, constants)]
+    delta_rows.append((0,) * n + (1,))  # t >= 0
+    lin, root = _dd_pointed(n + 1, delta_rows)
+    gens = [r for r, _ in root] + list(lin)
+    if not any(r[-1] > 0 for r, _ in root) or len(_rref_int(gens)) != n + 1:
         raise DecompositionError("moment polytope is not full-dimensional")
-    rec = Cone(n, ineqs=[tuple(-x for x in m) for m in normals])
-    if rec.dim() != 0:
+    if any(g[-1] == 0 for g in gens):
         raise DecompositionError("moment polytope is unbounded")
     cuts = [c - e for c, e in zip(constants, epsilons)]
     for m, cut in zip(normals, cuts):
         if not vdot(m, lam) < cut:
             raise DecompositionError("base point is not strictly inside the inner cell")
+    # cut_rows[i] . (x, t) >= 0 is <mu_i, x> <= cut_i; its negation the reverse
+    cut_rows = [_hom(m, cut) for m, cut in zip(normals, cuts)]
 
     def cell_id(sigma):
         return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)
 
-    kept: dict[tuple, Polyhedron] = {}
-    for sigma in itertools.product((-1, 0, 1), repeat=N):
-        ineqs = list(delta_rows)
+    def cell(sigma, rays) -> Polyhedron:
+        ineqs = delta_rows[:-1]
         eqs = []
-        for s, m, cut in zip(sigma, normals, cuts):
-            if s < 0:
-                ineqs.append((m, cut))
-            elif s > 0:
-                ineqs.append((tuple(-x for x in m), -cut))
+        for s, a in zip(sigma, cut_rows):
+            if s:
+                ineqs.append(a if s < 0 else tuple(-x for x in a))
             else:
-                eqs.append((m, cut))
-        poly = Polyhedron.from_hrep(n, ineqs=ineqs, eqs=eqs)
-        if poly.is_empty():
-            continue
-        # the relatively open cell must be nonempty: the closed cell may not
-        # collapse onto the boundary hyperplane of any strict sign
-        degenerate = any(
-            s != 0 and poly.lies_in_hyperplane(m, cut)
-            for s, m, cut in zip(sigma, normals, cuts)
-        )
-        if degenerate:
-            continue
-        kept[sigma] = poly
+                eqs.append(a)
+        ineqs.append(delta_rows[-1])
+        return Polyhedron(n, Cone.converted(n + 1, ineqs, eqs, [r for r, _ in rays]))
 
+    kept: dict[tuple, Polyhedron] = {}
+
+    def walk(sigma, rays, strict, bit):
+        # rays: the prefix cell's extreme rays with their zero-sets; strict:
+        # the bits of its strict sign rows; bit: the next row's bit
+        if not rays:
+            return  # empty
+        tight = strict
+        for _, z in rays:
+            tight &= z
+        if tight:
+            return  # lies in the hyperplane of a strict sign
+        i = len(sigma)
+        if i == N:
+            kept[sigma] = cell(sigma, rays)
+            return
+        a = cut_rows[i]
+        neg = tuple(-x for x in a)
+        _, below = _dd_step((), rays, a, bit)
+        walk(sigma + (-1,), below, strict | bit, bit << 1)
+        if below:
+            _, on = _dd_step((), below, neg, bit << 1)
+            walk(sigma + (0,), on, strict, bit << 2)
+        _, above = _dd_step((), rays, neg, bit)
+        walk(sigma + (1,), above, strict | bit, bit << 1)
+
+    walk((), root, 0, 1 << len(delta_rows))
+
+    def dual_vertex(sigma):
+        v = [0] * n
+        for s, m in zip(sigma, normals):
+            if s > 0:
+                v = [x + y for x, y in zip(v, m)]
+        return vec(v)
+
+    vertex = {sigma: dual_vertex(sigma) for sigma in kept if 0 not in sigma}
     polytopes = []
     dual_cells = []
     faces = []
@@ -284,30 +327,25 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         rows = tuple(ineqs) + tuple(
             pair for a, b in eqs for pair in ((a, b), (tuple(-x for x in a), -b))
         )
-        polytopes.append(Polytope(pid, rows, dim=poly.dim()))
+        polytopes.append(Polytope(pid, rows, dim=poly.cone.dim() - 1))  # not empty
         zeros = [i for i, s in enumerate(sigma) if s == 0]
         if zeros:
             split.append(pid)
+        # sigma is a face of the kept cells that refill its zeros; the top
+        # cells among them give its dual vertices
         verts = set()
-        for signs in itertools.product((-1, 1), repeat=len(zeros)):
+        for fill in itertools.product((-1, 0, 1), repeat=len(zeros)):
             full = list(sigma)
-            for z, s in zip(zeros, signs):
+            for z, s in zip(zeros, fill):
                 full[z] = s
             full = tuple(full)
-            if full in kept:
-                v = vec([0] * n)
-                for i, s in enumerate(full):
-                    if s > 0:
-                        v = tuple(x + y for x, y in zip(v, normals[i]))
-                verts.add(v)
-        dual_cells.append(DualCell(pid, tuple(sorted(verts)), ()))
-    sigmas = list(kept)
-    for s1 in sigmas:
-        for s2 in sigmas:
-            if s1 == s2:
+            if full not in kept:
                 continue
-            if all(a == b or a == 0 for a, b in zip(s1, s2)):
-                faces.append((cell_id(s1), cell_id(s2)))
+            if any(fill):
+                faces.append((pid, cell_id(full)))
+            if full in vertex:
+                verts.add(vertex[full])
+        dual_cells.append(DualCell(pid, tuple(sorted(verts)), ()))
     inner = cell_id(tuple([-1] * N))
     if inner not in {p.id for p in polytopes}:
         raise DecompositionError("inner cell did not survive the cut")

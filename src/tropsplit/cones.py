@@ -19,6 +19,15 @@ every cone and every sign test that of the rational input.  The integer
 Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``,
 and ``exact._kernel_int`` reads kernels off its rows.
 
+There is one double description step, ``_dd_step``: it cuts the cone of a
+lineality basis and extreme rays, each ray with its zero-set, by one more
+row ``a.y >= 0`` and returns the same state.  A conversion is
+``_dd_pointed``, a step per row from the full space; ``toric_cut`` instead
+carries the state from a cell to its refinements, a step per added sign
+row.  An H-built cone's V-representation is its own conversion, so
+``minimal()`` reuses it and runs only the dual conversion back to a
+minimal H-representation.
+
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
 """
@@ -75,71 +84,78 @@ def _reduce_mod_span(span, v) -> tuple:
 # an int bitmask over the row indices.
 
 
-def _dd_pointed(d: int, rows) -> tuple[list, list]:
-    """Generators of {y in R^d : a.y >= 0 for a in rows}, for integer rows.
+def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
+    """One double description step: cut the cone generated by the
+    lineality basis ``lin`` and the extreme rays ``rays`` with ``a.y >= 0``.
 
-    Returns (rays, lineality) as primitive integer vectors.  Rays are kept
-    extreme modulo the lineality space throughout; insertion follows the
-    input row order.
+    ``rays`` pairs each ray with its zero-set over the earlier rows, which
+    hold the bits below ``bit``, the new row's bit.  Returns the new (lin, rays), rays again extreme modulo the lineality
+    space and paired with their zero-sets, now over the new row too.
+    """
+    if not any(a):
+        return lin, [(r, z | bit) for r, z in rays]
+    i0 = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
+    if i0 is not None:
+        l0 = lin[i0]
+        al0 = _dot(a, l0)
+        if al0 < 0:
+            l0, al0 = tuple(-x for x in l0), -al0
+        lin = _rref_int(
+            [al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]
+            for i, l in enumerate(lin)
+            if i != i0
+        )
+        new_rays = [
+            (
+                _reduce_mod_span(
+                    lin, [al0 * x - _dot(a, r) * y for x, y in zip(r, l0)]
+                ),
+                z | bit,
+            )
+            for r, z in rays
+        ]
+        new_rays.append((_reduce_mod_span(lin, l0), bit - 1))
+        return lin, _dedupe(new_rays)
+    # a vanishes on the lineality space and every ray already vanishes
+    # at the pivots of its basis, so combinations need no reduction
+    vals = [_dot(a, r) for r, _ in rays]
+    plus = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
+    minus = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
+    zero = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
+    if not minus:
+        return lin, [(r, z) for r, z, _ in plus] + zero
+    # rp and rm are adjacent unless a third ray is tight on every row
+    # that both are tight on; rp and rm themselves always are
+    nots = [~z for _, z in rays]
+    combos = []
+    for rp, zp, vp in plus:
+        for rm, zm, vm in minus:
+            inter = zp & zm
+            tight = 0
+            for nz in nots:
+                if not inter & nz:
+                    tight += 1
+                    if tight > 2:
+                        break
+            if tight <= 2:
+                w = [vp * x - vm * y for x, y in zip(rm, rp)]
+                combos.append((gcd_reduce(w), inter | bit))
+    return lin, _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
+
+
+def _dd_pointed(d: int, rows) -> tuple[tuple, list]:
+    """Double description of {y in R^d : a.y >= 0 for a in rows}, for
+    integer rows, one ``_dd_step`` per row in input order.
+
+    Returns the lineality basis and the extreme rays modulo it, as primitive
+    integer vectors, each ray paired with its zero-set: bit i is set when
+    the ray is tight on row i.
     """
     lin = tuple(_unit(d, j) for j in range(d))
     rays: list[tuple[tuple, int]] = []
-
     for idx, a in enumerate(rows):
-        bit = 1 << idx
-        if not any(a):
-            rays = [(r, z | bit) for r, z in rays]
-            continue
-        i0 = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
-        if i0 is not None:
-            l0 = lin[i0]
-            al0 = _dot(a, l0)
-            if al0 < 0:
-                l0, al0 = tuple(-x for x in l0), -al0
-            lin = _rref_int(
-                [al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]
-                for i, l in enumerate(lin)
-                if i != i0
-            )
-            new_rays = [
-                (
-                    _reduce_mod_span(
-                        lin, [al0 * x - _dot(a, r) * y for x, y in zip(r, l0)]
-                    ),
-                    z | bit,
-                )
-                for r, z in rays
-            ]
-            new_rays.append((_reduce_mod_span(lin, l0), bit - 1))
-            rays = _dedupe(new_rays)
-            continue
-        # a vanishes on the lineality space and every ray already vanishes
-        # at the pivots of its basis, so combinations need no reduction
-        vals = [_dot(a, r) for r, _ in rays]
-        plus = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
-        minus = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
-        zero = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
-        if not minus:
-            rays = [(r, z) for r, z, _ in plus] + zero
-            continue
-        # rp and rm are adjacent unless a third ray is tight on every row
-        # that both are tight on; rp and rm themselves always are
-        nots = [~z for _, z in rays]
-        combos = []
-        for rp, zp, vp in plus:
-            for rm, zm, vm in minus:
-                inter = zp & zm
-                tight = 0
-                for nz in nots:
-                    if not inter & nz:
-                        tight += 1
-                        if tight > 2:
-                            break
-                if tight <= 2:
-                    w = [vp * x - vm * y for x, y in zip(rm, rp)]
-                    combos.append((gcd_reduce(w), inter | bit))
-        rays = _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
-    return [r for r, _ in rays], list(lin)
+        lin, rays = _dd_step(lin, rays, a, 1 << idx)
+    return lin, rays
 
 
 def _dedupe(pairs):
@@ -168,7 +184,8 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
         return (), ()
     if K is not None:
         ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
-    rays_y, lin_y = _dd_pointed(d, ineqs)
+    lin_y, rays_y = _dd_pointed(d, ineqs)
+    rays_y = [r for r, _ in rays_y]
     if K is not None:
         Kt = list(zip(*K))
         rays_y = [[_dot(y, col) for col in Kt] for y in rays_y]
@@ -179,12 +196,17 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
 class Cone:
     """Rational polyhedral cone in R^n."""
 
-    __slots__ = ("ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim")
+    __slots__ = (
+        "ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim",
+        "_v_converted",
+    )
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
         self.ambient_dim = as_int(ambient_dim)
         self._minimal = None
         self._dim = None
+        # whether the V-representation is the conversion of the stored rows
+        self._v_converted = False
         has_v = rays is not None or lineality is not None
         has_h = ineqs is not None or eqs is not None
         if not has_v and not has_h:
@@ -223,6 +245,16 @@ class Cone:
         return cls(ambient_dim, ineqs=ineqs, eqs=eqs)
 
     @classmethod
+    def converted(cls, ambient_dim, ineqs, eqs, rays) -> "Cone":
+        """The pointed cone of primitive integer rows whose extreme rays,
+        primitive and distinct, are already known: the cone ``_h_to_v``
+        would convert, without running it or rescaling anything again."""
+        c = cls(ambient_dim, rays=(), lineality=())
+        c._ineqs, c._eqs = tuple(ineqs), _rref_int(eqs)
+        c._rays, c._v_converted = tuple(sorted(rays)), True
+        return c
+
+    @classmethod
     def zero(cls, n):
         return cls(n, rays=(), lineality=())
 
@@ -235,7 +267,7 @@ class Cone:
     def _ensure_v(self):
         if self._rays is None:
             rays, lin = _h_to_v(self.ambient_dim, self._ineqs, self._eqs)
-            self._rays, self._lineality = rays, lin
+            self._rays, self._lineality, self._v_converted = rays, lin, True
 
     def _ensure_h(self):
         if self._ineqs is None:
@@ -266,7 +298,11 @@ class Cone:
     def minimal(self) -> "Cone":
         """The same cone with both representations minimal and canonical."""
         if self._minimal is None:
-            rays, lin = _h_to_v(self.ambient_dim, self.ineqs, self.eqs)
+            self._ensure_v()
+            if self._v_converted:  # already the canonical V-representation
+                rays, lin = self._rays, self._lineality
+            else:
+                rays, lin = _h_to_v(self.ambient_dim, self.ineqs, self.eqs)
             c = Cone(self.ambient_dim, rays=rays, lineality=lin)
             c._ineqs, c._eqs = _h_to_v(self.ambient_dim, rays, lin)
             c._minimal = c

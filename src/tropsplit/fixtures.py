@@ -457,6 +457,29 @@ def hirzebruch_two() -> dict:
     }
 
 
+def toric_hexagonal_prism() -> dict:
+    """Hexagon times a segment: normals +-e1, +-e2, +-(e1+e2), +-e3; eight
+    facets, 185 cells.  A cut at scale, not a corpus case."""
+    return {
+        "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                    [1, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]],
+        "constants": ["1"] * 8,
+        "epsilons": ["1/10"] * 8,
+        "lambda": ["0", "0", "0"],
+    }
+
+
+def toric_four_cube() -> dict:
+    """The cube [-1, 1]^4: normals +-e_i; eight facets, 625 cells.  A cut
+    at scale, not a corpus case."""
+    return {
+        "normals": [[s * (j == i) for j in range(4)] for i in range(4) for s in (1, -1)],
+        "constants": ["1"] * 8,
+        "epsilons": ["1/10"] * 8,
+        "lambda": ["0"] * 4,
+    }
+
+
 GRAPHS = {
     "fig_rigid_gamma1": fig_rigid_gamma1,
     "fig_rigid_gamma2": fig_rigid_gamma2,

@@ -10,6 +10,7 @@ import hashlib
 
 from . import __version__
 from .complexes import Decomposition, is_tropical_fiber
+from .exact import as_int
 from .graphs import TropicalGraph, split_edges, vertex_positions
 from .potential import NovikovSeries, bg_potential, leading_terms
 from .serialize import (
@@ -87,7 +88,7 @@ def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
     )
     if i_br is not None:
         i_split, i_red = index_shift(q, i_br)
-        out["index_shift"] = {"i_br": int(i_br), "i_split": i_split, "i_red": i_red}
+        out["index_shift"] = {"i_br": as_int(i_br), "i_split": i_split, "i_red": i_red}
     return out
 
 

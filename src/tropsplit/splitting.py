@@ -23,6 +23,7 @@ from .exact import (
     _dot,
     _kernel_int,
     _rref_int,
+    as_int,
     is_generic_wrt,
     is_zero_vec,
     quotient_projection,
@@ -369,7 +370,7 @@ def index_shift(q: QuasiSplitGraph, i_br: int) -> tuple[int, int]:
     """(split index, reduced index) from a caller-supplied broken index:
     dropping a split-edge matching condition adds 2(dim t - 1) dimensions,
     all of which the tropical symmetry group quotients away again."""
-    i_br = int(i_br)
+    i_br = as_int(i_br)
     return i_br + 2 * q.num_split * (q.n - 1), i_br
 
 

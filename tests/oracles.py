@@ -26,6 +26,11 @@ face-based test in ``tropsplit.cones`` and the integer test in
 ``tropsplit.exact`` can be checked against them.  ``sign_normalized`` is
 kept for ``direction_space``.
 
+``toric_cut`` is the multiple cut as it ran one polyhedron conversion for
+each of its 3^N sign vectors and found face pairs by scanning all pairs of
+kept cells; it is kept verbatim so that the pruned sign-prefix walk in
+``tropsplit.complexes`` can be checked against it.
+
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
 lattices as they ran through an inverse of the Smith transform, and
@@ -40,10 +45,18 @@ and brute-force checks that only the tests use.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from itertools import product
 
 from tropsplit import reports
+from tropsplit.complexes import (
+    MAX_SIGN_VECTORS,
+    Decomposition,
+    DecompositionError,
+    DualCell,
+    Polytope,
+)
 from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.cones import is_increasing as cones_is_increasing
 from tropsplit.exact import (
@@ -66,6 +79,7 @@ from tropsplit.exact import (
     vsub,
     vzero,
 )
+from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import cone_to_dict, vec_str
 from tropsplit.splitting import (
     ConeConditionVerdict,
@@ -403,6 +417,118 @@ def split_report(q, eta, inputs: dict, i_br=None) -> dict:
         i_split, i_red = index_shift(q, i_br)
         out["index_shift"] = {"i_br": int(i_br), "i_split": i_split, "i_red": i_red}
     return out
+
+
+# ---------------------------------------------------------------------------
+# the toric cut over all 3^N sign vectors, one conversion each
+
+
+def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
+    """Multiple-cut decomposition of a moment polytope.
+
+    The polytope Delta = {x : <mu_i, x> <= c_i} is cut along the hyperplanes
+    <mu_i, x> = c_i - eps_i.  Cells are indexed by sign vectors; the cell
+    containing ``lam`` (which must satisfy <mu_i, lam> < c_i - eps_i
+    strictly) is the inner polytope.  All cells of positive codimension are
+    marked split.  Returns (decomposition, inner_cell_id).  A cut whose
+    3^N sign vectors exceed ``MAX_SIGN_VECTORS`` raises before any
+    conversion.
+    """
+    normals = imat(normals)
+    N = len(normals)
+    if 3**N > MAX_SIGN_VECTORS:
+        raise DecompositionError(
+            f"{N} facets give 3^{N} = {3**N} sign vectors, more than the "
+            f"bound of {MAX_SIGN_VECTORS} sign vectors a cut may visit"
+        )
+    constants = [fr(c) for c in constants]
+    epsilons = [fr(e) for e in epsilons]
+    if not normals:
+        raise DecompositionError("no facets")
+    n = len(normals[0])
+    if len(constants) != N or len(epsilons) != N:
+        raise DecompositionError("normals, constants, epsilons must have equal length")
+    if any(e <= 0 for e in epsilons):
+        raise DecompositionError("epsilons must be positive")
+    lam = vec(lam)
+    delta_rows = [(m, c) for m, c in zip(normals, constants)]
+    delta = Polyhedron.from_hrep(n, ineqs=delta_rows)
+    if delta.is_empty() or delta.dim() != n:
+        raise DecompositionError("moment polytope is not full-dimensional")
+    rec = Cone(n, ineqs=[tuple(-x for x in m) for m in normals])
+    if rec.dim() != 0:
+        raise DecompositionError("moment polytope is unbounded")
+    cuts = [c - e for c, e in zip(constants, epsilons)]
+    for m, cut in zip(normals, cuts):
+        if not vdot(m, lam) < cut:
+            raise DecompositionError("base point is not strictly inside the inner cell")
+
+    def cell_id(sigma):
+        return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)
+
+    kept: dict[tuple, Polyhedron] = {}
+    for sigma in itertools.product((-1, 0, 1), repeat=N):
+        ineqs = list(delta_rows)
+        eqs = []
+        for s, m, cut in zip(sigma, normals, cuts):
+            if s < 0:
+                ineqs.append((m, cut))
+            elif s > 0:
+                ineqs.append((tuple(-x for x in m), -cut))
+            else:
+                eqs.append((m, cut))
+        poly = Polyhedron.from_hrep(n, ineqs=ineqs, eqs=eqs)
+        if poly.is_empty():
+            continue
+        # the relatively open cell must be nonempty: the closed cell may not
+        # collapse onto the boundary hyperplane of any strict sign
+        degenerate = any(
+            s != 0 and poly.lies_in_hyperplane(m, cut)
+            for s, m, cut in zip(sigma, normals, cuts)
+        )
+        if degenerate:
+            continue
+        kept[sigma] = poly
+
+    polytopes = []
+    dual_cells = []
+    faces = []
+    split = []
+    for sigma, poly in kept.items():
+        pid = cell_id(sigma)
+        ineqs, eqs = poly.hrep()
+        rows = tuple(ineqs) + tuple(
+            pair for a, b in eqs for pair in ((a, b), (tuple(-x for x in a), -b))
+        )
+        polytopes.append(Polytope(pid, rows, dim=poly.dim()))
+        zeros = [i for i, s in enumerate(sigma) if s == 0]
+        if zeros:
+            split.append(pid)
+        verts = set()
+        for signs in itertools.product((-1, 1), repeat=len(zeros)):
+            full = list(sigma)
+            for z, s in zip(zeros, signs):
+                full[z] = s
+            full = tuple(full)
+            if full in kept:
+                v = vec([0] * n)
+                for i, s in enumerate(full):
+                    if s > 0:
+                        v = tuple(x + y for x, y in zip(v, normals[i]))
+                verts.add(v)
+        dual_cells.append(DualCell(pid, tuple(sorted(verts)), ()))
+    sigmas = list(kept)
+    for s1 in sigmas:
+        for s2 in sigmas:
+            if s1 == s2:
+                continue
+            if all(a == b or a == 0 for a, b in zip(s1, s2)):
+                faces.append((cell_id(s1), cell_id(s2)))
+    inner = cell_id(tuple([-1] * N))
+    if inner not in {p.id for p in polytopes}:
+        raise DecompositionError("inner cell did not survive the cut")
+    dec = Decomposition(n, polytopes, faces, dual_cells, split)
+    return dec, inner
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from oracles import kernel_basis, mat, rank
-from tropsplit import cones
+from tropsplit import complexes, cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
@@ -16,7 +19,11 @@ from tropsplit.complexes import (
 )
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
-from tropsplit.serialize import decomposition_from_dict
+from tropsplit.serialize import (
+    canonical_json,
+    decomposition_from_dict,
+    decomposition_to_dict,
+)
 
 
 def test_fixture_complexes_validate(square_plain, square_split, cube_split):
@@ -149,16 +156,155 @@ def test_toric_cut_rejects_outside_lambda():
         )
 
 
+def _count_dd(monkeypatch) -> Counter:
+    """Count DD steps on the cut's walk ("walk"), all other DD steps, in
+    conversions or for Delta ("step"), and conversions ("h_to_v")."""
+    calls = Counter()
+
+    def counted(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cones, "_dd_step", counted("step", cones._dd_step))
+    monkeypatch.setattr(complexes, "_dd_step", counted("walk", complexes._dd_step))
+    monkeypatch.setattr(cones, "_h_to_v", counted("h_to_v", cones._h_to_v))
+    return calls
+
+
 def test_toric_cut_rejects_too_many_facets_before_any_conversion(monkeypatch):
     """11 facets give 3^11 sign vectors, over the bound: the cut raises,
-    naming the bound, before it converts a single polyhedron."""
-    calls = []
-    monkeypatch.setattr(cones, "_h_to_v", lambda *args: calls.append(args))
+    naming the bound, before it runs a single DD step."""
+    calls = _count_dd(monkeypatch)
     normals = [(1, k) for k in range(-5, 6)]
     assert 3 ** len(normals) > MAX_SIGN_VECTORS >= 3**10
     with pytest.raises(DecompositionError, match=str(MAX_SIGN_VECTORS)):
         toric_cut(normals, [1] * 11, [F(1, 10)] * 11, (0, 0))
-    assert calls == []
+    assert calls == Counter()
+
+
+def test_toric_cut_walks_the_cube_in_pinned_dd_steps(monkeypatch):
+    """The cube cut runs 7 DD steps for Delta's rows, 372 on the walk, one
+    per prefix visited (of 1092 prefixes in the full sign tree), and one
+    dual conversion for each of its 125 cells, for their minimal
+    H-representations, which take 512 steps.  A fallback to a conversion
+    per sign vector or per cell changes these counts."""
+    calls = _count_dd(monkeypatch)
+    t = fx.toric_cube()
+    dec, _ = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    assert len(dec.polytopes) == 125
+    assert dict(calls) == {"walk": 372, "step": 7 + 512, "h_to_v": 125}
+
+
+def _cut_outcome(cut, args):
+    """Canonical bytes and inner cell of a cut, or its error message."""
+    try:
+        dec, inner = cut(*args)
+    except DecompositionError as exc:
+        return "error", str(exc)
+    return canonical_json(decomposition_to_dict(dec)), inner
+
+
+@pytest.mark.parametrize("name", ["toric_square", "toric_cube", "hirzebruch_two"])
+def test_toric_cut_matches_the_all_sign_vector_reference(name):
+    t = getattr(fx, name)()
+    args = (t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    assert _cut_outcome(toric_cut, args) == _cut_outcome(oracles.toric_cut, args)
+
+
+def random_cut(n, seed):
+    """A bounded polytope around the origin: the +-e_i normals plus 0 to 1
+    extra normals, each a repeat of a normal, a multiple of one, or random,
+    in shuffled order.  Each epsilon is a fraction of its constant or just
+    below it, so that cut hyperplanes meet, coincide or miss Delta and
+    cells drop; lambda = 0 stays strictly inside the inner cell."""
+    rng = random.Random(f"cut:{n}:{seed}")
+    normals = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    for _ in range(rng.choice((0, 1, 1) if n == 2 else (0,))):
+        pick = rng.random()
+        if pick < 0.25:
+            normals.append(rng.choice(normals))
+        elif pick < 0.5:
+            normals.append(tuple(2 * x for x in rng.choice(normals)))
+        else:
+            v = (0,) * n
+            while not any(v):
+                v = tuple(rng.randint(-2, 2) for _ in range(n))
+            normals.append(v)
+    rng.shuffle(normals)
+    constants = [F(rng.randint(1, 6), rng.randint(1, 2)) for _ in normals]
+    epsilons = [
+        c - F(1, rng.randint(10, 40)) if rng.random() < 0.4 else c * F(rng.randint(1, 9), 10)
+        for c in constants
+    ]
+    return normals, constants, epsilons, (0,) * n
+
+
+# 188 plane cuts and 12 solid ones, in blocks of 25 or fewer.  Six plane
+# cuts (seeds 7, 64, 129, 142, 153, 155) have a cell that collapses onto the
+# hyperplane of a strict sign set earlier on its path, not the newest one:
+# a walk that tests only the newest sign keeps cells the reference drops.
+SEEDED_CUTS = [(2, range(k, min(k + 25, 188))) for k in range(0, 188, 25)] + [(3, range(12))]
+
+
+@pytest.mark.parametrize(
+    "n, seeds", SEEDED_CUTS, ids=[f"{n}d-{s.start}-{s.stop - 1}" for n, s in SEEDED_CUTS]
+)
+def test_toric_cut_matches_the_all_sign_vector_reference_on_seeded_polytopes(n, seeds):
+    for seed in seeds:
+        args = random_cut(n, seed)
+        assert _cut_outcome(toric_cut, args) == _cut_outcome(oracles.toric_cut, args), (n, seed)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ([], [], [], ()),  # no facets
+        ([(1, 0), (0, 1), (-1, -1)], [1, 1], [F(1, 10)] * 3, (0, 0)),  # lengths
+        ([(1, 0), (0, 1), (-1, -1)], [1, 1, 1], [F(1, 10), 0, F(1, 10)], (0, 0)),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 1, 1], [F(1, 10)] * 4, (0, 0)),  # flat
+        ([(1,), (-1,)], [1, -2], [F(1, 10)] * 2, (0,)),  # empty
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, -2, 1, 1], [F(1, 10)] * 4, (0, 0)),  # empty
+        ([(1, 0), (0, 1)], [1, 1], [F(1, 10)] * 2, (0, 0)),  # unbounded, a pointed cone
+        ([(1, 0), (-1, 0)], [1, 1], [F(1, 10)] * 2, (0, 0)),  # unbounded, a line
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1] * 4, [F(1, 10)] * 4, (F(9, 10), 0)),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1] * 4, [F(1, 10)] * 4, (2, 0)),
+        # a zero normal: with constant 1 its cut 0 <= 9/10 holds everywhere;
+        # with constant 0 its cut 0 <= -1/10 misses lambda
+        ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], [1] * 5, [F(1, 10)] * 5, (0, 0)),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], [1, 1, 1, 1, 0], [F(1, 10)] * 5, (0, 0)),
+    ],
+)
+def test_toric_cut_edge_inputs_match_the_all_sign_vector_reference(args):
+    assert _cut_outcome(toric_cut, args) == _cut_outcome(oracles.toric_cut, args)
+
+
+def test_toric_cut_rejects_ragged_normals():
+    with pytest.raises(DecompositionError, match="equal length"):
+        toric_cut([(1, 0), (-1,), (0, 1), (0, -1)], [1] * 4, [F(1, 10)] * 4, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "name, cells, cells_by_dim",
+    [
+        # 13 hexagon pieces (inner, 6 strips, 6 corners) times the segment's
+        # 3 pieces, and so on down
+        ("toric_hexagonal_prism", 185, {3: 39, 2: 80, 1: 54, 0: 12}),
+        # each axis cut into 3 intervals and 2 points: C(4,k) 3^k 2^(4-k)
+        ("toric_four_cube", 625, {4: 81, 3: 216, 2: 216, 1: 96, 0: 16}),
+    ],
+)
+def test_toric_cut_at_scale(name, cells, cells_by_dim):
+    """Eight facets: the walk prunes 3^8 = 6561 sign vectors to the
+    nonempty, non-degenerate cells."""
+    t = getattr(fx, name)()
+    dec, inner = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    assert len(dec.polytopes) == cells
+    assert Counter(p.dim for p in dec.polytopes.values()) == cells_by_dim
+    assert inner == "c" + "m" * 8
+    assert is_tropical_fiber(dec, inner, t["lambda"])
 
 
 @pytest.mark.parametrize("dim", [2.5, 2.0, True])

@@ -338,6 +338,73 @@ def test_minimal_hrep_has_no_implicit_equalities():
     assert len(m.eqs) == 1 and len(m.ineqs) == 1
 
 
+def _count_h_to_v(monkeypatch) -> list:
+    calls = []
+    original = cones._h_to_v
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    return calls
+
+
+def _reps(c: Cone) -> tuple:
+    return c.rays, c.lineality, c.ineqs, c.eqs
+
+
+def _round_trip(n, ineqs, eqs) -> tuple:
+    """The minimal representations as ``minimal()`` computed them before it
+    reused a converted V-representation: H to V, then V to H."""
+    rays, lin = cones._h_to_v(n, ineqs, eqs)
+    return (rays, lin) + cones._h_to_v(n, rays, lin)
+
+
+def _random_hreps():
+    rng = random.Random(4242)
+    out = [
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 1)], []),  # pointed, redundant row
+        ([(1, -1, 0), (0, 1, 0)], [(1, 1, -1)]),  # an equation
+        ([(1, 0, 0), (1, 1, 0)], []),  # lineality: the third axis
+        ([(1, 0, 0)], [(0, 1, 0), (0, 2, 0)]),  # both, and a repeated equation
+        ([], []),  # the full space
+    ]
+    while len(out) < 30:
+        ineqs = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(rng.randint(0, 5))]
+        eqs = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(rng.randint(0, 1))]
+        out.append((ineqs, eqs))
+    return out
+
+
+@pytest.mark.parametrize("ineqs, eqs", _random_hreps())
+def test_minimal_reuses_the_conversion_of_an_h_built_cone(monkeypatch, ineqs, eqs):
+    """An H-built cone's V-representation is its own H to V conversion, so
+    ``minimal()`` after ``.rays`` runs one dual conversion, and gives what
+    a fresh cone's ``minimal()`` and the full round trip give."""
+    fresh = Cone.from_hrep(ineqs, eqs, ambient_dim=3)
+    want = _round_trip(3, fresh.ineqs, fresh.eqs)
+    assert _reps(fresh.minimal()) == want
+    calls = _count_h_to_v(monkeypatch)
+    c = Cone.from_hrep(ineqs, eqs, ambient_dim=3)
+    c.rays
+    assert len(calls) == 1
+    m = c.minimal()
+    assert len(calls) == 2
+    assert _reps(m) == want
+
+
+def test_minimal_of_a_v_built_cone_takes_the_full_round_trip(monkeypatch):
+    rays, lin = [(1, 0, 0), (1, 1, 0), (2, 1, 0)], [(0, 0, 1)]
+    want = _round_trip(3, *cones._h_to_v(3, rays, lin))
+    calls = _count_h_to_v(monkeypatch)
+    c = Cone.from_rays(rays, lin)
+    c.rays
+    assert calls == []
+    assert _reps(c.minimal()) == want
+    assert len(calls) == 3  # V to H, then H to V to H
+
+
 def test_normal_cone_helper():
     c = Cone.from_hrep([(1, -1), (0, 1)])  # x1 >= x2 >= 0
     n = normal_cone_at_first_axis(c)

@@ -8,6 +8,7 @@ import oracles
 from conftest import graph, quasi
 from oracles import matvec
 from tropsplit import fixtures as fx
+from tropsplit import reports
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
 from tropsplit.serialize import graph_from_dict
@@ -224,7 +225,6 @@ def test_analyses_run_once_per_graph(cube_split, monkeypatch):
 
 def test_reports_share_no_mutable_data(square_split):
     """A caller that edits one report changes no later report."""
-    from tropsplit import reports
     from tropsplit.serialize import canonical_json
 
     q = quasi(square_split, "fig_square_top1")
@@ -267,7 +267,6 @@ def test_cached_split_report_matches_per_direction_reference():
     frozen cone condition that redoes every step for each direction, on the
     eight eta-sweep graphs and 40 seeded directions each: some with zero
     coordinates and some inside a genericity subspace."""
-    from tropsplit import reports
     from tropsplit.serialize import canonical_json
 
     rng = random.Random(8)
@@ -390,6 +389,24 @@ def test_index_shift(square_split):
     assert index_shift(q1, 0) == (2, 0)
     q4 = quasi(square_split, "fig_four_top")  # four split edges
     assert index_shift(q4, 0) == (8, 0)
+
+
+@pytest.mark.parametrize("i_br", [2.7, True])
+def test_index_shift_rejects_a_non_integer_broken_index(square_split, i_br):
+    """A float or bool broken index raises, in index_shift and in the split
+    report, instead of being rounded."""
+    q = quasi(square_split, "fig_square_top1")
+    with pytest.raises(ValueError):
+        index_shift(q, i_br)
+    with pytest.raises(ValueError):
+        reports.split_report(q, (2, 1), {}, i_br=i_br)
+
+
+def test_index_shift_takes_an_exact_integer(square_split):
+    q = quasi(square_split, "fig_square_top1")
+    assert index_shift(q, F(3)) == index_shift(q, "3") == (5, 3)
+    report = reports.split_report(q, (2, 1), {}, i_br=F(3))
+    assert report["index_shift"] == {"i_br": 3, "i_split": 5, "i_red": 3}
 
 
 def test_index_shift_no_split(square_plain):
