@@ -16,7 +16,7 @@ from importlib import resources
 import click
 
 from . import fixtures, reports
-from .complexes import DecompositionError, toric_cut
+from .complexes import toric_cut
 from .diagram import dual_complex_svg
 from .graphs import GraphError
 from .potential import split_contribution
@@ -29,7 +29,7 @@ from .serialize import (
     parse_vec,
     series_from_list,
 )
-from .splitting import QuasiSplitGraph, SplitError
+from .splitting import QuasiSplitGraph
 
 INPUT_ERROR = 2
 NEGATIVE = 1
@@ -71,7 +71,7 @@ def _load_dec(path: str):
     data = _load_json(path)
     try:
         return data, decomposition_from_dict(data)
-    except (DecompositionError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         _fail(f"bad decomposition {path}: {exc}")
 
 
@@ -102,7 +102,7 @@ def _quasi_split(dec, top_dict, load_base):
         q = QuasiSplitGraph(
             dec, graph_from_dict(base_dict), graph_from_dict(top_dict), vertex_map
         )
-    except (SplitError, GraphError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         _fail(f"bad quasi-split input: {exc}")
     return q, base_dict
 
@@ -185,7 +185,7 @@ def cut_cmd(normals, constants, eps, lambda_, output, diagram):
     }
     try:
         dec, report = _cut_report(data)
-    except (DecompositionError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         _fail(str(exc))
     _emit(report, None)
     if output:
@@ -213,7 +213,7 @@ def graph_check(dec_path, graph_path, output, diagram):
     try:
         graph = graph_from_dict(gd)
         report = reports.graph_report(dec, graph, {"dec": dec_dict, "graph": gd})
-    except (GraphError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         _fail(f"bad graph: {exc}")
     _emit(report, output)
     if diagram:
@@ -255,7 +255,7 @@ def split_check(dec_path, qsplit_path, eta, i_br, output):
         report = reports.split_report(
             q, eta_vec, {"dec": dec_dict, "top": top_dict, "base": base_dict}, i_br=i_br
         )
-    except (SplitError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
     _emit(report, output)
     if not report["accepted"]:
@@ -273,7 +273,7 @@ def symmetry_cmd(dec_path, graph_path, framed, output):
     gd = _load_graph_dict(graph_path)
     try:
         report = _symmetry_report(dec, dec_dict, gd, framed, _base_loader(graph_path))
-    except (GraphError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         _fail(f"bad graph: {exc}")
     _emit(report, output)
 

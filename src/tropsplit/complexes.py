@@ -229,7 +229,8 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     hyperplane of a strict sign on its path (every ray is tight on that
     row), stays so in every refinement, so its whole subtree is dropped.
     Delta is bounded, so every cone on the walk is pointed and its walked
-    rays are the extreme rays ``_h_to_v`` would return.
+    rays are its extreme rays: a kept cell is the V-built cone of them, and
+    its minimal H-representation is their one V to H conversion.
     """
     normals = imat(normals)
     N = len(normals)
@@ -270,17 +271,6 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     def cell_id(sigma):
         return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)
 
-    def cell(sigma, rays) -> Polyhedron:
-        ineqs = delta_rows[:-1]
-        eqs = []
-        for s, a in zip(sigma, cut_rows):
-            if s:
-                ineqs.append(a if s < 0 else tuple(-x for x in a))
-            else:
-                eqs.append(a)
-        ineqs.append(delta_rows[-1])
-        return Polyhedron(n, Cone.converted(n + 1, ineqs, eqs, [r for r, _ in rays]))
-
     kept: dict[tuple, Polyhedron] = {}
 
     def walk(sigma, rays, strict, bit):
@@ -295,7 +285,8 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
             return  # lies in the hyperplane of a strict sign
         i = len(sigma)
         if i == N:
-            kept[sigma] = cell(sigma, rays)
+            cone = Cone(n + 1, rays=[r for r, _ in rays], lineality=())
+            kept[sigma] = Polyhedron(n, cone)
             return
         a = cut_rows[i]
         neg = tuple(-x for x in a)

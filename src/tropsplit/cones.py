@@ -24,9 +24,19 @@ lineality basis and extreme rays, each ray with its zero-set, by one more
 row ``a.y >= 0`` and returns the same state.  A conversion is
 ``_dd_pointed``, a step per row from the full space; ``toric_cut`` instead
 carries the state from a cell to its refinements, a step per added sign
-row.  An H-built cone's V-representation is its own conversion, so
-``minimal()`` reuses it and runs only the dual conversion back to a
-minimal H-representation.
+row, and hands each cell over as the V-built cone of its walked rays.
+
+A cone is built from exactly one representation, and the other side is
+converted from it, once, when something first reads it.  What ``_h_to_v``
+returns is minimal: the sorted primitive extreme rays (or facets) and an
+rref basis of the lineality space (or of the equalities).  So the converted
+side is the cone's minimal form, and ``minimal()`` is the cone rebuilt from
+it: one conversion there, and one more back only if the rebuilt cone's
+other side is read.  The output is canonical for the set and the span of
+the given equalities (or lineality); rows that imply an equality they do
+not state, or rays that span a line they do not state, can leave other
+representatives of the rays (or facets) modulo the lineality (or
+equalities).
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -89,8 +99,9 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     lineality basis ``lin`` and the extreme rays ``rays`` with ``a.y >= 0``.
 
     ``rays`` pairs each ray with its zero-set over the earlier rows, which
-    hold the bits below ``bit``, the new row's bit.  Returns the new (lin, rays), rays again extreme modulo the lineality
-    space and paired with their zero-sets, now over the new row too.
+    hold the bits below ``bit``, the new row's bit.  Returns the new
+    (lin, rays), rays again extreme modulo the lineality space and paired
+    with their zero-sets, now over the new row too.
     """
     if not any(a):
         return lin, [(r, z | bit) for r, z in rays]
@@ -194,31 +205,28 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
 
 
 class Cone:
-    """Rational polyhedral cone in R^n."""
+    """Rational polyhedral cone in R^n, built from one representation:
+    rays and lineality, or inequalities and equalities."""
 
     __slots__ = (
         "ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim",
-        "_v_converted",
+        "_from_h",
     )
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
         self.ambient_dim = as_int(ambient_dim)
         self._minimal = None
         self._dim = None
-        # whether the V-representation is the conversion of the stored rows
-        self._v_converted = False
         has_v = rays is not None or lineality is not None
-        has_h = ineqs is not None or eqs is not None
-        if not has_v and not has_h:
-            raise ValueError("cone needs at least one representation")
-        self._rays = _canon_rays(rays or ()) if has_v else None
-        self._lineality = _canon_span(lineality or ()) if has_v else None
-        if has_h:
+        self._from_h = ineqs is not None or eqs is not None
+        if has_v == self._from_h:
+            raise ValueError("cone needs exactly one representation")
+        self._rays = self._lineality = self._ineqs = self._eqs = None
+        if has_v:
+            self._rays, self._lineality = _canon_rays(rays or ()), _canon_span(lineality or ())
+        else:
             self._ineqs = tuple(r for r in map(primitive, ineqs or ()) if any(r))
             self._eqs = _canon_span(eqs or ())
-        else:
-            self._ineqs = None
-            self._eqs = None
         for group in (self._rays, self._lineality, self._ineqs, self._eqs):
             for v in group or ():
                 if len(v) != self.ambient_dim:
@@ -245,16 +253,6 @@ class Cone:
         return cls(ambient_dim, ineqs=ineqs, eqs=eqs)
 
     @classmethod
-    def converted(cls, ambient_dim, ineqs, eqs, rays) -> "Cone":
-        """The pointed cone of primitive integer rows whose extreme rays,
-        primitive and distinct, are already known: the cone ``_h_to_v``
-        would convert, without running it or rescaling anything again."""
-        c = cls(ambient_dim, rays=(), lineality=())
-        c._ineqs, c._eqs = tuple(ineqs), _rref_int(eqs)
-        c._rays, c._v_converted = tuple(sorted(rays)), True
-        return c
-
-    @classmethod
     def zero(cls, n):
         return cls(n, rays=(), lineality=())
 
@@ -266,13 +264,11 @@ class Cone:
 
     def _ensure_v(self):
         if self._rays is None:
-            rays, lin = _h_to_v(self.ambient_dim, self._ineqs, self._eqs)
-            self._rays, self._lineality, self._v_converted = rays, lin, True
+            self._rays, self._lineality = _h_to_v(self.ambient_dim, self._ineqs, self._eqs)
 
     def _ensure_h(self):
         if self._ineqs is None:
-            self._ensure_v()
-            # minimal H-representation: double description on the dual cone
+            # double description on the dual cone
             self._ineqs, self._eqs = _h_to_v(self.ambient_dim, self._rays, self._lineality)
 
     @property
@@ -296,17 +292,16 @@ class Cone:
         return self._eqs
 
     def minimal(self) -> "Cone":
-        """The same cone with both representations minimal and canonical."""
+        """The same cone with both representations minimal and canonical:
+        the cone rebuilt from the side converted from the given one."""
         if self._minimal is None:
-            self._ensure_v()
-            if self._v_converted:  # already the canonical V-representation
-                rays, lin = self._rays, self._lineality
+            n = self.ambient_dim
+            if self._from_h:
+                m = Cone(n, rays=self.rays, lineality=self.lineality)
             else:
-                rays, lin = _h_to_v(self.ambient_dim, self.ineqs, self.eqs)
-            c = Cone(self.ambient_dim, rays=rays, lineality=lin)
-            c._ineqs, c._eqs = _h_to_v(self.ambient_dim, rays, lin)
-            c._minimal = c
-            self._minimal = c
+                m = Cone(n, ineqs=self.ineqs, eqs=self.eqs)
+            m._minimal = m
+            self._minimal = m
         return self._minimal
 
     def __repr__(self):

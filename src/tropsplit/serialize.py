@@ -99,7 +99,9 @@ def decomposition_from_dict(data: dict) -> Decomposition:
             if len(row) != n + 1:
                 raise ValueError(f"polytope {p['id']}: inequality row of wrong length")
             rows.append((row[:-1], row[-1]))
-        polytopes.append(Polytope(str(p["id"]), tuple(rows), p.get("dim")))
+        dim = p.get("dim")
+        dim = None if dim is None else as_int(dim)
+        polytopes.append(Polytope(str(p["id"]), tuple(rows), dim))
     dual_cells = [
         DualCell(
             str(d["id"]),
@@ -138,12 +140,19 @@ def graph_to_dict(graph: TropicalGraph, collapse=None) -> dict:
     return out
 
 
+def _ends(e: dict) -> tuple:
+    ends = e["ends"]
+    if len(ends) != 2:
+        raise ValueError(f"edge {e['id']} has {len(ends)} ends, not 2")
+    return str(ends[0]), str(ends[1])
+
+
 def graph_from_dict(data: dict) -> TropicalGraph:
     vertices = tuple((str(v["id"]), str(v["polytope"])) for v in data["vertices"])
     edges = tuple(
         Edge(
             id=str(e["id"]),
-            ends=(str(e["ends"][0]), str(e["ends"][1])),
+            ends=_ends(e),
             kind=e.get("kind", "tropical"),
             direction=e.get("direction"),
             maps_to=e.get("maps_to"),

@@ -245,7 +245,6 @@ def _genericity_family(q: QuasiSplitGraph):
     integer rref rows and its annihilator."""
     data = q.disc
     n = q.n
-    full = q.num_split * (n - 1)
     fam, labels = [], []
     seen = set()
 
@@ -258,7 +257,7 @@ def _genericity_family(q: QuasiSplitGraph):
         labels.append(label)
 
     disc_min = data.disc.minimal()
-    complement = _kernel_int(_rref_int(disc_min.rays + disc_min.lineality), full)
+    complement = disc_min.eqs  # the orthogonal complement of span(Disc)
     width = n - 1
 
     def sliced_kernel(vs, proj, lo):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tropsplit.cli import corpus_cases, expected_report_path, main
+from tropsplit import cones
+from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
 from tropsplit.serialize import canonical_json
 
 
@@ -254,6 +255,25 @@ def test_corpus_run_matches_and_is_stable():
     assert second.output == first.output
 
 
+def test_corpus_pass_runs_pinned_conversions(monkeypatch):
+    """One pass over the corpus, each case cold, runs 326 double
+    description conversions and gives the stored bytes.  A cone that
+    converted a side it already had, or a minimal form rebuilt by a round
+    trip, changes the count."""
+    calls = []
+    original = cones._h_to_v
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 326
+
+
 def test_corpus_run_under_optimize_flag():
     """``python -O`` strips asserts; the corpus must not depend on any."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -298,12 +318,20 @@ def test_collapse_via_path_reference(fixture_dir):
     assert [x for x in ray if x != "0"] == ["2", "1"]
 
 
-def _drop_vertex_map(data):
-    del data["collapse"]["vertex_map"]
+def _drop_vertex_map(inputs):
+    del inputs["top"]["collapse"]["vertex_map"]
 
 
 def _set(key, value):
-    return lambda data: data.__setitem__(key, value)
+    return lambda inputs: inputs["top"].__setitem__(key, value)
+
+
+def _set_ends(ends):
+    return lambda inputs: inputs["top"]["edges"][0].__setitem__("ends", ends)
+
+
+def _set_dim(dim):
+    return lambda inputs: inputs["dec"]["polytopes"][0].__setitem__("dim", dim)
 
 
 @pytest.mark.parametrize(
@@ -314,16 +342,23 @@ def _set(key, value):
         pytest.param(["split", "check"], _set("collapse", "x"), id="split-collapse-string"),
         pytest.param(["split", "check"], _set("vertices", 5), id="split-vertices-int"),
         pytest.param(["graph", "check"], _set("vertices", 5), id="graph-vertices-int"),
+        pytest.param(["graph", "check"], _set_ends(["up"]), id="graph-one-end"),
+        pytest.param(["graph", "check"], _set_ends(["up", "u0", "u2"]), id="graph-three-ends"),
+        pytest.param(["graph", "check"], _set_dim("one"), id="graph-dim-word"),
+        pytest.param(["graph", "check"], _set_dim("1/2"), id="graph-dim-fraction"),
     ],
 )
 def test_malformed_quasi_split_input_exits_two(fixture_dir, tmp_path, command, mutate):
-    data = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
+    top = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
     # keep the base reachable from the mutated copy
-    data["collapse"]["to_graph"] = str(fixture_dir / data["collapse"]["to_graph"])
-    mutate(data)
+    top["collapse"]["to_graph"] = str(fixture_dir / top["collapse"]["to_graph"])
+    dec = json.loads((fixture_dir / "square_split.dec.json").read_text())
+    mutate({"dec": dec, "top": top})
     path = tmp_path / "mutated.graph.json"
-    path.write_text(json.dumps(data))
-    args = command + [str(fixture_dir / "square_split.dec.json"), str(path)]
+    path.write_text(json.dumps(top))
+    dec_path = tmp_path / "mutated.dec.json"
+    dec_path.write_text(json.dumps(dec))
+    args = command + [str(dec_path), str(path)]
     if command == ["split", "check"]:
         args += ["--eta", "1,-1"]
     res = run_cli(args)

@@ -14,6 +14,7 @@ from tropsplit.cones import (
     normal_cone_at_first_axis,
 )
 from tropsplit.exact import vec
+from tropsplit.polyhedra import Polyhedron
 
 # -- conversions ---------------------------------------------------------------
 
@@ -355,8 +356,8 @@ def _reps(c: Cone) -> tuple:
 
 
 def _round_trip(n, ineqs, eqs) -> tuple:
-    """The minimal representations as ``minimal()`` computed them before it
-    reused a converted V-representation: H to V, then V to H."""
+    """The minimal representations of an H-built cone by the full round
+    trip: H to V, then V to H."""
     rays, lin = cones._h_to_v(n, ineqs, eqs)
     return (rays, lin) + cones._h_to_v(n, rays, lin)
 
@@ -380,8 +381,9 @@ def _random_hreps():
 @pytest.mark.parametrize("ineqs, eqs", _random_hreps())
 def test_minimal_reuses_the_conversion_of_an_h_built_cone(monkeypatch, ineqs, eqs):
     """An H-built cone's V-representation is its own H to V conversion, so
-    ``minimal()`` after ``.rays`` runs one dual conversion, and gives what
-    a fresh cone's ``minimal()`` and the full round trip give."""
+    ``minimal()`` after ``.rays`` runs no conversion, reading the minimal
+    H-representation runs the one dual conversion, and both give what a
+    fresh cone's ``minimal()`` and the full round trip give."""
     fresh = Cone.from_hrep(ineqs, eqs, ambient_dim=3)
     want = _round_trip(3, fresh.ineqs, fresh.eqs)
     assert _reps(fresh.minimal()) == want
@@ -390,19 +392,48 @@ def test_minimal_reuses_the_conversion_of_an_h_built_cone(monkeypatch, ineqs, eq
     c.rays
     assert len(calls) == 1
     m = c.minimal()
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert _reps(m) == want
+    assert len(calls) == 2
+    assert m.minimal() is m
 
 
 def test_minimal_of_a_v_built_cone_takes_the_full_round_trip(monkeypatch):
+    """A V-built cone's converted H-representation is minimal, so its
+    ``minimal()`` runs V to H, then H to V when its rays are read: two
+    conversions, with the values of the full round trip."""
     rays, lin = [(1, 0, 0), (1, 1, 0), (2, 1, 0)], [(0, 0, 1)]
     want = _round_trip(3, *cones._h_to_v(3, rays, lin))
     calls = _count_h_to_v(monkeypatch)
     c = Cone.from_rays(rays, lin)
     c.rays
     assert calls == []
-    assert _reps(c.minimal()) == want
-    assert len(calls) == 3  # V to H, then H to V to H
+    m = c.minimal()
+    assert len(calls) == 1  # V to H
+    assert _reps(m) == want
+    assert len(calls) == 2  # then H to V
+    assert m.minimal() is m
+
+
+def test_hrep_of_a_v_built_polyhedron_runs_one_conversion(monkeypatch):
+    """``from_vrep(...).hrep()`` is the one V to H conversion of its
+    generators; the minimal cone it reads is built from that side."""
+    square = Polyhedron.from_vrep(2, vertices=[(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+    calls = _count_h_to_v(monkeypatch)
+    ineqs, eqs = square.hrep()
+    assert len(calls) == 1
+    assert sorted(ineqs) == [((-1, 0), 0), ((0, -1), 0), ((0, 1), 2), ((1, 0), 2)]
+    assert eqs == []
+
+
+@pytest.mark.parametrize(
+    "reps",
+    [{}, {"rays": (), "ineqs": ()}, {"lineality": (), "eqs": ()}],
+    ids=["neither", "rays-and-ineqs", "lineality-and-eqs"],
+)
+def test_a_cone_takes_exactly_one_representation(reps):
+    with pytest.raises(ValueError, match="exactly one representation"):
+        Cone(2, **reps)
 
 
 def test_normal_cone_helper():

@@ -89,3 +89,23 @@ def test_cone_from_dict_rejects_a_non_integer_ambient_dim(dim):
     with pytest.raises(ValueError):
         cone_from_dict({"ambient_dim": dim, "rays": [], "lineality": []})
     assert cone_from_dict({"ambient_dim": "2", "rays": [], "lineality": []}).ambient_dim == 2
+
+
+def test_a_cell_dim_is_read_as_an_exact_integer():
+    """An integer string ``dim`` is that integer, so ``validate()`` accepts
+    a true one; a word, a fraction or a float raises; no ``dim`` stays
+    None."""
+    data = fx.square_complex()
+    dec = decomposition_from_dict(data)
+    for p in data["polytopes"]:
+        p["dim"] = str(dec.cell(p["id"]).dim())
+    dec = decomposition_from_dict(data)
+    assert all(type(p.dim) is int for p in dec.polytopes.values())
+    dec.validate(geometric=False)
+    for bad in ("one", "1/2", 1.0, True):
+        data["polytopes"][0]["dim"] = bad
+        with pytest.raises(ValueError):
+            decomposition_from_dict(data)
+    del data["polytopes"][0]["dim"]
+    assert decomposition_from_dict(data).polytopes[data["polytopes"][0]["id"]].dim is None
+

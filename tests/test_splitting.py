@@ -313,13 +313,9 @@ WARM_CASES = (
 )
 
 
-def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monkeypatch):
-    """Once a graph's cones are cached, a cone direction costs the two
-    conversions of ``D.minimal()`` and nothing else: the increasing test
-    reads D's rays and the genericity test runs no conversion."""
+def _count_h_to_v(monkeypatch) -> Counter:
     from tropsplit import cones
 
-    decs = {"square": square_split, "cube": cube_split}
     calls = Counter()
     original = cones._h_to_v
 
@@ -327,15 +323,46 @@ def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monk
         calls["dd"] += 1
         return original(*args)
 
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    return calls
+
+
+def _warm(square_split, cube_split, run=cone_condition) -> list:
+    """The warm cases' graphs, each with its cached cones built by one
+    ``run`` in another direction."""
+    decs = {"square": square_split, "cube": cube_split}
     warm = []
     for dec, name, eta in WARM_CASES:
         q = quasi(decs[dec], name)
-        cone_condition(q, (1,) * q.n)  # warm the graph's cached cones
+        run(q, (1,) * q.n)
         warm.append((q, eta))
-    monkeypatch.setattr(cones, "_h_to_v", counted)
+    return warm
+
+
+def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monkeypatch):
+    """Once a graph's cones are cached, a cone direction costs the two
+    conversions of ``D.minimal()`` and nothing else: the verdict runs only
+    the H to V one, since the increasing test reads D's rays and the
+    genericity test runs no conversion, and reading D's minimal
+    H-representation runs the other."""
+    warm = _warm(square_split, cube_split)
+    calls = _count_h_to_v(monkeypatch)
     for q, eta in warm:
         calls.clear()
-        cone_condition(q, eta)
+        D = cone_condition(q, eta).D
+        assert calls["dd"] == 1, q.top
+        D.ineqs, D.eqs
+        assert calls["dd"] == 2, q.top
+
+
+def test_warm_split_report_runs_two_conversions(square_split, cube_split, monkeypatch):
+    """A warm split report serializes D, so it runs both conversions of
+    ``D.minimal()`` and no other."""
+    warm = _warm(square_split, cube_split, lambda q, eta: reports.split_report(q, eta, {}))
+    calls = _count_h_to_v(monkeypatch)
+    for q, eta in warm:
+        calls.clear()
+        reports.split_report(q, eta, {})
         assert calls["dd"] == 2, q.top
 
 
