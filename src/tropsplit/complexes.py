@@ -229,8 +229,10 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     hyperplane of a strict sign on its path (every ray is tight on that
     row), stays so in every refinement, so its whole subtree is dropped.
     Delta is bounded, so every cone on the walk is pointed and its walked
-    rays are its extreme rays: a kept cell is the V-built cone of them, and
-    its minimal H-representation is their one V to H conversion.
+    rays are its extreme rays, with their zero-sets over Delta's rows and
+    the path's sign rows: a kept cell is the minimal cone of them, and its
+    minimal H-representation is read off those zero-sets with no
+    conversion.
     """
     normals = imat(normals)
     N = len(normals)
@@ -273,9 +275,10 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
 
     kept: dict[tuple, Polyhedron] = {}
 
-    def walk(sigma, rays, strict, bit):
-        # rays: the prefix cell's extreme rays with their zero-sets; strict:
-        # the bits of its strict sign rows; bit: the next row's bit
+    def walk(sigma, rays, rows, strict):
+        # rays: the prefix cell's extreme rays with their zero-sets over
+        # rows, Delta's and the path's, bit i for rows[i]; strict: the bits
+        # of its strict sign rows
         if not rays:
             return  # empty
         tight = strict
@@ -285,20 +288,24 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
             return  # lies in the hyperplane of a strict sign
         i = len(sigma)
         if i == N:
-            cone = Cone(n + 1, rays=[r for r, _ in rays], lineality=())
+            rays = sorted(rays)
+            cone = Cone.from_conversion(
+                n + 1, tuple(r for r, _ in rays), (), rows, tuple(z for _, z in rays)
+            )
             kept[sigma] = Polyhedron(n, cone)
             return
         a = cut_rows[i]
         neg = tuple(-x for x in a)
+        bit = 1 << len(rows)
         _, below = _dd_step((), rays, a, bit)
-        walk(sigma + (-1,), below, strict | bit, bit << 1)
+        walk(sigma + (-1,), below, rows + (a,), strict | bit)
         if below:
             _, on = _dd_step((), below, neg, bit << 1)
-            walk(sigma + (0,), on, strict, bit << 2)
+            walk(sigma + (0,), on, rows + (a, neg), strict)
         _, above = _dd_step((), rays, neg, bit)
-        walk(sigma + (1,), above, strict | bit, bit << 1)
+        walk(sigma + (1,), above, rows + (neg,), strict | bit)
 
-    walk((), root, 0, 1 << len(delta_rows))
+    walk((), root, tuple(delta_rows), 0)
 
     def dual_vertex(sigma):
         v = [0] * n

@@ -24,19 +24,22 @@ lineality basis and extreme rays, each ray with its zero-set, by one more
 row ``a.y >= 0`` and returns the same state.  A conversion is
 ``_dd_pointed``, a step per row from the full space; ``toric_cut`` instead
 carries the state from a cell to its refinements, a step per added sign
-row, and hands each cell over as the V-built cone of its walked rays.
+row, and hands each cell over as the minimal cone of its walked rays and
+their zero-sets (``Cone.from_conversion``).
 
 A cone is built from exactly one representation, and the other side is
-converted from it, once, when something first reads it.  What ``_h_to_v``
-returns is minimal: the sorted primitive extreme rays (or facets) and an
-rref basis of the lineality space (or of the equalities).  So the converted
-side is the cone's minimal form, and ``minimal()`` is the cone rebuilt from
-it: one conversion there, and one more back only if the rebuilt cone's
-other side is read.  The output is canonical for the set and the span of
-the given equalities (or lineality); rows that imply an equality they do
-not state, or rays that span a line they do not state, can leave other
-representatives of the rays (or facets) modulo the lineality (or
-equalities).
+converted from it, once, when something first reads it.  A conversion
+returns the sorted primitive extreme rays (or facets), each reduced modulo
+an rref basis of the lineality space (or of the equalities) in the
+cone's own coordinates, and each ray's zero-set over the given rows (or
+generators).  That converted side is minimal and canonical for the set,
+whatever rows or generators stated it.  ``minimal()`` keeps it and reads
+the other side off the zero-sets when first read: the rows whose tight
+rays form a maximal proper set are the facets, reduced modulo the
+equalities, which span the orthogonal complement of the rays; on the dual,
+the generators read the same way are the extreme rays.  So a minimal form
+costs one conversion in either direction, and the cut's cells, whose rays
+and zero-sets come off its walk, cost none.
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -177,12 +180,15 @@ def _dedupe(pairs):
     return list(seen.items())
 
 
-def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
+def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     """V-representation of {x : ineq.x >= 0, eq.x = 0}.
 
     Rows may be rational; the conversion runs on their primitive integer
-    forms and returns the canonical rays and lineality basis as primitive
-    integer tuples.
+    forms.  Returns the sorted primitive extreme rays, the lineality basis
+    (primitive rref rows) and, per ray, its zero-set: the bitmask of the
+    given inequalities it is tight on.  Each ray is reduced modulo the
+    lineality basis in x coordinates, so the result depends on the set
+    only, not on the equalities that state it.
     """
     ineqs = [primitive(a) for a in ineqs]
     eqs = [primitive(e) for e in eqs]
@@ -192,16 +198,53 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
     K = _kernel_int(E, n) if E else None
     d = len(K) if E else n
     if d == 0:
-        return (), ()
+        return (), (), ()
     if K is not None:
         ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
-    lin_y, rays_y = _dd_pointed(d, ineqs)
-    rays_y = [r for r, _ in rays_y]
+    lin, rays = _dd_pointed(d, ineqs)
     if K is not None:
+        # back to x coordinates; reducing modulo the lineality keeps every
+        # zero-set, since a lineality vector is tight on every row
         Kt = list(zip(*K))
-        rays_y = [[_dot(y, col) for col in Kt] for y in rays_y]
-        lin_y = [[_dot(y, col) for col in Kt] for y in lin_y]
-    return _canon_rays(rays_y), _rref_int(lin_y)
+        lin = _rref_int([_dot(y, col) for col in Kt] for y in lin)
+        rays = [(_reduce_mod_span(lin, [_dot(y, col) for col in Kt]), z) for y, z in rays]
+    rays.sort()
+    return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
+
+
+def _read_off(n: int, rows, zs, rays, lin) -> tuple[tuple, tuple]:
+    """The minimal H-representation of the cone cut out by the primitive
+    rows ``a.x >= 0`` (and equalities, which play no part), read off the
+    output of its conversion: extreme rays ``rays`` with their zero-sets
+    ``zs`` over ``rows``, and the lineality basis ``lin``.
+
+    The equalities are the rref basis of the orthogonal complement of the
+    span.  Every facet is cut out by some row, and faces are ordered as
+    the rays they hold, so a row is a facet exactly when the set of rays
+    it is tight on is proper and maximal among the rows' sets; its
+    representative is the row reduced modulo the equalities.  Run on the
+    dual, the same reading gives the extreme rays and lineality of a cone
+    from its generators and its converted facets.
+    """
+    eqs = _rref_int(_kernel_int(_rref_int(rays + lin), n))
+    tight = [0] * len(rows)
+    for j, z in enumerate(zs):
+        while z:
+            low = z & -z
+            tight[low.bit_length() - 1] |= 1 << j
+            z ^= low
+    # rows with one tight set cut out one face, so one row stands for it
+    full = (1 << len(zs)) - 1
+    faces = {}
+    for i, t in enumerate(tight):
+        if t != full:
+            faces.setdefault(t, i)
+    facets = [
+        _reduce_mod_span(eqs, rows[i])
+        for t, i in faces.items()
+        if not any(t & u == t and t != u for u in faces)
+    ]
+    return tuple(sorted(facets)), eqs
 
 
 class Cone:
@@ -210,13 +253,12 @@ class Cone:
 
     __slots__ = (
         "ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim",
-        "_from_h",
+        "_from_h", "_zs", "_off",
     )
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
         self.ambient_dim = as_int(ambient_dim)
-        self._minimal = None
-        self._dim = None
+        self._minimal = self._dim = self._zs = self._off = None
         has_v = rays is not None or lineality is not None
         self._from_h = ineqs is not None or eqs is not None
         if has_v == self._from_h:
@@ -231,6 +273,29 @@ class Cone:
             for v in group or ():
                 if len(v) != self.ambient_dim:
                     raise ValueError("generator of wrong dimension")
+
+    @classmethod
+    def from_conversion(cls, n, rays, lineality, rows, zero_sets, dual=False) -> "Cone":
+        """The minimal cone whose canonical extreme rays and lineality basis
+        are ``rays`` and ``lineality``, each ray paired with its zero-set
+        over the primitive rows ``rows`` that cut the cone out (with
+        equalities that need not be passed).  Its H-representation is read
+        off the zero-sets when first read.  With ``dual`` the sides swap:
+        ``rays`` and ``lineality`` are the facets and equality basis of the
+        cone generated by ``rows`` and a lineality that need not be passed.
+        """
+        m = cls.__new__(cls)
+        m.ambient_dim = n
+        m._dim = m._zs = None
+        m._from_h = dual
+        m._off = (rows, zero_sets)
+        m._rays = m._lineality = m._ineqs = m._eqs = None
+        if dual:
+            m._ineqs, m._eqs = rays, lineality
+        else:
+            m._rays, m._lineality = rays, lineality
+        m._minimal = m
+        return m
 
     @classmethod
     def from_rays(cls, rays, lineality=(), ambient_dim=None):
@@ -264,12 +329,28 @@ class Cone:
 
     def _ensure_v(self):
         if self._rays is None:
-            self._rays, self._lineality = _h_to_v(self.ambient_dim, self._ineqs, self._eqs)
+            if self._off is None:
+                self._rays, self._lineality, self._zs = _h_to_v(
+                    self.ambient_dim, self._ineqs, self._eqs
+                )
+            else:
+                self._rays, self._lineality = _read_off(
+                    self.ambient_dim, *self._off, self._ineqs, self._eqs
+                )
 
     def _ensure_h(self):
         if self._ineqs is None:
-            # double description on the dual cone
-            self._ineqs, self._eqs = _h_to_v(self.ambient_dim, self._rays, self._lineality)
+            if self._off is None:
+                # double description on the dual cone
+                self._ineqs, self._eqs, self._zs = _h_to_v(
+                    self.ambient_dim, self._rays, self._lineality
+                )
+            else:
+                self._ineqs, self._eqs = _read_off(
+                    self.ambient_dim, *self._off, self._rays, self._lineality
+                )
+            # either way the equalities span the orthogonal complement
+            self._dim = self.ambient_dim - len(self._eqs)
 
     @property
     def rays(self) -> tuple:
@@ -292,15 +373,20 @@ class Cone:
         return self._eqs
 
     def minimal(self) -> "Cone":
-        """The same cone with both representations minimal and canonical:
-        the cone rebuilt from the side converted from the given one."""
+        """The same cone with both representations minimal and canonical
+        for the set: the side converted from the given one, with the other
+        side read off the conversion's zero-sets over the given rows (or
+        generators) when first read.  One conversion in all."""
         if self._minimal is None:
             n = self.ambient_dim
             if self._from_h:
-                m = Cone(n, rays=self.rays, lineality=self.lineality)
+                self._ensure_v()
+                m = Cone.from_conversion(n, self._rays, self._lineality, self._ineqs, self._zs)
             else:
-                m = Cone(n, ineqs=self.ineqs, eqs=self.eqs)
-            m._minimal = m
+                self._ensure_h()
+                m = Cone.from_conversion(
+                    n, self._ineqs, self._eqs, self._rays, self._zs, dual=True
+                )
             self._minimal = m
         return self._minimal
 

@@ -3,7 +3,10 @@
 ``_h_to_v`` and ``_dd_pointed`` with their helpers are the double
 description conversion as it ran on ``fractions.Fraction`` vectors with
 frozenset zero-sets, kept verbatim so that the integer-only conversion in
-``tropsplit.cones`` can be checked against it for exact equality.
+``tropsplit.cones`` can be checked against it for exact equality once
+``canonical_vrep`` has put both outputs in the form canonical for the set
+(the frozen one reduces rays modulo the lineality in the coordinates of
+the given equalities, so its representatives can differ).
 
 ``contains_polyhedron``, ``same_set``, ``lies_in_hyperplane``,
 ``is_face_of`` and ``direction_space`` are the ``Polyhedron`` queries as
@@ -129,6 +132,14 @@ def _reduce_mod_span(span_rref, v) -> Vec:
             f = v[p] / row[p]
             v = [x - f * y for x, y in zip(v, row)]
     return tuple(v)
+
+
+def canonical_vrep(rays, lin) -> tuple[tuple, tuple]:
+    """A V-representation in the form that is canonical for its set: the
+    lineality as primitive rref rows, and each ray reduced modulo them (zero
+    at every pivot), primitive, the rays sorted."""
+    span = _canon_span(lin)
+    return _canon_rays(_reduce_mod_span(span, r) for r in rays), span
 
 
 # ---------------------------------------------------------------------------

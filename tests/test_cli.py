@@ -256,10 +256,10 @@ def test_corpus_run_matches_and_is_stable():
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 326 double
+    """One pass over the corpus, each case cold, runs 270 double
     description conversions and gives the stored bytes.  A cone that
-    converted a side it already had, or a minimal form rebuilt by a round
-    trip, changes the count."""
+    converted a side it already had, or a minimal form that converts its
+    other side where it could read it off, changes the count."""
     calls = []
     original = cones._h_to_v
 
@@ -271,7 +271,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 326
+    assert len(calls) == 270
 
 
 def test_corpus_run_under_optimize_flag():

@@ -186,16 +186,16 @@ def test_toric_cut_rejects_too_many_facets_before_any_conversion(monkeypatch):
 
 
 def test_toric_cut_walks_the_cube_in_pinned_dd_steps(monkeypatch):
-    """The cube cut runs 7 DD steps for Delta's rows, 372 on the walk, one
-    per prefix visited (of 1092 prefixes in the full sign tree), and one
-    dual conversion for each of its 125 cells, for their minimal
-    H-representations, which take 512 steps.  A fallback to a conversion
-    per sign vector or per cell changes these counts."""
+    """The cube cut runs 7 DD steps for Delta's rows and 372 on the walk,
+    one per prefix visited (of 1092 prefixes in the full sign tree), and no
+    conversion: each of its 125 cells reads its minimal H-representation
+    off the walk's zero-sets.  A fallback to a conversion per sign vector
+    or per cell changes these counts."""
     calls = _count_dd(monkeypatch)
     t = fx.toric_cube()
     dec, _ = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
     assert len(dec.polytopes) == 125
-    assert dict(calls) == {"walk": 372, "step": 7 + 512, "h_to_v": 125}
+    assert dict(calls) == {"walk": 372, "step": 7}
 
 
 def _cut_outcome(cut, args):

@@ -5,7 +5,7 @@ as kernel lines of (d-1)-subsets of the constraint rows, keeps the feasible
 sign, and drops conic-hull duplicates.  It shares no code path with the
 incremental algorithm.  The integer-only conversion is also compared, for
 exact equality, with the frozen ``Fraction`` implementation in
-``oracles.py``.
+``oracles.py``, both passed through the same canonical reduction.
 """
 
 import itertools
@@ -139,14 +139,24 @@ def random_differential_input(rng):
 
 def test_h_to_v_matches_fraction_reference():
     """The integer-only conversion returns exactly what the frozen
-    Fraction implementation returns, as primitive integer tuples."""
+    Fraction implementation returns, as primitive integer tuples, once both
+    are put in the form canonical for the set, which the integer one
+    already returns; each ray comes with the bitmask of the inequalities it
+    is tight on."""
     rng = random.Random(31337)
     with_lineality = with_eqs = 0
     for _ in range(600):
         n, ineqs, eqs = random_differential_input(rng)
         got = _h_to_v(n, ineqs, eqs)
-        assert got == oracles._h_to_v(n, ineqs, eqs), (n, ineqs, eqs)
-        for group in got:
+        want = oracles._h_to_v(n, ineqs, eqs)
+        assert oracles.canonical_vrep(*got[:2]) == oracles.canonical_vrep(*want), (
+            n, ineqs, eqs)
+        assert got[:2] == oracles.canonical_vrep(*got[:2]), (n, ineqs, eqs)
+        assert got[2] == tuple(
+            sum(1 << i for i, a in enumerate(ineqs) if vdot(vec(a), vec(r)) == 0)
+            for r in got[0]
+        )
+        for group in got[:2]:
             for v in group:
                 assert all(type(x) is int for x in v)
         with_lineality += bool(got[1]) and bool(got[0])
@@ -160,3 +170,86 @@ def test_h_to_v_rejects_rows_of_wrong_dimension():
         _h_to_v(2, [(1, 2, 3)], [])
     with pytest.raises(ValueError):
         _h_to_v(3, [(1, 0, 0)], [(1, 2)])
+
+
+def _redundant(rng, vectors, lin):
+    """A non-minimal description of the cone of ``vectors`` and the span
+    ``lin``: the vectors rescaled, a sum of two of them, and one spanning
+    vector given as a pair of opposite vectors instead of in ``lin``."""
+    scales = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in vectors]
+    vectors = [[c * x for x in v] for c, v in zip(scales, vectors)]
+    if len(vectors) >= 2:
+        a, b = rng.sample(vectors, 2)
+        vectors.append([x + y for x, y in zip(a, b)])
+    lin = list(lin)
+    if lin and rng.random() < 0.5:
+        l = lin.pop(rng.randrange(len(lin)))
+        vectors += [list(l), [-x for x in l]]
+    rng.shuffle(vectors)
+    return vectors, lin
+
+
+def random_set_descriptions(rng):
+    """One cone given twice: by rows and by generators.  One side is drawn
+    at random, with a row given also negated (an equality it does not
+    state) or a generator given also negated (a line it does not state);
+    the other side is the frozen ``Fraction`` conversion of it, made
+    redundant with ``_redundant``."""
+    n = rng.randint(1, 5)
+
+    def vector():
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    first = [vector() for _ in range(rng.randint(0, n + 2))]
+    if first and rng.random() < 0.5:
+        first.append([-x for x in rng.choice(first)])
+    span = [vector() for _ in range(rng.choice((0, 0, 1, 2)))]
+    other = _redundant(rng, *oracles._h_to_v(n, first, span))
+    if rng.random() < 0.5:
+        return n, "H", (first, span), other
+    return n, "V", other, (first, span)
+
+
+def _inside(rays, lin, ineqs, eqs) -> bool:
+    """Whether every generator satisfies every row, in ``Fraction``
+    arithmetic with no cone code."""
+    gens = [vec(g) for g in rays] + [vec(l) for l in lin] + [vneg(vec(l)) for l in lin]
+    return all(vdot(vec(a), g) >= 0 for a in ineqs for g in gens) and not any(
+        vdot(vec(e), g) for e in eqs for g in gens)
+
+
+def test_one_canonical_minimal_form_per_set():
+    """Whatever describes a set, its minimal form is the same: the cone
+    built from rows, the cone built from generators, and every cone
+    rebuilt from either side of their minimal forms give identical rays,
+    lineality, inequalities and equalities.  That form is the set of the
+    frozen round trip (H to V to H, or V to H to V), and has its
+    dimension."""
+    rng = random.Random(1729)
+    seen = {"H": 0, "V": 0, "unstated equality": 0, "unstated line": 0}
+    for _ in range(1000):
+        n, built, (ineqs, eqs), (rays, lin) = random_set_descriptions(rng)
+        h = Cone(n, ineqs=ineqs, eqs=eqs)
+        v = Cone(n, rays=rays, lineality=lin)
+        m = h.minimal() if built == "H" else v.minimal()
+        want = (m.rays, m.lineality, m.ineqs, m.eqs)
+        rebuilt = [
+            Cone(n, ineqs=k.ineqs, eqs=k.eqs) for k in (h.minimal(), v.minimal())
+        ] + [Cone(n, rays=k.rays, lineality=k.lineality) for k in (h.minimal(), v.minimal())]
+        for c in [h, v] + rebuilt:
+            k = c.minimal()
+            assert (k.rays, k.lineality, k.ineqs, k.eqs) == want, (n, built, ineqs, eqs, rays, lin)
+        if built == "H":
+            o_rays, o_lin = oracles._h_to_v(n, ineqs, eqs)
+            o_ineqs, o_eqs = oracles._h_to_v(n, o_rays, o_lin)
+        else:
+            o_ineqs, o_eqs = oracles._h_to_v(n, rays, lin)
+            o_rays, o_lin = oracles._h_to_v(n, o_ineqs, o_eqs)
+        assert _inside(m.rays, m.lineality, o_ineqs, o_eqs)
+        assert _inside(o_rays, o_lin, m.ineqs, m.eqs)
+        o_dim = rank(mat(list(o_rays) + list(o_lin))) if o_rays or o_lin else 0
+        assert h.dim() == v.dim() == m.dim() == o_dim
+        seen[built] += 1
+        seen["unstated equality"] += len(m.eqs) > (rank(mat(eqs)) if eqs else 0)
+        seen["unstated line"] += len(m.lineality) > (rank(mat(lin)) if lin else 0)
+    assert min(seen.values()) >= 200, seen

@@ -339,12 +339,12 @@ def _warm(square_split, cube_split, run=cone_condition) -> list:
     return warm
 
 
-def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monkeypatch):
-    """Once a graph's cones are cached, a cone direction costs the two
-    conversions of ``D.minimal()`` and nothing else: the verdict runs only
-    the H to V one, since the increasing test reads D's rays and the
-    genericity test runs no conversion, and reading D's minimal
-    H-representation runs the other."""
+def test_warm_cone_condition_runs_one_conversion(square_split, cube_split, monkeypatch):
+    """Once a graph's cones are cached, a cone direction costs the one
+    conversion of ``D.minimal()`` and nothing else: the verdict runs D's H
+    to V conversion, the increasing test reads D's rays and the genericity
+    test runs no conversion, and D's minimal H-representation is read off
+    the conversion's zero-sets."""
     warm = _warm(square_split, cube_split)
     calls = _count_h_to_v(monkeypatch)
     for q, eta in warm:
@@ -352,18 +352,18 @@ def test_warm_cone_condition_runs_two_conversions(square_split, cube_split, monk
         D = cone_condition(q, eta).D
         assert calls["dd"] == 1, q.top
         D.ineqs, D.eqs
-        assert calls["dd"] == 2, q.top
+        assert calls["dd"] == 1, q.top
 
 
-def test_warm_split_report_runs_two_conversions(square_split, cube_split, monkeypatch):
-    """A warm split report serializes D, so it runs both conversions of
-    ``D.minimal()`` and no other."""
+def test_warm_split_report_runs_one_conversion(square_split, cube_split, monkeypatch):
+    """A warm split report serializes D, both sides of its minimal form,
+    and runs the one conversion of ``D.minimal()`` and no other."""
     warm = _warm(square_split, cube_split, lambda q, eta: reports.split_report(q, eta, {}))
     calls = _count_h_to_v(monkeypatch)
     for q, eta in warm:
         calls.clear()
         reports.split_report(q, eta, {})
-        assert calls["dd"] == 2, q.top
+        assert calls["dd"] == 1, q.top
 
 
 def test_cone_condition_ignores_the_scale_of_eta(square_split, cube_split):
