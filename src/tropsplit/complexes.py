@@ -13,16 +13,15 @@ from dataclasses import dataclass
 from .cones import Cone, _dd_pointed, _dd_step
 from .exact import (
     IntegerLattice,
+    _dot,
     _rref_int,
     as_int,
-    fr,
     imat,
+    ratvec,
     saturated_kernel_lattice,
     vdot,
-    vec,
-    vsub,
 )
-from .polyhedra import Polyhedron, _hom
+from .polyhedra import Polyhedron, _difference, _hom
 
 
 class DecompositionError(ValueError):
@@ -194,10 +193,8 @@ def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
         raise DecompositionError(f"{pv} is not a face of {pkv}")
     dv = dec.dual(pv)
     dk = dec.dual(pkv)
-    rays = []
-    for t in dv.vertices:
-        for t0 in dk.vertices:
-            rays.append(vsub(t, t0))
+    # differences of the vertices, on the integer generators
+    rays = [_difference(g, h) for g in dv.cone.rays if g[-1] for h in dk.cone.rays if h[-1]]
     rays.extend(dv.recession_rays)
     rays.extend(tuple(-x for x in r) for r in dk.recession_rays)
     return Cone(dec.ambient_dim, rays=rays, lineality=())
@@ -241,8 +238,8 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
             f"{N} facets give 3^{N} = {3**N} sign vectors, more than the "
             f"bound of {MAX_SIGN_VECTORS} sign vectors a cut may visit"
         )
-    constants = [fr(c) for c in constants]
-    epsilons = [fr(e) for e in epsilons]
+    constants = ratvec(constants)
+    epsilons = ratvec(epsilons)
     if not normals:
         raise DecompositionError("no facets")
     n = len(normals[0])
@@ -252,7 +249,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("epsilons must be positive")
     if any(len(m) != n for m in normals):
         raise DecompositionError("normals must have equal length")
-    lam = vec(lam)
+    lam = ratvec(lam)
     # Delta's homogenization cone; its rays at t = 0 and its lineality span
     # the recession cone of Delta
     delta_rows = [_hom(m, c) for m, c in zip(normals, constants)]
@@ -312,7 +309,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         for s, m in zip(sigma, normals):
             if s > 0:
                 v = [x + y for x, y in zip(v, m)]
-        return vec(v)
+        return tuple(v)
 
     vertex = {sigma: dual_vertex(sigma) for sigma in kept if 0 not in sigma}
     polytopes = []
@@ -358,15 +355,15 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
     if p0 not in dec.polytopes:
         raise DecompositionError(f"unknown cell {p0}")
     geom = dec.cell(p0)
-    lam = vec(lam)
+    lam = ratvec(lam)
     ineqs, eqs = geom.hrep()
     if not geom.contains(lam):
         return False
     for a, b in ineqs:
-        if vdot(vec(a), lam) == b:
+        if _dot(a, lam) == b:
             return False  # lam on the boundary
     for a, b in eqs:
-        if vdot(vec(a), lam) != b:
+        if _dot(a, lam) != b:
             return False
     for a, b in ineqs:
         facet = geom.intersect_hrep(eqs=[(a, b)])

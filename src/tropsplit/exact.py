@@ -7,7 +7,8 @@ integer rows, and ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are its
 ``Fraction`` views: the rational rref of a matrix is unique, so they are
 exact.  Kernel lattices come from one Smith form U M V = D: the columns of V
 past the rank span the saturated kernel.  ``primitive`` scales a rational
-vector to integer form and ``as_int`` is the one strict integer coercion.
+vector to integer form (an int vector only by its gcd), ``ratvec`` keeps
+int entries as ints, and ``as_int`` is the one strict integer coercion.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ Mat = tuple  # tuple of Vec
 
 
 def fr(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction.
+
+    Floats raise TypeError and bools ValueError: neither is an exact
+    rational.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
+    if isinstance(x, bool):
+        raise ValueError(f"expected a rational, got {x!r}")
     return Fraction(x)
 
 
@@ -57,21 +64,15 @@ def vec(xs) -> Vec:
     return tuple(fr(x) for x in xs)
 
 
-def vzero(n: int) -> Vec:
-    return (Fraction(0),) * n
+def ratvec(xs) -> Vec:
+    """Exact vector that keeps int entries as ints; the others go through
+    ``fr``, so floats and bools are rejected.  For integer arithmetic and
+    comparisons: ``/`` on an int entry gives a float."""
+    return tuple(x if type(x) is int else fr(x) for x in xs)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = fr(c)
-    return tuple(c * x for x in a)
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
@@ -96,10 +97,16 @@ def gcd_reduce(v) -> tuple:
 def primitive(a) -> tuple:
     """Primitive integer vector positively proportional to a rational one.
 
-    Int entries pass through; others are coerced with ``fr``, so floats
-    are rejected.  The zero vector maps to zeros.
+    An all-int vector is only divided by its gcd.  Otherwise int entries
+    pass through and the others are coerced with ``fr``, so floats and
+    bools are rejected, and the vector is scaled by the lcm of the
+    denominators first.  The zero vector maps to zeros.
     """
-    a = [x if type(x) is int else fr(x) for x in a]
+    if not isinstance(a, (tuple, list)):
+        a = tuple(a)  # read twice below
+    if all(type(x) is int for x in a):
+        return gcd_reduce(a)
+    a = ratvec(a)
     l = lcm(*(x.denominator for x in a))
     return gcd_reduce([x.numerator * (l // x.denominator) for x in a])
 
@@ -379,7 +386,7 @@ class IntegerLattice:
         the integer rref of [B^T | v] gives x_p = row[k] / row[p] for the
         row with pivot p, and v lies in the lattice when all are integers.
         """
-        v = vec(v)
+        v = ratvec(v)
         if any(x.denominator != 1 for x in v):
             return False
         k = len(self.basis)

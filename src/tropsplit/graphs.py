@@ -9,9 +9,10 @@ forces position(a) - position(b) onto the positive span of its direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .complexes import Decomposition
-from .exact import as_int, quotient_projection, vdot
+from .exact import _dot, as_int, quotient_projection
 from .polyhedra import Polyhedron
 
 TROPICAL = "tropical"
@@ -197,9 +198,13 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
     )
     witness = closed.relative_interior_point() if realizable else None
     # a relative interior point avoids every strict boundary: no strict
-    # row is implicit, so each cuts out a proper face
-    if witness is not None and not all(vdot(a, witness) < b for a, b in strict):
-        raise RuntimeError("relative interior point violates a strict row")
+    # row is implicit, so each cuts out a proper face.  The integer rows
+    # are tested on witness = num / den over one common denominator.
+    if witness is not None:
+        den = lcm(*(x.denominator for x in witness))
+        num = [x.numerator * (den // x.denominator) for x in witness]
+        if not all(_dot(a, num) < b * den for a, b in strict):
+            raise RuntimeError("relative interior point violates a strict row")
     return VertexPositionPolyhedron(
         vertex_order=order,
         closed=closed,

@@ -5,10 +5,13 @@ A polyhedron {x : A x <= b, E x = d} is stored as its homogenization cone
 every polyhedron query is a cone query: containment, equality, intersection
 and the hyperplane test run on that cone, and emptiness, dimension, affine
 hulls, faces and relative interior points are read off its generators,
-exactly and without any LP solver.  Containment and equality first ask
-whether a side is empty, because the cone of an empty polyhedron keeps
-recession directions at t = 0 that are no points of the set.  Vertices are
-the generators with t > 0 scaled to t = 1, as ``Fraction`` tuples;
+exactly and without any LP solver.  A polyhedron is empty exactly when no
+generator has t > 0, so emptiness is read off the t-signs of the integer
+rays.  Containment and equality first ask whether a side is empty, because
+the cone of an empty polyhedron keeps recession directions at t = 0 that
+are no points of the set.  Affine hulls and relative interior points are
+computed on the integer generators too.  Vertices are the generators with
+t > 0 scaled to t = 1, as ``Fraction`` tuples, built only when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
 integer tuples.
 """
@@ -16,6 +19,7 @@ integer tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cones import Cone, _canon_span
 from .exact import (
@@ -24,10 +28,6 @@ from .exact import (
     is_zero_vec,
     primitive,
     rref,  # unused here; the tracer tests in perfbench call polyhedra.rref
-    vadd,
-    vscale,
-    vsub,
-    vzero,
 )
 
 
@@ -40,15 +40,23 @@ def _hom(a, b) -> tuple:
     return tuple(-x for x in row[:-1]) + row[-1:]
 
 
+def _difference(g, h) -> tuple:
+    """For generators g and h of a homogenization cone, h at t > 0: a
+    positive multiple of g/t_g - h/t_h when g is at t > 0 too (a vertex
+    difference), and of g itself when g is at t = 0 (a recession ray)."""
+    s, t = g[-1], h[-1]
+    return tuple(t * x - s * y for x, y in zip(g[:-1], h[:-1]))
+
+
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_gens", "_hrep")
+    __slots__ = ("ambient_dim", "cone", "_verts", "_hrep")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._gens = None
+        self._verts = None
         self._hrep = None
 
     @classmethod
@@ -69,33 +77,26 @@ class Polyhedron:
 
     # structure ---------------------------------------------------------------
 
-    def _generators(self):
-        if self._gens is None:
-            verts, rays = [], []
-            for g in self.cone.rays:
-                t = g[-1]
-                if t > 0:
-                    verts.append(tuple(Fraction(x, t) for x in g[:-1]))
-                else:
-                    rays.append(g[:-1])
-            lin = [l[:-1] for l in self.cone.lineality]
-            self._gens = (verts, rays, lin)
-        return self._gens
-
     @property
     def vertices(self) -> list:
-        return self._generators()[0]
+        """The generators at t > 0 scaled to t = 1, as ``Fraction`` tuples."""
+        if self._verts is None:
+            self._verts = [
+                tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in self.cone.rays if g[-1] > 0
+            ]
+        return self._verts
 
     @property
     def recession_rays(self) -> list:
-        return self._generators()[1]
+        return [g[:-1] for g in self.cone.rays if not g[-1]]
 
     @property
     def lineality(self) -> list:
-        return self._generators()[2]
+        return [l[:-1] for l in self.cone.lineality]
 
     def is_empty(self) -> bool:
-        return not self.vertices
+        """No generator has t > 0, so the polyhedron has no vertex."""
+        return not any(g[-1] > 0 for g in self.cone.rays)
 
     def dim(self) -> int:
         """Dimension of the polyhedron; -1 when empty."""
@@ -132,27 +133,31 @@ class Polyhedron:
         return self.cone.same_set(other.cone)
 
     def direction_space(self) -> list:
-        """Basis rows of the affine hull's direction space."""
-        verts, rays, lin = self._generators()
-        if not verts:
+        """Basis rows of the affine hull's direction space: the span of
+        the vertex differences, recession rays and lineality, read off the
+        integer generators."""
+        g0 = next((g for g in self.cone.rays if g[-1] > 0), None)
+        if g0 is None:
             return []
-        v0 = verts[0]
-        return list(_canon_span([vsub(v, v0) for v in verts[1:]] + rays + lin))
+        rows = [_difference(g, g0) for g in self.cone.rays]
+        return list(_canon_span(rows + self.lineality))
 
-    def relative_interior_point(self):
-        verts, rays, lin = self._generators()
-        if not verts:
+    def relative_interior_point(self) -> tuple:
+        """(sum of the vertices + sum of the recession rays) / number of
+        vertices, as a ``Fraction`` tuple.  It is read off the integer sum
+        h of the generators, each vertex scaled to t = l, the lcm of their
+        t, and each recession ray by l: the point is h / h_t."""
+        ts = [g[-1] for g in self.cone.rays if g[-1] > 0]
+        if not ts:
             raise ValueError("empty polyhedron has no relative interior point")
-        k = len(verts)
-        p = vzero(self.ambient_dim)
-        for v in verts:
-            p = vadd(p, v)
-        for r in rays:
-            p = vadd(p, r)
-        p = vscale(Fraction(1, k), p)
-        if not self.contains(p):
+        l = lcm(*ts)
+        h = [0] * (self.ambient_dim + 1)
+        for g in self.cone.rays:
+            c = l // g[-1] if g[-1] else l
+            h = [x + c * y for x, y in zip(h, g)]
+        if not self.cone.contains(h):
             raise RuntimeError("relative interior point outside the polyhedron")
-        return p
+        return tuple(Fraction(x, h[-1]) for x in h[:-1])
 
     def lies_in_hyperplane(self, a, b) -> bool:
         """Whether the whole polyhedron satisfies a.x = b (the empty one

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import as_int, fr, imat, vdot, vec
+from .exact import as_int, fr, imat, ratvec, vdot
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")
     n = len(normals[0])
-    lam = vec(lam)
+    lam = ratvec(lam)
     if len(lam) != n:
         raise ValueError("base point of wrong dimension")
     terms = []

@@ -1,8 +1,11 @@
 """JSON schemas for decompositions, graphs, cones, series and reports.
 
 Every rational number travels as an exact string "p/q" (or "p"); the wire
-format never contains floats.  Serialization orders are canonical so that
-identical inputs always produce byte-identical reports.
+format never contains floats.  Parsing gives a Python int for an integral
+value and a ``Fraction`` otherwise, so integral rows, vertices and
+directions reach the cone kernel as the int vectors it runs on.
+Serialization orders are canonical so that identical inputs always produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,17 +26,26 @@ def rat_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(x) -> Fraction:
+def parse_rat(x) -> int | Fraction:
+    """Exact value of an int, a ``Fraction`` or a string like "3", "-3/4"
+    or "1.5": an int when it is integral, else a ``Fraction``.  Bools,
+    floats, zero denominators and malformed strings raise ValueError."""
+    if type(x) is int:
+        return x
+    if type(x) is str and x.isascii() and x.removeprefix("-").isdigit():
+        return int(x)
     if isinstance(x, bool):
         raise ValueError("expected a rational, got a bool")
     if isinstance(x, (int, str)):
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
-    if isinstance(x, Fraction):
-        return x
-    raise ValueError(f"expected a rational, got {type(x).__name__}")
+    elif isinstance(x, Fraction):
+        q = x
+    else:
+        raise ValueError(f"expected a rational, got {type(x).__name__}")
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec_str(v) -> list:

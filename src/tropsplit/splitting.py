@@ -27,7 +27,7 @@ from .exact import (
     is_generic_wrt,
     is_zero_vec,
     quotient_projection,
-    vec,
+    ratvec,
 )
 from .graphs import (
     TROPICAL,
@@ -296,7 +296,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     """Literal cone-condition verdict plus the effective-genericity
     certificate.  A failed certificate does not flip ``holds``; it marks
     the verdict as not certified."""
-    eta = vec(eta)
+    eta = ratvec(eta)
     if len(eta) != q.n:
         raise SplitError("cone direction has wrong dimension")
     if is_zero_vec(eta):

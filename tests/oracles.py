@@ -42,8 +42,10 @@ torsion and exponent lattice; all are kept verbatim so that the views of
 the integer elimination and the one-Smith-form lattices in
 ``tropsplit.exact`` can be checked against them.  The oracles above use
 these frozen versions too.  ``mat``, ``transpose``, ``det``, ``matmul``,
-``vneg``, ``count_root_solutions`` and ``tail_of_sequence_in`` are helpers
-and brute-force checks that only the tests use.
+``vneg``, ``vzero``, ``vsub``, ``vscale``, ``count_root_solutions`` and
+``tail_of_sequence_in`` are helpers and brute-force checks that only the
+tests use; ``_generators`` reads a ``Polyhedron``'s vertices, recession
+rays and lineality for the de-homogenized queries.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ from tropsplit.exact import (
     vadd,
     vdot,
     vec,
-    vscale,
-    vsub,
-    vzero,
 )
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import cone_to_dict, vec_str
@@ -90,6 +89,19 @@ from tropsplit.splitting import (
     index_shift,
     is_rigid_split,
 )
+
+
+def vzero(n: int) -> Vec:
+    return (Fraction(0),) * n
+
+
+def vsub(a: Vec, b: Vec) -> Vec:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vscale(c, a: Vec) -> Vec:
+    c = fr(c)
+    return tuple(c * x for x in a)
 
 
 def sign_normalized(a) -> tuple:
@@ -245,8 +257,13 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple]:
 # de-homogenized polyhedron queries
 
 
+def _generators(p) -> tuple:
+    """Vertices, recession rays and lineality of a ``Polyhedron``."""
+    return p.vertices, p.recession_rays, p.lineality
+
+
 def contains_polyhedron(self, other) -> bool:
-    verts, rays, lin = other._generators()
+    verts, rays, lin = _generators(other)
     if not verts and not rays and not lin:
         return True
     ineqs, eqs = self.hrep()
@@ -278,7 +295,7 @@ def lies_in_hyperplane(self, a, b) -> bool:
     """Whether the whole polyhedron satisfies a.x = b."""
     a = vec(a)
     b = fr(b)
-    verts, rays, lin = self._generators()
+    verts, rays, lin = _generators(self)
     return (
         all(vdot(a, v) == b for v in verts)
         and all(vdot(a, r) == 0 for r in rays)
@@ -300,7 +317,7 @@ def is_face_of(self, other) -> bool:
 
 def direction_space(self) -> list:
     """Basis rows of the affine hull's direction space."""
-    verts, rays, lin = self._generators()
+    verts, rays, lin = _generators(self)
     if not verts:
         return []
     v0 = verts[0]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tropsplit import cones
+from tropsplit import cones, exact
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
 from tropsplit.serialize import canonical_json
 
@@ -272,6 +272,27 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
     assert len(calls) == 270
+
+
+def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 18 ``exact.fr`` calls, all on non-integral input.  Integral data
+    stays int from parsing through the cone kernel: a path that turns an
+    int vector back into ``Fraction``s (once 1925 calls a pass) changes the
+    count."""
+    calls = []
+    original = exact.fr
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(exact, "fr", counted)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 18
+    assert all(type(x) is not int for x in calls), calls
 
 
 def test_corpus_run_under_optimize_flag():

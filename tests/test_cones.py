@@ -474,3 +474,14 @@ def test_cone_rejects_a_non_integer_ambient_dim(dim):
         Cone(dim, rays=())
     with pytest.raises(ValueError):
         Cone(dim, ineqs=())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"ineqs": [(True, 0)]}, {"eqs": [(0, False)]}, {"rays": [(1, True)]}, {"lineality": [(True, 1)]}],
+)
+def test_cone_rejects_bool_entries(kwargs):
+    """A bool is no exact rational: ``Cone(2, ineqs=[(True, 0)])`` does not
+    build the half-plane x1 >= 0."""
+    with pytest.raises(ValueError):
+        Cone(2, **kwargs)

@@ -9,6 +9,7 @@ import oracles
 from oracles import det, mat, matmul, transpose
 from tropsplit.exact import (
     IntegerLattice,
+    fr,
     imat,
     invariant_factors,
     is_generic_wrt,
@@ -446,3 +447,62 @@ def test_imat_rejects_inexact_integers(bad):
 def test_imat_keeps_exact_integers():
     assert imat(((1, Fraction(4, 2), "-3"),)) == ((1, 2, -3),)
     assert all(type(x) is int for x in imat(((Fraction(6, 3), "7"),))[0])
+
+
+# -- the integer fast path of primitive ------------------------------------------
+
+
+def _primitive_by_fractions(a):
+    """Every entry made a ``Fraction``, scaled by the lcm of the
+    denominators and divided by the gcd: the rational route."""
+    q = [Fraction(x) for x in a]
+    den = 1
+    for x in q:
+        den = den * x.denominator // gcd(den, x.denominator)
+    num = [x.numerator * (den // x.denominator) for x in q]
+    g = gcd(*num)
+    return tuple(x // g for x in num) if g > 1 else tuple(num)
+
+
+def test_primitive_matches_the_fraction_route():
+    """Seeded int, integral-``Fraction``, mixed, zero, negative and large
+    vectors give the same int tuple as the all-``Fraction`` route."""
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(2400):
+        n = rng.randint(0, 6)
+        kind = rng.choice(("int", "integral fraction", "mixed", "zero", "large"))
+        if kind == "zero":
+            a = [0] * n
+        elif kind == "large":
+            a = [rng.choice((-1, 1)) * rng.randrange(10**30) * rng.choice((1, 2, 6))
+                 for _ in range(n)]
+        else:
+            a = [rng.randint(-12, 12) * rng.choice((1, 1, 3, 4)) for _ in range(n)]
+        if kind == "integral fraction":
+            a = [Fraction(x) for x in a]
+        elif kind == "mixed":
+            a = [rng.choice((x, Fraction(x), Fraction(x, rng.randint(1, 5)))) for x in a]
+        for v in (a, tuple(a), iter(a)):
+            got = primitive(v)
+            assert got == _primitive_by_fractions(a), a
+            assert type(got) is tuple and all(type(x) is int for x in got), a
+        seen[kind] += 1
+        seen["negative"] += any(x < 0 for x in a)
+        seen["all int"] += all(type(x) is int for x in a)
+    for key in ("int", "integral fraction", "mixed", "zero", "large"):
+        assert seen[key] >= 400, seen
+    assert seen["negative"] >= 1000 and seen["all int"] >= 1000, seen
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2), (2, 0.5), (Fraction(1, 2), 1.5), (0.0,)])
+def test_primitive_still_rejects_floats(bad):
+    with pytest.raises(TypeError):
+        primitive(bad)
+
+
+@pytest.mark.parametrize("call", [fr, lambda x: vec((x, 1)), lambda x: primitive((x, 0))])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_not_rationals(call, flag):
+    with pytest.raises(ValueError):
+        call(flag)

@@ -15,6 +15,7 @@ from tropsplit.graphs import (
     validate_graph,
     vertex_positions,
 )
+from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import graph_from_dict
 
 
@@ -37,6 +38,18 @@ def test_gamma2_one_dimensional(square_plain):
     assert w.position(w.witness, "v1") == vec((F(1, 2), F(1, 2)))
     x, y = w.position(w.witness, "v2")
     assert x == y and F(1, 2) < x < 1
+
+
+def test_witness_on_a_strict_row_is_caught(square_plain, monkeypatch):
+    """The integer witness check still raises when the relative interior
+    point lies on a strict row: here a vertex of the closed polyhedron."""
+    g = graph("fig_rigid_gamma2")
+    w = vertex_positions(square_plain, g)
+    vertex = w.closed.vertices[0]
+    assert any(sum(x * y for x, y in zip(a, vertex)) == b for a, b in w.strict_rows)
+    monkeypatch.setattr(Polyhedron, "relative_interior_point", lambda self: self.vertices[0])
+    with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
+        vertex_positions(square_plain, g)
 
 
 def test_single_vertex_top_dimensional(square_plain):

@@ -207,3 +207,42 @@ def test_polyhedron_rejects_a_non_integer_ambient_dim(dim):
     with pytest.raises(ValueError):
         Polyhedron(dim, Cone.zero(2))
 
+
+
+def test_emptiness_and_interior_points_read_off_integer_generators():
+    """On seeded polyhedra, empty, bounded, unbounded and with lineality,
+    some with rational vertices: ``is_empty()`` is ``not vertices``, and
+    the relative interior point is (sum of the ``Fraction`` vertices + sum
+    of the recession rays) / number of vertices."""
+    rng = random.Random(1212)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        if rng.random() < 0.25:
+            den = rng.randint(2, 4)
+            p = Polyhedron.from_vrep(
+                n,
+                vertices=[[F(rng.randint(-4, 4), den) for _ in range(n)]
+                          for _ in range(rng.randint(1, 3))],
+                rays=[[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))],
+            )
+        else:
+            p = _random_polyhedron(rng, n)
+        assert p.is_empty() == (not p.vertices)
+        if p.is_empty():
+            seen["empty"] += 1
+            with pytest.raises(ValueError):
+                p.relative_interior_point()
+            continue
+        seen["unbounded" if p.recession_rays or p.lineality else "bounded"] += 1
+        seen["with lineality"] += bool(p.lineality)
+        seen["rational vertex"] += any(x.denominator > 1 for v in p.vertices for x in v)
+        k = len(p.vertices)
+        want = [F(0)] * n
+        for g in list(p.vertices) + list(p.recession_rays):
+            want = [x + y for x, y in zip(want, g)]
+        got = p.relative_interior_point()
+        assert got == tuple(x / k for x in want)
+        assert all(type(x) is F for x in got) and p.contains(got)
+    for key in ("empty", "bounded", "unbounded", "with lineality", "rational vertex"):
+        assert seen[key] >= 50, seen

@@ -32,6 +32,24 @@ def test_rational_strings():
         parse_rat(0.5)
 
 
+@pytest.mark.parametrize("x", ["3", "-0", "007", "+3", " 3 ", "6/2", "3.0", 7, F(3)])
+def test_integral_rationals_parse_to_ints(x):
+    got = parse_rat(x)
+    assert type(got) is int and got == F(x)
+
+
+@pytest.mark.parametrize("x", ["3/4", "1.5", F(-5, 3)])
+def test_other_rationals_parse_to_fractions(x):
+    got = parse_rat(x)
+    assert type(got) is F and got == F(x)
+
+
+@pytest.mark.parametrize("x", ["1/0", "x", "", True, 0.5, "--3", None])
+def test_malformed_rationals_raise(x):
+    with pytest.raises(ValueError):
+        parse_rat(x)
+
+
 def test_no_floats_in_wire_format():
     data = fx.square_complex()
     text = canonical_json(data)

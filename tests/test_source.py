@@ -40,3 +40,16 @@ def test_no_unused_imports_in_library():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found |= {(path.stem, name) for name in imported - used}
     assert found == UNUSED_IMPORT_ALLOWED
+
+
+def test_cones_import_no_fractions():
+    """The double description is integer-only: ``cones`` imports neither
+    ``Fraction`` (nor the ``fractions`` module) nor ``exact.fr``."""
+    path = Path(tropsplit.__file__).parent / "cones.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+            names.add(getattr(node, "module", None))
+    assert "exact" in names  # the walk sees the module's imports
+    assert not names & {"Fraction", "fr", "fractions"}, names

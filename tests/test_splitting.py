@@ -121,6 +121,14 @@ def test_cone_condition_square(square_split):
         cone_condition(q, (0, 0))
 
 
+@pytest.mark.parametrize("eta", [(True, 0), (1, False), (True, True)])
+def test_cone_condition_rejects_bool_directions(square_split, eta):
+    """A bool is no cone direction entry, though True == 1."""
+    q = quasi(square_split, "fig_square_top1")
+    with pytest.raises(ValueError):
+        cone_condition(q, eta)
+
+
 def test_cone_condition_cube_nongeneric(cube_split):
     q = quasi(cube_split, "fig_cube_top1")
     cc = cone_condition(q, (1, 1, 0))
