@@ -47,11 +47,16 @@ class Decomposition:
 
     def __init__(self, ambient_dim, polytopes, faces, dual_cells, split_set=()):
         self.ambient_dim = as_int(ambient_dim)
+        polytopes = list(polytopes)
         self.polytopes: dict[str, Polytope] = {p.id: p for p in polytopes}
-        if len(self.polytopes) != len(list(polytopes)):
+        if len(self.polytopes) != len(polytopes):
             raise DecompositionError("duplicate polytope ids")
         self.face_pairs = frozenset((q, p) for q, p in faces)
-        self.dual_cells: dict[str, DualCell] = {d.polytope_id: d for d in dual_cells}
+        self.dual_cells: dict[str, DualCell] = {}
+        for d in dual_cells:
+            if d.polytope_id in self.dual_cells:
+                raise DecompositionError(f"duplicate dual cell for {d.polytope_id}")
+            self.dual_cells[d.polytope_id] = d
         self.split_set = frozenset(split_set)
         self._geom: dict[str, Polyhedron] = {}
         self._dual_geom: dict[str, Polyhedron] = {}

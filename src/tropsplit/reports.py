@@ -6,7 +6,9 @@ inputs always serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import marshal
 
 from . import __version__
 from .complexes import Decomposition, is_tropical_fiber
@@ -31,15 +33,41 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def input_digest(value) -> str:
+    """``digest(canonical_json(value).encode())``, memoized by exact content.
+
+    The memo key is ``marshal.dumps(value)``, which writes exact builtin
+    types only: ``True``, ``1`` and ``1.0`` give different bytes, as do
+    ``-0.0`` and ``0.0``, and a dict mutated in place gives new bytes, so
+    a new key.  The digest is computed from the key alone (``_digest_of``
+    loads it back, and marshal round-trips exact builtin values exactly),
+    so a cached entry cannot disagree with its key.  No memo is keyed by
+    identity: the caller's dicts are mutable.
+
+    Marshal raises ``ValueError`` on a subclass of ``str``, ``int`` or
+    ``dict``, on ``Fraction`` and on too-deep nesting, and it writes any
+    other buffer object (a NumPy scalar, say) as plain bytes, which
+    ``canonical_json`` then rejects with ``TypeError``.  Either error
+    sends the value down the uncached line, which gives the same digest
+    or raises the same exception as it always did.
+    """
+    try:
+        return _digest_of(marshal.dumps(value))
+    except (TypeError, ValueError):
+        return digest(canonical_json(value).encode())
+
+
+@functools.lru_cache(maxsize=64)
+def _digest_of(data: bytes) -> str:
+    return digest(canonical_json(marshal.loads(data)).encode())
+
+
 def _head(command: str, inputs: dict) -> dict:
-    # The input digests are computed on every call and never cached: the
-    # caller's dicts are mutable, so a digest kept by the dict's identity
-    # could describe contents that have since changed.
     return {
         "tool": "tropsplit",
         "version": __version__,
         "command": command,
-        "inputs": {k: digest(canonical_json(v).encode()) for k, v in sorted(inputs.items())},
+        "inputs": {k: input_digest(v) for k, v in sorted(inputs.items())},
     }
 
 

@@ -17,8 +17,9 @@ form in ``tropsplit.polyhedra`` can be checked against them.
 ``cone_condition`` and ``split_report`` are the cone-condition verdict and
 the split report as they ran with every step repeated per cone direction:
 Disc's preimage, an orthant ``intersect``, a full elimination per
-genericity subspace and ``Fraction`` projections, and both cached cones
-serialized again; they are kept verbatim (the family passed by its bases)
+genericity subspace and ``Fraction`` projections, both cached cones
+serialized again and, in ``_head``, every input serialized and hashed
+again with no memo; they are kept verbatim (the family passed by its bases)
 so that the per-graph caches of ``tropsplit.splitting`` can be checked
 against them.
 
@@ -54,7 +55,7 @@ import itertools
 from fractions import Fraction
 from itertools import product
 
-from tropsplit import reports
+from tropsplit import __version__
 from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
     Decomposition,
@@ -82,7 +83,8 @@ from tropsplit.exact import (
     vec,
 )
 from tropsplit.polyhedra import Polyhedron
-from tropsplit.serialize import cone_to_dict, vec_str
+from tropsplit.reports import digest
+from tropsplit.serialize import canonical_json, cone_to_dict, vec_str
 from tropsplit.splitting import (
     ConeConditionVerdict,
     SplitError,
@@ -417,9 +419,18 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     )
 
 
+def _head(command: str, inputs: dict) -> dict:
+    return {
+        "tool": "tropsplit",
+        "version": __version__,
+        "command": command,
+        "inputs": {k: digest(canonical_json(v).encode()) for k, v in sorted(inputs.items())},
+    }
+
+
 def split_report(q, eta, inputs: dict, i_br=None) -> dict:
     cc = cone_condition(q, eta)
-    out = reports._head("split-check", inputs)
+    out = _head("split-check", inputs)
     out.update(
         {
             "eta": vec_str(eta),

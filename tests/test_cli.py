@@ -464,6 +464,20 @@ def test_non_integer_ambient_dim_exits_two(fixture_dir, tmp_path):
     ]))
 
 
+def test_duplicate_dual_cell_exits_two(fixture_dir, tmp_path):
+    """A decomposition with two dual cells for one polytope is an input
+    error (exit 2), not a negative verdict (exit 1)."""
+    data = json.loads((fixture_dir / "square_plain.dec.json").read_text())
+    data["dual_cells"].append({"id": "Qmm", "vertices": [["9", "9"]], "rays": []})
+    path = tmp_path / "d.dec.json"
+    path.write_text(json.dumps(data))
+    res = run_cli([
+        "graph", "check", str(path), str(fixture_dir / "fig_rigid_gamma1.graph.json")
+    ])
+    assert res.exit_code == 2, res.output
+    assert "duplicate dual cell for Qmm" in res.stderr, res.stderr
+
+
 def test_internal_error_exits_three(fixture_dir):
     """An exception no command turns into a verdict or an input error exits
     3, never 1, with its traceback and an error line; forced here in a

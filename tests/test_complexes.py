@@ -13,6 +13,7 @@ from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
     Decomposition,
     DecompositionError,
+    DualCell,
     cone_of_relative_cell,
     is_tropical_fiber,
     toric_cut,
@@ -311,6 +312,27 @@ def test_toric_cut_at_scale(name, cells, cells_by_dim):
 def test_decomposition_rejects_a_non_integer_ambient_dim(dim):
     with pytest.raises(ValueError):
         Decomposition(dim, [], [], [])
+
+
+def test_decomposition_rejects_a_duplicate_dual_cell(square_plain):
+    """A second dual cell for one polytope is an input error naming the
+    polytope, not a silent replacement of the first."""
+    duals = list(square_plain.dual_cells.values())
+    extra = DualCell("Qmm", ((9, 9),))
+    with pytest.raises(DecompositionError, match="duplicate dual cell for Qmm"):
+        Decomposition(2, square_plain.polytopes.values(), square_plain.face_pairs,
+                      duals + [extra])
+
+
+def test_decomposition_accepts_any_iterable_of_polytopes(square_plain):
+    """Polytopes given by a generator are read once: distinct ids pass and
+    a repeated id is still caught."""
+    args = (square_plain.face_pairs, square_plain.dual_cells.values())
+    cells = list(square_plain.polytopes.values())
+    dec = Decomposition(2, (p for p in cells), *args)
+    assert dec.polytopes == square_plain.polytopes
+    with pytest.raises(DecompositionError, match="duplicate polytope ids"):
+        Decomposition(2, (p for p in cells + cells[:1]), *args)
 
 
 def test_toric_cut_rejects_unbounded():

@@ -1,0 +1,159 @@
+import hashlib
+import random
+from collections import OrderedDict
+from fractions import Fraction as F
+
+import pytest
+
+from conftest import quasi
+from tropsplit import fixtures as fx
+from tropsplit import reports
+from tropsplit.reports import input_digest
+from tropsplit.serialize import canonical_json
+
+SCALARS = (1, 1.0, True, False, 0, 0.0, -0.0, None, 2**70, -(10**30), 0.5,
+           float("inf"), "", "a", "1")
+KEYS = ("a", "b", "c", "1", "")
+
+
+def reference(value) -> str:
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+def outcome(fn, value):
+    """The digest, or the type of the exception raised."""
+    try:
+        return fn(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def random_value(rng, depth):
+    """A JSON-like value over few scalars and keys, so that values repeat
+    and differ only by ``1``/``1.0``/``True`` or ``0.0``/``-0.0``."""
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return rng.choice(SCALARS)
+    items = [random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    keys = rng.sample(KEYS, len(items))
+    if kind == 3:
+        return dict(zip(keys, items))
+    pairs = list(zip(keys, items))
+    rng.shuffle(pairs)  # the same content in another insertion order
+    return {k: v for k, v in pairs}
+
+
+def test_input_digest_matches_the_uncached_digest():
+    """Over 2400 seeded values, many repeated and many differing only in a
+    scalar's exact type or sign, every memoized digest equals sha256 of the
+    value's canonical JSON, and the memo is hit."""
+    rng = random.Random(13)
+    reports._digest_of.cache_clear()
+    kinds = set()
+    for _ in range(2400):
+        value = random_value(rng, rng.randrange(4))
+        kinds.add(type(value))
+        assert input_digest(value) == reference(value), value
+    assert kinds == {dict, list, tuple, *{type(s) for s in SCALARS}}
+    info = reports._digest_of.cache_info()
+    assert info.hits > 500 and info.misses > 500, info
+
+
+@pytest.mark.parametrize("pair", [
+    (1, 1.0), (1, True), (1.0, True), (0.0, -0.0), (0, False), ({1: 2}, {"1": 2}),
+    ([1], (1,)), ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+], ids=repr)
+def test_near_equal_values_keep_their_own_digests(pair):
+    """Values that compare equal in Python but may serialize differently
+    each get the digest of their own JSON, whichever is digested first."""
+    for first, second in (pair, pair[::-1]):
+        reports._digest_of.cache_clear()
+        assert input_digest({"x": first}) == reference({"x": first})
+        assert input_digest({"x": second}) == reference({"x": second})
+
+
+def test_input_digest_follows_in_place_mutation():
+    """A dict changed in place after it was digested, at top level or
+    nested, gets the digest of its new content; changed back, the old."""
+    value = {"a": [1, 2], "b": {"c": 1, "d": [0.0]}}
+    before = input_digest(value)
+    for mutate in (
+        lambda v: v.__setitem__("z", None),
+        lambda v: v["b"].__setitem__("c", True),
+        lambda v: v["b"]["d"].__setitem__(0, -0.0),
+        lambda v: v["a"].append(2**70),
+    ):
+        mutate(value)
+        assert input_digest(value) == reference(value)
+        assert input_digest(value) != before
+    value = {"a": [1, 2], "b": {"c": 1, "d": [0.0]}}
+    assert input_digest(value) == before
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def deep(n):
+    value = []
+    for _ in range(n):
+        value = [value]
+    return value
+
+
+def circular():
+    value = [1]
+    value.append(value)
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    Name("x"), {"a": Name("x")}, {Name("k"): 1}, Count(3), [Count(3)],
+    OrderedDict([("b", 1), ("a", 2)]), {"a": OrderedDict(a=1)},
+    F(1, 2), {"a": F(1, 2)}, {1: 1, "a": 2}, {"a": {1, 2}}, {"a": b"x"},
+    {(1, 2): 0}, {"a": 1 + 2j}, deep(5000), circular(),
+], ids=lambda v: type(v).__name__)
+def test_unmarshalable_or_unserializable_values_keep_the_uncached_outcome(value):
+    """Subclasses of builtins, ``Fraction``, too-deep nesting and values no
+    JSON holds give the uncached digest or raise the same exception type."""
+    assert outcome(input_digest, value) == outcome(reference, value)
+
+
+def test_buffer_scalars_keep_the_uncached_outcome():
+    """Marshal writes a buffer object as plain bytes, so a NumPy float,
+    which JSON writes as a float, must still get its own digest."""
+    np = pytest.importorskip("numpy")
+    for value in ({"a": np.float64(1.5)}, [np.float64(-0.0)], {"a": np.int64(1)},
+                  {"a": np.str_("x")}, {np.str_("k"): 1}):
+        assert outcome(input_digest, value) == outcome(reference, value), value
+
+
+def test_each_input_is_serialized_once_per_content(monkeypatch, square_split):
+    """A warm ``split_report`` with inputs it has already seen makes no
+    ``canonical_json`` call, one with three fresh inputs makes three, and
+    the memo never holds more than 64 entries."""
+    q = quasi(square_split, "fig_square_top1")
+    inputs = {"dec": fx.square_complex(), "top": fx.GRAPHS["fig_square_top1"](),
+              "base": fx.GRAPHS["fig_square_base"]()}
+    want = reports.split_report(q, (1, -1), inputs)
+    calls = []
+    original = reports.canonical_json
+    monkeypatch.setattr(reports, "canonical_json", lambda v: calls.append(v) or original(v))
+    assert reports.split_report(q, (1, -1), inputs) == want
+    assert reports.split_report(q, (2, -1), inputs)["inputs"] == want["inputs"]
+    assert calls == []
+    fresh = {k: {**v, "note": "fresh"} for k, v in inputs.items()}
+    reports.split_report(q, (1, -1), fresh)
+    assert len(calls) == 3
+    for i in range(200):
+        assert input_digest({"i": i}) == reference({"i": i})
+    assert reports._digest_of.cache_info().maxsize == 64
+    assert reports._digest_of.cache_info().currsize <= 64

@@ -53,3 +53,17 @@ def test_cones_import_no_fractions():
             names.add(getattr(node, "module", None))
     assert "exact" in names  # the walk sees the module's imports
     assert not names & {"Fraction", "fr", "fractions"}, names
+
+
+def test_no_identity_keyed_caches():
+    """No module calls the builtin ``id``: a cache keyed by an object's
+    identity can describe contents that have changed since, or an object
+    that has been freed and whose identity was reused."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert not found, found
