@@ -54,6 +54,8 @@ class Decomposition:
         self.face_pairs = frozenset((q, p) for q, p in faces)
         self.dual_cells: dict[str, DualCell] = {}
         for d in dual_cells:
+            if d.polytope_id not in self.polytopes:
+                raise DecompositionError(f"dual cell for unknown polytope {d.polytope_id}")
             if d.polytope_id in self.dual_cells:
                 raise DecompositionError(f"duplicate dual cell for {d.polytope_id}")
             self.dual_cells[d.polytope_id] = d

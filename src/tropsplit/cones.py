@@ -21,11 +21,13 @@ and ``exact._kernel_int`` reads kernels off its rows.
 
 There is one double description step, ``_dd_step``: it cuts the cone of a
 lineality basis and extreme rays, each ray with its zero-set, by one more
-row ``a.y >= 0`` and returns the same state.  A conversion is
-``_dd_pointed``, a step per row from the full space; ``toric_cut`` instead
-carries the state from a cell to its refinements, a step per added sign
-row, and hands each cell over as the minimal cone of its walked rays and
-their zero-sets (``Cone.from_conversion``).
+row ``a.y >= 0`` and returns the same state.  It starts in one of three
+ways.  A conversion is ``_dd_pointed``, a step per row from the full
+space.  ``orthant_cut`` starts from the nonnegative orthant, whose state is
+known (the unit rays, no lineality), and steps once per cut row.
+``toric_cut`` carries the state from a cell to its refinements, a step per
+added sign row.  The last two hand each cone over as the minimal cone of
+its rays and their zero-sets (``Cone.from_conversion``).
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  A conversion
@@ -170,6 +172,36 @@ def _dd_pointed(d: int, rows) -> tuple[tuple, list]:
     for idx, a in enumerate(rows):
         lin, rays = _dd_step(lin, rays, a, 1 << idx)
     return lin, rays
+
+
+def orthant_cut(s: int, ineqs, eqs) -> "Cone":
+    """The minimal cone {x in R^s : x >= 0, a.x >= 0 for a in ineqs,
+    e.x = 0 for e in eqs}, converted from the nonnegative orthant.
+
+    The orthant's double description state is known: no lineality, and the
+    unit rays, ray i tight on every unit row but its own.  The conversion
+    starts there and takes one ``_dd_step`` per nonzero inequality and two,
+    ``e`` and ``-e``, per nonzero equality; the sorted rays and their
+    zero-sets over the unit rows and the cut rows go to
+    ``Cone.from_conversion``.  The result equals
+    ``Cone(s, ineqs=ineqs + units, eqs=eqs).minimal()`` on both sides.
+    """
+    rows = [_unit(s, i) for i in range(s)]
+    full = (1 << s) - 1
+    lin, rays = (), [(u, full ^ (1 << i)) for i, u in enumerate(rows)]
+    cuts = [a for a in map(primitive, ineqs) if any(a)]
+    for e in map(primitive, eqs):
+        if any(e):
+            cuts += [e, tuple(-x for x in e)]
+    if any(len(a) != s for a in cuts):
+        raise ValueError("constraint row of wrong dimension")
+    for a in cuts:
+        lin, rays = _dd_step(lin, rays, a, 1 << len(rows))
+        rows.append(a)
+    rays.sort()
+    return Cone.from_conversion(
+        s, tuple(r for r, _ in rays), lin, tuple(rows), tuple(z for _, z in rays)
+    )
 
 
 def _dedupe(pairs):
@@ -499,17 +531,18 @@ def is_increasing(cone: Cone) -> bool:
     is not contained in the orthant.
 
     Inside the orthant each slice is a face of C, cut out by the valid
-    inequalities x_k >= 0 for k > i, and a face of a pointed cone is
-    generated by the extreme rays of C that lie in it.  So slice i has the
-    rank of the rays that vanish at coordinates i+1..n, and the test needs
-    no conversion beyond C's own rays.
+    inequalities x_k >= 0 for k > i, and a face of a cone is generated by
+    the generators of C that lie in it: the rays whose last nonzero
+    coordinate is at most i.  So every slice i has dimension i exactly when,
+    for each i, some ray's last nonzero coordinate is i.  By induction on i:
+    slice i-1 then spans R^(i-1), and slice i lies in R^i, so one ray with
+    a nonzero coordinate i lifts its dimension to i; without such a ray
+    slice i is slice i-1, of dimension at most i-1.  The test is one set of
+    ray supports: no conversion beyond C's own rays and no elimination.
     """
-    n = cone.ambient_dim
     _check_in_orthant(cone)
-    for i in range(1, n + 1):
-        if len(_rref_int([r for r in cone.rays if not any(r[i:])])) != i:
-            return False
-    return True
+    last = {max(i for i, x in enumerate(r) if x) for r in cone.rays}
+    return len(last) == cone.ambient_dim
 
 
 def _check_in_orthant(cone: Cone):

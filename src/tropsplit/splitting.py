@@ -16,7 +16,7 @@ from functools import cached_property
 from math import lcm
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, _unit, is_increasing
+from .cones import Cone, is_increasing, orthant_cut
 from .exact import (
     GenericityCertificate,
     Subspace,
@@ -67,8 +67,9 @@ class QuasiSplitGraph:
     ``genericity_family`` (each subspace with its annihilator rows) and
     ``cone_dicts`` (w and Disc serialized, frozen, for reports).  A cone
     direction then costs Disc's rows pulled back along M_eta, one scalings
-    cone, that cone's two conversions, the increasing test and one dot
-    product per annihilator row.
+    cone cut from the orthant's known rays by a double description step per
+    pulled row (no conversion), the increasing test on its ray supports and
+    one dot product per annihilator row.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -310,7 +311,8 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     # x to the blocks x_i pi_i(eta); D is built from num, a positive
     # multiple of eta, which leaves D unchanged.  Column i of M_eta is
     # pi_i(num) in block i, and a row of Disc pulls back to its dot
-    # products with the columns.
+    # products with the columns.  D is the orthant cut by the pulled rows,
+    # so its double description starts from the unit rays.
     den = lcm(*(x.denominator for x in eta))
     num = tuple(x.numerator * (den // x.denominator) for x in eta)
     pi_num = [tuple(_dot(prow, num) for prow in proj) for _, _, proj in data.blocks]
@@ -320,11 +322,7 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     def pull(a):
         return tuple(_dot(a, col) for col in cols)
 
-    D = Cone(
-        s,
-        ineqs=[pull(a) for a in data.disc.ineqs] + [_unit(s, i) for i in range(s)],
-        eqs=[pull(a) for a in data.disc.eqs],
-    ).minimal()
+    D = orthant_cut(s, [pull(a) for a in data.disc.ineqs], [pull(a) for a in data.disc.eqs])
     holds = is_increasing(D)
     fam, labels = q.genericity_family
     cert = is_generic_wrt(num, fam, labels)

@@ -16,17 +16,19 @@ form in ``tropsplit.polyhedra`` can be checked against them.
 
 ``cone_condition`` and ``split_report`` are the cone-condition verdict and
 the split report as they ran with every step repeated per cone direction:
-Disc's preimage, an orthant ``intersect``, a full elimination per
-genericity subspace and ``Fraction`` projections, both cached cones
-serialized again and, in ``_head``, every input serialized and hashed
-again with no memo; they are kept verbatim (the family passed by its bases)
-so that the per-graph caches of ``tropsplit.splitting`` can be checked
-against them.
+Disc's preimage, an orthant ``intersect`` and a conversion from the full
+space, the increasing test by one conversion per slice (this module's
+``is_increasing``, not the library's), a full elimination per genericity
+subspace and ``Fraction`` projections, both cached cones serialized again
+and, in ``_head``, every input serialized and hashed again with no memo;
+they are kept verbatim (the family passed by its bases) so that the
+per-graph caches and the orthant cut of ``tropsplit.splitting`` can be
+checked against them.
 
 ``is_increasing`` is the increasing-cone test as it ran one double
 description per coordinate slice, and ``is_generic_wrt`` the genericity
 test as it ran ``Fraction`` ranks; both are kept verbatim so that the
-face-based test in ``tropsplit.cones`` and the integer test in
+ray-support test in ``tropsplit.cones`` and the integer test in
 ``tropsplit.exact`` can be checked against them.  ``sign_normalized`` is
 kept for ``direction_space``.
 
@@ -64,7 +66,6 @@ from tropsplit.complexes import (
     Polytope,
 )
 from tropsplit.cones import Cone, _check_in_orthant
-from tropsplit.cones import is_increasing as cones_is_increasing
 from tropsplit.exact import (
     GenericityCertificate,
     _dot,
@@ -404,7 +405,7 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     pre = data.disc.preimage(m_eta_rows, domain_dim=s)
     orthant = Cone.from_hrep([_unit(s, i) for i in range(s)])
     D = pre.intersect(orthant).minimal()
-    holds = cones_is_increasing(D)
+    holds = is_increasing(D)
     fam, labels = q.genericity_family
     cert = is_generic_wrt(eta_int, [S.basis for S in fam], labels)
     return ConeConditionVerdict(

@@ -256,10 +256,12 @@ def test_corpus_run_matches_and_is_stable():
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 270 double
+    """One pass over the corpus, each case cold, runs 261 double
     description conversions and gives the stored bytes.  A cone that
-    converted a side it already had, or a minimal form that converts its
-    other side where it could read it off, changes the count."""
+    converted a side it already had, a minimal form that converts its
+    other side where it could read it off, or a scalings cone converted
+    from the full space instead of cut from the orthant (one per split
+    case) changes the count."""
     calls = []
     original = cones._h_to_v
 
@@ -271,7 +273,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 270
+    assert len(calls) == 261
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
@@ -476,6 +478,20 @@ def test_duplicate_dual_cell_exits_two(fixture_dir, tmp_path):
     ])
     assert res.exit_code == 2, res.output
     assert "duplicate dual cell for Qmm" in res.stderr, res.stderr
+
+
+def test_dual_cell_for_unknown_polytope_exits_two(fixture_dir, tmp_path):
+    """A decomposition with a dual cell for a polytope it does not list is
+    an input error (exit 2), not a report (exit 0)."""
+    data = json.loads((fixture_dir / "square_plain.dec.json").read_text())
+    data["dual_cells"].append({"id": "Qzz", "vertices": [["9", "9"]], "rays": []})
+    path = tmp_path / "d.dec.json"
+    path.write_text(json.dumps(data))
+    res = run_cli([
+        "graph", "check", str(path), str(fixture_dir / "fig_rigid_gamma1.graph.json")
+    ])
+    assert res.exit_code == 2, res.output
+    assert "dual cell for unknown polytope Qzz" in res.stderr, res.stderr
 
 
 def test_internal_error_exits_three(fixture_dir):

@@ -324,6 +324,16 @@ def test_decomposition_rejects_a_duplicate_dual_cell(square_plain):
                       duals + [extra])
 
 
+def test_decomposition_rejects_a_dual_cell_for_an_unknown_polytope(square_plain):
+    """A dual cell must belong to a listed polytope; an orphan is an input
+    error naming it, not an extra entry of ``dual_cells``."""
+    duals = list(square_plain.dual_cells.values())
+    extra = DualCell("Qzz", ((9, 9),))
+    with pytest.raises(DecompositionError, match="dual cell for unknown polytope Qzz"):
+        Decomposition(2, square_plain.polytopes.values(), square_plain.face_pairs,
+                      duals + [extra])
+
+
 def test_decomposition_accepts_any_iterable_of_polytopes(square_plain):
     """Polytopes given by a generator are read once: distinct ids pass and
     a repeated id is still caught."""

@@ -270,12 +270,12 @@ def _random_hrep_rows(rng, n):
 
 
 def test_is_increasing_matches_slice_reference():
-    """The face-based test gives the verdicts (and the orthant error) of
+    """The ray-support test gives the verdicts (and the orthant error) of
     the frozen test that converts every coordinate slice."""
     rng = random.Random(606)
     seen = Counter()
     for _ in range(400):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         rows, eqs = _random_hrep_rows(rng, n)
         c = Cone.from_hrep(rows, eqs, ambient_dim=n)
         try:
@@ -292,6 +292,85 @@ def test_is_increasing_matches_slice_reference():
     assert seen[True] >= 50 and seen[False] >= 100, seen
     for key in ("outside the orthant", "with equalities", "redundant rows"):
         assert seen[key] >= 30, seen
+
+
+def test_is_increasing_runs_no_elimination(monkeypatch):
+    """The increasing test reads the last nonzero coordinate of each known
+    ray: no ``_rref_int`` call, on increasing and non-increasing cones."""
+    cut = cones.orthant_cut(3, [(1, -1, 0), (0, 1, -1)], [])
+    flat = cones.orthant_cut(3, [], [(0, 1, -1)])
+    staircase = Cone.from_rays([(1, 0, 0), (1, 1, 0), (1, 1, 1)])
+    gap = Cone.from_rays([(1, 0, 0), (1, 1, 1)])
+    known = [cut, flat, staircase, gap]
+    for c in known:
+        c.rays
+    calls = Counter()
+    original = cones._rref_int
+
+    def counted(*args):
+        calls["rref"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_rref_int", counted)
+    assert [is_increasing(c) for c in known] == [True, False, True, False]
+    assert calls["rref"] == 0
+
+
+def _orthant_cut_input(rng, s):
+    """Cut rows and equalities in R^s: random rows, staircase rows, zero
+    rows, repeats and negated axis rows, and sometimes equalities, some of
+    them zero."""
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * s
+        elif kind < 0.4 and s > 1:
+            i, j = rng.sample(range(s), 2)
+            row = [0] * s
+            row[i], row[j] = rng.randint(1, 3), -rng.randint(0, 3)
+        elif kind < 0.5:
+            row = [-int(k == rng.randrange(s)) for k in range(s)]
+        else:
+            row = [rng.randint(-3, 3) for _ in range(s)]
+        rows.append(row)
+    if rows and rng.random() < 0.2:
+        rows.append([2 * x for x in rng.choice(rows)])
+    eqs = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    if rng.random() < 0.05:
+        eqs.append([0] * s)
+    return rows, eqs
+
+
+def test_orthant_cut_matches_minimal_of_the_full_conversion():
+    """Cutting the orthant's known rays gives the cone, both sides and the
+    dimension that ``Cone(...).minimal()`` gives when it converts the same
+    rows plus the orthant rows from the full space, on 2500 seeded inputs
+    in R^1..R^5."""
+    rng = random.Random(1414)
+    seen = Counter()
+    for _ in range(2500):
+        s = rng.randint(1, 5)
+        rows, eqs = _orthant_cut_input(rng, s)
+        units = [[int(i == j) for j in range(s)] for i in range(s)]
+        got = cones.orthant_cut(s, rows, eqs)
+        want = Cone(s, ineqs=rows + units, eqs=eqs).minimal()
+        assert (got.ambient_dim, got.rays, got.lineality, got.ineqs, got.eqs, got.dim()) == (
+            want.ambient_dim, want.rays, want.lineality, want.ineqs, want.eqs, want.dim()
+        ), (s, rows, eqs)
+        d = want.dim()
+        seen["zero" if d == 0 else "full" if d == s else "lower-dimensional"] += 1
+        seen["with equalities"] += bool(eqs)
+        seen["zero rows"] += any(not any(r) for r in rows + eqs)
+    for key in ("zero", "lower-dimensional", "full", "with equalities", "zero rows"):
+        assert seen[key] >= 100, seen
+
+
+def test_orthant_cut_rejects_rows_of_wrong_dimension():
+    with pytest.raises(ValueError, match="wrong dimension"):
+        cones.orthant_cut(2, [(1, 2, 3)], [])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        cones.orthant_cut(3, [], [(1, 2)])
 
 
 def test_is_increasing_reads_known_rays_without_conversion(monkeypatch):

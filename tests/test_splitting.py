@@ -347,31 +347,53 @@ def _warm(square_split, cube_split, run=cone_condition) -> list:
     return warm
 
 
-def test_warm_cone_condition_runs_one_conversion(square_split, cube_split, monkeypatch):
-    """Once a graph's cones are cached, a cone direction costs the one
-    conversion of ``D.minimal()`` and nothing else: the verdict runs D's H
-    to V conversion, the increasing test reads D's rays and the genericity
-    test runs no conversion, and D's minimal H-representation is read off
-    the conversion's zero-sets."""
+def test_warm_cone_condition_runs_no_conversion(square_split, cube_split, monkeypatch):
+    """Once a graph's cones are cached, a cone direction runs no conversion:
+    D is cut from the orthant's known rays, the increasing test reads D's
+    ray supports, the genericity test runs no conversion, and D's minimal
+    H-representation is read off the cut's zero-sets."""
     warm = _warm(square_split, cube_split)
     calls = _count_h_to_v(monkeypatch)
     for q, eta in warm:
         calls.clear()
         D = cone_condition(q, eta).D
-        assert calls["dd"] == 1, q.top
         D.ineqs, D.eqs
-        assert calls["dd"] == 1, q.top
+        assert calls["dd"] == 0, q.top
 
 
-def test_warm_split_report_runs_one_conversion(square_split, cube_split, monkeypatch):
+def test_warm_split_report_runs_no_conversion(square_split, cube_split, monkeypatch):
     """A warm split report serializes D, both sides of its minimal form,
-    and runs the one conversion of ``D.minimal()`` and no other."""
+    and runs no conversion."""
     warm = _warm(square_split, cube_split, lambda q, eta: reports.split_report(q, eta, {}))
     calls = _count_h_to_v(monkeypatch)
     for q, eta in warm:
         calls.clear()
         reports.split_report(q, eta, {})
-        assert calls["dd"] == 1, q.top
+        assert calls["dd"] == 0, q.top
+
+
+def test_warm_cone_condition_runs_pinned_dd_steps(square_split, cube_split, monkeypatch):
+    """A warm cone direction takes one ``_dd_step`` per nonzero pulled-back
+    inequality of Disc and two per nonzero pulled-back equality, from the
+    orthant: 1, 1, 2, 4, 1, 2 and 2 steps on the warm cases (13 in all).
+    A conversion from the full space would add a step per orthant row."""
+    from tropsplit import cones
+
+    warm = _warm(square_split, cube_split)
+    calls = Counter()
+    original = cones._dd_step
+
+    def counted(*args):
+        calls["step"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_dd_step", counted)
+    steps = []
+    for q, eta in warm:
+        calls.clear()
+        cone_condition(q, eta)
+        steps.append(calls["step"])
+    assert steps == [1, 1, 2, 4, 1, 2, 2]
 
 
 def test_cone_condition_ignores_the_scale_of_eta(square_split, cube_split):
