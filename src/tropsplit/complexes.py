@@ -257,6 +257,8 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     if any(len(m) != n for m in normals):
         raise DecompositionError("normals must have equal length")
     lam = ratvec(lam)
+    if len(lam) != n:
+        raise DecompositionError("base point of wrong dimension")
     # Delta's homogenization cone; its rays at t = 0 and its lineality span
     # the recession cone of Delta
     delta_rows = [_hom(m, c) for m, c in zip(normals, constants)]

@@ -36,12 +36,18 @@ an rref basis of the lineality space (or of the equalities) in the
 cone's own coordinates, and each ray's zero-set over the given rows (or
 generators).  That converted side is minimal and canonical for the set,
 whatever rows or generators stated it.  ``minimal()`` keeps it and reads
-the other side off the zero-sets when first read: the rows whose tight
-rays form a maximal proper set are the facets, reduced modulo the
-equalities, which span the orthogonal complement of the rays; on the dual,
-the generators read the same way are the extreme rays.  So a minimal form
-costs one conversion in either direction, and the cut's cells, whose rays
-and zero-sets come off its walk, cost none.
+the other side off the zero-sets when first read: the rows tight on every
+ray (the implicit rows) and the given equalities span the equalities, and
+the rows whose tight rays form a maximal proper set are the facets,
+reduced modulo the equalities; on the dual, the generators read the same
+way give the lineality and the extreme rays.  So a minimal form costs one
+conversion in either direction, and the cut's cells, whose rays and
+zero-sets come off its walk, cost none.
+
+The double description keeps its state canonical by construction: a step
+that cuts the lineality space pivots on the last basis row the new row
+does not vanish on, which leaves the other rows in rref form and every
+ray reduced, so it runs no elimination.
 
 Cones are immutable; the lazy representation cache is filled at most once
 per value, so concurrent readers always observe a pure function.
@@ -103,35 +109,45 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     """One double description step: cut the cone generated by the
     lineality basis ``lin`` and the extreme rays ``rays`` with ``a.y >= 0``.
 
-    ``rays`` pairs each ray with its zero-set over the earlier rows, which
-    hold the bits below ``bit``, the new row's bit.  Returns the new
-    (lin, rays), rays again extreme modulo the lineality space and paired
-    with their zero-sets, now over the new row too.
+    ``lin`` is a canonical basis (primitive rref rows) and every ray
+    vanishes at its pivots.  ``rays`` pairs each ray with its zero-set over
+    the earlier rows, which hold the bits below ``bit``, the new row's bit.
+    Returns the new (lin, rays) in the same canonical form, rays again
+    extreme modulo the lineality space and paired with their zero-sets, now
+    over the new row too.
+
+    When ``a`` is nonzero on the lineality space the step pivots on the
+    last basis row ``l0`` with ``a.l0 != 0``, signed so that ``a.l0 > 0``.
+    Every other row with ``a.l != 0`` has its pivot before that of ``l0``,
+    so ``(a.l0) l - (a.l) l0`` over its gcd still leads at its own pivot,
+    positive, and is zero at the other remaining pivots: the rows are the
+    canonical basis of the cut lineality with no elimination.  Each ray
+    ``(a.l0) r - (a.r) l0``, and ``l0`` itself, already vanishes at every
+    remaining pivot, so over its gcd it is the canonical representative.
+    The rays were distinct modulo the larger lineality space, so the
+    combined rays and ``l0`` are distinct and need no deduplication.
     """
     if not any(a):
         return lin, [(r, z | bit) for r, z in rays]
-    i0 = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
+    dots = [_dot(a, l) for l in lin]
+    i0 = next((i for i in reversed(range(len(dots))) if dots[i]), None)
     if i0 is not None:
-        l0 = lin[i0]
-        al0 = _dot(a, l0)
+        l0, al0 = lin[i0], dots[i0]
         if al0 < 0:
             l0, al0 = tuple(-x for x in l0), -al0
-        lin = _rref_int(
-            [al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]
-            for i, l in enumerate(lin)
+        lin = tuple(
+            gcd_reduce([al0 * x - d * y for x, y in zip(l, l0)]) if d else l
+            for i, (l, d) in enumerate(zip(lin, dots))
             if i != i0
         )
-        new_rays = [
-            (
-                _reduce_mod_span(
-                    lin, [al0 * x - _dot(a, r) * y for x, y in zip(r, l0)]
-                ),
-                z | bit,
-            )
-            for r, z in rays
-        ]
-        new_rays.append((_reduce_mod_span(lin, l0), bit - 1))
-        return lin, _dedupe(new_rays)
+        new_rays = []
+        for r, z in rays:
+            ar = _dot(a, r)
+            if ar:
+                r = gcd_reduce([al0 * x - ar * y for x, y in zip(r, l0)])
+            new_rays.append((r, z | bit))
+        new_rays.append((l0, bit - 1))
+        return lin, new_rays
     # a vanishes on the lineality space and every ray already vanishes
     # at the pivots of its basis, so combinations need no reduction
     vals = [_dot(a, r) for r, _ in rays]
@@ -244,29 +260,35 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
 
 
-def _read_off(n: int, rows, zs, rays, lin) -> tuple[tuple, tuple]:
+def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:
     """The minimal H-representation of the cone cut out by the primitive
-    rows ``a.x >= 0`` (and equalities, which play no part), read off the
-    output of its conversion: extreme rays ``rays`` with their zero-sets
-    ``zs`` over ``rows``, and the lineality basis ``lin``.
+    rows ``a.x >= 0`` and the equalities ``eqs``, a canonical basis (primitive
+    rref rows), read off the zero-sets ``zs`` over ``rows`` of its extreme
+    rays, one per ray, as its conversion returned them.
 
-    The equalities are the rref basis of the orthogonal complement of the
-    span.  Every facet is cut out by some row, and faces are ordered as
-    the rays they hold, so a row is a facet exactly when the set of rays
-    it is tight on is proper and maximal among the rows' sets; its
-    representative is the row reduced modulo the equalities.  Run on the
-    dual, the same reading gives the extreme rays and lineality of a cone
-    from its generators and its converted facets.
+    A row is tight on the whole cone exactly when it is tight on every
+    extreme ray (each lineality vector is tight on every row).  These
+    implicit rows and the given equalities span the orthogonal complement
+    of the cone, so the equalities are their canonical basis; with no
+    implicit row that is ``eqs`` as given.  Every facet is cut out by some
+    row, and faces are ordered as the rays they hold, so a row is a facet
+    exactly when the set of rays it is tight on is proper and maximal among
+    the rows' sets; its representative is the row reduced modulo the
+    equalities.  Run on the dual, with the generators as ``rows``, the
+    converted facets' zero-sets over them and the given lineality as
+    ``eqs``, the same reading gives the extreme rays and the lineality.
     """
-    eqs = _rref_int(_kernel_int(_rref_int(rays + lin), n))
     tight = [0] * len(rows)
     for j, z in enumerate(zs):
         while z:
             low = z & -z
             tight[low.bit_length() - 1] |= 1 << j
             z ^= low
-    # rows with one tight set cut out one face, so one row stands for it
     full = (1 << len(zs)) - 1
+    implicit = [rows[i] for i, t in enumerate(tight) if t == full]
+    if implicit:
+        eqs = _rref_int(eqs + tuple(implicit))
+    # rows with one tight set cut out one face, so one row stands for it
     faces = {}
     for i, t in enumerate(tight):
         if t != full:
@@ -307,20 +329,21 @@ class Cone:
                     raise ValueError("generator of wrong dimension")
 
     @classmethod
-    def from_conversion(cls, n, rays, lineality, rows, zero_sets, dual=False) -> "Cone":
+    def from_conversion(cls, n, rays, lineality, rows, zero_sets, eqs=(), dual=False) -> "Cone":
         """The minimal cone whose canonical extreme rays and lineality basis
         are ``rays`` and ``lineality``, each ray paired with its zero-set
-        over the primitive rows ``rows`` that cut the cone out (with
-        equalities that need not be passed).  Its H-representation is read
-        off the zero-sets when first read.  With ``dual`` the sides swap:
+        over the primitive rows ``rows`` that, with the equalities whose
+        canonical basis is ``eqs``, cut the cone out.  Its H-representation
+        is read off the zero-sets when first read: the equalities are ``eqs``
+        and the rows tight on every ray.  With ``dual`` the sides swap:
         ``rays`` and ``lineality`` are the facets and equality basis of the
-        cone generated by ``rows`` and a lineality that need not be passed.
+        cone generated by ``rows`` and the lineality basis ``eqs``.
         """
         m = cls.__new__(cls)
         m.ambient_dim = n
         m._dim = m._zs = None
         m._from_h = dual
-        m._off = (rows, zero_sets)
+        m._off = (rows, zero_sets, eqs)
         m._rays = m._lineality = m._ineqs = m._eqs = None
         if dual:
             m._ineqs, m._eqs = rays, lineality
@@ -366,9 +389,7 @@ class Cone:
                     self.ambient_dim, self._ineqs, self._eqs
                 )
             else:
-                self._rays, self._lineality = _read_off(
-                    self.ambient_dim, *self._off, self._ineqs, self._eqs
-                )
+                self._rays, self._lineality = _read_off(*self._off)
 
     def _ensure_h(self):
         if self._ineqs is None:
@@ -378,9 +399,7 @@ class Cone:
                     self.ambient_dim, self._rays, self._lineality
                 )
             else:
-                self._ineqs, self._eqs = _read_off(
-                    self.ambient_dim, *self._off, self._rays, self._lineality
-                )
+                self._ineqs, self._eqs = _read_off(*self._off)
             # either way the equalities span the orthogonal complement
             self._dim = self.ambient_dim - len(self._eqs)
 
@@ -413,11 +432,13 @@ class Cone:
             n = self.ambient_dim
             if self._from_h:
                 self._ensure_v()
-                m = Cone.from_conversion(n, self._rays, self._lineality, self._ineqs, self._zs)
+                m = Cone.from_conversion(
+                    n, self._rays, self._lineality, self._ineqs, self._zs, self._eqs
+                )
             else:
                 self._ensure_h()
                 m = Cone.from_conversion(
-                    n, self._ineqs, self._eqs, self._rays, self._zs, dual=True
+                    n, self._ineqs, self._eqs, self._rays, self._zs, self._lineality, dual=True
                 )
             self._minimal = m
         return self._minimal

@@ -37,6 +37,15 @@ each of its 3^N sign vectors and found face pairs by scanning all pairs of
 kept cells; it is kept verbatim so that the pruned sign-prefix walk in
 ``tropsplit.complexes`` can be checked against it.
 
+``dd_step`` is the integer double description step as it ran an
+elimination of the remaining lineality basis and a reduction of every ray
+when a row cut the lineality space, and ``read_off`` the minimal
+H-representation read off a conversion's zero-sets as it computed the
+equalities by ``_rref_int(_kernel_int(_rref_int(rays + lin)))``; both are
+kept verbatim (their helpers renamed ``_int_reduce_mod_span`` and
+``_int_dedupe``) so that the elimination-free step and the reading of the
+implicit rows in ``tropsplit.cones`` can be checked against them.
+
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
 lattices as they ran through an inverse of the Smith transform, and
@@ -69,10 +78,14 @@ from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.exact import (
     GenericityCertificate,
     _dot,
+    _kernel_int,
+    _lead,
+    _rref_int,
     IntegerLattice,
     Mat,
     Vec,
     fr,
+    gcd_reduce,
     hermite_normal_form,
     imat,
     invariant_factors,
@@ -569,6 +582,125 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
     return dec, inner
+
+
+# ---------------------------------------------------------------------------
+# the integer double description step and read-off with their eliminations
+
+
+def _int_reduce_mod_span(span, v) -> tuple:
+    """Primitive canonical coset representative of v modulo the span of
+    primitive rref rows: the one that vanishes at every pivot."""
+    for row in span:
+        p = _lead(row)
+        f = v[p]
+        if f:
+            q = row[p]
+            v = [q * x - f * y for x, y in zip(v, row)]
+    return gcd_reduce(v)
+
+
+def _int_dedupe(pairs):
+    seen = {}
+    for r, z in pairs:
+        if any(r) and r not in seen:
+            seen[r] = z
+    return list(seen.items())
+
+
+def dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
+    """One double description step: cut the cone generated by the
+    lineality basis ``lin`` and the extreme rays ``rays`` with ``a.y >= 0``.
+
+    ``rays`` pairs each ray with its zero-set over the earlier rows, which
+    hold the bits below ``bit``, the new row's bit.  Returns the new
+    (lin, rays), rays again extreme modulo the lineality space and paired
+    with their zero-sets, now over the new row too.
+    """
+    if not any(a):
+        return lin, [(r, z | bit) for r, z in rays]
+    i0 = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
+    if i0 is not None:
+        l0 = lin[i0]
+        al0 = _dot(a, l0)
+        if al0 < 0:
+            l0, al0 = tuple(-x for x in l0), -al0
+        lin = _rref_int(
+            [al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]
+            for i, l in enumerate(lin)
+            if i != i0
+        )
+        new_rays = [
+            (
+                _int_reduce_mod_span(
+                    lin, [al0 * x - _dot(a, r) * y for x, y in zip(r, l0)]
+                ),
+                z | bit,
+            )
+            for r, z in rays
+        ]
+        new_rays.append((_int_reduce_mod_span(lin, l0), bit - 1))
+        return lin, _int_dedupe(new_rays)
+    # a vanishes on the lineality space and every ray already vanishes
+    # at the pivots of its basis, so combinations need no reduction
+    vals = [_dot(a, r) for r, _ in rays]
+    plus = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
+    minus = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
+    zero = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
+    if not minus:
+        return lin, [(r, z) for r, z, _ in plus] + zero
+    # rp and rm are adjacent unless a third ray is tight on every row
+    # that both are tight on; rp and rm themselves always are
+    nots = [~z for _, z in rays]
+    combos = []
+    for rp, zp, vp in plus:
+        for rm, zm, vm in minus:
+            inter = zp & zm
+            tight = 0
+            for nz in nots:
+                if not inter & nz:
+                    tight += 1
+                    if tight > 2:
+                        break
+            if tight <= 2:
+                w = [vp * x - vm * y for x, y in zip(rm, rp)]
+                combos.append((gcd_reduce(w), inter | bit))
+    return lin, _int_dedupe([(r, z) for r, z, _ in plus] + zero + combos)
+
+
+def read_off(n: int, rows, zs, rays, lin) -> tuple[tuple, tuple]:
+    """The minimal H-representation of the cone cut out by the primitive
+    rows ``a.x >= 0`` (and equalities, which play no part), read off the
+    output of its conversion: extreme rays ``rays`` with their zero-sets
+    ``zs`` over ``rows``, and the lineality basis ``lin``.
+
+    The equalities are the rref basis of the orthogonal complement of the
+    span.  Every facet is cut out by some row, and faces are ordered as
+    the rays they hold, so a row is a facet exactly when the set of rays
+    it is tight on is proper and maximal among the rows' sets; its
+    representative is the row reduced modulo the equalities.  Run on the
+    dual, the same reading gives the extreme rays and lineality of a cone
+    from its generators and its converted facets.
+    """
+    eqs = _rref_int(_kernel_int(_rref_int(rays + lin), n))
+    tight = [0] * len(rows)
+    for j, z in enumerate(zs):
+        while z:
+            low = z & -z
+            tight[low.bit_length() - 1] |= 1 << j
+            z ^= low
+    # rows with one tight set cut out one face, so one row stands for it
+    full = (1 << len(zs)) - 1
+    faces = {}
+    for i, t in enumerate(tight):
+        if t != full:
+            faces.setdefault(t, i)
+    facets = [
+        _int_reduce_mod_span(eqs, rows[i])
+        for t, i in faces.items()
+        if not any(t & u == t and t != u for u in faces)
+    ]
+    return tuple(sorted(facets)), eqs
 
 
 # ---------------------------------------------------------------------------

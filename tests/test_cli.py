@@ -188,6 +188,18 @@ def test_lambda_outside_exits_two():
     assert res.exit_code == 2
 
 
+def test_cut_with_a_base_point_of_wrong_dimension_exits_two():
+    res = run_cli([
+        "cut", "--normals", "[[1,0],[0,1],[-1,0],[0,-1]]",
+        "--constants", "[1,1,1,1]",
+        "--eps", '["1/2","1/2","1/2","1/2"]',
+        "--lambda", "[0]",
+    ])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "base point of wrong dimension" in res.output
+
+
 def test_cut_over_the_sign_vector_bound_exits_two():
     n = 11
     res = run_cli([
@@ -274,6 +286,28 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
     assert len(calls) == 261
+
+
+def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 971 ``_rref_int`` calls, counted in every module that binds it.
+    A double description step that eliminates its lineality basis again
+    or reduces its rays, or a read-off that computes the equalities as a
+    kernel (once 1594 calls a pass), changes the count."""
+    calls = []
+    original = exact._rref_int
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tropsplit" and getattr(module, "_rref_int", None) is original:
+            monkeypatch.setattr(module, "_rref_int", counted)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 971
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):

@@ -175,6 +175,16 @@ def _count_dd(monkeypatch) -> Counter:
     return calls
 
 
+@pytest.mark.parametrize("lam", [(0,), (0, 0, 0)])
+def test_toric_cut_rejects_a_base_point_of_wrong_dimension_before_any_conversion(
+    monkeypatch, lam
+):
+    calls = _count_dd(monkeypatch)
+    with pytest.raises(DecompositionError, match="base point of wrong dimension"):
+        toric_cut([(1, 0), (0, 1), (-1, 0), (0, -1)], [1] * 4, [F(1, 2)] * 4, lam)
+    assert calls == Counter()
+
+
 def test_toric_cut_rejects_too_many_facets_before_any_conversion(monkeypatch):
     """11 facets give 3^11 sign vectors, over the bound: the cut raises,
     naming the bound, before it runs a single DD step."""

@@ -7,6 +7,8 @@ import pytest
 import oracles
 from oracles import mat, tail_of_sequence_in
 from tropsplit import cones
+from tropsplit import fixtures as fx
+from tropsplit.complexes import toric_cut
 from tropsplit.cones import (
     Cone,
     is_increasing,
@@ -564,3 +566,190 @@ def test_cone_rejects_bool_entries(kwargs):
     build the half-plane x1 >= 0."""
     with pytest.raises(ValueError):
         Cone(2, **kwargs)
+
+
+# -- the double description step and read-off ----------------------------------
+
+
+def _dd_rows(rng, d, count):
+    """Rows in R^d for a sequence of double description steps: random and
+    sparse rows, zero rows, negated and scaled earlier rows, and sums of
+    two earlier rows, which vanish on the lineality space those two left."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.08:
+            row = [0] * d
+        elif kind < 0.2 and rows:
+            row = [rng.choice((-2, -1, 2)) * x for x in rng.choice(rows)]
+        elif kind < 0.35 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            row = [x + y for x, y in zip(a, b)]
+        elif kind < 0.6:
+            row = [0] * d
+            for i in rng.sample(range(d), min(d, 2)):
+                row[i] = rng.randint(-3, 3)
+        else:
+            row = [rng.randint(-3, 3) for _ in range(d)]
+        rows.append(tuple(row))
+    return rows
+
+
+def test_dd_step_matches_the_eliminating_step():
+    """The elimination-free step returns the lineality basis and the rays,
+    with their zero-sets, in the order the frozen step that ran
+    ``_rref_int`` and ``_reduce_mod_span`` returns them, on every state
+    of seeded conversions in R^1..R^6, over 2000 of them with a row that
+    cuts a nonempty lineality space."""
+    rng = random.Random(1515)
+    seen = Counter()
+    for _ in range(900):
+        d = rng.randint(1, 6)
+        lin, rays = tuple(cones._unit(d, j) for j in range(d)), []
+        for idx, a in enumerate(_dd_rows(rng, d, rng.randint(1, d + 2))):
+            want = oracles.dd_step(lin, rays, a, 1 << idx)
+            assert cones._dd_step(lin, rays, a, 1 << idx) == want, (lin, rays, a)
+            if lin:
+                cuts = any(sum(x * y for x, y in zip(a, l)) for l in lin)
+                seen["nonempty lineality"] += 1
+                seen["cut lineality" if cuts else "a vanishes on it"] += 1
+                seen["with rays"] += bool(rays)
+            lin, rays = want
+    assert seen["cut lineality"] >= 2000, seen
+    for key in ("a vanishes on it", "with rays"):
+        assert seen[key] >= 200, seen
+
+
+def _tight_masks(gens, rows) -> tuple:
+    """Per generator, the bitmask of the rows it is tight on."""
+    return tuple(
+        sum(1 << i for i, a in enumerate(rows) if not sum(x * y for x, y in zip(a, g)))
+        for g in gens
+    )
+
+
+def _random_h_cone(rng):
+    n = rng.randint(1, 5)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+    if rows and rng.random() < 0.3:
+        rows.append([-x for x in rng.choice(rows)])  # an implicit pair
+    eqs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.choice((0, 0, 1, 2)))]
+    return Cone(n, ineqs=rows, eqs=eqs).minimal()
+
+
+def _random_v_cone(rng):
+    n = rng.randint(1, 5)
+    rays = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+    if rays and rng.random() < 0.3:
+        rays.append([-x for x in rng.choice(rays)])  # a line among the rays
+    lin = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.choice((0, 0, 1, 2)))]
+    return Cone(n, rays=rays, lineality=lin).minimal()
+
+
+def _random_orthant_cut(rng):
+    s = rng.randint(1, 5)
+    return cones.orthant_cut(s, *_orthant_cut_input(rng, s))
+
+
+def _toric_cells(rng):
+    for name in ("toric_square", "toric_cube", "hirzebruch_two", "toric_hexagonal_prism"):
+        t = getattr(fx, name)()
+        toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+
+
+@pytest.mark.parametrize(
+    "kind, build, count",
+    [
+        ("H-built", _random_h_cone, 700),
+        ("V-built", _random_v_cone, 700),
+        ("orthant cut", _random_orthant_cut, 700),
+        ("toric cell", _toric_cells, 1),
+    ],
+)
+def test_read_off_matches_the_kernel_route(monkeypatch, kind, build, count):
+    """Every minimal cone that ``Cone.from_conversion`` builds reads off
+    the other side, and its dimension, as the frozen read-off gives them,
+    which computed the equalities (on the dual, the lineality) as the
+    kernel of the converted side.  The zero-sets it is handed are checked
+    against the dot products first.  Zero cones, subspaces and cones with
+    implicit rows are counted for each kind that can have them."""
+    made = []
+    original = Cone.from_conversion
+
+    def recording(n, rays, lin, rows, zs, eqs=(), dual=False):
+        cone = original(n, rays, lin, rows, zs, eqs, dual)
+        made.append((cone, rows, zs, dual))
+        return cone
+
+    monkeypatch.setattr(Cone, "from_conversion", staticmethod(recording))
+    rng = random.Random(f"read-off:{kind}")
+    for _ in range(count):
+        build(rng)
+    monkeypatch.undo()
+    seen = Counter()
+    for cone, rows, zs, dual in made:
+        n = cone.ambient_dim
+        if dual:
+            gens = (cone.ineqs, cone.eqs)
+            got = (cone.rays, cone.lineality)
+        else:
+            gens = (cone.rays, cone.lineality)
+            got = (cone.ineqs, cone.eqs)
+        assert zs == _tight_masks(gens[0], rows)
+        want = oracles.read_off(n, rows, zs, *gens)
+        assert got == want, (kind, rows, zs, gens)
+        eqs = cone.eqs
+        assert cone.dim() == n - len(eqs) == oracles.rank(mat(cone.rays + cone.lineality))
+        seen["cones"] += 1
+        seen["zero"] += cone.dim() == 0
+        seen["subspace"] += not cone.rays and cone.dim() > 0
+        implicit = any(all(z >> i & 1 for z in zs) for i in range(len(rows)))
+        seen["implicit rows, with rays"] += implicit and bool(zs)
+    minimum = {
+        "H-built": ("zero", "subspace", "implicit rows, with rays"),
+        "V-built": ("zero", "subspace", "implicit rows, with rays"),
+        "orthant cut": ("zero", "implicit rows, with rays"),
+        "toric cell": ("implicit rows, with rays",),
+    }[kind]
+    assert seen["cones"] >= 200, seen
+    for key in minimum:
+        assert seen[key] >= 20, (kind, seen)
+
+
+def test_lineality_step_and_read_off_run_no_elimination(monkeypatch):
+    """A step that cuts the lineality space makes no ``_rref_int`` and no
+    ``_reduce_mod_span`` call; reading a minimal cone's other side makes
+    no ``_kernel_int`` call, and no ``_rref_int`` call when no row is
+    implicit."""
+    calls = Counter()
+
+    def count(name):
+        original = getattr(cones, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cones, name, counted)
+
+    for name in ("_rref_int", "_reduce_mod_span", "_kernel_int"):
+        count(name)
+    lin = tuple(cones._unit(3, j) for j in range(3))
+    lin, rays = cones._dd_step(lin, [], (1, 2, -1), 1)
+    lin, rays = cones._dd_step(lin, rays, (0, 1, 1), 2)
+    assert (lin, rays) == (((3, -1, 1),), [((0, 1, -1), 2), ((0, 1, 2), 1)])
+    assert calls == {}
+    # the facets are reduced modulo the equalities, one call per facet
+    cut = cones.orthant_cut(3, [(1, -1, 0), (0, 1, -1)], [])
+    assert cut.ineqs == ((0, 0, 1), (0, 1, -1), (1, -1, 0)) and cut.eqs == ()
+    assert calls == {"_reduce_mod_span": 3}
+    flat = cones.orthant_cut(3, [], [(0, 1, -1)])
+    assert flat.eqs == ((0, 1, -1),) and flat.dim() == 2
+    # one elimination, of the implicit rows (0, 1, -1) and (0, -1, 1)
+    assert calls["_rref_int"] == 1 and calls["_kernel_int"] == 0
+    half = Cone.from_rays([(1, 0, 0), (0, 1, 0), (-1, 0, 0)], lineality=[(0, 0, 1)])
+    m = half.minimal()  # one conversion, V to H, with one _kernel_int call
+    calls.clear()
+    assert m.lineality == ((1, 0, 0), (0, 0, 1)) and m.rays == ((0, 1, 0),)
+    # one elimination, of the lineality and the implicit rays +-(1, 0, 0)
+    assert calls["_rref_int"] == 1 and calls["_kernel_int"] == 0
