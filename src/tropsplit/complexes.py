@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, _dd_pointed, _dd_step
+from .cones import Cone, DDState
 from .exact import (
     IntegerLattice,
     _dot,
@@ -65,12 +65,15 @@ class Decomposition:
         self._normal: dict[str, IntegerLattice] = {}
         self._le: frozenset | None = None
         self._isect_cache: dict[tuple[str, str], str | None] = {}
-        for q, p in self.face_pairs:
-            if q not in self.polytopes or p not in self.polytopes:
-                raise DecompositionError(f"face pair ({q},{p}) references unknown cell")
-        for s in self.split_set:
-            if s not in self.polytopes:
-                raise DecompositionError(f"split cell {s} unknown")
+        # name the smallest bad entry (as text: ids can be any value), whatever the hash seed
+        known = self.polytopes
+        bad = [(q, p) for q, p in self.face_pairs if q not in known or p not in known]
+        if bad:
+            q, p = min(bad, key=str)
+            raise DecompositionError(f"face pair ({q},{p}) references unknown cell")
+        bad = [s for s in self.split_set if s not in known]
+        if bad:
+            raise DecompositionError(f"split cell {min(bad, key=str)} unknown")
 
     # geometry ----------------------------------------------------------------
 
@@ -173,11 +176,11 @@ class Decomposition:
                 )
         # poset: antisymmetry
         closure = self._closure()
-        for q, p in closure:
+        for q, p in sorted(closure):
             if q != p and (p, q) in closure:
                 raise DecompositionError(f"face poset has a cycle through {q},{p}")
         # listed pairs are geometric faces, and dual faces reverse
-        for q, p in self.face_pairs:
+        for q, p in sorted(self.face_pairs):
             if q == p:
                 raise DecompositionError(f"reflexive face pair {q}")
             if not self.cell(q).is_face_of(self.cell(p)):
@@ -226,17 +229,17 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     conversion.
 
     The cells come from a depth-first walk over sign prefixes that carries
-    the double description of the prefix's cell (on Delta's homogenization
-    cone) from parent to child: sign -1 or +1 on facet i is one DD step
-    with the cut row or its negation, and sign 0 adds the negated row to
-    the -1 child's state.  A prefix whose cell is empty, or lies in the
-    hyperplane of a strict sign on its path (every ray is tight on that
-    row), stays so in every refinement, so its whole subtree is dropped.
-    Delta is bounded, so every cone on the walk is pointed and its walked
-    rays are its extreme rays, with their zero-sets over Delta's rows and
-    the path's sign rows: a kept cell is the minimal cone of them, and its
-    minimal H-representation is read off those zero-sets with no
-    conversion.
+    the double description state (``DDState``) of the prefix's cell from
+    parent to child.  The root is Delta's homogenization cone, cut from
+    the full space by Delta's rows.  Sign -1 or +1 on facet i cuts the
+    state by the cut row or its negation, and sign 0 cuts the -1 child's
+    state by the negation too.  A prefix whose cell is empty, or lies in
+    the hyperplane of a strict sign on its path, stays so in every
+    refinement, so its whole subtree is dropped.  Delta is bounded, so
+    every cone on the walk is pointed and its state's rays are its extreme
+    rays, with their zero-sets over Delta's rows and the path's sign rows:
+    a kept cell is the state's minimal cone, and its minimal
+    H-representation is read off those zero-sets with no conversion.
     """
     normals = imat(normals)
     N = len(normals)
@@ -263,9 +266,9 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     # the recession cone of Delta
     delta_rows = [_hom(m, c) for m, c in zip(normals, constants)]
     delta_rows.append((0,) * n + (1,))  # t >= 0
-    lin, root = _dd_pointed(n + 1, delta_rows)
-    gens = [r for r, _ in root] + list(lin)
-    if not any(r[-1] > 0 for r, _ in root) or len(_rref_int(gens)) != n + 1:
+    root = DDState.space(n + 1).cut(*delta_rows)
+    gens = [r for r, _ in root.rays] + list(root.lin)
+    if not any(r[-1] > 0 for r, _ in root.rays) or len(_rref_int(gens)) != n + 1:
         raise DecompositionError("moment polytope is not full-dimensional")
     if any(g[-1] == 0 for g in gens):
         raise DecompositionError("moment polytope is unbounded")
@@ -281,37 +284,25 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
 
     kept: dict[tuple, Polyhedron] = {}
 
-    def walk(sigma, rays, rows, strict):
-        # rays: the prefix cell's extreme rays with their zero-sets over
-        # rows, Delta's and the path's, bit i for rows[i]; strict: the bits
-        # of its strict sign rows
-        if not rays:
-            return  # empty
-        tight = strict
-        for _, z in rays:
-            tight &= z
-        if tight:
-            return  # lies in the hyperplane of a strict sign
+    def walk(sigma, cell, strict):
+        # cell: the prefix cell's DD state; strict: the indices of its
+        # strict sign rows in cell.rows
+        if not cell.rays or cell.lies_in_any(strict):
+            return  # empty, or in the hyperplane of a strict sign
         i = len(sigma)
         if i == N:
-            rays = sorted(rays)
-            cone = Cone.from_conversion(
-                n + 1, tuple(r for r, _ in rays), (), rows, tuple(z for _, z in rays)
-            )
-            kept[sigma] = Polyhedron(n, cone)
+            kept[sigma] = Polyhedron(n, cell.cone())
             return
         a = cut_rows[i]
         neg = tuple(-x for x in a)
-        bit = 1 << len(rows)
-        _, below = _dd_step((), rays, a, bit)
-        walk(sigma + (-1,), below, rows + (a,), strict | bit)
-        if below:
-            _, on = _dd_step((), below, neg, bit << 1)
-            walk(sigma + (0,), on, rows + (a, neg), strict)
-        _, above = _dd_step((), rays, neg, bit)
-        walk(sigma + (1,), above, rows + (neg,), strict | bit)
+        k = len(cell.rows)  # the index of the sign row cut next
+        below = cell.cut(a)
+        walk(sigma + (-1,), below, strict + (k,))
+        if below.rays:
+            walk(sigma + (0,), below.cut(neg), strict)
+        walk(sigma + (1,), cell.cut(neg), strict + (k,))
 
-    walk((), root, tuple(delta_rows), 0)
+    walk((), root, ())
 
     def dual_vertex(sigma):
         v = [0] * n

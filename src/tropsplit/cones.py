@@ -19,15 +19,12 @@ every cone and every sign test that of the rational input.  The integer
 Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``,
 and ``exact._kernel_int`` reads kernels off its rows.
 
-There is one double description step, ``_dd_step``: it cuts the cone of a
-lineality basis and extreme rays, each ray with its zero-set, by one more
-row ``a.y >= 0`` and returns the same state.  It starts in one of three
-ways.  A conversion is ``_dd_pointed``, a step per row from the full
-space.  ``orthant_cut`` starts from the nonnegative orthant, whose state is
-known (the unit rays, no lineality), and steps once per cut row.
-``toric_cut`` carries the state from a cell to its refinements, a step per
-added sign row.  The last two hand each cone over as the minimal cone of
-its rays and their zero-sets (``Cone.from_conversion``).
+There is one double description step, ``_dd_step``, and one state it
+updates, ``DDState``: a lineality basis and extreme rays, each ray with its
+zero-set over the rows cut so far; ``cut`` steps once per row and gives
+each row its bit.  A conversion starts from the full space, ``orthant_cut``
+from the nonnegative orthant, and ``toric_cut`` carries a state from each
+cell to its refinements; ``cone()`` hands a state over as a minimal cone.
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  A conversion
@@ -55,6 +52,8 @@ per value, so concurrent readers always observe a pure function.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .exact import (
     Vec,
     _dot,
@@ -70,8 +69,9 @@ from .exact import (
 )
 
 
-def _unit(n: int, j: int) -> tuple:
-    return tuple(int(i == j) for i in range(n))
+def _units(n: int) -> tuple:
+    """The unit vectors of R^n, in order."""
+    return tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
 
 
 def _canon_rays(rays) -> tuple:
@@ -175,49 +175,64 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     return lin, _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
 
 
-def _dd_pointed(d: int, rows) -> tuple[tuple, list]:
-    """Double description of {y in R^d : a.y >= 0 for a in rows}, for
-    integer rows, one ``_dd_step`` per row in input order.
+class DDState(NamedTuple):
+    """The cone {y in R^dim : a.y >= 0 for a in rows}: a lineality basis, tight on
+    every row, and extreme rays modulo it, each with its zero-set, bit i for rows[i]."""
 
-    Returns the lineality basis and the extreme rays modulo it, as primitive
-    integer vectors, each ray paired with its zero-set: bit i is set when
-    the ray is tight on row i.
-    """
-    lin = tuple(_unit(d, j) for j in range(d))
-    rays: list[tuple[tuple, int]] = []
-    for idx, a in enumerate(rows):
-        lin, rays = _dd_step(lin, rays, a, 1 << idx)
-    return lin, rays
+    dim: int
+    lin: tuple
+    rays: list
+    rows: tuple
+
+    @classmethod
+    def space(cls, d: int) -> "DDState":
+        return cls(d, _units(d), [], ())
+
+    @classmethod
+    def orthant(cls, d: int) -> "DDState":
+        """The nonnegative orthant: unit ray i is tight on every unit row but i."""
+        units, full = _units(d), (1 << d) - 1
+        return cls(d, (), [(u, full ^ (1 << i)) for i, u in enumerate(units)], units)
+
+    def cut(self, *rows) -> "DDState":
+        """The cone cut by ``a.y >= 0`` for each integer row in turn."""
+        lin, rays = self.lin, self.rays
+        for i, a in enumerate(rows, len(self.rows)):
+            lin, rays = _dd_step(lin, rays, a, 1 << i)
+        return DDState(self.dim, lin, rays, self.rows + rows)
+
+    def lies_in_any(self, indices) -> bool:
+        """Whether some ``rows[i]``, i in ``indices``, is tight on every ray."""
+        tight = 0
+        for i in indices:
+            tight |= 1 << i
+        for _, z in self.rays:
+            tight &= z
+        return bool(tight)
+
+    def cone(self) -> "Cone":
+        rays = sorted(self.rays)
+        return Cone.from_conversion(
+            self.dim, tuple(r for r, _ in rays), self.lin, self.rows, tuple(z for _, z in rays)
+        )
 
 
 def orthant_cut(s: int, ineqs, eqs) -> "Cone":
     """The minimal cone {x in R^s : x >= 0, a.x >= 0 for a in ineqs,
     e.x = 0 for e in eqs}, converted from the nonnegative orthant.
 
-    The orthant's double description state is known: no lineality, and the
-    unit rays, ray i tight on every unit row but its own.  The conversion
-    starts there and takes one ``_dd_step`` per nonzero inequality and two,
-    ``e`` and ``-e``, per nonzero equality; the sorted rays and their
-    zero-sets over the unit rows and the cut rows go to
-    ``Cone.from_conversion``.  The result equals
+    The conversion starts at ``DDState.orthant`` and cuts it once per
+    nonzero inequality and twice, by ``e`` and ``-e``, per nonzero
+    equality.  The result equals
     ``Cone(s, ineqs=ineqs + units, eqs=eqs).minimal()`` on both sides.
     """
-    rows = [_unit(s, i) for i in range(s)]
-    full = (1 << s) - 1
-    lin, rays = (), [(u, full ^ (1 << i)) for i, u in enumerate(rows)]
     cuts = [a for a in map(primitive, ineqs) if any(a)]
     for e in map(primitive, eqs):
         if any(e):
             cuts += [e, tuple(-x for x in e)]
     if any(len(a) != s for a in cuts):
         raise ValueError("constraint row of wrong dimension")
-    for a in cuts:
-        lin, rays = _dd_step(lin, rays, a, 1 << len(rows))
-        rows.append(a)
-    rays.sort()
-    return Cone.from_conversion(
-        s, tuple(r for r, _ in rays), lin, tuple(rows), tuple(z for _, z in rays)
-    )
+    return DDState.orthant(s).cut(*cuts).cone()
 
 
 def _dedupe(pairs):
@@ -249,14 +264,14 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         return (), (), ()
     if K is not None:
         ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
-    lin, rays = _dd_pointed(d, ineqs)
+    _, lin, rays, _ = DDState.space(d).cut(*ineqs)
     if K is not None:
         # back to x coordinates; reducing modulo the lineality keeps every
         # zero-set, since a lineality vector is tight on every row
         Kt = list(zip(*K))
         lin = _rref_int([_dot(y, col) for col in Kt] for y in lin)
         rays = [(_reduce_mod_span(lin, [_dot(y, col) for col in Kt]), z) for y, z in rays]
-    rays.sort()
+    rays = sorted(rays)
     return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
 
 
@@ -340,16 +355,14 @@ class Cone:
         cone generated by ``rows`` and the lineality basis ``eqs``.
         """
         m = cls.__new__(cls)
-        m.ambient_dim = n
-        m._dim = m._zs = None
-        m._from_h = dual
+        m.ambient_dim, m._from_h, m._minimal = n, dual, m
         m._off = (rows, zero_sets, eqs)
-        m._rays = m._lineality = m._ineqs = m._eqs = None
+        m._rays = m._lineality = m._ineqs = m._eqs = m._zs = m._dim = None
         if dual:
-            m._ineqs, m._eqs = rays, lineality
+            # the given equalities span the orthogonal complement
+            m._ineqs, m._eqs, m._dim = rays, lineality, n - len(lineality)
         else:
             m._rays, m._lineality = rays, lineality
-        m._minimal = m
         return m
 
     @classmethod
@@ -429,18 +442,13 @@ class Cone:
         side read off the conversion's zero-sets over the given rows (or
         generators) when first read.  One conversion in all."""
         if self._minimal is None:
-            n = self.ambient_dim
             if self._from_h:
                 self._ensure_v()
-                m = Cone.from_conversion(
-                    n, self._rays, self._lineality, self._ineqs, self._zs, self._eqs
-                )
+                sides = self._rays, self._lineality, self._ineqs, self._zs, self._eqs
             else:
                 self._ensure_h()
-                m = Cone.from_conversion(
-                    n, self._ineqs, self._eqs, self._rays, self._zs, self._lineality, dual=True
-                )
-            self._minimal = m
+                sides = self._ineqs, self._eqs, self._rays, self._zs, self._lineality
+            self._minimal = Cone.from_conversion(self.ambient_dim, *sides, not self._from_h)
         return self._minimal
 
     def __repr__(self):
@@ -582,7 +590,7 @@ def normal_cone_at_first_axis(cone: Cone) -> Cone:
     increasing cones.
     """
     n = cone.ambient_dim
-    if not cone.contains(_unit(n, 0)):
+    if not cone.contains(_units(n)[0]):
         raise ValueError("first axis not contained in the cone")
     ineqs = [a[1:] for a in cone.ineqs if a[0] == 0]
     eqs = [a[1:] for a in cone.eqs]
@@ -595,6 +603,6 @@ def is_increasing_inductive(cone: Cone) -> bool:
     n = cone.ambient_dim
     if n == 0:
         return True
-    if not cone.contains(_unit(n, 0)):
+    if not cone.contains(_units(n)[0]):
         return False
     return is_increasing_inductive(normal_cone_at_first_axis(cone.minimal()).minimal())

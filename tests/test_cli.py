@@ -290,10 +290,12 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 971 ``_rref_int`` calls, counted in every module that binds it.
+    with 960 ``_rref_int`` calls, counted in every module that binds it.
     A double description step that eliminates its lineality basis again
-    or reduces its rays, or a read-off that computes the equalities as a
-    kernel (once 1594 calls a pass), changes the count."""
+    or reduces its rays, a read-off that computes the equalities as a
+    kernel (once 1594 calls a pass), or a minimal cone built on the dual
+    that ranks its read-off rays for its dimension (once 971), changes the
+    count."""
     calls = []
     original = exact._rref_int
 
@@ -307,7 +309,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 971
+    assert len(calls) == 960
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
@@ -554,3 +556,72 @@ def test_internal_error_exits_three(fixture_dir):
     assert lines[0] == "Traceback (most recent call last):"
     assert lines[-1] == "error: internal error: RuntimeError: forced"
     assert proc.stdout == ""
+
+
+# Under these hash seeds, iterating the face pairs and split cells of a
+# decomposition in set order names different bad entries first.
+HASH_SEEDS = ("0", "1", "3")
+
+
+def _under_hash_seeds(argv):
+    """Exit code, stdout and stderr of ``python argv`` under each seed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outcomes = set()
+    for seed in HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        outcomes.add((proc.returncode, proc.stdout, proc.stderr))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "field, entries, message",
+    [
+        ("faces", [["x", "a"], ["y", "b"], ["z", "a"]], "face pair (x,a) references unknown cell"),
+        ("split_set", ["q", "r", "s"], "split cell q unknown"),
+    ],
+)
+def test_bad_decomposition_error_does_not_depend_on_the_hash_seed(
+    fixture_dir, tmp_path, field, entries, message
+):
+    data = json.loads((fixture_dir / "square_plain.dec.json").read_text())
+    data[field] = data.get(field, []) + entries
+    path = tmp_path / "bad.dec.json"
+    path.write_text(json.dumps(data))
+    graph = fixture_dir / "fig_rigid_gamma1.graph.json"
+    (outcome,) = _under_hash_seeds(["-m", "tropsplit.cli", "graph", "check", str(path), str(graph)])
+    assert outcome == (2, "", f"error: bad decomposition {path}: {message}\n")
+
+
+def test_validate_error_does_not_depend_on_the_hash_seed(fixture_dir):
+    """The first cycle and the first reflexive face pair ``validate`` names
+    are the smallest in sorted order."""
+    script = (
+        "import json, sys\n"
+        "from tropsplit.serialize import decomposition_from_dict\n"
+        "data = json.load(open(sys.argv[1]))\n"
+        "for extra in sys.argv[2:]:\n"
+        "    dec = decomposition_from_dict({**data, 'faces': data['faces'] + json.loads(extra)})\n"
+        "    try:\n"
+        "        dec.validate(geometric=False)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    cycles = [["Qpm", "Qmm"], ["Qmm", "Qpm"], ["Hyp", "Hxm"], ["Hxm", "Hyp"]]
+    loops = [["Qpm", "Qpm"], ["Hxm", "Hxm"], ["vc", "vc"]]
+    (outcome,) = _under_hash_seeds([
+        "-c", script, str(fixture_dir / "square_plain.dec.json"),
+        json.dumps(cycles), json.dumps(loops),
+    ])
+    assert outcome == (
+        0, "face poset has a cycle through Hxm,Hyp\nreflexive face pair Hxm\n", "")
+
+
+def test_corpus_run_does_not_depend_on_the_hash_seed():
+    (outcome,) = _under_hash_seeds(["-m", "tropsplit.cli", "corpus", "run"])
+    code, out, err = outcome
+    assert (code, err) == (0, ""), out + err
+    assert [line.split()[0] for line in out.splitlines()] == ["ok"] * len(corpus_cases())

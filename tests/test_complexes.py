@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from oracles import kernel_basis, mat, rank
-from tropsplit import complexes, cones
+from tropsplit import cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
@@ -157,9 +158,11 @@ def test_toric_cut_rejects_outside_lambda():
         )
 
 
-def _count_dd(monkeypatch) -> Counter:
-    """Count DD steps on the cut's walk ("walk"), all other DD steps, in
-    conversions or for Delta ("step"), and conversions ("h_to_v")."""
+def _count_dd(monkeypatch, delta_rows=0) -> Counter:
+    """Count DD steps and conversions ("h_to_v").  A step is told by the
+    bit it gives its row: one of a state's first ``delta_rows`` rows, in a
+    cut those of Delta, is a "step", and a later one, a sign row on the
+    cut's walk, a "walk" step."""
     calls = Counter()
 
     def counted(key, original):
@@ -169,8 +172,12 @@ def _count_dd(monkeypatch) -> Counter:
 
         return wrapper
 
-    monkeypatch.setattr(cones, "_dd_step", counted("step", cones._dd_step))
-    monkeypatch.setattr(complexes, "_dd_step", counted("walk", complexes._dd_step))
+    def step(lin, rays, a, bit):
+        calls["step" if bit < 1 << delta_rows else "walk"] += 1
+        return original_step(lin, rays, a, bit)
+
+    original_step = cones._dd_step
+    monkeypatch.setattr(cones, "_dd_step", step)
     monkeypatch.setattr(cones, "_h_to_v", counted("h_to_v", cones._h_to_v))
     return calls
 
@@ -202,7 +209,7 @@ def test_toric_cut_walks_the_cube_in_pinned_dd_steps(monkeypatch):
     conversion: each of its 125 cells reads its minimal H-representation
     off the walk's zero-sets.  A fallback to a conversion per sign vector
     or per cell changes these counts."""
-    calls = _count_dd(monkeypatch)
+    calls = _count_dd(monkeypatch, delta_rows=7)  # six facets and t >= 0
     t = fx.toric_cube()
     dec, _ = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
     assert len(dec.polytopes) == 125
@@ -223,6 +230,24 @@ def test_toric_cut_matches_the_all_sign_vector_reference(name):
     t = getattr(fx, name)()
     args = (t["normals"], t["constants"], t["epsilons"], t["lambda"])
     assert _cut_outcome(toric_cut, args) == _cut_outcome(oracles.toric_cut, args)
+
+
+# sha256 of the canonical bytes of each cut.  The all-sign-vector reference
+# runs on the smaller cuts only, so these pin the prism's and the 4-cube's.
+CUT_DIGESTS = {
+    "toric_cube": "71ecb634c3c2d8694f03f06a5619c7858937202a8d7fe1744cd67689e4c18e7e",
+    "toric_hexagonal_prism": "189fa51575f932c7d7e3a4e96bbdc1b49107b7cbc16dc23f0727e2ed47007259",
+    "toric_four_cube": "d97581f600a8b43838b2a80b1828191fc01091e535f73602c5e3917ba6c0e535",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_DIGESTS))
+def test_toric_cut_gives_pinned_bytes(name):
+    t = getattr(fx, name)()
+    dec, inner = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    assert inner == "c" + "m" * len(t["normals"])
+    data = canonical_json(decomposition_to_dict(dec)).encode()
+    assert hashlib.sha256(data).hexdigest() == CUT_DIGESTS[name]
 
 
 def random_cut(n, seed):

@@ -605,7 +605,7 @@ def test_dd_step_matches_the_eliminating_step():
     seen = Counter()
     for _ in range(900):
         d = rng.randint(1, 6)
-        lin, rays = tuple(cones._unit(d, j) for j in range(d)), []
+        lin, rays = cones._units(d), []
         for idx, a in enumerate(_dd_rows(rng, d, rng.randint(1, d + 2))):
             want = oracles.dd_step(lin, rays, a, 1 << idx)
             assert cones._dd_step(lin, rays, a, 1 << idx) == want, (lin, rays, a)
@@ -734,7 +734,7 @@ def test_lineality_step_and_read_off_run_no_elimination(monkeypatch):
 
     for name in ("_rref_int", "_reduce_mod_span", "_kernel_int"):
         count(name)
-    lin = tuple(cones._unit(3, j) for j in range(3))
+    lin = cones._units(3)
     lin, rays = cones._dd_step(lin, [], (1, 2, -1), 1)
     lin, rays = cones._dd_step(lin, rays, (0, 1, 1), 2)
     assert (lin, rays) == (((3, -1, 1),), [((0, 1, -1), 2), ((0, 1, 2), 1)])

@@ -67,3 +67,26 @@ def test_no_identity_keyed_caches():
         and isinstance(node.func, ast.Name) and node.func.id == "id"
     ]
     assert not found, found
+
+
+def test_zero_set_format_stays_in_cones():
+    """Only ``cones`` steps a double description or makes zero-set bits:
+    no other module imports or names ``_dd_step`` or shifts an int
+    (``<<``, ``>>``).  Everything else goes through ``cones.DDState``."""
+    found = []
+    for path in SOURCES:
+        if path.name == "cones.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                {node.id} if isinstance(node, ast.Name)
+                else {node.attr} if isinstance(node, ast.Attribute)
+                else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                else set()
+            )
+            shift = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, (ast.LShift, ast.RShift)
+            )
+            if "_dd_step" in names or shift:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
