@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 negative verdict, 2 input error, 3 internal error
-(any other exception; a crash never reads as a verdict).  All reports are
+Exit codes, all decided in ``_Main.invoke``: 0 success, 1 negative verdict,
+2 input error (any ValueError, such as a schema ``InputError``; a write
+failure is an input error too), 3 internal error (any other exception, so
+a crash never reads as a verdict or as bad input).  All reports are
 canonical JSON on stdout (or the -o target); diagnostics go to stderr.
 """
 
@@ -27,7 +29,8 @@ from .serialize import (
     graph_from_dict,
     parse_rat,
     parse_vec,
-    series_from_list,
+    series_from_dict,
+    toric_from_dict,
 )
 from .splitting import QuasiSplitGraph
 
@@ -45,7 +48,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         _fail(f"cannot read {path}: {exc}")
 
 
@@ -57,11 +60,15 @@ def _load_json_or_inline(arg: str):
         return _load_json(arg)
 
 
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(report: dict, output: str | None):
     text = canonical_json(report)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(output, text + "\n")
     else:
         click.echo(text)
 
@@ -71,15 +78,8 @@ def _load_dec(path: str):
     data = _load_json(path)
     try:
         return data, decomposition_from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         _fail(f"bad decomposition {path}: {exc}")
-
-
-def _load_graph_dict(path: str) -> dict:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "vertices" not in data:
-        _fail(f"{path} is not a graph file")
-    return data
 
 
 def _base_loader(graph_path: str):
@@ -91,66 +91,50 @@ def _fixture_graph(name: str) -> dict:
     return fixtures.GRAPHS[name]()
 
 
-def _quasi_split(dec, top_dict, load_base):
-    """(QuasiSplitGraph, base graph dict) of a top graph with a collapse
-    block; ``load_base`` turns a ``to_graph`` reference into the base dict."""
-    if "collapse" not in top_dict:
-        _fail("graph file has no collapse block; a quasi-split input needs one")
-    try:
-        vertex_map, to_graph = collapse_from_dict(top_dict)
-        base_dict = load_base(to_graph) if isinstance(to_graph, str) else to_graph
-        q = QuasiSplitGraph(
-            dec, graph_from_dict(base_dict), graph_from_dict(top_dict), vertex_map
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        _fail(f"bad quasi-split input: {exc}")
-    return q, base_dict
+def _quasi_split(dec, dec_dict, top_dict, load_base):
+    """(QuasiSplitGraph, report inputs) of a top graph with a collapse block;
+    ``load_base`` turns a ``to_graph`` reference into the base dict."""
+    vertex_map, to_graph = collapse_from_dict(top_dict)
+    base_dict = load_base(to_graph) if isinstance(to_graph, str) else to_graph
+    q = QuasiSplitGraph(dec, graph_from_dict(base_dict), graph_from_dict(top_dict), vertex_map)
+    return q, {"dec": dec_dict, "top": top_dict, "base": base_dict}
 
 
 def _symmetry_report(dec, dec_dict, graph_dict, framed, load_base) -> dict:
     """Symmetry report of a plain graph, or of the top graph of a collapse
     with its split edges taken from the base."""
+    graph = graph_from_dict(graph_dict)
     if "collapse" not in graph_dict:
-        return reports.symmetry_report(
-            dec, graph_from_dict(graph_dict), framed, {"dec": dec_dict, "graph": graph_dict}
-        )
-    q, base_dict = _quasi_split(dec, graph_dict, load_base)
-    return reports.symmetry_report(
-        dec, q.top, framed, {"dec": dec_dict, "top": graph_dict, "base": base_dict},
-        split_edge_ids=q.top_split_ids,
-    )
+        return reports.symmetry_report(dec, graph, framed, {"dec": dec_dict, "graph": graph_dict})
+    q, inputs = _quasi_split(dec, dec_dict, graph_dict, load_base)
+    return reports.symmetry_report(dec, q.top, framed, inputs, split_edge_ids=q.top_split_ids)
 
 
 def _cut_report(data: dict):
     """(decomposition, report) of a multiple cut given as a toric-data dict."""
-    lam = parse_vec(data["lambda"])
-    dec, inner = toric_cut(
-        data["normals"],
-        [parse_rat(c) for c in data["constants"]],
-        [parse_rat(e) for e in data["epsilons"]],
-        lam,
-    )
+    normals, constants, lam, epsilons = toric_from_dict(data, cut=True)
+    dec, inner = toric_cut(normals, constants, epsilons, lam)
     return dec, reports.cut_report(dec, inner, lam, {"cut_input": data})
 
 
 def _potential_report(data: dict) -> dict:
-    return reports.potential_report(
-        data["normals"],
-        [parse_rat(c) for c in data["constants"]],
-        parse_vec(data["lambda"]),
-        {"potential_input": data},
-    )
+    normals, constants, lam, _ = toric_from_dict(data, cut=False)
+    return reports.potential_report(normals, constants, lam, {"potential_input": data})
 
 
 class _Main(click.Group):
-    """The command group; an exception that escapes a command exits 3 with
-    its traceback and an error line on stderr."""
+    """The command group; maps what a command raises to its exit code, an
+    internal error with its traceback on stderr."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except ValueError as exc:
+            _fail(str(exc))
+        except OSError as exc:
+            _fail(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
         except Exception as exc:
             click.echo(traceback.format_exc(), err=True, nl=False)
             _fail(f"internal error: {type(exc).__name__}: {exc}", INTERNAL_ERROR)
@@ -177,23 +161,14 @@ def cut_cmd(normals, constants, eps, lambda_, output, diagram):
 
     The report goes to stdout; -o saves the decomposition itself.
     """
-    data = {
-        "normals": _load_json_or_inline(normals),
-        "constants": _load_json_or_inline(constants),
-        "epsilons": _load_json_or_inline(eps),
-        "lambda": _load_json_or_inline(lambda_),
-    }
-    try:
-        dec, report = _cut_report(data)
-    except (ValueError, TypeError) as exc:
-        _fail(str(exc))
+    data = {key: _load_json_or_inline(arg) for key, arg in (
+        ("normals", normals), ("constants", constants), ("epsilons", eps), ("lambda", lambda_))}
+    dec, report = _cut_report(data)
     _emit(report, None)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report["decomposition"]) + "\n")
+        _write(output, canonical_json(report["decomposition"]) + "\n")
     if diagram:
-        with open(diagram, "w", encoding="utf-8") as fh:
-            fh.write(dual_complex_svg(dec))
+        _write(diagram, dual_complex_svg(dec))
 
 
 @main.group("graph")
@@ -209,12 +184,9 @@ def graph_group():
 def graph_check(dec_path, graph_path, output, diagram):
     """Invariants, realizability and rigidity of a tropical graph."""
     dec_dict, dec = _load_dec(dec_path)
-    gd = _load_graph_dict(graph_path)
-    try:
-        graph = graph_from_dict(gd)
-        report = reports.graph_report(dec, graph, {"dec": dec_dict, "graph": gd})
-    except (ValueError, KeyError, TypeError) as exc:
-        _fail(f"bad graph: {exc}")
+    gd = _load_json(graph_path)
+    graph = graph_from_dict(gd)
+    report = reports.graph_report(dec, graph, {"dec": dec_dict, "graph": gd})
     _emit(report, output)
     if diagram:
         positions = edges = None
@@ -225,8 +197,7 @@ def graph_check(dec_path, graph_path, output, diagram):
                 v: witness[i * n : (i + 1) * n] for i, v in enumerate(report["vertex_order"])
             }
             edges = [e.ends for e in graph.edges]
-        with open(diagram, "w", encoding="utf-8") as fh:
-            fh.write(dual_complex_svg(dec, positions, edges))
+        _write(diagram, dual_complex_svg(dec, positions, edges))
     if not report["realizable"]:
         sys.exit(NEGATIVE)
 
@@ -245,18 +216,9 @@ def split_group():
 def split_check(dec_path, qsplit_path, eta, i_br, output):
     """Relative-position cone, discrepancy cone, cone condition, rigidity."""
     dec_dict, dec = _load_dec(dec_path)
-    top_dict = _load_graph_dict(qsplit_path)
-    q, base_dict = _quasi_split(dec, top_dict, _base_loader(qsplit_path))
-    try:
-        eta_vec = tuple(parse_rat(part.strip()) for part in eta.split(","))
-    except ValueError as exc:
-        _fail(f"bad eta: {exc}")
-    try:
-        report = reports.split_report(
-            q, eta_vec, {"dec": dec_dict, "top": top_dict, "base": base_dict}, i_br=i_br
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    q, inputs = _quasi_split(dec, dec_dict, _load_json(qsplit_path), _base_loader(qsplit_path))
+    eta_vec = tuple(parse_rat(part.strip()) for part in eta.split(","))
+    report = reports.split_report(q, eta_vec, inputs, i_br=i_br)
     _emit(report, output)
     if not report["accepted"]:
         sys.exit(NEGATIVE)
@@ -270,11 +232,9 @@ def split_check(dec_path, qsplit_path, eta, i_br, output):
 def symmetry_cmd(dec_path, graph_path, framed, output):
     """Dimension, torsion, and component splitting of the symmetry group."""
     dec_dict, dec = _load_dec(dec_path)
-    gd = _load_graph_dict(graph_path)
-    try:
-        report = _symmetry_report(dec, dec_dict, gd, framed, _base_loader(graph_path))
-    except (ValueError, KeyError, TypeError) as exc:
-        _fail(f"bad graph: {exc}")
+    report = _symmetry_report(
+        dec, dec_dict, _load_json(graph_path), framed, _base_loader(graph_path)
+    )
     _emit(report, output)
 
 
@@ -285,10 +245,9 @@ def symmetry_cmd(dec_path, graph_path, framed, output):
 def mult_cmd(dec_path, qsplit_path, output):
     """Multiplicity: order of the framed tropical symmetry group."""
     dec_dict, dec = _load_dec(dec_path)
-    top_dict = _load_graph_dict(qsplit_path)
-    q, base_dict = _quasi_split(dec, top_dict, _base_loader(qsplit_path))
+    q, inputs = _quasi_split(dec, dec_dict, _load_json(qsplit_path), _base_loader(qsplit_path))
     try:
-        report = reports.mult_report(q, {"dec": dec_dict, "top": top_dict, "base": base_dict})
+        report = reports.mult_report(q, inputs)
     except GraphError as exc:
         click.echo(f"verdict: {exc}", err=True)
         sys.exit(NEGATIVE)
@@ -307,16 +266,9 @@ def potential_group():
 @click.option("-o", "--output", default=None)
 def potential_bg(normals, constants, lambda_, output):
     """Batyrev-Givental potential of a moment polytope."""
-    data = {
-        "normals": _load_json_or_inline(normals),
-        "constants": _load_json_or_inline(constants),
-        "lambda": _load_json_or_inline(lambda_),
-    }
-    try:
-        report = _potential_report(data)
-    except (ValueError, TypeError) as exc:
-        _fail(str(exc))
-    _emit(report, output)
+    data = {key: _load_json_or_inline(arg) for key, arg in (
+        ("normals", normals), ("constants", constants), ("lambda", lambda_))}
+    _emit(_potential_report(data), output)
 
 
 @potential_group.command("combine")
@@ -328,21 +280,9 @@ def potential_bg(normals, constants, lambda_, output):
 @click.option("-o", "--output", default=None)
 def potential_combine(mult_, split_edges_, d_black, sign, series_paths, output):
     """Split composition weight: scaled product of component series."""
-    series = []
-    data_in = []
-    for path in series_paths:
-        data = _load_json_or_inline(path)
-        data_in.append(data)
-        try:
-            series.append(series_from_list(data["terms"], data["num_vars"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            _fail(f"bad series {path}: {exc}")
-    try:
-        combined = split_contribution(
-            mult_, split_edges_, d_black, int(sign), series
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    data_in = [_load_json_or_inline(path) for path in series_paths]
+    series = [series_from_dict(data) for data in data_in]
+    combined = split_contribution(mult_, split_edges_, d_black, int(sign), series)
     report = reports.combine_report(combined, {"series": data_in})
     _emit(report, output)
 
@@ -407,8 +347,7 @@ def run_corpus_case(case: dict) -> dict:
         )
     if kind == "symmetry":
         return _symmetry_report(dec, dec_dict, graph_dict, case["framed"], _fixture_graph)
-    q, base_dict = _quasi_split(dec, graph_dict, _fixture_graph)
-    inputs = {"dec": dec_dict, "top": graph_dict, "base": base_dict}
+    q, inputs = _quasi_split(dec, dec_dict, graph_dict, _fixture_graph)
     if kind == "split":
         return reports.split_report(q, parse_vec(case["eta"]), inputs)
     if kind == "mult":
@@ -456,17 +395,15 @@ def corpus_export(directory):
     as JSON files into DIRECTORY."""
     os.makedirs(directory, exist_ok=True)
     for name, builder in fixtures.DECOMPOSITIONS.items():
-        with open(os.path.join(directory, f"{name}.dec.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(builder()) + "\n")
+        _write(os.path.join(directory, f"{name}.dec.json"), canonical_json(builder()) + "\n")
     for name, builder in fixtures.GRAPHS.items():
         data = builder()
         if "collapse" in data and isinstance(data["collapse"]["to_graph"], str):
             data["collapse"]["to_graph"] = data["collapse"]["to_graph"] + ".graph.json"
-        with open(os.path.join(directory, f"{name}.graph.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(data) + "\n")
+        _write(os.path.join(directory, f"{name}.graph.json"), canonical_json(data) + "\n")
     for name in ("toric_square", "toric_cube", "hirzebruch_two"):
-        with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(getattr(fixtures, name)()) + "\n")
+        text = canonical_json(getattr(fixtures, name)())
+        _write(os.path.join(directory, f"{name}.json"), text + "\n")
     click.echo(f"fixtures written to {directory}")
 
 
@@ -480,8 +417,7 @@ def corpus_regenerate(corpus_dir):
             path = os.path.join(corpus_dir, f"{case['name']}.expected.json")
         else:
             path = str(expected_report_path(case["name"]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(got + "\n")
+        _write(path, got + "\n")
         click.echo(f"wrote    {case['name']}")
 
 

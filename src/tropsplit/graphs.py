@@ -254,6 +254,8 @@ def match_collapse(dec: Decomposition, top: TropicalGraph, base: TropicalGraph,
             diags.append(f"unknown vertex {v} in the map")
         elif img not in base.label:
             diags.append(f"vertex {v} maps to unknown vertex {img}")
+    diags += [f"{s}edge {e.id}: unknown endpoint {x}" for s, g in (("", top), ("base ", base))
+              for e in g.edges for x in e.ends if x not in g.label]
     if diags:
         return CollapseReport(False, tuple(diags), (), {}, frozenset())
     for v, img in vertex_map.items():

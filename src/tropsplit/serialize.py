@@ -5,7 +5,8 @@ format never contains floats.  Parsing gives a Python int for an integral
 value and a ``Fraction`` otherwise, so integral rows, vertices and
 directions reach the cone kernel as the int vectors it runs on.
 Serialization orders are canonical so that identical inputs always produce
-byte-identical reports.
+byte-identical reports.  The ``*_from_dict`` readers are the one check of
+the wire schema.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .complexes import Decomposition, DualCell, Polytope
 from .cones import Cone
 from .exact import as_int, fr
-from .graphs import Edge, TropicalGraph
+from .graphs import TROPICAL, Edge, TropicalGraph
 
 
 def rat_str(x) -> str:
@@ -52,8 +53,9 @@ def vec_str(v) -> list:
     return [rat_str(x) for x in v]
 
 
-def parse_vec(v) -> tuple:
-    return tuple(parse_rat(x) for x in v)
+def parse_vec(v, field: str = "vector") -> tuple:
+    """Exact values of a list of rationals (see ``parse_rat``)."""
+    return tuple(parse_rat(x) for x in _list(v, field))
 
 
 def canonical_json(obj) -> str:
@@ -71,6 +73,49 @@ def freeze(data: dict) -> tuple:
 def thaw(frozen: tuple) -> dict:
     """A fresh dict, with fresh lists, of what ``freeze`` froze."""
     return {k: [list(r) for r in v] if isinstance(v, tuple) else v for k, v in frozen}
+
+
+# ---------------------------------------------------------------------------
+# the wire schema
+
+
+class InputError(ValueError):
+    """A wire value of the wrong type, a missing key or the wrong arity."""
+
+
+def _at(obj, key: str, field: str, read=None, default=...):
+    """obj[key] of the JSON object obj, through ``read(value, field)`` if
+    given; an absent key gives ``default`` (unread) when one is given.
+    ``field`` names the key in messages by its dotted path ("edges.ends")."""
+    if type(obj) is not dict:
+        raise InputError(f"{field.rpartition('.')[0] or 'top level'}: expected an object")
+    value = obj.get(key, default)
+    if value is ...:
+        raise InputError(f"{field}: missing")
+    return value if read is None or value is default else read(value, field)
+
+
+def _list(x, field: str):
+    if type(x) is not list and type(x) is not tuple:
+        raise InputError(f"{field}: expected a list")
+    return x
+
+
+def _id(x, field: str) -> str:
+    """Every id, a string or an int (not a bool), is read as a string."""
+    if type(x) is not str and type(x) is not int:
+        raise InputError(f"{field}: expected an id")
+    return x if type(x) is str else str(x)
+
+
+def _rows(x, field: str) -> tuple:
+    return tuple(parse_vec(r, field) for r in _list(x, field))
+
+
+def _pair(x, field: str) -> tuple:
+    if type(x) is not list and type(x) is not tuple or len(x) != 2:
+        raise InputError(f"{field}: expected two ids")
+    return _id(x[0], field), _id(x[1], field)
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +147,26 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> Decomposition:
-    n = as_int(data["ambient_dim"])
+    n = as_int(_at(data, "ambient_dim", "ambient_dim"))
     polytopes = []
-    for p in data["polytopes"]:
+    for p in _at(data, "polytopes", "polytopes", _list):
+        pid = _at(p, "id", "polytopes.id", _id)
         rows = []
-        for row in p["ineqs"]:
-            row = parse_vec(row)
+        for row in _at(p, "ineqs", "polytopes.ineqs", _rows):
             if len(row) != n + 1:
-                raise ValueError(f"polytope {p['id']}: inequality row of wrong length")
+                raise InputError(f"polytope {pid}: inequality row of wrong length")
             rows.append((row[:-1], row[-1]))
-        dim = p.get("dim")
-        dim = None if dim is None else as_int(dim)
-        polytopes.append(Polytope(str(p["id"]), tuple(rows), dim))
+        dim = _at(p, "dim", "polytopes.dim", default=None)
+        polytopes.append(Polytope(pid, tuple(rows), None if dim is None else as_int(dim)))
     dual_cells = [
-        DualCell(
-            str(d["id"]),
-            tuple(parse_vec(v) for v in d["vertices"]),
-            tuple(parse_vec(r) for r in d.get("rays", [])),
-        )
-        for d in data["dual_cells"]
+        DualCell(_at(d, "id", "dual_cells.id", _id),
+                 _at(d, "vertices", "dual_cells.vertices", _rows),
+                 _at(d, "rays", "dual_cells.rays", _rows, ()))
+        for d in _at(data, "dual_cells", "dual_cells", _list)
     ]
-    faces = [(str(q), str(p)) for q, p in data.get("faces", [])]
-    return Decomposition(n, polytopes, faces, dual_cells, data.get("split_set", []))
+    faces = [_pair(f, "faces") for f in _at(data, "faces", "faces", _list, ())]
+    split_set = [_id(c, "split_set") for c in _at(data, "split_set", "split_set", _list, ())]
+    return Decomposition(n, polytopes, faces, dual_cells, split_set)
 
 
 # ---------------------------------------------------------------------------
@@ -152,33 +195,37 @@ def graph_to_dict(graph: TropicalGraph, collapse=None) -> dict:
     return out
 
 
-def _ends(e: dict) -> tuple:
-    ends = e["ends"]
-    if len(ends) != 2:
-        raise ValueError(f"edge {e['id']} has {len(ends)} ends, not 2")
-    return str(ends[0]), str(ends[1])
-
-
 def graph_from_dict(data: dict) -> TropicalGraph:
-    vertices = tuple((str(v["id"]), str(v["polytope"])) for v in data["vertices"])
-    edges = tuple(
-        Edge(
-            id=str(e["id"]),
-            ends=_ends(e),
-            kind=e.get("kind", "tropical"),
-            direction=e.get("direction"),
-            maps_to=e.get("maps_to"),
-        )
-        for e in data["edges"]
+    vertices = tuple(
+        (_at(v, "id", "vertices.id", _id), _at(v, "polytope", "vertices.polytope", _id))
+        for v in _at(data, "vertices", "vertices", _list)
     )
-    split_order = tuple(data["split_order"]) if "split_order" in data else None
-    return TropicalGraph(vertices, edges, split_order)
+    edges = tuple(
+        Edge(_at(e, "id", "edges.id", _id), _at(e, "ends", "edges.ends", _pair),
+             _at(e, "kind", "edges.kind", default=TROPICAL),
+             _at(e, "direction", "edges.direction", _list, None),
+             _at(e, "maps_to", "edges.maps_to", _id, None))
+        for e in _at(data, "edges", "edges", _list)
+    )
+    order = _at(data, "split_order", "split_order", _list, None)
+    if order is not None:
+        order = tuple(_id(x, "split_order") for x in order)
+    return TropicalGraph(vertices, edges, order)
 
 
 def collapse_from_dict(data: dict) -> tuple[dict, object]:
-    """Returns (vertex_map, to_graph) where to_graph is a dict or a path string."""
-    c = data["collapse"]
-    return dict(c["vertex_map"]), c["to_graph"]
+    """Returns (vertex_map, to_graph) of a graph's collapse block, where
+    to_graph is a graph dict or a path string."""
+    c = _at(data, "collapse", "collapse", default=None)
+    if c is None:
+        raise InputError("graph file has no collapse block; a quasi-split input needs one")
+    vertex_map = _at(c, "vertex_map", "collapse.vertex_map")
+    if type(vertex_map) is not dict:
+        raise InputError("collapse.vertex_map: expected an object")
+    return {
+        _id(v, "collapse.vertex_map"): _id(img, "collapse.vertex_map")
+        for v, img in vertex_map.items()
+    }, _at(c, "to_graph", "collapse.to_graph")
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +245,9 @@ def cone_to_dict(cone: Cone) -> dict:
 
 
 def cone_from_dict(data: dict) -> Cone:
-    return Cone(
-        as_int(data["ambient_dim"]),
-        rays=[parse_vec(r) for r in data["rays"]],
-        lineality=[parse_vec(l) for l in data["lineality"]],
-    )
+    return Cone(as_int(_at(data, "ambient_dim", "ambient_dim")),
+                rays=_at(data, "rays", "rays", _rows),
+                lineality=_at(data, "lineality", "lineality", _rows))
 
 
 def lattice_to_dict(lattice) -> dict:
@@ -213,7 +258,19 @@ def lattice_to_dict(lattice) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Novikov series
+# toric data and Novikov series
+
+
+def toric_from_dict(data: dict, cut: bool) -> tuple:
+    """(normals, constants, lambda, epsilons) of toric data: integer normal
+    rows, then rational vectors; the epsilons only for a cut (else None)."""
+    rows = _at(data, "normals", "normals", _list)
+    return (
+        tuple(tuple(map(as_int, _list(r, "normals"))) for r in rows),
+        _at(data, "constants", "constants", parse_vec),
+        _at(data, "lambda", "lambda", parse_vec),
+        _at(data, "epsilons", "epsilons", parse_vec) if cut else None,
+    )
 
 
 def series_to_list(series) -> list:
@@ -223,10 +280,15 @@ def series_to_list(series) -> list:
     ]
 
 
+def series_from_dict(data: dict) -> "NovikovSeries":
+    return series_from_list(_at(data, "terms", "terms"), _at(data, "num_vars", "num_vars"))
+
+
 def series_from_list(data, num_vars) -> "NovikovSeries":
     from .potential import NovikovSeries
 
-    return NovikovSeries(
-        as_int(num_vars),
-        tuple((parse_rat(t["coeff"]), parse_rat(t["area"]), t["monomial"]) for t in data),
-    )
+    return NovikovSeries(as_int(num_vars), tuple(
+        (parse_rat(_at(t, "coeff", "terms.coeff")), parse_rat(_at(t, "area", "terms.area")),
+         _at(t, "monomial", "terms.monomial", _list))
+        for t in _list(data, "terms")
+    ))

@@ -426,6 +426,110 @@ def test_malformed_quasi_split_input_exits_two(fixture_dir, tmp_path, command, m
     assert "Traceback" not in res.output
 
 
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_unknown_edge_endpoint_in_a_collapse_exits_two(fixture_dir, tmp_path):
+    """A top edge end that names no vertex exits 2 and names the edge; it
+    once failed a vertex-map lookup with a KeyError."""
+    top = json.loads((fixture_dir / "fig_cube_top2.graph.json").read_text())
+    top["collapse"]["to_graph"] = str(fixture_dir / top["collapse"]["to_graph"])
+    top["edges"][0]["ends"][0] = "0"
+    res = run_cli([
+        "split", "check", str(fixture_dir / "cube_split.dec.json"),
+        _write_json(tmp_path / "t.graph.json", top), "--eta", "3/4,1,0",
+    ])
+    assert res.exit_code == 2, res.output
+    assert "edge etp: unknown endpoint 0" in res.stderr, res.stderr
+
+
+def _renamed(data, old, new):
+    """data with every value equal to ``old`` replaced by ``new``."""
+    if isinstance(data, dict):
+        return {k: _renamed(v, old, new) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_renamed(v, old, new) for v in data]
+    return new if data == old else data
+
+
+def test_int_ids_give_the_verdicts_of_their_strings(fixture_dir, tmp_path):
+    """A cell or vertex id given as a JSON int is the id of its decimal
+    string everywhere it appears: in split_set, faces, labels and in the
+    vertex map's values."""
+    dec = json.loads((fixture_dir / "square_split.dec.json").read_text())
+    top = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
+    base = json.loads((fixture_dir / "fig_square_base.graph.json").read_text())
+    top["collapse"]["to_graph"] = str(fixture_dir / "fig_square_base.graph.json")
+    want = json.loads(run_cli([
+        "split", "check", str(fixture_dir / "square_split.dec.json"),
+        str(fixture_dir / "fig_square_top1.graph.json"), "--eta", "1,-1",
+    ]).stdout)
+    cell_args = [_write_json(tmp_path / "d.dec.json", _renamed(dec, "vc", 7)),
+                 _write_json(tmp_path / "t.graph.json", _renamed(top, "vc", 7))]
+    top["collapse"] = {"vertex_map": _renamed(top["collapse"]["vertex_map"], "v0", 0),
+                       "to_graph": _write_json(tmp_path / "b.graph.json",
+                                               _renamed(base, "v0", 0))}
+    vertex_args = [str(fixture_dir / "square_split.dec.json"),
+                   _write_json(tmp_path / "t0.graph.json", top)]
+    for args in (cell_args, vertex_args):
+        res = run_cli(["split", "check", *args, "--eta", "1,-1"])
+        assert res.exit_code == 0, res.output
+        got = json.loads(res.stdout)
+        del got["inputs"]
+        assert got == {k: v for k, v in want.items() if k != "inputs"}
+
+
+def _set_edge(i, key, value):
+    return lambda top: top["edges"][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_edge(1, "maps_to", []), "edges.maps_to: expected an id"),
+        (lambda top: top["collapse"]["vertex_map"].__setitem__("u0", ["v0"]),
+         "collapse.vertex_map: expected an id"),
+        (_set_edge(0, "ends", "pu"), "edges.ends: expected two ids"),
+        (lambda top: top.__setitem__("split_order", "e1"), "split_order: expected a list"),
+        (_set_edge(0, "direction", 5), "edges.direction: expected a list"),
+        (lambda top: top["vertices"].append(7), "vertices: expected an object"),
+        (lambda top: top["edges"][0].pop("id"), "edges.id: missing"),
+    ],
+    ids=["maps-to-list", "vertex-map-list", "ends-string", "split-order-string",
+         "direction-int", "vertex-int", "edge-without-id"],
+)
+def test_malformed_graph_shape_exits_two_naming_the_field(fixture_dir, tmp_path, mutate, message):
+    top = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
+    top["collapse"]["to_graph"] = str(fixture_dir / top["collapse"]["to_graph"])
+    mutate(top)
+    res = run_cli([
+        "split", "check", str(fixture_dir / "square_split.dec.json"),
+        _write_json(tmp_path / "t.graph.json", top), "--eta", "1,-1",
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_write_failure_exits_two(fixture_dir, tmp_path):
+    """A report that cannot be written is an input error (exit 2), not an
+    internal error with a traceback."""
+    target = tmp_path / "missing" / "report.json"
+    res = run_cli([
+        "graph", "check", str(fixture_dir / "square_plain.dec.json"),
+        str(fixture_dir / "fig_rigid_gamma1.graph.json"), "-o", str(target),
+    ])
+    assert res.exit_code == 2, res.output
+    assert f"error: cannot write {target}: " in res.stderr, res.stderr
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    res = run_cli(["corpus", "export", str(afile / "sub")])
+    assert res.exit_code == 2, res.output
+    assert f"error: cannot write {afile / 'sub'}: " in res.stderr, res.stderr
+    assert "Traceback" not in res.output
+
+
 CORPUS_COMMANDS = {
     "graph": ["graph", "check"],
     "split": ["split", "check"],
@@ -530,31 +634,52 @@ def test_dual_cell_for_unknown_polytope_exits_two(fixture_dir, tmp_path):
     assert "dual cell for unknown polytope Qzz" in res.stderr, res.stderr
 
 
-def test_internal_error_exits_three(fixture_dir):
-    """An exception no command turns into a verdict or an input error exits
-    3, never 1, with its traceback and an error line; forced here in a
-    report function."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    script = (
-        "import sys, tropsplit.reports as r\n"
+def _forced(patch, exc):
+    """A script that makes ``patch`` (a function of ``tropsplit.reports``
+    or ``tropsplit.splitting.QuasiSplitGraph``) raise ``exc`` and runs the
+    CLI."""
+    return (
+        "import sys, tropsplit.reports as r, tropsplit.splitting as s\n"
         "def boom(*args, **kwargs):\n"
-        "    raise RuntimeError('forced')\n"
-        "r.graph_report = boom\n"
+        f"    raise {exc}('forced')\n"
+        f"{patch} = boom\n"
         "from tropsplit.cli import main\n"
         "main(sys.argv[1:])\n"
     )
+
+
+@pytest.mark.parametrize(
+    "patch, exc, shown, args",
+    [
+        ("r.graph_report", "RuntimeError", "forced", ["graph", "check"]),
+        ("r.graph_report", "KeyError", "'forced'", ["graph", "check"]),
+        ("r.graph_report", "TypeError", "forced", ["graph", "check"]),
+        ("s.QuasiSplitGraph._check_components", "KeyError", "'forced'", ["split", "check"]),
+    ],
+    ids=["RuntimeError", "KeyError", "TypeError", "quasi-split-KeyError"],
+)
+def test_internal_error_exits_three(fixture_dir, patch, exc, shown, args):
+    """An exception no command turns into a verdict or an input error exits
+    3, never 1 or 2, with its traceback and an error line; forced here in a
+    report function and inside the quasi-split graph's construction.  A
+    KeyError or TypeError is a crash too, whatever the command reads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if args == ["graph", "check"]:
+        args = args + [str(fixture_dir / "square_plain.dec.json"),
+                       str(fixture_dir / "fig_rigid_gamma1.graph.json")]
+    else:
+        args = args + [str(fixture_dir / "square_split.dec.json"),
+                       str(fixture_dir / "fig_square_top1.graph.json"), "--eta", "1,-1"]
     proc = subprocess.run(
-        [sys.executable, "-c", script, "graph", "check",
-         str(fixture_dir / "square_plain.dec.json"),
-         str(fixture_dir / "fig_rigid_gamma1.graph.json")],
+        [sys.executable, "-c", _forced(patch, exc), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 3, proc.stdout + proc.stderr
     lines = proc.stderr.splitlines()
     assert lines[0] == "Traceback (most recent call last):"
-    assert lines[-1] == "error: internal error: RuntimeError: forced"
+    assert lines[-1] == f"error: internal error: {exc}: {shown}"
     assert proc.stdout == ""
 
 

@@ -10,6 +10,7 @@ from tropsplit.graphs import (
     GraphError,
     TropicalGraph,
     is_rigid,
+    match_collapse,
     split_edges,
     validate_collapse,
     validate_graph,
@@ -169,6 +170,21 @@ def test_collapse_rejects_nonsurjective(square_plain):
         {"v1": "v", "v2": "v", "vA": "vA", "vB": "vB", "vC": "vA"},
     )
     assert not rep.ok
+
+
+def test_collapse_names_edges_with_an_unknown_endpoint(square_plain):
+    """An edge end that names no vertex of its graph, top or base, is a
+    diagnostic, not a failed lookup in the vertex map."""
+    top, base = fx.fig_rigid_gamma2(), fx.fig_rigid_gamma1()
+    top["edges"][0]["ends"][0] = "zz"
+    base["edges"][0]["ends"][1] = "yy"
+    rep = match_collapse(
+        square_plain, graph_from_dict(top), graph_from_dict(base),
+        {"v1": "v", "v2": "v", "vA": "vA", "vB": "vB", "vC": "vC"},
+    )
+    assert not rep.ok
+    assert "edge e1: unknown endpoint zz" in rep.diagnostics
+    assert "base edge e1: unknown endpoint yy" in rep.diagnostics
 
 
 def test_collapse_epsilon_scaling(square_plain):

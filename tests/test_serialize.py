@@ -7,7 +7,9 @@ from tropsplit import fixtures as fx
 from tropsplit.cones import Cone
 from tropsplit.potential import NovikovSeries
 from tropsplit.serialize import (
+    InputError,
     canonical_json,
+    collapse_from_dict,
     cone_from_dict,
     cone_to_dict,
     decomposition_from_dict,
@@ -16,8 +18,10 @@ from tropsplit.serialize import (
     graph_to_dict,
     parse_rat,
     rat_str,
+    series_from_dict,
     series_from_list,
     series_to_list,
+    toric_from_dict,
 )
 
 
@@ -127,3 +131,61 @@ def test_a_cell_dim_is_read_as_an_exact_integer():
     del data["polytopes"][0]["dim"]
     assert decomposition_from_dict(data).polytopes[data["polytopes"][0]["id"]].dim is None
 
+
+
+def test_int_ids_are_read_as_strings():
+    """Every id, wherever it appears, goes through one reader: an int is
+    its decimal string, so a cell named 7 is in the split set [7]."""
+    data = fx.square_complex(split=())
+    for p in data["polytopes"] + data["dual_cells"]:
+        p["id"] = 7 if p["id"] == "vc" else p["id"]
+    data["faces"] = [[7 if q == "vc" else q, p] for q, p in data["faces"]]
+    data["split_set"] = [7]
+    dec = decomposition_from_dict(data)
+    assert dec.split_set == {"7"} and "7" in dec.dual_cells
+    g = fx.fig_square_top1()
+    g["vertices"][1]["polytope"] = 7
+    g["collapse"]["vertex_map"]["up"] = 0
+    g["split_order"] = [5]
+    assert graph_from_dict(g).label["up"] == "7"
+    assert graph_from_dict(g).split_order == ("5",)
+    assert collapse_from_dict(g)[0]["up"] == "0"
+
+
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (decomposition_from_dict, [], "top level: expected an object"),
+        (decomposition_from_dict, {"ambient_dim": 2}, "polytopes: missing"),
+        (graph_from_dict, {"vertices": [{"id": True, "polytope": "vc"}], "edges": []},
+         "vertices.id: expected an id"),
+        (graph_from_dict, {"vertices": [], "edges": [{"id": "e", "ends": "pu"}]},
+         "edges.ends: expected two ids"),
+        (graph_from_dict, {"vertices": [], "edges": [], "split_order": "e1"},
+         "split_order: expected a list"),
+        (collapse_from_dict, {"vertices": []},
+         "graph file has no collapse block; a quasi-split input needs one"),
+        (collapse_from_dict, {"collapse": {"vertex_map": [], "to_graph": "g"}},
+         "collapse.vertex_map: expected an object"),
+        (series_from_dict, {"num_vars": 1, "terms": [{"coeff": "1", "area": "0"}]},
+         "terms.monomial: missing"),
+        (lambda d: toric_from_dict(d, cut=True), {"normals": [[1]], "constants": [1],
+                                                   "lambda": ["12"]}, "epsilons: missing"),
+        (lambda d: toric_from_dict(d, cut=False), {"normals": [[1]], "constants": "12",
+                                                    "lambda": [0]}, "constants: expected a list"),
+    ],
+)
+def test_wire_schema_errors_name_the_field(read, data, message):
+    with pytest.raises(InputError) as info:
+        read(data)
+    assert str(info.value) == message
+
+
+def test_coercion_errors_keep_their_text():
+    """A value of the right shape that does not coerce raises the
+    coercion's own ValueError, not an InputError."""
+    data = fx.square_complex()
+    data["ambient_dim"] = 2.5
+    with pytest.raises(ValueError, match="expected an integer") as info:
+        decomposition_from_dict(data)
+    assert not isinstance(info.value, InputError)

@@ -90,3 +90,28 @@ def test_zero_set_format_stays_in_cones():
             if "_dd_step" in names or shift:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _names(node) -> set:
+    """The bare and attribute names in an expression."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_input_boundary():
+    """The wire schema lives in ``serialize``: no other module raises its
+    ``InputError``.  The CLI maps exceptions to exit codes by type in one
+    place and names no ``KeyError`` or ``TypeError`` in any ``except``
+    clause (nor has a bare one), so a crash of that kind exits 3 and never
+    reads as bad input."""
+    raisers, catchers = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if "InputError" in _names(node.exc) and path.name != "serialize.py":
+                    raisers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ExceptHandler) and path.name == "cli.py":
+                if node.type is None or _names(node.type) & {"KeyError", "TypeError"}:
+                    catchers.append(f"{path.name}:{node.lineno}")
+    assert not raisers, raisers
+    assert not catchers, catchers
