@@ -48,7 +48,8 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+    # ValueError: not JSON, or not UTF-8; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(f"cannot read {path}: {exc}")
 
 
@@ -58,6 +59,8 @@ def _load_json_or_inline(arg: str):
         return json.loads(arg)
     except json.JSONDecodeError:
         return _load_json(arg)
+    except RecursionError as exc:
+        _fail(f"cannot read inline JSON: {exc}")
 
 
 def _write(path: str, text: str):

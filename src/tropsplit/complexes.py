@@ -3,6 +3,11 @@
 A decomposition is a finite collection of cells (polytopes in t-dual given
 by inequalities a.x <= b), a face poset, one dual cell per cell (a polytope
 in t given by vertices and rays), and a designated split set of cells.
+
+Cells meet in listed common faces, named by their cones' canonical
+generators (``Cone.key()``).  ``cones.common_face`` certifies a cell
+intersection with no conversion, and a facet is its cell's rays tight on
+its row; a cut's decomposition keeps the cones its walk kept.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, DDState
+from .cones import Cone, DDState, common_face
 from .exact import (
     IntegerLattice,
     _dot,
@@ -64,6 +69,7 @@ class Decomposition:
         self._dual_geom: dict[str, Polyhedron] = {}
         self._normal: dict[str, IntegerLattice] = {}
         self._le: frozenset | None = None
+        self._below: dict[str, list] | None = None
         self._isect_cache: dict[tuple[str, str], str | None] = {}
         # name the smallest bad entry (as text: ids can be any value), whatever the hash seed
         known = self.polytopes
@@ -123,26 +129,44 @@ class Decomposition:
         """Whether cell q is a face of cell p (or equal)."""
         return q == p or (q, p) in self._closure()
 
-    def listed_faces(self, poly: Polyhedron, *cells: str):
+    def _faces_of(self, p: str) -> list:
+        """Ids, in sorted order, of the listed faces of cell p (p included)."""
+        if self._below is None:
+            below = {q: {q} for q in self.polytopes}
+            for q, r in self._closure():
+                below[r].add(q)
+            self._below = {q: sorted(faces) for q, faces in below.items()}
+        return self._below[p]
+
+    def listed_faces(self, face: tuple, cell: str, *cells: str):
         """Ids, in sorted order, of the listed cells that are faces of every
-        given cell and equal poly as a set."""
-        for q in sorted(self.polytopes):
-            if all(self.face_le(q, p) for p in cells) and self.cell(q).same_set(poly):
+        given cell and whose cones have the canonical generators ``face``, a
+        ``(rays, lineality)`` pair: the set's key, since a conversion's
+        output is canonical for the set."""
+        for q in self._faces_of(cell):
+            if all(self.face_le(q, p) for p in cells) and self.cell(q).cone.key() == face:
                 yield q
 
     def intersection_cell(self, p1: str, p2: str) -> str | None:
         """Id of the listed cell equal to p1 n p2, or None when empty.
 
         Raises DecompositionError when the intersection is nonempty but not
-        a listed common face.
+        a listed common face.  The intersection's canonical generators come
+        from ``cones.common_face``: containment of the cell the face poset
+        puts below in the other, or face steps by tight sets.  Only when
+        neither certifies it is the intersection converted.  The answer is
+        the smallest id among the listed common faces with those generators.
         """
         key = (min(p1, p2), max(p1, p2))
         if key in self._isect_cache:
             return self._isect_cache[key]
-        inter = self.cell(p1).intersect(self.cell(p2))
+        a, b = (p2, p1) if self.face_le(p2, p1) else (p1, p2)
+        face = common_face(self.cell(a).cone, self.cell(b).cone)
+        if face is None:
+            face = self.cell(p1).intersect(self.cell(p2)).cone.key()
         result: str | None = None
-        if not inter.is_empty():
-            result = next(self.listed_faces(inter, p1, p2), None)
+        if face and any(r[-1] > 0 for r in face[0]):  # some point at t = 1
+            result = next(self.listed_faces(face, p1, p2), None)
             if result is None:
                 raise DecompositionError(
                     f"intersection of {p1} and {p2} is not a listed common face"
@@ -345,13 +369,19 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     if inner not in {p.id for p in polytopes}:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
+    # the kept cones are the cells, so the decomposition converts none again
+    dec._geom.update((cell_id(sigma), poly) for sigma, poly in kept.items())
     return dec, inner
 
 
 def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
     """Whether lam is interior to the cell p0 and every facet of p0 is a
     listed cell of the decomposition (so all invariant divisors of the
-    inner piece are relative)."""
+    inner piece are relative).
+
+    Each facet is the face of p0's cone cut out by its row, so its
+    canonical generators are p0's lineality and the rays tight on that
+    row; it is named by them, with no conversion."""
     if p0 not in dec.polytopes:
         raise DecompositionError(f"unknown cell {p0}")
     geom = dec.cell(p0)
@@ -365,8 +395,10 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
     for a, b in eqs:
         if _dot(a, lam) != b:
             return False
+    rays, lin = geom.cone.key()
     for a, b in ineqs:
-        facet = geom.intersect_hrep(eqs=[(a, b)])
+        row = _hom(a, b)
+        facet = tuple(r for r in rays if not _dot(row, r)), lin
         if not any(q != p0 for q in dec.listed_faces(facet, p0)):
             return False
     return True

@@ -479,10 +479,31 @@ class Cone:
             _dot(a, p) for a in self._eqs
         )
 
+    def key(self) -> tuple[tuple, tuple]:
+        """The extreme rays and the lineality basis, canonical for the set,
+        so two cones have equal keys exactly when they are equal: a
+        conversion's side as it returned it, and for a cone built from
+        generators those of its minimal form."""
+        c = self if self._from_h or self._off is not None else self.minimal()
+        return c.rays, c.lineality
+
+    def given_rows(self) -> tuple[tuple, tuple]:
+        """Rows ``a.x >= 0`` and an equality basis that cut the cone out: the
+        given ones, or those its conversion cut, so no conversion and no
+        read-off runs unless the cone was built from generators."""
+        if self._ineqs is None and self._off is not None:
+            return self._off[0], self._off[2]
+        return self.ineqs, self.eqs
+
     def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(tuple(-x for x in l))
-            for l in other.lineality
+        """Whether other lies in self: other's generators against the rows
+        that cut self out."""
+        ineqs, eqs = self.given_rows()
+        rays, lin = other.rays, other.lineality
+        return (
+            all(_dot(a, r) >= 0 for a in ineqs for r in rays)
+            and not any(_dot(a, l) for a in ineqs for l in lin)
+            and not any(_dot(e, g) for e in eqs for g in rays + lin)
         )
 
     def same_set(self, other: "Cone") -> bool:
@@ -549,6 +570,56 @@ class Cone:
         if not self.contains(p):
             raise RuntimeError("relative interior point outside the cone")
         return p
+
+
+def common_face(c1: Cone, c2: Cone):
+    """The canonical ``(rays, lineality)`` of c1 n c2 when a certificate
+    shows it, ``()`` when it shows that c1 n c2 has no point with a
+    positive last coordinate, and None when no certificate applies.
+
+    When c1 lies in c2 the intersection is c1.  Otherwise face steps: a
+    row h of one side that is <= 0 on the other side's generators puts the
+    intersection in h = 0, so each side keeps its generators tight on h, a
+    face in canonical form (its cone's lineality and the extreme rays in
+    it).  Once no row cuts further, equal faces are the intersection, a
+    face of both; a face with no point at a positive last coordinate shows
+    the intersection has none either.  No conversion runs.
+    """
+    if c2.contains_cone(c1):
+        return c1.key()
+    sides = []
+    for c in (c1, c2):
+        ineqs, eqs = c.given_rows()
+        rows = ineqs + eqs + tuple(tuple(-x for x in e) for e in eqs)
+        sides.append([*c.key(), rows])
+    while True:
+        for rays, lin, _ in sides:
+            if not any(r[-1] > 0 for r in rays) and not any(l[-1] for l in lin):
+                return ()
+        (r1, l1, _), (r2, l2, _) = sides
+        if r1 == r2 and l1 == l2:
+            return r1, l1
+        if not (_face_steps(*sides) or _face_steps(*reversed(sides))):
+            return None
+
+
+def _face_steps(own: list, other: list) -> bool:
+    """Cut both sides' faces ``[rays, lineality, rows]`` by each row of
+    ``own`` that is <= 0 on every generator of ``other``; whether any ray
+    was dropped."""
+    cut = False
+    for h in own[2]:
+        if any(_dot(h, l) for l in other[1]):
+            continue
+        theirs = [_dot(h, r) for r in other[0]]
+        if any(v > 0 for v in theirs):
+            continue
+        mine = [_dot(h, r) for r in own[0]]
+        if any(theirs) or any(mine):
+            other[0] = tuple(r for r, v in zip(other[0], theirs) if not v)
+            own[0] = tuple(r for r, v in zip(own[0], mine) if not v)
+            cut = True
+    return cut
 
 
 def is_increasing(cone: Cone) -> bool:

@@ -184,15 +184,20 @@ class Polyhedron:
 
         The smallest face of other containing self is cut out by the rows
         of any H-representation of other's cone that vanish on self's rays
-        (they vanish on its lineality once self lies in other).
+        (they vanish on its lineality once self lies in other).  That face
+        keeps other's lineality, and its extreme rays are other's rays tight
+        on those rows, so self is a face exactly when its canonical
+        generators are those: no intersection is converted.
         """
         if self.is_empty():
             return True
         if not other.contains_polyhedron(self):
             return False
-        tight = [a for a in other.cone.ineqs if not any(_dot(a, r) for r in self.cone.rays)]
-        face = other.cone.intersect(Cone(self.ambient_dim + 1, eqs=tight))
-        return self.cone.contains_cone(face)
+        key = self.cone.key()
+        ineqs, _ = other.cone.given_rows()
+        tight = [a for a in ineqs if not any(_dot(a, r) for r in key[0])]
+        rays, lin = other.cone.key()
+        return (tuple(g for g in rays if not any(_dot(a, g) for a in tight)), lin) == key
 
     def __repr__(self):
         return f"Polyhedron(n={self.ambient_dim}, dim={self.dim()})"

@@ -37,6 +37,14 @@ each of its 3^N sign vectors and found face pairs by scanning all pairs of
 kept cells; it is kept verbatim so that the pruned sign-prefix walk in
 ``tropsplit.complexes`` can be checked against it.
 
+``intersection_cell``, ``listed_faces`` and ``is_tropical_fiber`` are how
+``tropsplit.complexes`` named cell intersections and facets: one
+conversion of each intersection (and of each facet, cut from its cell by
+its row), named by a ``same_set`` scan over every listed cell in sorted
+order.  They are kept verbatim (with the decomposition as an argument, and
+without the intersection cache) so that the containment and tight-set
+certificates and the canonical-key lookup can be checked against them.
+
 ``dd_step`` is the integer double description step as it ran an
 elimination of the remaining lineality basis and a reduction of every ray
 when a row cut the lineality space, and ``read_off`` the minimal
@@ -91,6 +99,7 @@ from tropsplit.exact import (
     invariant_factors,
     is_zero_vec,
     primitive,
+    ratvec,
     smith_normal_form,
     vadd,
     vdot,
@@ -582,6 +591,59 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
     return dec, inner
+
+
+# ---------------------------------------------------------------------------
+# cell intersections by one conversion each, named by a same_set scan
+
+
+def listed_faces(self, poly: Polyhedron, *cells: str):
+    """Ids, in sorted order, of the listed cells that are faces of every
+    given cell and equal poly as a set."""
+    for q in sorted(self.polytopes):
+        if all(self.face_le(q, p) for p in cells) and self.cell(q).same_set(poly):
+            yield q
+
+
+def intersection_cell(self, p1: str, p2: str) -> str | None:
+    """Id of the listed cell equal to p1 n p2, or None when empty.
+
+    Raises DecompositionError when the intersection is nonempty but not
+    a listed common face.
+    """
+    inter = self.cell(p1).intersect(self.cell(p2))
+    result: str | None = None
+    if not inter.is_empty():
+        result = next(listed_faces(self, inter, p1, p2), None)
+        if result is None:
+            raise DecompositionError(
+                f"intersection of {p1} and {p2} is not a listed common face"
+            )
+    return result
+
+
+def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
+    """Whether lam is interior to the cell p0 and every facet of p0 is a
+    listed cell of the decomposition (so all invariant divisors of the
+    inner piece are relative)."""
+    if p0 not in dec.polytopes:
+        raise DecompositionError(f"unknown cell {p0}")
+    geom = dec.cell(p0)
+    lam = ratvec(lam)
+    ineqs, eqs = geom.hrep()
+    if not geom.contains(lam):
+        return False
+    for a, b in ineqs:
+        if _dot(a, lam) == b:
+            return False  # lam on the boundary
+    for a, b in eqs:
+        if _dot(a, lam) != b:
+            return False
+    for a, b in ineqs:
+        facet = geom.intersect_hrep(eqs=[(a, b)])
+        if not any(q != p0 for q in listed_faces(dec, facet, p0)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from tropsplit import cones, exact
+from tropsplit import complexes, cones, exact
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
+from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import canonical_json
 
 
@@ -268,12 +270,15 @@ def test_corpus_run_matches_and_is_stable():
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 261 double
+    """One pass over the corpus, each case cold, runs 214 double
     description conversions and gives the stored bytes.  A cone that
     converted a side it already had, a minimal form that converts its
-    other side where it could read it off, or a scalings cone converted
+    other side where it could read it off, a scalings cone converted
     from the full space instead of cut from the orthant (one per split
-    case) changes the count."""
+    case), or a cell intersection converted where containment or tight
+    sets certify it (once 261, with one conversion for each of the 52
+    intersections a pass computes and a ``same_set`` scan to name it)
+    changes the count."""
     calls = []
     original = cones._h_to_v
 
@@ -285,17 +290,18 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 261
+    assert len(calls) == 214
 
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 960 ``_rref_int`` calls, counted in every module that binds it.
+    with 842 ``_rref_int`` calls, counted in every module that binds it.
     A double description step that eliminates its lineality basis again
     or reduces its rays, a read-off that computes the equalities as a
-    kernel (once 1594 calls a pass), or a minimal cone built on the dual
-    that ranks its read-off rays for its dimension (once 971), changes the
-    count."""
+    kernel (once 1594 calls a pass), a minimal cone built on the dual
+    that ranks its read-off rays for its dimension (once 971), or a cell
+    intersection built and converted where a certificate settles it (once
+    960), changes the count."""
     calls = []
     original = exact._rref_int
 
@@ -309,7 +315,36 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 960
+    assert len(calls) == 842
+
+
+def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
+    """One pass over the corpus, each case cold, computes 52 cell
+    intersections: 36 settled by containment and 16 by tight-set face
+    steps, none by the conversion fallback, and no listed cell is named by
+    a ``same_set`` scan."""
+    routes = Counter()
+    certify = complexes.common_face
+
+    def classified(c1, c2):
+        face = certify(c1, c2)
+        routes["containment" if c2.contains_cone(c1) else "face steps" if face is not None
+               else "fallback"] += 1
+        return face
+
+    def counted(name, original):
+        def wrapper(*args):
+            routes[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(complexes, "common_face", classified)
+    for name in ("intersect", "same_set"):
+        monkeypatch.setattr(Polyhedron, name, counted(name, getattr(Polyhedron, name)))
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert routes == {"containment": 36, "face steps": 16}
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
@@ -750,3 +785,40 @@ def test_corpus_run_does_not_depend_on_the_hash_seed():
     code, out, err = outcome
     assert (code, err) == (0, ""), out + err
     assert [line.split()[0] for line in out.splitlines()] == ["ok"] * len(corpus_cases())
+
+
+def _run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "tropsplit.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_json_file_exits_two(fixture_dir, tmp_path):
+    """JSON nested past the decoder's recursion limit is unreadable input:
+    exit 2 with one error line, not an internal error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(_nested(100000))
+    graph = fixture_dir / "fig_rigid_gamma1.graph.json"
+    proc = _run_module("graph", "check", str(deep), str(graph))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot read {deep}: maximum recursion depth"), line
+
+
+def test_deeply_nested_inline_json_exits_two():
+    proc = _run_module(
+        "cut", "--normals", _nested(50000), "--constants", "[1]", "--eps", "[1]", "--lambda", "[0]"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: cannot read inline JSON: maximum recursion depth"), line

@@ -3,12 +3,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 import oracles
 from oracles import kernel_basis, mat, rank
-from tropsplit import cones
+from tropsplit import complexes, cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
@@ -21,6 +22,7 @@ from tropsplit.complexes import (
 )
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
+from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import (
     canonical_json,
     decomposition_from_dict,
@@ -465,3 +467,167 @@ def test_intersection_cell_needs_no_minimal_cone(monkeypatch):
     assert meets[("Hxp", "Hyp")] == "vc"
     assert meets[("Hxp", "Qpp")] == "Hxp"
     assert all(dec.face_le(q, p1) and dec.face_le(q, p2) for (p1, p2), q in meets.items())
+
+
+# -- intersection certificates against the frozen conversion -------------------
+
+
+def _square_mutant(kind):
+    """``square_split`` with one seeded defect."""
+    data = fx.square_complex()
+    cells = {p["id"]: p for p in data["polytopes"]}
+    if kind == "overlap":  # Qmm's x <= 0 becomes x <= 1, so Qmm overlaps Qpm
+        cells["Qmm"]["ineqs"][0] = ["1", "0", "1"]
+    elif kind == "dropped face pair":
+        data["faces"].remove(["Hxp", "Qpp"])
+    elif kind == "shrunk cell":  # Qpp becomes the square [0, 5]^2
+        cells["Qpp"]["ineqs"] += [["1", "0", "5"], ["0", "1", "5"]]
+    elif kind.startswith("duplicate"):
+        # a copy of vc under the id "a_vc", which sorts before "vc"
+        data["polytopes"].append({**cells["vc"], "id": "a_vc"})
+        dual = next(d for d in data["dual_cells"] if d["id"] == "vc")
+        data["dual_cells"].append({**dual, "id": "a_vc"})
+        if kind == "duplicate face":
+            data["faces"] += [["a_vc", p] for q, p in data["faces"] if q == "vc"]
+    return data
+
+
+MUTANTS = ["overlap", "dropped face pair", "shrunk cell", "duplicate face", "duplicate"]
+
+
+def _answer(meet, *args):
+    """The cell id or None a query gives, or its DecompositionError text."""
+    try:
+        return meet(*args)
+    except DecompositionError as exc:
+        return f"error: {exc}"
+
+
+def _answers(meet, pairs):
+    return {(p1, p2): _answer(meet, p1, p2) for p1, p2 in pairs}
+
+
+def _ordered_pairs(dec):
+    return list(itertools.product(sorted(dec.polytopes), repeat=2))
+
+
+def _bundled_and_mutants():
+    out = {name: make() for name, make in fx.DECOMPOSITIONS.items()}
+    out.update({kind: _square_mutant(kind) for kind in MUTANTS})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + MUTANTS)
+def test_intersection_cell_matches_the_conversion_reference(name):
+    """Every ordered cell pair gives the frozen version's id, None or error
+    text, with the error naming the cells in the caller's order.  The
+    mutants cover an overlap, a dropped face pair, a cell shrunk to a
+    sub-polytope and a copy of ``vc`` under the smaller id ``a_vc``, which,
+    listed as a face where vc is, names every meet vc named."""
+    data = _bundled_and_mutants()[name]
+    dec, old = decomposition_from_dict(data), decomposition_from_dict(data)
+    pairs = _ordered_pairs(dec)
+    got = _answers(dec.intersection_cell, pairs)
+    assert got == _answers(partial(oracles.intersection_cell, old), pairs)
+    if name == "duplicate face":
+        assert got[("Qmm", "Qpp")] == got[("Hxp", "Hyp")] == "a_vc"
+    if name == "overlap":
+        for p1, p2 in (("Qmm", "Qpm"), ("Qpm", "Qmm")):
+            assert got[(p1, p2)] == (
+                f"error: intersection of {p1} and {p2} is not a listed common face")
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + MUTANTS)
+def test_listed_faces_match_the_same_set_scan(name):
+    """The canonical-key lookup names the listed faces the frozen
+    ``same_set`` scan names, for every cell as the set and every cell as the
+    upper bound."""
+    data = _bundled_and_mutants()[name]
+    dec, old = decomposition_from_dict(data), decomposition_from_dict(data)
+    for q, p in _ordered_pairs(dec):
+        got = list(dec.listed_faces(dec.cell(q).cone.key(), p))
+        assert got == list(oracles.listed_faces(old, old.cell(q), p)), (q, p)
+
+
+def _cut(name):
+    t = getattr(fx, name)()
+    return toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+
+
+CUTS = ["toric_square", "hirzebruch_two", "toric_cube", "toric_hexagonal_prism"]
+
+
+@pytest.mark.parametrize("name", CUTS)
+def test_cut_intersections_match_the_conversion_reference(name):
+    """Every pair of cut cells, on the cells the walk handed over, gives
+    the frozen version's answer on the same cells rebuilt from their rows."""
+    dec, _ = _cut(name)
+    old = decomposition_from_dict(decomposition_to_dict(dec))
+    pairs = list(itertools.combinations(sorted(dec.polytopes), 2))
+    want = _answers(partial(oracles.intersection_cell, old), pairs)
+    assert _answers(dec.intersection_cell, pairs) == want
+
+
+@pytest.mark.parametrize("name", CUTS)
+def test_tropical_fiber_matches_the_conversion_reference_on_every_cut_cell(name):
+    """At each cut cell's relative interior point, and at the base point,
+    the facets named by tight rays give the frozen version's verdict."""
+    t = getattr(fx, name)()
+    dec, inner = _cut(name)
+    old = decomposition_from_dict(decomposition_to_dict(dec))
+    verdicts = Counter()
+    for p in sorted(dec.polytopes):
+        for lam in (dec.cell(p).relative_interior_point(), t["lambda"]):
+            got = is_tropical_fiber(dec, p, lam)
+            assert got == oracles.is_tropical_fiber(old, p, lam), (p, lam)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+    assert is_tropical_fiber(dec, inner, t["lambda"])
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + MUTANTS + CUTS[:3])
+def test_intersection_cell_answers_do_not_depend_on_the_certificate(monkeypatch, name):
+    """With the certificate declining every pair, each pair goes through
+    the conversion fallback, and every answer stays the same."""
+    if name in CUTS:
+        certified, _ = _cut(name)
+        data = decomposition_to_dict(certified)
+    else:
+        data = _bundled_and_mutants()[name]
+        certified = decomposition_from_dict(data)
+    pairs = _ordered_pairs(certified)
+    want = _answers(certified.intersection_cell, pairs)
+    converted = []
+    intersect = Polyhedron.intersect
+
+    def counted(self, other):
+        converted.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(complexes, "common_face", lambda c1, c2: None)
+    monkeypatch.setattr(Polyhedron, "intersect", counted)
+    fallback = decomposition_from_dict(data)
+    assert _answers(fallback.intersection_cell, pairs) == want
+    assert len(converted) >= len(fallback._isect_cache) > 0
+
+
+def test_cut_intersections_run_no_conversion(monkeypatch):
+    """The cut hands its walked cones to its decomposition and every pair
+    of its cells is certified, so auditing the cube's 7750 pairs and
+    checking its inner cell's facets run no double description
+    conversion."""
+    calls = []
+    original = cones._h_to_v
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_h_to_v", counted)
+    t = fx.toric_cube()
+    dec, inner = _cut("toric_cube")
+    for p1, p2 in itertools.combinations(sorted(dec.polytopes), 2):
+        dec.intersection_cell(p1, p2)
+    assert is_tropical_fiber(dec, inner, t["lambda"])
+    assert len(dec._isect_cache) == 7750
+    assert calls == []

@@ -753,3 +753,61 @@ def test_lineality_step_and_read_off_run_no_elimination(monkeypatch):
     assert m.lineality == ((1, 0, 0), (0, 0, 1)) and m.rays == ((0, 1, 0),)
     # one elimination, of the lineality and the implicit rays +-(1, 0, 0)
     assert calls["_rref_int"] == 1 and calls["_kernel_int"] == 0
+
+
+# -- common faces by certificate -------------------------------------------------
+
+
+def _seeded_polyhedron(rng, n):
+    """A homogenization cone of a random polyhedron in R^n: a few small
+    rows, so that cells with lines, empty cells and unbounded ones occur,
+    or a face of one, cut by some of its facets."""
+    rows = [([rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1))
+            for _ in range(rng.randint(1, 4))]
+    p = Polyhedron.from_hrep(n, ineqs=rows)
+    ineqs, _ = p.hrep()
+    if ineqs and rng.random() < 0.4:
+        p = p.intersect_hrep(eqs=rng.sample(ineqs, 1))
+    return p.cone
+
+
+def test_common_face_agrees_with_the_converted_intersection():
+    """Whenever the certificate answers, its answer is the converted
+    intersection's: the same canonical generators, or, for (), an
+    intersection with no ray at a positive last coordinate.  Seeded pairs
+    cover every outcome, certified faces with lineality among them."""
+    rng = random.Random(1996)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        c1, c2 = _seeded_polyhedron(rng, n), _seeded_polyhedron(rng, n)
+        if rng.random() < 0.3:
+            c1 = c1.intersect(c2)  # contained in c2
+        got = cones.common_face(c1, c2)
+        want = c1.intersect(c2).key()
+        if got is None:
+            seen["declined"] += 1
+        elif got == ():
+            assert not any(r[-1] > 0 for r in want[0]), (c1, c2)
+            seen["empty"] += 1
+        else:
+            assert got == want, (c1, c2)
+            seen["face with lineality" if got[1] else "face"] += 1
+    assert min(seen[k] for k in ("declined", "empty", "face", "face with lineality")) >= 30, seen
+
+
+def test_common_face_declines_a_line_against_a_point_on_it():
+    """The line x = 0 and the origin share their rays but not their
+    lineality: no row cuts either further, so the certificate declines."""
+    line = Polyhedron.from_hrep(2, eqs=[((1, 0), 0)]).cone
+    point = Polyhedron.from_hrep(2, eqs=[((1, 0), 0), ((0, 1), 0)]).cone
+    assert line.key()[0] == point.key()[0]
+    assert cones.common_face(line, point) is None
+    assert cones.common_face(point, line) == point.key()  # contained
+    left = Polyhedron.from_hrep(2, ineqs=[((1, 0), 0)]).cone
+    right = Polyhedron.from_hrep(2, ineqs=[((-1, 0), 0)]).cone
+    assert cones.common_face(left, right) == line.key()
+    # the last axis has points at a positive last coordinate, though no ray
+    axis = Cone.from_hrep([], eqs=[(1, 0)])
+    assert axis.key() == ((), ((0, 1),))
+    assert cones.common_face(axis, Cone.from_hrep([(0, 1)])) is None

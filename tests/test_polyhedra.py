@@ -6,9 +6,12 @@ import pytest
 
 import oracles
 from oracles import mat
+from tropsplit import fixtures as fx
+from tropsplit.complexes import toric_cut
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
 from tropsplit.polyhedra import Polyhedron
+from tropsplit.serialize import decomposition_from_dict, decomposition_to_dict
 
 
 def unit_square():
@@ -246,3 +249,93 @@ def test_emptiness_and_interior_points_read_off_integer_generators():
         assert all(type(x) is F for x in got) and p.contains(got)
     for key in ("empty", "bounded", "unbounded", "with lineality", "rational vertex"):
         assert seen[key] >= 50, seen
+
+
+# -- faces by tight sets ---------------------------------------------------------
+
+
+def _no_intersections(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("is_face_of converted an intersection")
+
+    monkeypatch.setattr(Cone, "intersect", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS))
+def test_is_face_of_matches_the_reference_on_fixture_cells(monkeypatch, name):
+    """Every ordered pair of cells, and of dual cells, of each bundled
+    decomposition gets the frozen answer, with no intersection converted."""
+    dec = decomposition_from_dict(fx.DECOMPOSITIONS[name]())
+    frozen = decomposition_from_dict(fx.DECOMPOSITIONS[name]())
+    ids = sorted(dec.polytopes)
+    want = {
+        (q, p): (oracles.is_face_of(frozen.cell(q), frozen.cell(p)),
+                 oracles.is_face_of(frozen.dual(q), frozen.dual(p)))
+        for q in ids for p in ids
+    }
+    _no_intersections(monkeypatch)
+    got = {
+        (q, p): (dec.cell(q).is_face_of(dec.cell(p)), dec.dual(q).is_face_of(dec.dual(p)))
+        for q in ids for p in ids
+    }
+    assert got == want
+    assert Counter(got.values())[(True, False)] > 0
+
+
+@pytest.mark.parametrize("name", ["toric_square", "hirzebruch_two", "toric_cube"])
+def test_is_face_of_matches_the_reference_on_cut_cells(name):
+    """The cut hands its walked cones to its decomposition: their faces by
+    tight sets agree with the frozen answer on the cells rebuilt from rows,
+    over every ordered pair (on the cube, every pair sharing a face)."""
+    t = getattr(fx, name)()
+    dec, _ = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    frozen = decomposition_from_dict(decomposition_to_dict(dec))
+    ids = sorted(dec.polytopes)
+    pairs = [(q, p) for q in ids for p in ids]
+    if len(ids) > 100:
+        pairs = [(q, p) for q, p in pairs
+                 if any(dec.face_le(f, q) and dec.face_le(f, p) for f in ids)]
+    answers = Counter()
+    for q, p in pairs:
+        got = dec.cell(q).is_face_of(dec.cell(p))
+        assert got == oracles.is_face_of(frozen.cell(q), frozen.cell(p)), (q, p)
+        assert got == dec.face_le(q, p), (q, p)
+        answers[got] += 1
+    assert answers[True] and answers[False]
+
+
+def _box(rng, n):
+    """A random polytope: a box cut by up to two random halfspaces through
+    points of it."""
+    rows = []
+    for i in range(n):
+        e = [int(i == j) for j in range(n)]
+        rows += [(e, rng.randint(1, 3)), ([-x for x in e], rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        a = [rng.randint(-2, 2) for _ in range(n)]
+        rows.append((a, rng.randint(0, 3)))
+    return Polyhedron.from_hrep(n, ineqs=rows)
+
+
+def test_is_face_of_matches_the_reference_on_seeded_sub_polytopes(monkeypatch):
+    """Faces of seeded polytopes (cut by some of their facets), proper
+    sub-polytopes (cut by a random halfspace) and the same sets built from
+    their vertices, against the frozen answer."""
+    rng = random.Random(18)
+    cases = []
+    for _ in range(60):
+        p = _box(rng, rng.randint(1, 3))
+        if p.is_empty():
+            continue
+        ineqs, _ = p.hrep()
+        subs = [p.intersect_hrep(eqs=rng.sample(ineqs, rng.randint(1, len(ineqs))))
+                for _ in range(3)]
+        a = [rng.randint(-2, 2) for _ in range(p.ambient_dim)]
+        subs.append(p.intersect_hrep(ineqs=[(a, rng.randint(-1, 2))]))
+        subs += [Polyhedron.from_vrep(q.ambient_dim, q.vertices) for q in subs]
+        cases += [(q, p) for q in subs] + [(p, q) for q in subs]
+    want = [oracles.is_face_of(q, p) for q, p in cases]
+    _no_intersections(monkeypatch)
+    got = [q.is_face_of(p) for q, p in cases]
+    assert got == want
+    assert got.count(True) >= 100 and got.count(False) >= 100, Counter(got)
