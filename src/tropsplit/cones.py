@@ -27,8 +27,11 @@ from the nonnegative orthant, and ``toric_cut`` carries a state from each
 cell to its refinements; ``cone()`` hands a state over as a minimal cone.
 
 A cone is built from exactly one representation, and the other side is
-converted from it, once, when something first reads it.  A conversion
-returns the sorted primitive extreme rays (or facets), each reduced modulo
+converted from it, once, when something first reads it.  The conversion,
+``_h_to_v``, is called only by ``Cone`` and takes the rows as the cone
+holds them, already canonical: primitive rows (or rays) and an rref
+equality (or lineality) basis, so it scales and eliminates nothing again.
+It returns the sorted primitive extreme rays (or facets), each reduced modulo
 an rref basis of the lineality space (or of the equalities) in the
 cone's own coordinates, and each ray's zero-set over the given rows (or
 generators).  That converted side is minimal and canonical for the set,
@@ -203,18 +206,24 @@ class DDState(NamedTuple):
 
     def lies_in_any(self, indices) -> bool:
         """Whether some ``rows[i]``, i in ``indices``, is tight on every ray."""
-        tight = 0
-        for i in indices:
-            tight |= 1 << i
-        for _, z in self.rays:
-            tight &= z
-        return bool(tight)
+        return _tight_on_all(indices, (z for _, z in self.rays))
 
     def cone(self) -> "Cone":
         rays = sorted(self.rays)
         return Cone.from_conversion(
             self.dim, tuple(r for r, _ in rays), self.lin, self.rows, tuple(z for _, z in rays)
         )
+
+
+def _tight_on_all(indices, zs) -> bool:
+    """Whether some row i, i in ``indices``, has its bit in every zero-set
+    of ``zs``: it is tight on every extreme ray, so on the whole cone."""
+    tight = 0
+    for i in indices:
+        tight |= 1 << i
+    for z in zs:
+        tight &= z
+    return bool(tight)
 
 
 def orthant_cut(s: int, ineqs, eqs) -> "Cone":
@@ -246,20 +255,20 @@ def _dedupe(pairs):
 def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     """V-representation of {x : ineq.x >= 0, eq.x = 0}.
 
-    Rows may be rational; the conversion runs on their primitive integer
-    forms.  Returns the sorted primitive extreme rays, the lineality basis
+    The rows come in the canonical form a ``Cone`` holds: ``ineqs`` are
+    primitive integer vectors (inequality rows, or on the dual the rays)
+    and ``eqs`` is a canonical basis (primitive rref rows) of the
+    equalities (or of the lineality), so no row is scaled or eliminated
+    again.  Returns the sorted primitive extreme rays, the lineality basis
     (primitive rref rows) and, per ray, its zero-set: the bitmask of the
     given inequalities it is tight on.  Each ray is reduced modulo the
     lineality basis in x coordinates, so the result depends on the set
     only, not on the equalities that state it.
     """
-    ineqs = [primitive(a) for a in ineqs]
-    eqs = [primitive(e) for e in eqs]
-    if any(len(a) != n for a in ineqs + eqs):
+    if any(len(a) != n for a in (*ineqs, *eqs)):
         raise ValueError("constraint row of wrong dimension")
-    E = _rref_int(eqs)
-    K = _kernel_int(E, n) if E else None
-    d = len(K) if E else n
+    K = _kernel_int(eqs, n) if eqs else None
+    d = len(K) if eqs else n
     if d == 0:
         return (), (), ()
     if K is not None:
@@ -478,6 +487,16 @@ class Cone:
         return all(_dot(a, p) >= 0 for a in self._ineqs) and not any(
             _dot(a, p) for a in self._eqs
         )
+
+    def lies_in_any(self, indices) -> bool:
+        """Whether some given inequality of an H-built cone, ``ineqs[i]`` of
+        its nonzero given rows in order for an i in ``indices``, is tight on
+        the whole cone.  Read off the zero-sets of the one H to V conversion
+        the rays come from: each lineality vector is tight on every row."""
+        if not self._from_h or self._off is not None:
+            raise RuntimeError("only an H-built cone reads its given rows' zero-sets")
+        self._ensure_v()
+        return _tight_on_all(indices, self._zs)
 
     def key(self) -> tuple[tuple, tuple]:
         """The extreme rays and the lineality basis, canonical for the set,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -379,19 +380,31 @@ class IntegerLattice:
         if len(_rref_int(self.basis)) != len(self.basis):
             raise ValueError("lattice basis is not linearly independent")
 
+    @cached_property
+    def _echelon(self) -> tuple:
+        """The Hermite normal form of the basis, each row with its pivot
+        column: the same lattice, computed once."""
+        return tuple((row, _lead(row)) for row in hermite_normal_form(self.basis))
+
     def contains(self, v) -> bool:
         """Exact membership of a rational vector.
 
-        v = B^T x has one rational solution x when v spans with the basis B;
-        the integer rref of [B^T | v] gives x_p = row[k] / row[p] for the
-        row with pivot p, and v lies in the lattice when all are integers.
+        An integer v is reduced against the echelon basis in pivot order:
+        the later rows are zero at a row's pivot p, so once the earlier rows
+        are subtracted, v's coefficient on it is v[p] / row[p], and v lies
+        in the lattice exactly when subtracting each floor leaves nothing.
         """
         v = ratvec(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector of wrong dimension")
         if any(x.denominator != 1 for x in v):
             return False
-        k = len(self.basis)
-        R = _rref_int(zip(*self.basis, (x.numerator for x in v), strict=True))
-        return all(_lead(row) < k and row[k] % row[_lead(row)] == 0 for row in R)
+        v = [x.numerator for x in v]
+        for row, p in self._echelon:
+            q = v[p] // row[p]  # a remainder stays at p: no later row reaches it
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return not any(v)
 
     def spans(self, v) -> bool:
         """Membership of a rational vector in the rational span."""

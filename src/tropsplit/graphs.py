@@ -9,6 +9,7 @@ forces position(a) - position(b) onto the positive span of its direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .complexes import Decomposition
@@ -38,6 +39,12 @@ class Edge:
             raise GraphError(f"edge {self.id}: unknown kind {self.kind}")
         if self.direction is not None:
             object.__setattr__(self, "direction", tuple(map(as_int, self.direction)))
+
+    @cached_property
+    def projection(self) -> tuple:
+        """``quotient_projection`` of the direction, computed once per edge
+        (a Smith form) and shared by every system the edge enters."""
+        return quotient_projection(self.direction)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,8 @@ def validate_graph(dec: Decomposition, graph: TropicalGraph) -> None:
         if e.kind == TROPICAL:
             if e.direction is None:
                 raise GraphError(f"edge {e.id}: tropical edge without direction")
+            if len(e.direction) != dec.ambient_dim:
+                raise GraphError(f"edge {e.id}: direction of wrong dimension")
             if all(x == 0 for x in e.direction):
                 raise GraphError(f"edge {e.id}: zero direction")
             cell = edge_cell(dec, graph, e)
@@ -120,9 +129,10 @@ class VertexPositionPolyhedron:
 
     ``realizable`` means the strict system (open dual cells, positive edge
     multipliers) is feasible; ``realizable_weakly`` only asks for the closed
-    polyhedron to be nonempty.  ``dim`` is the dimension of the closed
-    polyhedron (-1 when empty) and ``witness`` a strict position map when
-    one exists.
+    polyhedron to be nonempty.  ``witness`` is a strict position map when
+    one exists, computed and checked in integers with the verdict.  ``dim``
+    is the dimension of the closed polyhedron (-1 when empty), computed
+    when first read: only reports and rigidity read it.
     """
 
     vertex_order: tuple
@@ -130,8 +140,11 @@ class VertexPositionPolyhedron:
     strict_rows: tuple  # rows (a, b) valid on `closed`, needed strictly
     realizable: bool
     realizable_weakly: bool
-    dim: int
     witness: tuple | None
+
+    @cached_property
+    def dim(self) -> int:
+        return self.closed.dim()
 
     def position(self, witness, v: str):
         i = self.vertex_order.index(v)
@@ -156,46 +169,53 @@ def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
     return tuple(row)
 
 
-def direction_rows(direction, n_vars, ia, ib, n):
-    """Equality rows forcing pos(a) - pos(b) onto the line of `direction`
-    (the rows of its quotient projection), plus the inequality row whose
-    sign is the multiplier."""
-    eqs = [pair_row(n_vars, ia, ib, n, p) for p in quotient_projection(direction)]
-    return eqs, pair_row(n_vars, ia, ib, n, direction)
+def direction_rows(e: Edge, n_vars, ia, ib, n):
+    """Equality rows forcing pos(a) - pos(b) onto the line of the edge's
+    direction (the rows of its quotient projection), plus the inequality
+    row whose sign is the multiplier."""
+    eqs = [pair_row(n_vars, ia, ib, n, p) for p in e.projection]
+    return eqs, pair_row(n_vars, ia, ib, n, e.direction)
 
 
 def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPositionPolyhedron:
     """The polyhedron of vertex position maps, with strict realizability."""
     validate_graph(dec, graph)
+    return positions_of_valid(dec, graph)
+
+
+def positions_of_valid(dec: Decomposition, graph: TropicalGraph) -> VertexPositionPolyhedron:
+    """``vertex_positions`` of a graph that ``validate_graph`` has passed,
+    such as a subgraph of a validated graph.
+
+    A strict row is implicit, so the strict system infeasible, exactly when
+    the closed polyhedron lies in its hyperplane: when its bit is in the
+    zero-set of every ray of the one conversion that decides emptiness."""
     order = tuple(graph.vertex_ids())
     n = dec.ambient_dim
     n_vars = n * len(order)
     index = {v: i for i, v in enumerate(order)}
-    ineqs = []  # (row, b) meaning row.x <= b
+    strict = []  # (row, b) meaning row.x <= b, each needed strictly
     eqs = []
-    strict = []  # rows (row, b) of `ineqs` that the strict system needs
     for v in order:
         dual = dec.dual(graph.label[v])
         cell_ineqs, cell_eqs = dual.hrep()
         for a, b in cell_ineqs:
-            row = (block_row(n_vars, index[v], n, a), b)
-            ineqs.append(row)
-            strict.append(row)
+            strict.append((block_row(n_vars, index[v], n, a), b))
         for a, b in cell_eqs:
             eqs.append((block_row(n_vars, index[v], n, a), b))
     for e in graph.tropical_edges():
         ia, ib = index[e.ends[0]], index[e.ends[1]]
-        line_rows, ineq_row = direction_rows(e.direction, n_vars, ia, ib, n)
+        line_rows, ineq_row = direction_rows(e, n_vars, ia, ib, n)
         eqs += [(r, 0) for r in line_rows]
         # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
-        row = (tuple(-x for x in ineq_row), 0)
-        ineqs.append(row)
-        strict.append(row)
-    closed = Polyhedron.from_hrep(n_vars, ineqs=ineqs, eqs=eqs)
+        strict.append((tuple(-x for x in ineq_row), 0))
+    closed = Polyhedron.from_hrep(n_vars, ineqs=strict, eqs=eqs)
+    # the cone keeps the nonzero rows in order, so strict row i has bit i;
+    # a zero row would have no bit
+    if not all(b or any(a) for a, b in strict):
+        raise RuntimeError("a strict row is zero and has no bit in the conversion")
     weakly = not closed.is_empty()
-    realizable = weakly and all(
-        not closed.lies_in_hyperplane(a, b) for a, b in strict
-    )
+    realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
     witness = closed.relative_interior_point() if realizable else None
     # a relative interior point avoids every strict boundary: no strict
     # row is implicit, so each cuts out a proper face.  The integer rows
@@ -211,7 +231,6 @@ def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPosition
         strict_rows=tuple(strict),
         realizable=realizable,
         realizable_weakly=weakly,
-        dim=closed.dim(),
         witness=witness,
     )
 

@@ -2,8 +2,8 @@
 
 A polyhedron {x : A x <= b, E x = d} is stored as its homogenization cone
 {(x, t) : b t - A x >= 0, d t - E x = 0, t >= 0} in one extra dimension, and
-every polyhedron query is a cone query: containment, equality, intersection
-and the hyperplane test run on that cone, and emptiness, dimension, affine
+every polyhedron query is a cone query: containment, equality and
+intersection run on that cone, and emptiness, dimension, affine
 hulls, faces and relative interior points are read off its generators,
 exactly and without any LP solver.  A polyhedron is empty exactly when no
 generator has t > 0, so emptiness is read off the t-signs of the integer
@@ -61,7 +61,9 @@ class Polyhedron:
 
     @classmethod
     def from_hrep(cls, ambient_dim: int, ineqs=(), eqs=()):
-        """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs)."""
+        """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs).
+        The cone's given inequalities are the nonzero rows of ``ineqs`` in
+        order, then ``t >= 0``."""
         n = as_int(ambient_dim)
         rows = [_hom(a, b) for a, b in ineqs]
         rows.append((0,) * n + (1,))  # t >= 0
@@ -158,23 +160,6 @@ class Polyhedron:
         if not self.cone.contains(h):
             raise RuntimeError("relative interior point outside the polyhedron")
         return tuple(Fraction(x, h[-1]) for x in h[:-1])
-
-    def lies_in_hyperplane(self, a, b) -> bool:
-        """Whether the whole polyhedron satisfies a.x = b (the empty one
-        lies in every hyperplane)."""
-        row = _hom(a, b)
-        return self.is_empty() or not any(
-            _dot(row, g) for g in self.cone.rays + self.cone.lineality
-        )
-
-    def intersect_hrep(self, ineqs=(), eqs=()) -> "Polyhedron":
-        """Intersection with additional rows (a, b)."""
-        rows = Cone(
-            self.ambient_dim + 1,
-            ineqs=[_hom(a, b) for a, b in ineqs],
-            eqs=[_hom(a, b) for a, b in eqs],
-        )
-        return Polyhedron(self.ambient_dim, self.cone.intersect(rows))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         return Polyhedron(self.ambient_dim, self.cone.intersect(other.cone))

@@ -26,7 +26,6 @@ from .exact import (
     as_int,
     is_generic_wrt,
     is_zero_vec,
-    quotient_projection,
     ratvec,
 )
 from .graphs import (
@@ -42,6 +41,7 @@ from .graphs import (
     image_direction,
     match_collapse,
     pair_row,
+    positions_of_valid,
     subgraph,
     validate_graph,
     vertex_positions,
@@ -128,10 +128,13 @@ class QuasiSplitGraph:
         return TropicalGraph(top.vertices, tuple(edges), top.split_order)
 
     def _check_components(self):
+        """Each component of the validated top graph, split edges removed,
+        is realizable; a subgraph of a valid graph is valid, so it is
+        positioned without validating again."""
         self.components = components_without(self.top, self.top_split_ids)
         for vs, es in self.components:
             sub = subgraph(self.top, vs, es)
-            w = vertex_positions(self.dec, sub)
+            w = positions_of_valid(self.dec, sub)
             if not w.realizable:
                 raise SplitError(
                     f"component containing {min(vs)} is not realizable"
@@ -180,8 +183,8 @@ class QuasiSplitGraph:
             ends = e.ends
             if eid in self.collapse.flipped:
                 ends = (ends[1], ends[0])
-            d = self.base.edge(bid).direction
-            out.append((bid, e, ends, d, quotient_projection(d)))
+            b = self.base.edge(bid)
+            out.append((bid, e, ends, b.direction, b.projection))
         return out
 
 
@@ -203,9 +206,7 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     for e in q.top.edges:
         if e.kind != TROPICAL or e.id in q.top_split_ids:
             continue
-        line_rows, ineq_row = direction_rows(
-            e.direction, n_vars, index[e.ends[0]], index[e.ends[1]], n
-        )
+        line_rows, ineq_row = direction_rows(e, n_vars, index[e.ends[0]], index[e.ends[1]], n)
         eqs += line_rows
         if e.id in collapsed:
             ineqs.append(ineq_row)  # new edge: nonnegative multiple

@@ -54,6 +54,18 @@ kept verbatim (their helpers renamed ``_int_reduce_mod_span`` and
 ``_int_dedupe``) so that the elimination-free step and the reading of the
 implicit rows in ``tropsplit.cones`` can be checked against them.
 
+``vertex_positions`` (with its ``direction_rows`` and its result type) is
+the position polyhedron as it decided strict realizability by one
+hyperplane test per strict row, ``hom_lies_in_hyperplane`` (once
+``Polyhedron.lies_in_hyperplane``), computed its dimension eagerly and
+each edge's quotient projection per call, and ``lattice_contains`` is
+``IntegerLattice.contains`` as it ran one elimination per call.  Both are
+kept verbatim (with ``self`` as an argument) so that the zero-set
+read-off in ``tropsplit.graphs`` and the echelon reduction in
+``tropsplit.exact`` can be checked against them.  ``intersect_hrep`` is
+``Polyhedron.intersect_hrep``, which only the tests and the oracles here
+used.
+
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
 lattices as they ran through an inverse of the Smith transform, and
@@ -71,8 +83,10 @@ rays and lineality for the de-homogenized queries.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from tropsplit import __version__
 from tropsplit.complexes import (
@@ -99,13 +113,15 @@ from tropsplit.exact import (
     invariant_factors,
     is_zero_vec,
     primitive,
+    quotient_projection,
     ratvec,
     smith_normal_form,
     vadd,
     vdot,
     vec,
 )
-from tropsplit.polyhedra import Polyhedron
+from tropsplit.graphs import block_row, pair_row, validate_graph
+from tropsplit.polyhedra import Polyhedron, _hom
 from tropsplit.reports import digest
 from tropsplit.serialize import canonical_json, cone_to_dict, vec_str
 from tropsplit.splitting import (
@@ -336,7 +352,7 @@ def is_face_of(self, other) -> bool:
         return False
     ineqs, eqs = other.hrep()
     tight = [(a, b) for a, b in ineqs if lies_in_hyperplane(self, a, b)]
-    face = other.intersect_hrep(eqs=tight)
+    face = intersect_hrep(other, eqs=tight)
     return same_set(face, self)
 
 
@@ -545,7 +561,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         # the relatively open cell must be nonempty: the closed cell may not
         # collapse onto the boundary hyperplane of any strict sign
         degenerate = any(
-            s != 0 and poly.lies_in_hyperplane(m, cut)
+            s != 0 and hom_lies_in_hyperplane(poly, m, cut)
             for s, m, cut in zip(sigma, normals, cuts)
         )
         if degenerate:
@@ -640,7 +656,7 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
         if _dot(a, lam) != b:
             return False
     for a, b in ineqs:
-        facet = geom.intersect_hrep(eqs=[(a, b)])
+        facet = intersect_hrep(geom, eqs=[(a, b)])
         if not any(q != p0 for q in listed_faces(dec, facet, p0)):
             return False
     return True
@@ -1003,3 +1019,115 @@ def tail_of_sequence_in(cone: Cone, scales) -> bool:
         if sign_at_infinity(a) != 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# vertex positions by a hyperplane test per strict row, lattice membership
+# by elimination
+
+
+def hom_lies_in_hyperplane(self, a, b) -> bool:
+    """Whether the whole polyhedron satisfies a.x = b (the empty one
+    lies in every hyperplane)."""
+    row = _hom(a, b)
+    return self.is_empty() or not any(
+        _dot(row, g) for g in self.cone.rays + self.cone.lineality
+    )
+
+
+def intersect_hrep(self, ineqs=(), eqs=()) -> Polyhedron:
+    """Intersection with additional rows (a, b)."""
+    rows = Cone(
+        self.ambient_dim + 1,
+        ineqs=[_hom(a, b) for a, b in ineqs],
+        eqs=[_hom(a, b) for a, b in eqs],
+    )
+    return Polyhedron(self.ambient_dim, self.cone.intersect(rows))
+
+
+@dataclass(frozen=True)
+class VertexPositionPolyhedron:
+    """The fields ``vertex_positions`` returned, ``dim`` computed eagerly."""
+
+    vertex_order: tuple
+    closed: Polyhedron
+    strict_rows: tuple  # rows (a, b) valid on `closed`, needed strictly
+    realizable: bool
+    realizable_weakly: bool
+    dim: int
+    witness: tuple | None
+
+
+def direction_rows(direction, n_vars, ia, ib, n):
+    """Equality rows forcing pos(a) - pos(b) onto the line of `direction`
+    (the rows of its quotient projection), plus the inequality row whose
+    sign is the multiplier."""
+    eqs = [pair_row(n_vars, ia, ib, n, p) for p in quotient_projection(direction)]
+    return eqs, pair_row(n_vars, ia, ib, n, direction)
+
+
+def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:
+    """The polyhedron of vertex position maps, with strict realizability."""
+    validate_graph(dec, graph)
+    order = tuple(graph.vertex_ids())
+    n = dec.ambient_dim
+    n_vars = n * len(order)
+    index = {v: i for i, v in enumerate(order)}
+    ineqs = []  # (row, b) meaning row.x <= b
+    eqs = []
+    strict = []  # rows (row, b) of `ineqs` that the strict system needs
+    for v in order:
+        dual = dec.dual(graph.label[v])
+        cell_ineqs, cell_eqs = dual.hrep()
+        for a, b in cell_ineqs:
+            row = (block_row(n_vars, index[v], n, a), b)
+            ineqs.append(row)
+            strict.append(row)
+        for a, b in cell_eqs:
+            eqs.append((block_row(n_vars, index[v], n, a), b))
+    for e in graph.tropical_edges():
+        ia, ib = index[e.ends[0]], index[e.ends[1]]
+        line_rows, ineq_row = direction_rows(e.direction, n_vars, ia, ib, n)
+        eqs += [(r, 0) for r in line_rows]
+        # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
+        row = (tuple(-x for x in ineq_row), 0)
+        ineqs.append(row)
+        strict.append(row)
+    closed = Polyhedron.from_hrep(n_vars, ineqs=ineqs, eqs=eqs)
+    weakly = not closed.is_empty()
+    realizable = weakly and all(
+        not hom_lies_in_hyperplane(closed, a, b) for a, b in strict
+    )
+    witness = closed.relative_interior_point() if realizable else None
+    # a relative interior point avoids every strict boundary: no strict
+    # row is implicit, so each cuts out a proper face.  The integer rows
+    # are tested on witness = num / den over one common denominator.
+    if witness is not None:
+        den = lcm(*(x.denominator for x in witness))
+        num = [x.numerator * (den // x.denominator) for x in witness]
+        if not all(_dot(a, num) < b * den for a, b in strict):
+            raise RuntimeError("relative interior point violates a strict row")
+    return VertexPositionPolyhedron(
+        vertex_order=order,
+        closed=closed,
+        strict_rows=tuple(strict),
+        realizable=realizable,
+        realizable_weakly=weakly,
+        dim=closed.dim(),
+        witness=witness,
+    )
+
+
+def lattice_contains(self, v) -> bool:
+    """Exact membership of a rational vector.
+
+    v = B^T x has one rational solution x when v spans with the basis B;
+    the integer rref of [B^T | v] gives x_p = row[k] / row[p] for the
+    row with pivot p, and v lies in the lattice when all are integers.
+    """
+    v = ratvec(v)
+    if any(x.denominator != 1 for x in v):
+        return False
+    k = len(self.basis)
+    R = _rref_int(zip(*self.basis, (x.numerator for x in v), strict=True))
+    return all(_lead(row) < k and row[k] % row[_lead(row)] == 0 for row in R)

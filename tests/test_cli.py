@@ -293,29 +293,49 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     assert len(calls) == 214
 
 
+def _count_in_every_binding(monkeypatch, name) -> list:
+    """Count the calls of ``exact.<name>`` in every module that binds it."""
+    calls = []
+    original = getattr(exact, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "tropsplit" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 842 ``_rref_int`` calls, counted in every module that binds it.
+    with 481 ``_rref_int`` calls, counted in every module that binds it.
     A double description step that eliminates its lineality basis again
     or reduces its rays, a read-off that computes the equalities as a
     kernel (once 1594 calls a pass), a minimal cone built on the dual
-    that ranks its read-off rays for its dimension (once 971), or a cell
+    that ranks its read-off rays for its dimension (once 971), a cell
     intersection built and converted where a certificate settles it (once
-    960), changes the count."""
-    calls = []
-    original = exact._rref_int
-
-    def counted(rows):
-        calls.append(rows)
-        return original(rows)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tropsplit" and getattr(module, "_rref_int", None) is original:
-            monkeypatch.setattr(module, "_rref_int", counted)
+    960), or a conversion that eliminates the equality basis its cone
+    already holds, a position polyhedron that ranks its generators for a
+    dimension nobody reads, or a lattice membership test by elimination
+    (once 842), changes the count."""
+    calls = _count_in_every_binding(monkeypatch, "_rref_int")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 842
+    assert len(calls) == 481
+
+
+def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 86 Smith forms.  An edge that computes its quotient projection
+    again for each system it enters (once 117 a pass) changes the count."""
+    calls = _count_in_every_binding(monkeypatch, "smith_normal_form")
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 86
 
 
 def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
@@ -716,6 +736,46 @@ def test_internal_error_exits_three(fixture_dir, patch, exc, shown, args):
     assert lines[0] == "Traceback (most recent call last):"
     assert lines[-1] == f"error: internal error: {exc}: {shown}"
     assert proc.stdout == ""
+
+
+def test_unchecked_witness_exits_three(fixture_dir):
+    """A relative interior point that fails its integer check is an
+    internal error (exit 3), never a verdict: forced here by returning a
+    vertex of each position polyhedron."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "from tropsplit.polyhedra import Polyhedron\n"
+        "Polyhedron.relative_interior_point = lambda self: self.vertices[0]\n"
+        "from tropsplit.cli import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "split", "check",
+         str(fixture_dir / "square_split.dec.json"),
+         str(fixture_dir / "fig_square_top1.graph.json"), "--eta", "1,-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "error: internal error: RuntimeError: relative interior point violates a strict row")
+
+
+def test_direction_of_wrong_dimension_exits_two(fixture_dir, tmp_path):
+    """An edge direction of the wrong length exits 2 with one error line
+    that names the edge (it once surfaced as a ``zip`` message from the
+    lattice test)."""
+    data = json.loads((fixture_dir / "fig_four_top.graph.json").read_text())
+    data["edges"][3]["direction"] = data["edges"][3]["direction"][:1]
+    path = tmp_path / "short.graph.json"
+    path.write_text(json.dumps(data))
+    proc = _run_module("graph", "check", str(fixture_dir / "square_split.dec.json"), str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: edge et2: direction of wrong dimension"]
 
 
 # Under these hash seeds, iterating the face pairs and split cells of a

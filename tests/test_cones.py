@@ -767,7 +767,7 @@ def _seeded_polyhedron(rng, n):
     p = Polyhedron.from_hrep(n, ineqs=rows)
     ineqs, _ = p.hrep()
     if ineqs and rng.random() < 0.4:
-        p = p.intersect_hrep(eqs=rng.sample(ineqs, 1))
+        p = oracles.intersect_hrep(p, eqs=rng.sample(ineqs, 1))
     return p.cone
 
 
@@ -811,3 +811,29 @@ def test_common_face_declines_a_line_against_a_point_on_it():
     axis = Cone.from_hrep([], eqs=[(1, 0)])
     assert axis.key() == ((), ((0, 1),))
     assert cones.common_face(axis, Cone.from_hrep([(0, 1)])) is None
+
+
+def test_lies_in_any_reads_the_conversion_zero_sets():
+    """An H-built cone's given row is tight on the whole cone exactly when
+    it vanishes on every ray and lineality vector.  Only an H-built cone
+    has zero-sets over its given rows."""
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        ineqs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        eqs = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        c = Cone.from_hrep(ineqs, eqs, ambient_dim=n)
+        rows, _ = c.given_rows()
+        gens = c.rays + c.lineality
+        for i, a in enumerate(rows):
+            tight = not any(sum(x * y for x, y in zip(a, g)) for g in gens)
+            assert c.lies_in_any([i]) == tight
+            seen[tight] += 1
+        want = any(not any(sum(x * y for x, y in zip(a, g)) for g in gens) for a in rows)
+        assert c.lies_in_any(range(len(rows))) == want
+    assert min(seen.values()) >= 100, seen
+    with pytest.raises(RuntimeError):
+        Cone.from_rays([(1, 0)]).lies_in_any([0])
+    with pytest.raises(RuntimeError):
+        Cone.from_hrep([(1, 0)]).minimal().lies_in_any([0])

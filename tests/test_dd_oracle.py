@@ -142,18 +142,21 @@ def test_h_to_v_matches_fraction_reference():
     Fraction implementation returns, as primitive integer tuples, once both
     are put in the form canonical for the set, which the integer one
     already returns; each ray comes with the bitmask of the inequalities it
-    is tight on."""
+    is tight on.  The conversion takes the rows in the canonical form a
+    ``Cone`` holds them (nonzero primitive rows, an rref equality basis);
+    the frozen one takes the raw rows."""
     rng = random.Random(31337)
     with_lineality = with_eqs = 0
     for _ in range(600):
         n, ineqs, eqs = random_differential_input(rng)
-        got = _h_to_v(n, ineqs, eqs)
+        rows, basis = Cone(n, ineqs=ineqs, eqs=eqs).given_rows()
+        got = _h_to_v(n, rows, basis)
         want = oracles._h_to_v(n, ineqs, eqs)
         assert oracles.canonical_vrep(*got[:2]) == oracles.canonical_vrep(*want), (
             n, ineqs, eqs)
         assert got[:2] == oracles.canonical_vrep(*got[:2]), (n, ineqs, eqs)
         assert got[2] == tuple(
-            sum(1 << i for i, a in enumerate(ineqs) if vdot(vec(a), vec(r)) == 0)
+            sum(1 << i for i, a in enumerate(rows) if vdot(vec(a), vec(r)) == 0)
             for r in got[0]
         )
         for group in got[:2]:

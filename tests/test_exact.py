@@ -232,6 +232,44 @@ def test_zero_lattice_contains_only_zero():
     assert not L.contains((1, 0))
 
 
+def test_contains_matches_the_elimination_reference():
+    """Membership by reduction against the Hermite form agrees with the
+    frozen elimination on seeded lattices whose bases are not in Hermite
+    form: members, near misses, rational vectors and random ones.  A
+    vector of the wrong length raises ValueError on both."""
+    from tropsplit.exact import hermite_normal_form
+
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        basis = ()
+        while len(basis) != k or rank(mat(basis)) != k:
+            basis = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k))
+        L = IntegerLattice(n, basis)
+        seen["not in Hermite form"] += hermite_normal_form(basis) != basis
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        member = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
+        vectors = [
+            member,
+            tuple(x + rng.randint(-1, 1) for x in member),
+            tuple(Fraction(x, 2) for x in member),
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)),
+            tuple(rng.randint(-4, 4) for _ in range(n)),
+        ]
+        for v in vectors:
+            got = L.contains(v)
+            assert got == oracles.lattice_contains(L, v), (basis, v)
+            seen[got] += 1
+        for v in (member[:-1], member + (0,)):
+            with pytest.raises(ValueError):
+                L.contains(v)
+            with pytest.raises(ValueError):
+                oracles.lattice_contains(L, v)
+    assert seen["not in Hermite form"] >= 120 and min(seen[True], seen[False]) >= 200, seen
+
+
 # -- genericity ----------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from conftest import graph, quasi
 from tropsplit import fixtures as fx
 from tropsplit.exact import vec
@@ -9,6 +12,7 @@ from tropsplit.graphs import (
     Edge,
     GraphError,
     TropicalGraph,
+    edge_cell,
     is_rigid,
     match_collapse,
     split_edges,
@@ -17,7 +21,7 @@ from tropsplit.graphs import (
     vertex_positions,
 )
 from tropsplit.polyhedra import Polyhedron
-from tropsplit.serialize import graph_from_dict
+from tropsplit.serialize import decomposition_from_dict, graph_from_dict
 
 
 # -- realizability and rigidity -------------------------------------------------
@@ -107,6 +111,82 @@ def test_zero_direction_rejected(square_plain):
     )
     with pytest.raises(GraphError):
         validate_graph(square_plain, g)
+
+
+def test_direction_of_wrong_dimension_rejected(square_split):
+    """A direction of the wrong length is an input error that names its
+    edge, raised before its lattice test."""
+    data = fx.fig_four_top()
+    data["edges"][3]["direction"] = data["edges"][3]["direction"][:1]
+    with pytest.raises(GraphError, match="^edge et2: direction of wrong dimension$"):
+        validate_graph(square_split, graph_from_dict(data))
+    data["edges"][3]["direction"] = [-2, 1, 0]
+    with pytest.raises(GraphError, match="^edge et2: direction of wrong dimension$"):
+        validate_graph(square_split, graph_from_dict(data))
+
+
+def _positions(route, dec, g):
+    """What ``route`` answers for a graph: the verdicts, the dimension and
+    the witness, or the validation error."""
+    try:
+        w = route(dec, g)
+    except GraphError as exc:
+        return "error", str(exc)
+    return w.realizable, w.realizable_weakly, w.dim, w.witness, w.strict_rows
+
+
+def _fixture_pairs():
+    decs = {name: decomposition_from_dict(make()) for name, make in fx.DECOMPOSITIONS.items()}
+    return [(dec, graph(name)) for dec in decs.values() for name in sorted(fx.GRAPHS)]
+
+
+def test_vertex_positions_match_the_hyperplane_reference_on_fixtures():
+    """Every fixture graph on every fixture decomposition: the zero-set
+    read-off gives the frozen hyperplane scan's verdicts, dimension and
+    witness (or its validation error)."""
+    kinds = Counter()
+    for dec, g in _fixture_pairs():
+        want = _positions(oracles.vertex_positions, dec, g)
+        assert _positions(vertex_positions, dec, g) == want
+        kinds["error" if want[0] == "error" else "realizable" if want[0] else "not"] += 1
+    assert kinds == {"realizable": 19, "not": 8, "error": 18}, kinds
+
+
+def _mutant(rng, dec, g):
+    """g with one or two tropical edges turned to a nonzero vector of their
+    edge cell's normal lattice, so that it still validates: a positive
+    multiple of the direction, its negative, or a random vector."""
+    edges = list(g.edges)
+    tropical = [i for i, e in enumerate(edges) if e.kind == "tropical"]
+    for i in rng.sample(tropical, min(len(tropical), rng.randint(1, 2))):
+        e = edges[i]
+        basis = dec.normal_space(edge_cell(dec, g, e)).basis
+        k = rng.choice((2, 3, -1, 0, 0))
+        d = tuple(k * x for x in e.direction)
+        while not any(d):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            d = tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
+                      for j in range(dec.ambient_dim))
+        edges[i] = Edge(e.id, e.ends, e.kind, d, e.maps_to)
+    return TropicalGraph(g.vertices, tuple(edges), g.split_order)
+
+
+def test_vertex_positions_match_the_hyperplane_reference_on_mutated_directions():
+    """Seeded graphs with directions changed inside their normal lattices:
+    realizable ones, weakly realizable ones that no strict map realizes,
+    and infeasible ones all get the frozen scan's answers."""
+    rng = random.Random(19)
+    pairs = [(dec, g) for dec, g in _fixture_pairs()
+             if g.tropical_edges() and _positions(vertex_positions, dec, g)[0] != "error"]
+    kinds = Counter()
+    for _ in range(300):
+        dec, g = rng.choice(pairs)
+        m = _mutant(rng, dec, g)
+        want = _positions(oracles.vertex_positions, dec, m)
+        assert want[0] != "error", want
+        assert _positions(vertex_positions, dec, m) == want
+        kinds["realizable" if want[0] else "weakly" if want[1] else "empty"] += 1
+    assert min(kinds["realizable"], kinds["weakly"], kinds["empty"]) >= 50, kinds
 
 
 def test_monotone_under_edge_deletion(square_plain, square_split):

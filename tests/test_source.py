@@ -115,3 +115,29 @@ def test_one_input_boundary():
                     catchers.append(f"{path.name}:{node.lineno}")
     assert not raisers, raisers
     assert not catchers, catchers
+
+
+def _calls_of(tree, name) -> list:
+    """Line numbers of the calls of ``name`` in a tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and name in _names(node.func))
+
+
+def test_only_cone_methods_convert():
+    """``_h_to_v`` takes rows in the canonical form a ``Cone`` holds them,
+    so only ``Cone`` methods call it, and no other module imports or names
+    it."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "cones.py":
+            (cone,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Cone"]
+            assert _calls_of(cone, "_h_to_v")  # the walk sees Cone's conversions
+            assert _calls_of(tree, "_h_to_v") == _calls_of(cone, "_h_to_v")
+            continue
+        named = [
+            node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_h_to_v")
+            or (isinstance(node, ast.Attribute) and node.attr == "_h_to_v")
+            or (isinstance(node, ast.ImportFrom) and "_h_to_v" in {a.name for a in node.names})
+        ]
+        assert not named, f"{path.name}: {named}"

@@ -11,6 +11,7 @@ from tropsplit import fixtures as fx
 from tropsplit import reports
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
+from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import graph_from_dict
 from tropsplit.splitting import (
     QuasiSplitGraph,
@@ -669,3 +670,34 @@ def test_w_generators_embed_in_symmetry_kernel(square_split, cube_split):
             # the coordinate vector solves the relation system
             for row in group.relations:
                 assert vdot(vec(row), vec(coords)) == 0
+
+
+def test_quasi_split_construction_checks_every_witness(square_split, monkeypatch):
+    """Realizability read off the zero-sets still comes with an integer
+    witness, checked for the base and for each component: a relative
+    interior point that is a vertex of the closed polyhedron lies on a
+    strict row, and construction raises."""
+    q = quasi(square_split, "fig_square_top1")
+    assert q.base_positions.witness is not None
+    monkeypatch.setattr(Polyhedron, "relative_interior_point", lambda self: self.vertices[0])
+    with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
+        quasi(square_split, "fig_square_top1")
+
+
+@pytest.mark.parametrize("direction, message", [
+    ([-2, -1], "component containing u0 is not realizable"),
+    ([2, 1], None),
+])
+def test_quasi_split_construction_checks_each_component(square_split, direction, message):
+    """The new edge of ``fig_square_top1`` turned around points its new
+    vertex out of the open square: the top graph validates, the base is
+    realizable, and the component {u0, up} is not."""
+    top = fx.fig_square_top1()
+    top["edges"][0]["direction"] = direction
+    args = (square_split, graph("fig_square_base"), graph_from_dict(top),
+            top["collapse"]["vertex_map"])
+    if message is None:
+        assert len(QuasiSplitGraph(*args).components) == 2
+        return
+    with pytest.raises(SplitError, match=f"^{message}$"):
+        QuasiSplitGraph(*args)
