@@ -674,11 +674,12 @@ def test_w_generators_embed_in_symmetry_kernel(square_split, cube_split):
 
 def test_quasi_split_construction_checks_every_witness(square_split, monkeypatch):
     """Realizability read off the zero-sets still comes with an integer
-    witness, checked for the base and for each component: a relative
-    interior point that is a vertex of the closed polyhedron lies on a
-    strict row, and construction raises."""
+    witness, checked for the component polyhedra too: a relative interior
+    point that is a vertex of the closed polyhedron lies on a strict row,
+    and construction raises.  The base here is a point, whose one vertex
+    is a true witness, so the raise comes from a component."""
     q = quasi(square_split, "fig_square_top1")
-    assert q.base_positions.witness is not None
+    assert q.base_positions.witness is not None and q.base_positions.dim == 0
     monkeypatch.setattr(Polyhedron, "relative_interior_point", lambda self: self.vertices[0])
     with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
         quasi(square_split, "fig_square_top1")
