@@ -110,7 +110,7 @@ def _symmetry_report(dec, dec_dict, graph_dict, framed, load_base) -> dict:
     if "collapse" not in graph_dict:
         return reports.symmetry_report(dec, graph, framed, {"dec": dec_dict, "graph": graph_dict})
     q, inputs = _quasi_split(dec, dec_dict, graph_dict, load_base)
-    return reports.symmetry_report(dec, q.top, framed, inputs, split_edge_ids=q.top_split_ids)
+    return reports.symmetry_report(dec, q.checked_top, framed, inputs, q.top_split_ids)
 
 
 def _cut_report(data: dict):

@@ -4,6 +4,10 @@ realizability by vertex positions, rigidity, and edge-collapse morphisms.
 Vertex positions live in the dual complex: the position of v ranges over
 the dual cell of its polytope label, and each tropical edge e = (a, b)
 forces position(a) - position(b) onto the positive span of its direction.
+
+Validity for a decomposition is checked once: ``validate_graph`` returns a
+``CheckedGraph`` that carries each tropical edge's cell and what is read
+off it (split edges, components, positions), and callers pass it along.
 """
 
 from __future__ import annotations
@@ -82,24 +86,23 @@ class TropicalGraph:
         return [e for e in self.edges if e.kind == TROPICAL]
 
 
-def edge_cell(dec: Decomposition, graph: TropicalGraph, e: Edge) -> str:
-    """P(e) = P(a) n P(b); must be a listed cell of the decomposition."""
-    pa = graph.label[e.ends[0]]
-    pb = graph.label[e.ends[1]]
-    cell = dec.intersection_cell(pa, pb)
-    if cell is None:
-        raise GraphError(f"edge {e.id}: endpoint cells {pa}, {pb} do not meet")
-    return cell
-
-
-def validate_graph(dec: Decomposition, graph: TropicalGraph) -> None:
+def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
     """Tropical-graph invariants: labels exist, edge cells are listed, and
-    directions are nonzero vectors of the edge cell's normal lattice."""
+    directions are nonzero vectors of the edge cell's normal lattice.
+
+    Returns the checked graph.  A graph already checked against ``dec``
+    comes back unchanged; one checked against another decomposition is
+    checked again."""
+    if isinstance(graph, CheckedGraph):
+        if graph.dec is dec:
+            return graph
+        graph = graph.graph
     for v, p in graph.vertices:
         if p not in dec.polytopes:
             raise GraphError(f"vertex {v}: unknown polytope {p}")
         if p not in dec.dual_cells:
             raise GraphError(f"vertex {v}: polytope {p} has no dual cell")
+    cells = {}
     for e in graph.edges:
         for end in e.ends:
             if end not in graph.label:
@@ -113,14 +116,124 @@ def validate_graph(dec: Decomposition, graph: TropicalGraph) -> None:
                 raise GraphError(f"edge {e.id}: direction of wrong dimension")
             if all(x == 0 for x in e.direction):
                 raise GraphError(f"edge {e.id}: zero direction")
-            cell = edge_cell(dec, graph, e)
-            lattice = dec.normal_space(cell)
-            if not lattice.contains(e.direction):
+            pa, pb = (graph.label[end] for end in e.ends)
+            cell = dec.intersection_cell(pa, pb)
+            if cell is None:
+                raise GraphError(f"edge {e.id}: endpoint cells {pa}, {pb} do not meet")
+            if not dec.normal_space(cell).contains(e.direction):
                 raise GraphError(
                     f"edge {e.id}: direction not in the normal lattice of {cell}"
                 )
+            cells[e.id] = cell
         elif e.direction is not None:
             raise GraphError(f"edge {e.id}: non-tropical edge with a direction")
+    return CheckedGraph(dec, graph, cells)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedGraph:
+    """A tropical graph that ``validate_graph`` has passed for ``dec``.
+
+    ``cells`` maps each tropical edge id to its edge cell P(a) n P(b), a
+    listed cell whose normal lattice holds the edge's direction.  The
+    block index and the vertex positions are computed once, when read.
+    """
+
+    dec: Decomposition
+    graph: TropicalGraph
+    cells: dict  # tropical edge id -> edge cell
+
+    @property
+    def split_ids(self) -> frozenset:
+        """Ids of the tropical edges whose cell lies in the split set."""
+        return frozenset(e for e, cell in self.cells.items() if cell in self.dec.split_set)
+
+    def split_order(self, order=None, partial: bool = False) -> tuple:
+        """The split edges in ``order``, else in the graph's split_order,
+        else sorted by id.  A full order names each split edge exactly
+        once; a partial one names distinct split edges."""
+        order = self.graph.split_order if order is None else order
+        derived = self.split_ids
+        if order is None:
+            return tuple(sorted(derived))
+        order = tuple(order)
+        named = set(order)
+        if len(named) != len(order) or not (named <= derived if partial else named == derived):
+            need = "distinct edges of" if partial else "each edge, exactly once, of"
+            raise GraphError(f"split order {order} must name {need} the derived split set "
+                             f"{tuple(sorted(derived))}")
+        return order
+
+    @cached_property
+    def index(self) -> dict:
+        """Block of each vertex in a position vector, in sorted id order."""
+        return {v: i for i, v in enumerate(self.graph.vertex_ids())}
+
+    def components(self, removed) -> list:
+        """Connected components of the graph minus the edges ``removed``, as
+        checked graphs ordered by smallest vertex id.  A subgraph of a valid
+        graph is valid with the same edge cells, so none is checked again."""
+        comp = {v: {v} for v in self.graph.label}  # vertex -> its component so far
+        kept = [e for e in self.graph.edges if e.id not in removed]
+        for e in kept:
+            a, b = comp[e.ends[0]], comp[e.ends[1]]
+            if a is not b:
+                a |= b
+                comp.update(dict.fromkeys(b, a))
+        out = []
+        for _, vs in sorted({min(c): c for c in comp.values()}.items()):
+            es = tuple(e for e in kept if e.ends[0] in vs)
+            sub = TropicalGraph(tuple(x for x in self.graph.vertices if x[0] in vs), es)
+            out.append(CheckedGraph(self.dec, sub,
+                                    {e.id: self.cells[e.id] for e in es if e.id in self.cells}))
+        return out
+
+    @cached_property
+    def positions(self) -> VertexPositionPolyhedron:
+        """The polyhedron of vertex position maps, with strict realizability.
+
+        A strict row is implicit, so the strict system infeasible, exactly
+        when the closed polyhedron lies in its hyperplane: when its bit is
+        in the zero-set of every ray of the one conversion that decides
+        emptiness."""
+        index = self.index
+        n = self.dec.ambient_dim
+        n_vars = n * len(index)
+        strict = []  # (row, b) meaning row.x <= b, each needed strictly
+        eqs = []
+        for v, i in index.items():
+            cell_ineqs, cell_eqs = self.dec.dual(self.graph.label[v]).hrep()
+            strict += [(block_row(n_vars, i, n, a), b) for a, b in cell_ineqs]
+            eqs += [(block_row(n_vars, i, n, a), b) for a, b in cell_eqs]
+        for e in self.graph.tropical_edges():
+            line_rows, ineq_row = direction_rows(e, n_vars, index[e.ends[0]], index[e.ends[1]], n)
+            eqs += [(r, 0) for r in line_rows]
+            # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
+            strict.append((tuple(-x for x in ineq_row), 0))
+        closed = Polyhedron.from_hrep(n_vars, ineqs=strict, eqs=eqs)
+        # the cone keeps the nonzero rows in order, so strict row i has bit i;
+        # a zero row would have no bit
+        if not all(b or any(a) for a, b in strict):
+            raise RuntimeError("a strict row is zero and has no bit in the conversion")
+        weakly = not closed.is_empty()
+        realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
+        witness = closed.relative_interior_point() if realizable else None
+        # a relative interior point avoids every strict boundary: no strict
+        # row is implicit, so each cuts out a proper face.  The integer rows
+        # are tested on witness = num / den over one common denominator.
+        if witness is not None:
+            den = lcm(*(x.denominator for x in witness))
+            num = [x.numerator * (den // x.denominator) for x in witness]
+            if not all(_dot(a, num) < b * den for a, b in strict):
+                raise RuntimeError("relative interior point violates a strict row")
+        return VertexPositionPolyhedron(
+            vertex_order=tuple(index),
+            closed=closed,
+            strict_rows=tuple(strict),
+            realizable=realizable,
+            realizable_weakly=weakly,
+            witness=witness,
+        )
 
 
 @dataclass(frozen=True)
@@ -177,62 +290,9 @@ def direction_rows(e: Edge, n_vars, ia, ib, n):
     return eqs, pair_row(n_vars, ia, ib, n, e.direction)
 
 
-def vertex_positions(dec: Decomposition, graph: TropicalGraph) -> VertexPositionPolyhedron:
+def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:
     """The polyhedron of vertex position maps, with strict realizability."""
-    validate_graph(dec, graph)
-    return positions_of_valid(dec, graph)
-
-
-def positions_of_valid(dec: Decomposition, graph: TropicalGraph) -> VertexPositionPolyhedron:
-    """``vertex_positions`` of a graph that ``validate_graph`` has passed,
-    such as a subgraph of a validated graph.
-
-    A strict row is implicit, so the strict system infeasible, exactly when
-    the closed polyhedron lies in its hyperplane: when its bit is in the
-    zero-set of every ray of the one conversion that decides emptiness."""
-    order = tuple(graph.vertex_ids())
-    n = dec.ambient_dim
-    n_vars = n * len(order)
-    index = {v: i for i, v in enumerate(order)}
-    strict = []  # (row, b) meaning row.x <= b, each needed strictly
-    eqs = []
-    for v in order:
-        dual = dec.dual(graph.label[v])
-        cell_ineqs, cell_eqs = dual.hrep()
-        for a, b in cell_ineqs:
-            strict.append((block_row(n_vars, index[v], n, a), b))
-        for a, b in cell_eqs:
-            eqs.append((block_row(n_vars, index[v], n, a), b))
-    for e in graph.tropical_edges():
-        ia, ib = index[e.ends[0]], index[e.ends[1]]
-        line_rows, ineq_row = direction_rows(e, n_vars, ia, ib, n)
-        eqs += [(r, 0) for r in line_rows]
-        # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
-        strict.append((tuple(-x for x in ineq_row), 0))
-    closed = Polyhedron.from_hrep(n_vars, ineqs=strict, eqs=eqs)
-    # the cone keeps the nonzero rows in order, so strict row i has bit i;
-    # a zero row would have no bit
-    if not all(b or any(a) for a, b in strict):
-        raise RuntimeError("a strict row is zero and has no bit in the conversion")
-    weakly = not closed.is_empty()
-    realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
-    witness = closed.relative_interior_point() if realizable else None
-    # a relative interior point avoids every strict boundary: no strict
-    # row is implicit, so each cuts out a proper face.  The integer rows
-    # are tested on witness = num / den over one common denominator.
-    if witness is not None:
-        den = lcm(*(x.denominator for x in witness))
-        num = [x.numerator * (den // x.denominator) for x in witness]
-        if not all(_dot(a, num) < b * den for a, b in strict):
-            raise RuntimeError("relative interior point violates a strict row")
-    return VertexPositionPolyhedron(
-        vertex_order=order,
-        closed=closed,
-        strict_rows=tuple(strict),
-        realizable=realizable,
-        realizable_weakly=weakly,
-        witness=witness,
-    )
+    return validate_graph(dec, graph).positions
 
 
 def is_rigid(dec: Decomposition, graph: TropicalGraph) -> bool:
@@ -348,71 +408,7 @@ def validate_collapse(dec: Decomposition, top: TropicalGraph, base: TropicalGrap
                           report.edge_map, report.flipped)
 
 
-def derived_split_ids(dec: Decomposition, graph: TropicalGraph) -> frozenset:
-    """Ids of the tropical edges whose cell lies in the split set."""
-    return frozenset(
-        e.id for e in graph.tropical_edges() if edge_cell(dec, graph, e) in dec.split_set
-    )
-
-
-def split_edges(dec: Decomposition, graph: TropicalGraph, order=None) -> tuple:
-    """Edges whose cell lies in the split set, in the supplied order.
-
-    A supplied ordering (argument or the graph's split_order) must cover
-    exactly the derived set; without one the edges come sorted by id.
-    """
-    validate_graph(dec, graph)
-    derived = derived_split_ids(dec, graph)
-    if order is None:
-        order = graph.split_order
-    if order is None:
-        return tuple(sorted(derived))
-    order = tuple(order)
-    if set(order) != derived or len(order) != len(derived):
-        raise GraphError(
-            f"split-edge ordering {order} does not cover the derived set {sorted(derived)}"
-        )
-    return order
-
-
-def subgraph(graph: TropicalGraph, vertex_ids, edge_ids) -> TropicalGraph:
-    vs = [(v, p) for v, p in graph.vertices if v in vertex_ids]
-    es = [e for e in graph.edges if e.id in edge_ids]
-    return TropicalGraph(tuple(vs), tuple(es))
-
-
-def components_without(graph: TropicalGraph, removed_edge_ids) -> list:
-    """Connected components of the graph minus the given edges.
-
-    Returns a list of (vertex id set, edge id set), ordered by smallest
-    vertex id.
-    """
-    parent = {v: v for v, _ in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for e in graph.edges:
-        if e.id not in removed_edge_ids:
-            union(e.ends[0], e.ends[1])
-    groups: dict[str, set] = {}
-    for v, _ in graph.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    comps = []
-    for vs in groups.values():
-        es = {
-            e.id
-            for e in graph.edges
-            if e.id not in removed_edge_ids and e.ends[0] in vs and e.ends[1] in vs
-        }
-        comps.append((vs, es))
-    comps.sort(key=lambda c: min(c[0]))
-    return comps
+def split_edges(dec: Decomposition, graph, order=None) -> tuple:
+    """Edges whose cell lies in the split set, in the supplied order (see
+    ``CheckedGraph.split_order``)."""
+    return validate_graph(dec, graph).split_order(order)

@@ -13,7 +13,7 @@ import marshal
 from . import __version__
 from .complexes import Decomposition, is_tropical_fiber
 from .exact import as_int
-from .graphs import TropicalGraph, split_edges, vertex_positions
+from .graphs import split_edges, validate_graph, vertex_positions
 from .potential import NovikovSeries, bg_potential, leading_terms
 from .serialize import (
     canonical_json,
@@ -71,7 +71,8 @@ def _head(command: str, inputs: dict) -> dict:
     }
 
 
-def graph_report(dec: Decomposition, graph: TropicalGraph, inputs: dict) -> dict:
+def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
+    graph = validate_graph(dec, graph)
     w = vertex_positions(dec, graph)
     out = _head("graph-check", inputs)
     out.update(
@@ -129,8 +130,9 @@ def _group_dict(group) -> dict:
     }
 
 
-def symmetry_report(dec: Decomposition, graph: TropicalGraph, framed: bool,
+def symmetry_report(dec: Decomposition, graph, framed: bool,
                     inputs: dict, split_edge_ids=None) -> dict:
+    graph = validate_graph(dec, graph)
     group = symmetry_group(dec, graph, framed=framed, split_edge_ids=split_edge_ids)
     comps = component_splitting(dec, graph, split_edge_ids=split_edge_ids)
     out = _head("symmetry", inputs)

@@ -34,15 +34,11 @@ from .graphs import (
     Edge,
     TropicalGraph,
     block_row,
-    components_without,
-    derived_split_ids,
     direction_diagnostics,
     direction_rows,
     image_direction,
     match_collapse,
     pair_row,
-    positions_of_valid,
-    subgraph,
     validate_graph,
     vertex_positions,
 )
@@ -57,9 +53,13 @@ class QuasiSplitGraph:
     """Validated quasi-split graph kappa: top -> base.
 
     ``split_order`` lists base split-edge ids in their designated order.
-    With ``partial=True`` the order may cover only a subset of the derived
-    split set (used by the one-edge-at-a-time check); the remaining split
-    cells are then treated as ordinary tropical edges.
+    With ``partial=True`` the order may name only some of the derived
+    split edges, each once (used by the one-edge-at-a-time check); the
+    remaining split cells are then treated as ordinary tropical edges.
+
+    The base and the top graph are each checked once; ``checked_top`` is
+    the checked top and ``components`` are its checked components with the
+    split edges removed, each realizable.
 
     Everything about the graph that no cone direction changes is computed
     once, on first use, and cached: the relative-position cone ``w``, the
@@ -76,23 +76,13 @@ class QuasiSplitGraph:
                  vertex_map: dict, split_order=None, partial: bool = False):
         self.dec = dec
         self.base = base
+        checked_base = validate_graph(dec, base)
         self.vertex_map = dict(vertex_map)
         self.partial = bool(partial)
-        self.base_positions = vertex_positions(dec, base)
+        self.base_positions = vertex_positions(dec, checked_base)
         if not self.base_positions.realizable:
             raise SplitError("base graph is not realizable")
-        derived = derived_split_ids(dec, base)
-        if split_order is None:
-            split_order = base.split_order if base.split_order is not None else sorted(derived)
-        self.split_order = tuple(split_order)
-        if partial:
-            if not set(self.split_order) <= derived:
-                raise SplitError("partial split order exceeds the derived split set")
-        elif sorted(self.split_order) != sorted(derived):
-            raise SplitError(
-                f"split order {self.split_order} does not cover the derived set "
-                f"{tuple(sorted(derived))}"
-            )
+        self.split_order = checked_base.split_order(split_order, partial)
         report = match_collapse(dec, top, base, self.vertex_map)
         if not report.ok:
             raise SplitError("invalid collapse: " + "; ".join(report.diagnostics))
@@ -108,7 +98,7 @@ class QuasiSplitGraph:
             if bid not in self.split_top:
                 raise SplitError(f"base split edge {bid} has no preimage")
         self.top = self._with_inherited_directions(top)
-        validate_graph(dec, self.top)
+        self.checked_top = validate_graph(dec, self.top)
         self.top_split_ids = frozenset(self.split_top.values())
         diags = direction_diagnostics(self.top, base, report)
         if diags:
@@ -128,17 +118,12 @@ class QuasiSplitGraph:
         return TropicalGraph(top.vertices, tuple(edges), top.split_order)
 
     def _check_components(self):
-        """Each component of the validated top graph, split edges removed,
-        is realizable; a subgraph of a valid graph is valid, so it is
-        positioned without validating again."""
-        self.components = components_without(self.top, self.top_split_ids)
-        for vs, es in self.components:
-            sub = subgraph(self.top, vs, es)
-            w = positions_of_valid(self.dec, sub)
-            if not w.realizable:
-                raise SplitError(
-                    f"component containing {min(vs)} is not realizable"
-                )
+        """Each component of the checked top graph, split edges removed, is
+        realizable."""
+        self.components = self.checked_top.components(self.top_split_ids)
+        for c in self.components:
+            if not c.positions.realizable:
+                raise SplitError(f"component containing {min(c.graph.label)} is not realizable")
 
     # cached analyses ------------------------------------------------------------
 
@@ -171,7 +156,7 @@ class QuasiSplitGraph:
         return len(self.split_order)
 
     def vertex_order(self) -> tuple:
-        return tuple(self.top.vertex_ids())
+        return tuple(self.checked_top.index)
 
     def split_edge_blocks(self) -> list:
         """Per split edge (in order): (base id, top edge, base-oriented ends,
@@ -193,15 +178,14 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     the direction condition on new edges (nonnegative multiples) and on
     retained non-split edges (real multiples); split edges are free."""
     n = q.n
-    order = q.vertex_order()
-    index = {v: i for i, v in enumerate(order)}
-    n_vars = n * len(order)
+    index = q.checked_top.index
+    n_vars = n * len(index)
     ineqs: list = []
     eqs: list = []
-    for v in order:
+    for v, i in index.items():
         cone_v = cone_of_relative_cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
-        ineqs += [block_row(n_vars, index[v], n, a) for a in cone_v.ineqs]
-        eqs += [block_row(n_vars, index[v], n, a) for a in cone_v.eqs]
+        ineqs += [block_row(n_vars, i, n, a) for a in cone_v.ineqs]
+        eqs += [block_row(n_vars, i, n, a) for a in cone_v.eqs]
     collapsed = set(q.collapse.collapsed_edges)
     for e in q.top.edges:
         if e.kind != TROPICAL or e.id in q.top_split_ids:
@@ -225,9 +209,8 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
     """The discrepancy map Diff (projected split-edge mismatches of a
     relative position) and the discrepancy cone, its image over w."""
     n = q.n
-    order = q.vertex_order()
-    index = {v: i for i, v in enumerate(order)}
-    n_vars = n * len(order)
+    index = q.checked_top.index
+    n_vars = n * len(index)
     rows = []
     blocks = []
     for bid, e, ends, d, proj in q.split_edge_blocks():

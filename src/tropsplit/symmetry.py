@@ -22,9 +22,6 @@ from .graphs import (
     TROPICAL,
     GraphError,
     TropicalGraph,
-    components_without,
-    derived_split_ids,
-    subgraph,
     validate_graph,
 )
 
@@ -77,25 +74,26 @@ def _relation_system(dec: Decomposition, graph: TropicalGraph, constrained_edges
     return tuple(variables), tuple(rows)
 
 
-def symmetry_group(dec: Decomposition, graph: TropicalGraph, framed: bool = False,
+def symmetry_group(dec: Decomposition, graph, framed: bool = False,
                    split_edge_ids=None) -> SymmetryGroup:
-    """Tropical symmetry group of a (possibly split) tropical graph.
+    """Tropical symmetry group of a (possibly split) tropical graph, plain
+    or already checked.
 
     Unframed symmetries leave split edges unconstrained; the framed group
     also constrains them.  ``split_edge_ids`` overrides the split set
     derived from the decomposition (used for the top graph of a collapse,
     whose split edges are the preimages of the base's).
     """
-    validate_graph(dec, graph)
+    checked = validate_graph(dec, graph)
     if split_edge_ids is None:
-        split_edge_ids = derived_split_ids(dec, graph)
+        split_edge_ids = checked.split_ids
     constrained = [
         e
-        for e in graph.edges
+        for e in checked.graph.edges
         if e.kind == INTERIOR
         or (e.kind == TROPICAL and (framed or e.id not in split_edge_ids))
     ]
-    variables, rows = _relation_system(dec, graph, constrained)
+    variables, rows = _relation_system(dec, checked.graph, constrained)
     factors, lattice = smith_kernel(rows or ((0,) * len(variables),))
     return SymmetryGroup(
         complex_dimension=len(variables) - len(factors),
@@ -106,26 +104,22 @@ def symmetry_group(dec: Decomposition, graph: TropicalGraph, framed: bool = Fals
     )
 
 
-def component_splitting(dec: Decomposition, graph: TropicalGraph,
-                        split_edge_ids=None) -> list:
+def component_splitting(dec: Decomposition, graph, split_edge_ids=None) -> list:
     """Unframed symmetry groups of the connected components of the graph
     minus its split edges; their dimensions sum to the full unframed
     dimension."""
-    validate_graph(dec, graph)
+    checked = validate_graph(dec, graph)
     if split_edge_ids is None:
-        split_edge_ids = derived_split_ids(dec, graph)
-    out = []
-    for vs, es in components_without(graph, split_edge_ids):
-        sub = subgraph(graph, vs, es)
-        out.append(symmetry_group(dec, sub, framed=False, split_edge_ids=frozenset()))
-    return out
+        split_edge_ids = checked.split_ids
+    return [symmetry_group(dec, c, split_edge_ids=frozenset())
+            for c in checked.components(split_edge_ids)]
 
 
 def multiplicity(q) -> int:
     """Order of the framed tropical symmetry group of a rigid split graph."""
     from .splitting import is_rigid_split
 
-    group = symmetry_group(q.dec, q.top, framed=True, split_edge_ids=q.top_split_ids)
+    group = symmetry_group(q.dec, q.checked_top, framed=True, split_edge_ids=q.top_split_ids)
     if group.complex_dimension > 0:
         raise GraphError("non-rigid: the framed tropical symmetry group is infinite")
     if not is_rigid_split(q):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import graph_checks
 
 from tropsplit import complexes, cones, exact
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
@@ -365,6 +366,40 @@ def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
     assert routes == {"containment": 36, "face steps": 16}
+
+
+def test_corpus_pass_checks_pinned_graphs(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes with
+    28 graph checks, counted in every module that binds ``validate_graph``:
+    one per graph report and two (base and top) per quasi-split graph.  A
+    checked graph passed on is not checked again.  A report, symmetry group
+    or split-edge list that checks its graph again, or a component subgraph
+    that is checked (once 39 checks a pass), changes the count."""
+    checked = graph_checks(monkeypatch)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(checked) == 28
+
+
+def test_corpus_pass_looks_up_pinned_edge_cells(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes with
+    68 ``Decomposition.intersection_cell`` calls, one per tropical edge of
+    each checked graph.  Reading the split edges off a second lookup per
+    edge, or checking a graph again (once 124 calls a pass), changes the
+    count."""
+    calls = []
+    original = complexes.Decomposition.intersection_cell
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(complexes.Decomposition, "intersection_cell", counted)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 68
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,7 +13,6 @@ from tropsplit.graphs import (
     Edge,
     GraphError,
     TropicalGraph,
-    edge_cell,
     is_rigid,
     match_collapse,
     split_edges,
@@ -157,10 +157,11 @@ def _mutant(rng, dec, g):
     edge cell's normal lattice, so that it still validates: a positive
     multiple of the direction, its negative, or a random vector."""
     edges = list(g.edges)
+    cells = validate_graph(dec, g).cells
     tropical = [i for i, e in enumerate(edges) if e.kind == "tropical"]
     for i in rng.sample(tropical, min(len(tropical), rng.randint(1, 2))):
         e = edges[i]
-        basis = dec.normal_space(edge_cell(dec, g, e)).basis
+        basis = dec.normal_space(cells[e.id]).basis
         k = rng.choice((2, 3, -1, 0, 0))
         d = tuple(k * x for x in e.direction)
         while not any(d):
@@ -326,8 +327,11 @@ def test_split_edges_four_ordered(square_split):
 
 
 def test_split_edges_rejects_wrong_cover(square_split):
+    """A full order that misses or repeats a derived split edge is
+    rejected with the split-order rule's one message."""
     g = graph("fig_four_base")
-    with pytest.raises(GraphError):
-        split_edges(square_split, g, order=("e1", "e2"))
-    with pytest.raises(GraphError):
-        split_edges(square_split, g, order=("e1", "e2", "e3", "e3"))
+    for order in (("e1", "e2"), ("e1", "e2", "e3", "e3"), ("e1", "e2", "e3", "e4", "e4")):
+        msg = (f"split order {order} must name each edge, exactly once, of the derived "
+               "split set ('e1', 'e2', 'e3', 'e4')")
+        with pytest.raises(GraphError, match=f"^{re.escape(msg)}$"):
+            split_edges(square_split, g, order=order)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from tropsplit import fixtures as fx
 from tropsplit import reports
 from tropsplit.cones import Cone
 from tropsplit.exact import vec
+from tropsplit.graphs import GraphError
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import graph_from_dict
 from tropsplit.splitting import (
@@ -702,3 +704,36 @@ def test_quasi_split_construction_checks_each_component(square_split, direction,
         return
     with pytest.raises(SplitError, match=f"^{message}$"):
         QuasiSplitGraph(*args)
+
+
+def _first_intermediate(square_split, order):
+    d = fx.fig_four_intermediate(1)
+    return QuasiSplitGraph(square_split, graph("fig_four_base"), graph_from_dict(d),
+                           d["collapse"]["vertex_map"], split_order=order, partial=True)
+
+
+def test_partial_split_order_names_distinct_derived_edges(square_split):
+    """A partial order that repeats an edge is rejected.  ``("e1", "e1")``
+    was once accepted as two split edges, with expected Disc dimension 2
+    and a cone condition at (5, 1) that failed where ``("e1",)`` holds."""
+    cc = cone_condition(_first_intermediate(square_split, ("e1",)), (5, 1))
+    assert cc.holds and cc.expected_disc_dim == 1
+    for order in (("e1", "e1"), ("e1", "e9")):
+        msg = (f"split order {order} must name distinct edges of the derived split set "
+               "('e1', 'e2', 'e3', 'e4')")
+        with pytest.raises(GraphError, match=f"^{re.escape(msg)}$"):
+            _first_intermediate(square_split, order)
+
+
+@pytest.mark.parametrize("order", [
+    ("e1", "e2"),
+    ("e1", "e2", "e3", "e3"),
+    ("e1", "e2", "e3", "e4", "e4"),
+])
+def test_full_split_order_names_each_derived_edge_once(square_split, order):
+    """A full order that misses or repeats a derived split edge is rejected
+    with the message ``split_edges`` gives."""
+    msg = (f"split order {order} must name each edge, exactly once, of the derived "
+           "split set ('e1', 'e2', 'e3', 'e4')")
+    with pytest.raises(GraphError, match=f"^{re.escape(msg)}$"):
+        quasi(square_split, "fig_four_top", split_order=order)

@@ -4,10 +4,11 @@ from collections import Counter
 import pytest
 
 import oracles
-from conftest import graph, quasi
+from conftest import graph, graph_checks, quasi
 from oracles import count_root_solutions
 from tropsplit import fixtures as fx
-from tropsplit.cli import corpus_cases
+from tropsplit import reports
+from tropsplit.cli import corpus_cases, run_corpus_case
 from tropsplit.graphs import Edge, GraphError, TropicalGraph
 from tropsplit.serialize import decomposition_from_dict
 from tropsplit.symmetry import (
@@ -220,3 +221,26 @@ def test_symmetry_group_runs_one_smith_form(cube_split, monkeypatch):
         calls.clear()
         symmetry_group(cube_split, q.top, framed=framed, split_edge_ids=q.top_split_ids)
         assert calls == Counter(smith_normal_form=1), (framed, calls)
+
+
+def test_split_graph_analyses_check_no_graph_again(cube_split, monkeypatch):
+    """A quasi-split graph checks its base and its top once each.  Its
+    multiplicity and its symmetry reports, from the library or as corpus
+    cases, pass the checked top along, and no component subgraph is ever
+    checked: each comes checked from ``components``."""
+    checked = graph_checks(monkeypatch)
+    q = quasi(cube_split, "fig_cube_top2")
+    assert len(checked) == 2 and checked[0] is q.base and checked[1] is q.top
+    assert multiplicity(q) == 3
+    for framed in (False, True):
+        report = reports.symmetry_report(cube_split, q.checked_top, framed, {},
+                                         split_edge_ids=q.top_split_ids)
+        assert len(report["component_splitting"]) == len(q.components) == 2
+    assert len(checked) == 2
+    cases = [c for c in corpus_cases() if c.get("graph") == "fig_cube_top2"
+             and c["kind"] in ("symmetry", "mult")]
+    assert len(cases) == 3
+    for case in cases:
+        del checked[:]
+        run_corpus_case(case)
+        assert len(checked) == 2, case["name"]
