@@ -198,6 +198,12 @@ class Decomposition:
                 raise DecompositionError(
                     f"cell {pid}: dim {geom.dim()} + dual dim {dual.dim()} != {n}"
                 )
+        # with the dimensions adding up to n, orthogonal direction spaces are
+        # orthogonal complements
+        for pid in sorted(self.polytopes):
+            dual_dirs = self.dual(pid).direction_space()
+            if any(_dot(u, v) for u in self.cell(pid).direction_space() for v in dual_dirs):
+                raise DecompositionError(f"dual cell of {pid} is not orthogonal to {pid}")
         # poset: antisymmetry
         closure = self._closure()
         for q, p in sorted(closure):

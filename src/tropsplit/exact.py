@@ -61,10 +61,6 @@ def as_int(x) -> int:
     return q.numerator
 
 
-def vec(xs) -> Vec:
-    return tuple(fr(x) for x in xs)
-
-
 def ratvec(xs) -> Vec:
     """Exact vector that keeps int entries as ints; the others go through
     ``fr``, so floats and bools are rejected.  For integer arithmetic and
@@ -382,8 +378,13 @@ class IntegerLattice:
 
     @cached_property
     def _echelon(self) -> tuple:
-        """The Hermite normal form of the basis, each row with its pivot
-        column: the same lattice, computed once."""
+        """An echelon basis of the lattice, each row with its pivot column,
+        pivots strictly increasing: the basis itself when it already is one
+        (``smith_kernel`` returns a Hermite basis), else its Hermite normal
+        form, computed once."""
+        rows = [(row, _lead(row)) for row in self.basis]
+        if all(p < q for (_, p), (_, q) in zip(rows, rows[1:])):
+            return tuple(rows)
         return tuple((row, _lead(row)) for row in hermite_normal_form(self.basis))
 
     def contains(self, v) -> bool:

@@ -24,8 +24,9 @@ from .serialize import (
     series_to_list,
     thaw,
     vec_str,
+    vec_str_over,
 )
-from .splitting import QuasiSplitGraph, cone_condition, index_shift, is_rigid_split
+from .splitting import QuasiSplitGraph, cone_condition, index_shift
 from .symmetry import component_splitting, multiplicity, symmetry_group
 
 
@@ -92,19 +93,16 @@ def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
     cc = cone_condition(q, eta)
-    w_dict, disc_dict = q.cone_dicts
+    order, w_cone, disc_cone, scalars = q.report_fields
     out = _head("split-check", inputs)
+    out.update(scalars)
     out.update(
         {
             "eta": vec_str(eta),
-            "split_order": list(q.split_order),
-            "w_cone": thaw(w_dict),
-            "w_dim": q.w.dim(),
-            "disc_cone": thaw(disc_dict),
-            "disc_dim": cc.disc_dim,
-            "expected_disc_dim": cc.expected_disc_dim,
-            "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
-            "projected_eta": [vec_str(p) for p in cc.projected_eta],
+            "split_order": list(order),
+            "w_cone": thaw(w_cone),
+            "disc_cone": thaw(disc_cone),
+            "projected_eta": [vec_str_over(p, cc.den) for p in cc.projected_num],
             "scalings_cone": cone_to_dict(cc.D),
             "cone_condition_holds": cc.holds,
             "genericity_certified": cc.certified,
@@ -112,7 +110,6 @@ def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
                 cc.certificate_labels[i] for i in cc.certificate.violations
             ],
             "accepted": cc.holds and cc.certified,
-            "rigid_split": is_rigid_split(q),
         }
     )
     if i_br is not None:

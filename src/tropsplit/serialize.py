@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .complexes import Decomposition, DualCell, Polytope
 from .cones import Cone
@@ -50,7 +51,13 @@ def parse_rat(x) -> int | Fraction:
 
 
 def vec_str(v) -> list:
-    return [rat_str(x) for x in v]
+    return list(map(rat_str, v))
+
+
+def vec_str_over(v, den: int) -> list:
+    """``vec_str`` of the int vector v divided by the positive int den,
+    each entry in lowest terms, with no ``Fraction``."""
+    return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in v]
 
 
 def parse_vec(v, field: str = "vector") -> tuple:
@@ -72,7 +79,7 @@ def freeze(data: dict) -> tuple:
 
 def thaw(frozen: tuple) -> dict:
     """A fresh dict, with fresh lists, of what ``freeze`` froze."""
-    return {k: [list(r) for r in v] if isinstance(v, tuple) else v for k, v in frozen}
+    return {k: list(map(list, v)) if isinstance(v, tuple) else v for k, v in frozen}
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +239,22 @@ def collapse_from_dict(data: dict) -> tuple[dict, object]:
 # cones and lattices
 
 
+def _int_rows(rows) -> list:
+    """Sorted ``vec_str`` of int vectors, whose entries ``str`` writes as
+    ``rat_str`` does."""
+    return sorted([list(map(str, r)) for r in rows])
+
+
 def cone_to_dict(cone: Cone) -> dict:
+    """A cone's canonical minimal form; its generators and rows are
+    primitive int vectors."""
     m = cone.minimal()
     return {
         "ambient_dim": m.ambient_dim,
-        "rays": sorted(vec_str(r) for r in m.rays),
-        "lineality": sorted(vec_str(l) for l in m.lineality),
-        "ineqs": sorted(vec_str(a) for a in m.ineqs),
-        "eqs": sorted(vec_str(a) for a in m.eqs),
+        "rays": _int_rows(m.rays),
+        "lineality": _int_rows(m.lineality),
+        "ineqs": _int_rows(m.ineqs),
+        "eqs": _int_rows(m.eqs),
         "dim": m.dim(),
     }
 

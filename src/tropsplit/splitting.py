@@ -25,7 +25,6 @@ from .exact import (
     _rref_int,
     as_int,
     is_generic_wrt,
-    is_zero_vec,
     ratvec,
 )
 from .graphs import (
@@ -64,12 +63,15 @@ class QuasiSplitGraph:
     Everything about the graph that no cone direction changes is computed
     once, on first use, and cached: the relative-position cone ``w``, the
     discrepancy data ``disc`` with Disc's H-representation, the
-    ``genericity_family`` (each subspace with its annihilator rows) and
-    ``cone_dicts`` (w and Disc serialized, frozen, for reports).  A cone
-    direction then costs Disc's rows pulled back along M_eta, one scalings
-    cone cut from the orthant's known rays by a double description step per
-    pulled row (no conversion), the increasing test on its ray supports and
-    one dot product per annihilator row.
+    ``genericity_family`` (each subspace with its annihilator rows), the
+    ``pull_table`` (each row of Disc as one integer row per split edge) and
+    ``report_fields`` (the split report's fields that no direction changes,
+    frozen).  A cone direction eta = num / den then costs, all in integers,
+    pi_i(num) per split edge, each row of Disc pulled back as one length-n
+    dot product with num per split edge, one scalings cone cut from the
+    orthant's known rays by a double description step per pulled row (no
+    conversion), the increasing test on its ray supports and one dot product
+    per annihilator row.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -140,10 +142,41 @@ class QuasiSplitGraph:
         return _genericity_family(self)
 
     @cached_property
-    def cone_dicts(self) -> tuple:
-        """``cone_to_dict`` of w and of Disc, frozen; a report thaws a
-        fresh copy of each."""
-        return freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
+    def pull_table(self) -> tuple:
+        """Disc's inequality rows, then its equality rows, each pulled back
+        to one integer row per split edge: c_i = proj_i^T a_i for the row's
+        block a_i at split edge i.  Along M_eta, which maps the scalings x
+        to the blocks x_i pi_i(num), the row a pulls back to (c_i . num)_i."""
+        width = self.n - 1
+        cols = [tuple(zip(*proj)) for _, _, proj in self.disc.blocks]
+
+        def pulled(a):
+            return tuple(
+                tuple(_dot(a[i * width : (i + 1) * width], col) for col in c)
+                for i, c in enumerate(cols)
+            )
+
+        disc = self.disc.disc
+        return tuple(map(pulled, disc.ineqs)), tuple(map(pulled, disc.eqs))
+
+    @cached_property
+    def report_fields(self) -> tuple:
+        """The split report's parts that no cone direction changes: the
+        split order, w and Disc serialized and frozen (``serialize.freeze``),
+        and the scalar fields as (key, value) pairs.  Each report copies the
+        order and thaws fresh cones."""
+        s = self.num_split
+        # with no split edge Disc is the zero cone of R^0, as in cone_condition
+        disc_dim, expected = self.disc.disc.dim() if s else 0, s * (self.n - 1)
+        scalars = (
+            ("w_dim", self.w.dim()),
+            ("disc_dim", disc_dim),
+            ("expected_disc_dim", expected),
+            ("disc_dim_matches", disc_dim == expected),
+            ("rigid_split", is_rigid_split(self)),
+        )
+        cones = freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
+        return self.split_order, *cones, scalars
 
     # basic data -----------------------------------------------------------------
 
@@ -270,11 +303,17 @@ class ConeConditionVerdict:
     D: Cone  # scalings cone in R^(number of split edges)
     disc_dim: int
     expected_disc_dim: int
-    projected_eta: tuple  # per split edge, pi(eta)
+    projected_num: tuple  # per split edge, pi(num), where eta = num / den
+    den: int
 
     @property
     def accepted(self) -> bool:
         return self.holds and self.certified
+
+    @property
+    def projected_eta(self) -> tuple:
+        """Per split edge, pi(eta) as ``Fraction``s."""
+        return tuple(tuple(Fraction(x, self.den) for x in p) for p in self.projected_num)
 
 
 def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
@@ -284,29 +323,25 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     eta = ratvec(eta)
     if len(eta) != q.n:
         raise SplitError("cone direction has wrong dimension")
-    if is_zero_vec(eta):
+    if not any(eta):
         raise SplitError("cone direction must be nonzero")
-    data = q.disc
     n, s = q.n, q.num_split
     if s == 0:
         cert = GenericityCertificate(True, (), ())
-        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, ())
+        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, (), 1)
     # eta = num / den over one common denominator.  M_eta maps the scalings
     # x to the blocks x_i pi_i(eta); D is built from num, a positive
-    # multiple of eta, which leaves D unchanged.  Column i of M_eta is
-    # pi_i(num) in block i, and a row of Disc pulls back to its dot
-    # products with the columns.  D is the orthant cut by the pulled rows,
-    # so its double description starts from the unit rays.
+    # multiple of eta, which leaves D unchanged.  A row of Disc pulls back
+    # to its pull-table rows dotted with num, and D is the orthant cut by
+    # the pulled rows, so its double description starts from the unit rays.
     den = lcm(*(x.denominator for x in eta))
     num = tuple(x.numerator * (den // x.denominator) for x in eta)
-    pi_num = [tuple(_dot(prow, num) for prow in proj) for _, _, proj in data.blocks]
-    width = n - 1
-    cols = [(0,) * (i * width) + p + (0,) * ((s - 1 - i) * width) for i, p in enumerate(pi_num)]
+    ineqs, eqs = q.pull_table
 
-    def pull(a):
-        return tuple(_dot(a, col) for col in cols)
+    def pull(row):
+        return tuple(_dot(c, num) for c in row)
 
-    D = orthant_cut(s, [pull(a) for a in data.disc.ineqs], [pull(a) for a in data.disc.eqs])
+    D = orthant_cut(s, list(map(pull, ineqs)), list(map(pull, eqs)))
     holds = is_increasing(D)
     fam, labels = q.genericity_family
     cert = is_generic_wrt(num, fam, labels)
@@ -316,9 +351,12 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
         certificate=cert,
         certificate_labels=tuple(labels),
         D=D,
-        disc_dim=data.disc.dim(),
+        disc_dim=q.disc.disc.dim(),
         expected_disc_dim=s * (n - 1),
-        projected_eta=tuple(tuple(Fraction(x, den) for x in p) for p in pi_num),
+        projected_num=tuple(
+            tuple(_dot(prow, num) for prow in proj) for _, _, proj in q.disc.blocks
+        ),
+        den=den,
     )
 
 

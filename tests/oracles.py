@@ -21,9 +21,11 @@ space, the increasing test by one conversion per slice (this module's
 ``is_increasing``, not the library's), a full elimination per genericity
 subspace and ``Fraction`` projections, both cached cones serialized again
 and, in ``_head``, every input serialized and hashed again with no memo;
-they are kept verbatim (the family passed by its bases) so that the
-per-graph caches and the orthant cut of ``tropsplit.splitting`` can be
-checked against them.
+they are kept verbatim (the family passed by its bases, and the
+``Fraction`` projections handed to the verdict as integers over eta's
+common denominator, the form its fields now take) so that the per-graph
+caches and the orthant cut of ``tropsplit.splitting`` can be checked
+against them.
 
 ``is_increasing`` is the increasing-cone test as it ran one double
 description per coordinate slice, and ``is_generic_wrt`` the genericity
@@ -118,7 +120,6 @@ from tropsplit.exact import (
     smith_normal_form,
     vadd,
     vdot,
-    vec,
 )
 from tropsplit.graphs import block_row, pair_row, validate_graph
 from tropsplit.polyhedra import Polyhedron, _hom
@@ -130,6 +131,11 @@ from tropsplit.splitting import (
     index_shift,
     is_rigid_split,
 )
+
+
+def vec(xs) -> Vec:
+    """Exact vector with every entry a ``Fraction`` (see ``exact.fr``)."""
+    return tuple(fr(x) for x in xs)
 
 
 def vzero(n: int) -> Vec:
@@ -429,7 +435,7 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     n, s = q.n, q.num_split
     if s == 0:
         cert = GenericityCertificate(True, (), ())
-        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, ())
+        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, (), 1)
     # M_eta maps the scalings x to the blocks x_i pi_i(eta); it is built from
     # the primitive integer multiple of eta, which leaves the preimage cone
     # unchanged
@@ -446,6 +452,7 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     holds = is_increasing(D)
     fam, labels = q.genericity_family
     cert = is_generic_wrt(eta_int, [S.basis for S in fam], labels)
+    den = lcm(*(x.denominator for x in eta))
     return ConeConditionVerdict(
         holds=holds,
         certified=cert.generic,
@@ -454,7 +461,11 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
         D=D,
         disc_dim=data.disc.dim(),
         expected_disc_dim=s * (n - 1),
-        projected_eta=tuple(matvec(proj, eta) for _, _, proj in data.blocks),
+        # pi(eta) = projected_num / den, with den the lcm of eta's denominators
+        projected_num=tuple(
+            tuple(int(x * den) for x in matvec(proj, eta)) for _, _, proj in data.blocks
+        ),
+        den=den,
     )
 
 

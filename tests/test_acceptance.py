@@ -10,10 +10,9 @@ import sys
 from fractions import Fraction as F
 
 from conftest import graph, quasi
-from oracles import count_root_solutions, tail_of_sequence_in
+from oracles import count_root_solutions, tail_of_sequence_in, vec
 from tropsplit import fixtures as fx
 from tropsplit.cones import Cone, is_increasing, is_increasing_inductive
-from tropsplit.exact import vec
 from tropsplit.graphs import is_rigid, vertex_positions
 from tropsplit.potential import bg_potential
 from tropsplit.serialize import graph_from_dict

@@ -339,6 +339,19 @@ def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
     assert len(calls) == 86
 
 
+def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 38 Hermite normal forms, counted in every module that binds
+    ``hermite_normal_form``.  A lattice that reduces a basis already in
+    echelon form again before a membership test, as every kernel lattice
+    of ``smith_kernel`` did (once 63 a pass), changes the count."""
+    calls = _count_in_every_binding(monkeypatch, "hermite_normal_form")
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 38
+
+
 def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
     """One pass over the corpus, each case cold, computes 52 cell
     intersections: 36 settled by containment and 16 by tight-set face

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
-from oracles import kernel_basis, mat, rank
+from oracles import kernel_basis, mat, rank, vec
 from tropsplit import complexes, cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
@@ -21,7 +21,6 @@ from tropsplit.complexes import (
     toric_cut,
 )
 from tropsplit.cones import Cone
-from tropsplit.exact import vec
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import (
     canonical_json,
@@ -432,6 +431,32 @@ def test_validation_catches_wrong_dual_dimension():
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError):
         dec.validate(geometric=False)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+def test_validation_catches_a_dual_that_is_not_orthogonal(reverse):
+    """Shearing the square's dual vertices by (x, y) -> (x + y, y), to
+    (0,0), (1,0), (2,1), (1,1), keeps every dimension and every reversed
+    dual face, but the duals of Hxm and Hxp then run along (1,1) against
+    their cells' (1,0).  The error names the smaller id, Hxm, whatever the
+    order the cells are listed in."""
+    data = fx.square_complex(split=())
+    for d in data["dual_cells"]:
+        d["vertices"] = [[str(F(x) + F(y)), y] for x, y in d["vertices"]]
+    if reverse:
+        data["polytopes"].reverse()
+        data["dual_cells"].reverse()
+    dec = decomposition_from_dict(data)
+    with pytest.raises(DecompositionError, match="^dual cell of Hxm is not orthogonal to Hxm$"):
+        dec.validate(geometric=False)
+
+
+@pytest.mark.parametrize("name", ["toric_cube", "toric_hexagonal_prism"])
+def test_cut_duals_are_orthogonal(name):
+    """Each cut cell's dual runs orthogonal to it: the structural checks
+    pass on the cube and prism cuts as on the bundled decompositions."""
+    dec, _ = _cut(name)
+    dec.validate(geometric=False)
 
 
 def test_intersection_audit_catches_missing_cell():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import mat, tail_of_sequence_in
+from oracles import mat, tail_of_sequence_in, vec
 from tropsplit import cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import toric_cut
@@ -15,7 +15,6 @@ from tropsplit.cones import (
     is_increasing_inductive,
     normal_cone_at_first_axis,
 )
-from tropsplit.exact import vec
 from tropsplit.polyhedra import Polyhedron
 
 # -- conversions ---------------------------------------------------------------

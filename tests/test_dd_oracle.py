@@ -15,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import kernel_basis, mat, rank, vneg
+from oracles import kernel_basis, mat, rank, vec, vneg
 from tropsplit.cones import Cone, _h_to_v
-from tropsplit.exact import is_zero_vec, primitive, vdot, vec
+from tropsplit.exact import is_zero_vec, primitive, vdot
 
 
 def brute_force_rays(n, rows):

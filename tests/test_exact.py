@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 
 import oracles
-from oracles import det, mat, matmul, transpose
+from oracles import det, mat, matmul, transpose, vec
 from tropsplit.exact import (
     IntegerLattice,
     fr,
@@ -24,7 +24,6 @@ from tropsplit.exact import (
     smith_normal_form,
     solve,
     unimodular_completion,
-    vec,
 )
 
 # -- Smith normal form -------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from conftest import graph, quasi
+from oracles import vec
 from tropsplit import fixtures as fx
-from tropsplit.exact import vec
 from tropsplit.graphs import (
     Edge,
     GraphError,

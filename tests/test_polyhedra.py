@@ -5,11 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import mat
+from oracles import mat, vec
 from tropsplit import fixtures as fx
 from tropsplit.complexes import toric_cut
 from tropsplit.cones import Cone
-from tropsplit.exact import vec
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import decomposition_from_dict, decomposition_to_dict
 

@@ -22,6 +22,8 @@ from tropsplit.serialize import (
     series_from_list,
     series_to_list,
     toric_from_dict,
+    vec_str,
+    vec_str_over,
 )
 
 
@@ -34,6 +36,20 @@ def test_rational_strings():
         parse_rat(True)
     with pytest.raises(ValueError):
         parse_rat(0.5)
+
+
+def test_integer_quotients_write_as_fractions_do():
+    """An int vector over a positive int denominator is written entry by
+    entry as the ``Fraction`` it stands for: in lowest terms, the sign on
+    the numerator, an integral entry (zero too) with no denominator."""
+    import random
+
+    rng = random.Random(21)
+    for _ in range(500):
+        den = rng.randint(1, 24)
+        v = [rng.randint(-50, 50) for _ in range(rng.randint(0, 4))]
+        assert vec_str_over(v, den) == vec_str([F(x, den) for x in v]), (v, den)
+    assert vec_str_over((0, -6, 4, 3), 4) == ["0", "-3/2", "1", "3/4"]
 
 
 @pytest.mark.parametrize("x", ["3", "-0", "007", "+3", " 3 ", "6/2", "3.0", 7, F(3)])

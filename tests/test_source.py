@@ -55,6 +55,20 @@ def test_cones_import_no_fractions():
     assert not names & {"Fraction", "fr", "fractions"}, names
 
 
+def test_cone_direction_path_builds_no_fractions():
+    """A cone direction is answered in integers: neither
+    ``splitting.cone_condition`` nor ``reports.split_report`` names
+    ``Fraction`` or ``fr``."""
+    package = Path(tropsplit.__file__).parent
+    for module, function in (("splitting", "cone_condition"), ("reports", "split_report")):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        (node,) = [f for f in tree.body
+                   if isinstance(f, ast.FunctionDef) and f.name == function]
+        names = _names(node)
+        assert "cone_to_dict" in names or "orthant_cut" in names  # the walk sees the body
+        assert not names & {"Fraction", "fr"}, (module, function, names & {"Fraction", "fr"})
+
+
 def test_no_identity_keyed_caches():
     """No module calls the builtin ``id``: a cache keyed by an object's
     identity can describe contents that have changed since, or an object

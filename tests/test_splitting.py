@@ -7,11 +7,10 @@ import pytest
 
 import oracles
 from conftest import graph, quasi
-from oracles import matvec
+from oracles import matvec, vec
 from tropsplit import fixtures as fx
 from tropsplit import reports
 from tropsplit.cones import Cone
-from tropsplit.exact import vec
 from tropsplit.graphs import GraphError
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import graph_from_dict
@@ -397,6 +396,85 @@ def test_warm_cone_condition_runs_pinned_dd_steps(square_split, cube_split, monk
         cone_condition(q, eta)
         steps.append(calls["step"])
     assert steps == [1, 1, 2, 4, 1, 2, 2]
+
+
+def _sweep_etas(seed: int) -> list:
+    """The eta-sweep benchmark's 40 seeded nonzero directions in Q^3, made
+    the way it makes them; a graph in dimension n takes the first n
+    coordinates, so the first two are never both zero."""
+    rng = random.Random(f"eta:{seed}")
+    out = []
+    while len(out) < 40:
+        eta = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+        if eta[0] or eta[1]:
+            out.append(eta)
+    return out
+
+
+def _count_calls(monkeypatch, calls: Counter, name: str, original):
+    """Count the calls of ``original`` under ``name`` in every tropsplit
+    module that binds it."""
+    import sys
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "tropsplit" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def _count_fractions(monkeypatch, calls: Counter):
+    """Count the ``Fraction``s built by name in every tropsplit module that
+    binds ``Fraction``.  The stand-in class builds real ``Fraction``s, and
+    an instance check against it is one against ``Fraction``."""
+    import sys
+
+    class Counting(type(F)):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, F)
+
+        def __call__(cls, *args, **kwargs):
+            calls["Fraction"] += 1
+            return F(*args, **kwargs)
+
+    class CountedFraction(F, metaclass=Counting):
+        pass
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "tropsplit" and getattr(module, "Fraction", None) is F:
+            monkeypatch.setattr(module, "Fraction", CountedFraction)
+
+
+def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
+    """One pass of the eta-sweep benchmark at seed 0, over the eight graphs
+    each warmed by one report, gives its report digest with no conversion,
+    508 double description steps (one per nonzero pulled row of Disc, two
+    per equality, from the orthant), 152 ``_rref_int`` calls (D's implicit
+    rows, read off its zero-sets) and no ``Fraction``: pi(eta) is formatted
+    from pi(num) and the common denominator.  A ``Fraction`` per projected
+    entry (once 720 a pass) changes the count."""
+    import hashlib
+
+    from tropsplit import cones, exact
+    from tropsplit.serialize import canonical_json
+
+    graphs = _eta_sweep_graphs()
+    for q, inputs in graphs:
+        reports.split_report(q, (1,) * q.n, inputs)
+    calls = Counter()
+    for module, name in ((cones, "_h_to_v"), (cones, "_dd_step"), (exact, "_rref_int")):
+        _count_calls(monkeypatch, calls, name, getattr(module, name))
+    _count_fractions(monkeypatch, calls)
+    digest = hashlib.sha256()
+    for eta in _sweep_etas(0):
+        digest.update("".join(
+            canonical_json(reports.split_report(q, eta[:q.n], inputs)) for q, inputs in graphs
+        ).encode())
+    assert digest.hexdigest() == (
+        "0e440166856ded0124592256d7e30ba8482f1e84350d80334465260b913b48fb")
+    assert calls == {"_dd_step": 508, "_rref_int": 152}
 
 
 def test_cone_condition_ignores_the_scale_of_eta(square_split, cube_split):
