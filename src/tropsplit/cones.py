@@ -226,21 +226,32 @@ def _tight_on_all(indices, zs) -> bool:
     return bool(tight)
 
 
+def orthant_rows(s: int, ineqs, eqs) -> tuple[tuple, tuple]:
+    """The rows ``orthant_cut`` cuts by: each row of ``ineqs`` and of
+    ``eqs`` checked to have length ``s``, scaled to a primitive vector and
+    kept when nonzero, in order.  The cut is a function of these rows
+    alone."""
+    ineqs, eqs = list(ineqs), list(eqs)
+    if any(len(a) != s for a in (*ineqs, *eqs)):
+        raise ValueError("constraint row of wrong dimension")
+    return tuple(
+        tuple(a for a in map(primitive, rows) if any(a)) for rows in (ineqs, eqs)
+    )
+
+
 def orthant_cut(s: int, ineqs, eqs) -> "Cone":
     """The minimal cone {x in R^s : x >= 0, a.x >= 0 for a in ineqs,
     e.x = 0 for e in eqs}, converted from the nonnegative orthant.
 
+    The rows are those of ``orthant_rows``: checked, primitive, nonzero.
     The conversion starts at ``DDState.orthant`` and cuts it once per
-    nonzero inequality and twice, by ``e`` and ``-e``, per nonzero
-    equality.  The result equals
+    inequality and twice, by ``e`` and ``-e``, per equality.  The result equals
     ``Cone(s, ineqs=ineqs + units, eqs=eqs).minimal()`` on both sides.
     """
-    cuts = [a for a in map(primitive, ineqs) if any(a)]
-    for e in map(primitive, eqs):
-        if any(e):
-            cuts += [e, tuple(-x for x in e)]
-    if any(len(a) != s for a in cuts):
-        raise ValueError("constraint row of wrong dimension")
+    ineqs, eqs = orthant_rows(s, ineqs, eqs)
+    cuts = list(ineqs)
+    for e in eqs:
+        cuts += [e, tuple(-x for x in e)]
     return DDState.orthant(s).cut(*cuts).cone()
 
 
@@ -341,16 +352,16 @@ class Cone:
         self._from_h = ineqs is not None or eqs is not None
         if has_v == self._from_h:
             raise ValueError("cone needs exactly one representation")
+        # every given vector is checked, zero ones too, before any is dropped
+        first, second = (list(g or ()) for g in ((rays, lineality) if has_v else (ineqs, eqs)))
+        if any(len(v) != self.ambient_dim for v in (*first, *second)):
+            raise ValueError("generator of wrong dimension")
         self._rays = self._lineality = self._ineqs = self._eqs = None
         if has_v:
-            self._rays, self._lineality = _canon_rays(rays or ()), _canon_span(lineality or ())
+            self._rays, self._lineality = _canon_rays(first), _canon_span(second)
         else:
-            self._ineqs = tuple(r for r in map(primitive, ineqs or ()) if any(r))
-            self._eqs = _canon_span(eqs or ())
-        for group in (self._rays, self._lineality, self._ineqs, self._eqs):
-            for v in group or ():
-                if len(v) != self.ambient_dim:
-                    raise ValueError("generator of wrong dimension")
+            self._ineqs = tuple(r for r in map(primitive, first) if any(r))
+            self._eqs = _canon_span(second)
 
     @classmethod
     def from_conversion(cls, n, rays, lineality, rows, zero_sets, eqs=(), dual=False) -> "Cone":

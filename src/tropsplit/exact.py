@@ -407,10 +407,6 @@ class IntegerLattice:
                 v = [x - q * y for x, y in zip(v, row)]
         return not any(v)
 
-    def spans(self, v) -> bool:
-        """Membership of a rational vector in the rational span."""
-        return len(_rref_int(self.basis + (primitive(v),))) == len(self.basis)
-
 
 def smith_kernel(A) -> tuple[tuple, IntegerLattice]:
     """Nonzero invariant factors of an integer matrix with at least one row,

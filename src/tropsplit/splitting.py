@@ -16,7 +16,7 @@ from functools import cached_property
 from math import lcm
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, is_increasing, orthant_cut
+from .cones import Cone, is_increasing, orthant_cut, orthant_rows
 from .exact import (
     GenericityCertificate,
     Subspace,
@@ -48,6 +48,12 @@ class SplitError(ValueError):
     pass
 
 
+# How many scalings cones a quasi-split graph keeps (``scalings_cones``).
+# Directions share few pulled-row sets: 40 seeded directions give 30 over
+# the eight bundled split graphs.
+SCALINGS_MEMO_SIZE = 256
+
+
 class QuasiSplitGraph:
     """Validated quasi-split graph kappa: top -> base.
 
@@ -68,10 +74,12 @@ class QuasiSplitGraph:
     ``report_fields`` (the split report's fields that no direction changes,
     frozen).  A cone direction eta = num / den then costs, all in integers,
     pi_i(num) per split edge, each row of Disc pulled back as one length-n
-    dot product with num per split edge, one scalings cone cut from the
-    orthant's known rays by a double description step per pulled row (no
-    conversion), the increasing test on its ray supports and one dot product
-    per annihilator row.
+    dot product with num per split edge and scaled to a primitive vector,
+    one lookup of those rows in ``scalings_cones`` and one dot product per
+    annihilator row.  Only a pulled-row set the graph has not met costs
+    more: its scalings cone cut from the orthant's known rays by a double
+    description step per pulled row (no conversion) and the increasing
+    test on its ray supports, both kept for the next direction.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -160,22 +168,32 @@ class QuasiSplitGraph:
         return tuple(map(pulled, disc.ineqs)), tuple(map(pulled, disc.eqs))
 
     @cached_property
+    def scalings_cones(self) -> dict:
+        """The scalings cones cut so far, each as ``(D, is_increasing(D))``
+        keyed by the rows that cut D from the orthant: the primitive nonzero
+        pulled-back rows ``(ineqs, eqs)`` of ``cones.orthant_rows``.  D is a
+        function of its key alone, so an entry cannot disagree with it.  At
+        most ``SCALINGS_MEMO_SIZE`` entries; a full memo drops its oldest."""
+        return {}
+
+    @cached_property
     def report_fields(self) -> tuple:
         """The split report's parts that no cone direction changes: the
         split order, w and Disc serialized and frozen (``serialize.freeze``),
         and the scalar fields as (key, value) pairs.  Each report copies the
         order and thaws fresh cones."""
         s = self.num_split
+        # serialized first: w's minimal form then knows its dimension
+        cones = freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
         # with no split edge Disc is the zero cone of R^0, as in cone_condition
         disc_dim, expected = self.disc.disc.dim() if s else 0, s * (self.n - 1)
         scalars = (
-            ("w_dim", self.w.dim()),
+            ("w_dim", self.w.minimal().dim()),
             ("disc_dim", disc_dim),
             ("expected_disc_dim", expected),
             ("disc_dim_matches", disc_dim == expected),
             ("rigid_split", is_rigid_split(self)),
         )
-        cones = freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
         return self.split_order, *cones, scalars
 
     # basic data -----------------------------------------------------------------
@@ -232,15 +250,14 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
 
 @dataclass(frozen=True)
 class DiscrepancyData:
-    diff_matrix: tuple  # rows: one (n-1)-block per split edge, in order
     disc: Cone
-    w: Cone
     blocks: tuple  # (base edge id, direction, projection matrix) per block
 
 
 def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
-    """The discrepancy map Diff (projected split-edge mismatches of a
-    relative position) and the discrepancy cone, its image over w."""
+    """The discrepancy cone: the image of w under the discrepancy map Diff
+    (projected split-edge mismatches of a relative position), with Diff's
+    blocks, one per split edge in order."""
     n = q.n
     index = q.checked_top.index
     n_vars = n * len(index)
@@ -252,7 +269,7 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
         blocks.append((bid, tuple(d), proj))
     s = q.num_split
     disc = q.w.linear_image(rows, codim=s * (n - 1)) if s else Cone.zero(0)
-    return DiscrepancyData(tuple(rows), disc, q.w, tuple(blocks))
+    return DiscrepancyData(disc, tuple(blocks))
 
 
 def _genericity_family(q: QuasiSplitGraph):
@@ -341,8 +358,18 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     def pull(row):
         return tuple(_dot(c, num) for c in row)
 
-    D = orthant_cut(s, list(map(pull, ineqs)), list(map(pull, eqs)))
-    holds = is_increasing(D)
+    # many directions pull back to the same rows once these are primitive,
+    # and D and its verdict depend on nothing else
+    key = orthant_rows(s, map(pull, ineqs), map(pull, eqs))
+    memo = q.scalings_cones
+    entry = memo.get(key)
+    if entry is None:
+        D = orthant_cut(s, *key)
+        entry = D, is_increasing(D)
+        if len(memo) >= SCALINGS_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = entry
+    D, holds = entry
     fam, labels = q.genericity_family
     cert = is_generic_wrt(num, fam, labels)
     return ConeConditionVerdict(
@@ -382,7 +409,7 @@ def is_split_graph(q: QuasiSplitGraph, eta) -> SplitGraphVerdict:
 
 def is_rigid_split(q: QuasiSplitGraph) -> bool:
     """Base rigid and dim w = |split edges| (dim t - 1)."""
-    return q.base_positions.dim == 0 and q.w.dim() == q.num_split * (q.n - 1)
+    return q.base_positions.dim == 0 and q.w.minimal().dim() == q.num_split * (q.n - 1)
 
 
 def index_shift(q: QuasiSplitGraph, i_br: int) -> tuple[int, int]:

@@ -65,8 +65,9 @@ each edge's quotient projection per call, and ``lattice_contains`` is
 kept verbatim (with ``self`` as an argument) so that the zero-set
 read-off in ``tropsplit.graphs`` and the echelon reduction in
 ``tropsplit.exact`` can be checked against them.  ``intersect_hrep`` is
-``Polyhedron.intersect_hrep``, which only the tests and the oracles here
-used.
+``Polyhedron.intersect_hrep`` and ``lattice_spans`` is
+``IntegerLattice.spans`` (with ``self`` as an argument), which only the
+tests and the oracles here used.
 
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
@@ -1142,3 +1143,8 @@ def lattice_contains(self, v) -> bool:
     k = len(self.basis)
     R = _rref_int(zip(*self.basis, (x.numerator for x in v), strict=True))
     return all(_lead(row) < k and row[k] % row[_lead(row)] == 0 for row in R)
+
+
+def lattice_spans(self, v) -> bool:
+    """Membership of a rational vector in the rational span."""
+    return len(_rref_int(self.basis + (primitive(v),))) == len(self.basis)

@@ -311,7 +311,7 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 481 ``_rref_int`` calls, counted in every module that binds it.
+    with 471 ``_rref_int`` calls, counted in every module that binds it.
     A double description step that eliminates its lineality basis again
     or reduces its rays, a read-off that computes the equalities as a
     kernel (once 1594 calls a pass), a minimal cone built on the dual
@@ -320,12 +320,14 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     960), or a conversion that eliminates the equality basis its cone
     already holds, a position polyhedron that ranks its generators for a
     dimension nobody reads, or a lattice membership test by elimination
-    (once 842), changes the count."""
+    (once 842), or a split report that ranks w's rays for its dimension
+    where w's serialized minimal form already knows it (once 481),
+    changes the count."""
     calls = _count_in_every_binding(monkeypatch, "_rref_int")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 481
+    assert len(calls) == 471
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):

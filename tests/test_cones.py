@@ -374,6 +374,22 @@ def test_orthant_cut_rejects_rows_of_wrong_dimension():
         cones.orthant_cut(3, [], [(1, 2)])
 
 
+def test_zero_rows_of_wrong_dimension_are_rejected():
+    """A zero row is checked before it is dropped: orthant_cut and Cone
+    reject one of the wrong length as they reject any other."""
+    for ineqs, eqs in (([(0, 0, 0)], []), ([], [(0,)]), ([(1, 0), (0, 0, 0)], [])):
+        with pytest.raises(ValueError, match="constraint row of wrong dimension"):
+            cones.orthant_cut(2, ineqs, eqs)
+        with pytest.raises(ValueError, match="constraint row of wrong dimension"):
+            cones.orthant_rows(2, ineqs, eqs)
+    for kwargs in ({"ineqs": [(0, 0, 0)]}, {"eqs": [(0,)]},
+                   {"rays": [(0, 0, 0)]}, {"lineality": [(1, 0), (0, 0, 0)]}):
+        with pytest.raises(ValueError, match="generator of wrong dimension"):
+            Cone(2, **kwargs)
+    assert cones.orthant_rows(2, [(0, 0), (2, 4)], [(0, 0), (-3, 6)]) == (
+        ((1, 2),), ((-1, 2),))
+
+
 def test_is_increasing_reads_known_rays_without_conversion(monkeypatch):
     calls = Counter()
     original = cones._h_to_v

@@ -449,12 +449,16 @@ def _count_fractions(monkeypatch, calls: Counter):
 
 def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
     """One pass of the eta-sweep benchmark at seed 0, over the eight graphs
-    each warmed by one report, gives its report digest with no conversion,
-    508 double description steps (one per nonzero pulled row of Disc, two
-    per equality, from the orthant), 152 ``_rref_int`` calls (D's implicit
-    rows, read off its zero-sets) and no ``Fraction``: pi(eta) is formatted
-    from pi(num) and the common denominator.  A ``Fraction`` per projected
-    entry (once 720 a pass) changes the count."""
+    each warmed by one report, gives its report digest with no conversion
+    and no ``Fraction`` (pi(eta) is formatted from pi(num) and the common
+    denominator).  Each graph cuts the scalings cone of each distinct set of
+    primitive pulled-back rows once and keeps it with its verdict: the 40
+    directions meet 30 such sets on the eight graphs, 26 of them new, which
+    take 56 double description steps (one per nonzero pulled row of Disc,
+    two per equality, from the orthant) and 15 ``_rref_int`` calls (D's
+    implicit rows, read off its zero-sets once).  A cut per report (once
+    508 steps and 152 calls a pass) or a ``Fraction`` per projected entry
+    (once 720 a pass) changes the count."""
     import hashlib
 
     from tropsplit import cones, exact
@@ -474,7 +478,65 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
         ).encode())
     assert digest.hexdigest() == (
         "0e440166856ded0124592256d7e30ba8482f1e84350d80334465260b913b48fb")
-    assert calls == {"_dd_step": 508, "_rref_int": 152}
+    assert calls == {"_dd_step": 56, "_rref_int": 15}
+
+
+def test_scalings_memo_matches_a_fresh_cut():
+    """For 40 seeded directions from each of seeds 1-5 on the eight
+    eta-sweep graphs, the memoized scalings cone and verdict equal a fresh
+    orthant cut of the pulled-back rows (pulled with eta's ``Fraction``s)
+    and its increasing test, and each report's bytes equal those of a twin
+    graph whose memo is emptied before every report, so that it cuts D
+    again each time.  Both hits and misses occur."""
+    from tropsplit.cones import is_increasing, orthant_cut
+    from tropsplit.serialize import canonical_json
+
+    seen = Counter()
+    for (q, inputs), (twin, _) in zip(_eta_sweep_graphs(), _eta_sweep_graphs()):
+        ineqs, eqs = q.pull_table
+        for seed in range(1, 6):
+            for eta in _sweep_etas(seed):
+                eta = eta[:q.n]
+
+                def pull(row, eta=eta):
+                    return [sum(c * x for c, x in zip(col, eta)) for col in row]
+
+                size = len(q.scalings_cones)
+                got = cone_condition(q, eta)
+                seen["miss" if len(q.scalings_cones) > size else "hit"] += 1
+                D = orthant_cut(q.num_split, map(pull, ineqs), map(pull, eqs))
+                assert (got.D.ambient_dim, got.D.rays, got.D.lineality, got.D.ineqs,
+                        got.D.eqs, got.holds) == (D.ambient_dim, D.rays, D.lineality,
+                                                  D.ineqs, D.eqs, is_increasing(D))
+                twin.scalings_cones.clear()
+                assert canonical_json(reports.split_report(q, eta, inputs)) == (
+                    canonical_json(reports.split_report(twin, eta, inputs))), (q.top, eta)
+    assert seen["hit"] > seen["miss"] > 0, seen
+
+
+def test_scalings_memo_is_bounded_and_per_graph(cube_split, monkeypatch):
+    """More distinct pulled-row sets than the bound leave a graph's memo at
+    its bound, holding the newest; a second graph built from the same
+    inputs shares no entry and cuts its own cones."""
+    from tropsplit import splitting
+
+    monkeypatch.setattr(splitting, "SCALINGS_MEMO_SIZE", 3)
+    q, other = quasi(cube_split, "fig_cube_top1"), quasi(cube_split, "fig_cube_top1")
+    inserted = []
+    for eta in _sweep_etas(0):
+        before = list(q.scalings_cones)
+        cone_condition(q, eta)
+        after = list(q.scalings_cones)
+        assert len(after) <= 3
+        if after != before:  # a miss adds its key last
+            inserted.append(after[-1])
+    assert len(set(inserted)) > 3  # more distinct sets than the bound
+    assert list(q.scalings_cones) == inserted[-3:]
+    assert not other.scalings_cones
+    eta = _sweep_etas(0)[-1]
+    assert cone_condition(other, eta).D is not cone_condition(q, eta).D
+    assert cone_condition(q, eta).D is cone_condition(q, eta).D
+    assert len(other.scalings_cones) == 1
 
 
 def test_cone_condition_ignores_the_scale_of_eta(square_split, cube_split):
