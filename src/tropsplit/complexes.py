@@ -63,6 +63,13 @@ class Decomposition:
                 raise DecompositionError(f"dual cell for unknown polytope {d.polytope_id}")
             if d.polytope_id in self.dual_cells:
                 raise DecompositionError(f"duplicate dual cell for {d.polytope_id}")
+            if not d.vertices:
+                raise DecompositionError(f"dual cell of {d.polytope_id} has no vertex")
+            for field, gens in (("vertex", d.vertices), ("ray", d.rays)):
+                if any(len(g) != self.ambient_dim for g in gens):
+                    raise DecompositionError(
+                        f"dual cell of {d.polytope_id}: {field} of wrong length"
+                    )
             self.dual_cells[d.polytope_id] = d
         self.split_set = frozenset(split_set)
         self._geom: dict[str, Polyhedron] = {}
@@ -192,8 +199,6 @@ class Decomposition:
             if pid not in self.dual_cells:
                 raise DecompositionError(f"cell {pid} has no dual cell")
             dual = self.dual(pid)
-            if dual.is_empty():
-                raise DecompositionError(f"dual cell of {pid} is empty")
             if geom.dim() + dual.dim() != n:
                 raise DecompositionError(
                     f"cell {pid}: dim {geom.dim()} + dual dim {dual.dim()} != {n}"

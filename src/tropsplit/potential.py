@@ -108,6 +108,8 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")
     n = len(normals[0])
+    if any(len(m) != n for m in normals):
+        raise ValueError("normals must have equal length")
     lam = ratvec(lam)
     if len(lam) != n:
         raise ValueError("base point of wrong dimension")

@@ -69,10 +69,10 @@ class QuasiSplitGraph:
     Everything about the graph that no cone direction changes is computed
     once, on first use, and cached: the relative-position cone ``w``, the
     discrepancy data ``disc`` with Disc's H-representation, the
-    ``genericity_family`` (each subspace with its annihilator rows), the
-    ``pull_table`` (each row of Disc as one integer row per split edge) and
-    ``report_fields`` (the split report's fields that no direction changes,
-    frozen).  A cone direction eta = num / den then costs, all in integers,
+    ``pull_table`` (each row of Disc as one integer row per split edge),
+    the ``genericity_family`` read off that table (each subspace with its
+    annihilator rows) and ``report_fields`` (the split report's fields
+    that no direction changes, frozen).  A cone direction eta = num / den then costs, all in integers,
     pi_i(num) per split edge, each row of Disc pulled back as one length-n
     dot product with num per split edge and scaled to a primitive vector,
     one lookup of those rows in ``scalings_cones`` and one dot product per
@@ -182,11 +182,9 @@ class QuasiSplitGraph:
         split order, w and Disc serialized and frozen (``serialize.freeze``),
         and the scalar fields as (key, value) pairs.  Each report copies the
         order and thaws fresh cones."""
-        s = self.num_split
         # serialized first: w's minimal form then knows its dimension
         cones = freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
-        # with no split edge Disc is the zero cone of R^0, as in cone_condition
-        disc_dim, expected = self.disc.disc.dim() if s else 0, s * (self.n - 1)
+        disc_dim, expected = self.disc.disc.dim(), self.num_split * (self.n - 1)
         scalars = (
             ("w_dim", self.w.minimal().dim()),
             ("disc_dim", disc_dim),
@@ -208,20 +206,6 @@ class QuasiSplitGraph:
 
     def vertex_order(self) -> tuple:
         return tuple(self.checked_top.index)
-
-    def split_edge_blocks(self) -> list:
-        """Per split edge (in order): (base id, top edge, base-oriented ends,
-        base direction, quotient projection matrix)."""
-        out = []
-        for bid in self.split_order:
-            eid = self.split_top[bid]
-            e = self.top.edge(eid)
-            ends = e.ends
-            if eid in self.collapse.flipped:
-                ends = (ends[1], ends[0])
-            b = self.base.edge(bid)
-            out.append((bid, e, ends, b.direction, b.projection))
-        return out
 
 
 def relative_position_cone(q: QuasiSplitGraph) -> Cone:
@@ -257,16 +241,21 @@ class DiscrepancyData:
 def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
     """The discrepancy cone: the image of w under the discrepancy map Diff
     (projected split-edge mismatches of a relative position), with Diff's
-    blocks, one per split edge in order."""
+    blocks, one per split edge in order.  The mismatch at a split edge is
+    taken between the ends of its top edge oriented as the base edge."""
     n = q.n
     index = q.checked_top.index
     n_vars = n * len(index)
     rows = []
     blocks = []
-    for bid, e, ends, d, proj in q.split_edge_blocks():
-        ia, ib = index[ends[0]], index[ends[1]]
-        rows += [pair_row(n_vars, ia, ib, n, prow) for prow in proj]
-        blocks.append((bid, tuple(d), proj))
+    for bid in q.split_order:
+        eid = q.split_top[bid]
+        a, b = q.top.edge(eid).ends
+        if eid in q.collapse.flipped:
+            a, b = b, a
+        base = q.base.edge(bid)
+        rows += [pair_row(n_vars, index[a], index[b], n, prow) for prow in base.projection]
+        blocks.append((bid, tuple(base.direction), base.projection))
     s = q.num_split
     disc = q.w.linear_image(rows, codim=s * (n - 1)) if s else Cone.zero(0)
     return DiscrepancyData(disc, tuple(blocks))
@@ -275,11 +264,14 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
 def _genericity_family(q: QuasiSplitGraph):
     """Proper rational subspaces of t that the cone direction must avoid:
     per split edge, the direction span, the block slice of span(Disc) when
-    proper, and block slices of the facet hyperplanes of Disc.  Each is
+    proper, and block slices of the facet hyperplanes of Disc.  Each slice
+    is read off ``pull_table``: at split edge i, span(Disc) slices to the
+    kernel of the i-th pulled rows of Disc's equalities, and facet k to
+    the kernel of the i-th pulled row of inequality k.  Each subspace is
     listed once, as a ``Subspace`` with its canonical basis of primitive
     integer rref rows and its annihilator."""
-    data = q.disc
     n = q.n
+    ineqs, eqs = q.pull_table
     fam, labels = [], []
     seen = set()
 
@@ -291,23 +283,11 @@ def _genericity_family(q: QuasiSplitGraph):
         fam.append(S)
         labels.append(label)
 
-    disc_min = data.disc.minimal()
-    complement = disc_min.eqs  # the orthogonal complement of span(Disc)
-    width = n - 1
-
-    def sliced_kernel(vs, proj, lo):
-        """Subspace of t on which every block slice of vs vanishes after
-        the projection; the whole space when every slice is zero."""
-        cols = tuple(zip(*proj))
-        rows = [tuple(_dot(col, v[lo : lo + width]) for col in cols) for v in vs]
-        return _kernel_int(_rref_int(rows), n)
-
-    for i, (bid, d, proj) in enumerate(data.blocks):
+    for i, (bid, d, _) in enumerate(q.disc.blocks):
         add([d], f"direction span of {bid}")
-        lo = i * width
-        add(sliced_kernel(complement, proj, lo), f"span(Disc) sliced at {bid}")
-        for k, a in enumerate(disc_min.ineqs):
-            add(sliced_kernel([a], proj, lo), f"facet {k} of Disc sliced at {bid}")
+        add(_kernel_int(_rref_int([row[i] for row in eqs]), n), f"span(Disc) sliced at {bid}")
+        for k, row in enumerate(ineqs):
+            add(_kernel_int(_rref_int([row[i]]), n), f"facet {k} of Disc sliced at {bid}")
     return fam, labels
 
 
@@ -343,14 +323,13 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     if not any(eta):
         raise SplitError("cone direction must be nonzero")
     n, s = q.n, q.num_split
-    if s == 0:
-        cert = GenericityCertificate(True, (), ())
-        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, (), 1)
     # eta = num / den over one common denominator.  M_eta maps the scalings
     # x to the blocks x_i pi_i(eta); D is built from num, a positive
     # multiple of eta, which leaves D unchanged.  A row of Disc pulls back
     # to its pull-table rows dotted with num, and D is the orthant cut by
     # the pulled rows, so its double description starts from the unit rays.
+    # With no split edge the table and the family are empty, and D is the
+    # zero cone of R^0, which is increasing.
     den = lcm(*(x.denominator for x in eta))
     num = tuple(x.numerator * (den // x.denominator) for x in eta)
     ineqs, eqs = q.pull_table

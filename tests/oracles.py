@@ -25,7 +25,11 @@ they are kept verbatim (the family passed by its bases, and the
 ``Fraction`` projections handed to the verdict as integers over eta's
 common denominator, the form its fields now take) so that the per-graph
 caches and the orthant cut of ``tropsplit.splitting`` can be checked
-against them.
+against them.  ``genericity_family`` is the genericity family as it sliced
+the rows of Disc's minimal form again, each through its own transpose of
+the edge's projection; it is kept verbatim so that the family read off
+``QuasiSplitGraph.pull_table`` can be checked against it, and
+``cone_condition`` reads it in place of the library's.
 
 ``is_increasing`` is the increasing-cone test as it ran one double
 description per coordinate slice, and ``is_generic_wrt`` the genericity
@@ -108,6 +112,7 @@ from tropsplit.exact import (
     _rref_int,
     IntegerLattice,
     Mat,
+    Subspace,
     Vec,
     fr,
     gcd_reduce,
@@ -423,6 +428,45 @@ def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:
 # the cone condition and split report with every step run per direction
 
 
+def genericity_family(q):
+    """Proper rational subspaces of t that the cone direction must avoid:
+    per split edge, the direction span, the block slice of span(Disc) when
+    proper, and block slices of the facet hyperplanes of Disc.  Each is
+    listed once, as a ``Subspace`` with its canonical basis of primitive
+    integer rref rows and its annihilator."""
+    data = q.disc
+    n = q.n
+    fam, labels = [], []
+    seen = set()
+
+    def add(basis_rows, label):
+        S = Subspace.spanned_by(basis_rows, n)
+        if not S.basis or not S.annihilator or S.basis in seen:
+            return
+        seen.add(S.basis)
+        fam.append(S)
+        labels.append(label)
+
+    disc_min = data.disc.minimal()
+    complement = disc_min.eqs  # the orthogonal complement of span(Disc)
+    width = n - 1
+
+    def sliced_kernel(vs, proj, lo):
+        """Subspace of t on which every block slice of vs vanishes after
+        the projection; the whole space when every slice is zero."""
+        cols = tuple(zip(*proj))
+        rows = [tuple(_dot(col, v[lo : lo + width]) for col in cols) for v in vs]
+        return _kernel_int(_rref_int(rows), n)
+
+    for i, (bid, d, proj) in enumerate(data.blocks):
+        add([d], f"direction span of {bid}")
+        lo = i * width
+        add(sliced_kernel(complement, proj, lo), f"span(Disc) sliced at {bid}")
+        for k, a in enumerate(disc_min.ineqs):
+            add(sliced_kernel([a], proj, lo), f"facet {k} of Disc sliced at {bid}")
+    return fam, labels
+
+
 def cone_condition(q, eta) -> ConeConditionVerdict:
     """Literal cone-condition verdict plus the effective-genericity
     certificate.  A failed certificate does not flip ``holds``; it marks
@@ -451,7 +495,7 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     orthant = Cone.from_hrep([_unit(s, i) for i in range(s)])
     D = pre.intersect(orthant).minimal()
     holds = is_increasing(D)
-    fam, labels = q.genericity_family
+    fam, labels = genericity_family(q)
     cert = is_generic_wrt(eta_int, [S.basis for S in fam], labels)
     den = lcm(*(x.denominator for x in eta))
     return ConeConditionVerdict(

@@ -237,6 +237,18 @@ def test_malformed_normals_exit_two(command, normals):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command", [["cut", "--eps", "[1,1]"], ["potential", "bg"]],
+                         ids=["cut", "potential-bg"])
+def test_ragged_normals_exit_two(command):
+    """Normals of unequal length exit 2 with one error line that says so
+    (``potential bg`` once exited with a ``zip()`` message)."""
+    res = run_cli([
+        *command, "--normals", "[[1,0],[-1]]", "--constants", "[1,1]", "--lambda", "[0,0]"
+    ])
+    assert res.exit_code == 2, res.output
+    assert (res.stdout, res.stderr) == ("", "error: normals must have equal length\n")
+
+
 def _zero_denominator_in_ineqs(fixture_dir, tmp_path):
     data = json.loads((fixture_dir / "square_split.dec.json").read_text())
     data["polytopes"][0]["ineqs"][0][0] = "1/0"
@@ -271,15 +283,17 @@ def test_corpus_run_matches_and_is_stable():
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 214 double
+    """One pass over the corpus, each case cold, runs 213 double
     description conversions and gives the stored bytes.  A cone that
     converted a side it already had, a minimal form that converts its
     other side where it could read it off, a scalings cone converted
     from the full space instead of cut from the orthant (one per split
-    case), or a cell intersection converted where containment or tight
+    case), a cell intersection converted where containment or tight
     sets certify it (once 261, with one conversion for each of the 52
-    intersections a pass computes and a ``same_set`` scan to name it)
-    changes the count."""
+    intersections a pass computes and a ``same_set`` scan to name it),
+    or a graph with no split edge whose zero scalings cone is built from
+    generators and converted to serialize it, not cut from the orthant
+    of R^0 (once 214), changes the count."""
     calls = []
     original = cones._h_to_v
 
@@ -291,7 +305,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 214
+    assert len(calls) == 213
 
 
 def _count_in_every_binding(monkeypatch, name) -> list:
@@ -320,14 +334,15 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     960), or a conversion that eliminates the equality basis its cone
     already holds, a position polyhedron that ranks its generators for a
     dimension nobody reads, or a lattice membership test by elimination
-    (once 842), or a split report that ranks w's rays for its dimension
-    where w's serialized minimal form already knows it (once 481),
-    changes the count."""
+    (once 842), a split report that ranks w's rays for its dimension
+    where w's serialized minimal form already knows it (once 481), or the
+    conversion of a graph's zero scalings cone where the orthant cut of
+    R^0 gives it with no elimination (once 471), changes the count."""
     calls = _count_in_every_binding(monkeypatch, "_rref_int")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 471
+    assert len(calls) == 470
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
@@ -737,6 +752,32 @@ def test_dual_cell_for_unknown_polytope_exits_two(fixture_dir, tmp_path):
     ])
     assert res.exit_code == 2, res.output
     assert "dual cell for unknown polytope Qzz" in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize(
+    "vertices, rays, message",
+    [
+        ([], [], "dual cell of Qpp has no vertex"),
+        ([["1"]], [], "dual cell of Qpp: vertex of wrong length"),
+        ([["1", "1"]], [["1", "0", "0"]], "dual cell of Qpp: ray of wrong length"),
+    ],
+    ids=["no-vertex", "short-vertex", "long-ray"],
+)
+def test_malformed_dual_cell_exits_two(fixture_dir, tmp_path, vertices, rays, message):
+    """A dual cell with no vertex, or with a vertex or ray of the wrong
+    length, exits 2 with one error line naming the cell and the field.  The
+    empty cell once read as a negative verdict (exit 1), and the short
+    vertex named neither (``generator of wrong dimension``)."""
+    data = json.loads((fixture_dir / "square_split.dec.json").read_text())
+    (cell,) = [d for d in data["dual_cells"] if d["id"] == "Qpp"]
+    cell.update(vertices=vertices, rays=rays)
+    path = tmp_path / "d.dec.json"
+    path.write_text(json.dumps(data))
+    res = run_cli([
+        "graph", "check", str(path), str(fixture_dir / "fig_rigid_gamma1.graph.json")
+    ])
+    assert res.exit_code == 2, res.output
+    assert (res.stdout, res.stderr) == ("", f"error: bad decomposition {path}: {message}\n")
 
 
 def _forced(patch, exc):

@@ -312,6 +312,66 @@ def test_cached_split_report_matches_per_direction_reference():
         assert seen[key], seen
 
 
+def _cube_two_split_edges(cube_split, order):
+    """Two parallel split edges from Ommm to Oppp, split as in
+    ``fig_cube_top1`` (e1) and ``fig_cube_top2`` (e2).  In R^2 every slice
+    of Disc at an edge is that edge's direction span or the whole space;
+    here span(Disc) slices differently at e1 and e2."""
+    def edge(eid, ends, direction, maps_to=None):
+        return {"id": eid, "ends": ends, "kind": "tropical", "direction": direction,
+                **({"maps_to": maps_to} if maps_to else {})}
+
+    diag = [-1, -1, -1]
+    base = {
+        "vertices": [{"id": "v0", "polytope": "Ommm"}, {"id": "v1", "polytope": "Oppp"}],
+        "edges": [edge("e1", ["v0", "v1"], diag), edge("e2", ["v0", "v1"], diag)],
+    }
+    cells = {"u0": "Ommm", "u1": "Oppp", "um1": "Hzp", "up2": "Hzm", "um2": "Hzp"}
+    top = {
+        "vertices": [{"id": v, "polytope": p} for v, p in cells.items()],
+        "edges": [
+            edge("e1", ["u0", "um1"], diag, "e1"), edge("et1", ["u1", "um1"], [1, 1, 0]),
+            edge("etp2", ["up2", "u0"], [2, 1, 0]), edge("e2", ["up2", "um2"], diag, "e2"),
+            edge("etm2", ["u1", "um2"], [1, 2, 0]),
+        ],
+    }
+    vertex_map = {"u0": "v0", "u1": "v1", "um1": "v1", "up2": "v0", "um2": "v1"}
+    return QuasiSplitGraph(cube_split, graph_from_dict(base), graph_from_dict(top),
+                           vertex_map, split_order=order)
+
+
+def test_genericity_family_matches_the_frozen_slicing(square_plain, square_split, cube_split):
+    """The family read off the pull table equals the frozen one that sliced
+    the rows of Disc's minimal form again: the same bases, annihilators and
+    labels in the same order.  Checked on the eight split graphs, a graph
+    with no split edge, the partial orders of the one-edge-at-a-time check,
+    and two split edges in R^3 in both orders, where a slice taken at the
+    wrong edge shows."""
+    g = graph("fig_rigid_gamma2")
+    qs = [q for q, _ in _eta_sweep_graphs()]
+    qs.append(QuasiSplitGraph(square_plain, g, g, {v: v for v, _ in g.vertices}))
+    qs += _intermediates(square_split, "fig_four_base", fx.fig_four_intermediate)
+    qs += [_cube_two_split_edges(cube_split, order) for order in (("e1", "e2"), ("e2", "e1"))]
+    kinds = Counter()
+    for q in qs:
+        fam, labels = q.genericity_family
+        assert (fam, labels) == oracles.genericity_family(q), q.top
+        kinds.update(label.split()[0] for label in labels)
+    assert set(kinds) == {"direction", "span(Disc)", "facet"}, kinds
+
+
+def test_no_split_edge_takes_the_one_cone_condition_path(square_plain):
+    """With no split edge the pull table and the family are empty, and the
+    scalings cone is the zero cone of R^0, which is increasing.  The verdict
+    holds, is certified, and keeps eta's common denominator (once always
+    1)."""
+    g = graph("fig_rigid_gamma2")
+    q = QuasiSplitGraph(square_plain, g, g, {v: v for v, _ in g.vertices})
+    cc = cone_condition(q, (F(1, 2), 1))
+    assert cc.holds and cc.certified
+    assert (cc.D.ambient_dim, cc.D.dim(), cc.projected_eta, cc.den) == (0, 0, (), 2)
+
+
 WARM_CASES = (
     ("square", "fig_square_top1", (1, -1)),
     ("square", "fig_square_top1", (-1, 1)),
