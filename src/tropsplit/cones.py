@@ -342,7 +342,7 @@ class Cone:
 
     __slots__ = (
         "ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim",
-        "_from_h", "_zs", "_off",
+        "_from_h", "_zs", "_off", "__weakref__",
     )
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
@@ -548,15 +548,14 @@ class Cone:
             eqs=self.eqs + other.eqs,
         )
 
-    def linear_image(self, M, codim: int | None = None) -> "Cone":
+    def linear_image(self, M) -> "Cone":
         """Image cone under x -> M x, computed on the V-representation.
 
         M has int or ``Fraction`` entries."""
-        m = len(M) if M else (codim if codim is not None else 0)
         if M and len(M[0]) != self.ambient_dim:
             raise ValueError("matrix has wrong number of columns")
         return Cone(
-            m,
+            len(M),
             rays=[tuple(_dot(row, r) for row in M) for r in self.rays],
             lineality=[tuple(_dot(row, l) for row in M) for l in self.lineality],
         )

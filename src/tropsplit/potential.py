@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exact import as_int, fr, imat, ratvec, vdot
 
@@ -123,12 +123,13 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
 
 
 def split_contribution(mult: int, split_count: int, d_black: int, heart_sign: int,
-                       component_series, coefficients=None) -> NovikovSeries:
+                       component_series) -> NovikovSeries:
     """Composition weight of a split type: the product of the component
     series scaled by heart_sign * mult / (d_black! * split_count!).
 
-    Component counts (and any holonomy-free rational prefactors via
-    ``coefficients``) are caller-supplied analytic inputs.
+    Component counts are caller-supplied analytic inputs; a rational
+    prefactor of one component is applied by scaling its series first
+    (``NovikovSeries.scale``).
     """
     if heart_sign not in (1, -1):
         raise ValueError("heart_sign must be +1 or -1")
@@ -139,13 +140,6 @@ def split_contribution(mult: int, split_count: int, d_black: int, heart_sign: in
     component_series = list(component_series)
     if not component_series:
         raise ValueError("no component series")
-    if coefficients is None:
-        coefficients = [Fraction(1)] * len(component_series)
-    if len(coefficients) != len(component_series):
-        raise ValueError("one coefficient per component")
-    out = None
-    for s, c in zip(component_series, coefficients):
-        s = s.scale(c)
-        out = s if out is None else out * s
+    out = prod(component_series[1:], start=component_series[0])
     scale = Fraction(heart_sign * mult, factorial(d_black) * factorial(split_count))
     return out.scale(scale)

@@ -22,11 +22,10 @@ from .serialize import (
     lattice_to_dict,
     rat_str,
     series_to_list,
-    thaw,
     vec_str,
     vec_str_over,
 )
-from .splitting import QuasiSplitGraph, cone_condition, index_shift
+from .splitting import QuasiSplitGraph, cone_condition, index_shift, is_rigid_split
 from .symmetry import component_splitting, multiplicity, symmetry_group
 
 
@@ -93,23 +92,26 @@ def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
     cc = cone_condition(q, eta)
-    order, w_cone, disc_cone, scalars = q.report_fields
     out = _head("split-check", inputs)
-    out.update(scalars)
     out.update(
         {
             "eta": vec_str(eta),
-            "split_order": list(order),
-            "w_cone": thaw(w_cone),
-            "disc_cone": thaw(disc_cone),
+            "split_order": list(q.split_order),
+            "w_cone": cone_to_dict(q.w),
+            "w_dim": q.w.minimal().dim(),
+            "disc_cone": cone_to_dict(q.disc.disc),
+            "disc_dim": cc.disc_dim,
+            "expected_disc_dim": cc.expected_disc_dim,
+            "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
             "projected_eta": [vec_str_over(p, cc.den) for p in cc.projected_num],
             "scalings_cone": cone_to_dict(cc.D),
             "cone_condition_holds": cc.holds,
             "genericity_certified": cc.certified,
             "genericity_violations": [
-                cc.certificate_labels[i] for i in cc.certificate.violations
+                cc.certificate.labels[i] for i in cc.certificate.violations
             ],
             "accepted": cc.holds and cc.certified,
+            "rigid_split": is_rigid_split(q),
         }
     )
     if i_br is not None:

@@ -12,6 +12,7 @@ the wire schema.
 from __future__ import annotations
 
 import json
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -67,19 +68,6 @@ def parse_vec(v, field: str = "vector") -> tuple:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def freeze(data: dict) -> tuple:
-    """Immutable (key, value) pairs of a dict of scalars and lists of rows,
-    each list and row a tuple; for caching a serialized object."""
-    return tuple(
-        (k, tuple(map(tuple, v)) if isinstance(v, list) else v) for k, v in data.items()
-    )
-
-
-def thaw(frozen: tuple) -> dict:
-    """A fresh dict, with fresh lists, of what ``freeze`` froze."""
-    return {k: list(map(list, v)) if isinstance(v, tuple) else v for k, v in frozen}
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +217,51 @@ def collapse_from_dict(data: dict) -> tuple[dict, object]:
     vertex_map = _at(c, "vertex_map", "collapse.vertex_map")
     if type(vertex_map) is not dict:
         raise InputError("collapse.vertex_map: expected an object")
+    to_graph = _at(c, "to_graph", "collapse.to_graph")
+    if type(to_graph) is not str and type(to_graph) is not dict:
+        raise InputError("collapse.to_graph: expected a path or an object")
     return {
         _id(v, "collapse.vertex_map"): _id(img, "collapse.vertex_map")
         for v, img in vertex_map.items()
-    }, _at(c, "to_graph", "collapse.to_graph")
+    }, to_graph
 
 
 # ---------------------------------------------------------------------------
 # cones and lattices
 
 
-def _int_rows(rows) -> list:
+def _int_rows(rows) -> tuple:
     """Sorted ``vec_str`` of int vectors, whose entries ``str`` writes as
-    ``rat_str`` does."""
-    return sorted([list(map(str, r)) for r in rows])
+    ``rat_str`` does, each row a tuple."""
+    return tuple(sorted(tuple(map(str, r)) for r in rows))
+
+
+# Each cone's wire form, frozen, from its first ``cone_to_dict``.  A cone
+# never changes once built, and its entry dies with it.
+_WIRE_FORMS = weakref.WeakKeyDictionary()
 
 
 def cone_to_dict(cone: Cone) -> dict:
     """A cone's canonical minimal form; its generators and rows are
-    primitive int vectors."""
+    primitive int vectors.  The form is built once per cone; every call
+    returns a fresh dict with fresh lists."""
+    frozen = _WIRE_FORMS.get(cone)
+    if frozen is None:
+        frozen = _WIRE_FORMS[cone] = _wire_form(cone)
+    return {k: list(map(list, v)) if type(v) is tuple else v for k, v in frozen}
+
+
+def _wire_form(cone: Cone) -> tuple:
+    """The (key, value) pairs of ``cone_to_dict``, rows as tuples."""
     m = cone.minimal()
-    return {
-        "ambient_dim": m.ambient_dim,
-        "rays": _int_rows(m.rays),
-        "lineality": _int_rows(m.lineality),
-        "ineqs": _int_rows(m.ineqs),
-        "eqs": _int_rows(m.eqs),
-        "dim": m.dim(),
-    }
+    return (
+        ("ambient_dim", m.ambient_dim),
+        ("rays", _int_rows(m.rays)),
+        ("lineality", _int_rows(m.lineality)),
+        ("ineqs", _int_rows(m.ineqs)),
+        ("eqs", _int_rows(m.eqs)),
+        ("dim", m.dim()),
+    )
 
 
 def cone_from_dict(data: dict) -> Cone:

@@ -41,7 +41,6 @@ from .graphs import (
     validate_graph,
     vertex_positions,
 )
-from .serialize import cone_to_dict, freeze
 
 
 class SplitError(ValueError):
@@ -70,12 +69,14 @@ class QuasiSplitGraph:
     once, on first use, and cached: the relative-position cone ``w``, the
     discrepancy data ``disc`` with Disc's H-representation, the
     ``pull_table`` (each row of Disc as one integer row per split edge),
-    the ``genericity_family`` read off that table (each subspace with its
-    annihilator rows) and ``report_fields`` (the split report's fields
-    that no direction changes, frozen).  A cone direction eta = num / den then costs, all in integers,
-    pi_i(num) per split edge, each row of Disc pulled back as one length-n
-    dot product with num per split edge and scaled to a primitive vector,
-    one lookup of those rows in ``scalings_cones`` and one dot product per
+    and the ``genericity_family`` read off that table (each subspace with
+    its annihilator rows).  The graph caches no report fields:
+    ``reports.split_report`` writes the split report, and
+    ``serialize.cone_to_dict`` builds each cone's wire form once.  A cone
+    direction eta = num / den then costs, all in integers, pi_i(num) per
+    split edge, each row of Disc pulled back as one length-n dot product
+    with num per split edge and scaled to a primitive vector, one lookup
+    of those rows in ``scalings_cones`` and one dot product per
     annihilator row.  Only a pulled-row set the graph has not met costs
     more: its scalings cone cut from the orthant's known rays by a double
     description step per pulled row (no conversion) and the increasing
@@ -88,7 +89,6 @@ class QuasiSplitGraph:
         self.base = base
         checked_base = validate_graph(dec, base)
         self.vertex_map = dict(vertex_map)
-        self.partial = bool(partial)
         self.base_positions = vertex_positions(dec, checked_base)
         if not self.base_positions.realizable:
             raise SplitError("base graph is not realizable")
@@ -176,24 +176,6 @@ class QuasiSplitGraph:
         most ``SCALINGS_MEMO_SIZE`` entries; a full memo drops its oldest."""
         return {}
 
-    @cached_property
-    def report_fields(self) -> tuple:
-        """The split report's parts that no cone direction changes: the
-        split order, w and Disc serialized and frozen (``serialize.freeze``),
-        and the scalar fields as (key, value) pairs.  Each report copies the
-        order and thaws fresh cones."""
-        # serialized first: w's minimal form then knows its dimension
-        cones = freeze(cone_to_dict(self.w)), freeze(cone_to_dict(self.disc.disc))
-        disc_dim, expected = self.disc.disc.dim(), self.num_split * (self.n - 1)
-        scalars = (
-            ("w_dim", self.w.minimal().dim()),
-            ("disc_dim", disc_dim),
-            ("expected_disc_dim", expected),
-            ("disc_dim_matches", disc_dim == expected),
-            ("rigid_split", is_rigid_split(self)),
-        )
-        return self.split_order, *cones, scalars
-
     # basic data -----------------------------------------------------------------
 
     @property
@@ -256,9 +238,7 @@ def discrepancy(q: QuasiSplitGraph) -> DiscrepancyData:
         base = q.base.edge(bid)
         rows += [pair_row(n_vars, index[a], index[b], n, prow) for prow in base.projection]
         blocks.append((bid, tuple(base.direction), base.projection))
-    s = q.num_split
-    disc = q.w.linear_image(rows, codim=s * (n - 1)) if s else Cone.zero(0)
-    return DiscrepancyData(disc, tuple(blocks))
+    return DiscrepancyData(q.w.linear_image(rows), tuple(blocks))
 
 
 def _genericity_family(q: QuasiSplitGraph):
@@ -296,7 +276,6 @@ class ConeConditionVerdict:
     holds: bool
     certified: bool
     certificate: GenericityCertificate
-    certificate_labels: tuple
     D: Cone  # scalings cone in R^(number of split edges)
     disc_dim: int
     expected_disc_dim: int
@@ -355,7 +334,6 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
         holds=holds,
         certified=cert.generic,
         certificate=cert,
-        certificate_labels=tuple(labels),
         D=D,
         disc_dim=q.disc.disc.dim(),
         expected_disc_dim=s * (n - 1),

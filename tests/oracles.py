@@ -480,7 +480,7 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     n, s = q.n, q.num_split
     if s == 0:
         cert = GenericityCertificate(True, (), ())
-        return ConeConditionVerdict(True, True, cert, (), Cone.zero(0), 0, 0, (), 1)
+        return ConeConditionVerdict(True, True, cert, Cone.zero(0), 0, 0, (), 1)
     # M_eta maps the scalings x to the blocks x_i pi_i(eta); it is built from
     # the primitive integer multiple of eta, which leaves the preimage cone
     # unchanged
@@ -502,7 +502,6 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
         holds=holds,
         certified=cert.generic,
         certificate=cert,
-        certificate_labels=tuple(labels),
         D=D,
         disc_dim=data.disc.dim(),
         expected_disc_dim=s * (n - 1),
@@ -541,7 +540,7 @@ def split_report(q, eta, inputs: dict, i_br=None) -> dict:
             "cone_condition_holds": cc.holds,
             "genericity_certified": cc.certified,
             "genericity_violations": [
-                cc.certificate_labels[i] for i in cc.certificate.violations
+                cc.certificate.labels[i] for i in cc.certificate.violations
             ],
             "accepted": cc.holds and cc.certified,
             "rigid_split": is_rigid_split(q),

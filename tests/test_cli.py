@@ -221,11 +221,20 @@ TRIANGLE = {
 }
 
 
+MALFORMED_NORMALS_ERRORS = {
+    "5": "error: normals: expected a list\n",
+    "[[1.5,0],[0,1],[-1,-1]]": "error: expected an integer, got 1.5\n",
+    '[["1/2",0],[0,1],[-1,-1]]': "error: expected an integer, got '1/2'\n",
+}
+
+
 @pytest.mark.parametrize(
     "normals", ["5", "[[1.5,0],[0,1],[-1,-1]]", '[["1/2",0],[0,1],[-1,-1]]']
 )
 @pytest.mark.parametrize("command", [["cut"], ["potential", "bg"]])
 def test_malformed_normals_exit_two(command, normals):
+    """Each malformed normals value exits 2 with one error line naming
+    what is wrong, the same for both commands."""
     args = command + ["--normals", normals]
     for option, value in TRIANGLE.items():
         if option != "--eps" or command == ["cut"]:
@@ -233,8 +242,7 @@ def test_malformed_normals_exit_two(command, normals):
     res = run_cli(args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # no uncaught exception
-    assert "error:" in res.output
-    assert "Traceback" not in res.output
+    assert (res.stdout, res.stderr) == ("", MALFORMED_NORMALS_ERRORS[normals])
 
 
 @pytest.mark.parametrize("command", [["cut", "--eps", "[1,1]"], ["potential", "bg"]],
@@ -280,6 +288,25 @@ def test_corpus_run_matches_and_is_stable():
     assert first.exit_code == 0, first.output
     second = run_cli(["corpus", "run"])
     assert second.output == first.output
+
+
+def test_corpus_regenerate_into_a_directory(tmp_path):
+    """``corpus regenerate --corpus-dir`` writes the 18 stored reports,
+    byte for byte, into that directory and leaves the package alone."""
+    package = Path(str(expected_report_path("cube-mult"))).parent
+
+    def snapshot():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in package.iterdir()}
+
+    before = snapshot()
+    res = run_cli(["corpus", "regenerate", "--corpus-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == 18
+    assert written == sorted(f"{c['name']}.expected.json" for c in corpus_cases())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (package / name).read_bytes(), name
+    assert snapshot() == before
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
@@ -544,6 +571,22 @@ def test_malformed_quasi_split_input_exits_two(fixture_dir, tmp_path, command, m
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # no uncaught exception
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("to_graph", [5, [], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("command", [["split", "check", "--eta", "1,-1"], ["mult"], ["symmetry"]],
+                         ids=["split", "mult", "symmetry"])
+def test_collapse_to_graph_of_the_wrong_type_exits_two(fixture_dir, tmp_path, command, to_graph):
+    """A ``to_graph`` that is neither a path nor an object is named as
+    such (it once read as ``top level: expected an object``)."""
+    top = json.loads((fixture_dir / "fig_square_top1.graph.json").read_text())
+    top["collapse"]["to_graph"] = to_graph
+    path = tmp_path / "bad.graph.json"
+    path.write_text(json.dumps(top))
+    res = run_cli([*command, str(fixture_dir / "square_split.dec.json"), str(path)])
+    assert res.exit_code == 2, res.output
+    assert (res.stdout, res.stderr) == (
+        "", "error: collapse.to_graph: expected a path or an object\n")
 
 
 def _write_json(path, data):

@@ -126,7 +126,7 @@ def test_image_dim_bound():
         rays = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
         M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         c = Cone.from_rays(rays, ambient_dim=n)
-        img = c.linear_image(mat(M), codim=m)
+        img = c.linear_image(mat(M))
         assert img.dim() <= c.dim()
 
 

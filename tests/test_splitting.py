@@ -201,11 +201,12 @@ def test_split_edge_direction_may_be_omitted(square_split):
 
 
 def test_analyses_run_once_per_graph(cube_split, monkeypatch):
-    """One graph computes its cones, genericity family and serialized cones
-    once, however many cone directions its reports test: a warm report
-    serializes only its scalings cone, and its genericity certificate
-    runs no elimination."""
-    from tropsplit import exact, reports, splitting
+    """One graph computes its cones and genericity family once, however
+    many cone directions its reports test, and the wire forms of w, Disc
+    and each distinct scalings cone are built once: later reports read
+    them back.  A warm report's genericity certificate runs no
+    elimination."""
+    from tropsplit import exact, reports, serialize, splitting
 
     calls = Counter()
 
@@ -218,34 +219,56 @@ def test_analyses_run_once_per_graph(cube_split, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    built = []
+
+    def wire_form(cone, _original=serialize._wire_form):
+        built.append(cone)
+        return _original(cone)
+
+    monkeypatch.setattr(serialize, "_wire_form", wire_form)
     for name in ("relative_position_cone", "discrepancy", "_genericity_family"):
         count(splitting, name, name)
     q = quasi(cube_split, "fig_cube_top2")
     reports.split_report(q, (1, 1, 1), {})
-    count(reports, "cone_to_dict", "cone_to_dict")
-    count(splitting, "cone_to_dict", "cone_to_dict")
     count(exact, "_rref_int", "_rref_int")
-    for eta in ((F(3, 4), 1, 0), (3, 1, 0), (1, F(5, 4), 0)):
+    etas = ((F(3, 4), 1, 0), (3, 1, 0), (1, F(5, 4), 0), (F(3, 4), 1, 0), (1, 1, 1))
+    for eta in etas:
         reports.split_report(q, eta, {})
-    assert calls == {
-        "relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1,
-        "cone_to_dict": 3,
-    }
+    assert calls == {"relative_position_cone": 1, "discrepancy": 1, "_genericity_family": 1}
+    want = [q.w, q.disc.disc]
+    for eta in ((1, 1, 1), *etas):
+        D = cone_condition(q, eta).D
+        if not any(D is c for c in want):
+            want.append(D)
+    assert len(want) > 3  # the directions meet several scalings cones
+    assert len(built) == len(want)
+    assert all(a is b for a, b in zip(built, want))
 
 
 def test_reports_share_no_mutable_data(square_split):
-    """A caller that edits one report changes no later report."""
+    """A caller that edits one report changes no later report, nor the
+    cached wire form of a cone that a later report shares."""
     from tropsplit.serialize import canonical_json
 
     q = quasi(square_split, "fig_square_top1")
-    want = canonical_json(reports.split_report(q, (1, -1), {}))
+    report = reports.split_report(q, (1, -1), {})
+    want, want_D = canonical_json(report), canonical_json(report["scalings_cone"])
     first = reports.split_report(q, (1, -1), {})
     first["w_cone"]["rays"].append(["9", "9"])
     first["w_cone"]["rays"][0][0] = "7"
     first["w_cone"]["dim"] = -1
     first["disc_cone"]["ineqs"].clear()
     first["projected_eta"][0].append("5")
+    first["scalings_cone"]["rays"].append(["9"])
+    first["scalings_cone"]["rays"][0][0] = "7"
+    first["scalings_cone"]["ineqs"].clear()
+    first["scalings_cone"]["dim"] = -1
+    # (2, -2) pulls back to the same rows as (1, -1), so its report reads
+    # the same scalings cone
+    assert cone_condition(q, (2, -2)).D is cone_condition(q, (1, -1)).D
     assert canonical_json(reports.split_report(q, (1, -1), {})) == want
+    later = reports.split_report(q, (2, -2), {})
+    assert canonical_json(later["scalings_cone"]) == want_D
 
 
 def _eta_sweep_graphs():
@@ -297,8 +320,8 @@ def test_cached_split_report_matches_per_direction_reference():
                 etas.append(tuple(eta))
         for eta in etas:
             got, want = cone_condition(q, eta), oracles.cone_condition(q, eta)
-            for field in ("holds", "certified", "certificate", "certificate_labels",
-                          "disc_dim", "expected_disc_dim", "projected_eta"):
+            for field in ("holds", "certified", "certificate", "disc_dim",
+                          "expected_disc_dim", "projected_eta"):
                 assert getattr(got, field) == getattr(want, field), (q.top, eta, field)
             assert (got.D.ambient_dim, got.D.rays, got.D.lineality, got.D.ineqs,
                     got.D.eqs) == (want.D.ambient_dim, want.D.rays, want.D.lineality,
