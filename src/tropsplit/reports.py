@@ -42,7 +42,9 @@ def input_digest(value) -> str:
     a new key.  The digest is computed from the key alone (``_digest_of``
     loads it back, and marshal round-trips exact builtin values exactly),
     so a cached entry cannot disagree with its key.  No memo is keyed by
-    identity: the caller's dicts are mutable.
+    identity: the caller's dicts are mutable.  A report digests its whole
+    ``inputs`` mapping the same way, under one key (``_input_digests``),
+    and comes here per value only when marshal refuses the mapping.
 
     Marshal raises ``ValueError`` on a subclass of ``str``, ``int`` or
     ``dict``, on ``Fraction`` and on too-deep nesting, and it writes any
@@ -62,12 +64,28 @@ def _digest_of(data: bytes) -> str:
     return digest(canonical_json(marshal.loads(data)).encode())
 
 
+def _input_digests(inputs: dict) -> dict:
+    """``{k: input_digest(v) for k, v in sorted(inputs.items())}`` with one
+    ``marshal.dumps`` for the whole mapping, memoized as ``input_digest``
+    memoizes one value."""
+    try:
+        return dict(_digests_of(marshal.dumps(inputs)))
+    except (TypeError, ValueError):
+        return {k: input_digest(v) for k, v in sorted(inputs.items())}
+
+
+@functools.lru_cache(maxsize=64)
+def _digests_of(data: bytes) -> tuple:
+    return tuple((k, digest(canonical_json(v).encode()))
+                 for k, v in sorted(marshal.loads(data).items()))
+
+
 def _head(command: str, inputs: dict) -> dict:
     return {
         "tool": "tropsplit",
         "version": __version__,
         "command": command,
-        "inputs": {k: input_digest(v) for k, v in sorted(inputs.items())},
+        "inputs": _input_digests(inputs),
     }
 
 
@@ -91,6 +109,7 @@ def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
 
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
+    eta = tuple(eta)  # read once: the direction tested is the one written
     cc = cone_condition(q, eta)
     out = _head("split-check", inputs)
     out.update(

@@ -66,8 +66,12 @@ def parse_vec(v, field: str = "vector") -> tuple:
     return tuple(parse_rat(x) for x in _list(v, field))
 
 
+# ``json.dumps`` with these arguments builds this encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .complexes import Decomposition, cone_of_relative_cell
-from .cones import Cone, is_increasing, orthant_cut, orthant_rows
+from .cones import Cone, is_increasing, orthant_cut
 from .exact import (
     GenericityCertificate,
     Subspace,
@@ -24,7 +26,6 @@ from .exact import (
     _kernel_int,
     _rref_int,
     as_int,
-    is_generic_wrt,
     ratvec,
 )
 from .graphs import (
@@ -69,18 +70,21 @@ class QuasiSplitGraph:
     once, on first use, and cached: the relative-position cone ``w``, the
     discrepancy data ``disc`` with Disc's H-representation, the
     ``pull_table`` (each row of Disc as one integer row per split edge),
-    and the ``genericity_family`` read off that table (each subspace with
-    its annihilator rows).  The graph caches no report fields:
+    the ``genericity_family`` read off that table (each subspace with its
+    annihilator rows), and the ``row_table`` that stacks every integer row
+    a direction is dotted with.  The graph caches no report fields:
     ``reports.split_report`` writes the split report, and
     ``serialize.cone_to_dict`` builds each cone's wire form once.  A cone
-    direction eta = num / den then costs, all in integers, pi_i(num) per
-    split edge, each row of Disc pulled back as one length-n dot product
-    with num per split edge and scaled to a primitive vector, one lookup
-    of those rows in ``scalings_cones`` and one dot product per
-    annihilator row.  Only a pulled-row set the graph has not met costs
-    more: its scalings cone cut from the orthant's known rays by a double
-    description step per pulled row (no conversion) and the increasing
-    test on its ray supports, both kept for the next direction.
+    direction eta = num / den then costs one pass over ``row_table``, one
+    integer dot product with num per row, and the verdict is read off that
+    one vector of values: each row of Disc pulled back to s values, scaled
+    to a primitive vector and looked up in ``scalings_cones``; pi_i(num)
+    per split edge; and the genericity subspaces num lies in, those whose
+    annihilator rows all give zero.  Only a pulled-row set the graph has
+    not met costs more: its scalings cone cut from the orthant's known
+    rays by a double description step per pulled row (no conversion) and
+    the increasing test on its ray supports, both kept for the next
+    direction.
     """
 
     def __init__(self, dec: Decomposition, base: TropicalGraph, top: TropicalGraph,
@@ -168,6 +172,27 @@ class QuasiSplitGraph:
         return tuple(map(pulled, disc.ineqs)), tuple(map(pulled, disc.eqs))
 
     @cached_property
+    def row_table(self) -> RowTable:
+        """The ``pull_table`` rows (s per inequality of Disc, then s per
+        equality), each split edge's projection rows and each genericity
+        subspace's annihilator rows, stacked in that order, with the slice
+        of each group in the values the stack gives."""
+        ineqs, eqs = self.pull_table
+        fam, labels = self.genericity_family
+        rows = []
+
+        def stack(groups) -> tuple:
+            parts = []
+            for group in groups:
+                parts.append(slice(len(rows), len(rows) + len(group)))
+                rows.extend(group)
+            return tuple(parts)
+
+        parts = (stack(ineqs), stack(eqs), stack(proj for _, _, proj in self.disc.blocks),
+                 stack(S.annihilator for S in fam))
+        return RowTable(tuple(rows), *parts, tuple(labels))
+
+    @cached_property
     def scalings_cones(self) -> dict:
         """The scalings cones cut so far, each as ``(D, is_increasing(D))``
         keyed by the rows that cut D from the orthant: the primitive nonzero
@@ -188,6 +213,18 @@ class QuasiSplitGraph:
 
     def vertex_order(self) -> tuple:
         return tuple(self.checked_top.index)
+
+
+class RowTable(NamedTuple):
+    """Every integer row a cone direction is dotted with, and the slices
+    of the values those rows give that ``cone_condition`` reads."""
+
+    rows: tuple  # length-n integer rows
+    ineqs: tuple  # per inequality of Disc, its s pulled-back values
+    eqs: tuple  # per equality of Disc, its s pulled-back values
+    projections: tuple  # per split edge, pi_i(num)
+    annihilators: tuple  # per genericity subspace, its annihilator values
+    labels: tuple  # per genericity subspace, its label
 
 
 def relative_position_cone(q: QuasiSplitGraph) -> Cone:
@@ -305,20 +342,18 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
     # eta = num / den over one common denominator.  M_eta maps the scalings
     # x to the blocks x_i pi_i(eta); D is built from num, a positive
     # multiple of eta, which leaves D unchanged.  A row of Disc pulls back
-    # to its pull-table rows dotted with num, and D is the orthant cut by
-    # the pulled rows, so its double description starts from the unit rays.
+    # to its pull-table rows dotted with num, one slice of the values of the
+    # row table, and D is the orthant cut by the pulled rows, so its double
+    # description starts from the unit rays.
     # With no split edge the table and the family are empty, and D is the
     # zero cone of R^0, which is increasing.
     den = lcm(*(x.denominator for x in eta))
     num = tuple(x.numerator * (den // x.denominator) for x in eta)
-    ineqs, eqs = q.pull_table
-
-    def pull(row):
-        return tuple(_dot(c, num) for c in row)
-
+    table = q.row_table
+    values = tuple([sum(map(mul, row, num)) for row in table.rows])
     # many directions pull back to the same rows once these are primitive,
     # and D and its verdict depend on nothing else
-    key = orthant_rows(s, map(pull, ineqs), map(pull, eqs))
+    key = _primitive_rows(values, table.ineqs), _primitive_rows(values, table.eqs)
     memo = q.scalings_cones
     entry = memo.get(key)
     if entry is None:
@@ -328,20 +363,32 @@ def cone_condition(q: QuasiSplitGraph, eta) -> ConeConditionVerdict:
             del memo[next(iter(memo))]
         memo[key] = entry
     D, holds = entry
-    fam, labels = q.genericity_family
-    cert = is_generic_wrt(num, fam, labels)
+    # num lies in a genericity subspace when it is orthogonal to each of
+    # the subspace's annihilator rows
+    violations = tuple(k for k, part in enumerate(table.annihilators) if not any(values[part]))
     return ConeConditionVerdict(
         holds=holds,
-        certified=cert.generic,
-        certificate=cert,
+        certified=not violations,
+        certificate=GenericityCertificate(not violations, violations, table.labels),
         D=D,
         disc_dim=q.disc.disc.dim(),
         expected_disc_dim=s * (n - 1),
-        projected_num=tuple(
-            tuple(_dot(prow, num) for prow in proj) for _, _, proj in q.disc.blocks
-        ),
+        projected_num=tuple(values[part] for part in table.projections),
         den=den,
     )
+
+
+def _primitive_rows(values: tuple, parts) -> tuple:
+    """The rows ``cones.orthant_rows`` makes of the given slices of values:
+    each divided by the gcd of its entries and kept when nonzero, in
+    order."""
+    out = []
+    for part in parts:
+        row = values[part]
+        g = gcd(*row)
+        if g:
+            out.append(row if g == 1 else tuple(x // g for x in row))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -157,3 +157,92 @@ def test_each_input_is_serialized_once_per_content(monkeypatch, square_split):
         assert input_digest({"i": i}) == reference({"i": i})
     assert reports._digest_of.cache_info().maxsize == 64
     assert reports._digest_of.cache_info().currsize <= 64
+
+
+def _split_inputs():
+    return {"dec": fx.square_complex(), "top": fx.GRAPHS["fig_square_top1"](),
+            "base": fx.GRAPHS["fig_square_base"]()}
+
+
+def test_report_inputs_follow_in_place_mutation(square_split):
+    """A report digests its whole ``inputs`` mapping under one key, so a
+    nested value of ``inputs["dec"]`` changed in place between two reports
+    gets the digest of its new content; changed back, the old.  Each
+    digest equals sha256 of its value's canonical JSON."""
+    q = quasi(square_split, "fig_square_top1")
+    inputs = _split_inputs()
+
+    def inputs_of_report():
+        got = reports.split_report(q, (1, -1), inputs)["inputs"]
+        assert got == {k: reference(v) for k, v in sorted(inputs.items())}
+        return got
+
+    before = inputs_of_report()
+    row = inputs["dec"]["polytopes"][0]["ineqs"][0]
+    for mutate, undo in (
+        (lambda: row.__setitem__(0, "2"), lambda: row.__setitem__(0, "1")),
+        (lambda: inputs["dec"]["polytopes"][0].__setitem__("dim", True),
+         lambda: inputs["dec"]["polytopes"][0].__setitem__("dim", 2)),
+        (lambda: row.append("0"), row.pop),
+    ):
+        mutate()
+        changed = inputs_of_report()
+        assert changed["dec"] != before["dec"]
+        assert {k: v for k, v in changed.items() if k != "dec"} == {
+            k: v for k, v in before.items() if k != "dec"}
+        undo()
+        assert inputs_of_report() == before
+
+
+def test_report_inputs_take_one_marshal_call(monkeypatch, square_split):
+    """A report marshals its inputs mapping once, and a mapping marshal
+    refuses falls back to the digest of each value, with the same
+    digests."""
+    import marshal
+    from types import SimpleNamespace
+
+    q = quasi(square_split, "fig_square_top1")
+    inputs = _split_inputs()
+    dumped = []
+
+    def dumps(value):
+        dumped.append(value)
+        return marshal.dumps(value)
+
+    monkeypatch.setattr(reports, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    want = {k: reference(v) for k, v in sorted(inputs.items())}
+    assert reports.split_report(q, (1, -1), inputs)["inputs"] == want
+    assert dumped == [inputs]
+    dumped.clear()
+    subclassed = OrderedDict(sorted(inputs.items()))
+    assert reports.split_report(q, (1, -1), subclassed)["inputs"] == want
+    assert dumped == [subclassed, *(v for _, v in sorted(inputs.items()))]
+
+
+@pytest.mark.parametrize("inputs", [
+    {"a": Name("x")}, {Name("k"): 1}, {"a": F(1, 2)}, {1: 1, "a": 2}, {"a": {1, 2}},
+    {"a": b"x"}, {"a": deep(5000)}, {"a": circular()},
+], ids=["str-subclass-value", "str-subclass-key", "fraction", "mixed-keys", "set", "bytes",
+        "deep", "circular"])
+def test_unmarshalable_inputs_keep_the_per_value_outcome(inputs, square_split):
+    """An inputs mapping marshal refuses, or whose values JSON refuses,
+    gives the digests or the exception type of the per-value route."""
+    q = quasi(square_split, "fig_square_top1")
+
+    def per_value(mapping):
+        return {k: reference(v) for k, v in sorted(mapping.items())}
+
+    def head(mapping):
+        return reports.split_report(q, (1, -1), mapping)["inputs"]
+
+    assert outcome(head, inputs) == outcome(per_value, inputs)
+
+
+def test_split_report_writes_the_direction_it_tested(square_split):
+    """A direction given as a generator is read once: the report writes
+    the direction its verdict was computed for, as a tuple gives it."""
+    q = quasi(square_split, "fig_square_top1")
+    for eta in ((1, -1), (F(1, 2), -3), (0, F(-5, 12))):
+        got = reports.split_report(q, (x for x in eta), {})
+        assert got == reports.split_report(q, eta, {})
+        assert got["eta"] == [str(x) for x in eta]

@@ -541,8 +541,14 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
     two per equality, from the orthant) and 15 ``_rref_int`` calls (D's
     implicit rows, read off its zero-sets once).  A cut per report (once
     508 steps and 152 calls a pass) or a ``Fraction`` per projected entry
-    (once 720 a pass) changes the count."""
+    (once 720 a pass) changes the count.  The memo key, pi(num) and the
+    genericity certificate are read off one pass over the row table, so
+    ``orthant_rows`` runs only inside the 26 new cuts (once 346 a pass)
+    and ``is_generic_wrt`` never (once 320); each report marshals its
+    inputs mapping once (once three times)."""
     import hashlib
+    import marshal
+    from types import SimpleNamespace
 
     from tropsplit import cones, exact
     from tropsplit.serialize import canonical_json
@@ -551,9 +557,16 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
     for q, inputs in graphs:
         reports.split_report(q, (1,) * q.n, inputs)
     calls = Counter()
-    for module, name in ((cones, "_h_to_v"), (cones, "_dd_step"), (exact, "_rref_int")):
+    for module, name in ((cones, "_h_to_v"), (cones, "_dd_step"), (exact, "_rref_int"),
+                         (cones, "orthant_rows"), (exact, "is_generic_wrt")):
         _count_calls(monkeypatch, calls, name, getattr(module, name))
     _count_fractions(monkeypatch, calls)
+
+    def dumps(value):
+        calls["marshal.dumps"] += 1
+        return marshal.dumps(value)
+
+    monkeypatch.setattr(reports, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
     digest = hashlib.sha256()
     for eta in _sweep_etas(0):
         digest.update("".join(
@@ -561,7 +574,86 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
         ).encode())
     assert digest.hexdigest() == (
         "0e440166856ded0124592256d7e30ba8482f1e84350d80334465260b913b48fb")
-    assert calls == {"_dd_step": 56, "_rref_int": 15}
+    assert calls == Counter({"_dd_step": 56, "_rref_int": 15, "orthant_rows": 26,
+                             "is_generic_wrt": 0, "marshal.dumps": 320})
+
+
+def _step_by_step_route(q, eta):
+    """The cone-condition verdict pieces as separate steps give them: the
+    memo key from ``orthant_rows`` of the rows pulled back with num, D and
+    its increasing test from a fresh ``orthant_cut``, the certificate from
+    ``is_generic_wrt`` on the genericity family, and pi(num) with den."""
+    from math import lcm
+
+    from tropsplit.cones import is_increasing, orthant_cut, orthant_rows
+    from tropsplit.exact import is_generic_wrt
+
+    eta = tuple(map(F, eta))
+    den = lcm(*(x.denominator for x in eta))
+    num = tuple(int(x * den) for x in eta)
+
+    def pull(row):
+        return [sum(c * x for c, x in zip(col, num)) for col in row]
+
+    ineqs, eqs = q.pull_table
+    key = orthant_rows(q.num_split, map(pull, ineqs), map(pull, eqs))
+    D = orthant_cut(q.num_split, *key)
+    projected = tuple(tuple(sum(a * x for a, x in zip(prow, num)) for prow in proj)
+                      for _, _, proj in q.disc.blocks)
+    return key, D, is_increasing(D), is_generic_wrt(num, *q.genericity_family), projected, den
+
+
+def _awkward_etas(n: int, rng) -> list:
+    """Directions with a zero coordinate, a common factor and denominators
+    up to 12, in dimension n."""
+    etas = [(4, -6), (-6, 4), (0, 1), (1, 0), (0, -3), (12, 0), (F(5, 12), F(-7, 6)),
+            (F(1, 12), F(1, 11)), (F(-4, 6), F(8, 12))]
+    etas = [(*eta, 0)[:n] for eta in etas]
+    if n == 3:
+        etas += [(0, 0, 1), (0, 0, F(-5, 12)), (4, -6, 8), (F(3, 4), 0, F(-9, 12))]
+    while len(etas) < 40:
+        eta = tuple(F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(n))
+        if any(eta):
+            etas.append(eta)
+    return etas
+
+
+def test_one_pass_verdict_matches_the_step_by_step_route(square_plain, square_split,
+                                                         cube_split):
+    """The verdict read off one pass over the row table equals the route
+    that runs ``orthant_rows``, ``orthant_cut`` and ``is_generic_wrt``:
+    its memo key finds the verdict's D and test, D has the fresh cut's
+    both sides, and the certificate, pi(num) and den agree.  Checked on
+    the eight eta-sweep graphs at seeds 1-5 and on awkward directions, a
+    graph with no split edge, the partial orders of the one-edge-at-a-time
+    check, and two split edges in R^3 in both orders."""
+    rng = random.Random(25)
+    g = graph("fig_rigid_gamma2")
+    cases = [(q, [eta[:q.n] for seed in range(1, 6) for eta in _sweep_etas(seed)])
+             for q, _ in _eta_sweep_graphs()]
+    qs = [q for q, _ in cases]
+    qs.append(QuasiSplitGraph(square_plain, g, g, {v: v for v, _ in g.vertices}))
+    qs += _intermediates(square_split, "fig_four_base", fx.fig_four_intermediate)
+    qs += [_cube_two_split_edges(cube_split, order) for order in (("e1", "e2"), ("e2", "e1"))]
+    cases += [(q, _awkward_etas(q.n, rng)) for q in qs]
+    seen = Counter()
+    for q, etas in cases:
+        for eta in etas:
+            got = cone_condition(q, eta)
+            key, D, holds, cert, projected, den = _step_by_step_route(q, eta)
+            assert q.scalings_cones[key] == (got.D, got.holds), (q.top, eta)
+            assert (got.D.ambient_dim, got.D.rays, got.D.lineality, got.D.ineqs,
+                    got.D.eqs) == (D.ambient_dim, D.rays, D.lineality, D.ineqs, D.eqs)
+            assert (got.holds, got.certified, got.certificate) == (holds, cert.generic, cert)
+            assert (got.projected_num, got.den) == (projected, den), (q.top, eta)
+            seen["s = 0"] += not q.num_split
+            seen["holds" if holds else "fails"] += 1
+            seen["certified" if cert.generic else "not certified"] += 1
+            seen["zero coordinate"] += 0 in eta
+            seen["den > 4"] += den > 4
+    for key in ("holds", "fails", "certified", "not certified", "zero coordinate", "den > 4",
+                "s = 0"):
+        assert seen[key], seen
 
 
 def test_scalings_memo_matches_a_fresh_cut():
