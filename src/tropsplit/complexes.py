@@ -12,6 +12,7 @@ its row; a cut's decomposition keeps the cones its walk kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -75,8 +76,6 @@ class Decomposition:
         self._geom: dict[str, Polyhedron] = {}
         self._dual_geom: dict[str, Polyhedron] = {}
         self._normal: dict[str, IntegerLattice] = {}
-        self._le: frozenset | None = None
-        self._below: dict[str, list] | None = None
         self._isect_cache: dict[tuple[str, str], str | None] = {}
         # name the smallest bad entry (as text: ids can be any value), whatever the hash seed
         known = self.polytopes
@@ -113,44 +112,35 @@ class Decomposition:
 
     # face poset ----------------------------------------------------------------
 
-    def _closure(self) -> frozenset:
-        if self._le is None:
-            adj: dict[str, set] = {}
-            for q, p in self.face_pairs:
-                adj.setdefault(q, set()).add(p)
-            out = set()
-            for q in self.polytopes:
-                seen = set()
-                stack = list(adj.get(q, ()))
-                while stack:
-                    p = stack.pop()
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    stack.extend(adj.get(p, ()))
-                out.update((q, p) for p in seen)
-            self._le = frozenset(out)
-        return self._le
+    @functools.cached_property
+    def _faces(self) -> dict:
+        """Each cell's listed faces, itself included: the cells below it in
+        the transitive closure of the face pairs."""
+        below: dict[str, list] = {}
+        for q, p in self.face_pairs:
+            below.setdefault(p, []).append(q)
+        table = {}
+        for p in self.polytopes:
+            seen = {p}
+            stack = list(below.get(p, ()))
+            while stack:
+                q = stack.pop()
+                if q not in seen:
+                    seen.add(q)
+                    stack.extend(below.get(q, ()))
+            table[p] = frozenset(seen)
+        return table
 
     def face_le(self, q: str, p: str) -> bool:
         """Whether cell q is a face of cell p (or equal)."""
-        return q == p or (q, p) in self._closure()
-
-    def _faces_of(self, p: str) -> list:
-        """Ids, in sorted order, of the listed faces of cell p (p included)."""
-        if self._below is None:
-            below = {q: {q} for q in self.polytopes}
-            for q, r in self._closure():
-                below[r].add(q)
-            self._below = {q: sorted(faces) for q, faces in below.items()}
-        return self._below[p]
+        return q == p or q in self._faces.get(p, ())
 
     def listed_faces(self, face: tuple, cell: str, *cells: str):
         """Ids, in sorted order, of the listed cells that are faces of every
         given cell and whose cones have the canonical generators ``face``, a
         ``(rays, lineality)`` pair: the set's key, since a conversion's
         output is canonical for the set."""
-        for q in self._faces_of(cell):
+        for q in sorted(self._faces[cell]):
             if all(self.face_le(q, p) for p in cells) and self.cell(q).cone.key() == face:
                 yield q
 
@@ -210,10 +200,10 @@ class Decomposition:
             if any(_dot(u, v) for u in self.cell(pid).direction_space() for v in dual_dirs):
                 raise DecompositionError(f"dual cell of {pid} is not orthogonal to {pid}")
         # poset: antisymmetry
-        closure = self._closure()
-        for q, p in sorted(closure):
-            if q != p and (p, q) in closure:
-                raise DecompositionError(f"face poset has a cycle through {q},{p}")
+        faces = self._faces
+        cycles = sorted((q, p) for p in faces for q in faces[p] if q != p and p in faces[q])
+        if cycles:
+            raise DecompositionError("face poset has a cycle through %s,%s" % cycles[0])
         # listed pairs are geometric faces, and dual faces reverse
         for q, p in sorted(self.face_pairs):
             if q == p:
@@ -397,15 +387,12 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
         raise DecompositionError(f"unknown cell {p0}")
     geom = dec.cell(p0)
     lam = ratvec(lam)
-    ineqs, eqs = geom.hrep()
+    ineqs, _ = geom.hrep()
     if not geom.contains(lam):
         return False
     for a, b in ineqs:
         if _dot(a, lam) == b:
             return False  # lam on the boundary
-    for a, b in eqs:
-        if _dot(a, lam) != b:
-            return False
     rays, lin = geom.cone.key()
     for a, b in ineqs:
         row = _hom(a, b)

@@ -11,7 +11,7 @@ rays.  Containment and equality first ask whether a side is empty, because
 the cone of an empty polyhedron keeps recession directions at t = 0 that
 are no points of the set.  Affine hulls and relative interior points are
 computed on the integer generators too.  Vertices are the generators with
-t > 0 scaled to t = 1, as ``Fraction`` tuples, built only when read;
+t > 0 scaled to t = 1, as ``Fraction`` tuples, built when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
 integer tuples.
 """
@@ -51,12 +51,11 @@ def _difference(g, h) -> tuple:
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_verts", "_hrep")
+    __slots__ = ("ambient_dim", "cone", "_hrep")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._verts = None
         self._hrep = None
 
     @classmethod
@@ -82,11 +81,7 @@ class Polyhedron:
     @property
     def vertices(self) -> list:
         """The generators at t > 0 scaled to t = 1, as ``Fraction`` tuples."""
-        if self._verts is None:
-            self._verts = [
-                tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in self.cone.rays if g[-1] > 0
-            ]
-        return self._verts
+        return [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in self.cone.rays if g[-1] > 0]
 
     @property
     def recession_rays(self) -> list:

@@ -79,16 +79,6 @@ class NovikovSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NovikovSeries)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_vars, self.terms))
-
 
 def leading_terms(series: NovikovSeries) -> NovikovSeries:
     """Sub-series of terms with minimal area exponent; error on zero."""
@@ -122,6 +112,10 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     return NovikovSeries(n, tuple(terms))
 
 
+# The largest count whose factorial the scale computes (10**6! takes seconds).
+MAX_COUNT = 10**4
+
+
 def split_contribution(mult: int, split_count: int, d_black: int, heart_sign: int,
                        component_series) -> NovikovSeries:
     """Composition weight of a split type: the product of the component
@@ -129,7 +123,8 @@ def split_contribution(mult: int, split_count: int, d_black: int, heart_sign: in
 
     Component counts are caller-supplied analytic inputs; a rational
     prefactor of one component is applied by scaling its series first
-    (``NovikovSeries.scale``).
+    (``NovikovSeries.scale``).  A count above ``MAX_COUNT`` raises
+    ``ValueError`` before any factorial is computed.
     """
     if heart_sign not in (1, -1):
         raise ValueError("heart_sign must be +1 or -1")
@@ -137,6 +132,8 @@ def split_contribution(mult: int, split_count: int, d_black: int, heart_sign: in
         raise ValueError("multiplicity must be a positive integer")
     if split_count < 0 or d_black < 0:
         raise ValueError("counts must be nonnegative")
+    if split_count > MAX_COUNT or d_black > MAX_COUNT:
+        raise ValueError(f"split_count and d_black must be at most {MAX_COUNT}")
     component_series = list(component_series)
     if not component_series:
         raise ValueError("no component series")

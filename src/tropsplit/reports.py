@@ -33,45 +33,25 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def input_digest(value) -> str:
-    """``digest(canonical_json(value).encode())``, memoized by exact content.
-
-    The memo key is ``marshal.dumps(value)``, which writes exact builtin
-    types only: ``True``, ``1`` and ``1.0`` give different bytes, as do
-    ``-0.0`` and ``0.0``, and a dict mutated in place gives new bytes, so
-    a new key.  The digest is computed from the key alone (``_digest_of``
-    loads it back, and marshal round-trips exact builtin values exactly),
-    so a cached entry cannot disagree with its key.  No memo is keyed by
-    identity: the caller's dicts are mutable.  A report digests its whole
-    ``inputs`` mapping the same way, under one key (``_input_digests``),
-    and comes here per value only when marshal refuses the mapping.
-
-    Marshal raises ``ValueError`` on a subclass of ``str``, ``int`` or
-    ``dict``, on ``Fraction`` and on too-deep nesting, and it writes any
-    other buffer object (a NumPy scalar, say) as plain bytes, which
-    ``canonical_json`` then rejects with ``TypeError``.  Either error
-    sends the value down the uncached line, which gives the same digest
-    or raises the same exception as it always did.
-    """
-    try:
-        return _digest_of(marshal.dumps(value))
-    except (TypeError, ValueError):
-        return digest(canonical_json(value).encode())
-
-
-@functools.lru_cache(maxsize=64)
-def _digest_of(data: bytes) -> str:
-    return digest(canonical_json(marshal.loads(data)).encode())
-
-
 def _input_digests(inputs: dict) -> dict:
-    """``{k: input_digest(v) for k, v in sorted(inputs.items())}`` with one
-    ``marshal.dumps`` for the whole mapping, memoized as ``input_digest``
-    memoizes one value."""
+    """``{k: digest(canonical_json(v).encode()) for k, v in sorted(inputs.items())}``,
+    memoized under one key for the whole mapping, ``marshal.dumps(inputs)``.
+
+    Marshal writes exact builtin types only (``True``, ``1`` and ``1.0``
+    give different bytes, as do ``-0.0`` and ``0.0``), and a value changed
+    in place, however deep, gives new bytes, so a new key: no memo is keyed
+    by identity.  ``_digests_of`` digests what it loads back from the key,
+    so an entry cannot disagree with its key.  Marshal refuses a subclass
+    of ``str``, ``int`` or ``dict``, a ``Fraction`` and too-deep nesting
+    (``ValueError``), and writes any other buffer object (a NumPy scalar,
+    say) as bytes, which ``canonical_json`` refuses (``TypeError``).  Either
+    error digests each value uncached, with the same digests or the same
+    exception.
+    """
     try:
         return dict(_digests_of(marshal.dumps(inputs)))
     except (TypeError, ValueError):
-        return {k: input_digest(v) for k, v in sorted(inputs.items())}
+        return {k: digest(canonical_json(v).encode()) for k, v in sorted(inputs.items())}
 
 
 @functools.lru_cache(maxsize=64)

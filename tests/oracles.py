@@ -51,6 +51,14 @@ order.  They are kept verbatim (with the decomposition as an argument, and
 without the intersection cache) so that the containment and tight-set
 certificates and the canonical-key lookup can be checked against them.
 
+``face_closure`` and ``faces_of`` are the face poset as
+``Decomposition`` cached it twice, as a set of (face, cell) pairs closed
+under transitivity and as a sorted list of each cell's faces built from
+it, and ``poset_cycle`` is how ``validate`` named a cycle by scanning the
+sorted pairs; they are kept verbatim (with the decomposition as an
+argument, and without the caches) so that the one table of face sets in
+``tropsplit.complexes`` can be checked against them.
+
 ``dd_step`` is the integer double description step as it ran an
 elimination of the remaining lineality basis and a reduction of every ray
 when a row cut the lineality space, and ``read_off`` the minimal
@@ -715,6 +723,46 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
         if not any(q != p0 for q in listed_faces(dec, facet, p0)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the face poset as a closure of pairs and a sorted face list per cell
+
+
+def face_closure(self) -> frozenset:
+    adj: dict[str, set] = {}
+    for q, p in self.face_pairs:
+        adj.setdefault(q, set()).add(p)
+    out = set()
+    for q in self.polytopes:
+        seen = set()
+        stack = list(adj.get(q, ()))
+        while stack:
+            p = stack.pop()
+            if p in seen:
+                continue
+            seen.add(p)
+            stack.extend(adj.get(p, ()))
+        out.update((q, p) for p in seen)
+    return frozenset(out)
+
+
+def faces_of(self) -> dict:
+    """Ids, in sorted order, of the listed faces of each cell (itself
+    included)."""
+    below = {q: {q} for q in self.polytopes}
+    for q, r in face_closure(self):
+        below[r].add(q)
+    return {q: sorted(faces) for q, faces in below.items()}
+
+
+def poset_cycle(self) -> str | None:
+    """The error ``validate`` raised for a cycle in the face poset, or None."""
+    closure = face_closure(self)
+    for q, p in sorted(closure):
+        if q != p and (p, q) in closure:
+            return f"face poset has a cycle through {q},{p}"
+    return None
 
 
 # ---------------------------------------------------------------------------

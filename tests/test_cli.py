@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -170,6 +171,19 @@ def test_potential_combine(tmp_path):
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["series"] == [{"coeff": "3", "area": "5/6", "monomial": []}]
+
+
+@pytest.mark.parametrize("split_edges, d_black", [("100000000", "0"), ("0", "100000000")])
+def test_potential_combine_over_the_count_bound_exits_two(split_edges, d_black):
+    """A count whose factorial would run for minutes is refused at once."""
+    start = time.perf_counter()
+    res = run_cli([
+        "potential", "combine", "--mult", "1", "--split-edges", split_edges,
+        "--d-black", d_black, "--sign", "+1", '{"num_vars":1,"terms":[]}',
+    ])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: split_count and d_black must be at most 10000\n"
 
 
 def test_malformed_json_exits_two(tmp_path, fixture_dir):

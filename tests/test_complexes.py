@@ -16,6 +16,7 @@ from tropsplit.complexes import (
     Decomposition,
     DecompositionError,
     DualCell,
+    Polytope,
     cone_of_relative_cell,
     is_tropical_fiber,
     toric_cut,
@@ -656,3 +657,52 @@ def test_cut_intersections_run_no_conversion(monkeypatch):
     assert is_tropical_fiber(dec, inner, t["lambda"])
     assert len(dec._isect_cache) == 7750
     assert calls == []
+
+
+def _face_posets_agree(dec):
+    """``face_le`` on every pair of cells and unknown ids, and each cell's
+    sorted faces, as the frozen closure gives them."""
+    closure = oracles.face_closure(dec)
+    ids = sorted(dec.polytopes) + ["unknown", ""]
+    for q, p in itertools.product(ids, repeat=2):
+        assert dec.face_le(q, p) == (q == p or (q, p) in closure), (q, p)
+    assert {p: sorted(faces) for p, faces in dec._faces.items()} == oracles.faces_of(dec)
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + CUTS)
+def test_face_table_matches_the_closure_reference(name):
+    if name in CUTS:
+        dec, _ = _cut(name)
+    else:
+        dec = decomposition_from_dict(fx.DECOMPOSITIONS[name]())
+    _face_posets_agree(dec)
+
+
+SQUARE = (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1))
+
+
+def test_face_table_matches_the_closure_reference_on_seeded_posets():
+    """Up to eight copies of one square with seeded face pairs (chains,
+    cycles and self-loops among them) give the frozen closure's answers,
+    and ``validate`` names the cycle the frozen scan of sorted pairs
+    named."""
+    rng = random.Random(26)
+    cycles = 0
+    for _ in range(300):
+        ids = rng.sample("abcdefgh", rng.randint(1, 8))
+        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randrange(12))]
+        dec = Decomposition(2, [Polytope(i, SQUARE) for i in ids], pairs,
+                            [DualCell(i, ((0, 0),)) for i in ids])
+        _face_posets_agree(dec)
+        want = oracles.poset_cycle(dec)
+        try:
+            dec.validate(geometric=False)
+            got = None
+        except DecompositionError as exc:
+            got = str(exc)
+        if want is None:
+            assert got is None or got.startswith("reflexive face pair"), got
+        else:
+            assert got == want
+            cycles += 1
+    assert cycles > 50

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from tropsplit import fixtures as fx
+from tropsplit import potential
 from tropsplit.potential import (
+    MAX_COUNT,
     NovikovSeries,
     bg_potential,
     leading_terms,
@@ -103,6 +105,25 @@ def test_split_contribution_signs_and_factorials():
 def test_split_contribution_rejects_empty():
     with pytest.raises(ValueError):
         split_contribution(1, 0, 0, 1, [])
+
+
+@pytest.mark.parametrize("counts", [(MAX_COUNT + 1, 0), (0, MAX_COUNT + 1), (10**8, 10**8)])
+def test_split_contribution_rejects_counts_over_the_bound_before_any_factorial(
+        counts, monkeypatch):
+    """A split count or black-vertex count over ``MAX_COUNT`` raises a
+    ``ValueError`` naming the bound, and no factorial is computed."""
+    def factorial(k):
+        raise AssertionError(f"factorial({k}) computed")
+
+    monkeypatch.setattr(potential, "factorial", factorial)
+    split_count, d_black = counts
+    with pytest.raises(ValueError, match=f"at most {MAX_COUNT}"):
+        split_contribution(1, split_count, d_black, 1, [NovikovSeries.zero(1)])
+
+
+def test_split_contribution_accepts_counts_at_the_bound():
+    s = split_contribution(1, MAX_COUNT, 0, 1, [NovikovSeries.term(0, 1, 0)])
+    assert s.terms[0][0].numerator == 1
 
 
 def test_series_algebra_random():
