@@ -222,8 +222,12 @@ class Decomposition:
 def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
     """Cone(kappa, v): cone generated by dual(P(v)) minus dual(P(kappa v)).
 
-    Requires P(v) to be a face of (or equal to) P(kappa v).
+    Requires P(v) to be a face of (or equal to) P(kappa v).  Both ids are
+    checked first: ``face_le`` holds for any id and itself.
     """
+    for pid in (pv, pkv):
+        if pid not in dec.polytopes:
+            raise DecompositionError(f"unknown cell {pid}")
     if not dec.face_le(pv, pkv):
         raise DecompositionError(f"{pv} is not a face of {pkv}")
     dv = dec.dual(pv)

@@ -31,11 +31,14 @@ converted from it, once, when something first reads it.  The conversion,
 ``_h_to_v``, is called only by ``Cone`` and takes the rows as the cone
 holds them, already canonical: primitive rows (or rays) and an rref
 equality (or lineality) basis, so it scales and eliminates nothing again.
-It returns the sorted primitive extreme rays (or facets), each reduced modulo
-an rref basis of the lineality space (or of the equalities) in the
-cone's own coordinates, and each ray's zero-set over the given rows (or
-generators).  That converted side is minimal and canonical for the set,
-whatever rows or generators stated it.  ``minimal()`` keeps it and reads
+It cuts each distinct row once: a row equal to an earlier one in the
+coordinates of the equalities' kernel takes no step and shares its twin's
+tight rays, so the zero-sets still cover every given row.  It returns the
+sorted primitive extreme rays (or facets), each reduced modulo an rref
+basis of the lineality space (or of the equalities) in the cone's own
+coordinates, and each ray's zero-set over the given rows (or generators).
+That converted side is minimal and canonical for the set, whatever rows
+or generators stated it.  ``minimal()`` keeps it and reads
 the other side off the zero-sets when first read: the rows tight on every
 ray (the implicit rows) and the given equalities span the equalities, and
 the rows whose tight rays form a maximal proper set are the facets,
@@ -55,6 +58,7 @@ per value, so concurrent readers always observe a pure function.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .exact import (
@@ -72,8 +76,9 @@ from .exact import (
 )
 
 
+@cache
 def _units(n: int) -> tuple:
-    """The unit vectors of R^n, in order."""
+    """The unit vectors of R^n, in order, built once per n."""
     return tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
 
 
@@ -132,8 +137,10 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     """
     if not any(a):
         return lin, [(r, z | bit) for r, z in rays]
-    dots = [_dot(a, l) for l in lin]
-    i0 = next((i for i in reversed(range(len(dots))) if dots[i]), None)
+    i0 = None
+    if lin:
+        dots = [_dot(a, l) for l in lin]
+        i0 = next((i for i in reversed(range(len(dots))) if dots[i]), None)
     if i0 is not None:
         l0, al0 = lin[i0], dots[i0]
         if al0 < 0:
@@ -153,10 +160,15 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
         return lin, new_rays
     # a vanishes on the lineality space and every ray already vanishes
     # at the pivots of its basis, so combinations need no reduction
-    vals = [_dot(a, r) for r, _ in rays]
-    plus = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
-    minus = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
-    zero = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
+    plus, minus, zero = [], [], []
+    for r, z in rays:
+        v = _dot(a, r)
+        if v > 0:
+            plus.append((r, z, v))
+        elif v:
+            minus.append((r, z, v))
+        else:
+            zero.append((r, z | bit))
     if not minus:
         return lin, [(r, z) for r, z, _ in plus] + zero
     # rp and rm are adjacent unless a third ray is tight on every row
@@ -284,7 +296,15 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         return (), (), ()
     if K is not None:
         ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
-    _, lin, rays, _ = DDState.space(d).cut(*ineqs)
+    # a primitive row equal to an earlier one cuts nothing more: it takes
+    # no step, and is tight on the rays its first copy is tight on
+    lin, rays, first, twins = _units(d), [], {}, []
+    for i, a in enumerate(ineqs):
+        j = first.setdefault(a, i)
+        if j == i:
+            lin, rays = _dd_step(lin, rays, a, 1 << i)
+        else:
+            twins.append((1 << j, 1 << i))
     if K is not None:
         # back to x coordinates; reducing modulo the lineality keeps every
         # zero-set, since a lineality vector is tight on every row
@@ -292,7 +312,10 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         lin = _rref_int([_dot(y, col) for col in Kt] for y in lin)
         rays = [(_reduce_mod_span(lin, [_dot(y, col) for col in Kt]), z) for y, z in rays]
     rays = sorted(rays)
-    return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
+    zs = tuple(z for _, z in rays)
+    for j, i in twins:
+        zs = tuple(z | i if z & j else z for z in zs)
+    return tuple(r for r, _ in rays), lin, zs
 
 
 def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:

@@ -91,6 +91,9 @@ def gcd_reduce(v) -> tuple:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
+_INT = frozenset((int,))
+
+
 def primitive(a) -> tuple:
     """Primitive integer vector positively proportional to a rational one.
 
@@ -101,7 +104,7 @@ def primitive(a) -> tuple:
     """
     if not isinstance(a, (tuple, list)):
         a = tuple(a)  # read twice below
-    if all(type(x) is int for x in a):
+    if set(map(type, a)) <= _INT:  # every entry is exactly an int, so no bool
         return gcd_reduce(a)
     a = ratvec(a)
     l = lcm(*(x.denominator for x in a))

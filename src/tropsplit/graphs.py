@@ -47,7 +47,10 @@ class Edge:
     @cached_property
     def projection(self) -> tuple:
         """``quotient_projection`` of the direction, computed once per edge
-        (a Smith form) and shared by every system the edge enters."""
+        (a Smith form).  Only coordinates that a report prints need it: the
+        split base edges' blocks of Disc and of the projected cone
+        direction.  The line of an edge needs no Smith form
+        (``direction_rows``)."""
         return quotient_projection(self.direction)
 
 
@@ -284,10 +287,25 @@ def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
 
 def direction_rows(e: Edge, n_vars, ia, ib, n):
     """Equality rows forcing pos(a) - pos(b) onto the line of the edge's
-    direction (the rows of its quotient projection), plus the inequality
-    row whose sign is the multiplier."""
-    eqs = [pair_row(n_vars, ia, ib, n, p) for p in e.projection]
-    return eqs, pair_row(n_vars, ia, ib, n, e.direction)
+    direction d, plus the inequality row whose sign is the multiplier.
+
+    The line is cut out by n - 1 integer rows that annihilate d: with k
+    the first coordinate where d is nonzero, the rows d_k e_i - d_i e_k
+    for i != k, independent since each is d_k at its own i.  A cone keeps
+    the canonical basis of its equalities, so any rows of the same span
+    give the same cone; the Smith projection (``Edge.projection``) is only
+    for coordinates that a report prints."""
+    d = e.direction
+    k = next((i for i, x in enumerate(d) if x), None)
+    if k is None:
+        raise GraphError(f"edge {e.id}: zero direction")
+    eqs = []
+    for i in range(n):
+        if i != k:
+            line = [0] * n
+            line[i], line[k] = d[k], -d[i]
+            eqs.append(pair_row(n_vars, ia, ib, n, line))
+    return eqs, pair_row(n_vars, ia, ib, n, d)
 
 
 def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:

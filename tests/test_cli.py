@@ -388,13 +388,35 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 86 Smith forms.  An edge that computes its quotient projection
-    again for each system it enters (once 117 a pass) changes the count."""
+    with 55 Smith forms.  An edge that computes its quotient projection
+    again for each system it enters (once 117 a pass), or edge lines built
+    from the Smith projection again rather than from rows that annihilate
+    the direction (once 86 a pass), changes the count."""
     calls = _count_in_every_binding(monkeypatch, "smith_normal_form")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 86
+    assert len(calls) == 55
+
+
+def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 615 double description steps.  A conversion that cuts again a
+    row equal to an earlier one once both are primitive, in the
+    coordinates of the equalities' kernel, rather than giving it the
+    tight rays of its twin (once 730 a pass), changes the count."""
+    calls = []
+    original = cones._dd_step
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_dd_step", counted)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert len(calls) == 615
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):

@@ -105,6 +105,17 @@ def test_cone_kappa_v_requires_face_relation(square_split):
         cone_of_relative_cell(square_split, "Qpp", "Hxp")
 
 
+@pytest.mark.parametrize("pv, pkv, unknown", [
+    ("zz", "zz", "zz"), ("zz", "Qpp", "zz"), ("Qpp", "zz", "zz"), ("zz", "yy", "zz"),
+])
+def test_cone_kappa_v_names_an_unknown_cell(square_split, pv, pkv, unknown):
+    """An id the decomposition does not list is an input error naming the
+    first unknown id, checked before the face test (which holds for any id
+    and itself), not a ``KeyError`` from the dual cells."""
+    with pytest.raises(DecompositionError, match=f"^unknown cell {unknown}$"):
+        cone_of_relative_cell(square_split, pv, pkv)
+
+
 # -- toric cuts -----------------------------------------------------------------------
 
 

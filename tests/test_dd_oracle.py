@@ -146,10 +146,21 @@ def test_h_to_v_matches_fraction_reference():
     ``Cone`` holds them (nonzero primitive rows, an rref equality basis);
     the frozen one takes the raw rows."""
     rng = random.Random(31337)
-    with_lineality = with_eqs = 0
+    with_lineality = with_eqs = repeated = repeated_on_kernel = 0
     for _ in range(600):
         n, ineqs, eqs = random_differential_input(rng)
         rows, basis = Cone(n, ineqs=ineqs, eqs=eqs).given_rows()
+        # rows that repeat as given, or only once restricted to the nonzero
+        # kernel of the equalities, take the conversion's repeat path
+        if len(basis) < n:
+            restricted = rows
+            if basis:
+                K = kernel_basis(mat(basis), n)
+                restricted = [primitive([vdot(vec(a), k) for k in K]) for a in rows]
+            if len(set(rows)) < len(rows):
+                repeated += 1
+            elif len(set(restricted)) < len(restricted):
+                repeated_on_kernel += 1
         got = _h_to_v(n, rows, basis)
         want = oracles._h_to_v(n, ineqs, eqs)
         assert oracles.canonical_vrep(*got[:2]) == oracles.canonical_vrep(*want), (
@@ -164,8 +175,10 @@ def test_h_to_v_matches_fraction_reference():
                 assert all(type(x) is int for x in v)
         with_lineality += bool(got[1]) and bool(got[0])
         with_eqs += bool(eqs)
-    # the sample reaches cones with both rays and lineality, and equalities
+    # the sample reaches cones with both rays and lineality, equalities,
+    # and rows that repeat before or only after the kernel transform
     assert with_lineality >= 50 and with_eqs >= 150
+    assert repeated >= 100 and repeated_on_kernel >= 15, (repeated, repeated_on_kernel)
 
 
 def test_h_to_v_rejects_rows_of_wrong_dimension():

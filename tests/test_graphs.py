@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -9,10 +10,12 @@ import oracles
 from conftest import graph, quasi
 from oracles import vec
 from tropsplit import fixtures as fx
+from tropsplit.exact import _dot, _rref_int, primitive, quotient_projection
 from tropsplit.graphs import (
     Edge,
     GraphError,
     TropicalGraph,
+    direction_rows,
     is_rigid,
     match_collapse,
     split_edges,
@@ -188,6 +191,33 @@ def test_vertex_positions_match_the_hyperplane_reference_on_mutated_directions()
         assert _positions(vertex_positions, dec, m) == want
         kinds["realizable" if want[0] else "weakly" if want[1] else "empty"] += 1
     assert min(kinds["realizable"], kinds["weakly"], kinds["empty"]) >= 50, kinds
+
+
+def test_direction_rows_span_the_annihilator_of_the_direction():
+    """For seeded directions d in Z^1..Z^4, some with zero leading entries
+    and some negative or not primitive, the n - 1 line rows of
+    ``direction_rows`` annihilate d, act on pos(a) - pos(b), and span what
+    the rows of ``quotient_projection(d)`` span: the same canonical basis."""
+    rng = random.Random(2626)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        d = [rng.randint(-3, 3) * rng.choice((1, 1, 2)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            d[0] = 0
+        if not any(d):
+            continue
+        eqs, ineq = direction_rows(Edge("e", ("a", "b"), direction=d), 2 * n, 0, 1, n)
+        lines = [row[:n] for row in eqs]
+        assert len(lines) == n - 1
+        assert all(row[n:] == tuple(-x for x in line) for row, line in zip(eqs, lines))
+        assert ineq == (*d, *(-x for x in d))
+        assert not any(_dot(line, d) for line in lines)
+        assert _rref_int(lines) == _rref_int(map(primitive, quotient_projection(d)))
+        seen["zero leading"] += not d[0]
+        seen["negative"] += min(d) < 0
+        seen["not primitive"] += gcd(*d) > 1
+    assert min(seen.values()) >= 80, seen
 
 
 def test_monotone_under_edge_deletion(square_plain, square_split):

@@ -27,6 +27,26 @@ def test_square_basics():
     assert sq.relative_interior_point() == vec((F(1, 2), F(1, 2)))
 
 
+def test_from_hrep_rows_are_the_primitive_rows_of_minus_a_b():
+    """Each row (a, b) reaches the cone as the primitive row of (-a, b)
+    (an equality basis in rref), whether its entries are ints,
+    ``Fraction``s or rational strings, or come from an iterator; a bool or
+    a float entry is refused."""
+    want = (((-1, 0, 2), (0, 3, 2), (0, 0, 1)), ((2, -1, 0),))
+    for ineqs, eqs in [
+        ([((1, 0), 2), ((0, -3), 2)], [((4, -2), 0)]),
+        ([((F(1, 2), 0), 1), ((0, F(-3, 2)), 1)], [((F(2), F(-1)), 0)]),
+        ([(("1/2", "0"), "1"), ((0, "-3/2"), 1)], [(("2", -1), 0)]),
+        ([(iter((1, 0)), 2), (iter((0, -3)), 2)], [(iter((2, -1)), 0)]),
+    ]:
+        p = Polyhedron.from_hrep(2, ineqs=ineqs, eqs=eqs)
+        assert p.cone.given_rows() == want, (ineqs, eqs)
+    with pytest.raises(ValueError):
+        Polyhedron.from_hrep(1, ineqs=[((True,), 1)])
+    with pytest.raises(TypeError):
+        Polyhedron.from_hrep(1, ineqs=[((1.5,), 1)])
+
+
 def test_empty_polyhedron():
     p = Polyhedron.from_hrep(1, ineqs=[((1,), 0), ((-1,), -1)])
     assert p.is_empty() and p.dim() == -1
