@@ -23,6 +23,7 @@ from .exact import (
     _rref_int,
     as_int,
     imat,
+    primitive,
     ratvec,
     saturated_kernel_lattice,
     vdot,
@@ -293,7 +294,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("base point of wrong dimension")
     # Delta's homogenization cone; its rays at t = 0 and its lineality span
     # the recession cone of Delta
-    delta_rows = [_hom(m, c) for m, c in zip(normals, constants)]
+    delta_rows = [primitive(_hom(m, c)) for m, c in zip(normals, constants)]
     delta_rows.append((0,) * n + (1,))  # t >= 0
     root = DDState.space(n + 1).cut(*delta_rows)
     gens = [r for r, _ in root.rays] + list(root.lin)
@@ -306,7 +307,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         if not vdot(m, lam) < cut:
             raise DecompositionError("base point is not strictly inside the inner cell")
     # cut_rows[i] . (x, t) >= 0 is <mu_i, x> <= cut_i; its negation the reverse
-    cut_rows = [_hom(m, cut) for m, cut in zip(normals, cuts)]
+    cut_rows = [primitive(_hom(m, cut)) for m, cut in zip(normals, cuts)]
 
     def cell_id(sigma):
         return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)

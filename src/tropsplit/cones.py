@@ -19,21 +19,21 @@ every cone and every sign test that of the rational input.  The integer
 Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``,
 and ``exact._kernel_int`` reads kernels off its rows.
 
-There is one double description step, ``_dd_step``, and one state it
-updates, ``DDState``: a lineality basis and extreme rays, each ray with its
-zero-set over the rows cut so far; ``cut`` steps once per row and gives
-each row its bit.  A conversion starts from the full space, ``orthant_cut``
-from the nonnegative orthant, and ``toric_cut`` carries a state from each
-cell to its refinements; ``cone()`` hands a state over as a minimal cone.
+There is one double description step, ``_dd_step``, one loop, ``_cut``,
+and one state, ``DDState``: a lineality basis and extreme rays, each ray
+with its zero-set over the rows cut so far.  Every start cuts each
+distinct row once: a row equal to an earlier one takes no step.  A
+conversion starts from the full space, ``orthant_cut`` from the
+nonnegative orthant, and ``toric_cut`` carries a state from each cell to
+its refinements; ``cone()`` hands a state over as a minimal cone.
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  The conversion,
 ``_h_to_v``, is called only by ``Cone`` and takes the rows as the cone
 holds them, already canonical: primitive rows (or rays) and an rref
 equality (or lineality) basis, so it scales and eliminates nothing again.
-It cuts each distinct row once: a row equal to an earlier one in the
-coordinates of the equalities' kernel takes no step and shares its twin's
-tight rays, so the zero-sets still cover every given row.  It returns the
+It cuts the rows in the coordinates of the equalities' kernel, where
+rows that differ as given may be twins.  It returns the
 sorted primitive extreme rays (or facets), each reduced modulo an rref
 basis of the lineality space (or of the equalities) in the cone's own
 coordinates, and each ray's zero-set over the given rows (or generators).
@@ -190,6 +190,25 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     return lin, _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
 
 
+def _cut(lin: tuple, rays: list, done, rows) -> tuple[tuple, list]:
+    """The state (lin, rays) after the rows ``done``, cut by each row of
+    ``rows`` in turn, row i of ``done + rows`` at bit i.  A row equal to an
+    earlier one takes no step: each ray gets its bit where it has its
+    twin's, and every later step keeps the two bits equal.  A plain
+    function: a conversion of one row builds no ``DDState`` around it."""
+    first = {}
+    for i, a in enumerate(done):
+        first.setdefault(a, i)
+    for i, a in enumerate(rows, len(done)):
+        j = first.setdefault(a, i)
+        if j == i:
+            lin, rays = _dd_step(lin, rays, a, 1 << i)
+        else:
+            bit, twin = 1 << i, 1 << j
+            rays = [(r, z | bit if z & twin else z) for r, z in rays]
+    return lin, rays
+
+
 class DDState(NamedTuple):
     """The cone {y in R^dim : a.y >= 0 for a in rows}: a lineality basis, tight on
     every row, and extreme rays modulo it, each with its zero-set, bit i for rows[i]."""
@@ -211,9 +230,7 @@ class DDState(NamedTuple):
 
     def cut(self, *rows) -> "DDState":
         """The cone cut by ``a.y >= 0`` for each integer row in turn."""
-        lin, rays = self.lin, self.rays
-        for i, a in enumerate(rows, len(self.rows)):
-            lin, rays = _dd_step(lin, rays, a, 1 << i)
+        lin, rays = _cut(self.lin, self.rays, self.rows, rows)
         return DDState(self.dim, lin, rays, self.rows + rows)
 
     def lies_in_any(self, indices) -> bool:
@@ -296,15 +313,7 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         return (), (), ()
     if K is not None:
         ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
-    # a primitive row equal to an earlier one cuts nothing more: it takes
-    # no step, and is tight on the rays its first copy is tight on
-    lin, rays, first, twins = _units(d), [], {}, []
-    for i, a in enumerate(ineqs):
-        j = first.setdefault(a, i)
-        if j == i:
-            lin, rays = _dd_step(lin, rays, a, 1 << i)
-        else:
-            twins.append((1 << j, 1 << i))
+    lin, rays = _cut(_units(d), [], (), ineqs)
     if K is not None:
         # back to x coordinates; reducing modulo the lineality keeps every
         # zero-set, since a lineality vector is tight on every row
@@ -312,10 +321,7 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         lin = _rref_int([_dot(y, col) for col in Kt] for y in lin)
         rays = [(_reduce_mod_span(lin, [_dot(y, col) for col in Kt]), z) for y, z in rays]
     rays = sorted(rays)
-    zs = tuple(z for _, z in rays)
-    for j, i in twins:
-        zs = tuple(z | i if z & j else z for z in zs)
-    return tuple(r for r, _ in rays), lin, zs
+    return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
 
 
 def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:

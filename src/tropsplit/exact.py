@@ -65,7 +65,7 @@ def ratvec(xs) -> Vec:
     """Exact vector that keeps int entries as ints; the others go through
     ``fr``, so floats and bools are rejected.  For integer arithmetic and
     comparisons: ``/`` on an int entry gives a float."""
-    return tuple(x if type(x) is int else fr(x) for x in xs)
+    return tuple([x if type(x) is int else fr(x) for x in xs])
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

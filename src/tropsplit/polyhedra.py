@@ -20,38 +20,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import neg
 
 from .cones import Cone, _canon_span
 from .exact import (
     _dot,
     as_int,
     is_zero_vec,
-    primitive,
+    ratvec,
     rref,  # unused here; the tracer tests in perfbench call polyhedra.rref
 )
 
 
-_EXACT = frozenset((int, Fraction))
-
-
 def _hom(a, b) -> tuple:
     """Cone row of ``a.x <= b`` (or of ``a.x = b``) on the homogenization:
-    ``(-a, b) . (x, t) >= 0``, that is ``b t - a.x >= 0``, as a primitive
-    integer row.  (a, b) and (-a, b) have the same primitive scale, so only
-    the integer entries of a are negated."""
-    row = primitive((*a, b))
-    return tuple(-x for x in row[:-1]) + row[-1:]
-
-
-def _cone_row(a, b) -> tuple:
-    """``(-a, b)``, the cone row of ``a.x <= b`` (or of ``a.x = b``), left
-    unscaled when a is a tuple or list of ints and ``Fraction``s: ``Cone``
-    scales each row once.  Any other a takes ``_hom``, which coerces
-    strings and rejects bools and floats."""
-    if isinstance(a, (tuple, list)) and set(map(type, a)) <= _EXACT:
-        return (*map(neg, a), b)
-    return _hom(a, b)
+    ``(-a, b) . (x, t) >= 0``, that is ``b t - a.x >= 0``, unscaled.  ``a``
+    is read with ``ratvec``, so strings are read and bools and floats
+    refused; ``Cone`` scales each row once."""
+    return (*[-x for x in ratvec(a)], b)
 
 
 def _difference(g, h) -> tuple:
@@ -78,9 +63,9 @@ class Polyhedron:
         The cone's given inequalities are the nonzero rows of ``ineqs`` in
         order, then ``t >= 0``."""
         n = as_int(ambient_dim)
-        rows = [_cone_row(a, b) for a, b in ineqs]
+        rows = [_hom(a, b) for a, b in ineqs]
         rows.append((0,) * n + (1,))  # t >= 0
-        return cls(n, Cone(n + 1, ineqs=rows, eqs=[_cone_row(a, b) for a, b in eqs]))
+        return cls(n, Cone(n + 1, ineqs=rows, eqs=[_hom(a, b) for a, b in eqs]))
 
     @classmethod
     def from_vrep(cls, ambient_dim: int, vertices=(), rays=(), lineality=()):

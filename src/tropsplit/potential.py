@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .exact import as_int, fr, imat, ratvec, vdot
+from .polyhedra import Polyhedron
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,10 @@ def leading_terms(series: NovikovSeries) -> NovikovSeries:
 
 def bg_potential(normals, constants, lam) -> NovikovSeries:
     """Batyrev-Givental potential: one term y^mu_i q^(c_i - <lam, mu_i>)
-    per facet of the moment polytope, for lam strictly interior."""
+    per facet of the moment polytope, for lam strictly interior.  Every
+    row must be a facet: a zero, repeated or redundant row raises."""
     normals = imat(normals)
-    constants = [fr(c) for c in constants]
+    constants = ratvec(constants)
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")
     n = len(normals[0])
@@ -109,6 +111,10 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
         if area <= 0:
             raise ValueError("base point is not strictly interior to the polytope")
         terms.append((Fraction(1), area, m))
+    # lam is interior, so the polytope is full-dimensional: its minimal rows are its facets
+    facets = len(Polyhedron.from_hrep(n, ineqs=zip(normals, constants)).hrep()[0])
+    if facets != len(normals):
+        raise ValueError(f"every row must be a facet: {len(normals)} rows, {facets} facets")
     return NovikovSeries(n, tuple(terms))
 
 

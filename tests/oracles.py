@@ -61,12 +61,15 @@ argument, and without the caches) so that the one table of face sets in
 
 ``dd_step`` is the integer double description step as it ran an
 elimination of the remaining lineality basis and a reduction of every ray
-when a row cut the lineality space, and ``read_off`` the minimal
+when a row cut the lineality space, ``dd_cut`` is ``DDState.cut`` as it
+took one step per row, a repeated row too, and ``read_off`` the minimal
 H-representation read off a conversion's zero-sets as it computed the
 equalities by ``_rref_int(_kernel_int(_rref_int(rays + lin)))``; both are
 kept verbatim (their helpers renamed ``_int_reduce_mod_span`` and
-``_int_dedupe``) so that the elimination-free step and the reading of the
-implicit rows in ``tropsplit.cones`` can be checked against them.
+``_int_dedupe``, and ``dd_cut`` stepping with ``dd_step``) so that the
+elimination-free step, the cut that steps once per distinct row and the
+reading of the implicit rows in ``tropsplit.cones`` can be checked against
+them.
 
 ``vertex_positions`` (with its ``direction_rows`` and its result type) is
 the position polyhedron as it decided strict realizability by one
@@ -847,6 +850,15 @@ def dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
                 w = [vp * x - vm * y for x, y in zip(rm, rp)]
                 combos.append((gcd_reduce(w), inter | bit))
     return lin, _int_dedupe([(r, z) for r, z, _ in plus] + zero + combos)
+
+
+def dd_cut(lin: tuple, rays: list, done, rows) -> tuple[tuple, list]:
+    """``DDState.cut``, from the state (lin, rays) after the rows ``done``,
+    as it stepped once per row of ``rows``, a row equal to an earlier one
+    too."""
+    for i, a in enumerate(rows, len(done)):
+        lin, rays = dd_step(lin, rays, a, 1 << i)
+    return lin, rays
 
 
 def read_off(n: int, rows, zs, rays, lin) -> tuple[tuple, tuple]:

@@ -186,6 +186,19 @@ def test_potential_combine_over_the_count_bound_exits_two(split_edges, d_black):
     assert res.output == "error: split_count and d_black must be at most 10000\n"
 
 
+@pytest.mark.parametrize("normal, constant", [("[0,0]", "1"), ("[-1,0]", "0"), ("[1,1]", "10")])
+def test_potential_bg_with_a_row_that_is_not_a_facet_exits_two(normal, constant):
+    """A zero, a repeated or a redundant row is refused, naming the facet
+    rule, where it once printed a fifth term or a coefficient 2."""
+    res = run_cli([
+        "potential", "bg", "--normals", f"[[-1,0],[1,0],[0,-1],[0,1],{normal}]",
+        "--constants", f"[0,1,0,1,{constant}]", "--lambda", '["1/2","1/2"]',
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.output == (
+        "error: every row must be a facet: 5 rows, 4 facets\n")
+
+
 def test_malformed_json_exits_two(tmp_path, fixture_dir):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -324,8 +337,9 @@ def test_corpus_regenerate_into_a_directory(tmp_path):
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 213 double
-    description conversions and gives the stored bytes.  A cone that
+    """One pass over the corpus, each case cold, runs 215 double
+    description conversions and gives the stored bytes, two of them the
+    facet checks of the two potentials.  A cone that
     converted a side it already had, a minimal form that converts its
     other side where it could read it off, a scalings cone converted
     from the full space instead of cut from the orthant (one per split
@@ -346,7 +360,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 213
+    assert len(calls) == 215
 
 
 def _count_in_every_binding(monkeypatch, name) -> list:
@@ -366,7 +380,8 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 471 ``_rref_int`` calls, counted in every module that binds it.
+    with 472 ``_rref_int`` calls, counted in every module that binds it,
+    two of them in the facet checks of the two potentials.
     A double description step that eliminates its lineality basis again
     or reduces its rays, a read-off that computes the equalities as a
     kernel (once 1594 calls a pass), a minimal cone built on the dual
@@ -383,7 +398,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 470
+    assert len(calls) == 472
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
@@ -401,10 +416,13 @@ def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
 
 def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 615 double description steps.  A conversion that cuts again a
-    row equal to an earlier one once both are primitive, in the
-    coordinates of the equalities' kernel, rather than giving it the
-    tight rays of its twin (once 730 a pass), changes the count."""
+    with 620 double description steps, 10 of them in the facet checks of
+    the two potentials.  A conversion that cuts again a row equal to an
+    earlier one once both are primitive, in the coordinates of the
+    equalities' kernel, rather than giving it the tight rays of its twin
+    (once 730 a pass), or an orthant cut that cuts again a pulled row
+    equal to a unit row or to an earlier row (once 625), changes the
+    count."""
     calls = []
     original = cones._dd_step
 
@@ -416,7 +434,7 @@ def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 615
+    assert len(calls) == 620
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):

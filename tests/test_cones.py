@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -633,6 +634,60 @@ def test_dd_step_matches_the_eliminating_step():
     assert seen["cut lineality"] >= 2000, seen
     for key in ("a vanishes on it", "with rays"):
         assert seen[key] >= 200, seen
+
+
+def _with_repeats(rng, d, done, count) -> tuple:
+    """``count`` rows of ``_dd_rows`` in R^d to cut after the rows ``done``,
+    with exact copies of earlier rows (``done`` too) and zero rows put
+    in among them."""
+    rows = []
+    for a in _dd_rows(rng, d, count):
+        if rng.random() < 0.4:
+            rows.append(rng.choice([*done, *rows, (0,) * d]))
+        rows.append(a)
+    return tuple(rows)
+
+
+def _repeat_kinds(start, done, rows) -> Counter:
+    """The rows of ``rows`` equal to a row cut before them, by kind."""
+    kinds = Counter()
+    for i, a in enumerate(rows):
+        if a in done or a in rows[:i]:
+            unit = start == "orthant" and a in done  # the orthant's rows are its unit rows
+            kinds[start, "zero row" if not any(a) else "unit row" if unit else "repeat"] += 1
+    return kinds
+
+
+def test_cut_matches_one_step_per_row():
+    """Every start cuts each distinct row once: from the full space, from
+    the orthant with rows equal to its unit rows, and by one-row cuts in
+    turn as the toric walk makes them, zero rows included, the cut gives
+    the lineality basis, the rays and every zero-set that the frozen cut,
+    which stepped once per row, gives (the rays in any order).  Each kind
+    of repeat is met often enough to show a cut that drops a twin's bit."""
+    rng = random.Random(1717)
+    seen = Counter()
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        space, orthant = cones.DDState.space(d), cones.DDState.orthant(d)
+        for start, state in (("space", space), ("orthant", orthant)):
+            rows = _with_repeats(rng, d, state.rows, rng.randint(1, d + 3))
+            got = state.cut(*rows)
+            want = oracles.dd_cut(state.lin, state.rays, state.rows, rows)
+            assert (got.lin, sorted(got.rays)) == (want[0], sorted(want[1])), (start, rows)
+            assert got.rows == state.rows + rows
+            seen.update(_repeat_kinds(start, state.rows, rows))
+        # the walk: one row a call, each call after the rows of the last
+        state = space.cut(*_dd_rows(rng, d, rng.randint(0, d)))
+        want = oracles.dd_cut(cones._units(d), [], (), state.rows)
+        for a in _with_repeats(rng, d, state.rows, rng.randint(1, d + 3)):
+            seen.update(_repeat_kinds("walk", state.rows, (a,)))
+            want = oracles.dd_cut(*want, state.rows, (a,))
+            state = state.cut(a)
+            assert (state.lin, sorted(state.rays)) == (want[0], sorted(want[1])), state.rows
+    for start, kind in itertools.product(("space", "orthant", "walk"), ("repeat", "zero row")):
+        assert seen[start, kind] >= 100, seen
+    assert seen["orthant", "unit row"] >= 100, seen
 
 
 def _tight_masks(gens, rows) -> tuple:

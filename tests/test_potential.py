@@ -56,6 +56,24 @@ def test_bg_rejects_boundary_lambda():
         bg_potential(t["normals"], [F(c) for c in t["constants"]], (F(1), F(1, 2)))
 
 
+# The unit square with one more row: a zero normal, a repeated facet, and a
+# redundant row.  Each satisfies the interior check at lam = (1/2, 1/2).
+EXTRA_ROWS = [((0, 0), 1), ((-1, 0), 0), ((1, 1), 10)]
+
+
+@pytest.mark.parametrize("extra", EXTRA_ROWS)
+def test_bg_rejects_a_row_that_is_not_a_facet(extra):
+    """One term per facet: a row that is no facet of the moment polytope
+    raises instead of adding a term (once a fifth term, or coefficient 2
+    on a repeated facet)."""
+    t = fx.toric_square()
+    normals = [*t["normals"], extra[0]]
+    constants = [*(F(c) for c in t["constants"]), extra[1]]
+    with pytest.raises(ValueError, match="every row must be a facet"):
+        bg_potential(normals, constants, (F(1, 2), F(1, 2)))
+    assert len(bg_potential(t["normals"], constants[:4], (F(1, 2), F(1, 2))).terms) == 4
+
+
 def test_leading_single_term():
     s = NovikovSeries.term(1, 2, F(3, 4), (1,))
     assert leading_terms(s) == s

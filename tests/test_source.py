@@ -137,6 +137,16 @@ def _calls_of(tree, name) -> list:
                   if isinstance(node, ast.Call) and name in _names(node.func))
 
 
+def test_one_dd_loop():
+    """Every double description runs through one loop: in ``cones``,
+    ``_dd_step`` is called once, from ``_cut``, so that each start cuts
+    each distinct row once."""
+    tree = ast.parse(Path(tropsplit.__file__).with_name("cones.py").read_text(encoding="utf-8"))
+    (cut,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_cut"]
+    assert len(_calls_of(tree, "_dd_step")) == 1
+    assert _calls_of(cut, "_dd_step") == _calls_of(tree, "_dd_step")
+
+
 def test_only_cone_methods_convert():
     """``_h_to_v`` takes rows in the canonical form a ``Cone`` holds them,
     so only ``Cone`` methods call it, and no other module imports or names

@@ -458,10 +458,12 @@ def test_warm_split_report_runs_no_conversion(square_split, cube_split, monkeypa
 
 
 def test_warm_cone_condition_runs_pinned_dd_steps(square_split, cube_split, monkeypatch):
-    """A warm cone direction takes one ``_dd_step`` per nonzero pulled-back
-    inequality of Disc and two per nonzero pulled-back equality, from the
-    orthant: 1, 1, 2, 4, 1, 2 and 2 steps on the warm cases (13 in all).
-    A conversion from the full space would add a step per orthant row."""
+    """A warm cone direction takes one ``_dd_step`` per distinct nonzero
+    pulled-back inequality of Disc and two per nonzero pulled-back
+    equality, from the orthant; a pulled row equal to a unit row, or to an
+    earlier row, takes no step: 0, 1, 2, 4, 0, 0 and 1 steps on the warm
+    cases (8 in all, 13 when every row steps).  A conversion from the full
+    space would add a step per orthant row."""
     from tropsplit import cones
 
     warm = _warm(square_split, cube_split)
@@ -478,7 +480,7 @@ def test_warm_cone_condition_runs_pinned_dd_steps(square_split, cube_split, monk
         calls.clear()
         cone_condition(q, eta)
         steps.append(calls["step"])
-    assert steps == [1, 1, 2, 4, 1, 2, 2]
+    assert steps == [0, 1, 2, 4, 0, 0, 1]
 
 
 def _sweep_etas(seed: int) -> list:
@@ -537,15 +539,16 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
     denominator).  Each graph cuts the scalings cone of each distinct set of
     primitive pulled-back rows once and keeps it with its verdict: the 40
     directions meet 30 such sets on the eight graphs, 26 of them new, which
-    take 56 double description steps (one per nonzero pulled row of Disc,
-    two per equality, from the orthant) and 15 ``_rref_int`` calls (D's
-    implicit rows, read off its zero-sets once).  A cut per report (once
-    508 steps and 152 calls a pass) or a ``Fraction`` per projected entry
-    (once 720 a pass) changes the count.  The memo key, pi(num) and the
-    genericity certificate are read off one pass over the row table, so
-    ``orthant_rows`` runs only inside the 26 new cuts (once 346 a pass)
-    and ``is_generic_wrt`` never (once 320); each report marshals its
-    inputs mapping once (once three times)."""
+    take 39 double description steps (one per distinct nonzero pulled row
+    of Disc, two per equality, from the orthant, none for a row equal to
+    a unit row or an earlier row; 56 when every row steps) and 15
+    ``_rref_int`` calls (D's implicit rows, read off its zero-sets once).
+    A cut per report (once 508 steps and 152 calls a pass) or a
+    ``Fraction`` per projected entry (once 720 a pass) changes the count.
+    The memo key, pi(num) and the genericity certificate are read off one
+    pass over the row table, so ``orthant_rows`` runs only inside the 26
+    new cuts (once 346 a pass) and ``is_generic_wrt`` never (once 320);
+    each report marshals its inputs mapping once (once three times)."""
     import hashlib
     import marshal
     from types import SimpleNamespace
@@ -574,7 +577,7 @@ def test_warm_eta_sweep_pass_runs_pinned_work(monkeypatch):
         ).encode())
     assert digest.hexdigest() == (
         "0e440166856ded0124592256d7e30ba8482f1e84350d80334465260b913b48fb")
-    assert calls == Counter({"_dd_step": 56, "_rref_int": 15, "orthant_rows": 26,
+    assert calls == Counter({"_dd_step": 39, "_rref_int": 15, "orthant_rows": 26,
                              "is_generic_wrt": 0, "marshal.dumps": 320})
 
 
