@@ -105,11 +105,20 @@ class Decomposition:
         return self._dual_geom[pid]
 
     def normal_space(self, pid: str) -> IntegerLattice:
-        """Saturated integer basis of t_P = ann(TP)."""
+        """Saturated integer basis of t_P = ann(TP), built with a Smith
+        form.  Symmetry groups read the basis; a membership test needs
+        none (``in_normal_lattice``)."""
         if pid not in self._normal:
             dirs = self.cell(pid).direction_space()
             self._normal[pid] = saturated_kernel_lattice(dirs, self.ambient_dim)
         return self._normal[pid]
+
+    def in_normal_lattice(self, pid: str, d) -> bool:
+        """Whether the integer vector d lies in the normal lattice of the
+        cell, ann(TP) n Z^n: exactly when d is orthogonal to each basis row
+        of TP, the cell's direction space, since the lattice is saturated.
+        A dot product per row; no lattice is built."""
+        return not any(_dot(u, d) for u in self.cell(pid).direction_space())
 
     # face poset ----------------------------------------------------------------
 

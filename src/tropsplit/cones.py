@@ -190,17 +190,21 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     return lin, _dedupe([(r, z) for r, z, _ in plus] + zero + combos)
 
 
-def _cut(lin: tuple, rays: list, done, rows) -> tuple[tuple, list]:
+def _cut(lin: tuple, rays: list, done: tuple, rows) -> tuple[tuple, list]:
     """The state (lin, rays) after the rows ``done``, cut by each row of
     ``rows`` in turn, row i of ``done + rows`` at bit i.  A row equal to an
     earlier one takes no step: each ray gets its bit where it has its
     twin's, and every later step keeps the two bits equal.  A plain
-    function: a conversion of one row builds no ``DDState`` around it."""
-    first = {}
-    for i, a in enumerate(done):
-        first.setdefault(a, i)
+    function: a conversion of one row builds no ``DDState`` around it.
+
+    Only the new rows are indexed: each one's first twin is looked up in
+    ``done`` by a scan, then among the new rows, so a walk that cuts one
+    row at a time indexes each row once, not the whole path per cut."""
+    first = {}  # each new row -> the index of its first twin, or its own
     for i, a in enumerate(rows, len(done)):
-        j = first.setdefault(a, i)
+        j = first.get(a)
+        if j is None:
+            j = first[a] = done.index(a) if a in done else i
         if j == i:
             lin, rays = _dd_step(lin, rays, a, 1 << i)
         else:

@@ -17,6 +17,7 @@ from functools import cached_property
 from math import lcm
 
 from .complexes import Decomposition
+from .cones import Cone
 from .exact import _dot, as_int, quotient_projection
 from .polyhedra import Polyhedron
 
@@ -93,6 +94,10 @@ def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
     """Tropical-graph invariants: labels exist, edge cells are listed, and
     directions are nonzero vectors of the edge cell's normal lattice.
 
+    A direction is an integer vector, so it lies in the saturated normal
+    lattice exactly when it is orthogonal to the cell's direction space
+    (``Decomposition.in_normal_lattice``): no lattice is built for it.
+
     Returns the checked graph.  A graph already checked against ``dec``
     comes back unchanged; one checked against another decomposition is
     checked again."""
@@ -123,7 +128,7 @@ def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
             cell = dec.intersection_cell(pa, pb)
             if cell is None:
                 raise GraphError(f"edge {e.id}: endpoint cells {pa}, {pb} do not meet")
-            if not dec.normal_space(cell).contains(e.direction):
+            if not dec.in_normal_lattice(cell, e.direction):
                 raise GraphError(
                     f"edge {e.id}: direction not in the normal lattice of {cell}"
                 )
@@ -195,29 +200,37 @@ class CheckedGraph:
     def positions(self) -> VertexPositionPolyhedron:
         """The polyhedron of vertex position maps, with strict realizability.
 
+        Its cone's rows, on the homogenization (x, t), are the strict rows,
+        each r.(x, t) >= 0 needed strictly, then ``t >= 0``, and the
+        equalities.  Each vertex block takes its dual cell's minimal
+        homogenized rows as the dual cone holds them, primitive, with the
+        t entry kept last and ``t >= 0`` dropped: no row is paired, read or
+        scaled again.  Each tropical edge adds its line's equalities and
+        the strict row of its multiplier.
+
         A strict row is implicit, so the strict system infeasible, exactly
         when the closed polyhedron lies in its hyperplane: when its bit is
         in the zero-set of every ray of the one conversion that decides
-        emptiness."""
+        emptiness.  The cone keeps the nonzero rows in order, and no strict
+        row is zero, so strict row i has bit i."""
         index = self.index
         n = self.dec.ambient_dim
         n_vars = n * len(index)
-        strict = []  # (row, b) meaning row.x <= b, each needed strictly
+        strict = []  # rows r meaning r.(x, t) >= 0, each needed strictly
         eqs = []
         for v, i in index.items():
-            cell_ineqs, cell_eqs = self.dec.dual(self.graph.label[v]).hrep()
-            strict += [(block_row(n_vars, i, n, a), b) for a, b in cell_ineqs]
-            eqs += [(block_row(n_vars, i, n, a), b) for a, b in cell_eqs]
+            dual = self.dec.dual(self.graph.label[v]).cone.minimal()
+            before, after = (0,) * (i * n), (0,) * (n_vars - (i + 1) * n)
+            for rows, out in ((dual.ineqs, strict), (dual.eqs, eqs)):
+                # every row but the homogenization row t >= 0
+                out += [before + r[:-1] + after + r[-1:] for r in rows if any(r[:-1])]
         for e in self.graph.tropical_edges():
             line_rows, ineq_row = direction_rows(e, n_vars, index[e.ends[0]], index[e.ends[1]], n)
-            eqs += [(r, 0) for r in line_rows]
+            eqs += [(*r, 0) for r in line_rows]
             # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
-            strict.append((tuple(-x for x in ineq_row), 0))
-        closed = Polyhedron.from_hrep(n_vars, ineqs=strict, eqs=eqs)
-        # the cone keeps the nonzero rows in order, so strict row i has bit i;
-        # a zero row would have no bit
-        if not all(b or any(a) for a, b in strict):
-            raise RuntimeError("a strict row is zero and has no bit in the conversion")
+            strict.append((*ineq_row, 0))
+        t_row = (0,) * n_vars + (1,)
+        closed = Polyhedron(n_vars, Cone(n_vars + 1, ineqs=strict + [t_row], eqs=eqs))
         weakly = not closed.is_empty()
         realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
         witness = closed.relative_interior_point() if realizable else None
@@ -226,13 +239,13 @@ class CheckedGraph:
         # are tested on witness = num / den over one common denominator.
         if witness is not None:
             den = lcm(*(x.denominator for x in witness))
-            num = [x.numerator * (den // x.denominator) for x in witness]
-            if not all(_dot(a, num) < b * den for a, b in strict):
+            point = [x.numerator * (den // x.denominator) for x in witness] + [den]
+            if not all(_dot(r, point) > 0 for r in strict):
                 raise RuntimeError("relative interior point violates a strict row")
         return VertexPositionPolyhedron(
             vertex_order=tuple(index),
             closed=closed,
-            strict_rows=tuple(strict),
+            strict=tuple(strict),
             realizable=realizable,
             realizable_weakly=weakly,
             witness=witness,
@@ -247,13 +260,14 @@ class VertexPositionPolyhedron:
     multipliers) is feasible; ``realizable_weakly`` only asks for the closed
     polyhedron to be nonempty.  ``witness`` is a strict position map when
     one exists, computed and checked in integers with the verdict.  ``dim``
-    is the dimension of the closed polyhedron (-1 when empty), computed
-    when first read: only reports and rigidity read it.
+    is the dimension of the closed polyhedron (-1 when empty) and
+    ``strict_rows`` the strict rows as pairs (a, b) meaning a.x <= b, each
+    computed when first read: only reports, rigidity and tests read them.
     """
 
     vertex_order: tuple
     closed: Polyhedron
-    strict_rows: tuple  # rows (a, b) valid on `closed`, needed strictly
+    strict: tuple  # rows r of `closed`'s cone, r.(x, t) >= 0 needed strictly
     realizable: bool
     realizable_weakly: bool
     witness: tuple | None
@@ -261,6 +275,10 @@ class VertexPositionPolyhedron:
     @cached_property
     def dim(self) -> int:
         return self.closed.dim()
+
+    @cached_property
+    def strict_rows(self) -> tuple:
+        return tuple((tuple(-x for x in r[:-1]), r[-1]) for r in self.strict)
 
     def position(self, witness, v: str):
         i = self.vertex_order.index(v)

@@ -50,12 +50,12 @@ def _difference(g, h) -> tuple:
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_hrep")
+    __slots__ = ("ambient_dim", "cone", "_hrep", "_directions")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._hrep = None
+        self._hrep = self._directions = None
 
     @classmethod
     def from_hrep(cls, ambient_dim: int, ineqs=(), eqs=()):
@@ -131,12 +131,15 @@ class Polyhedron:
     def direction_space(self) -> list:
         """Basis rows of the affine hull's direction space: the span of
         the vertex differences, recession rays and lineality, read off the
-        integer generators."""
-        g0 = next((g for g in self.cone.rays if g[-1] > 0), None)
-        if g0 is None:
-            return []
-        rows = [_difference(g, g0) for g in self.cone.rays]
-        return list(_canon_span(rows + self.lineality))
+        integer generators once and kept."""
+        if self._directions is None:
+            g0 = next((g for g in self.cone.rays if g[-1] > 0), None)
+            if g0 is None:
+                self._directions = ()
+            else:
+                rows = [_difference(g, g0) for g in self.cone.rays]
+                self._directions = _canon_span(rows + self.lineality)
+        return list(self._directions)
 
     def relative_interior_point(self) -> tuple:
         """(sum of the vertices + sum of the recession rays) / number of

@@ -133,10 +133,19 @@ class QuasiSplitGraph:
 
     def _check_components(self):
         """Each component of the checked top graph, split edges removed, is
-        realizable."""
+        realizable.
+
+        A component with one vertex has no edge (a checked graph has no
+        loop), so it is realizable by construction and its positions are
+        computed only when something reads them.  Its strict rows are the
+        facets of the minimal H-representation of its vertex's dual cell:
+        that cell has a vertex (``Decomposition`` refuses a dual cell
+        without one), so its position polyhedron is not empty, and a facet
+        of a minimal H-representation is never implicit, so no strict row
+        is tight on the whole polyhedron."""
         self.components = self.checked_top.components(self.top_split_ids)
         for c in self.components:
-            if not c.positions.realizable:
+            if len(c.graph.vertices) > 1 and not c.positions.realizable:
                 raise SplitError(f"component containing {min(c.graph.label)} is not realizable")
 
     # cached analyses ------------------------------------------------------------

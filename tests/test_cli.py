@@ -4,13 +4,14 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from conftest import graph_checks
 
-from tropsplit import complexes, cones, exact
+from tropsplit import complexes, cones, exact, graphs
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import canonical_json
@@ -337,9 +338,11 @@ def test_corpus_regenerate_into_a_directory(tmp_path):
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 215 double
+    """One pass over the corpus, each case cold, runs 197 double
     description conversions and gives the stored bytes, two of them the
-    facet checks of the two potentials.  A cone that
+    facet checks of the two potentials.  A component with one vertex
+    whose position polyhedron is converted, though it is realizable by
+    construction (once 215, 18 such components a pass), a cone that
     converted a side it already had, a minimal form that converts its
     other side where it could read it off, a scalings cone converted
     from the full space instead of cut from the orthant (one per split
@@ -360,7 +363,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 215
+    assert len(calls) == 197
 
 
 def _count_in_every_binding(monkeypatch, name) -> list:
@@ -380,8 +383,14 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 472 ``_rref_int`` calls, counted in every module that binds it,
-    two of them in the facet checks of the two potentials.
+    with 420 ``_rref_int`` calls, counted in every module that binds it,
+    two of them in the facet checks of the two potentials.  A position
+    polyhedron built for a one-vertex component, with its equality basis
+    and its conversion's kernel (33 calls), or a normal lattice built to
+    test an edge direction that a dot product with the cell's direction
+    space decides, with its basis checked for independence (19 calls),
+    changes the count (once 472); so does a direction space computed again
+    for each edge of its cell rather than once per cell (469).
     A double description step that eliminates its lineality basis again
     or reduces its rays, a read-off that computes the equalities as a
     kernel (once 1594 calls a pass), a minimal cone built on the dual
@@ -398,27 +407,33 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 472
+    assert len(calls) == 420
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 55 Smith forms.  An edge that computes its quotient projection
-    again for each system it enters (once 117 a pass), or edge lines built
-    from the Smith projection again rather than from rows that annihilate
-    the direction (once 86 a pass), changes the count."""
+    with 36 Smith forms: 17 quotient projections of split edges, 12
+    normal lattices that symmetry groups read and 7 symmetry groups'
+    kernels.  A graph check that builds its edge cell's normal lattice to
+    test an edge direction, where orthogonality to the cell's direction
+    space decides it (once 55 a pass), an edge that computes its quotient
+    projection again for each system it enters (once 117), or edge lines
+    built from the Smith projection again rather than from rows that
+    annihilate the direction (once 86), changes the count."""
     calls = _count_in_every_binding(monkeypatch, "smith_normal_form")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 55
+    assert len(calls) == 36
 
 
 def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 620 double description steps, 10 of them in the facet checks of
-    the two potentials.  A conversion that cuts again a row equal to an
-    earlier one once both are primitive, in the coordinates of the
+    with 586 double description steps, 10 of them in the facet checks of
+    the two potentials.  Converting the position polyhedra of the 18
+    one-vertex components, realizable by construction (once 620 a pass),
+    a conversion that cuts again a row equal to an earlier one once both
+    are primitive, in the coordinates of the
     equalities' kernel, rather than giving it the tight rays of its twin
     (once 730 a pass), or an orthant cut that cuts again a pulled row
     equal to a unit row or to an earlier row (once 625), changes the
@@ -434,20 +449,48 @@ def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 620
+    assert len(calls) == 586
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 38 Hermite normal forms, counted in every module that binds
-    ``hermite_normal_form``.  A lattice that reduces a basis already in
-    echelon form again before a membership test, as every kernel lattice
-    of ``smith_kernel`` did (once 63 a pass), changes the count."""
+    with 19 Hermite normal forms, counted in every module that binds
+    ``hermite_normal_form``: 12 for the normal lattices that symmetry
+    groups read and 7 for the symmetry groups' kernels.  A graph check
+    that builds its edge cell's normal lattice to test an edge direction,
+    where orthogonality to the cell's direction space decides it (once 38
+    a pass), or a lattice that reduces a basis already in echelon form
+    again before a membership test, as every kernel lattice of
+    ``smith_kernel`` did (once 63), changes the count."""
     calls = _count_in_every_binding(monkeypatch, "hermite_normal_form")
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 38
+    assert len(calls) == 19
+
+
+def test_corpus_pass_builds_pinned_position_polyhedra(monkeypatch):
+    """One pass over the corpus, each case cold, gives the stored bytes
+    with 30 position polyhedra: 15 for base graphs and graph reports, and
+    15 for the components with more than one vertex of the quasi-split
+    graphs' tops.  A component with one vertex is realizable by
+    construction, so computing its positions to read that verdict (once
+    48, 18 one-vertex components a pass) changes the count."""
+    sizes = Counter()
+    positions = graphs.CheckedGraph.positions
+
+    def counted(self):
+        sizes[len(self.graph.vertices)] += 1
+        return positions.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(graphs.CheckedGraph, "positions")
+    monkeypatch.setattr(graphs.CheckedGraph, "positions", prop)
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    assert sum(sizes.values()) == 30
+    assert 1 not in sizes, sizes
 
 
 def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from collections import Counter
@@ -10,6 +11,7 @@ import oracles
 from conftest import graph, quasi
 from oracles import vec
 from tropsplit import fixtures as fx
+from tropsplit.complexes import toric_cut
 from tropsplit.exact import _dot, _rref_int, primitive, quotient_projection
 from tropsplit.graphs import (
     Edge,
@@ -103,8 +105,74 @@ def test_direction_must_lie_in_normal_lattice(square_split):
         (("a", "Hxp"), ("b", "Qpp")),
         (Edge("e", ("b", "a"), "tropical", (1, 0)),),  # not in ann(Hxp)
     )
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^edge e: direction not in the normal lattice of Hxp$"):
         validate_graph(square_split, g)
+
+
+@functools.cache
+def _shortcut_decompositions() -> tuple:
+    """The three bundled decompositions and the square, cube, hexagonal
+    prism and Hirzebruch cuts."""
+    decs = [decomposition_from_dict(make()) for make in fx.DECOMPOSITIONS.values()]
+    for name in ("toric_square", "toric_cube", "toric_hexagonal_prism", "hirzebruch_two"):
+        t = getattr(fx, name)()
+        decs.append(toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])[0])
+    return tuple(decs)
+
+
+def test_in_normal_lattice_matches_lattice_membership():
+    """On every listed cell of the bundled decompositions and cuts, the
+    orthogonality test gives the normal lattice's own membership answer on
+    seeded integer directions: primitive lattice vectors, their multiples
+    2u and -3u, sums of two lattice vectors, and vectors off the lattice,
+    a lattice vector plus a nonzero vector of the cell's direction space
+    (whose span meets the lattice's only in 0)."""
+    rng = random.Random(2929)
+    kinds = Counter()
+
+    def combination(basis, bound):
+        """A seeded nonzero integer combination of the basis rows."""
+        v = ()
+        while not any(v):
+            coeffs = [rng.randint(-bound, bound) for _ in basis]
+            v = tuple(map(sum, zip(*(tuple(c * x for x in b) for c, b in zip(coeffs, basis)))))
+        return v
+
+    for dec in _shortcut_decompositions():
+        for pid in sorted(dec.polytopes):
+            lattice = dec.normal_space(pid)
+            tangent = dec.cell(pid).direction_space()
+            cases = []
+            for _ in range(2):
+                v = (0,) * dec.ambient_dim
+                if lattice.basis:
+                    u, v = primitive(combination(lattice.basis, 3)), combination(lattice.basis, 3)
+                    cases += [("primitive", u), ("multiple", tuple(2 * x for x in u)),
+                              ("multiple", tuple(-3 * x for x in u))]
+                    if any(a + b for a, b in zip(u, v)):
+                        cases.append(("sum", tuple(a + b for a, b in zip(u, v))))
+                if tangent:
+                    t = combination(tangent, 2)
+                    cases.append(("off", tuple(a + b for a, b in zip(v, t))))
+            for kind, d in cases:
+                want = lattice.contains(d)
+                assert want == (kind != "off"), (pid, kind, d)
+                assert dec.in_normal_lattice(pid, d) == want, (pid, kind, d)
+                kinds[kind] += 1
+    assert min(kinds[k] for k in ("primitive", "multiple", "sum", "off")) >= 50, kinds
+
+
+def test_one_vertex_graph_is_realizable_on_every_dual_cell():
+    """A component with one vertex is taken as realizable without its
+    positions: on every dual cell of the bundled decompositions and cuts,
+    the full computation agrees."""
+    count = 0
+    for dec in _shortcut_decompositions():
+        for pid in sorted(dec.dual_cells):
+            w = validate_graph(dec, TropicalGraph((("v", pid),), ())).positions
+            assert w.realizable, pid
+            count += 1
+    assert count >= 300, count
 
 
 def test_zero_direction_rejected(square_plain):

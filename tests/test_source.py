@@ -165,3 +165,20 @@ def test_only_cone_methods_convert():
             or (isinstance(node, ast.ImportFrom) and "_h_to_v" in {a.name for a in node.names})
         ]
         assert not named, f"{path.name}: {named}"
+
+
+def test_every_ci_job_has_a_timeout():
+    """Each job of the CI workflow sets ``timeout-minutes``, so a hang fails
+    it in minutes rather than after the runner's six-hour default.  Read as
+    text: the tier-1 environment has no YAML parser."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    jobs = {}
+    job = None
+    for line in lines[lines.index("jobs:") + 1:]:
+        if line.startswith("  ") and not line.startswith("   ") and line.endswith(":"):
+            job = jobs.setdefault(line.strip()[:-1], [])
+        elif line.startswith("    timeout-minutes:"):
+            job.append(int(line.split(":")[1]))
+    assert sorted(jobs) == ["corpus-reports", "installed-package", "readme-example", "tier1"]
+    assert all(len(m) == 1 and 0 < m[0] <= 30 for m in jobs.values()), jobs
