@@ -20,7 +20,6 @@ from .cones import Cone, DDState, common_face
 from .exact import (
     IntegerLattice,
     _dot,
-    _rref_int,
     as_int,
     imat,
     primitive,
@@ -28,7 +27,7 @@ from .exact import (
     saturated_kernel_lattice,
     vdot,
 )
-from .polyhedra import Polyhedron, _difference, _hom
+from .polyhedra import Polyhedron, _difference, _hom, _pair
 
 
 class DecompositionError(ValueError):
@@ -249,6 +248,18 @@ def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
     return Cone(dec.ambient_dim, rays=rays, lineality=())
 
 
+def check_toric_data(normals, lam) -> tuple:
+    """Check that the nonempty integer ``normals`` share one length n and
+    that the base point ``lam`` has length n; return ``ratvec(lam)``."""
+    n = len(normals[0])
+    if any(len(m) != n for m in normals):
+        raise DecompositionError("normals must have equal length")
+    lam = ratvec(lam)
+    if len(lam) != n:
+        raise DecompositionError("base point of wrong dimension")
+    return lam
+
+
 # The cut walks the 3^N sign vectors of its N facets as a tree of sign
 # prefixes and prunes it, but the bound is on all 3^N, checked before any
 # conversion; 3^10 covers every bundled fixture, the 8-facet prism and the
@@ -296,20 +307,15 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("normals, constants, epsilons must have equal length")
     if any(e <= 0 for e in epsilons):
         raise DecompositionError("epsilons must be positive")
-    if any(len(m) != n for m in normals):
-        raise DecompositionError("normals must have equal length")
-    lam = ratvec(lam)
-    if len(lam) != n:
-        raise DecompositionError("base point of wrong dimension")
-    # Delta's homogenization cone; its rays at t = 0 and its lineality span
-    # the recession cone of Delta
+    lam = check_toric_data(normals, lam)
+    # Delta's homogenization cone, from the DD state the walk starts at
     delta_rows = [primitive(_hom(m, c)) for m, c in zip(normals, constants)]
     delta_rows.append((0,) * n + (1,))  # t >= 0
     root = DDState.space(n + 1).cut(*delta_rows)
-    gens = [r for r, _ in root.rays] + list(root.lin)
-    if not any(r[-1] > 0 for r, _ in root.rays) or len(_rref_int(gens)) != n + 1:
+    delta = Polyhedron(n, root.cone())
+    if delta.dim() != n:
         raise DecompositionError("moment polytope is not full-dimensional")
-    if any(g[-1] == 0 for g in gens):
+    if delta.recession_rays or delta.lineality:
         raise DecompositionError("moment polytope is unbounded")
     cuts = [c - e for c, e in zip(constants, epsilons)]
     for m, cut in zip(normals, cuts):
@@ -357,10 +363,9 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     split = []
     for sigma, poly in kept.items():
         pid = cell_id(sigma)
-        ineqs, eqs = poly.hrep()
-        rows = tuple(ineqs) + tuple(
-            pair for a, b in eqs for pair in ((a, b), (tuple(-x for x in a), -b))
-        )
+        ineqs, eqs = poly.rows()
+        both = (r for e in eqs for r in (e, tuple(-x for x in e)))  # an equality as two rows
+        rows = tuple(map(_pair, (*ineqs, *both)))
         polytopes.append(Polytope(pid, rows, dim=poly.cone.dim() - 1))  # not empty
         zeros = [i for i, s in enumerate(sigma) if s == 0]
         if zeros:
@@ -400,16 +405,12 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
     if p0 not in dec.polytopes:
         raise DecompositionError(f"unknown cell {p0}")
     geom = dec.cell(p0)
-    lam = ratvec(lam)
-    ineqs, _ = geom.hrep()
-    if not geom.contains(lam):
-        return False
-    for a, b in ineqs:
-        if _dot(a, lam) == b:
-            return False  # lam on the boundary
+    point = (*ratvec(lam), 1)
+    ineqs, _ = geom.rows()
+    if not geom.cone.contains(point) or not all(_dot(row, point) for row in ineqs):
+        return False  # lam outside p0 or on its boundary
     rays, lin = geom.cone.key()
-    for a, b in ineqs:
-        row = _hom(a, b)
+    for row in ineqs:
         facet = tuple(r for r in rays if not _dot(row, r)), lin
         if not any(q != p0 for q in dec.listed_faces(facet, p0)):
             return False

@@ -8,6 +8,9 @@ forces position(a) - position(b) onto the positive span of its direction.
 Validity for a decomposition is checked once: ``validate_graph`` returns a
 ``CheckedGraph`` that carries each tropical edge's cell and what is read
 off it (split edges, components, positions), and callers pass it along.
+
+``graph_rows`` lays out every linear system on the vertex blocks: the
+position polyhedron here and the relative position cone in ``splitting``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from functools import cached_property
 from math import lcm
 
 from .complexes import Decomposition
-from .cones import Cone
 from .exact import _dot, as_int, quotient_projection
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _pair
 
 TROPICAL = "tropical"
 INTERIOR = "interior"
@@ -51,7 +53,7 @@ class Edge:
         (a Smith form).  Only coordinates that a report prints need it: the
         split base edges' blocks of Disc and of the projected cone
         direction.  The line of an edge needs no Smith form
-        (``direction_rows``)."""
+        (``graph_rows``)."""
         return quotient_projection(self.direction)
 
 
@@ -202,35 +204,22 @@ class CheckedGraph:
 
         Its cone's rows, on the homogenization (x, t), are the strict rows,
         each r.(x, t) >= 0 needed strictly, then ``t >= 0``, and the
-        equalities.  Each vertex block takes its dual cell's minimal
-        homogenized rows as the dual cone holds them, primitive, with the
-        t entry kept last and ``t >= 0`` dropped: no row is paired, read or
-        scaled again.  Each tropical edge adds its line's equalities and
-        the strict row of its multiplier.
+        equalities (``Polyhedron.from_rows``).  ``graph_rows`` lays them
+        out with t shared by every block: each vertex block takes its dual
+        cell's minimal homogenized rows (``Polyhedron.rows``), primitive,
+        so no row is paired, read or scaled again, and each tropical edge
+        adds its line's equalities and the strict row of its multiplier.
 
         A strict row is implicit, so the strict system infeasible, exactly
         when the closed polyhedron lies in its hyperplane: when its bit is
         in the zero-set of every ray of the one conversion that decides
         emptiness.  The cone keeps the nonzero rows in order, and no strict
         row is zero, so strict row i has bit i."""
-        index = self.index
-        n = self.dec.ambient_dim
-        n_vars = n * len(index)
-        strict = []  # rows r meaning r.(x, t) >= 0, each needed strictly
-        eqs = []
-        for v, i in index.items():
-            dual = self.dec.dual(self.graph.label[v]).cone.minimal()
-            before, after = (0,) * (i * n), (0,) * (n_vars - (i + 1) * n)
-            for rows, out in ((dual.ineqs, strict), (dual.eqs, eqs)):
-                # every row but the homogenization row t >= 0
-                out += [before + r[:-1] + after + r[-1:] for r in rows if any(r[:-1])]
-        for e in self.graph.tropical_edges():
-            line_rows, ineq_row = direction_rows(e, n_vars, index[e.ends[0]], index[e.ends[1]], n)
-            eqs += [(*r, 0) for r in line_rows]
-            # <pos(a)-pos(b), d> >= 0, strictly for a positive multiplier
-            strict.append((*ineq_row, 0))
-        t_row = (0,) * n_vars + (1,)
-        closed = Polyhedron(n_vars, Cone(n_vars + 1, ineqs=strict + [t_row], eqs=eqs))
+        index, n = self.index, self.dec.ambient_dim
+        duals = {v: self.dec.dual(self.graph.label[v]).rows() for v in index}
+        edges = [(e, True) for e in self.graph.tropical_edges()]
+        strict, eqs = graph_rows(index, n, duals, edges, shared=1)
+        closed = Polyhedron.from_rows(n * len(index), strict, eqs)
         weakly = not closed.is_empty()
         realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
         witness = closed.relative_interior_point() if realizable else None
@@ -278,20 +267,12 @@ class VertexPositionPolyhedron:
 
     @cached_property
     def strict_rows(self) -> tuple:
-        return tuple((tuple(-x for x in r[:-1]), r[-1]) for r in self.strict)
+        return tuple(map(_pair, self.strict))
 
     def position(self, witness, v: str):
         i = self.vertex_order.index(v)
         n = self.closed.ambient_dim // len(self.vertex_order)
         return witness[i * n : (i + 1) * n]
-
-
-def block_row(n_vars: int, block: int, n: int, a):
-    """Row representing a.x_block."""
-    row = [0] * n_vars
-    for j, x in enumerate(a):
-        row[block * n + j] = x
-    return tuple(row)
 
 
 def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
@@ -303,27 +284,38 @@ def pair_row(n_vars: int, block_a: int, block_b: int, n: int, a):
     return tuple(row)
 
 
-def direction_rows(e: Edge, n_vars, ia, ib, n):
-    """Equality rows forcing pos(a) - pos(b) onto the line of the edge's
-    direction d, plus the inequality row whose sign is the multiplier.
+def graph_rows(index: dict, n: int, vertex_rows, edges, shared: int = 0) -> tuple[list, list]:
+    """Rows ``(ineqs, eqs)`` on blocks of n coordinates, vertex v's at
+    ``index[v]``, then ``shared`` coordinates common to all (t, on the
+    homogenization).  Each vertex's rows ``vertex_rows[v] = (ineqs, eqs)``
+    go to its block; each ``(edge, signed)`` of ``edges`` then adds n - 1
+    rows forcing pos(a) - pos(b) onto the line of its direction d and,
+    when signed, the row <pos(a) - pos(b), d> >= 0 of its multiplier.
 
-    The line is cut out by n - 1 integer rows that annihilate d: with k
-    the first coordinate where d is nonzero, the rows d_k e_i - d_i e_k
-    for i != k, independent since each is d_k at its own i.  A cone keeps
-    the canonical basis of its equalities, so any rows of the same span
-    give the same cone; the Smith projection (``Edge.projection``) is only
-    for coordinates that a report prints."""
-    d = e.direction
-    k = next((i for i, x in enumerate(d) if x), None)
-    if k is None:
-        raise GraphError(f"edge {e.id}: zero direction")
-    eqs = []
-    for i in range(n):
-        if i != k:
-            line = [0] * n
-            line[i], line[k] = d[k], -d[i]
-            eqs.append(pair_row(n_vars, ia, ib, n, line))
-    return eqs, pair_row(n_vars, ia, ib, n, d)
+    The line rows are d_k e_i - d_i e_k for i != k, k the first coordinate
+    where d is nonzero: they annihilate d and are independent.  A cone
+    keeps the canonical basis of its equalities, so the Smith projection
+    (``Edge.projection``) is only for coordinates that a report prints."""
+    n_vars = n * len(index)
+    pad = (0,) * shared
+    ineqs, eqs = [], []
+    for v, i in index.items():
+        before, after = (0,) * (i * n), (0,) * (n_vars - (i + 1) * n)
+        for rows, out in zip(vertex_rows[v], (ineqs, eqs)):
+            out += [before + r[:n] + after + r[n:] for r in rows]
+    for e, signed in edges:
+        d, ia, ib = e.direction, index[e.ends[0]], index[e.ends[1]]
+        k = next((i for i, x in enumerate(d) if x), None)
+        if k is None:
+            raise GraphError(f"edge {e.id}: zero direction")
+        for i in range(n):
+            if i != k:
+                line = [0] * n
+                line[i], line[k] = d[k], -d[i]
+                eqs.append(pair_row(n_vars, ia, ib, n, line) + pad)
+        if signed:
+            ineqs.append(pair_row(n_vars, ia, ib, n, d) + pad)
+    return ineqs, eqs
 
 
 def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:

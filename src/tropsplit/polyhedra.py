@@ -13,7 +13,9 @@ are no points of the set.  Affine hulls and relative interior points are
 computed on the integer generators too.  Vertices are the generators with
 t > 0 scaled to t = 1, as ``Fraction`` tuples, built when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
-integer tuples.
+integer tuples.  ``Polyhedron.from_rows`` builds from homogenized rows,
+appending ``t >= 0`` last, and ``Polyhedron.rows`` reads the minimal ones
+back without it; ``from_hrep`` and ``hrep`` take and give pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .cones import Cone, _canon_span
 from .exact import (
     _dot,
     as_int,
-    is_zero_vec,
     ratvec,
     rref,  # unused here; the tracer tests in perfbench call polyhedra.rref
 )
@@ -39,6 +40,11 @@ def _hom(a, b) -> tuple:
     return (*[-x for x in ratvec(a)], b)
 
 
+def _pair(row) -> tuple:
+    """The pair (a, b) of a homogenized row, the inverse of ``_hom``."""
+    return tuple(-x for x in row[:-1]), row[-1]
+
+
 def _difference(g, h) -> tuple:
     """For generators g and h of a homogenization cone, h at t > 0: a
     positive multiple of g/t_g - h/t_h when g is at t > 0 too (a vertex
@@ -50,22 +56,26 @@ def _difference(g, h) -> tuple:
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_hrep", "_directions")
+    __slots__ = ("ambient_dim", "cone", "_directions")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._hrep = self._directions = None
+        self._directions = None
+
+    @classmethod
+    def from_rows(cls, ambient_dim: int, ineqs=(), eqs=()):
+        """Build from homogenized rows r meaning r.(x, t) >= 0 (or = 0 for
+        eqs).  The cone's given inequalities are the nonzero rows of
+        ``ineqs`` in order, then ``t >= 0``."""
+        n = as_int(ambient_dim)
+        return cls(n, Cone(n + 1, ineqs=[*ineqs, (0,) * n + (1,)], eqs=eqs))
 
     @classmethod
     def from_hrep(cls, ambient_dim: int, ineqs=(), eqs=()):
-        """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs).
-        The cone's given inequalities are the nonzero rows of ``ineqs`` in
-        order, then ``t >= 0``."""
-        n = as_int(ambient_dim)
-        rows = [_hom(a, b) for a, b in ineqs]
-        rows.append((0,) * n + (1,))  # t >= 0
-        return cls(n, Cone(n + 1, ineqs=rows, eqs=[_hom(a, b) for a, b in eqs]))
+        """Build from rows (a, b) meaning a.x <= b (or a.x = b for eqs)."""
+        return cls.from_rows(ambient_dim, [_hom(a, b) for a, b in ineqs],
+                             [_hom(a, b) for a, b in eqs])
 
     @classmethod
     def from_vrep(cls, ambient_dim: int, vertices=(), rays=(), lineality=()):
@@ -100,22 +110,16 @@ class Polyhedron:
             return -1
         return self.cone.dim() - 1
 
+    def rows(self) -> tuple[tuple, tuple]:
+        """The minimal homogenized rows r (r.(x, t) >= 0, or = 0 for the
+        equalities), primitive, without ``t >= 0``."""
+        m = self.cone.minimal()
+        return tuple(tuple(r for r in rows if any(r[:-1])) for rows in (m.ineqs, m.eqs))
+
     def hrep(self) -> tuple[list, list]:
-        """Minimal inequalities [(a, b)] (a.x <= b) and equalities."""
-        if self._hrep is None:
-            minimal = self.cone.minimal()
-            ineqs, eqs = [], []
-            for row in minimal.ineqs:
-                a, b = row[:-1], row[-1]
-                if is_zero_vec(a):
-                    continue  # the homogenization constraint t >= 0
-                ineqs.append((tuple(-x for x in a), b))
-            for row in minimal.eqs:
-                a, b = row[:-1], row[-1]
-                if not is_zero_vec(a):
-                    eqs.append((tuple(-x for x in a), b))
-            self._hrep = (ineqs, eqs)
-        return self._hrep
+        """Minimal inequalities [(a, b)] (a.x <= b) and equalities, as
+        fresh lists: the pairs of ``rows()``."""
+        return tuple(list(map(_pair, rows)) for rows in self.rows())
 
     def contains(self, p) -> bool:
         return self.cone.contains((*p, 1))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
+from .complexes import check_toric_data
 from .exact import as_int, fr, imat, ratvec, vdot
 from .polyhedra import Polyhedron
 
@@ -100,11 +101,7 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     if len(normals) != len(constants) or not normals:
         raise ValueError("need matching nonempty normals and constants")
     n = len(normals[0])
-    if any(len(m) != n for m in normals):
-        raise ValueError("normals must have equal length")
-    lam = ratvec(lam)
-    if len(lam) != n:
-        raise ValueError("base point of wrong dimension")
+    lam = check_toric_data(normals, lam)
     terms = []
     for m, c in zip(normals, constants):
         area = c - vdot(m, lam)
@@ -112,7 +109,7 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
             raise ValueError("base point is not strictly interior to the polytope")
         terms.append((Fraction(1), area, m))
     # lam is interior, so the polytope is full-dimensional: its minimal rows are its facets
-    facets = len(Polyhedron.from_hrep(n, ineqs=zip(normals, constants)).hrep()[0])
+    facets = len(Polyhedron.from_hrep(n, ineqs=zip(normals, constants)).rows()[0])
     if facets != len(normals):
         raise ValueError(f"every row must be a facet: {len(normals)} rows, {facets} facets")
     return NovikovSeries(n, tuple(terms))

@@ -33,9 +33,8 @@ from .graphs import (
     CollapseReport,
     Edge,
     TropicalGraph,
-    block_row,
     direction_diagnostics,
-    direction_rows,
+    graph_rows,
     image_direction,
     match_collapse,
     pair_row,
@@ -240,24 +239,15 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     """Cone of relative vertex positions: per-vertex relative cells with
     the direction condition on new edges (nonnegative multiples) and on
     retained non-split edges (real multiples); split edges are free."""
-    n = q.n
     index = q.checked_top.index
-    n_vars = n * len(index)
-    ineqs: list = []
-    eqs: list = []
-    for v, i in index.items():
-        cone_v = cone_of_relative_cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
-        ineqs += [block_row(n_vars, i, n, a) for a in cone_v.ineqs]
-        eqs += [block_row(n_vars, i, n, a) for a in cone_v.eqs]
+    cells = {v: cone_of_relative_cell(q.dec, q.top.label[v],
+                                      q.base.label[q.vertex_map[v]]).given_rows()
+             for v in index}
     collapsed = set(q.collapse.collapsed_edges)
-    for e in q.top.edges:
-        if e.kind != TROPICAL or e.id in q.top_split_ids:
-            continue
-        line_rows, ineq_row = direction_rows(e, n_vars, index[e.ends[0]], index[e.ends[1]], n)
-        eqs += line_rows
-        if e.id in collapsed:
-            ineqs.append(ineq_row)  # new edge: nonnegative multiple
-    return Cone(n_vars, ineqs=ineqs, eqs=eqs)
+    edges = [(e, e.id in collapsed)  # a new edge: nonnegative multiple
+             for e in q.top.edges if e.kind == TROPICAL and e.id not in q.top_split_ids]
+    ineqs, eqs = graph_rows(index, q.n, cells, edges)
+    return Cone(q.n * len(index), ineqs=ineqs, eqs=eqs)
 
 
 @dataclass(frozen=True)

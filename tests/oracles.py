@@ -71,18 +71,24 @@ elimination-free step, the cut that steps once per distinct row and the
 reading of the implicit rows in ``tropsplit.cones`` can be checked against
 them.
 
-``vertex_positions`` (with its ``direction_rows`` and its result type) is
-the position polyhedron as it decided strict realizability by one
-hyperplane test per strict row, ``hom_lies_in_hyperplane`` (once
-``Polyhedron.lies_in_hyperplane``), computed its dimension eagerly and
-each edge's quotient projection per call, and ``lattice_contains`` is
-``IntegerLattice.contains`` as it ran one elimination per call.  Both are
-kept verbatim (with ``self`` as an argument) so that the zero-set
-read-off in ``tropsplit.graphs`` and the echelon reduction in
-``tropsplit.exact`` can be checked against them.  ``intersect_hrep`` is
-``Polyhedron.intersect_hrep`` and ``lattice_spans`` is
-``IntegerLattice.spans`` (with ``self`` as an argument), which only the
+``vertex_positions`` (with its ``direction_rows``, the rows of an edge's
+quotient projection, and its result type) is the position polyhedron as it
+decided strict realizability by one hyperplane test per strict row,
+``hom_lies_in_hyperplane`` (once ``Polyhedron.lies_in_hyperplane``),
+computed its dimension eagerly and each edge's quotient projection per
+call, and ``lattice_contains`` is ``IntegerLattice.contains`` as it ran
+one elimination per call.  Both are kept verbatim (with ``self`` as an
+argument) so that the zero-set read-off in ``tropsplit.graphs`` and the
+echelon reduction in ``tropsplit.exact`` can be checked against them.
+``intersect_hrep`` is ``Polyhedron.intersect_hrep`` and ``lattice_spans``
+is ``IntegerLattice.spans`` (with ``self`` as an argument), which only the
 tests and the oracles here used.
+
+``relative_position_cone`` is the relative-position cone W as it placed
+each vertex's rows with ``block_row`` and each edge's with its own
+``direction_rows``, here renamed ``pivot_direction_rows``; the three are
+kept verbatim so that ``graphs.graph_rows``, the one builder of the
+vertex-block systems, can be checked against them.
 
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
@@ -113,6 +119,7 @@ from tropsplit.complexes import (
     DecompositionError,
     DualCell,
     Polytope,
+    cone_of_relative_cell,
 )
 from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.exact import (
@@ -138,7 +145,7 @@ from tropsplit.exact import (
     vadd,
     vdot,
 )
-from tropsplit.graphs import block_row, pair_row, validate_graph
+from tropsplit.graphs import TROPICAL, GraphError, pair_row, validate_graph
 from tropsplit.polyhedra import Polyhedron, _hom
 from tropsplit.reports import digest
 from tropsplit.serialize import canonical_json, cone_to_dict, vec_str
@@ -1231,6 +1238,67 @@ def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:
         dim=closed.dim(),
         witness=witness,
     )
+
+
+# ---------------------------------------------------------------------------
+# the relative-position cone by one row helper per block and per edge
+
+
+def block_row(n_vars: int, block: int, n: int, a):
+    """Row representing a.x_block."""
+    row = [0] * n_vars
+    for j, x in enumerate(a):
+        row[block * n + j] = x
+    return tuple(row)
+
+
+def pivot_direction_rows(e, n_vars, ia, ib, n):
+    """Equality rows forcing pos(a) - pos(b) onto the line of the edge's
+    direction d, plus the inequality row whose sign is the multiplier.
+
+    The line is cut out by n - 1 integer rows that annihilate d: with k
+    the first coordinate where d is nonzero, the rows d_k e_i - d_i e_k
+    for i != k, independent since each is d_k at its own i.  A cone keeps
+    the canonical basis of its equalities, so any rows of the same span
+    give the same cone; the Smith projection (``Edge.projection``) is only
+    for coordinates that a report prints."""
+    d = e.direction
+    k = next((i for i, x in enumerate(d) if x), None)
+    if k is None:
+        raise GraphError(f"edge {e.id}: zero direction")
+    eqs = []
+    for i in range(n):
+        if i != k:
+            line = [0] * n
+            line[i], line[k] = d[k], -d[i]
+            eqs.append(pair_row(n_vars, ia, ib, n, line))
+    return eqs, pair_row(n_vars, ia, ib, n, d)
+
+
+def relative_position_cone(q) -> Cone:
+    """Cone of relative vertex positions: per-vertex relative cells with
+    the direction condition on new edges (nonnegative multiples) and on
+    retained non-split edges (real multiples); split edges are free."""
+    n = q.n
+    index = q.checked_top.index
+    n_vars = n * len(index)
+    ineqs: list = []
+    eqs: list = []
+    for v, i in index.items():
+        cone_v = cone_of_relative_cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
+        ineqs += [block_row(n_vars, i, n, a) for a in cone_v.ineqs]
+        eqs += [block_row(n_vars, i, n, a) for a in cone_v.eqs]
+    collapsed = set(q.collapse.collapsed_edges)
+    for e in q.top.edges:
+        if e.kind != TROPICAL or e.id in q.top_split_ids:
+            continue
+        line_rows, ineq_row = pivot_direction_rows(
+            e, n_vars, index[e.ends[0]], index[e.ends[1]], n
+        )
+        eqs += line_rows
+        if e.id in collapsed:
+            ineqs.append(ineq_row)  # new edge: nonnegative multiple
+    return Cone(n_vars, ineqs=ineqs, eqs=eqs)
 
 
 def lattice_contains(self, v) -> bool:

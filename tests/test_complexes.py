@@ -23,6 +23,7 @@ from tropsplit.complexes import (
 )
 from tropsplit.cones import Cone
 from tropsplit.polyhedra import Polyhedron
+from tropsplit.potential import bg_potential
 from tropsplit.serialize import (
     canonical_json,
     decomposition_from_dict,
@@ -421,6 +422,33 @@ def test_tropical_fiber_false_with_missing_facet(square_split):
     data["faces"] = [f for f in data["faces"] if "Hxp" not in f]
     dec = decomposition_from_dict(data)
     assert not is_tropical_fiber(dec, "Qpp", (F(1), F(1)))
+
+
+def test_hrep_hands_out_fresh_lists():
+    """Editing the lists ``hrep()`` returns changes no later answer: not the
+    next ``hrep()``, not ``is_tropical_fiber``, not ``bg_potential``.
+    Checked on a bundled cell and on the inner cell of the toric-square cut,
+    each at a point of its boundary, where a cleared list of facets would
+    made the fiber test answer True, and at an interior point."""
+    t = fx.toric_square()
+    cut, inner = toric_cut(t["normals"], t["constants"], t["epsilons"], t["lambda"])
+    cases = [
+        (decomposition_from_dict(fx.square_complex()), "Qpp", [(0, 1), (1, 1)]),
+        (cut, inner, [(F(1, 10), F(1, 10)), (F(1, 2), F(1, 2))]),
+    ]
+
+    def answers(dec, pid, points):
+        ineqs, eqs = dec.cell(pid).hrep()
+        return ((tuple(ineqs), tuple(eqs)), [is_tropical_fiber(dec, pid, p) for p in points],
+                bg_potential(t["normals"], t["constants"], t["lambda"]))
+
+    for dec, pid, points in cases:
+        want = answers(dec, pid, points)
+        assert want[1] == [False, True]
+        ineqs, eqs = dec.cell(pid).hrep()
+        ineqs.clear()
+        eqs.append(((1, 0), 0))
+        assert answers(dec, pid, points) == want, pid
 
 
 def test_validation_catches_wrong_dual_identification():

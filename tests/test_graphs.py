@@ -17,7 +17,7 @@ from tropsplit.graphs import (
     Edge,
     GraphError,
     TropicalGraph,
-    direction_rows,
+    graph_rows,
     is_rigid,
     match_collapse,
     split_edges,
@@ -263,9 +263,11 @@ def test_vertex_positions_match_the_hyperplane_reference_on_mutated_directions()
 
 def test_direction_rows_span_the_annihilator_of_the_direction():
     """For seeded directions d in Z^1..Z^4, some with zero leading entries
-    and some negative or not primitive, the n - 1 line rows of
-    ``direction_rows`` annihilate d, act on pos(a) - pos(b), and span what
-    the rows of ``quotient_projection(d)`` span: the same canonical basis."""
+    and some negative or not primitive, the n - 1 line rows that
+    ``graph_rows`` adds for an edge annihilate d, act on pos(a) - pos(b),
+    and span what the rows of ``quotient_projection(d)`` span: the same
+    canonical basis.  A signed edge adds its multiplier row too, an
+    unsigned one nothing more."""
     rng = random.Random(2626)
     seen = Counter()
     for _ in range(400):
@@ -275,7 +277,10 @@ def test_direction_rows_span_the_annihilator_of_the_direction():
             d[0] = 0
         if not any(d):
             continue
-        eqs, ineq = direction_rows(Edge("e", ("a", "b"), direction=d), 2 * n, 0, 1, n)
+        e, no_rows = Edge("e", ("a", "b"), direction=d), ((), ())
+        rows = functools.partial(graph_rows, {"a": 0, "b": 1}, n, {"a": no_rows, "b": no_rows})
+        (ineq,), eqs = rows([(e, True)])
+        assert rows([(e, False)]) == ([], eqs)
         lines = [row[:n] for row in eqs]
         assert len(lines) == n - 1
         assert all(row[n:] == tuple(-x for x in line) for row, line in zip(eqs, lines))

@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
 import tropsplit
@@ -182,3 +184,98 @@ def test_every_ci_job_has_a_timeout():
             job.append(int(line.split(":")[1]))
     assert sorted(jobs) == ["corpus-reports", "installed-package", "readme-example", "tier1"]
     assert all(len(m) == 1 and 0 < m[0] <= 30 for m in jobs.values()), jobs
+
+
+def _function(tree, name):
+    """The one function or method called ``name`` in a tree."""
+    (node,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == name]
+    return node
+
+
+def test_one_row_builder():
+    """Every row on the vertex blocks of a graph is placed by one builder:
+    ``pair_row`` is called only from ``graphs.graph_rows`` and
+    ``splitting.discrepancy``, ``graph_rows`` is called from
+    ``CheckedGraph.positions`` (with t shared by every block) and
+    ``relative_position_cone`` (with nothing shared), and no module
+    defines or names ``block_row`` or ``direction_rows``.  Outside
+    ``cones``, which knows no homogenization, the row ``t >= 0`` is
+    written only by ``Polyhedron.from_rows`` and by ``toric_cut`` for
+    the root of its walk."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    graphs, splitting = trees["graphs"], trees["splitting"]
+    callers = {m: _calls_of(tree, "pair_row") for m, tree in trees.items()}
+    assert {m: lines for m, lines in callers.items() if lines} == {
+        "graphs": _calls_of(_function(graphs, "graph_rows"), "pair_row"),
+        "splitting": _calls_of(_function(splitting, "discrepancy"), "pair_row"),
+    }
+    assert all(callers[m] for m in ("graphs", "splitting")), callers
+    calls = {m: [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "graph_rows" in _names(node.func)] for m, tree in trees.items()}
+    assert _calls_of(_function(graphs, "positions"), "graph_rows") == [
+        node.lineno for node in calls["graphs"]]
+    assert _calls_of(_function(splitting, "relative_position_cone"), "graph_rows") == [
+        node.lineno for node in calls["splitting"]]
+    shared = [[ast.literal_eval(k.value) for k in node.keywords if k.arg == "shared"]
+              for m in ("graphs", "splitting") for node in calls[m]]
+    assert shared == [[1], []] and sum(map(len, calls.values())) == 2
+    named = [
+        f"{m}:{node.lineno}" for m, tree in trees.items() for node in ast.walk(tree)
+        if {"block_row", "direction_rows"} & (
+            {node.name} if isinstance(node, ast.FunctionDef) else _names(node))
+    ]
+    assert not named, named
+
+    def t_rows(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and ast.unparse(node.right) == "(1,)"
+                and ast.unparse(node.left).startswith("(0,) *")]
+
+    assert {m: t_rows(tree) for m, tree in trees.items() if m != "cones" and t_rows(tree)} == {
+        "polyhedra": t_rows(_function(trees["polyhedra"], "from_rows")),
+        "complexes": t_rows(_function(trees["complexes"], "toric_cut")),
+    }
+
+
+def test_tests_import_only_what_ci_installs():
+    """Every module a test file under ``tests/`` or ``perfbench/tests/``
+    imports is in the standard library, is ``tropsplit``, is a local
+    module (a test file, or a ``perfbench`` module its tests put on the
+    path), or is a distribution that both ``pip install .[test]`` (the
+    project's dependencies and its ``test`` extra) and the ``tier1`` CI
+    job install: otherwise a test file fails to collect in CI.  A module
+    that the file asks for with ``pytest.importorskip`` is exempt.  Read
+    as text: the tier-1 environment may have neither a TOML nor a YAML
+    parser."""
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench/tests").glob("*.py"))
+    local = {p.stem for p in files} | {p.stem for p in (root / "perfbench").glob("*.py")}
+
+    def listed(line) -> set:
+        return set(re.findall(r'"([A-Za-z0-9_.-]+)', line.split("=", 1)[1]))
+
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    extra = {re.split("[<>=!~ ]", d)[0] for line in pyproject
+             if line.startswith(("dependencies =", "test =")) for d in listed(line)}
+    workflow = (root / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    tier1 = workflow[workflow.index("\n  tier1:"):].split("\n  readme-example:")[0]
+    (install,) = [line for line in tier1.splitlines() if "pip install" in line]
+    ci = set(install.split("pip install", 1)[1].split())
+    assert {"click", "pytest", "sympy", "hypothesis"} <= extra & ci, (extra, ci)
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = {ast.literal_eval(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and "importorskip" in _names(node.func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for top in {m.split(".")[0] for m in modules}:
+                if top not in sys.stdlib_module_names | local | skipped | {"tropsplit"} | (
+                        extra & ci):
+                    found.append(f"{path.relative_to(root)}:{node.lineno} {top}")
+    assert not found, found

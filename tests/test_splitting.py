@@ -73,6 +73,34 @@ def test_w_cone_cube_top2(cube_split):
     }
 
 
+def test_one_row_builder_gives_the_frozen_w(square_plain, square_split, cube_split):
+    """W laid out by ``graphs.graph_rows`` has the frozen W's given rows, in
+    the same order, and so the same canonical generators (``Cone.key()``).
+    Checked on the quasi-split graphs these tests build: the eight split
+    fixtures, one under another order, both identity collapses, the
+    four-edge intermediates under both partial orders, two split edges in
+    R^3 in both orders, and 40 graphs of the seeded one-edge family."""
+    qs = [q for q, _ in _eta_sweep_graphs()]
+    qs.append(quasi(square_split, "fig_four_top", split_order=("e3", "e1", "e2", "e4")))
+    for name in ("fig_rigid_gamma1", "fig_rigid_gamma2"):
+        g = graph(name)
+        qs.append(QuasiSplitGraph(square_plain, g, g, {v: v for v, _ in g.vertices}))
+    for builder in (fx.fig_four_intermediate, _prime_intermediate):
+        qs += _intermediates(square_split, "fig_four_base", builder)
+    qs += [_cube_two_split_edges(cube_split, order) for order in (("e1", "e2"), ("e2", "e1"))]
+    rng = random.Random(77)
+    qs += [_random_one_edge_family(square_split, rng)[0] for _ in range(40)]
+    edges = Counter()
+    for q in qs:
+        old, new = oracles.relative_position_cone(q), relative_position_cone(q)
+        assert new.given_rows() == old.given_rows(), q.top
+        assert new.key() == old.key(), q.top
+        for e in q.top.tropical_edges():
+            if e.id not in q.top_split_ids:
+                edges["new" if e.id in q.collapse.collapsed_edges else "retained"] += 1
+    assert len(qs) >= 60 and min(edges["new"], edges["retained"]) >= 15, (len(qs), edges)
+
+
 # -- discrepancy cones ---------------------------------------------------------------
 
 
@@ -844,16 +872,15 @@ def test_iterative_agrees_accepted(square_split):
     assert rep["agrees"] and rep["all_steps_accept"] and rep["direct"]
 
 
+def _prime_intermediate(k: int) -> dict:
+    """``fig_four_top_prime`` splitting the first k edges of the order."""
+    d = fx.fig_four_top_prime()
+    d["partial_split"] = ["e1", "e2", "e3", "e4"][:k]
+    return d
+
+
 def test_iterative_agrees_rejected(square_split):
-    top = fx.fig_four_top_prime()
-    base = graph_from_dict(fx.GRAPHS["fig_four_base"]())
-
-    def builder(k):
-        d = dict(top)
-        d["partial_split"] = ["e1", "e2", "e3", "e4"][:k]
-        return d
-
-    qs = _intermediates(square_split, "fig_four_base", builder)
+    qs = _intermediates(square_split, "fig_four_base", _prime_intermediate)
     rep = iterative_split_check(qs, (5, 1))
     assert rep["agrees"] and not rep["direct"]
 
