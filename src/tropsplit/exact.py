@@ -13,6 +13,7 @@ int entries as ints, and ``as_int`` is the one strict integer coercion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,15 +28,26 @@ Mat = tuple  # tuple of Vec
 # vectors
 
 
+# The one grammar of a rational string: an optional sign, then digits with
+# an optional "/digits", or a decimal with an optional exponent, in ASCII
+# with no underscore and no space inside the number (ASCII whitespace may
+# surround it).  ``Fraction`` alone accepts more, and what more depends on
+# the interpreter ("1_0" from 3.11, "1 /2" from 3.12).
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?:\d+(?:/\d+)?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*", re.ASCII)
+
+
 def fr(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction.
 
     Floats raise TypeError and bools ValueError: neither is an exact
-    rational.
+    rational.  A string outside the rational grammar raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        if _RATIONAL.fullmatch(x) is None:
+            raise ValueError(f"not a rational: {x!r}")
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
@@ -47,13 +59,13 @@ def fr(x) -> Fraction:
 def as_int(x) -> int:
     """Exact value of an int, an integral ``Fraction`` or an integer string.
 
-    Bools, floats and non-integral values raise ValueError; nothing is
-    rounded.
+    Bools, floats, non-integral values and strings outside ``fr``'s
+    grammar raise ValueError; nothing is rounded.
     """
     if type(x) is int:
         return x
     try:
-        q = Fraction(x) if isinstance(x, (Fraction, str)) else None
+        q = fr(x) if isinstance(x, (Fraction, str)) else None
     except (ValueError, ZeroDivisionError):
         q = None
     if q is None or q.denominator != 1:

@@ -46,7 +46,9 @@ def _input_digests(inputs: dict) -> dict:
     (``ValueError``), and writes any other buffer object (a NumPy scalar,
     say) as bytes, which ``canonical_json`` refuses (``TypeError``).  Either
     error digests each value uncached, with the same digests or the same
-    exception.
+    exception.  Marshal writes a cyclic value and loads it back cyclic;
+    ``canonical_json``, which keeps no markers, raises ``RecursionError``
+    on it, as on the uncached route.
     """
     try:
         return dict(_digests_of(marshal.dumps(inputs)))
@@ -89,34 +91,50 @@ def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
 
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
+    """The ``split-check`` report of q for the cone direction eta.
+
+    Its values are computed in the order they always were (the wire forms
+    of w, Disc and D in that order) and laid out in sorted key order, as
+    are those of ``index_shift`` and of each wire form, so that the
+    encoder's key sort is one linear pass per dict."""
     eta = tuple(eta)  # read once: the direction tested is the one written
     cc = cone_condition(q, eta)
-    out = _head("split-check", inputs)
-    out.update(
-        {
-            "eta": vec_str(eta),
-            "split_order": list(q.split_order),
-            "w_cone": cone_to_dict(q.w),
-            "w_dim": q.w.minimal().dim(),
-            "disc_cone": cone_to_dict(q.disc.disc),
-            "disc_dim": cc.disc_dim,
-            "expected_disc_dim": cc.expected_disc_dim,
-            "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
-            "projected_eta": [vec_str_over(p, cc.den) for p in cc.projected_num],
-            "scalings_cone": cone_to_dict(cc.D),
-            "cone_condition_holds": cc.holds,
-            "genericity_certified": cc.certified,
-            "genericity_violations": [
-                cc.certificate.labels[i] for i in cc.certificate.violations
-            ],
-            "accepted": cc.holds and cc.certified,
-            "rigid_split": is_rigid_split(q),
-        }
-    )
+    digests = _input_digests(inputs)
+    eta_str = vec_str(eta)
+    split_order = list(q.split_order)
+    w_cone = cone_to_dict(q.w)
+    w_dim = q.w.minimal().dim()
+    disc_cone = cone_to_dict(q.disc.disc)
+    projected = [vec_str_over(p, cc.den) for p in cc.projected_num]
+    scalings_cone = cone_to_dict(cc.D)
+    violations = [cc.certificate.labels[i] for i in cc.certificate.violations]
+    rigid = is_rigid_split(q)
+    shift = {}
     if i_br is not None:
         i_split, i_red = index_shift(q, i_br)
-        out["index_shift"] = {"i_br": as_int(i_br), "i_split": i_split, "i_red": i_red}
-    return out
+        shift["index_shift"] = {"i_br": as_int(i_br), "i_red": i_red, "i_split": i_split}
+    return {
+        "accepted": cc.holds and cc.certified,
+        "command": "split-check",
+        "cone_condition_holds": cc.holds,
+        "disc_cone": disc_cone,
+        "disc_dim": cc.disc_dim,
+        "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
+        "eta": eta_str,
+        "expected_disc_dim": cc.expected_disc_dim,
+        "genericity_certified": cc.certified,
+        "genericity_violations": violations,
+        **shift,
+        "inputs": digests,
+        "projected_eta": projected,
+        "rigid_split": rigid,
+        "scalings_cone": scalings_cone,
+        "split_order": split_order,
+        "tool": "tropsplit",
+        "version": __version__,
+        "w_cone": w_cone,
+        "w_dim": w_dim,
+    }
 
 
 def _group_dict(group) -> dict:

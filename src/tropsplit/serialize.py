@@ -31,8 +31,9 @@ def rat_str(x) -> str:
 
 def parse_rat(x) -> int | Fraction:
     """Exact value of an int, a ``Fraction`` or a string like "3", "-3/4"
-    or "1.5": an int when it is integral, else a ``Fraction``.  Bools,
-    floats, zero denominators and malformed strings raise ValueError."""
+    or "1.5" (``exact.fr``'s grammar): an int when it is integral, else a
+    ``Fraction``.  Bools, floats, zero denominators and other strings
+    raise ValueError."""
     if type(x) is int:
         return x
     if type(x) is str and x.isascii() and x.removeprefix("-").isdigit():
@@ -41,7 +42,7 @@ def parse_rat(x) -> int | Fraction:
         raise ValueError("expected a rational, got a bool")
     if isinstance(x, (int, str)):
         try:
-            q = Fraction(x)
+            q = fr(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     elif isinstance(x, Fraction):
@@ -67,10 +68,21 @@ def parse_vec(v, field: str = "vector") -> tuple:
 
 
 # ``json.dumps`` with these arguments builds this encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# Every value it meets is a tree, so it keeps no markers of the lists and
+# dicts it is inside (``check_circular=False``).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                            check_circular=False)
 
 
 def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=True)`` of an acyclic value, with the C encoder or
+    without it.
+
+    Reports and wire forms are built fresh, and inputs are parsed JSON, so
+    every value is a tree: a cyclic value raises ``RecursionError``, as a
+    too-deep one does, and not ``ValueError``.  A dict whose keys are
+    already sorted costs the key sort one linear pass."""
     return _ENCODER.encode(obj)
 
 
@@ -248,7 +260,7 @@ _WIRE_FORMS = weakref.WeakKeyDictionary()
 def cone_to_dict(cone: Cone) -> dict:
     """A cone's canonical minimal form; its generators and rows are
     primitive int vectors.  The form is built once per cone; every call
-    returns a fresh dict with fresh lists."""
+    returns a fresh dict with fresh lists, its keys in sorted order."""
     frozen = _WIRE_FORMS.get(cone)
     if frozen is None:
         frozen = _WIRE_FORMS[cone] = _wire_form(cone)
@@ -256,15 +268,20 @@ def cone_to_dict(cone: Cone) -> dict:
 
 
 def _wire_form(cone: Cone) -> tuple:
-    """The (key, value) pairs of ``cone_to_dict``, rows as tuples."""
+    """The (key, value) pairs of ``cone_to_dict``, rows as tuples, in
+    sorted key order.  The rows are read before ``dim()``: reading the
+    inequalities sets the dimension, which ``dim()`` alone would find by
+    an elimination."""
     m = cone.minimal()
+    rays, lineality = _int_rows(m.rays), _int_rows(m.lineality)
+    ineqs, eqs = _int_rows(m.ineqs), _int_rows(m.eqs)
     return (
         ("ambient_dim", m.ambient_dim),
-        ("rays", _int_rows(m.rays)),
-        ("lineality", _int_rows(m.lineality)),
-        ("ineqs", _int_rows(m.ineqs)),
-        ("eqs", _int_rows(m.eqs)),
         ("dim", m.dim()),
+        ("eqs", eqs),
+        ("ineqs", ineqs),
+        ("lineality", lineality),
+        ("rays", rays),
     )
 
 

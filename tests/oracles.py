@@ -43,6 +43,11 @@ each of its 3^N sign vectors and found face pairs by scanning all pairs of
 kept cells; it is kept verbatim so that the pruned sign-prefix walk in
 ``tropsplit.complexes`` can be checked against it.
 
+``cut_combinatorics`` is not a frozen copy: it derives a cut's pair
+table, face pairs and dual cells from its kept sign vectors alone, with no
+geometry, so that ``intersection_cell``, the face pairs and the dual cells
+of ``toric_cut`` can be checked against it.
+
 ``intersection_cell``, ``listed_faces`` and ``is_tropical_fiber`` are how
 ``tropsplit.complexes`` named cell intersections and facets: one
 conversion of each intersection (and of each facet, cut from its cell by
@@ -680,6 +685,72 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
     return dec, inner
+
+
+# ---------------------------------------------------------------------------
+# a cut's combinatorics from its kept sign vectors alone
+
+
+def _signs(v) -> tuple:
+    """A sign vector as its pair of sets (positions of +, positions of -)."""
+    return (frozenset(i for i, x in enumerate(v) if x > 0),
+            frozenset(i for i, x in enumerate(v) if x < 0))
+
+
+def cut_combinatorics(kept, normals) -> tuple[dict, set, dict]:
+    """The pair table, the face pairs and the dual cells of a toric cut,
+    from its kept sign vectors and its normals only.
+
+    The cells of a cut are the nonempty sign classes of its hyperplanes
+    inside Delta.  A sign vector v conforms to rho when v is 0 where rho
+    is 0, and rho's sign or 0 elsewhere: its + set lies in rho's + set and
+    its - set in rho's - set.  The closed class of rho is the union of the
+    kept cells that conform to it.  Closed cells sigma and tau meet in the
+    closed class of rho, where rho_i = sigma_i if sigma_i = tau_i and 0
+    otherwise (so rho's sets are the intersections of theirs).  That class
+    is convex, so it is one closed cell, the conforming kept vector with
+    the fewest zeros, or empty when no kept vector conforms.  The faces of
+    sigma are the kept vectors that conform to it, and its dual vertices
+    are the sums of the normals with sign + over the full-sign kept
+    vectors sigma conforms to (Bjoerner et al., *Oriented Matroids*,
+    ch. 4).
+
+    Returns the meet or None of every unordered pair (sigma, tau) of kept
+    vectors, sigma <= tau, sigma = tau included; the (face, cell) pairs of
+    proper faces; and each kept vector's dual vertices, sorted.  Raises
+    ValueError when two conforming vectors tie for the fewest zeros: the
+    kept vectors are then not the cells of a complex.
+    """
+    signs = {v: _signs(v) for v in sorted(set(map(tuple, kept)))}
+
+    def conforming(plus, minus):
+        return [v for v, (p, m) in signs.items() if p <= plus and m <= minus]
+
+    meets = {}
+
+    def meet(rho):
+        if rho not in meets:
+            found = conforming(*rho)
+            fewest = min((v.count(0) for v in found), default=None)
+            best = [v for v in found if v.count(0) == fewest]
+            if len(best) > 1:
+                raise ValueError(f"{best} tie as the meet of the class of {rho}")
+            meets[rho] = best[0] if best else None
+        return meets[rho]
+
+    pairs = {(s, t): meet((signs[s][0] & signs[t][0], signs[s][1] & signs[t][1]))
+             for s, t in itertools.combinations_with_replacement(signs, 2)}
+    faces = {(v, s) for s in signs for v in conforming(*signs[s]) if v != s}
+    n = len(normals[0])
+
+    def vertex(v):
+        return tuple(sum(m[j] for m, x in zip(normals, v) if x > 0) for j in range(n))
+
+    top = [v for v in signs if 0 not in v]
+    duals = {s: tuple(sorted({vertex(v) for v in top
+                              if signs[s][0] <= signs[v][0] and signs[s][1] <= signs[v][1]}))
+             for s in signs}
+    return pairs, faces, duals
 
 
 # ---------------------------------------------------------------------------

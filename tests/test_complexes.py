@@ -357,6 +357,65 @@ def test_toric_cut_at_scale(name, cells, cells_by_dim):
     assert is_tropical_fiber(dec, inner, t["lambda"])
 
 
+def sign_vector(pid: str) -> tuple:
+    """A cut cell's sign vector, read off its id: "c", then m, z or p per
+    facet."""
+    return tuple({"m": -1, "z": 0, "p": 1}[c] for c in pid[1:])
+
+
+def check_cut_combinatorics(dec, normals, sample=None, seed=0):
+    """The face pairs, the dual cells and ``intersection_cell`` on every
+    pair of a cut's cells (on ``sample`` pairs drawn with ``seed``, when
+    given) agree with ``oracles.cut_combinatorics`` on its sign vectors."""
+    sigma = {pid: sign_vector(pid) for pid in dec.polytopes}
+    pid_of = {s: pid for pid, s in sigma.items()}
+    pairs, faces, duals = oracles.cut_combinatorics(sigma.values(), normals)
+    assert len(pairs) == len(sigma) * (len(sigma) + 1) // 2
+    assert dec.face_pairs == {(pid_of[v], pid_of[s]) for v, s in faces}
+    for pid, s in sigma.items():
+        assert (dec.dual_cells[pid].vertices, dec.dual_cells[pid].rays) == (duals[s], ()), pid
+    checked = sorted(pairs.items())
+    if sample is not None and sample < len(checked):
+        checked = random.Random(seed).sample(checked, sample)
+    for (s, t), m in checked:
+        got = dec.intersection_cell(pid_of[s], pid_of[t])
+        assert got == (None if m is None else pid_of[m]), (pid_of[s], pid_of[t])
+
+
+def _seeded_cuts():
+    """(seed, decomposition, normals) of each of the 200 ``SEEDED_CUTS``
+    that the cut does not refuse."""
+    for n, seeds in SEEDED_CUTS:
+        for seed in seeds:
+            args = random_cut(n, seed)
+            try:
+                yield seed, toric_cut(*args)[0], args[0]
+            except DecompositionError:
+                pass
+
+
+def test_seeded_cut_combinatorics_match_the_sign_vector_oracle():
+    """The 200 ``SEEDED_CUTS``, with repeated, doubled and random normals
+    and cut hyperplanes that meet, coincide or miss Delta: every face pair
+    and dual cell, and 40 pairs of each cut.  ``check_cut_combinatorics_in_full``
+    checks every pair."""
+    checked = 0
+    for seed, dec, normals in _seeded_cuts():
+        check_cut_combinatorics(dec, normals, sample=40, seed=seed)
+        checked += 1
+    assert checked > 150, checked
+
+
+def check_cut_combinatorics_in_full():
+    """What tier-1 leaves out: every pair of the 4-cube's cut (195,625)
+    and of the 200 ``SEEDED_CUTS`` (188,730).  CI runs it:
+    ``PYTHONPATH=src:tests python -c "import test_complexes as t;
+    t.check_cut_combinatorics_in_full()"``."""
+    check_cut_combinatorics(_cut("toric_four_cube")[0], fx.toric_four_cube()["normals"])
+    for _, dec, normals in _seeded_cuts():
+        check_cut_combinatorics(dec, normals)
+
+
 @pytest.mark.parametrize("dim", [2.5, 2.0, True])
 def test_decomposition_rejects_a_non_integer_ambient_dim(dim):
     with pytest.raises(ValueError):
@@ -625,12 +684,15 @@ CUTS = ["toric_square", "hirzebruch_two", "toric_cube", "toric_hexagonal_prism"]
 @pytest.mark.parametrize("name", CUTS)
 def test_cut_intersections_match_the_conversion_reference(name):
     """Every pair of cut cells, on the cells the walk handed over, gives
-    the frozen version's answer on the same cells rebuilt from their rows."""
+    the frozen version's answer on the same cells rebuilt from their rows,
+    and the pairs, face pairs and dual cells agree with the sign-vector
+    oracle."""
     dec, _ = _cut(name)
     old = decomposition_from_dict(decomposition_to_dict(dec))
     pairs = list(itertools.combinations(sorted(dec.polytopes), 2))
     want = _answers(partial(oracles.intersection_cell, old), pairs)
     assert _answers(dec.intersection_cell, pairs) == want
+    check_cut_combinatorics(dec, getattr(fx, name)()["normals"])
 
 
 @pytest.mark.parametrize("name", CUTS)

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import json.encoder
 import random
 from collections import OrderedDict
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ import pytest
 from conftest import quasi
 from tropsplit import fixtures as fx
 from tropsplit import reports
-from tropsplit.serialize import canonical_json
+from tropsplit.serialize import canonical_json, cone_to_dict
 
 SCALARS = (1, 1.0, True, False, 0, 0.0, -0.0, None, 2**70, -(10**30), 0.5,
            float("inf"), "", "a", "1")
@@ -250,3 +252,74 @@ def test_split_report_writes_the_direction_it_tested(square_split):
         got = reports.split_report(q, (x for x in eta), {})
         assert got == reports.split_report(q, eta, {})
         assert got["eta"] == [str(x) for x in eta]
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+@pytest.fixture(params=["c-encoder", "python-encoder"])
+def encoder(request, monkeypatch):
+    """Runs a test under the C encoder, then under the pure-Python one."""
+    if request.param == "python-encoder":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    elif json.encoder.c_make_encoder is None:
+        pytest.skip("this interpreter has no C encoder")
+
+
+def test_encoder_matches_json_dumps_on_seeded_values(encoder):
+    """On acyclic values, ``canonical_json`` writes the bytes of
+    ``json.dumps`` with the same options, which checks for cycles."""
+    rng = random.Random(31)
+    for _ in range(2000):
+        value = random_value(rng, rng.randrange(5))
+        assert canonical_json(value) == dumps(value), value
+
+
+def test_encoder_matches_json_dumps_on_the_corpus(encoder):
+    """Every corpus report encodes to ``json.dumps``'s bytes, which are
+    its stored bytes."""
+    from tropsplit.cli import corpus_cases, expected_report_path, run_corpus_case
+
+    cases = corpus_cases()
+    assert len(cases) == 18
+    for case in cases:
+        report = run_corpus_case(case)
+        want = expected_report_path(case["name"]).read_text(encoding="utf-8").strip()
+        assert canonical_json(report) == dumps(report) == want, case["name"]
+
+
+def cyclic_dict():
+    value = {"a": 1}
+    value["b"] = value
+    return value
+
+
+@pytest.mark.parametrize("make", [circular, cyclic_dict])
+def test_encoder_raises_recursion_error_on_a_cyclic_value(make, encoder, square_split):
+    """The encoder keeps no markers, so a cycle recurses until the
+    interpreter's limit, directly or as a report input."""
+    with pytest.raises(RecursionError):
+        canonical_json(make())
+    q = quasi(square_split, "fig_square_top1")
+    with pytest.raises(RecursionError):
+        reports.split_report(q, (1, -1), {"a": make()})
+
+
+def test_split_report_and_wire_form_keys_come_sorted(square_split):
+    """A split report, with and without ``index_shift``, and every wire
+    form lay out their keys in sorted order, so the encoder's key sort is
+    one linear pass per dict.  The values are still computed in the order
+    they always were: ``test_analyses_run_once_per_graph`` pins the order
+    of the wire forms."""
+    q = quasi(square_split, "fig_four_top")
+    plain = reports.split_report(q, (5, 1), {"dec": fx.square_complex()})
+    shifted = reports.split_report(q, (5, 1), {}, i_br=3)
+    assert "index_shift" not in plain
+    for report in (plain, shifted):
+        assert list(report) == sorted(report)
+        for key in ("w_cone", "disc_cone", "scalings_cone"):
+            assert list(report[key]) == sorted(report[key])
+    assert list(shifted["index_shift"]) == sorted(shifted["index_shift"])
+    for cone in (q.w, q.disc.disc):
+        assert list(cone_to_dict(cone)) == sorted(cone_to_dict(cone))

@@ -5,6 +5,7 @@ import pytest
 
 from tropsplit import fixtures as fx
 from tropsplit.cones import Cone
+from tropsplit.exact import as_int, fr
 from tropsplit.potential import NovikovSeries
 from tropsplit.serialize import (
     InputError,
@@ -68,6 +69,35 @@ def test_other_rationals_parse_to_fractions(x):
 def test_malformed_rationals_raise(x):
     with pytest.raises(ValueError):
         parse_rat(x)
+
+
+# Strings ``Fraction`` alone reads differently by interpreter ("1_0" from
+# 3.11 on, "1 /2" from 3.12 on), or reads from non-ASCII digits or spaces.
+OFF_GRAMMAR = ["1_0", "1_0/2", "1.5_0", "1e1_0", "1 /2", "1/ 2", "1 / 2", "- 3",
+               "\u0661\u0662", "\uff13", "\u00a03", "3\u2003"]
+
+
+@pytest.mark.parametrize("read", [parse_rat, fr, as_int], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x", OFF_GRAMMAR, ids=ascii)
+def test_rational_grammar_refuses_what_interpreters_read_differently(read, x):
+    """One ASCII grammar on every supported interpreter: an optional sign,
+    then digits with an optional "/digits", or a decimal with an optional
+    exponent.  Underscores, spaces inside the number and non-ASCII digits
+    or spaces raise ValueError."""
+    with pytest.raises(ValueError):
+        read(x)
+
+
+@pytest.mark.parametrize("x, value", [("3", 3), ("-3/4", F(-3, 4)), ("1.5", F(3, 2)),
+                                      ("1e3", 1000), (" +3 ", 3), (".5", F(1, 2))])
+def test_rational_grammar_keeps_values(x, value):
+    assert parse_rat(x) == fr(x) == value
+    assert type(parse_rat(x)) is type(value)
+    if type(value) is int:
+        assert as_int(x) == value
+    else:
+        with pytest.raises(ValueError):
+            as_int(x)
 
 
 def test_no_floats_in_wire_format():
