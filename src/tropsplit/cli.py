@@ -20,6 +20,7 @@ import click
 from . import fixtures, reports
 from .complexes import toric_cut
 from .diagram import dual_complex_svg
+from .exact import as_int
 from .graphs import GraphError
 from .potential import split_contribution
 from .serialize import (
@@ -37,6 +38,22 @@ from .splitting import QuasiSplitGraph
 INPUT_ERROR = 2
 NEGATIVE = 1
 INTERNAL_ERROR = 3
+
+
+class _Integer(click.ParamType):
+    """An integer option, read by ``as_int`` in the grammar of every wire
+    value; a value outside it is a usage error naming the option."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return as_int(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_INTEGER = _Integer()
 
 
 def _fail(message: str, code: int = INPUT_ERROR):
@@ -214,7 +231,7 @@ def split_group():
 @click.argument("dec_path")
 @click.argument("qsplit_path")
 @click.option("--eta", required=True, help="cone direction, comma-separated rationals")
-@click.option("--i-br", default=None, type=int, help="broken index for the dimension bookkeeping")
+@click.option("--i-br", default=None, type=_INTEGER, help="broken index for the dimension bookkeeping")
 @click.option("-o", "--output", default=None)
 def split_check(dec_path, qsplit_path, eta, i_br, output):
     """Relative-position cone, discrepancy cone, cone condition, rigidity."""
@@ -275,9 +292,9 @@ def potential_bg(normals, constants, lambda_, output):
 
 
 @potential_group.command("combine")
-@click.option("--mult", "mult_", required=True, type=int)
-@click.option("--split-edges", "split_edges_", required=True, type=int)
-@click.option("--d-black", required=True, type=int)
+@click.option("--mult", "mult_", required=True, type=_INTEGER)
+@click.option("--split-edges", "split_edges_", required=True, type=_INTEGER)
+@click.option("--d-black", required=True, type=_INTEGER)
 @click.option("--sign", required=True, type=click.Choice(["+1", "-1"]))
 @click.argument("series_paths", nargs=-1, required=True)
 @click.option("-o", "--output", default=None)

@@ -4,10 +4,15 @@ A decomposition is a finite collection of cells (polytopes in t-dual given
 by inequalities a.x <= b), a face poset, one dual cell per cell (a polytope
 in t given by vertices and rays), and a designated split set of cells.
 
-Cells meet in listed common faces, named by their cones' canonical
-generators (``Cone.key()``).  ``cones.common_face`` certifies a cell
-intersection with no conversion, and a facet is its cell's rays tight on
-its row; a cut's decomposition keeps the cones its walk kept.
+Cells meet in listed common faces.  A cell is the set cut out by its
+rows, so a listed cell whose rows are exactly the union of two cells' rows
+is their intersection as a set: ``Decomposition.intersection_cell`` tries
+that first, on the first listed common face, and reads no geometry of the
+two cells.  Pairs the rows do not settle (empty pairs among them) are
+certified by ``cones.common_face``, on the cones' canonical generators
+(``Cone.key()``), and converted only when no certificate applies.  A facet
+is its cell's rays tight on its row; a cut's decomposition keeps the cones
+its walk kept and the rows it cut them by.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from .polyhedra import Polyhedron, _difference, _hom, _pair
 
 class DecompositionError(ValueError):
     pass
+
+
+def _rows_without_t(rows) -> frozenset:
+    """The primitive homogenized rows without ``t >= 0`` and zero rows,
+    which hold on every homogenization cone: a row zero on x is kept only
+    when its t coefficient is negative."""
+    return frozenset(r for r in rows if any(r[:-1]) or r[-1] < 0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,7 @@ class Decomposition:
         self._dual_geom: dict[str, Polyhedron] = {}
         self._normal: dict[str, IntegerLattice] = {}
         self._isect_cache: dict[tuple[str, str], str | None] = {}
+        self._rows: dict[str, frozenset] = {}
         # name the smallest bad entry (as text: ids can be any value), whatever the hash seed
         known = self.polytopes
         bad = [(q, p) for q, p in self.face_pairs if q not in known or p not in known]
@@ -86,6 +99,12 @@ class Decomposition:
         bad = [s for s in self.split_set if s not in known]
         if bad:
             raise DecompositionError(f"split cell {min(bad, key=str)} unknown")
+
+    def _known(self, *pids) -> None:
+        """Raise DecompositionError naming the first id that is no cell."""
+        for pid in pids:
+            if pid not in self.polytopes:
+                raise DecompositionError(f"unknown cell {pid}")
 
     # geometry ----------------------------------------------------------------
 
@@ -117,6 +136,7 @@ class Decomposition:
         cell, ann(TP) n Z^n: exactly when d is orthogonal to each basis row
         of TP, the cell's direction space, since the lattice is saturated.
         A dot product per row; no lattice is built."""
+        self._known(pid)
         return not any(_dot(u, d) for u in self.cell(pid).direction_space())
 
     # face poset ----------------------------------------------------------------
@@ -153,19 +173,60 @@ class Decomposition:
             if all(self.face_le(q, p) for p in cells) and self.cell(q).cone.key() == face:
                 yield q
 
+    def _row_set(self, pid: str) -> frozenset:
+        """The rows r (r.(x, t) >= 0) that cut the cell's homogenization
+        cone out, primitive, without ``t >= 0`` and zero rows: those the
+        walk cut for a cut's cell, else the given rows read as ``cell``
+        reads them (``_hom``, then ``primitive``), with no conversion."""
+        rows = self._rows.get(pid)
+        if rows is None:
+            n = self.ambient_dim
+            hom = [_hom(a, b) for a, b in self.polytopes[pid].ineqs]
+            if any(len(r) != n + 1 for r in hom):
+                raise ValueError("generator of wrong dimension")
+            rows = self._rows[pid] = _rows_without_t(map(primitive, hom))
+        return rows
+
+    def _cell_by_rows(self, p1: str, p2: str) -> str | None:
+        """The first listed common face of p1 and p2 when its rows are
+        exactly the union of theirs, else None.  Each cell is the set its
+        rows cut out, so that face is p1 n p2 as a set."""
+        common = self._faces[p1] & self._faces[p2]
+        if common:
+            q = min(common)
+            if self._row_set(q) == self._row_set(p1) | self._row_set(p2):
+                return q
+        return None
+
     def intersection_cell(self, p1: str, p2: str) -> str | None:
         """Id of the listed cell equal to p1 n p2, or None when empty.
 
-        Raises DecompositionError when the intersection is nonempty but not
-        a listed common face.  The intersection's canonical generators come
-        from ``cones.common_face``: containment of the cell the face poset
-        puts below in the other, or face steps by tight sets.  Only when
-        neither certifies it is the intersection converted.  The answer is
-        the smallest id among the listed common faces with those generators.
+        Raises DecompositionError when an id is no cell, or when the
+        intersection is nonempty but not a listed common face.  The answer
+        is the smallest id among the listed common faces equal to p1 n p2.
+        Three routes find it, in turn:
+
+        - rows (``_cell_by_rows``): q, the smallest listed common face,
+          is p1 n p2 when q's rows are exactly the union of p1's and p2's,
+          since each cell is the set its rows cut out.  Then the answer is
+          q if q has a point (a generator at t > 0), else None; no
+          geometry of p1 or p2 is read.
+        - certificate: ``cones.common_face`` gives the intersection's
+          canonical generators, by containment of the cell the face poset
+          puts below in the other, or by face steps on tight sets.
+        - conversion of p1 n p2, when no certificate applies.
+
+        The last two name the answer by the generators, among the listed
+        common faces (``listed_faces``).
         """
+        self._known(p1, p2)
         key = (min(p1, p2), max(p1, p2))
         if key in self._isect_cache:
             return self._isect_cache[key]
+        q = self._cell_by_rows(p1, p2)
+        if q is not None:
+            result = self._isect_cache[key] = None if self.cell(q).is_empty() else q
+            return result
         a, b = (p2, p1) if self.face_le(p2, p1) else (p1, p2)
         face = common_face(self.cell(a).cone, self.cell(b).cone)
         if face is None:
@@ -234,9 +295,7 @@ def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
     Requires P(v) to be a face of (or equal to) P(kappa v).  Both ids are
     checked first: ``face_le`` holds for any id and itself.
     """
-    for pid in (pv, pkv):
-        if pid not in dec.polytopes:
-            raise DecompositionError(f"unknown cell {pid}")
+    dec._known(pv, pkv)
     if not dec.face_le(pv, pkv):
         raise DecompositionError(f"{pv} is not a face of {pkv}")
     dv = dec.dual(pv)
@@ -328,6 +387,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)
 
     kept: dict[tuple, Polyhedron] = {}
+    walked: dict[tuple, tuple] = {}  # the rows each kept cell was cut by
 
     def walk(sigma, cell, strict):
         # cell: the prefix cell's DD state; strict: the indices of its
@@ -337,6 +397,7 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         i = len(sigma)
         if i == N:
             kept[sigma] = Polyhedron(n, cell.cone())
+            walked[sigma] = cell.rows
             return
         a = cut_rows[i]
         neg = tuple(-x for x in a)
@@ -389,8 +450,10 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
     if inner not in {p.id for p in polytopes}:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
-    # the kept cones are the cells, so the decomposition converts none again
+    # the kept cones are the cells, so the decomposition converts none
+    # again, and the walk's rows cut them out, so their unions meet
     dec._geom.update((cell_id(sigma), poly) for sigma, poly in kept.items())
+    dec._rows.update((cell_id(sigma), _rows_without_t(rows)) for sigma, rows in walked.items())
     return dec, inner
 
 
@@ -402,8 +465,7 @@ def is_tropical_fiber(dec: Decomposition, p0: str, lam) -> bool:
     Each facet is the face of p0's cone cut out by its row, so its
     canonical generators are p0's lineality and the rays tight on that
     row; it is named by them, with no conversion."""
-    if p0 not in dec.polytopes:
-        raise DecompositionError(f"unknown cell {p0}")
+    dec._known(p0)
     geom = dec.cell(p0)
     point = (*ratvec(lam), 1)
     ineqs, _ = geom.rows()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -187,6 +188,49 @@ def test_potential_combine_over_the_count_bound_exits_two(split_edges, d_black):
     assert res.output == "error: split_count and d_black must be at most 10000\n"
 
 
+def _integer_option_args(fixture_dir, option, value) -> list:
+    """A command that reads ``value`` for ``option`` and exits 0 when it
+    reads 3: ``split check`` for ``--i-br``, else ``potential combine`` of
+    one series with coefficient 1."""
+    if option == "--i-br":
+        return ["split", "check", str(fixture_dir / "square_split.dec.json"),
+                str(fixture_dir / "fig_square_top1.graph.json"), "--eta", "1,-1",
+                "--i-br", value]
+    counts = {"--mult": "1", "--split-edges": "0", "--d-black": "0", option: value}
+    return ["potential", "combine", *itertools.chain(*counts.items()), "--sign", "+1",
+            '{"num_vars":0,"terms":[{"coeff":"1","area":"1","monomial":[]}]}']
+
+
+INTEGER_OPTIONS = ["--i-br", "--mult", "--split-edges", "--d-black"]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "\uff13", "\u00a03", "1.5", "7/2", "x", ""])
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_refuse_what_the_wire_grammar_refuses(fixture_dir, option, value):
+    """Every integer option reads the wire's integer grammar (``as_int``):
+    underscores, non-ASCII digits and spaces, and non-integers exit 2 with
+    a usage error naming the option, where ``int()`` read ``1_0`` as 10."""
+    res = run_cli(_integer_option_args(fixture_dir, option, value))
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}': expected an integer, got {value!r}" in res.output
+
+
+@pytest.mark.parametrize("value", ["3", " 3 ", "+3", "6/2"])
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_read_3_in_the_wire_grammar(fixture_dir, option, value):
+    """The integers ``int()`` read keep their value; an integral fraction,
+    as the wire reads it, is read too.  A count of 3 divides the
+    coefficient by 3!."""
+    res = run_cli(_integer_option_args(fixture_dir, option, value))
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    if option == "--i-br":
+        assert report["index_shift"]["i_br"] == 3
+    else:
+        coeff = "3" if option == "--mult" else "1/6"
+        assert report["series"] == [{"coeff": coeff, "area": "1", "monomial": []}]
+
+
 @pytest.mark.parametrize("normal, constant", [("[0,0]", "1"), ("[-1,0]", "0"), ("[1,1]", "10")])
 def test_potential_bg_with_a_row_that_is_not_a_facet_exits_two(normal, constant):
     """A zero, a repeated or a redundant row is refused, naming the facet
@@ -338,9 +382,12 @@ def test_corpus_regenerate_into_a_directory(tmp_path):
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 197 double
+    """One pass over the corpus, each case cold, runs 183 double
     description conversions and gives the stored bytes, two of them the
-    facet checks of the two potentials.  A component with one vertex
+    facet checks of the two potentials.  An edge cell named by
+    certificates on both end cells, converting each cell not yet
+    converted, where the end cells' rows, whose union is the edge cell's,
+    settle it (once 197), changes the count.  A component with one vertex
     whose position polyhedron is converted, though it is realizable by
     construction (once 215, 18 such components a pass), a cone that
     converted a side it already had, a minimal form that converts its
@@ -363,7 +410,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 197
+    assert len(calls) == 183
 
 
 def _count_in_every_binding(monkeypatch, name) -> list:
@@ -383,8 +430,10 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 420 ``_rref_int`` calls, counted in every module that binds it,
-    two of them in the facet checks of the two potentials.  A position
+    with 388 ``_rref_int`` calls, counted in every module that binds it,
+    two of them in the facet checks of the two potentials.  An edge cell
+    named by certificates on its end cells, converting them, where their
+    rows settle it (once 420), changes the count.  A position
     polyhedron built for a one-vertex component, with its equality basis
     and its conversion's kernel (33 calls), or a normal lattice built to
     test an edge direction that a dot product with the cell's direction
@@ -407,7 +456,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 420
+    assert len(calls) == 388
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
@@ -429,8 +478,10 @@ def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
 
 def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 586 double description steps, 10 of them in the facet checks of
-    the two potentials.  Converting the position polyhedra of the 18
+    with 538 double description steps, 10 of them in the facet checks of
+    the two potentials.  Converting the end cells of an edge to name its
+    cell by certificates, where their rows settle it (once 586 a pass),
+    or converting the position polyhedra of the 18
     one-vertex components, realizable by construction (once 620 a pass),
     a conversion that cuts again a row equal to an earlier one once both
     are primitive, in the coordinates of the
@@ -449,7 +500,7 @@ def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 586
+    assert len(calls) == 538
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
@@ -495,11 +546,19 @@ def test_corpus_pass_builds_pinned_position_polyhedra(monkeypatch):
 
 def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
     """One pass over the corpus, each case cold, computes 52 cell
-    intersections: 36 settled by containment and 16 by tight-set face
-    steps, none by the conversion fallback, and no listed cell is named by
-    a ``same_set`` scan."""
+    intersections, all 52 settled by rows: the first listed common face
+    of the edge's end cells has exactly the union of their rows.  None
+    goes to containment, face steps or the conversion fallback (once 36
+    by containment and 16 by face steps a pass), and no listed cell is
+    named by a ``same_set`` scan."""
     routes = Counter()
+    by_rows = complexes.Decomposition._cell_by_rows
     certify = complexes.common_face
+
+    def rows(self, p1, p2):
+        q = by_rows(self, p1, p2)
+        routes["rows"] += q is not None
+        return q
 
     def classified(c1, c2):
         face = certify(c1, c2)
@@ -513,13 +572,14 @@ def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
             return original(*args)
         return wrapper
 
+    monkeypatch.setattr(complexes.Decomposition, "_cell_by_rows", rows)
     monkeypatch.setattr(complexes, "common_face", classified)
     for name in ("intersect", "same_set"):
         monkeypatch.setattr(Polyhedron, name, counted(name, getattr(Polyhedron, name)))
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert routes == {"containment": 36, "face steps": 16}
+    assert routes == {"rows": 52}
 
 
 def test_corpus_pass_checks_pinned_graphs(monkeypatch):

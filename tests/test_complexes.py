@@ -117,6 +117,26 @@ def test_cone_kappa_v_names_an_unknown_cell(square_split, pv, pkv, unknown):
         cone_of_relative_cell(square_split, pv, pkv)
 
 
+@pytest.mark.parametrize("p1, p2, unknown", [
+    ("Qmm", "nope", "nope"), ("nope", "Qmm", "nope"), ("nope", "zz", "nope"),
+    ("nope", "nope", "nope"),
+])
+def test_intersection_cell_names_an_unknown_cell(p1, p2, unknown):
+    """An id the decomposition does not list is an input error naming the
+    first unknown id, checked before any route reads the face table or a
+    cell, not a ``KeyError``; nothing is read or cached."""
+    dec = decomposition_from_dict(fx.square_complex())
+    with pytest.raises(DecompositionError, match=f"^unknown cell {unknown}$"):
+        dec.intersection_cell(p1, p2)
+    assert dec._isect_cache == dec._rows == dec._geom == {}
+
+
+def test_in_normal_lattice_names_an_unknown_cell(square_split):
+    with pytest.raises(DecompositionError, match="^unknown cell nope$"):
+        square_split.in_normal_lattice("nope", (1, 0))
+    assert square_split.in_normal_lattice("Hxp", (0, 1))
+
+
 # -- toric cuts -----------------------------------------------------------------------
 
 
@@ -606,6 +626,13 @@ def _square_mutant(kind):
         data["faces"].remove(["Hxp", "Qpp"])
     elif kind == "shrunk cell":  # Qpp becomes the square [0, 5]^2
         cells["Qpp"]["ineqs"] += [["1", "0", "5"], ["0", "1", "5"]]
+    elif kind == "disjoint cells":
+        # Qpp becomes x, y >= 1, and vc, its only listed common face with
+        # Qmm, keeps exactly the rows of both: the empty set
+        cells["Qpp"]["ineqs"] = [["-1", "0", "-1"], ["0", "-1", "-1"]]
+        cells["vc"]["ineqs"] = cells["Qmm"]["ineqs"] + cells["Qpp"]["ineqs"]
+    elif kind == "scaled row":  # vc's x <= 0 written as 2x <= 0
+        cells["vc"]["ineqs"][0] = ["2", "0", "0"]
     elif kind.startswith("duplicate"):
         # a copy of vc under the id "a_vc", which sorts before "vc"
         data["polytopes"].append({**cells["vc"], "id": "a_vc"})
@@ -616,7 +643,8 @@ def _square_mutant(kind):
     return data
 
 
-MUTANTS = ["overlap", "dropped face pair", "shrunk cell", "duplicate face", "duplicate"]
+MUTANTS = ["overlap", "dropped face pair", "shrunk cell", "duplicate face", "duplicate",
+           "disjoint cells", "scaled row"]
 
 
 def _answer(meet, *args):
@@ -646,8 +674,10 @@ def test_intersection_cell_matches_the_conversion_reference(name):
     """Every ordered cell pair gives the frozen version's id, None or error
     text, with the error naming the cells in the caller's order.  The
     mutants cover an overlap, a dropped face pair, a cell shrunk to a
-    sub-polytope and a copy of ``vc`` under the smaller id ``a_vc``, which,
-    listed as a face where vc is, names every meet vc named."""
+    sub-polytope, a copy of ``vc`` under the smaller id ``a_vc``, which,
+    listed as a face where vc is, names every meet vc named, two disjoint
+    cells whose listed common face has exactly their rows, and a common
+    face whose rows are the union only once made primitive."""
     data = _bundled_and_mutants()[name]
     dec, old = decomposition_from_dict(data), decomposition_from_dict(data)
     pairs = _ordered_pairs(dec)
@@ -655,6 +685,10 @@ def test_intersection_cell_matches_the_conversion_reference(name):
     assert got == _answers(partial(oracles.intersection_cell, old), pairs)
     if name == "duplicate face":
         assert got[("Qmm", "Qpp")] == got[("Hxp", "Hyp")] == "a_vc"
+    if name == "disjoint cells":
+        assert got[("Qmm", "Qpp")] is None
+    if name == "scaled row":
+        assert got[("Qmm", "Qpp")] == "vc"
     if name == "overlap":
         for p1, p2 in (("Qmm", "Qpm"), ("Qpm", "Qmm")):
             assert got[(p1, p2)] == (
@@ -712,18 +746,42 @@ def test_tropical_fiber_matches_the_conversion_reference_on_every_cut_cell(name)
     assert is_tropical_fiber(dec, inner, t["lambda"])
 
 
+def _settled_by_rows(monkeypatch) -> list:
+    """Record the pairs the row route settles, and the cell it names."""
+    settled = []
+    by_rows = Decomposition._cell_by_rows
+
+    def recorded(self, p1, p2):
+        q = by_rows(self, p1, p2)
+        if q is not None:
+            settled.append((p1, p2, q))
+        return q
+
+    monkeypatch.setattr(Decomposition, "_cell_by_rows", recorded)
+    return settled
+
+
 @pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + MUTANTS + CUTS[:3])
 def test_intersection_cell_answers_do_not_depend_on_the_certificate(monkeypatch, name):
-    """With the certificate declining every pair, each pair goes through
-    the conversion fallback, and every answer stays the same."""
+    """Every ordered pair gives the same answer three ways: by all routes;
+    with the row route declining every pair, so by ``common_face`` or
+    conversion; and with the row route and ``common_face`` both declining,
+    so by the conversion fallback.  The row route settles pairs on every
+    input, a cut's with the rows its walk cut."""
     if name in CUTS:
-        certified, _ = _cut(name)
-        data = decomposition_to_dict(certified)
+        data = decomposition_to_dict(_cut(name)[0])
     else:
         data = _bundled_and_mutants()[name]
-        certified = decomposition_from_dict(data)
-    pairs = _ordered_pairs(certified)
-    want = _answers(certified.intersection_cell, pairs)
+    with monkeypatch.context() as m:
+        settled = _settled_by_rows(m)
+        certified = _cut(name)[0] if name in CUTS else decomposition_from_dict(data)
+        pairs = _ordered_pairs(certified)
+        want = _answers(certified.intersection_cell, pairs)
+    assert settled
+    if name in ("disjoint cells", "scaled row"):
+        assert ("Qmm", "Qpp", "vc") in settled
+    monkeypatch.setattr(Decomposition, "_cell_by_rows", lambda self, p1, p2: None)
+    assert _answers(decomposition_from_dict(data).intersection_cell, pairs) == want
     converted = []
     intersect = Polyhedron.intersect
 
@@ -736,6 +794,20 @@ def test_intersection_cell_answers_do_not_depend_on_the_certificate(monkeypatch,
     fallback = decomposition_from_dict(data)
     assert _answers(fallback.intersection_cell, pairs) == want
     assert len(converted) >= len(fallback._isect_cache) > 0
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + CUTS)
+def test_rows_settle_every_nonempty_pair(monkeypatch, name):
+    """On every bundled decomposition and fixture cut, the row route names
+    the cell of every nonempty pair, and of no other: a cut's cells keep
+    the rows their walk cut them by.  Only empty pairs reach
+    ``common_face``."""
+    settled = _settled_by_rows(monkeypatch)
+    dec = _cut(name)[0] if name in CUTS else decomposition_from_dict(fx.DECOMPOSITIONS[name]())
+    pairs = itertools.combinations(sorted(dec.polytopes), 2)
+    meets = {(p1, p2): dec.intersection_cell(p1, p2) for p1, p2 in pairs}
+    assert {(p1, p2): q for p1, p2, q in settled} == {
+        pair: q for pair, q in meets.items() if q is not None}
 
 
 def test_cut_intersections_run_no_conversion(monkeypatch):
