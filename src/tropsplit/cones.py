@@ -59,6 +59,7 @@ per value, so concurrent readers always observe a pure function.
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
@@ -88,8 +89,9 @@ def _canon_rays(rays) -> tuple:
 
 
 def _canon_span(rows) -> tuple:
-    """Canonical basis (primitive rref rows) of the span of the given rows."""
-    return _rref_int(map(primitive, rows))
+    """Canonical basis (primitive rref rows) of the span of a list of rows;
+    no rows span the zero space, with no elimination."""
+    return _rref_int(map(primitive, rows)) if rows else ()
 
 
 def _reduce_mod_span(span, v) -> tuple:
@@ -137,22 +139,26 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     """
     if not any(a):
         return lin, [(r, z | bit) for r, z in rays]
+    # the innermost loop: dot products inline, as ``_dot`` takes them
     i0 = None
     if lin:
-        dots = [_dot(a, l) for l in lin]
-        i0 = next((i for i in reversed(range(len(dots))) if dots[i]), None)
+        dots = [sum(map(mul, a, l)) for l in lin]
+        for i in range(len(dots) - 1, -1, -1):
+            if dots[i]:
+                i0 = i
+                break
     if i0 is not None:
         l0, al0 = lin[i0], dots[i0]
         if al0 < 0:
-            l0, al0 = tuple(-x for x in l0), -al0
-        lin = tuple(
+            l0, al0 = tuple([-x for x in l0]), -al0
+        lin = tuple([
             gcd_reduce([al0 * x - d * y for x, y in zip(l, l0)]) if d else l
             for i, (l, d) in enumerate(zip(lin, dots))
             if i != i0
-        )
+        ])
         new_rays = []
         for r, z in rays:
-            ar = _dot(a, r)
+            ar = sum(map(mul, a, r))
             if ar:
                 r = gcd_reduce([al0 * x - ar * y for x, y in zip(r, l0)])
             new_rays.append((r, z | bit))
@@ -162,7 +168,7 @@ def _dd_step(lin: tuple, rays: list, a, bit: int) -> tuple[tuple, list]:
     # at the pivots of its basis, so combinations need no reduction
     plus, minus, zero = [], [], []
     for r, z in rays:
-        v = _dot(a, r)
+        v = sum(map(mul, a, r))
         if v > 0:
             plus.append((r, z, v))
         elif v:
@@ -316,14 +322,15 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     if d == 0:
         return (), (), ()
     if K is not None:
-        ineqs = [gcd_reduce([_dot(a, k) for k in K]) for a in ineqs]
+        ineqs = [gcd_reduce([sum(map(mul, a, k)) for k in K]) for a in ineqs]
     lin, rays = _cut(_units(d), [], (), ineqs)
     if K is not None:
         # back to x coordinates; reducing modulo the lineality keeps every
         # zero-set, since a lineality vector is tight on every row
         Kt = list(zip(*K))
-        lin = _rref_int([_dot(y, col) for col in Kt] for y in lin)
-        rays = [(_reduce_mod_span(lin, [_dot(y, col) for col in Kt]), z) for y, z in rays]
+        lin = _rref_int([[sum(map(mul, y, col)) for col in Kt] for y in lin])
+        rays = [(_reduce_mod_span(lin, [sum(map(mul, y, col)) for col in Kt]), z)
+                for y, z in rays]
     rays = sorted(rays)
     return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
 

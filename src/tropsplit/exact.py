@@ -100,10 +100,7 @@ def is_zero_vec(a: Vec) -> bool:
 def gcd_reduce(v) -> tuple:
     """Integer vector divided by the gcd of its entries (zeros stay zeros)."""
     g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-_INT = frozenset((int,))
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
 
 
 def primitive(a) -> tuple:
@@ -116,7 +113,10 @@ def primitive(a) -> tuple:
     """
     if not isinstance(a, (tuple, list)):
         a = tuple(a)  # read twice below
-    if set(map(type, a)) <= _INT:  # every entry is exactly an int, so no bool
+    for x in a:
+        if type(x) is not int:  # a bool too: its type is not int
+            break
+    else:
         return gcd_reduce(a)
     a = ratvec(a)
     l = lcm(*(x.denominator for x in a))
@@ -139,17 +139,18 @@ def _rref_int(rows) -> tuple:
     """
     rows = [r for r in rows if any(r)]
     m = len(rows)
-    n = len(rows[0]) if m else 0
+    if not m:
+        return ()
     r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
+    for c in range(len(rows[0])):
+        for pr in range(r, m):
+            if rows[pr][c]:
+                break
+        else:
             continue
         piv = rows[pr]
         if piv[c] < 0:
-            piv = tuple(-x for x in piv)
+            piv = tuple([-x for x in piv])
         rows[pr] = rows[r]
         rows[r] = piv
         p = piv[c]
@@ -158,12 +159,19 @@ def _rref_int(rows) -> tuple:
             if i != r and f:
                 rows[i] = gcd_reduce([p * x - f * y for x, y in zip(rows[i], piv)])
         r += 1
+        if r == m:
+            break
     return tuple(map(gcd_reduce, rows[:r]))
 
 
 def _lead(row) -> int:
     """Column of the first nonzero entry: the pivot of an rref row."""
-    return next(i for i, x in enumerate(row) if x)
+    i = 0
+    for x in row:
+        if x:
+            return i
+        i += 1
+    raise ValueError("a zero row has no pivot")
 
 
 def _kernel_int(R, n: int) -> list:

@@ -3,7 +3,12 @@
 Every rational number travels as an exact string "p/q" (or "p"); the wire
 format never contains floats.  Parsing gives a Python int for an integral
 value and a ``Fraction`` otherwise, so integral rows, vertices and
-directions reach the cone kernel as the int vectors it runs on.
+directions reach the cone kernel as the int vectors it runs on.  Most
+wire entries are small integers: ``parse_vec`` reads "-64" to "64" by one
+dict lookup each, and any vector with another entry is read again, whole,
+through ``parse_rat``.  The table holds only strings that ``parse_rat``
+reads to the same int, so the grammar, the values, their types and every
+error are ``parse_rat``'s.
 Serialization orders are canonical so that identical inputs always produce
 byte-identical reports.  The ``*_from_dict`` readers are the one check of
 the wire schema.
@@ -62,9 +67,24 @@ def vec_str_over(v, den: int) -> list:
     return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in v]
 
 
+# The wire's small integers, each written as ``str`` writes it, to their
+# values: ``parse_rat`` reads each of these strings to exactly this int.
+_SMALL_INTS = {str(i): i for i in range(-64, 65)}
+
+
 def parse_vec(v, field: str = "vector") -> tuple:
-    """Exact values of a list of rationals (see ``parse_rat``)."""
-    return tuple(parse_rat(x) for x in _list(v, field))
+    """Exact values of a list of rationals (see ``parse_rat``).
+
+    A vector whose entries are all small integers as ``str`` writes them
+    ("-64" to "64") is read by one dict lookup per entry.  On the first
+    entry that is not such a key (any other string, "-0" and "007" too,
+    or any value that is not a string) the whole vector is read again
+    through ``parse_rat``, so every value, type and error is ``parse_rat``'s."""
+    v = _list(v, field)
+    try:
+        return tuple(map(_SMALL_INTS.__getitem__, v))
+    except (KeyError, TypeError):  # TypeError: an unhashable entry
+        return tuple(parse_rat(x) for x in v)
 
 
 # ``json.dumps`` with these arguments builds this encoder on every call.
@@ -120,7 +140,7 @@ def _id(x, field: str) -> str:
 
 
 def _rows(x, field: str) -> tuple:
-    return tuple(parse_vec(r, field) for r in _list(x, field))
+    return tuple([parse_vec(r, field) for r in _list(x, field)])
 
 
 def _pair(x, field: str) -> tuple:
@@ -162,13 +182,12 @@ def decomposition_from_dict(data: dict) -> Decomposition:
     polytopes = []
     for p in _at(data, "polytopes", "polytopes", _list):
         pid = _at(p, "id", "polytopes.id", _id)
-        rows = []
-        for row in _at(p, "ineqs", "polytopes.ineqs", _rows):
-            if len(row) != n + 1:
-                raise InputError(f"polytope {pid}: inequality row of wrong length")
-            rows.append((row[:-1], row[-1]))
+        rows = _at(p, "ineqs", "polytopes.ineqs", _rows)
+        if set(map(len, rows)) - {n + 1}:
+            raise InputError(f"polytope {pid}: inequality row of wrong length")
+        rows = tuple([(row[:-1], row[-1]) for row in rows])
         dim = _at(p, "dim", "polytopes.dim", default=None)
-        polytopes.append(Polytope(pid, tuple(rows), None if dim is None else as_int(dim)))
+        polytopes.append(Polytope(pid, rows, None if dim is None else as_int(dim)))
     dual_cells = [
         DualCell(_at(d, "id", "dual_cells.id", _id),
                  _at(d, "vertices", "dual_cells.vertices", _rows),

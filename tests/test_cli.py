@@ -430,10 +430,12 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 388 ``_rref_int`` calls, counted in every module that binds it,
-    two of them in the facet checks of the two potentials.  An edge cell
-    named by certificates on its end cells, converting them, where their
-    rows settle it (once 420), changes the count.  A position
+    with 250 ``_rref_int`` calls, counted in every module that binds it,
+    two of them in the facet checks of the two potentials.  A cone built
+    with no equalities or no lineality generators that eliminates the
+    empty span anyway (once 388), or an edge cell named by certificates
+    on its end cells, converting them, where their rows settle it (once
+    420), changes the count.  A position
     polyhedron built for a one-vertex component, with its equality basis
     and its conversion's kernel (33 calls), or a normal lattice built to
     test an edge direction that a dot product with the cell's direction
@@ -456,7 +458,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 388
+    assert len(calls) == 250
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):

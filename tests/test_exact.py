@@ -9,6 +9,8 @@ import oracles
 from oracles import det, mat, matmul, transpose, vec
 from tropsplit.exact import (
     IntegerLattice,
+    _lead,
+    _rref_int,
     fr,
     imat,
     invariant_factors,
@@ -414,6 +416,68 @@ def test_rational_views_match_fraction_elimination():
             seen["inconsistent" if want is None else "solved"] += 1
     for key in ("no rows", "1 x n", "m x 1", "m x n", "zero row", "dependent rows",
                 "inconsistent", "solved"):
+        assert seen[key] >= 40, seen
+
+
+def random_int_rows(rng):
+    """Random raw integer rows, 0 to 5 of them with 1 to 5 columns, as
+    ``_rref_int`` is handed them: not primitive, zero or led by a negative
+    entry, dependent, all zero, or in the 1 x n and m x 1 shapes."""
+    m, n = rng.choice(((0, rng.randint(1, 5)), (1, rng.randint(1, 5)),
+                       (rng.randint(2, 5), 1), (rng.randint(2, 5), rng.randint(2, 5))))
+    rows = [[0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(n)]
+            for _ in range(m)]
+    if m >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[rng.randrange(m)] = [c * x + d * y for x, y in zip(rows[a], rows[b])]
+    for row in rows:
+        if rng.random() < 0.3:
+            row[:] = [rng.choice((-6, 2, 3, 4)) * x for x in row]
+    if m and rng.random() < 0.25:
+        rows[rng.randrange(m)] = [0] * n
+    if m and rng.random() < 0.12:
+        rows = [[0] * n for _ in range(m)]
+    return [tuple(row) for row in rows]
+
+
+def int_row_kinds(rows) -> set:
+    """What a list of integer rows covers, read off the rows themselves."""
+    nonzero = [r for r in rows if any(r)]
+    kinds = {"no rows" if not rows else "1 x n" if len(rows) == 1
+             else "m x 1" if len(rows[0]) == 1 else "m x n"}
+    if rows and not nonzero:
+        kinds.add("all-zero matrix")
+    if nonzero and len(nonzero) < len(rows):
+        kinds.add("zero row")
+    if any(gcd(*r) > 1 for r in nonzero):
+        kinds.add("non-primitive row")
+    if any(next(x for x in r if x) < 0 for r in nonzero):
+        kinds.add("negative leading entry")
+    if nonzero and oracles.rank(mat(nonzero)) < len(nonzero):
+        kinds.add("dependent rows")
+    return kinds
+
+
+def test_rref_int_on_raw_integer_rows_matches_fraction_elimination():
+    """``_rref_int`` on raw integer rows, not only on the primitive rows
+    its views pass, gives the nonzero rows of the frozen ``Fraction``
+    Gauss-Jordan scaled to sign-normalized primitive int rows, their
+    pivots strictly increasing, from a list or from an iterator."""
+    rng = random.Random(3141)
+    seen = Counter()
+    for k in range(500):
+        rows = random_int_rows(rng)
+        R, pivots = oracles.rref(mat(rows))
+        want = tuple(oracles.sign_normalized(R[i]) for i in range(len(pivots)))
+        got = _rref_int(rows if k % 2 else iter(rows))
+        assert got == want, rows
+        assert all(type(x) is int for row in got for x in row), rows
+        leads = [_lead(row) for row in got]
+        assert leads == sorted(set(leads)), rows
+        seen.update(int_row_kinds(rows))
+    for key in ("no rows", "1 x n", "m x 1", "m x n", "all-zero matrix", "zero row",
+                "non-primitive row", "negative leading entry", "dependent rows"):
         assert seen[key] >= 40, seen
 
 

@@ -8,6 +8,7 @@ from tropsplit.cones import Cone
 from tropsplit.exact import as_int, fr
 from tropsplit.potential import NovikovSeries
 from tropsplit.serialize import (
+    _SMALL_INTS,
     InputError,
     canonical_json,
     collapse_from_dict,
@@ -18,6 +19,7 @@ from tropsplit.serialize import (
     graph_from_dict,
     graph_to_dict,
     parse_rat,
+    parse_vec,
     rat_str,
     series_from_dict,
     series_from_list,
@@ -98,6 +100,43 @@ def test_rational_grammar_keeps_values(x, value):
     else:
         with pytest.raises(ValueError):
             as_int(x)
+
+
+class Text(str):
+    pass
+
+
+def _read(read, v):
+    """What ``read(v)`` gives, each value with its exact type, or the
+    exception's type and message."""
+    try:
+        got = read(v)
+    except Exception as e:
+        return type(e), str(e)
+    return type(got), [(type(x), x) for x in got]
+
+
+SMALL_INT_NEIGHBOURS = ["-65", "65", "-0", "007", "+1", " 1 ", "1_0", "1.0", "2/1",
+                        "\u0661", True, 0.5, 3, F(3, 4), Text("3"), Text("3/4"), None,
+                        ["1"]]
+
+
+def test_small_int_lookup_keeps_the_rational_grammar():
+    """``parse_vec`` reads a vector to exactly what ``parse_rat`` reads from
+    each entry, the same values of the same types, or raises the same
+    exception with the same message: on every key of its small-int table,
+    on the strings and values next to them that the table does not hold,
+    and on vectors that mix both."""
+    keys = list(_SMALL_INTS)
+    assert "0" in keys and all(type(k) is str for k in keys)
+    vectors = [[k] for k in keys + SMALL_INT_NEIGHBOURS] + [keys, [], ("1", "2")]
+    vectors += [["1", x, "2"] for x in SMALL_INT_NEIGHBOURS] + [[x, "0"] for x in keys[::8]]
+    vectors += [["3/4", "64", "-64"], ["5", "1_0"], ["2", None, "1/0"], ["1", "x"]]
+    for v in vectors:
+        assert _read(parse_vec, v) == _read(lambda v: tuple(parse_rat(x) for x in v), v), v
+    for row in ("12", 12, None, {"0": "1"}):
+        with pytest.raises(InputError, match="^row: expected a list$"):
+            parse_vec(row, "row")
 
 
 def test_no_floats_in_wire_format():
