@@ -8,11 +8,12 @@ Cells meet in listed common faces.  A cell is the set cut out by its
 rows, so a listed cell whose rows are exactly the union of two cells' rows
 is their intersection as a set: ``Decomposition.intersection_cell`` tries
 that first, on the first listed common face, and reads no geometry of the
-two cells.  Pairs the rows do not settle (empty pairs among them) are
-certified by ``cones.common_face``, on the cones' canonical generators
-(``Cone.key()``), and converted only when no certificate applies.  A facet
-is its cell's rays tight on its row; a cut's decomposition keeps the cones
-its walk kept and the rows it cut them by.
+two cells.  Every other pair (the empty ones among them) is answered
+exactly by going on with one cell's double description state
+(``Cone.state()``) cut by the other cell's rows, whose canonical
+generators name the listed face.  A facet is its cell's rays tight on its
+row; a cut's decomposition keeps the cones its walk kept, and their given
+rows are the rows it cut them by.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, DDState, common_face
+from .cones import Cone, DDState
 from .exact import (
     IntegerLattice,
     _dot,
@@ -37,13 +38,6 @@ from .polyhedra import Polyhedron, _difference, _hom, _pair
 
 class DecompositionError(ValueError):
     pass
-
-
-def _rows_without_t(rows) -> frozenset:
-    """The primitive homogenized rows without ``t >= 0`` and zero rows,
-    which hold on every homogenization cone: a row zero on x is kept only
-    when its t coefficient is negative."""
-    return frozenset(r for r in rows if any(r[:-1]) or r[-1] < 0)
 
 
 @dataclass(frozen=True)
@@ -175,16 +169,14 @@ class Decomposition:
 
     def _row_set(self, pid: str) -> frozenset:
         """The rows r (r.(x, t) >= 0) that cut the cell's homogenization
-        cone out, primitive, without ``t >= 0`` and zero rows: those the
-        walk cut for a cut's cell, else the given rows read as ``cell``
-        reads them (``_hom``, then ``primitive``), with no conversion."""
+        cone out: its cone's given rows (for a cut's cell those the walk
+        cut), primitive, with no conversion.  ``t >= 0`` and the zero
+        rows, which hold on every homogenization cone, are left out: a row
+        zero on x is kept only when its t coefficient is negative."""
         rows = self._rows.get(pid)
         if rows is None:
-            n = self.ambient_dim
-            hom = [_hom(a, b) for a, b in self.polytopes[pid].ineqs]
-            if any(len(r) != n + 1 for r in hom):
-                raise ValueError("generator of wrong dimension")
-            rows = self._rows[pid] = _rows_without_t(map(primitive, hom))
+            given, _ = self.cell(pid).cone.given_rows()
+            rows = self._rows[pid] = frozenset(r for r in given if any(r[:-1]) or r[-1] < 0)
         return rows
 
     def _cell_by_rows(self, p1: str, p2: str) -> str | None:
@@ -204,20 +196,18 @@ class Decomposition:
         Raises DecompositionError when an id is no cell, or when the
         intersection is nonempty but not a listed common face.  The answer
         is the smallest id among the listed common faces equal to p1 n p2.
-        Three routes find it, in turn:
+        Two routes find it, in turn:
 
         - rows (``_cell_by_rows``): q, the smallest listed common face,
           is p1 n p2 when q's rows are exactly the union of p1's and p2's,
           since each cell is the set its rows cut out.  Then the answer is
           q if q has a point (a generator at t > 0), else None; no
           geometry of p1 or p2 is read.
-        - certificate: ``cones.common_face`` gives the intersection's
-          canonical generators, by containment of the cell the face poset
-          puts below in the other, or by face steps on tight sets.
-        - conversion of p1 n p2, when no certificate applies.
-
-        The last two name the answer by the generators, among the listed
-        common faces (``listed_faces``).
+        - the cut: p1's double description state (``Cone.state()``) cut
+          by the rows of p2 that p1 lacks is p1 n p2, exactly, with its
+          canonical generators; a generator at t > 0 names the answer
+          among the listed common faces (``listed_faces``), and none
+          makes it None.
         """
         self._known(p1, p2)
         key = (min(p1, p2), max(p1, p2))
@@ -227,12 +217,10 @@ class Decomposition:
         if q is not None:
             result = self._isect_cache[key] = None if self.cell(q).is_empty() else q
             return result
-        a, b = (p2, p1) if self.face_le(p2, p1) else (p1, p2)
-        face = common_face(self.cell(a).cone, self.cell(b).cone)
-        if face is None:
-            face = self.cell(p1).intersect(self.cell(p2)).cone.key()
+        rows = sorted(self._row_set(p2) - self._row_set(p1))
+        face = self.cell(p1).cone.state().cut(*rows).key()
         result: str | None = None
-        if face and any(r[-1] > 0 for r in face[0]):  # some point at t = 1
+        if any(r[-1] > 0 for r in face[0]):  # some point at t = 1
             result = next(self.listed_faces(face, p1, p2), None)
             if result is None:
                 raise DecompositionError(
@@ -387,7 +375,6 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         return "c" + "".join({-1: "m", 0: "z", 1: "p"}[s] for s in sigma)
 
     kept: dict[tuple, Polyhedron] = {}
-    walked: dict[tuple, tuple] = {}  # the rows each kept cell was cut by
 
     def walk(sigma, cell, strict):
         # cell: the prefix cell's DD state; strict: the indices of its
@@ -397,7 +384,6 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         i = len(sigma)
         if i == N:
             kept[sigma] = Polyhedron(n, cell.cone())
-            walked[sigma] = cell.rows
             return
         a = cut_rows[i]
         neg = tuple(-x for x in a)
@@ -451,9 +437,9 @@ def toric_cut(normals, constants, epsilons, lam) -> tuple[Decomposition, str]:
         raise DecompositionError("inner cell did not survive the cut")
     dec = Decomposition(n, polytopes, faces, dual_cells, split)
     # the kept cones are the cells, so the decomposition converts none
-    # again, and the walk's rows cut them out, so their unions meet
+    # again; their given rows are the rows the walk cut them by, whose
+    # unions the row route compares
     dec._geom.update((cell_id(sigma), poly) for sigma, poly in kept.items())
-    dec._rows.update((cell_id(sigma), _rows_without_t(rows)) for sigma, rows in walked.items())
     return dec, inner
 
 

@@ -25,7 +25,9 @@ with its zero-set over the rows cut so far.  Every start cuts each
 distinct row once: a row equal to an earlier one takes no step.  A
 conversion starts from the full space, ``orthant_cut`` from the
 nonnegative orthant, and ``toric_cut`` carries a state from each cell to
-its refinements; ``cone()`` hands a state over as a minimal cone.
+its refinements; ``cone()`` hands a state over as a minimal cone, and
+``Cone.state()`` hands a cone cut out by rows back as a state, so one
+cell's state cut by another's rows is their intersection, exactly.
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  The conversion,
@@ -59,7 +61,7 @@ per value, so concurrent readers always observe a pure function.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from .exact import (
@@ -244,25 +246,26 @@ class DDState(NamedTuple):
         return DDState(self.dim, lin, rays, self.rows + rows)
 
     def lies_in_any(self, indices) -> bool:
-        """Whether some ``rows[i]``, i in ``indices``, is tight on every ray."""
-        return _tight_on_all(indices, (z for _, z in self.rays))
+        """Whether some ``rows[i]``, i in ``indices``, has its bit in the
+        zero-set of every ray: it is tight on every extreme ray, and every
+        lineality vector is tight on every row, so on the whole cone."""
+        tight = 0
+        for i in indices:
+            tight |= 1 << i
+        for _, z in self.rays:
+            tight &= z
+        return bool(tight)
+
+    def key(self) -> tuple[tuple, tuple]:
+        """``cone().key()``, the sorted extreme rays and the lineality
+        basis, with no ``Cone`` built."""
+        return tuple(sorted(r for r, _ in self.rays)), self.lin
 
     def cone(self) -> "Cone":
         rays = sorted(self.rays)
         return Cone.from_conversion(
             self.dim, tuple(r for r, _ in rays), self.lin, self.rows, tuple(z for _, z in rays)
         )
-
-
-def _tight_on_all(indices, zs) -> bool:
-    """Whether some row i, i in ``indices``, has its bit in every zero-set
-    of ``zs``: it is tight on every extreme ray, so on the whole cone."""
-    tight = 0
-    for i in indices:
-        tight |= 1 << i
-    for z in zs:
-        tight &= z
-    return bool(tight)
 
 
 def orthant_rows(s: int, ineqs, eqs) -> tuple[tuple, tuple]:
@@ -539,16 +542,6 @@ class Cone:
             _dot(a, p) for a in self._eqs
         )
 
-    def lies_in_any(self, indices) -> bool:
-        """Whether some given inequality of an H-built cone, ``ineqs[i]`` of
-        its nonzero given rows in order for an i in ``indices``, is tight on
-        the whole cone.  Read off the zero-sets of the one H to V conversion
-        the rays come from: each lineality vector is tight on every row."""
-        if not self._from_h or self._off is not None:
-            raise RuntimeError("only an H-built cone reads its given rows' zero-sets")
-        self._ensure_v()
-        return _tight_on_all(indices, self._zs)
-
     def key(self) -> tuple[tuple, tuple]:
         """The extreme rays and the lineality basis, canonical for the set,
         so two cones have equal keys exactly when they are equal: a
@@ -559,11 +552,28 @@ class Cone:
 
     def given_rows(self) -> tuple[tuple, tuple]:
         """Rows ``a.x >= 0`` and an equality basis that cut the cone out: the
-        given ones, or those its conversion cut, so no conversion and no
+        given ones, or those its conversion cut (a walked cell's own rows,
+        also once its minimal rows have been read), so no conversion and no
         read-off runs unless the cone was built from generators."""
-        if self._ineqs is None and self._off is not None:
+        if self._off is not None and not self._from_h:
             return self._off[0], self._off[2]
         return self.ineqs, self.eqs
+
+    def state(self) -> DDState:
+        """The double description state of a cone cut out by rows: an
+        H-built cone, a walked cell or the minimal form of either.  Its
+        rows are ``given_rows()``, each equality as the pair ``e``, ``-e``
+        tight on every ray, and its rays the extreme rays with their
+        zero-sets over those rows, so ``state().cut(*rows)`` goes on with
+        the double description the cone came from."""
+        if self._from_h == (self._off is not None):
+            raise RuntimeError("only a cone cut out by rows has a double description state")
+        self._ensure_v()
+        ineqs, zs, eqs = self._off or (self._ineqs, self._zs, self._eqs)
+        both = tuple(r for e in eqs for r in (e, tuple(map(neg, e))))
+        tight = ((1 << len(both)) - 1) << len(ineqs)
+        rays = [(r, z | tight) for r, z in zip(self._rays, zs)]
+        return DDState(self.ambient_dim, self._lineality, rays, ineqs + both)
 
     def contains_cone(self, other: "Cone") -> bool:
         """Whether other lies in self: other's generators against the rows
@@ -639,56 +649,6 @@ class Cone:
         if not self.contains(p):
             raise RuntimeError("relative interior point outside the cone")
         return p
-
-
-def common_face(c1: Cone, c2: Cone):
-    """The canonical ``(rays, lineality)`` of c1 n c2 when a certificate
-    shows it, ``()`` when it shows that c1 n c2 has no point with a
-    positive last coordinate, and None when no certificate applies.
-
-    When c1 lies in c2 the intersection is c1.  Otherwise face steps: a
-    row h of one side that is <= 0 on the other side's generators puts the
-    intersection in h = 0, so each side keeps its generators tight on h, a
-    face in canonical form (its cone's lineality and the extreme rays in
-    it).  Once no row cuts further, equal faces are the intersection, a
-    face of both; a face with no point at a positive last coordinate shows
-    the intersection has none either.  No conversion runs.
-    """
-    if c2.contains_cone(c1):
-        return c1.key()
-    sides = []
-    for c in (c1, c2):
-        ineqs, eqs = c.given_rows()
-        rows = ineqs + eqs + tuple(tuple(-x for x in e) for e in eqs)
-        sides.append([*c.key(), rows])
-    while True:
-        for rays, lin, _ in sides:
-            if not any(r[-1] > 0 for r in rays) and not any(l[-1] for l in lin):
-                return ()
-        (r1, l1, _), (r2, l2, _) = sides
-        if r1 == r2 and l1 == l2:
-            return r1, l1
-        if not (_face_steps(*sides) or _face_steps(*reversed(sides))):
-            return None
-
-
-def _face_steps(own: list, other: list) -> bool:
-    """Cut both sides' faces ``[rays, lineality, rows]`` by each row of
-    ``own`` that is <= 0 on every generator of ``other``; whether any ray
-    was dropped."""
-    cut = False
-    for h in own[2]:
-        if any(_dot(h, l) for l in other[1]):
-            continue
-        theirs = [_dot(h, r) for r in other[0]]
-        if any(v > 0 for v in theirs):
-            continue
-        mine = [_dot(h, r) for r in own[0]]
-        if any(theirs) or any(mine):
-            other[0] = tuple(r for r, v in zip(other[0], theirs) if not v)
-            own[0] = tuple(r for r, v in zip(own[0], mine) if not v)
-            cut = True
-    return cut
 
 
 def is_increasing(cone: Cone) -> bool:

@@ -213,15 +213,16 @@ class CheckedGraph:
         A strict row is implicit, so the strict system infeasible, exactly
         when the closed polyhedron lies in its hyperplane: when its bit is
         in the zero-set of every ray of the one conversion that decides
-        emptiness.  The cone keeps the nonzero rows in order, and no strict
-        row is zero, so strict row i has bit i."""
+        emptiness, read off the cone's state (``Cone.state()``).  The cone
+        keeps the nonzero rows in order, and no strict row is zero, so
+        strict row i has bit i."""
         index, n = self.index, self.dec.ambient_dim
         duals = {v: self.dec.dual(self.graph.label[v]).rows() for v in index}
         edges = [(e, True) for e in self.graph.tropical_edges()]
         strict, eqs = graph_rows(index, n, duals, edges, shared=1)
         closed = Polyhedron.from_rows(n * len(index), strict, eqs)
         weakly = not closed.is_empty()
-        realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
+        realizable = weakly and not closed.cone.state().lies_in_any(range(len(strict)))
         witness = closed.relative_interior_point() if realizable else None
         # a relative interior point avoids every strict boundary: no strict
         # row is implicit, so each cuts out a proper face.  The integer rows

@@ -27,6 +27,8 @@ class NovikovSeries:
     terms: tuple  # tuples (coeff, area, monomial)
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("num_vars must be nonnegative")
         merged: dict = {}
         for c, a, m in self.terms:
             c, a = fr(c), fr(a)

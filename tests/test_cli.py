@@ -188,6 +188,17 @@ def test_potential_combine_over_the_count_bound_exits_two(split_edges, d_black):
     assert res.output == "error: split_count and d_black must be at most 10000\n"
 
 
+def test_potential_combine_with_a_negative_num_vars_exits_two():
+    """A series in a negative number of variables is an input error, not
+    an empty series echoed back."""
+    res = run_cli([
+        "potential", "combine", "--mult", "1", "--split-edges", "0", "--d-black", "0",
+        "--sign", "+1", '{"terms":[],"num_vars":-3}',
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: num_vars must be nonnegative\n"
+
+
 def _integer_option_args(fixture_dir, option, value) -> list:
     """A command that reads ``value`` for ``option`` and exits 0 when it
     reads 3: ``split check`` for ``--i-br``, else ``potential combine`` of
@@ -550,23 +561,16 @@ def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
     """One pass over the corpus, each case cold, computes 52 cell
     intersections, all 52 settled by rows: the first listed common face
     of the edge's end cells has exactly the union of their rows.  None
-    goes to containment, face steps or the conversion fallback (once 36
-    by containment and 16 by face steps a pass), and no listed cell is
+    goes to the state cut (once 36 went by containment and 16 by face
+    steps a pass), none converts an intersection, and no listed cell is
     named by a ``same_set`` scan."""
     routes = Counter()
     by_rows = complexes.Decomposition._cell_by_rows
-    certify = complexes.common_face
 
     def rows(self, p1, p2):
         q = by_rows(self, p1, p2)
-        routes["rows"] += q is not None
+        routes["rows" if q is not None else "cut"] += 1
         return q
-
-    def classified(c1, c2):
-        face = certify(c1, c2)
-        routes["containment" if c2.contains_cone(c1) else "face steps" if face is not None
-               else "fallback"] += 1
-        return face
 
     def counted(name, original):
         def wrapper(*args):
@@ -575,7 +579,6 @@ def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(complexes.Decomposition, "_cell_by_rows", rows)
-    monkeypatch.setattr(complexes, "common_face", classified)
     for name in ("intersect", "same_set"):
         monkeypatch.setattr(Polyhedron, name, counted(name, getattr(Polyhedron, name)))
     for case in corpus_cases():

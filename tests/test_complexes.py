@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import kernel_basis, mat, rank, vec
-from tropsplit import complexes, cones
+from tropsplit import cones
 from tropsplit import fixtures as fx
 from tropsplit.complexes import (
     MAX_SIGN_VECTORS,
@@ -21,8 +21,7 @@ from tropsplit.complexes import (
     is_tropical_fiber,
     toric_cut,
 )
-from tropsplit.cones import Cone
-from tropsplit.polyhedra import Polyhedron
+from tropsplit.cones import Cone, DDState
 from tropsplit.potential import bg_potential
 from tropsplit.serialize import (
     canonical_json,
@@ -763,11 +762,11 @@ def _settled_by_rows(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + MUTANTS + CUTS[:3])
 def test_intersection_cell_answers_do_not_depend_on_the_certificate(monkeypatch, name):
-    """Every ordered pair gives the same answer three ways: by all routes;
-    with the row route declining every pair, so by ``common_face`` or
-    conversion; and with the row route and ``common_face`` both declining,
-    so by the conversion fallback.  The row route settles pairs on every
-    input, a cut's with the rows its walk cut."""
+    """Every ordered pair gives the same answer two ways: by both routes,
+    and with the row route declining every pair, so by the state cut
+    alone, on cells read from the wire and on a cut's walked cells.  The
+    row route settles pairs on every input, a cut's with the rows its walk
+    cut."""
     if name in CUTS:
         data = decomposition_to_dict(_cut(name)[0])
     else:
@@ -781,27 +780,26 @@ def test_intersection_cell_answers_do_not_depend_on_the_certificate(monkeypatch,
     if name in ("disjoint cells", "scaled row"):
         assert ("Qmm", "Qpp", "vc") in settled
     monkeypatch.setattr(Decomposition, "_cell_by_rows", lambda self, p1, p2: None)
-    assert _answers(decomposition_from_dict(data).intersection_cell, pairs) == want
-    converted = []
-    intersect = Polyhedron.intersect
+    cuts = []
+    key = DDState.key
 
-    def counted(self, other):
-        converted.append(other)
-        return intersect(self, other)
+    def counted(self):
+        cuts.append(self)
+        return key(self)
 
-    monkeypatch.setattr(complexes, "common_face", lambda c1, c2: None)
-    monkeypatch.setattr(Polyhedron, "intersect", counted)
-    fallback = decomposition_from_dict(data)
-    assert _answers(fallback.intersection_cell, pairs) == want
-    assert len(converted) >= len(fallback._isect_cache) > 0
+    monkeypatch.setattr(DDState, "key", counted)
+    for dec in [decomposition_from_dict(data)] + ([_cut(name)[0]] if name in CUTS else []):
+        cuts.clear()
+        assert _answers(dec.intersection_cell, pairs) == want
+        assert len(cuts) >= len(dec._isect_cache) > 0
 
 
 @pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + CUTS)
 def test_rows_settle_every_nonempty_pair(monkeypatch, name):
     """On every bundled decomposition and fixture cut, the row route names
     the cell of every nonempty pair, and of no other: a cut's cells keep
-    the rows their walk cut them by.  Only empty pairs reach
-    ``common_face``."""
+    the rows their walk cut them by.  Only empty pairs reach the state
+    cut."""
     settled = _settled_by_rows(monkeypatch)
     dec = _cut(name)[0] if name in CUTS else decomposition_from_dict(fx.DECOMPOSITIONS[name]())
     pairs = itertools.combinations(sorted(dec.polytopes), 2)

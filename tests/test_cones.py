@@ -825,7 +825,7 @@ def test_lineality_step_and_read_off_run_no_elimination(monkeypatch):
     assert calls["_rref_int"] == 1 and calls["_kernel_int"] == 0
 
 
-# -- common faces by certificate -------------------------------------------------
+# -- intersections by a state cut --------------------------------------------------
 
 
 def _seeded_polyhedron(rng, n):
@@ -841,11 +841,19 @@ def _seeded_polyhedron(rng, n):
     return p.cone
 
 
-def test_common_face_agrees_with_the_converted_intersection():
-    """Whenever the certificate answers, its answer is the converted
-    intersection's: the same canonical generators, or, for (), an
-    intersection with no ray at a positive last coordinate.  Seeded pairs
-    cover every outcome, certified faces with lineality among them."""
+def _cut_key(c1, c2):
+    """The key of c1 n c2: c1's state cut by the rows that cut c2 out,
+    each equality as a pair of rows."""
+    ineqs, eqs = c2.given_rows()
+    rows = ineqs + tuple(r for e in eqs for r in (e, tuple(-x for x in e)))
+    return c1.state().cut(*rows).key()
+
+
+def test_state_cut_agrees_with_the_converted_intersection():
+    """One cone's state, or its minimal form's, cut by another cone's rows
+    has the converted intersection's canonical generators.  Seeded pairs
+    cover a cone contained in the other, intersections with no ray at a
+    positive last coordinate, and faces with and without lineality."""
     rng = random.Random(1996)
     seen = Counter()
     for _ in range(1500):
@@ -853,40 +861,39 @@ def test_common_face_agrees_with_the_converted_intersection():
         c1, c2 = _seeded_polyhedron(rng, n), _seeded_polyhedron(rng, n)
         if rng.random() < 0.3:
             c1 = c1.intersect(c2)  # contained in c2
-        got = cones.common_face(c1, c2)
+            seen["contained"] += 1
         want = c1.intersect(c2).key()
-        if got is None:
-            seen["declined"] += 1
-        elif got == ():
-            assert not any(r[-1] > 0 for r in want[0]), (c1, c2)
+        assert _cut_key(c1, c2) == _cut_key(c1.minimal(), c2) == want, (c1, c2)
+        if not any(r[-1] > 0 for r in want[0]):
             seen["empty"] += 1
         else:
-            assert got == want, (c1, c2)
-            seen["face with lineality" if got[1] else "face"] += 1
-    assert min(seen[k] for k in ("declined", "empty", "face", "face with lineality")) >= 30, seen
+            seen["face with lineality" if want[1] else "face"] += 1
+    assert min(seen[k] for k in ("contained", "empty", "face", "face with lineality")) >= 30, seen
 
 
-def test_common_face_declines_a_line_against_a_point_on_it():
+def test_state_cut_tells_a_line_from_a_point_on_it():
     """The line x = 0 and the origin share their rays but not their
-    lineality: no row cuts either further, so the certificate declines."""
+    lineality: cut either way round they meet in the origin.  Two
+    half-planes meet in the line, and the last axis, which has points at a
+    positive last coordinate though no ray, meets ``t >= 0`` in a ray."""
     line = Polyhedron.from_hrep(2, eqs=[((1, 0), 0)]).cone
     point = Polyhedron.from_hrep(2, eqs=[((1, 0), 0), ((0, 1), 0)]).cone
     assert line.key()[0] == point.key()[0]
-    assert cones.common_face(line, point) is None
-    assert cones.common_face(point, line) == point.key()  # contained
+    assert _cut_key(line, point) == _cut_key(point, line) == point.key()
     left = Polyhedron.from_hrep(2, ineqs=[((1, 0), 0)]).cone
     right = Polyhedron.from_hrep(2, ineqs=[((-1, 0), 0)]).cone
-    assert cones.common_face(left, right) == line.key()
-    # the last axis has points at a positive last coordinate, though no ray
+    assert _cut_key(left, right) == _cut_key(right, left) == line.key()
     axis = Cone.from_hrep([], eqs=[(1, 0)])
+    upper = Cone.from_hrep([(0, 1)])
     assert axis.key() == ((), ((0, 1),))
-    assert cones.common_face(axis, Cone.from_hrep([(0, 1)])) is None
+    assert _cut_key(axis, upper) == _cut_key(upper, axis) == (((0, 1),), ())
 
 
 def test_lies_in_any_reads_the_conversion_zero_sets():
-    """An H-built cone's given row is tight on the whole cone exactly when
-    it vanishes on every ray and lineality vector.  Only an H-built cone
-    has zero-sets over its given rows."""
+    """A given row of an H-built cone is tight on the whole cone exactly
+    when it vanishes on every ray and lineality vector, and its minimal
+    form's state answers as its own does.  Only a cone cut out by rows
+    has a state."""
     rng = random.Random(61)
     seen = Counter()
     for _ in range(200):
@@ -896,14 +903,27 @@ def test_lies_in_any_reads_the_conversion_zero_sets():
         c = Cone.from_hrep(ineqs, eqs, ambient_dim=n)
         rows, _ = c.given_rows()
         gens = c.rays + c.lineality
+        state, minimal = c.state(), c.minimal().state()
         for i, a in enumerate(rows):
             tight = not any(sum(x * y for x, y in zip(a, g)) for g in gens)
-            assert c.lies_in_any([i]) == tight
+            assert state.lies_in_any([i]) == minimal.lies_in_any([i]) == tight
             seen[tight] += 1
         want = any(not any(sum(x * y for x, y in zip(a, g)) for g in gens) for a in rows)
-        assert c.lies_in_any(range(len(rows))) == want
+        assert state.lies_in_any(range(len(rows))) == want
+        assert minimal.lies_in_any(range(len(rows))) == want
     assert min(seen.values()) >= 100, seen
     with pytest.raises(RuntimeError):
-        Cone.from_rays([(1, 0)]).lies_in_any([0])
+        Cone.from_rays([(1, 0)]).state()
     with pytest.raises(RuntimeError):
-        Cone.from_hrep([(1, 0)]).minimal().lies_in_any([0])
+        Cone.from_rays([(1, 0)]).minimal().state()
+
+
+def test_a_walked_cell_gives_the_rows_it_was_cut_by():
+    """A walked cell's given rows are the rows its walk cut, before and
+    after its minimal rows are read, and so are its state's rows."""
+    cell = cones.DDState.space(2).cut((1, 0), (0, 1), (1, 1)).cone()
+    before = cell.given_rows()
+    assert before == (((1, 0), (0, 1), (1, 1)), ())
+    assert cell.ineqs == ((0, 1), (1, 0))  # the minimal rows, read off
+    assert cell.given_rows() == before
+    assert cell.state().rows == before[0]
