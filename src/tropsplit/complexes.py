@@ -14,6 +14,14 @@ exactly by going on with one cell's double description state
 generators name the listed face.  A facet is its cell's rays tight on its
 row; a cut's decomposition keeps the cones its walk kept, and their given
 rows are the rows it cut them by.
+
+A relative cell Cone(kappa, v), the cone of differences of the dual cells
+of P(v) and of its face P(kappa v), is the tangent cone of dual(P(v)) at
+the smaller dual cell: it is cut out by the rows of dual(P(v)) tight on
+every generator of dual(P(kappa v)) and by its equalities, t dropped
+(``relative_cell_rows``), read off rows already held, with no conversion
+of the cell.  The same generators check that the smaller dual cell lies
+in the larger one.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .exact import (
     saturated_kernel_lattice,
     vdot,
 )
-from .polyhedra import Polyhedron, _difference, _hom, _pair
+from .polyhedra import Polyhedron, _hom, _pair
 
 
 class DecompositionError(ValueError):
@@ -277,22 +285,45 @@ class Decomposition:
                 self.intersection_cell(p1, p2)  # raises when violated
 
 
-def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
-    """Cone(kappa, v): cone generated by dual(P(v)) minus dual(P(kappa v)).
+def relative_cell_rows(dec: Decomposition, pv: str, pkv: str) -> tuple[list, list]:
+    """Rows ``(ineqs, eqs)`` (``a.z >= 0``, ``e.z = 0``) that cut out
+    Cone(kappa, v), the cone generated by dual(P(v)) minus dual(P(kappa v)),
+    read off the dual rows already held: no conversion of the cell.
 
-    Requires P(v) to be a face of (or equal to) P(kappa v).  Both ids are
-    checked first: ``face_le`` holds for any id and itself.
-    """
+    Requires P(v) to be a face of (or equal to) P(kappa v), both ids
+    checked first (``face_le`` holds for any id and itself), and the dual
+    cell D_k of P(kappa v) to lie in the dual cell D_v of P(v): a minimal
+    row of D_v negative on a homogenized generator of D_k, or an equality
+    that does not vanish on one, raises ``DecompositionError``.
+
+    The ineqs are the minimal rows of D_v tight on every generator of D_k,
+    the eqs D_v's equalities, each with t dropped.  This is the tangent
+    cone of D_v at D_k.  Take y0 = (average of D_k's vertices) + (sum of
+    its rays): a row of D_v is tight at y0 exactly when it is tight on
+    every generator of D_k, and every other row is strict there.  With I
+    those rows, D_v = {y : a_i.y <= b_i, E y = d}: a difference x - y of
+    D_v and D_k has a_I.(x - y) <= b_I - b_I = 0 and E (x - y) = 0, and a z
+    with a_I.z <= 0 and E z = 0 has y0 + e z in D_v for a small e > 0, so
+    cone(D_v - D_k) = cone(D_v - y0) = {z : a_I.z <= 0, E z = 0}.  A
+    conversion's side is canonical for the set, so this cone converts to
+    what the generator differences converted to."""
     dec._known(pv, pkv)
     if not dec.face_le(pv, pkv):
         raise DecompositionError(f"{pv} is not a face of {pkv}")
-    dv = dec.dual(pv)
-    dk = dec.dual(pkv)
-    # differences of the vertices, on the integer generators
-    rays = [_difference(g, h) for g in dv.cone.rays if g[-1] for h in dk.cone.rays if h[-1]]
-    rays.extend(dv.recession_rays)
-    rays.extend(tuple(-x for x in r) for r in dk.recession_rays)
-    return Cone(dec.ambient_dim, rays=rays, lineality=())
+    ineqs, eqs = dec.dual(pv).rows()
+    gens = dec.dual(pkv).cone.rays  # given generators: no conversion
+    values = [[_dot(r, g) for g in gens] for r in ineqs]
+    if any(x < 0 for row in values for x in row) or any(_dot(e, g) for e in eqs for g in gens):
+        raise DecompositionError(f"dual cell of {pkv} does not lie in the dual cell of {pv}")
+    tight = [r[:-1] for r, row in zip(ineqs, values) if not any(row)]
+    return tight, [e[:-1] for e in eqs]
+
+
+def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
+    """Cone(kappa, v): cone generated by dual(P(v)) minus dual(P(kappa v)),
+    cut out by ``relative_cell_rows``, which checks the ids."""
+    ineqs, eqs = relative_cell_rows(dec, pv, pkv)
+    return Cone(dec.ambient_dim, ineqs=ineqs, eqs=eqs)
 
 
 def check_toric_data(normals, lam) -> tuple:

@@ -530,9 +530,6 @@ class Cone:
             self._dim = len(_rref_int(self._rays + self._lineality))
         return self._dim
 
-    def is_zero(self) -> bool:
-        return self.dim() == 0
-
     def contains(self, p) -> bool:
         p = primitive(p)  # a positive multiple: the signs are those of p
         if len(p) != self.ambient_dim:

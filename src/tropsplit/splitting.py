@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .complexes import Decomposition, cone_of_relative_cell
+from .complexes import Decomposition, relative_cell_rows
 from .cones import Cone, is_increasing, orthant_cut
 from .exact import (
     GenericityCertificate,
@@ -240,8 +240,7 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     the direction condition on new edges (nonnegative multiples) and on
     retained non-split edges (real multiples); split edges are free."""
     index = q.checked_top.index
-    cells = {v: cone_of_relative_cell(q.dec, q.top.label[v],
-                                      q.base.label[q.vertex_map[v]]).given_rows()
+    cells = {v: relative_cell_rows(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
              for v in index}
     collapsed = set(q.collapse.collapsed_edges)
     edges = [(e, e.id in collapsed)  # a new edge: nonnegative multiple
@@ -285,14 +284,15 @@ def _genericity_family(q: QuasiSplitGraph):
     kernel of the i-th pulled rows of Disc's equalities, and facet k to
     the kernel of the i-th pulled row of inequality k.  Each subspace is
     listed once, as a ``Subspace`` with its canonical basis of primitive
-    integer rref rows and its annihilator."""
+    integer rref rows and its annihilator.  A facet slice is the hyperplane
+    of one pulled row, built in closed form (``Subspace.hyperplane``); with
+    no equality, span(Disc) slices to the whole space and is skipped."""
     n = q.n
     ineqs, eqs = q.pull_table
     fam, labels = [], []
     seen = set()
 
-    def add(basis_rows, label):
-        S = Subspace.spanned_by(basis_rows, n)
+    def add(S, label):
         if not S.basis or not S.annihilator or S.basis in seen:
             return
         seen.add(S.basis)
@@ -300,10 +300,12 @@ def _genericity_family(q: QuasiSplitGraph):
         labels.append(label)
 
     for i, (bid, d, _) in enumerate(q.disc.blocks):
-        add([d], f"direction span of {bid}")
-        add(_kernel_int(_rref_int([row[i] for row in eqs]), n), f"span(Disc) sliced at {bid}")
+        add(Subspace.spanned_by([d], n), f"direction span of {bid}")
+        if eqs:
+            add(Subspace.spanned_by(_kernel_int(_rref_int([row[i] for row in eqs]), n), n),
+                f"span(Disc) sliced at {bid}")
         for k, row in enumerate(ineqs):
-            add(_kernel_int(_rref_int([row[i]]), n), f"facet {k} of Disc sliced at {bid}")
+            add(Subspace.hyperplane(row[i]), f"facet {k} of Disc sliced at {bid}")
     return fam, labels
 
 

@@ -93,7 +93,13 @@ tests and the oracles here used.
 each vertex's rows with ``block_row`` and each edge's with its own
 ``direction_rows``, here renamed ``pivot_direction_rows``; the three are
 kept verbatim so that ``graphs.graph_rows``, the one builder of the
-vertex-block systems, can be checked against them.
+vertex-block systems, can be checked against them.  Its per-vertex cell
+is this module's ``cone_of_relative_cell`` unless another is passed:
+the relative cell as it was generated by every difference of a vertex of
+dual(P(v)) and a vertex of dual(P(kappa v)), with the recession rays of
+the one and the negated ones of the other, and converted; it is kept
+verbatim so that the cell read off the dual rows
+(``complexes.relative_cell_rows``) can be checked against it.
 
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are the ``Fraction``
 Gauss-Jordan elimination and ``saturate``/``saturated_kernel_lattice`` the
@@ -124,7 +130,6 @@ from tropsplit.complexes import (
     DecompositionError,
     DualCell,
     Polytope,
-    cone_of_relative_cell,
 )
 from tropsplit.cones import Cone, _check_in_orthant
 from tropsplit.exact import (
@@ -151,7 +156,7 @@ from tropsplit.exact import (
     vdot,
 )
 from tropsplit.graphs import TROPICAL, GraphError, pair_row, validate_graph
-from tropsplit.polyhedra import Polyhedron, _hom
+from tropsplit.polyhedra import Polyhedron, _difference, _hom
 from tropsplit.reports import digest
 from tropsplit.serialize import canonical_json, cone_to_dict, vec_str
 from tropsplit.splitting import (
@@ -1346,7 +1351,25 @@ def pivot_direction_rows(e, n_vars, ia, ib, n):
     return eqs, pair_row(n_vars, ia, ib, n, d)
 
 
-def relative_position_cone(q) -> Cone:
+def cone_of_relative_cell(dec: Decomposition, pv: str, pkv: str) -> Cone:
+    """Cone(kappa, v): cone generated by dual(P(v)) minus dual(P(kappa v)).
+
+    Requires P(v) to be a face of (or equal to) P(kappa v).  Both ids are
+    checked first: ``face_le`` holds for any id and itself.
+    """
+    dec._known(pv, pkv)
+    if not dec.face_le(pv, pkv):
+        raise DecompositionError(f"{pv} is not a face of {pkv}")
+    dv = dec.dual(pv)
+    dk = dec.dual(pkv)
+    # differences of the vertices, on the integer generators
+    rays = [_difference(g, h) for g in dv.cone.rays if g[-1] for h in dk.cone.rays if h[-1]]
+    rays.extend(dv.recession_rays)
+    rays.extend(tuple(-x for x in r) for r in dk.recession_rays)
+    return Cone(dec.ambient_dim, rays=rays, lineality=())
+
+
+def relative_position_cone(q, cell=cone_of_relative_cell) -> Cone:
     """Cone of relative vertex positions: per-vertex relative cells with
     the direction condition on new edges (nonnegative multiples) and on
     retained non-split edges (real multiples); split edges are free."""
@@ -1356,7 +1379,7 @@ def relative_position_cone(q) -> Cone:
     ineqs: list = []
     eqs: list = []
     for v, i in index.items():
-        cone_v = cone_of_relative_cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
+        cone_v = cell(q.dec, q.top.label[v], q.base.label[q.vertex_map[v]])
         ineqs += [block_row(n_vars, i, n, a) for a in cone_v.ineqs]
         eqs += [block_row(n_vars, i, n, a) for a in cone_v.eqs]
     collapsed = set(q.collapse.collapsed_edges)

@@ -393,9 +393,12 @@ def test_corpus_regenerate_into_a_directory(tmp_path):
 
 
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
-    """One pass over the corpus, each case cold, runs 183 double
+    """One pass over the corpus, each case cold, runs 140 double
     description conversions and gives the stored bytes, two of them the
-    facet checks of the two potentials.  An edge cell named by
+    facet checks of the two potentials.  A relative cell converted from
+    the differences of its dual cells' generators, one per top vertex,
+    where the rows of dual(P(v)) tight on dual(P(kappa v)) cut it out
+    (once 183), changes the count.  An edge cell named by
     certificates on both end cells, converting each cell not yet
     converted, where the end cells' rows, whose union is the edge cell's,
     settle it (once 197), changes the count.  A component with one vertex
@@ -421,7 +424,7 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 183
+    assert len(calls) == 140
 
 
 def _count_in_every_binding(monkeypatch, name) -> list:
@@ -441,8 +444,11 @@ def _count_in_every_binding(monkeypatch, name) -> list:
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 250 ``_rref_int`` calls, counted in every module that binds it,
-    two of them in the facet checks of the two potentials.  A cone built
+    with 198 ``_rref_int`` calls, counted in every module that binds it,
+    two of them in the facet checks of the two potentials.  A genericity
+    facet slice found as the kernel of its row and then spanned again,
+    where the hyperplane's basis is read off the row, or a span(Disc)
+    slice built from no equality (once 250), changes the count.  A cone built
     with no equalities or no lineality generators that eliminates the
     empty span anyway (once 388), or an edge cell named by certificates
     on its end cells, converting them, where their rows settle it (once
@@ -469,7 +475,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 250
+    assert len(calls) == 198
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
@@ -491,8 +497,10 @@ def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
 
 def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 538 double description steps, 10 of them in the facet checks of
-    the two potentials.  Converting the end cells of an edge to name its
+    with 466 double description steps, 10 of them in the facet checks of
+    the two potentials.  Converting each relative cell from its generator
+    differences, where the dual rows cut it out (once 538 a pass), or
+    converting the end cells of an edge to name its
     cell by certificates, where their rows settle it (once 586 a pass),
     or converting the position polyhedra of the 18
     one-vertex components, realizable by construction (once 620 a pass),
@@ -513,7 +521,7 @@ def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     for case in corpus_cases():
         got = canonical_json(run_corpus_case(case))
         assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 538
+    assert len(calls) == 466
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
@@ -754,6 +762,22 @@ def test_collapse_to_graph_of_the_wrong_type_exits_two(fixture_dir, tmp_path, co
 def _write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_split_check_with_dual_cells_that_do_not_nest_exits_two(fixture_dir, tmp_path):
+    """With vc's dual cell shrunk to [1/2,1]x[0,1], Qmm's dual point (the
+    base vertex under ``up``) lies outside it: Cone(kappa, up) is no cone
+    of differences of nested dual cells, so the check is an input error
+    naming the failed containment, not an accepted split."""
+    dec = json.loads((fixture_dir / "square_split.dec.json").read_text())
+    vc = next(d for d in dec["dual_cells"] if d["id"] == "vc")
+    vc["vertices"] = [["1/2", "0"], ["1", "0"], ["1", "1"], ["1/2", "1"]]
+    res = run_cli([
+        "split", "check", _write_json(tmp_path / "d.dec.json", dec),
+        str(fixture_dir / "fig_square_top1.graph.json"), "--eta", "2,1",
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: dual cell of Qmm does not lie in the dual cell of vc\n"
 
 
 def test_unknown_edge_endpoint_in_a_collapse_exits_two(fixture_dir, tmp_path):

@@ -79,7 +79,7 @@ def test_normal_space_center(square_split):
 
 def test_cone_kappa_v_equal_top_dim(square_split):
     c = cone_of_relative_cell(square_split, "Qpp", "Qpp")
-    assert c.is_zero()
+    assert c.dim() == 0
 
 
 def test_cone_kappa_v_same_lower_cell_is_span(square_split):
@@ -114,6 +114,26 @@ def test_cone_kappa_v_names_an_unknown_cell(square_split, pv, pkv, unknown):
     and itself), not a ``KeyError`` from the dual cells."""
     with pytest.raises(DecompositionError, match=f"^unknown cell {unknown}$"):
         cone_of_relative_cell(square_split, pv, pkv)
+
+
+@pytest.mark.parametrize("cell, vertices, pv, pkv", [
+    ("vc", [["1/2", "0"], ["1", "0"], ["1", "1"], ["1/2", "1"]], "vc", "Qmm"),
+    ("Qpp", [["1/2", "1"]], "Hxp", "Qpp"),
+])
+def test_relative_cell_of_duals_that_do_not_nest_raises(cell, vertices, pv, pkv):
+    """A dual cell of P(kappa v) outside the dual cell of P(v) is an input
+    error: on the square with vc's dual shrunk to [1/2,1]x[0,1], Qmm's dual
+    point fails an inequality of vc's dual; with Qpp's dual moved to
+    (1/2,1), it fails the equality x = 1 of Hxp's dual segment.  Pairs
+    whose duals still nest keep their cells."""
+    data = fx.square_complex()
+    next(d for d in data["dual_cells"] if d["id"] == cell)["vertices"] = vertices
+    dec = decomposition_from_dict(data)
+    message = f"^dual cell of {pkv} does not lie in the dual cell of {pv}$"
+    with pytest.raises(DecompositionError, match=message):
+        cone_of_relative_cell(dec, pv, pkv)
+    want = oracles.cone_of_relative_cell(dec, "vc", "Qpp").key()
+    assert cone_of_relative_cell(dec, "vc", "Qpp").key() == want
 
 
 @pytest.mark.parametrize("p1, p2, unknown", [
@@ -712,6 +732,26 @@ def _cut(name):
 
 
 CUTS = ["toric_square", "hirzebruch_two", "toric_cube", "toric_hexagonal_prism"]
+
+
+@pytest.mark.parametrize("name", sorted(fx.DECOMPOSITIONS) + CUTS)
+def test_relative_cell_read_off_the_dual_rows_matches_the_generator_differences(name):
+    """For every pair pv <= pkv of listed cells (pv = pkv too), the cell cut
+    out by the rows of dual(P(v)) tight on dual(P(kappa v)) has the
+    canonical generators of the frozen cell converted from the generator
+    differences."""
+    if name in fx.DECOMPOSITIONS:
+        dec = decomposition_from_dict(fx.DECOMPOSITIONS[name]())
+    else:
+        dec, _ = _cut(name)
+    pairs = [(q, p) for q in sorted(dec.polytopes) for p in sorted(dec.polytopes)
+             if dec.face_le(q, p)]
+    dims = Counter()
+    for pv, pkv in pairs:
+        got = cone_of_relative_cell(dec, pv, pkv)
+        assert got.key() == oracles.cone_of_relative_cell(dec, pv, pkv).key(), (pv, pkv)
+        dims[got.dim()] += 1
+    assert len(pairs) > len(dec.polytopes) and len(dims) > 1, dims
 
 
 @pytest.mark.parametrize("name", CUTS)

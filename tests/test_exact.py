@@ -9,6 +9,8 @@ import oracles
 from oracles import det, mat, matmul, transpose, vec
 from tropsplit.exact import (
     IntegerLattice,
+    Subspace,
+    _kernel_int,
     _lead,
     _rref_int,
     fr,
@@ -608,3 +610,19 @@ def test_primitive_still_rejects_floats(bad):
 def test_bools_are_not_rationals(call, flag):
     with pytest.raises(ValueError):
         call(flag)
+
+
+def test_hyperplane_slice_matches_the_eliminated_kernel():
+    """``Subspace.hyperplane(c)`` is the span of the kernel of the one row
+    c as two eliminations and two kernels give it, basis and annihilator
+    alike, on seeded integer rows in R^1..R^5, the zero row included."""
+    rng = random.Random(36)
+    zero = 0
+    for n in range(1, 6):
+        for _ in range(300):
+            c = tuple(rng.choice((0, 0, 1, -1, 2, -3, 4, -6, 9)) for _ in range(n))
+            zero += not any(c)
+            want = Subspace.spanned_by(_kernel_int(_rref_int([c]), n), n)
+            assert Subspace.hyperplane(c) == want, c
+        assert Subspace.hyperplane((0,) * n) == Subspace.spanned_by(_kernel_int((), n), n)
+    assert zero >= 20, zero

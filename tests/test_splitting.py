@@ -10,6 +10,7 @@ from conftest import graph, quasi
 from oracles import matvec, vec
 from tropsplit import fixtures as fx
 from tropsplit import reports
+from tropsplit.complexes import cone_of_relative_cell
 from tropsplit.cones import Cone
 from tropsplit.graphs import GraphError
 from tropsplit.polyhedra import Polyhedron
@@ -58,7 +59,7 @@ def test_w_cone_square_top2(square_split):
 def test_w_cone_identity_collapse_of_rigid_base(square_plain):
     g = graph("fig_rigid_gamma1")
     q = QuasiSplitGraph(square_plain, g, g, {v: v for v, _ in g.vertices})
-    assert relative_position_cone(q).is_zero()
+    assert relative_position_cone(q).dim() == 0
 
 
 def test_w_cone_cube_top2(cube_split):
@@ -74,8 +75,10 @@ def test_w_cone_cube_top2(cube_split):
 
 
 def test_one_row_builder_gives_the_frozen_w(square_plain, square_split, cube_split):
-    """W laid out by ``graphs.graph_rows`` has the frozen W's given rows, in
-    the same order, and so the same canonical generators (``Cone.key()``).
+    """W laid out by ``graphs.graph_rows`` has the given rows, in the same
+    order, of the frozen W laid out from the library's relative cells, and
+    the canonical generators (``Cone.key()``) of the frozen W built from
+    the frozen cells, each converted from its generator differences.
     Checked on the quasi-split graphs these tests build: the eight split
     fixtures, one under another order, both identity collapses, the
     four-edge intermediates under both partial orders, two split edges in
@@ -92,9 +95,10 @@ def test_one_row_builder_gives_the_frozen_w(square_plain, square_split, cube_spl
     qs += [_random_one_edge_family(square_split, rng)[0] for _ in range(40)]
     edges = Counter()
     for q in qs:
-        old, new = oracles.relative_position_cone(q), relative_position_cone(q)
-        assert new.given_rows() == old.given_rows(), q.top
-        assert new.key() == old.key(), q.top
+        new = relative_position_cone(q)
+        laid = oracles.relative_position_cone(q, cone_of_relative_cell)
+        assert new.given_rows() == laid.given_rows(), q.top
+        assert new.key() == oracles.relative_position_cone(q).key(), q.top
         for e in q.top.tropical_edges():
             if e.id not in q.top_split_ids:
                 edges["new" if e.id in q.collapse.collapsed_edges else "retained"] += 1
