@@ -28,6 +28,8 @@ nonnegative orthant, and ``toric_cut`` carries a state from each cell to
 its refinements; ``cone()`` hands a state over as a minimal cone, and
 ``Cone.state()`` hands a cone cut out by rows back as a state, so one
 cell's state cut by another's rows is their intersection, exactly.
+Whether a row is tight on the whole cone is one AND over the zero-sets
+(``_lies_in_any``), on a state or on the cone's own conversion.
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  The conversion,
@@ -221,6 +223,18 @@ def _cut(lin: tuple, rays: list, done: tuple, rows) -> tuple[tuple, list]:
     return lin, rays
 
 
+def _lies_in_any(zero_sets, indices) -> bool:
+    """Whether some row i, i in ``indices``, has its bit in every one of
+    the extreme rays' ``zero_sets``: it is tight on every extreme ray, and
+    every lineality vector is tight on every row, so on the whole cone."""
+    tight = 0
+    for i in indices:
+        tight |= 1 << i
+    for z in zero_sets:
+        tight &= z
+    return bool(tight)
+
+
 class DDState(NamedTuple):
     """The cone {y in R^dim : a.y >= 0 for a in rows}: a lineality basis, tight on
     every row, and extreme rays modulo it, each with its zero-set, bit i for rows[i]."""
@@ -246,15 +260,9 @@ class DDState(NamedTuple):
         return DDState(self.dim, lin, rays, self.rows + rows)
 
     def lies_in_any(self, indices) -> bool:
-        """Whether some ``rows[i]``, i in ``indices``, has its bit in the
-        zero-set of every ray: it is tight on every extreme ray, and every
-        lineality vector is tight on every row, so on the whole cone."""
-        tight = 0
-        for i in indices:
-            tight |= 1 << i
-        for _, z in self.rays:
-            tight &= z
-        return bool(tight)
+        """Whether some ``rows[i]``, i in ``indices``, is tight on the whole
+        cone (``_lies_in_any``)."""
+        return _lies_in_any((z for _, z in self.rays), indices)
 
     def key(self) -> tuple[tuple, tuple]:
         """``cone().key()``, the sorted extreme rays and the lineality
@@ -547,6 +555,14 @@ class Cone:
         c = self if self._from_h or self._off is not None else self.minimal()
         return c.rays, c.lineality
 
+    def minimal_rows(self) -> tuple[tuple, tuple]:
+        """``minimal()``'s facets and equality basis, the other side of
+        ``key()``: a cone built from generators reads its converted side
+        and a conversion's cone its read-off, with no minimal form built;
+        only a cone built from rows needs one."""
+        c = self.minimal() if self._from_h and self._off is None else self
+        return c.ineqs, c.eqs
+
     def given_rows(self) -> tuple[tuple, tuple]:
         """Rows ``a.x >= 0`` and an equality basis that cut the cone out: the
         given ones, or those its conversion cut (a walked cell's own rows,
@@ -556,6 +572,21 @@ class Cone:
             return self._off[0], self._off[2]
         return self.ineqs, self.eqs
 
+    def lies_in_any(self, indices) -> bool:
+        """``state().lies_in_any(indices)``, read off the conversion's
+        zero-sets over ``given_rows()[0]`` with no state built: whether
+        some given row i, i in ``indices``, is tight on the whole cone."""
+        return _lies_in_any(self._cut_out()[1], indices)
+
+    def _cut_out(self) -> tuple[tuple, tuple, tuple]:
+        """For a cone cut out by rows: the rows ``given_rows()``, its
+        extreme rays' zero-sets over the inequalities and the equality
+        basis, converting once if need be."""
+        if self._from_h == (self._off is not None):
+            raise RuntimeError("only a cone cut out by rows has a double description state")
+        self._ensure_v()
+        return self._off or (self._ineqs, self._zs, self._eqs)
+
     def state(self) -> DDState:
         """The double description state of a cone cut out by rows: an
         H-built cone, a walked cell or the minimal form of either.  Its
@@ -563,10 +594,7 @@ class Cone:
         tight on every ray, and its rays the extreme rays with their
         zero-sets over those rows, so ``state().cut(*rows)`` goes on with
         the double description the cone came from."""
-        if self._from_h == (self._off is not None):
-            raise RuntimeError("only a cone cut out by rows has a double description state")
-        self._ensure_v()
-        ineqs, zs, eqs = self._off or (self._ineqs, self._zs, self._eqs)
+        ineqs, zs, eqs = self._cut_out()
         both = tuple(r for e in eqs for r in (e, tuple(map(neg, e))))
         tight = ((1 << len(both)) - 1) << len(ineqs)
         rays = [(r, z | tight) for r, z in zip(self._rays, zs)]

@@ -16,8 +16,8 @@ position polyhedron here and the relative position cone in ``splitting``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .complexes import Decomposition
 from .exact import _dot, as_int, quotient_projection
@@ -93,8 +93,9 @@ class TropicalGraph:
 
 
 def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
-    """Tropical-graph invariants: labels exist, edge cells are listed, and
-    directions are nonzero vectors of the edge cell's normal lattice.
+    """Tropical-graph invariants: some vertex, labels exist, edge cells are
+    listed, and directions are nonzero vectors of the edge cell's normal
+    lattice.
 
     A direction is an integer vector, so it lies in the saturated normal
     lattice exactly when it is orthogonal to the cell's direction space
@@ -107,6 +108,8 @@ def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
         if graph.dec is dec:
             return graph
         graph = graph.graph
+    if not graph.vertices:
+        raise GraphError("graph has no vertex")
     for v, p in graph.vertices:
         if p not in dec.polytopes:
             raise GraphError(f"vertex {v}: unknown polytope {p}")
@@ -200,38 +203,44 @@ class CheckedGraph:
 
     @cached_property
     def positions(self) -> VertexPositionPolyhedron:
-        """The polyhedron of vertex position maps, with strict realizability.
+        """The polyhedron of vertex position maps, with strict realizability,
+        decided in one integer pass over its one conversion.
 
         Its cone's rows, on the homogenization (x, t), are the strict rows,
         each r.(x, t) >= 0 needed strictly, then ``t >= 0``, and the
         equalities (``Polyhedron.from_rows``).  ``graph_rows`` lays them
         out with t shared by every block: each vertex block takes its dual
-        cell's minimal homogenized rows (``Polyhedron.rows``), primitive,
-        so no row is paired, read or scaled again, and each tropical edge
-        adds its line's equalities and the strict row of its multiplier.
+        cell's minimal homogenized rows (``Polyhedron.rows``, kept with the
+        cell), primitive, so no row is paired, read or scaled again, and
+        each tropical edge adds its line's equalities and the strict row of
+        its multiplier.
 
-        A strict row is implicit, so the strict system infeasible, exactly
-        when the closed polyhedron lies in its hyperplane: when its bit is
-        in the zero-set of every ray of the one conversion that decides
-        emptiness, read off the cone's state (``Cone.state()``).  The cone
-        keeps the nonzero rows in order, and no strict row is zero, so
-        strict row i has bit i."""
+        The zero-sets decide.  The closed polyhedron is nonempty when some
+        generator has t > 0.  A relative interior point is strict on
+        exactly the rows that are not implicit, so the strict system is
+        feasible exactly when no strict row is tight on the whole cone:
+        when no strict row's bit is in the zero-set of every ray of the
+        conversion (``Cone.lies_in_any``).  The cone keeps the nonzero rows
+        in order, and no strict row is zero, so strict row i has bit i.
+
+        The witness certifies.  The integer sum h of the generators
+        (``Polyhedron.generator_sum``) is checked once against every row:
+        each strict row > 0, t > 0 and each equality = 0.  A verdict the
+        zero-sets gave and h does not bear out is an internal error; the
+        witness is h / h_t."""
         index, n = self.index, self.dec.ambient_dim
         duals = {v: self.dec.dual(self.graph.label[v]).rows() for v in index}
         edges = [(e, True) for e in self.graph.tropical_edges()]
         strict, eqs = graph_rows(index, n, duals, edges, shared=1)
         closed = Polyhedron.from_rows(n * len(index), strict, eqs)
         weakly = not closed.is_empty()
-        realizable = weakly and not closed.cone.state().lies_in_any(range(len(strict)))
-        witness = closed.relative_interior_point() if realizable else None
-        # a relative interior point avoids every strict boundary: no strict
-        # row is implicit, so each cuts out a proper face.  The integer rows
-        # are tested on witness = num / den over one common denominator.
-        if witness is not None:
-            den = lcm(*(x.denominator for x in witness))
-            point = [x.numerator * (den // x.denominator) for x in witness] + [den]
-            if not all(_dot(r, point) > 0 for r in strict):
+        realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
+        witness = None
+        if realizable:
+            h = closed.generator_sum()
+            if h[-1] <= 0 or any(_dot(r, h) <= 0 for r in strict) or any(_dot(e, h) for e in eqs):
                 raise RuntimeError("relative interior point violates a strict row")
+            witness = tuple(Fraction(x, h[-1]) for x in h[:-1])
         return VertexPositionPolyhedron(
             vertex_order=tuple(index),
             closed=closed,

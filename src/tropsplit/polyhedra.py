@@ -15,7 +15,8 @@ t > 0 scaled to t = 1, as ``Fraction`` tuples, built when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
 integer tuples.  ``Polyhedron.from_rows`` builds from homogenized rows,
 appending ``t >= 0`` last, and ``Polyhedron.rows`` reads the minimal ones
-back without it; ``from_hrep`` and ``hrep`` take and give pairs.
+back without it, once per polyhedron; ``from_hrep`` and ``hrep`` take and
+give pairs.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ def _difference(g, h) -> tuple:
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_directions")
+    __slots__ = ("ambient_dim", "cone", "_directions", "_rows")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._directions = None
+        self._directions = self._rows = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, ineqs=(), eqs=()):
@@ -112,9 +113,12 @@ class Polyhedron:
 
     def rows(self) -> tuple[tuple, tuple]:
         """The minimal homogenized rows r (r.(x, t) >= 0, or = 0 for the
-        equalities), primitive, without ``t >= 0``."""
-        m = self.cone.minimal()
-        return tuple(tuple(r for r in rows if any(r[:-1])) for rows in (m.ineqs, m.eqs))
+        equalities), primitive, without ``t >= 0``: read off the cone's
+        minimal rows once and kept."""
+        if self._rows is None:
+            self._rows = tuple(tuple(r for r in rows if any(r[:-1]))
+                               for rows in self.cone.minimal_rows())
+        return self._rows
 
     def hrep(self) -> tuple[list, list]:
         """Minimal inequalities [(a, b)] (a.x <= b) and equalities, as
@@ -145,11 +149,11 @@ class Polyhedron:
                 self._directions = _canon_span(rows + self.lineality)
         return list(self._directions)
 
-    def relative_interior_point(self) -> tuple:
-        """(sum of the vertices + sum of the recession rays) / number of
-        vertices, as a ``Fraction`` tuple.  It is read off the integer sum
-        h of the generators, each vertex scaled to t = l, the lcm of their
-        t, and each recession ray by l: the point is h / h_t."""
+    def generator_sum(self) -> list:
+        """The integer sum h of the generators, each vertex scaled to
+        t = l, the lcm of their t, and each recession ray by l: a point of
+        the homogenization cone, strict on every row that is not implicit,
+        whose point h / h_t is ``relative_interior_point()``."""
         ts = [g[-1] for g in self.cone.rays if g[-1] > 0]
         if not ts:
             raise ValueError("empty polyhedron has no relative interior point")
@@ -158,6 +162,13 @@ class Polyhedron:
         for g in self.cone.rays:
             c = l // g[-1] if g[-1] else l
             h = [x + c * y for x, y in zip(h, g)]
+        return h
+
+    def relative_interior_point(self) -> tuple:
+        """(sum of the vertices + sum of the recession rays) / number of
+        vertices, as a ``Fraction`` tuple: h / h_t for h the
+        ``generator_sum()``, checked to lie in the polyhedron."""
+        h = self.generator_sum()
         if not self.cone.contains(h):
             raise RuntimeError("relative interior point outside the polyhedron")
         return tuple(Fraction(x, h[-1]) for x in h[:-1])

@@ -85,6 +85,9 @@ call, and ``lattice_contains`` is ``IntegerLattice.contains`` as it ran
 one elimination per call.  Both are kept verbatim (with ``self`` as an
 argument) so that the zero-set read-off in ``tropsplit.graphs`` and the
 echelon reduction in ``tropsplit.exact`` can be checked against them.
+Its witness is this module's ``relative_interior_point``, the mean of the
+vertices plus the recession rays summed in ``Fraction`` arithmetic, so the
+library's integer generator sum is checked against a route of its own.
 ``intersect_hrep`` is ``Polyhedron.intersect_hrep`` and ``lattice_spans``
 is ``IntegerLattice.spans`` (with ``self`` as an argument), which only the
 tests and the oracles here used.
@@ -1264,6 +1267,20 @@ def direction_rows(direction, n_vars, ia, ib, n):
     return eqs, pair_row(n_vars, ia, ib, n, direction)
 
 
+def relative_interior_point(self) -> tuple:
+    """(sum of the vertices + sum of the recession rays) / number of
+    vertices, summed in ``Fraction`` arithmetic over the de-homogenized
+    generators and checked to lie in the polyhedron."""
+    vertices = self.vertices
+    if not vertices:
+        raise ValueError("empty polyhedron has no relative interior point")
+    total = [sum(xs, Fraction(0)) for xs in zip(*vertices, *self.recession_rays)]
+    point = tuple(x / len(vertices) for x in total)
+    if not self.contains(point):
+        raise RuntimeError("relative interior point outside the polyhedron")
+    return point
+
+
 def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:
     """The polyhedron of vertex position maps, with strict realizability."""
     validate_graph(dec, graph)
@@ -1296,7 +1313,7 @@ def vertex_positions(dec: Decomposition, graph) -> VertexPositionPolyhedron:
     realizable = weakly and all(
         not hom_lies_in_hyperplane(closed, a, b) for a, b in strict
     )
-    witness = closed.relative_interior_point() if realizable else None
+    witness = relative_interior_point(closed) if realizable else None
     # a relative interior point avoids every strict boundary: no strict
     # row is implicit, so each cuts out a proper face.  The integer rows
     # are tested on witness = num / den over one common denominator.

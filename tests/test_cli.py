@@ -780,6 +780,29 @@ def test_split_check_with_dual_cells_that_do_not_nest_exits_two(fixture_dir, tmp
     assert res.stderr == "error: dual cell of Qmm does not lie in the dual cell of vc\n"
 
 
+@pytest.mark.parametrize("command, dec, split", [
+    (["graph", "check"], "square_plain", False),
+    (["split", "check"], "square_split", True),
+    (["mult"], "square_split", True),
+    (["symmetry"], "square_plain", False),
+])
+def test_empty_graph_exits_two(fixture_dir, tmp_path, command, dec, split):
+    """A graph with no vertex is an input error on every command that reads
+    one: it once got exit 0 with ``"realizable":true``, ``"rigid":true``,
+    an accepted split, multiplicity 1 and a symmetry group.  A split input
+    is an empty top that collapses onto an empty base."""
+    empty = {"vertices": [], "edges": []}
+    graph = _write_json(tmp_path / "empty.graph.json", empty)
+    if split:
+        top = dict(empty, collapse={"to_graph": graph, "vertex_map": {}})
+        graph = _write_json(tmp_path / "top.graph.json", top)
+    eta = ["--eta", "1,-1"] if command == ["split", "check"] else []
+    res = run_cli([*command, str(fixture_dir / f"{dec}.dec.json"), graph, *eta])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: graph has no vertex\n"
+    assert res.stdout == ""
+
+
 def test_unknown_edge_endpoint_in_a_collapse_exits_two(fixture_dir, tmp_path):
     """A top edge end that names no vertex exits 2 and names the edge; it
     once failed a vertex-map lookup with a KeyError."""
@@ -1059,16 +1082,17 @@ def test_internal_error_exits_three(fixture_dir, patch, exc, shown, args):
 
 
 def test_unchecked_witness_exits_three(fixture_dir):
-    """A relative interior point that fails its integer check is an
-    internal error (exit 3), never a verdict: forced here by returning a
-    vertex of each position polyhedron."""
+    """A witness that fails its integer check is an internal error (exit
+    3), never a verdict: forced here by returning a vertex of each position
+    polyhedron as its generator sum."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     script = (
         "import sys\n"
         "from tropsplit.polyhedra import Polyhedron\n"
-        "Polyhedron.relative_interior_point = lambda self: self.vertices[0]\n"
+        "Polyhedron.generator_sum = lambda self: list(\n"
+        "    next(g for g in self.cone.rays if g[-1] > 0))\n"
         "from tropsplit.cli import main\n"
         "main(sys.argv[1:])\n"
     )

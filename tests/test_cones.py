@@ -892,8 +892,9 @@ def test_state_cut_tells_a_line_from_a_point_on_it():
 def test_lies_in_any_reads_the_conversion_zero_sets():
     """A given row of an H-built cone is tight on the whole cone exactly
     when it vanishes on every ray and lineality vector, and its minimal
-    form's state answers as its own does.  Only a cone cut out by rows
-    has a state."""
+    form's state answers as its own does; so does the cone's own read of
+    its zero-sets, on a cone not yet converted and on its minimal form.
+    Only a cone cut out by rows has a state or that read."""
     rng = random.Random(61)
     seen = Counter()
     for _ in range(200):
@@ -904,18 +905,44 @@ def test_lies_in_any_reads_the_conversion_zero_sets():
         rows, _ = c.given_rows()
         gens = c.rays + c.lineality
         state, minimal = c.state(), c.minimal().state()
+        fresh = Cone.from_hrep(ineqs, eqs, ambient_dim=n)
         for i, a in enumerate(rows):
             tight = not any(sum(x * y for x, y in zip(a, g)) for g in gens)
             assert state.lies_in_any([i]) == minimal.lies_in_any([i]) == tight
+            assert fresh.lies_in_any([i]) == c.minimal().lies_in_any([i]) == tight
             seen[tight] += 1
         want = any(not any(sum(x * y for x, y in zip(a, g)) for g in gens) for a in rows)
-        assert state.lies_in_any(range(len(rows))) == want
-        assert minimal.lies_in_any(range(len(rows))) == want
+        for read in (state, minimal, c, c.minimal()):
+            assert read.lies_in_any(range(len(rows))) == want
     assert min(seen.values()) >= 100, seen
-    with pytest.raises(RuntimeError):
-        Cone.from_rays([(1, 0)]).state()
-    with pytest.raises(RuntimeError):
-        Cone.from_rays([(1, 0)]).minimal().state()
+    for generated in (Cone.from_rays([(1, 0)]), Cone.from_rays([(1, 0)]).minimal()):
+        with pytest.raises(RuntimeError):
+            generated.state()
+        with pytest.raises(RuntimeError):
+            generated.lies_in_any([0])
+
+
+def test_minimal_rows_are_the_minimal_forms_rows():
+    """``minimal_rows()`` is ``minimal()``'s facets and equality basis for
+    a cone built from rows, from generators and walked, and a cone built
+    from generators answers from its converted side with no minimal form
+    built.  A polyhedron's rows are read once and kept."""
+    rng = random.Random(62)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        extra = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        for make in (lambda: Cone.from_hrep(vecs, extra, ambient_dim=n),
+                     lambda: Cone.from_rays(vecs, extra, ambient_dim=n),
+                     lambda: cones.DDState.space(n).cut(*map(tuple, vecs)).cone()):
+            m = make().minimal()
+            assert make().minimal_rows() == (m.ineqs, m.eqs)
+        gens = Cone.from_rays(vecs, extra, ambient_dim=n)
+        gens.minimal_rows()
+        assert gens._minimal is None
+    square = Polyhedron.from_vrep(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert square.rows() is square.rows()
+    assert square.rows() == (((-1, 0, 1), (0, -1, 1), (0, 1, 0), (1, 0, 0)), ())
 
 
 def test_a_walked_cell_gives_the_rows_it_was_cut_by():

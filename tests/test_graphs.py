@@ -50,16 +50,62 @@ def test_gamma2_one_dimensional(square_plain):
     assert x == y and F(1, 2) < x < 1
 
 
+def _first_vertex_generator(self):
+    """A forced witness: the first generator of the homogenization cone at
+    t > 0, a vertex of the closed polyhedron."""
+    return list(next(g for g in self.cone.rays if g[-1] > 0))
+
+
 def test_witness_on_a_strict_row_is_caught(square_plain, monkeypatch):
-    """The integer witness check still raises when the relative interior
-    point lies on a strict row: here a vertex of the closed polyhedron."""
+    """The integer witness check still raises when the generator sum lies
+    on a strict row: here a vertex of the closed polyhedron."""
     g = graph("fig_rigid_gamma2")
     w = vertex_positions(square_plain, g)
     vertex = w.closed.vertices[0]
     assert any(sum(x * y for x, y in zip(a, vertex)) == b for a, b in w.strict_rows)
-    monkeypatch.setattr(Polyhedron, "relative_interior_point", lambda self: self.vertices[0])
+    monkeypatch.setattr(Polyhedron, "generator_sum", _first_vertex_generator)
     with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
         vertex_positions(square_plain, g)
+
+
+def test_witness_off_an_equality_is_caught(square_plain, monkeypatch):
+    """The integer witness check also raises when the generator sum is
+    strict on every strict row and at t > 0 but breaks an equality: here
+    the true sum, scaled up, plus a unit vector that an edge's line row
+    does not annihilate."""
+    g = graph("fig_rigid_gamma2")
+    w = vertex_positions(square_plain, g)
+    h = w.closed.generator_sum()
+    eq = w.closed.cone.eqs[0]
+    j = next(i for i, x in enumerate(eq[:-1]) if x)
+    scale = 1 + max(abs(x) for r in w.strict for x in r)
+    bad = [scale * x for x in h]
+    bad[j] += 1
+    assert bad[-1] > 0 and all(_dot(r, bad) > 0 for r in w.strict)
+    assert not w.closed.cone.contains(bad)
+    monkeypatch.setattr(Polyhedron, "generator_sum", lambda self: list(bad))
+    with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
+        vertex_positions(square_plain, g)
+
+
+def test_witness_at_t_zero_is_caught(monkeypatch):
+    """The integer witness check raises on a generator sum at t = 0, no
+    point of the polyhedron, even when it is strict on every strict row and
+    meets every equality: here the recession ray of a dual cell that is a
+    half-line, where only the check of t can fail."""
+    data = fx.square_complex(split=())
+    qmm = next(d for d in data["dual_cells"] if d["id"] == "Qmm")
+    qmm["rays"] = [["1", "0"]]
+    dec = decomposition_from_dict(data)
+    g = TropicalGraph((("v", "Qmm"),), ())
+    w = vertex_positions(dec, g)
+    assert w.realizable and w.witness == (1, 0)
+    ray = [1, 0, 0]
+    assert all(_dot(r, ray) > 0 for r in w.strict)
+    assert not any(_dot(e, ray) for e in w.closed.cone.eqs)
+    monkeypatch.setattr(Polyhedron, "generator_sum", lambda self: list(ray))
+    with pytest.raises(RuntimeError, match="relative interior point violates a strict row"):
+        vertex_positions(dec, g)
 
 
 def test_single_vertex_top_dimensional(square_plain):

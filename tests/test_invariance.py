@@ -13,9 +13,21 @@ verdicts, the dimensions, the multiplicity and the group orders, the split
 edges under the renaming, the scalings cone (its coordinates follow the
 split order, which the renaming keeps), and the witness of a graph report,
 vertex by vertex, as U times the original plus tau.
+
+The toric cuts of the square, the second Hirzebruch surface and the cube
+run again with their moment polytope moved by x -> U x + tau, for a seeded
+U in GL_n(Z) and tau in Q^n: each normal mu maps to U^-T mu, integer since
+U is unimodular, and each constant c to c + <U^-T mu, tau>, so every cut
+hyperplane moves with the polytope and the cells keep their sign vectors,
+hence their ids.  Each cell must keep its dimension (so the per-dimension
+counts stay), its vertices must move by the same map, the tropical-fiber
+test at each cell's moved relative interior point must give the same
+answer, and the Batyrev-Givental potential must keep its coefficients and
+areas, with each monomial mu moved to U^-T mu.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +35,9 @@ import pytest
 from tropsplit import fixtures as fx
 from tropsplit import reports
 from tropsplit.cli import _quasi_split, _symmetry_report, corpus_cases, run_corpus_case
+from tropsplit.complexes import is_tropical_fiber, toric_cut
+from tropsplit.exact import solve
+from tropsplit.potential import bg_potential
 from tropsplit.serialize import decomposition_from_dict, graph_from_dict, parse_vec
 
 CASES = [c for c in corpus_cases() if c["kind"] in ("graph", "split", "mult", "symmetry")]
@@ -191,3 +206,61 @@ def test_report_is_invariant_under_renaming_and_a_change_of_basis(case):
             blocks = witness_blocks(got)
             for v, block in witness_blocks(original).items():
                 assert blocks[names[v]] == shift(apply(U, block), tau), (seed, U, tau, v)
+
+
+TORIC = ("toric_square", "hirzebruch_two", "toric_cube")
+
+
+def transform_toric(data, U, tau) -> dict:
+    """Toric data of the moment polytope moved by x -> U x + tau: the
+    normals U^-T mu, the constants c + <U^-T mu, tau>, the base point
+    U lambda + tau and the same epsilons."""
+    UT = [list(col) for col in zip(*U)]
+    normals = []
+    for mu in data["normals"]:
+        moved = solve(UT, [F(x) for x in mu])
+        assert all(x.denominator == 1 for x in moved), (U, mu)
+        normals.append(tuple(int(x) for x in moved))
+    constants = [F(c) + sum(a * x for a, x in zip(mu, tau))
+                 for mu, c in zip(normals, data["constants"])]
+    return {"normals": normals, "constants": constants,
+            "epsilons": [F(e) for e in data["epsilons"]],
+            "lambda": shift(apply(U, data["lambda"]), tau)}
+
+
+def toric_answers(data, points=None) -> tuple:
+    """The cut of ``data``, each cell's dimension and vertices, the
+    tropical-fiber test of each cell at ``points[cell]`` (by default the
+    cell's relative interior point), the inner cell and the potential."""
+    dec, inner = toric_cut(data["normals"], data["constants"], data["epsilons"],
+                           data["lambda"])
+    if points is None:
+        points = {p: dec.cell(p).relative_interior_point() for p in dec.polytopes}
+    cells = {p: (poly.dim, sorted(dec.cell(p).vertices)) for p, poly in dec.polytopes.items()}
+    fibers = {p: is_tropical_fiber(dec, p, points[p]) for p in dec.polytopes}
+    series = bg_potential(data["normals"], data["constants"], data["lambda"])
+    return cells, fibers, points, inner, series
+
+
+@pytest.mark.parametrize("name", TORIC)
+def test_toric_answers_are_invariant_under_a_lattice_change_of_basis(name):
+    data = getattr(fx, name)()
+    cells, fibers, points, inner, series = toric_answers(data)
+    assert fibers[inner] and sum(fibers.values()) < len(fibers)
+    n = len(data["normals"][0])
+    for seed in SEEDS:
+        rng = random.Random(f"{name}:{seed}")
+        U = unimodular(rng, n)
+        tau = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        moved = transform_toric(data, U, tau)
+        at = {p: shift(apply(U, x), tau) for p, x in points.items()}
+        got_cells, got_fibers, _, got_inner, got_series = toric_answers(moved, at)
+        assert Counter(d for d, _ in got_cells.values()) == Counter(d for d, _ in cells.values())
+        assert got_cells.keys() == cells.keys() and got_inner == inner, (seed, U, tau)
+        for p, (dim, vertices) in cells.items():
+            want = sorted(shift(apply(U, v), tau) for v in vertices)
+            assert got_cells[p] == (dim, want), (seed, U, tau, p)
+        assert got_fibers == fibers, (seed, U, tau)
+        UT = list(zip(*U))
+        back = Counter((c, a, tuple(int(x) for x in apply(UT, m))) for c, a, m in got_series.terms)
+        assert back == Counter(series.terms), (seed, U, tau)
