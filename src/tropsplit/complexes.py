@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import Cone, DDState
 from .exact import (
@@ -48,15 +48,13 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     id: str
     ineqs: tuple  # rows ((a...), b) meaning a.x <= b
     dim: int | None = None
 
 
-@dataclass(frozen=True)
-class DualCell:
+class DualCell(NamedTuple):
     polytope_id: str
     vertices: tuple
     rays: tuple = ()

@@ -9,16 +9,18 @@ exact.  Kernel lattices come from one Smith form U M V = D: the columns of V
 past the rank span the saturated kernel.  ``primitive`` scales a rational
 vector to integer form (an int vector only by its gcd), ``ratvec`` keeps
 int entries as ints, and ``as_int`` is the one strict integer coercion.
+``Value`` is the base of the value classes that check their input or
+cache a property; the library's other value types are NamedTuples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 Vec = tuple  # tuple of exact rationals: Fraction, or int (cone generators and rows)
 Mat = tuple  # tuple of Vec
@@ -384,20 +386,54 @@ def invariant_factors(M) -> tuple[int, ...]:
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0)
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class Value:
+    """Base of an immutable value class whose ``__init__`` checks or
+    normalizes its input, or which caches a property.
+
+    ``__init__`` writes the fields named in ``_fields`` into the instance
+    dict once; assigning or deleting an attribute afterwards raises
+    ``AttributeError``.  ``functools.cached_property`` writes the instance
+    dict directly, so it still caches.  Two instances of one class are
+    equal, and hash alike, when their fields are; they print as
+    ``Name(field=value, ...)``."""
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IntegerLattice(Value):
     """Sublattice of Z^n given by an independent integer basis."""
 
-    ambient_dim: int
-    basis: tuple
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", imat(self.basis))
-        for b in self.basis:
-            if len(b) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis):
+        basis = imat(basis)
+        for b in basis:
+            if len(b) != ambient_dim:
                 raise ValueError("basis vector of wrong dimension")
-        if len(_rref_int(self.basis)) != len(self.basis):
+        if len(_rref_int(basis)) != len(basis):
             raise ValueError("lattice basis is not linearly independent")
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
 
     @cached_property
     def _echelon(self) -> tuple:
@@ -496,8 +532,7 @@ def quotient_projection(direction) -> Mat:
 # effective genericity
 
 
-@dataclass(frozen=True)
-class GenericityCertificate:
+class GenericityCertificate(NamedTuple):
     """Result of testing a vector against a finite family of subspaces."""
 
     generic: bool
@@ -508,8 +543,7 @@ class GenericityCertificate:
         return self.generic
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A rational subspace of R^n, held by its canonical basis (primitive
     integer rref rows) and an annihilator: primitive integer rows whose
     common kernel is the subspace, so that a vector lies in it exactly when

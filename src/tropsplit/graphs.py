@@ -15,12 +15,12 @@ position polyhedron here and the relative position cone in ``splitting``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import Decomposition
-from .exact import _dot, as_int, quotient_projection
+from .exact import Value, _dot, as_int, quotient_projection
 from .polyhedra import Polyhedron, _pair
 
 TROPICAL = "tropical"
@@ -33,19 +33,20 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    ends: tuple  # (a, b): direction condition reads pos(a) - pos(b)
-    kind: str = TROPICAL
-    direction: tuple | None = None  # integer vector for tropical edges
-    maps_to: str | None = None  # explicit image under a collapse, optional
+class Edge(Value):
+    """A graph edge.  ``ends`` (a, b): the direction condition reads
+    pos(a) - pos(b).  ``direction`` is the integer vector of a tropical
+    edge; ``maps_to`` an explicit image under a collapse, optional."""
 
-    def __post_init__(self):
-        if self.kind not in EDGE_KINDS:
-            raise GraphError(f"edge {self.id}: unknown kind {self.kind}")
-        if self.direction is not None:
-            object.__setattr__(self, "direction", tuple(map(as_int, self.direction)))
+    _fields = ("id", "ends", "kind", "direction", "maps_to")
+
+    def __init__(self, id: str, ends: tuple, kind: str = TROPICAL,
+                 direction: tuple | None = None, maps_to: str | None = None):
+        if kind not in EDGE_KINDS:
+            raise GraphError(f"edge {id}: unknown kind {kind}")
+        if direction is not None:
+            direction = tuple(map(as_int, direction))
+        self.__dict__.update(id=id, ends=ends, kind=kind, direction=direction, maps_to=maps_to)
 
     @cached_property
     def projection(self) -> tuple:
@@ -57,27 +58,24 @@ class Edge:
         return quotient_projection(self.direction)
 
 
-@dataclass(frozen=True)
-class TropicalGraph:
-    vertices: tuple  # pairs (vertex id, polytope id)
-    edges: tuple  # Edge
-    split_order: tuple | None = None  # optional user ordering of split edges
+class TropicalGraph(Value):
+    """``vertices`` are pairs (vertex id, polytope id), ``edges`` are
+    ``Edge``s and ``split_order`` an optional user ordering of the split
+    edges.  ``label`` maps each vertex id to its polytope id."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple((str(v), str(p)) for v, p in self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        ids = [v for v, _ in self.vertices]
+    _fields = ("vertices", "edges", "split_order")
+
+    def __init__(self, vertices, edges, split_order: tuple | None = None):
+        vertices = tuple((str(v), str(p)) for v, p in vertices)
+        edges = tuple(edges)
+        ids = [v for v, _ in vertices]
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate vertex ids")
-        eids = [e.id for e in self.edges]
+        eids = [e.id for e in edges]
         if len(set(eids)) != len(eids):
             raise GraphError("duplicate edge ids")
-        object.__setattr__(self, "_label", dict(self.vertices))
-        object.__setattr__(self, "_edge_index", {e.id: e for e in self.edges})
-
-    @property
-    def label(self) -> dict:
-        return self._label
+        self.__dict__.update(vertices=vertices, edges=edges, split_order=split_order,
+                             label=dict(vertices), _edge_index={e.id: e for e in edges})
 
     def vertex_ids(self) -> list:
         return sorted(v for v, _ in self.vertices)
@@ -143,18 +141,21 @@ def validate_graph(dec: Decomposition, graph) -> CheckedGraph:
     return CheckedGraph(dec, graph, cells)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedGraph:
+class CheckedGraph(Value):
     """A tropical graph that ``validate_graph`` has passed for ``dec``.
 
     ``cells`` maps each tropical edge id to its edge cell P(a) n P(b), a
     listed cell whose normal lattice holds the edge's direction.  The
     block index and the vertex positions are computed once, when read.
+    Checked graphs compare by identity.
     """
 
-    dec: Decomposition
-    graph: TropicalGraph
-    cells: dict  # tropical edge id -> edge cell
+    _fields = ("dec", "graph", "cells")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, dec: Decomposition, graph: TropicalGraph, cells: dict):
+        self.__dict__.update(dec=dec, graph=graph, cells=cells)
 
     @property
     def split_ids(self) -> frozenset:
@@ -251,25 +252,27 @@ class CheckedGraph:
         )
 
 
-@dataclass(frozen=True)
-class VertexPositionPolyhedron:
+class VertexPositionPolyhedron(Value):
     """Closed position polyhedron of a tropical graph plus strictness data.
 
-    ``realizable`` means the strict system (open dual cells, positive edge
-    multipliers) is feasible; ``realizable_weakly`` only asks for the closed
-    polyhedron to be nonempty.  ``witness`` is a strict position map when
-    one exists, computed and checked in integers with the verdict.  ``dim``
-    is the dimension of the closed polyhedron (-1 when empty) and
-    ``strict_rows`` the strict rows as pairs (a, b) meaning a.x <= b, each
-    computed when first read: only reports, rigidity and tests read them.
+    ``strict`` holds the rows r of ``closed``'s cone for which
+    r.(x, t) >= 0 is needed strictly.  ``realizable`` means the strict
+    system (open dual cells, positive edge multipliers) is feasible;
+    ``realizable_weakly`` only asks for the closed polyhedron to be
+    nonempty.  ``witness`` is a strict position map when one exists,
+    computed and checked in integers with the verdict.  ``dim`` is the
+    dimension of the closed polyhedron (-1 when empty) and ``strict_rows``
+    the strict rows as pairs (a, b) meaning a.x <= b, each computed when
+    first read: only reports, rigidity and tests read them.
     """
 
-    vertex_order: tuple
-    closed: Polyhedron
-    strict: tuple  # rows r of `closed`'s cone, r.(x, t) >= 0 needed strictly
-    realizable: bool
-    realizable_weakly: bool
-    witness: tuple | None
+    _fields = ("vertex_order", "closed", "strict", "realizable", "realizable_weakly", "witness")
+
+    def __init__(self, vertex_order: tuple, closed: Polyhedron, strict: tuple,
+                 realizable: bool, realizable_weakly: bool, witness: tuple | None):
+        self.__dict__.update(vertex_order=vertex_order, closed=closed, strict=strict,
+                             realizable=realizable, realizable_weakly=realizable_weakly,
+                             witness=witness)
 
     @cached_property
     def dim(self) -> int:
@@ -340,8 +343,7 @@ def is_rigid(dec: Decomposition, graph: TropicalGraph) -> bool:
     return w.dim == 0
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(NamedTuple):
     ok: bool
     diagnostics: tuple
     collapsed_edges: tuple  # top edge ids that kappa collapses

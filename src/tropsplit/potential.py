@@ -10,39 +10,37 @@ and the symmetry factorials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .complexes import check_toric_data
-from .exact import as_int, fr, imat, ratvec, vdot
+from .exact import Value, as_int, fr, imat, ratvec, vdot
 from .polyhedra import Polyhedron
 
 
-@dataclass(frozen=True)
-class NovikovSeries:
-    """Finite formal series with terms sorted by (area, monomial)."""
+class NovikovSeries(Value):
+    """Finite formal series with terms, tuples (coeff, area, monomial),
+    merged and sorted by (area, monomial)."""
 
-    num_vars: int
-    terms: tuple  # tuples (coeff, area, monomial)
+    _fields = ("num_vars", "terms")
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, terms: tuple):
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         merged: dict = {}
-        for c, a, m in self.terms:
+        for c, a, m in terms:
             c, a = fr(c), fr(a)
             if a < 0:
                 raise ValueError("negative area exponent")
             m = tuple(map(as_int, m))
-            if len(m) != self.num_vars:
+            if len(m) != num_vars:
                 raise ValueError("monomial of wrong arity")
             key = (a, m)
             merged[key] = merged.get(key, Fraction(0)) + c
         cleaned = tuple(
             (c, a, m) for (a, m), c in sorted(merged.items()) if c != 0
         )
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__.update(num_vars=num_vars, terms=cleaned)
 
     @classmethod
     def zero(cls, num_vars: int) -> "NovikovSeries":
@@ -97,7 +95,9 @@ def leading_terms(series: NovikovSeries) -> NovikovSeries:
 def bg_potential(normals, constants, lam) -> NovikovSeries:
     """Batyrev-Givental potential: one term y^mu_i q^(c_i - <lam, mu_i>)
     per facet of the moment polytope, for lam strictly interior.  Every
-    row must be a facet: a zero, repeated or redundant row raises."""
+    row must be a facet: a zero, repeated or redundant row raises.  A
+    normal must be primitive: scaling a row by k would scale its term's
+    exponents by k and leave the polytope as it is."""
     normals = imat(normals)
     constants = ratvec(constants)
     if len(normals) != len(constants) or not normals:
@@ -105,7 +105,9 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     n = len(normals[0])
     lam = check_toric_data(normals, lam)
     terms = []
-    for m, c in zip(normals, constants):
+    for i, (m, c) in enumerate(zip(normals, constants)):
+        if gcd(*m) > 1:
+            raise ValueError(f"row {i}: normal {list(m)} is not primitive")
         area = c - vdot(m, lam)
         if area <= 0:
             raise ValueError("base point is not strictly interior to the polytope")

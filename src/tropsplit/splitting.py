@@ -10,7 +10,6 @@ all discrepancy data follow that ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -249,8 +248,7 @@ def relative_position_cone(q: QuasiSplitGraph) -> Cone:
     return Cone(q.n * len(index), ineqs=ineqs, eqs=eqs)
 
 
-@dataclass(frozen=True)
-class DiscrepancyData:
+class DiscrepancyData(NamedTuple):
     disc: Cone
     blocks: tuple  # (base edge id, direction, projection matrix) per block
 
@@ -309,8 +307,7 @@ def _genericity_family(q: QuasiSplitGraph):
     return fam, labels
 
 
-@dataclass(frozen=True)
-class ConeConditionVerdict:
+class ConeConditionVerdict(NamedTuple):
     holds: bool
     certified: bool
     certificate: GenericityCertificate
@@ -392,8 +389,7 @@ def _primitive_rows(values: tuple, parts) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SplitGraphVerdict:
+class SplitGraphVerdict(NamedTuple):
     accepted: bool
     cone_condition: ConeConditionVerdict
     rigid: bool

@@ -12,8 +12,8 @@ numbers are ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .complexes import Decomposition
 from .exact import IntegerLattice, smith_kernel
@@ -26,8 +26,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(NamedTuple):
     """Kernel description of a tropical symmetry group.
 
     ``variables`` label the exponent coordinates: ("g", vertex, k) for the

@@ -255,6 +255,17 @@ def test_potential_bg_with_a_row_that_is_not_a_facet_exits_two(normal, constant)
         "error: every row must be a facet: 5 rows, 4 facets\n")
 
 
+def test_potential_bg_with_a_non_primitive_normal_exits_two():
+    """A scaled normal is refused, naming its row, where it once exited 0
+    with a series that depended on how the polytope was written."""
+    res = run_cli([
+        "potential", "bg", "--normals", "[[2,0],[-1,0],[0,1],[0,-1]]",
+        "--constants", "[2,0,1,0]", "--lambda", '["1/2","1/2"]',
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: row 0: normal [2, 0] is not primitive\n"
+
+
 def test_malformed_json_exits_two(tmp_path, fixture_dir):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -74,6 +74,17 @@ def test_bg_rejects_a_row_that_is_not_a_facet(extra):
     assert len(bg_potential(t["normals"], constants[:4], (F(1, 2), F(1, 2))).terms) == 4
 
 
+def test_bg_rejects_a_non_primitive_normal():
+    """A scaled normal leaves the polytope as it is but would scale its
+    term: the unit square written with 2x <= 2 once gave y^(2,0) q^1,
+    where x <= 1 gives y^(1,0) q^(1/2)."""
+    lam = (F(1, 2), F(1, 2))
+    with pytest.raises(ValueError, match=r"^row 0: normal \[2, 0\] is not primitive$"):
+        bg_potential([(2, 0), (-1, 0), (0, 1), (0, -1)], [2, 0, 1, 0], lam)
+    W = bg_potential([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 0, 1, 0], lam)
+    assert (1, F(1, 2), (1, 0)) in term_set(W)
+
+
 def test_leading_single_term():
     s = NovikovSeries.term(1, 2, F(3, 4), (1,))
     assert leading_terms(s) == s

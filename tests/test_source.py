@@ -57,6 +57,22 @@ def test_cones_import_no_fractions():
     assert not names & {"Fraction", "fr", "fractions"}, names
 
 
+def test_library_builds_no_dataclasses():
+    """No module imports ``dataclasses``: a value type is a NamedTuple or
+    an ``exact.Value`` class, so importing the library generates and
+    compiles no code for its classes."""
+    imported = {}
+    for path in SOURCES:
+        names = imported.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+                names.add(getattr(node, "module", None))
+    assert "typing" in imported["exact"]  # the walk sees the modules' imports
+    found = sorted(m for m, names in imported.items() if "dataclasses" in names)
+    assert not found, found
+
+
 def test_cone_direction_path_builds_no_fractions():
     """A cone direction is answered in integers: neither
     ``splitting.cone_condition`` nor ``reports.split_report`` names
