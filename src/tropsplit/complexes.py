@@ -41,7 +41,7 @@ from .exact import (
     saturated_kernel_lattice,
     vdot,
 )
-from .polyhedra import Polyhedron, _hom, _pair
+from .polyhedra import Polyhedron, _hom, _pair, stated_rows
 
 
 class DecompositionError(ValueError):
@@ -176,13 +176,12 @@ class Decomposition:
     def _row_set(self, pid: str) -> frozenset:
         """The rows r (r.(x, t) >= 0) that cut the cell's homogenization
         cone out: its cone's given rows (for a cut's cell those the walk
-        cut), primitive, with no conversion.  ``t >= 0`` and the zero
-        rows, which hold on every homogenization cone, are left out: a row
-        zero on x is kept only when its t coefficient is negative."""
+        cut), primitive, with no conversion, ``t >= 0`` left out
+        (``stated_rows``)."""
         rows = self._rows.get(pid)
         if rows is None:
             given, _ = self.cell(pid).cone.given_rows()
-            rows = self._rows[pid] = frozenset(r for r in given if any(r[:-1]) or r[-1] < 0)
+            rows = self._rows[pid] = frozenset(stated_rows(given))
         return rows
 
     def _cell_by_rows(self, p1: str, p2: str) -> str | None:

@@ -20,16 +20,18 @@ Gauss-Jordan that ranks and reduces these vectors is ``exact._rref_int``,
 and ``exact._kernel_int`` reads kernels off its rows.
 
 There is one double description step, ``_dd_step``, one loop, ``_cut``,
-and one state, ``DDState``: a lineality basis and extreme rays, each ray
-with its zero-set over the rows cut so far.  Every start cuts each
-distinct row once: a row equal to an earlier one takes no step.  A
-conversion starts from the full space, ``orthant_cut`` from the
-nonnegative orthant, and ``toric_cut`` carries a state from each cell to
-its refinements; ``cone()`` hands a state over as a minimal cone, and
-``Cone.state()`` hands a cone cut out by rows back as a state, so one
-cell's state cut by another's rows is their intersection, exactly.
+and one record of a conversion, ``DDState``: a lineality basis and
+extreme rays, each ray with its zero-set over the rows cut so far, and an
+equality basis every generator already satisfies, which takes no bit.
+Every start cuts each distinct row once: a row equal to an earlier one
+takes no step.  A conversion starts from the full space, ``orthant_cut``
+from the nonnegative orthant, and ``toric_cut`` carries a state from each
+cell to its refinements; ``cone()`` hands a state over as a minimal cone
+(``Cone.from_state``).  A cone keeps its conversion as a state, and
+``Cone.state()`` hands that record back for a cone cut out by rows, so
+one cell's state cut by another's rows is their intersection, exactly.
 Whether a row is tight on the whole cone is one AND over the zero-sets
-(``_lies_in_any``), on a state or on the cone's own conversion.
+(``DDState.lies_in_any``).
 
 A cone is built from exactly one representation, and the other side is
 converted from it, once, when something first reads it.  The conversion,
@@ -40,16 +42,20 @@ It cuts the rows in the coordinates of the equalities' kernel, where
 rows that differ as given may be twins.  It returns the
 sorted primitive extreme rays (or facets), each reduced modulo an rref
 basis of the lineality space (or of the equalities) in the cone's own
-coordinates, and each ray's zero-set over the given rows (or generators).
-That converted side is minimal and canonical for the set, whatever rows
-or generators stated it.  ``minimal()`` keeps it and reads
-the other side off the zero-sets when first read: the rows tight on every
-ray (the implicit rows) and the given equalities span the equalities, and
-the rows whose tight rays form a maximal proper set are the facets,
-reduced modulo the equalities; on the dual, the generators read the same
-way give the lineality and the extreme rays.  So a minimal form costs one
-conversion in either direction, and the cut's cells, whose rays and
-zero-sets come off its walk, cost none.
+coordinates, and each ray paired with its zero-set over the given rows
+(or generators).  That converted side is minimal and canonical for the
+set, whatever rows or generators stated it.  The cone keeps the
+conversion as one ``DDState``: for a cone given by rows, those rows and
+equalities with the extreme rays and lineality; for a cone given by
+generators, the dual's, with the generators as rows, the facets as rays
+and the equality basis as lineality.  ``minimal()`` is that record as a
+cone, which reads the other side off the zero-sets when first read: the
+rows tight on every ray (the implicit rows) and the given equalities span
+the equalities, and the rows whose tight rays form a maximal proper set
+are the facets, reduced modulo the equalities; on the dual, the
+generators read the same way give the lineality and the extreme rays.  So
+a minimal form costs one conversion in either direction, and the cut's
+cells, whose rays and zero-sets come off its walk, cost none.
 
 The double description keeps its state canonical by construction: a step
 that cuts the lineality space pivots on the last basis row the new row
@@ -63,7 +69,7 @@ per value, so concurrent readers always observe a pure function.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul, neg
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
@@ -223,26 +229,18 @@ def _cut(lin: tuple, rays: list, done: tuple, rows) -> tuple[tuple, list]:
     return lin, rays
 
 
-def _lies_in_any(zero_sets, indices) -> bool:
-    """Whether some row i, i in ``indices``, has its bit in every one of
-    the extreme rays' ``zero_sets``: it is tight on every extreme ray, and
-    every lineality vector is tight on every row, so on the whole cone."""
-    tight = 0
-    for i in indices:
-        tight |= 1 << i
-    for z in zero_sets:
-        tight &= z
-    return bool(tight)
-
-
 class DDState(NamedTuple):
-    """The cone {y in R^dim : a.y >= 0 for a in rows}: a lineality basis, tight on
-    every row, and extreme rays modulo it, each with its zero-set, bit i for rows[i]."""
+    """The cone {y in R^dim : a.y >= 0 for a in rows, e.y = 0 for e in eqs}:
+    a lineality basis, tight on every row, and extreme rays modulo it, each
+    with its zero-set, bit i for rows[i].  ``eqs`` is a canonical basis
+    (primitive rref rows) of equalities that every generator already
+    satisfies; they take no bit, and a cut carries them along."""
 
     dim: int
     lin: tuple
     rays: list
     rows: tuple
+    eqs: tuple = ()
 
     @classmethod
     def space(cls, d: int) -> "DDState":
@@ -257,12 +255,18 @@ class DDState(NamedTuple):
     def cut(self, *rows) -> "DDState":
         """The cone cut by ``a.y >= 0`` for each integer row in turn."""
         lin, rays = _cut(self.lin, self.rays, self.rows, rows)
-        return DDState(self.dim, lin, rays, self.rows + rows)
+        return DDState(self.dim, lin, rays, self.rows + rows, self.eqs)
 
     def lies_in_any(self, indices) -> bool:
-        """Whether some ``rows[i]``, i in ``indices``, is tight on the whole
-        cone (``_lies_in_any``)."""
-        return _lies_in_any((z for _, z in self.rays), indices)
+        """Whether some ``rows[i]``, i in ``indices``, has its bit in every
+        extreme ray's zero-set: it is tight on every extreme ray, and every
+        lineality vector is tight on every row, so on the whole cone."""
+        tight = 0
+        for i in indices:
+            tight |= 1 << i
+        for _, z in self.rays:
+            tight &= z
+        return bool(tight)
 
     def key(self) -> tuple[tuple, tuple]:
         """``cone().key()``, the sorted extreme rays and the lineality
@@ -270,10 +274,8 @@ class DDState(NamedTuple):
         return tuple(sorted(r for r, _ in self.rays)), self.lin
 
     def cone(self) -> "Cone":
-        rays = sorted(self.rays)
-        return Cone.from_conversion(
-            self.dim, tuple(r for r, _ in rays), self.lin, self.rows, tuple(z for _, z in rays)
-        )
+        """The minimal cone the state cuts out, its rays sorted."""
+        return Cone.from_state(DDState(self.dim, self.lin, sorted(self.rays), self.rows, self.eqs))
 
 
 def orthant_rows(s: int, ineqs, eqs) -> tuple[tuple, tuple]:
@@ -313,7 +315,7 @@ def _dedupe(pairs):
     return list(seen.items())
 
 
-def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
+def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, list]:
     """V-representation of {x : ineq.x >= 0, eq.x = 0}.
 
     The rows come in the canonical form a ``Cone`` holds: ``ineqs`` are
@@ -321,8 +323,9 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     and ``eqs`` is a canonical basis (primitive rref rows) of the
     equalities (or of the lineality), so no row is scaled or eliminated
     again.  Returns the sorted primitive extreme rays, the lineality basis
-    (primitive rref rows) and, per ray, its zero-set: the bitmask of the
-    given inequalities it is tight on.  Each ray is reduced modulo the
+    (primitive rref rows) and the sorted pairs of each ray with its
+    zero-set: the bitmask of the given inequalities it is tight on, bit i
+    for ``ineqs[i]``.  Each ray is reduced modulo the
     lineality basis in x coordinates, so the result depends on the set
     only, not on the equalities that state it.
     """
@@ -331,7 +334,7 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
     K = _kernel_int(eqs, n) if eqs else None
     d = len(K) if eqs else n
     if d == 0:
-        return (), (), ()
+        return (), (), []
     if K is not None:
         ineqs = [gcd_reduce([sum(map(mul, a, k)) for k in K]) for a in ineqs]
     lin, rays = _cut(_units(d), [], (), ineqs)
@@ -342,15 +345,14 @@ def _h_to_v(n: int, ineqs, eqs) -> tuple[tuple, tuple, tuple]:
         lin = _rref_int([[sum(map(mul, y, col)) for col in Kt] for y in lin])
         rays = [(_reduce_mod_span(lin, [sum(map(mul, y, col)) for col in Kt]), z)
                 for y, z in rays]
-    rays = sorted(rays)
-    return tuple(r for r, _ in rays), lin, tuple(z for _, z in rays)
+    rays.sort()
+    return tuple(r for r, _ in rays), lin, rays
 
 
-def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:
-    """The minimal H-representation of the cone cut out by the primitive
-    rows ``a.x >= 0`` and the equalities ``eqs``, a canonical basis (primitive
-    rref rows), read off the zero-sets ``zs`` over ``rows`` of its extreme
-    rays, one per ray, as its conversion returned them.
+def _read_off(state: DDState) -> tuple[tuple, tuple]:
+    """The minimal H-representation of the cone cut out by the state's
+    primitive rows ``a.x >= 0`` and its equalities, a canonical basis
+    (primitive rref rows), read off the zero-sets of its extreme rays.
 
     A row is tight on the whole cone exactly when it is tight on every
     extreme ray (each lineality vector is tight on every row).  These
@@ -360,17 +362,18 @@ def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:
     row, and faces are ordered as the rays they hold, so a row is a facet
     exactly when the set of rays it is tight on is proper and maximal among
     the rows' sets; its representative is the row reduced modulo the
-    equalities.  Run on the dual, with the generators as ``rows``, the
-    converted facets' zero-sets over them and the given lineality as
-    ``eqs``, the same reading gives the extreme rays and the lineality.
+    equalities.  Run on the dual's state, with the generators as rows, the
+    converted facets as rays and the given lineality as equalities, the
+    same reading gives the extreme rays and the lineality.
     """
+    rows, eqs = state.rows, state.eqs
     tight = [0] * len(rows)
-    for j, z in enumerate(zs):
+    for j, (_, z) in enumerate(state.rays):
         while z:
             low = z & -z
             tight[low.bit_length() - 1] |= 1 << j
             z ^= low
-    full = (1 << len(zs)) - 1
+    full = (1 << len(state.rays)) - 1
     implicit = [rows[i] for i, t in enumerate(tight) if t == full]
     if implicit:
         eqs = _rref_int(eqs + tuple(implicit))
@@ -389,19 +392,24 @@ def _read_off(rows, zs, eqs) -> tuple[tuple, tuple]:
 
 class Cone:
     """Rational polyhedral cone in R^n, built from one representation:
-    rays and lineality, or inequalities and equalities."""
+    rays and lineality, or inequalities and equalities.
+
+    Its conversion is one ``DDState``, ``_state``.  With ``_rows_given``
+    the record's rows and equalities cut the cone out (a cone given by
+    rows, or the cone of a walked or orthant state); otherwise the record
+    is the dual's, over the cone's generators."""
 
     __slots__ = (
         "ambient_dim", "_rays", "_lineality", "_ineqs", "_eqs", "_minimal", "_dim",
-        "_from_h", "_zs", "_off", "__weakref__",
+        "_state", "_rows_given", "__weakref__",
     )
 
     def __init__(self, ambient_dim, rays=None, lineality=None, ineqs=None, eqs=None):
         self.ambient_dim = as_int(ambient_dim)
-        self._minimal = self._dim = self._zs = self._off = None
+        self._minimal = self._dim = self._state = None
         has_v = rays is not None or lineality is not None
-        self._from_h = ineqs is not None or eqs is not None
-        if has_v == self._from_h:
+        self._rows_given = ineqs is not None or eqs is not None
+        if has_v == self._rows_given:
             raise ValueError("cone needs exactly one representation")
         # every given vector is checked, zero ones too, before any is dropped
         first, second = (list(g or ()) for g in ((rays, lineality) if has_v else (ineqs, eqs)))
@@ -415,25 +423,24 @@ class Cone:
             self._eqs = _canon_span(second)
 
     @classmethod
-    def from_conversion(cls, n, rays, lineality, rows, zero_sets, eqs=(), dual=False) -> "Cone":
-        """The minimal cone whose canonical extreme rays and lineality basis
-        are ``rays`` and ``lineality``, each ray paired with its zero-set
-        over the primitive rows ``rows`` that, with the equalities whose
-        canonical basis is ``eqs``, cut the cone out.  Its H-representation
-        is read off the zero-sets when first read: the equalities are ``eqs``
-        and the rows tight on every ray.  With ``dual`` the sides swap:
-        ``rays`` and ``lineality`` are the facets and equality basis of the
-        cone generated by ``rows`` and the lineality basis ``eqs``.
-        """
+    def from_state(cls, state: DDState, rows_given: bool = True) -> "Cone":
+        """The minimal cone of a state whose rays are sorted: with
+        ``rows_given`` the cone its rows and equalities cut out, whose
+        canonical extreme rays and lineality basis are the state's.  Its
+        H-representation is read off the zero-sets when first read: the
+        equalities are the state's and the rows tight on every ray.
+        Otherwise the state is the dual's: its rays and lineality are the
+        facets and equality basis of the cone generated by its rows and the
+        lineality basis ``eqs``."""
         m = cls.__new__(cls)
-        m.ambient_dim, m._from_h, m._minimal = n, dual, m
-        m._off = (rows, zero_sets, eqs)
-        m._rays = m._lineality = m._ineqs = m._eqs = m._zs = m._dim = None
-        if dual:
-            # the given equalities span the orthogonal complement
-            m._ineqs, m._eqs, m._dim = rays, lineality, n - len(lineality)
+        m.ambient_dim, m._state, m._rows_given, m._minimal = state.dim, state, rows_given, m
+        m._rays = m._lineality = m._ineqs = m._eqs = m._dim = None
+        side = tuple(r for r, _ in state.rays), state.lin
+        if rows_given:
+            m._rays, m._lineality = side
         else:
-            m._rays, m._lineality = rays, lineality
+            # the converted equalities span the orthogonal complement
+            (m._ineqs, m._eqs), m._dim = side, state.dim - len(state.lin)
         return m
 
     @classmethod
@@ -468,22 +475,22 @@ class Cone:
 
     def _ensure_v(self):
         if self._rays is None:
-            if self._off is None:
-                self._rays, self._lineality, self._zs = _h_to_v(
-                    self.ambient_dim, self._ineqs, self._eqs
-                )
+            if self._rows_given:
+                n, ineqs, eqs = self.ambient_dim, self._ineqs, self._eqs
+                self._rays, self._lineality, pairs = _h_to_v(n, ineqs, eqs)
+                self._state = DDState(n, self._lineality, pairs, ineqs, eqs)
             else:
-                self._rays, self._lineality = _read_off(*self._off)
+                self._rays, self._lineality = _read_off(self._state)
 
     def _ensure_h(self):
         if self._ineqs is None:
-            if self._off is None:
-                # double description on the dual cone
-                self._ineqs, self._eqs, self._zs = _h_to_v(
-                    self.ambient_dim, self._rays, self._lineality
-                )
+            if self._rows_given:
+                self._ineqs, self._eqs = _read_off(self._state)
             else:
-                self._ineqs, self._eqs = _read_off(*self._off)
+                # double description on the dual cone
+                n, rays, lin = self.ambient_dim, self._rays, self._lineality
+                self._ineqs, self._eqs, pairs = _h_to_v(n, rays, lin)
+                self._state = DDState(n, self._eqs, pairs, rays, lin)
             # either way the equalities span the orthogonal complement
             self._dim = self.ambient_dim - len(self._eqs)
 
@@ -511,15 +518,11 @@ class Cone:
         """The same cone with both representations minimal and canonical
         for the set: the side converted from the given one, with the other
         side read off the conversion's zero-sets over the given rows (or
-        generators) when first read.  One conversion in all."""
+        generators) when first read.  One conversion in all: the cone's own
+        record, as a cone."""
         if self._minimal is None:
-            if self._from_h:
-                self._ensure_v()
-                sides = self._rays, self._lineality, self._ineqs, self._zs, self._eqs
-            else:
-                self._ensure_h()
-                sides = self._ineqs, self._eqs, self._rays, self._zs, self._lineality
-            self._minimal = Cone.from_conversion(self.ambient_dim, *sides, not self._from_h)
+            (self._ensure_v if self._rows_given else self._ensure_h)()
+            self._minimal = Cone.from_state(self._state, self._rows_given)
         return self._minimal
 
     def __repr__(self):
@@ -552,7 +555,7 @@ class Cone:
         so two cones have equal keys exactly when they are equal: a
         conversion's side as it returned it, and for a cone built from
         generators those of its minimal form."""
-        c = self if self._from_h or self._off is not None else self.minimal()
+        c = self if self._rows_given else self.minimal()
         return c.rays, c.lineality
 
     def minimal_rows(self) -> tuple[tuple, tuple]:
@@ -560,7 +563,7 @@ class Cone:
         ``key()``: a cone built from generators reads its converted side
         and a conversion's cone its read-off, with no minimal form built;
         only a cone built from rows needs one."""
-        c = self.minimal() if self._from_h and self._off is None else self
+        c = self.minimal() if self._rows_given else self
         return c.ineqs, c.eqs
 
     def given_rows(self) -> tuple[tuple, tuple]:
@@ -568,37 +571,26 @@ class Cone:
         given ones, or those its conversion cut (a walked cell's own rows,
         also once its minimal rows have been read), so no conversion and no
         read-off runs unless the cone was built from generators."""
-        if self._off is not None and not self._from_h:
-            return self._off[0], self._off[2]
+        if self._rows_given and self._state is not None:
+            return self._state.rows, self._state.eqs
         return self.ineqs, self.eqs
 
     def lies_in_any(self, indices) -> bool:
-        """``state().lies_in_any(indices)``, read off the conversion's
-        zero-sets over ``given_rows()[0]`` with no state built: whether
-        some given row i, i in ``indices``, is tight on the whole cone."""
-        return _lies_in_any(self._cut_out()[1], indices)
-
-    def _cut_out(self) -> tuple[tuple, tuple, tuple]:
-        """For a cone cut out by rows: the rows ``given_rows()``, its
-        extreme rays' zero-sets over the inequalities and the equality
-        basis, converting once if need be."""
-        if self._from_h == (self._off is not None):
-            raise RuntimeError("only a cone cut out by rows has a double description state")
-        self._ensure_v()
-        return self._off or (self._ineqs, self._zs, self._eqs)
+        """``state().lies_in_any(indices)``: whether some given row i, i in
+        ``indices``, is tight on the whole cone."""
+        return self.state().lies_in_any(indices)
 
     def state(self) -> DDState:
-        """The double description state of a cone cut out by rows: an
-        H-built cone, a walked cell or the minimal form of either.  Its
-        rows are ``given_rows()``, each equality as the pair ``e``, ``-e``
-        tight on every ray, and its rays the extreme rays with their
-        zero-sets over those rows, so ``state().cut(*rows)`` goes on with
-        the double description the cone came from."""
-        ineqs, zs, eqs = self._cut_out()
-        both = tuple(r for e in eqs for r in (e, tuple(map(neg, e))))
-        tight = ((1 << len(both)) - 1) << len(ineqs)
-        rays = [(r, z | tight) for r, z in zip(self._rays, zs)]
-        return DDState(self.ambient_dim, self._lineality, rays, ineqs + both)
+        """The double description state of a cone cut out by rows (an
+        H-built cone, converted once if need be, a walked cell or the
+        minimal form of either): the record the cone holds.  Its rows and
+        equalities are ``given_rows()`` and its rays the extreme rays with
+        their zero-sets over those rows, so ``state().cut(*rows)`` goes on
+        with the double description the cone came from."""
+        if not self._rows_given:
+            raise RuntimeError("only a cone cut out by rows has a double description state")
+        self._ensure_v()
+        return self._state
 
     def contains_cone(self, other: "Cone") -> bool:
         """Whether other lies in self: other's generators against the rows

@@ -509,12 +509,11 @@ def unimodular_completion(u) -> tuple:
     if tuple(primitive(u)) != u:
         raise ValueError("vector must be primitive")
     col = tuple((x,) for x in u)
-    U, D, V = smith_normal_form(col)
-    # U @ u * V[0][0] = D with D = e1 (u primitive)
+    U, D, _ = smith_normal_form(col)
+    # U @ u = D = e1 (u primitive): a single column has no column operation
+    # to make, so V = [[1]]
     if D[0][0] != 1:
         raise RuntimeError("Smith form of a primitive vector is not e1")
-    if V[0][0] == -1:
-        U = tuple(tuple(-x for x in row) for row in U)
     return U
 
 

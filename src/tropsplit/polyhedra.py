@@ -15,8 +15,8 @@ t > 0 scaled to t = 1, as ``Fraction`` tuples, built when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
 integer tuples.  ``Polyhedron.from_rows`` builds from homogenized rows,
 appending ``t >= 0`` last, and ``Polyhedron.rows`` reads the minimal ones
-back without it, once per polyhedron; ``from_hrep`` and ``hrep`` take and
-give pairs.
+back without it (``stated_rows``), once per polyhedron; ``from_hrep`` and
+``hrep`` take and give pairs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ def _hom(a, b) -> tuple:
     is read with ``ratvec``, so strings are read and bools and floats
     refused; ``Cone`` scales each row once."""
     return (*[-x for x in ratvec(a)], b)
+
+
+def stated_rows(ineqs) -> tuple:
+    """The homogenized inequality rows that state the polyhedron: all but
+    ``t >= 0``, which holds on every homogenization cone.  A row zero on x
+    is kept only when its t coefficient is negative."""
+    return tuple(r for r in ineqs if any(r[:-1]) or r[-1] < 0)
 
 
 def _pair(row) -> tuple:
@@ -114,10 +121,11 @@ class Polyhedron:
     def rows(self) -> tuple[tuple, tuple]:
         """The minimal homogenized rows r (r.(x, t) >= 0, or = 0 for the
         equalities), primitive, without ``t >= 0``: read off the cone's
-        minimal rows once and kept."""
+        minimal rows once and kept.  An empty polyhedron keeps the
+        equality ``t = 0``."""
         if self._rows is None:
-            self._rows = tuple(tuple(r for r in rows if any(r[:-1]))
-                               for rows in self.cone.minimal_rows())
+            ineqs, eqs = self.cone.minimal_rows()
+            self._rows = stated_rows(ineqs), eqs
         return self._rows
 
     def hrep(self) -> tuple[list, list]:

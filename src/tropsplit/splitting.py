@@ -99,16 +99,14 @@ class QuasiSplitGraph:
         if not report.ok:
             raise SplitError("invalid collapse: " + "; ".join(report.diagnostics))
         self.collapse: CollapseReport = report
-        # locate the top edge over each split base edge
+        # locate the top edge over each split base edge; a valid collapse
+        # maps some top edge onto every base edge
         self.split_top: dict[str, str] = {}
         for eid, bid in report.edge_map.items():
             if bid in self.split_order:
                 if bid in self.split_top:
                     raise SplitError(f"base split edge {bid} has several preimages")
                 self.split_top[bid] = eid
-        for bid in self.split_order:
-            if bid not in self.split_top:
-                raise SplitError(f"base split edge {bid} has no preimage")
         self.top = self._with_inherited_directions(top)
         self.checked_top = validate_graph(dec, self.top)
         self.top_split_ids = frozenset(self.split_top.values())

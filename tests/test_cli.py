@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from conftest import graph_checks
 
 from tropsplit import complexes, cones, exact, graphs
+from tropsplit import fixtures as fx
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import canonical_json
@@ -1237,3 +1238,185 @@ def test_deeply_nested_inline_json_exits_two():
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: cannot read inline JSON: maximum recursion depth"), line
+
+
+# -- input errors and verdicts, one table ----------------------------------------
+
+
+def _graph_check_args(tmp, fixture_dir, edit):
+    """``graph check`` of fig_rigid_gamma1 on square_plain, its edge e1
+    changed by ``edit``."""
+    graph = fx.GRAPHS["fig_rigid_gamma1"]()
+    edit(graph["edges"][0])
+    path = tmp / "graph.json"
+    path.write_text(json.dumps(graph))
+    return ["graph", "check", str(fixture_dir / "square_plain.dec.json"), str(path)]
+
+
+def _split_check_args(tmp, fixture_dir, name, edit, eta="1,-1"):
+    """``split check`` on square_split of the quasi-split graph ``name``,
+    its base inlined, after ``edit(top, base)``."""
+    top = fx.GRAPHS[name]()
+    base = fx.GRAPHS[top["collapse"]["to_graph"]]()
+    top["collapse"]["to_graph"] = base
+    edit(top, base)
+    path = tmp / "top.json"
+    path.write_text(json.dumps(top))
+    return ["split", "check", str(fixture_dir / "square_split.dec.json"), str(path),
+            "--eta", eta]
+
+
+def _edges(graph) -> dict:
+    return {e["id"]: e for e in graph["edges"]}
+
+
+def _corpus_args(monkeypatch, missing, differs):
+    """``corpus run`` with the stored report of case ``missing`` gone and
+    that of case ``differs`` replaced by other bytes."""
+    stored = expected_report_path
+
+    def path(name):
+        if name == missing:
+            return stored(name).with_name("no-such-report.json")
+        if name == differs:
+            return stored("cube-mult")
+        return stored(name)
+
+    monkeypatch.setattr("tropsplit.cli.expected_report_path", path)
+    return ["corpus", "run"]
+
+
+def _one_edge(**edge):
+    return lambda e: (e.clear(), e.update(edge))
+
+
+def _several_preimages(top, base):
+    top["vertices"].append({"id": "u3", "polytope": "Qpp"})
+    top["collapse"]["vertex_map"]["u3"] = "v2"
+    top["edges"].append({"id": "e'", "ends": ["up", "u3"], "kind": "tropical",
+                         "direction": [-1, -1], "maps_to": "e"})
+
+
+def _not_a_face(top, base):
+    top["collapse"]["vertex_map"]["u0"] = "v2"
+
+
+CLI_ERRORS = [
+    ("loop", lambda t, d, m: _graph_check_args(t, d, _one_edge(
+        id="e1", ends=["v", "v"], kind="tropical", direction=[1, 1])),
+     2, "error: edge e1 is a loop"),
+    ("tropical without direction", lambda t, d, m: _graph_check_args(t, d, _one_edge(
+        id="e1", ends=["v", "vA"], kind="tropical")),
+     2, "error: edge e1: tropical edge without direction"),
+    ("non-tropical with direction", lambda t, d, m: _graph_check_args(t, d, _one_edge(
+        id="e1", ends=["v", "vA"], kind="interior", direction=[1, 1])),
+     2, "error: edge e1: non-tropical edge with a direction"),
+    ("image edge not unique", lambda t, d, m: _split_check_args(
+        t, d, "fig_four_top", lambda top, base: top["edges"].append(
+            {"id": "x", "ends": ["c1", "c2"], "kind": "tropical", "direction": [1, 0]})),
+     2, "error: invalid collapse: edge x: image edge not unique (got 0)"),
+    ("wrong endpoints", lambda t, d, m: _split_check_args(
+        t, d, "fig_four_top", lambda top, base: _edges(top)["e1"].update(maps_to="e2")),
+     2, "error: invalid collapse: edge e1: declared image e2 has wrong endpoints; "
+        "base edge e1 has no preimage"),
+    ("kind changes", lambda t, d, m: _split_check_args(
+        t, d, "fig_four_top", lambda top, base: _edges(top)["e1"].update(kind="interior")),
+     2, "error: invalid collapse: edge e1: kind changes under the collapse"),
+    ("split edge without preimage", lambda t, d, m: _split_check_args(
+        t, d, "fig_square_top1", lambda top, base: top["edges"].remove(_edges(top)["e"])),
+     2, "error: invalid collapse: base edge e has no preimage"),
+    ("not a face", lambda t, d, m: _split_check_args(t, d, "fig_square_top1", _not_a_face),
+     2, "error: invalid collapse: vertex u0: Qmm is not a face of Qpp"),
+    ("base not realizable", lambda t, d, m: _split_check_args(
+        t, d, "fig_square_top1", lambda top, base: _edges(base)["e"].update(direction=[1, 1])),
+     2, "error: base graph is not realizable"),
+    ("several preimages", lambda t, d, m: _split_check_args(
+        t, d, "fig_square_top1", _several_preimages),
+     2, "error: base split edge e has several preimages"),
+    ("eta of wrong dimension", lambda t, d, m: _split_check_args(
+        t, d, "fig_square_top1", lambda top, base: None, eta="1,2,3"),
+     2, "error: cone direction has wrong dimension"),
+    ("zero multiplicity", lambda t, d, m: [
+        "potential", "combine", "--mult", "0", "--split-edges", "1", "--d-black", "0",
+        "--sign", "+1", '{"num_vars":0,"terms":[]}'],
+     2, "error: multiplicity must be a positive integer"),
+    ("stored report differs", lambda t, d, m: _corpus_args(m, None, "toric-square"),
+     1, "DIFFERS  toric-square"),
+    ("stored report missing", lambda t, d, m: _corpus_args(m, "cube-mult", None),
+     1, "MISSING  cube-mult (no stored report)"),
+]
+
+
+@pytest.mark.parametrize("make, code, line", [c[1:] for c in CLI_ERRORS],
+                         ids=[c[0] for c in CLI_ERRORS])
+def test_cli_input_errors_and_verdicts(fixture_dir, tmp_path, monkeypatch, make, code, line):
+    """Each input error exits 2 and each negative verdict 1, with its
+    message as one line of the output."""
+    res = run_cli(make(tmp_path, fixture_dir, monkeypatch))
+    assert res.exit_code == code, res.output
+    assert line in res.output.splitlines(), res.output
+
+
+def test_corpus_run_counts_its_failed_cases(monkeypatch):
+    """A corpus run with one stored report missing and one differing
+    reports both, every other case ok, and exits 1."""
+    res = run_cli(_corpus_args(monkeypatch, "cube-mult", "toric-square"))
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert lines[-1] == "2 corpus case(s) failed"
+    assert sorted(lines[:-1]) == sorted(
+        "MISSING  cube-mult (no stored report)" if c["name"] == "cube-mult"
+        else "DIFFERS  toric-square" if c["name"] == "toric-square"
+        else f"ok       {c['name']}"
+        for c in corpus_cases())
+
+
+def test_graph_check_diagram_draws_the_witness(fixture_dir, tmp_path):
+    """``graph check --diagram`` on a realizable graph overlays the
+    witness: one marked, labelled point per vertex at its position and one
+    line per edge."""
+    svg = tmp_path / "graph.svg"
+    res = run_cli(["graph", "check", str(fixture_dir / "square_plain.dec.json"),
+                   str(fixture_dir / "fig_rigid_gamma1.graph.json"), "--diagram", str(svg)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["witness"] is not None
+    text = svg.read_text()
+    assert text.count("stroke='#c33'") == 3
+    assert text.count("fill='#c33'") == 4
+    for v in ("v", "vA", "vB", "vC"):
+        assert f">{v}</text>" in text
+
+
+DISJOINT_CELLS_GRAPH = {
+    "vertices": [{"id": "a", "polytope": "cmpmp"}, {"id": "b", "polytope": "cpmpm"}],
+    "edges": [{"id": "e", "ends": ["a", "b"], "kind": "tropical", "direction": [1, 1]}],
+}
+
+
+def test_graph_check_with_disjoint_cut_cells_exits_two(tmp_path, monkeypatch):
+    """A graph whose edge joins opposite corner cells of the cut unit
+    square exits 2 naming the edge.  Its cells are given by rows, and no
+    listed common face has the union of their rows, so the check goes by
+    the state cut (``intersection_cell``'s second route)."""
+    res = run_cli([
+        "cut", "--normals", "[[-1,0],[1,0],[0,-1],[0,1]]", "--constants", "[0,1,0,1]",
+        "--eps", '["1/10","1/10","1/10","1/10"]', "--lambda", '["1/2","1/2"]',
+        "-o", str(tmp_path / "cut.dec.json"),
+    ])
+    assert res.exit_code == 0, res.output
+    (tmp_path / "graph.json").write_text(json.dumps(DISJOINT_CELLS_GRAPH))
+    cuts = Counter()
+    original = cones.DDState.cut
+
+    def counted(self, *rows):
+        cuts[len(rows)] += 1
+        return original(self, *rows)
+
+    monkeypatch.setattr(cones.DDState, "cut", counted)
+    res = run_cli(["graph", "check", str(tmp_path / "cut.dec.json"),
+                   str(tmp_path / "graph.json")])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: edge e: endpoint cells cmpmp, cpmpm do not meet\n"
+    assert sum(cuts.values()) == 1, cuts  # the one state cut of the pair
+

@@ -22,11 +22,13 @@ from tropsplit.complexes import (
     toric_cut,
 )
 from tropsplit.cones import Cone, DDState
+from tropsplit.graphs import GraphError, validate_graph
 from tropsplit.potential import bg_potential
 from tropsplit.serialize import (
     canonical_json,
     decomposition_from_dict,
     decomposition_to_dict,
+    graph_from_dict,
 )
 
 
@@ -589,6 +591,32 @@ def test_validation_catches_a_dual_that_is_not_orthogonal(reverse):
         dec.validate(geometric=False)
 
 
+def _cell(data, pid):
+    return next(p for p in data["polytopes"] if p["id"] == pid)
+
+
+VALIDATION_ERRORS = [
+    ("empty", lambda d: _cell(d, "Qmm").update(ineqs=[["1", "0", "0"], ["-1", "0", "-1"]]),
+     "^cell Qmm is empty$"),
+    ("dimension", lambda d: _cell(d, "Qmm").update(dim=1), "^cell Qmm has dim 2, not 1$"),
+    ("no dual", lambda d: d["dual_cells"].pop(0), "^cell Qmm has no dual cell$"),
+    ("not a face", lambda d: d["faces"].append(["Hxp", "Qmm"]), "^Hxp is not a face of Qmm$"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in VALIDATION_ERRORS],
+                         ids=[c[0] for c in VALIDATION_ERRORS])
+def test_validation_names_the_broken_invariant(edit, message):
+    """The plain square with one invariant broken: an empty cell, a wrong
+    stated dimension, a cell without a dual cell and a listed face pair
+    that is no face.  The structural checks name it."""
+    data = fx.square_complex(split=())
+    edit(data)
+    dec = decomposition_from_dict(data)
+    with pytest.raises(DecompositionError, match=message):
+        dec.validate(geometric=False)
+
+
 @pytest.mark.parametrize("name", ["toric_cube", "toric_hexagonal_prism"])
 def test_cut_duals_are_orthogonal(name):
     """Each cut cell's dual runs orthogonal to it: the structural checks
@@ -868,6 +896,31 @@ def test_cut_intersections_run_no_conversion(monkeypatch):
     assert is_tropical_fiber(dec, inner, t["lambda"])
     assert len(dec._isect_cache) == 7750
     assert calls == []
+
+
+def test_disjoint_cut_cells_are_refused_by_the_state_cut(monkeypatch):
+    """An edge joining the opposite corner cells cmpmp and cpmpm of the
+    cut unit square is refused.  No listed common face has the union of
+    their rows, so ``intersection_cell`` cuts the state cmpmp's walk left,
+    the one its cone holds, by cpmpm's rows, and the cut has no point."""
+    dec, _ = _cut("toric_square")
+    state = dec.cell("cmpmp").cone.state()
+    assert state is dec.cell("cmpmp").cone.state()
+    cuts = []
+    original = DDState.cut
+
+    def counted(self, *rows):
+        cuts.append(self)
+        return original(self, *rows)
+
+    monkeypatch.setattr(DDState, "cut", counted)
+    graph = graph_from_dict({
+        "vertices": [{"id": "a", "polytope": "cmpmp"}, {"id": "b", "polytope": "cpmpm"}],
+        "edges": [{"id": "e", "ends": ["a", "b"], "kind": "tropical", "direction": [1, 1]}],
+    })
+    with pytest.raises(GraphError, match="^edge e: endpoint cells cmpmp, cpmpm do not meet$"):
+        validate_graph(dec, graph)
+    assert len(cuts) == 1 and cuts[0] is state
 
 
 def _face_posets_agree(dec):

@@ -737,21 +737,21 @@ def _toric_cells(rng):
     ],
 )
 def test_read_off_matches_the_kernel_route(monkeypatch, kind, build, count):
-    """Every minimal cone that ``Cone.from_conversion`` builds reads off
+    """Every minimal cone that ``Cone.from_state`` builds reads off
     the other side, and its dimension, as the frozen read-off gives them,
     which computed the equalities (on the dual, the lineality) as the
     kernel of the converted side.  The zero-sets it is handed are checked
     against the dot products first.  Zero cones, subspaces and cones with
     implicit rows are counted for each kind that can have them."""
     made = []
-    original = Cone.from_conversion
+    original = Cone.from_state
 
-    def recording(n, rays, lin, rows, zs, eqs=(), dual=False):
-        cone = original(n, rays, lin, rows, zs, eqs, dual)
-        made.append((cone, rows, zs, dual))
+    def recording(state, rows_given=True):
+        cone = original(state, rows_given)
+        made.append((cone, state.rows, tuple(z for _, z in state.rays), not rows_given))
         return cone
 
-    monkeypatch.setattr(Cone, "from_conversion", staticmethod(recording))
+    monkeypatch.setattr(Cone, "from_state", staticmethod(recording))
     rng = random.Random(f"read-off:{kind}")
     for _ in range(count):
         build(rng)
@@ -954,3 +954,37 @@ def test_a_walked_cell_gives_the_rows_it_was_cut_by():
     assert cell.ineqs == ((0, 1), (1, 0))  # the minimal rows, read off
     assert cell.given_rows() == before
     assert cell.state().rows == before[0]
+
+
+def test_a_cone_holds_one_conversion_record(monkeypatch):
+    """A cone cut out by rows hands back the one state its conversion left:
+    the same object on every call and for its minimal form, with the given
+    rows and equality basis, which a cut carries along with no bit.  Every
+    minimal cone, of a cone or of a state, is built by ``from_state``; a
+    cone given by generators keeps its dual's state, with no state of its
+    own to hand back."""
+    built = []
+    original = Cone.from_state
+
+    def recording(state, rows_given=True):
+        built.append((state, rows_given))
+        return original(state, rows_given)
+
+    monkeypatch.setattr(Cone, "from_state", staticmethod(recording))
+    c = Cone.from_hrep([(1, 0, 0), (0, 1, 0), (1, 1, 0)], eqs=[(0, 0, 2)])
+    state = c.state()
+    assert c.state() is state and c.minimal().state() is state
+    assert (state.rows, state.eqs) == c.given_rows() == (((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                                                          ((0, 0, 1),))
+    assert built == [(state, True)]
+    cut = state.cut((1, -1, 0))
+    assert cut.eqs == state.eqs and cut.rows == state.rows + ((1, -1, 0),)
+    assert cut.cone().key() == c.intersect(Cone.from_hrep([(1, -1, 0)])).key()
+    assert built[-1][0].rays == sorted(cut.rays)
+    g = Cone.from_rays([(1, 0), (1, 1), (0, 1)])
+    assert g.minimal().rays == ((0, 1), (1, 0))
+    dual, rows_given = built[-1]
+    assert not rows_given and dual.rows == ((0, 1), (1, 0), (1, 1)) and dual.eqs == ()
+    assert len(built) == 3
+    with pytest.raises(RuntimeError):
+        g.state()

@@ -166,10 +166,10 @@ def test_h_to_v_matches_fraction_reference():
         assert oracles.canonical_vrep(*got[:2]) == oracles.canonical_vrep(*want), (
             n, ineqs, eqs)
         assert got[:2] == oracles.canonical_vrep(*got[:2]), (n, ineqs, eqs)
-        assert got[2] == tuple(
-            sum(1 << i for i, a in enumerate(rows) if vdot(vec(a), vec(r)) == 0)
+        assert got[2] == [
+            (r, sum(1 << i for i, a in enumerate(rows) if vdot(vec(a), vec(r)) == 0))
             for r in got[0]
-        )
+        ]
         for group in got[:2]:
             for v in group:
                 assert all(type(x) is int for x in v)

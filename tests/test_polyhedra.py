@@ -54,6 +54,28 @@ def test_empty_polyhedron():
         p.relative_interior_point()
 
 
+def test_empty_polyhedron_stays_empty_through_its_hrep():
+    """An empty polyhedron's H-representation keeps the implicit equality
+    t = 0 of its homogenization cone, as the row 0.x = 1, so reading it
+    back gives the empty set again.  Only ``t >= 0`` is left out."""
+    empties = [
+        Polyhedron.from_hrep(1, ineqs=[((1,), 0), ((-1,), -1)]),
+        Polyhedron.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)]),
+        Polyhedron.from_hrep(2, ineqs=[((1, 1), 1)], eqs=[((1, 1), 2)]),
+        Polyhedron.from_hrep(3, eqs=[((0, 0, 0), 1)]),
+    ]
+    for p in empties:
+        assert p.is_empty()
+        ineqs, eqs = p.hrep()
+        assert ((0,) * p.ambient_dim, 1) in eqs, (ineqs, eqs)
+        back = Polyhedron.from_hrep(p.ambient_dim, ineqs=ineqs, eqs=eqs)
+        assert back.is_empty() and back.same_set(p)
+        assert back.hrep() == (ineqs, eqs)
+    # a nonempty polyhedron's rows leave out t >= 0 alone
+    assert unit_square().rows()[1] == ()
+    assert (0, 0, 1) not in unit_square().rows()[0]
+
+
 def test_unbounded_quadrant():
     q = Polyhedron.from_hrep(2, ineqs=[((-1, 0), 0), ((0, -1), 0)])
     assert q.dim() == 2
