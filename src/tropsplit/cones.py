@@ -575,11 +575,6 @@ class Cone:
             return self._state.rows, self._state.eqs
         return self.ineqs, self.eqs
 
-    def lies_in_any(self, indices) -> bool:
-        """``state().lies_in_any(indices)``: whether some given row i, i in
-        ``indices``, is tight on the whole cone."""
-        return self.state().lies_in_any(indices)
-
     def state(self) -> DDState:
         """The double description state of a cone cut out by rows (an
         H-built cone, converted once if need be, a walked cell or the

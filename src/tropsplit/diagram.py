@@ -7,6 +7,8 @@ Graph vertex positions, when supplied, are overlaid with their edges.
 
 from __future__ import annotations
 
+import math
+
 from .complexes import Decomposition
 
 _SCALE = 120
@@ -43,8 +45,6 @@ def dual_complex_svg(dec: Decomposition, positions=None, edges=None) -> str:
                 sum(v[0] for v in verts) / len(verts),
                 sum(v[1] for v in verts) / len(verts),
             )
-            import math
-
             ordered = sorted(
                 verts, key=lambda v: math.atan2(v[1] - centroid[1], v[0] - centroid[0])
             )

@@ -543,45 +543,31 @@ class GenericityCertificate(NamedTuple):
 
 
 class Subspace(NamedTuple):
-    """A rational subspace of R^n, held by its canonical basis (primitive
-    integer rref rows) and an annihilator: primitive integer rows whose
-    common kernel is the subspace, so that a vector lies in it exactly when
-    it is orthogonal to every annihilator row.  The full space has no
-    annihilator rows."""
+    """A rational subspace of R^n, held by its annihilator: primitive
+    integer rows whose common kernel is the subspace, so that a vector lies
+    in it exactly when it is orthogonal to every annihilator row.  The rows
+    are the kernel basis (``_kernel_int``) of the subspace's canonical rref
+    basis, so equal subspaces have equal annihilators.  The full space has
+    no annihilator rows, the zero subspace n of them."""
 
-    basis: tuple
     annihilator: tuple
 
     @classmethod
     def spanned_by(cls, rows, n: int) -> "Subspace":
         """The span in R^n of rational rows."""
-        R = _rref_int(map(primitive, rows))
-        return cls(R, tuple(_kernel_int(R, n)))
+        return cls(tuple(_kernel_int(_rref_int(map(primitive, rows)), n)))
 
     @classmethod
     def hyperplane(cls, c) -> "Subspace":
         """The kernel of one integer row c, with no elimination: the whole
-        space when c is zero.  With f the last nonzero column of c and
-        s = sign(c_f), the rows s (c_f e_p - c_p e_f), each divided by its
-        gcd, for p != f in increasing order, are the primitive rref basis
-        (pivot p, entries only at p and f, c_p = 0 past f), and s c over
-        its gcd, positive at the kernel's one free column f, is the
-        annihilator: what ``spanned_by`` gives for the kernel of c."""
-        n = len(c)
-        f = next((j for j in reversed(range(n)) if c[j]), None)
-        if f is None:
-            return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), ())
-        cf = c[f]
-        s = 1 if cf > 0 else -1
-        basis = []
-        for p in range(n):
-            if p != f:
-                g = gcd(cf, c[p])
-                row = [0] * n
-                row[p], row[f] = s * cf // g, -s * c[p] // g
-                basis.append(tuple(row))
-        g = s * gcd(*c)
-        return cls(tuple(basis), (tuple(x // g for x in c),))
+        space when c is zero.  Its one annihilator row is c over its gcd,
+        signed positive at its last nonzero entry, the kernel's one free
+        column: what ``spanned_by`` gives for the kernel of c."""
+        f = next((x for x in reversed(c) if x), 0)
+        if not f:
+            return cls(())
+        g = gcd(*c) if f > 0 else -gcd(*c)
+        return cls((tuple(x // g for x in c),))
 
 
 def is_generic_wrt(v, subspaces, labels=None) -> GenericityCertificate:

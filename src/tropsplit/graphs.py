@@ -221,8 +221,9 @@ class CheckedGraph(Value):
         exactly the rows that are not implicit, so the strict system is
         feasible exactly when no strict row is tight on the whole cone:
         when no strict row's bit is in the zero-set of every ray of the
-        conversion (``Cone.lies_in_any``).  The cone keeps the nonzero rows
-        in order, and no strict row is zero, so strict row i has bit i.
+        conversion, which the cone's DD record answers
+        (``state().lies_in_any``).  The cone keeps the nonzero rows in
+        order, and no strict row is zero, so strict row i has bit i.
 
         The witness certifies.  The integer sum h of the generators
         (``Polyhedron.generator_sum``) is checked once against every row:
@@ -235,7 +236,7 @@ class CheckedGraph(Value):
         strict, eqs = graph_rows(index, n, duals, edges, shared=1)
         closed = Polyhedron.from_rows(n * len(index), strict, eqs)
         weakly = not closed.is_empty()
-        realizable = weakly and not closed.cone.lies_in_any(range(len(strict)))
+        realizable = weakly and not closed.cone.state().lies_in_any(range(len(strict)))
         witness = None
         if realizable:
             h = closed.generator_sum()

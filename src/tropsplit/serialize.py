@@ -25,6 +25,7 @@ from .complexes import Decomposition, DualCell, Polytope
 from .cones import Cone
 from .exact import as_int, fr
 from .graphs import TROPICAL, Edge, TropicalGraph
+from .potential import NovikovSeries
 
 
 def rat_str(x) -> str:
@@ -340,13 +341,11 @@ def series_to_list(series) -> list:
     ]
 
 
-def series_from_dict(data: dict) -> "NovikovSeries":
+def series_from_dict(data: dict) -> NovikovSeries:
     return series_from_list(_at(data, "terms", "terms"), _at(data, "num_vars", "num_vars"))
 
 
-def series_from_list(data, num_vars) -> "NovikovSeries":
-    from .potential import NovikovSeries
-
+def series_from_list(data, num_vars) -> NovikovSeries:
     return NovikovSeries(as_int(num_vars), tuple(
         (parse_rat(_at(t, "coeff", "terms.coeff")), parse_rat(_at(t, "area", "terms.area")),
          _at(t, "monomial", "terms.monomial", _list))

@@ -68,7 +68,7 @@ class QuasiSplitGraph:
     once, on first use, and cached: the relative-position cone ``w``, the
     discrepancy data ``disc`` with Disc's H-representation, the
     ``pull_table`` (each row of Disc as one integer row per split edge),
-    the ``genericity_family`` read off that table (each subspace with its
+    the ``genericity_family`` read off that table (each subspace as its
     annihilator rows), and the ``row_table`` that stacks every integer row
     a direction is dotted with.  The graph caches no report fields:
     ``reports.split_report`` writes the split report, and
@@ -278,22 +278,21 @@ def _genericity_family(q: QuasiSplitGraph):
     proper, and block slices of the facet hyperplanes of Disc.  Each slice
     is read off ``pull_table``: at split edge i, span(Disc) slices to the
     kernel of the i-th pulled rows of Disc's equalities, and facet k to
-    the kernel of the i-th pulled row of inequality k.  Each subspace is
-    listed once, as a ``Subspace`` with its canonical basis of primitive
-    integer rref rows and its annihilator.  A facet slice is the hyperplane
-    of one pulled row, built in closed form (``Subspace.hyperplane``); with
-    no equality, span(Disc) slices to the whole space and is skipped."""
+    the kernel of the i-th pulled row of inequality k, whose annihilator is
+    that row made primitive (``Subspace.hyperplane``).  Each subspace is
+    its annihilator and is listed once: equal subspaces have equal
+    annihilators.  The whole space (no annihilator row; span(Disc) with
+    no equality is not built) and the zero subspace (n rows) are skipped."""
     n = q.n
     ineqs, eqs = q.pull_table
     fam, labels = [], []
     seen = set()
 
     def add(S, label):
-        if not S.basis or not S.annihilator or S.basis in seen:
-            return
-        seen.add(S.basis)
-        fam.append(S)
-        labels.append(label)
+        if 0 < len(S.annihilator) < n and S.annihilator not in seen:
+            seen.add(S.annihilator)
+            fam.append(S)
+            labels.append(label)
 
     for i, (bid, d, _) in enumerate(q.disc.blocks):
         add(Subspace.spanned_by([d], n), f"direction span of {bid}")
@@ -314,10 +313,6 @@ class ConeConditionVerdict(NamedTuple):
     expected_disc_dim: int
     projected_num: tuple  # per split edge, pi(num), where eta = num / den
     den: int
-
-    @property
-    def accepted(self) -> bool:
-        return self.holds and self.certified
 
     @property
     def projected_eta(self) -> tuple:

@@ -24,6 +24,7 @@ from .graphs import (
     TropicalGraph,
     validate_graph,
 )
+from .splitting import is_rigid_split
 
 
 class SymmetryGroup(NamedTuple):
@@ -116,8 +117,6 @@ def component_splitting(dec: Decomposition, graph, split_edge_ids=None) -> list:
 
 def multiplicity(q) -> int:
     """Order of the framed tropical symmetry group of a rigid split graph."""
-    from .splitting import is_rigid_split
-
     group = symmetry_group(q.dec, q.checked_top, framed=True, split_edge_ids=q.top_split_ids)
     if group.complex_dimension > 0:
         raise GraphError("non-rigid: the framed tropical symmetry group is infinite")

@@ -463,18 +463,20 @@ def genericity_family(q):
     """Proper rational subspaces of t that the cone direction must avoid:
     per split edge, the direction span, the block slice of span(Disc) when
     proper, and block slices of the facet hyperplanes of Disc.  Each is
-    listed once, as a ``Subspace`` with its canonical basis of primitive
-    integer rref rows and its annihilator."""
+    listed once, as a ``Subspace``: duplicates are found by the canonical
+    basis of primitive integer rref rows, computed here, not by the
+    annihilator the library compares."""
     data = q.disc
     n = q.n
     fam, labels = [], []
     seen = set()
 
     def add(basis_rows, label):
+        basis = _rref_int(map(primitive, basis_rows))
         S = Subspace.spanned_by(basis_rows, n)
-        if not S.basis or not S.annihilator or S.basis in seen:
+        if not basis or not S.annihilator or basis in seen:
             return
-        seen.add(S.basis)
+        seen.add(basis)
         fam.append(S)
         labels.append(label)
 
@@ -527,7 +529,8 @@ def cone_condition(q, eta) -> ConeConditionVerdict:
     D = pre.intersect(orthant).minimal()
     holds = is_increasing(D)
     fam, labels = genericity_family(q)
-    cert = is_generic_wrt(eta_int, [S.basis for S in fam], labels)
+    cert = is_generic_wrt(eta_int, [_kernel_int(_rref_int(S.annihilator), n) for S in fam],
+                          labels)
     den = lcm(*(x.denominator for x in eta))
     return ConeConditionVerdict(
         holds=holds,

@@ -7,14 +7,15 @@ import time
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from click.testing import CliRunner
-from conftest import graph_checks
 
 from tropsplit import complexes, cones, exact, graphs
 from tropsplit import fixtures as fx
 from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
+from tropsplit.diagram import dual_complex_svg
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import canonical_json
 
@@ -404,6 +405,45 @@ def test_corpus_regenerate_into_a_directory(tmp_path):
     assert snapshot() == before
 
 
+class Call(NamedTuple):
+    via: object  # the module or class whose binding was called
+    args: tuple
+    result: object
+
+
+def _cold_pass(monkeypatch, *targets) -> dict:
+    """Run every corpus case once, cold, and check each report's bytes,
+    with the calls of each ``(owner, name)`` recorded in every binding: on
+    the owner and in every ``tropsplit`` module that binds the same object.
+    A ``cached_property`` is recorded when it computes.  Returns each
+    name's calls, in order."""
+    calls = {}
+
+    def recording(record, via, func):
+        def counted(*args, **kwargs):
+            result = func(*args, **kwargs)
+            record.append(Call(via, args, result))
+            return result
+        return counted
+
+    for owner, name in targets:
+        record = calls.setdefault(name, [])
+        original = getattr(owner, name)
+        if isinstance(original, cached_property):
+            prop = cached_property(recording(record, owner, original.func))
+            prop.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, prop)
+            continue
+        monkeypatch.setattr(owner, name, recording(record, owner, original))
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "tropsplit" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording(record, module, original))
+    for case in corpus_cases():
+        got = canonical_json(run_corpus_case(case))
+        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    return calls
+
+
 def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     """One pass over the corpus, each case cold, runs 140 double
     description conversions and gives the stored bytes, two of them the
@@ -425,33 +465,8 @@ def test_corpus_pass_runs_pinned_conversions(monkeypatch):
     or a graph with no split edge whose zero scalings cone is built from
     generators and converted to serialize it, not cut from the orthant
     of R^0 (once 214), changes the count."""
-    calls = []
-    original = cones._h_to_v
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cones, "_h_to_v", counted)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 140
-
-
-def _count_in_every_binding(monkeypatch, name) -> list:
-    """Count the calls of ``exact.<name>`` in every module that binds it."""
-    calls = []
-    original = getattr(exact, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "tropsplit" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
+    calls = _cold_pass(monkeypatch, (cones, "_h_to_v"))
+    assert len(calls["_h_to_v"]) == 140
 
 
 def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
@@ -459,7 +474,7 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     with 198 ``_rref_int`` calls, counted in every module that binds it,
     two of them in the facet checks of the two potentials.  A genericity
     facet slice found as the kernel of its row and then spanned again,
-    where the hyperplane's basis is read off the row, or a span(Disc)
+    where the hyperplane's annihilator is the row itself, or a span(Disc)
     slice built from no equality (once 250), changes the count.  A cone built
     with no equalities or no lineality generators that eliminates the
     empty span anyway (once 388), or an edge cell named by certificates
@@ -483,11 +498,8 @@ def test_corpus_pass_runs_pinned_eliminations(monkeypatch):
     where w's serialized minimal form already knows it (once 481), or the
     conversion of a graph's zero scalings cone where the orthant cut of
     R^0 gives it with no elimination (once 471), changes the count."""
-    calls = _count_in_every_binding(monkeypatch, "_rref_int")
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 198
+    calls = _cold_pass(monkeypatch, (exact, "_rref_int"))
+    assert len(calls["_rref_int"]) == 198
 
 
 def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
@@ -500,11 +512,8 @@ def test_corpus_pass_runs_pinned_smith_forms(monkeypatch):
     projection again for each system it enters (once 117), or edge lines
     built from the Smith projection again rather than from rows that
     annihilate the direction (once 86), changes the count."""
-    calls = _count_in_every_binding(monkeypatch, "smith_normal_form")
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 36
+    calls = _cold_pass(monkeypatch, (exact, "smith_normal_form"))
+    assert len(calls["smith_normal_form"]) == 36
 
 
 def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
@@ -522,18 +531,8 @@ def test_corpus_pass_runs_pinned_dd_steps(monkeypatch):
     (once 730 a pass), or an orthant cut that cuts again a pulled row
     equal to a unit row or to an earlier row (once 625), changes the
     count."""
-    calls = []
-    original = cones._dd_step
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cones, "_dd_step", counted)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 466
+    calls = _cold_pass(monkeypatch, (cones, "_dd_step"))
+    assert len(calls["_dd_step"]) == 466
 
 
 def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
@@ -546,11 +545,8 @@ def test_corpus_pass_runs_pinned_hermite_forms(monkeypatch):
     a pass), or a lattice that reduces a basis already in echelon form
     again before a membership test, as every kernel lattice of
     ``smith_kernel`` did (once 63), changes the count."""
-    calls = _count_in_every_binding(monkeypatch, "hermite_normal_form")
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 19
+    calls = _cold_pass(monkeypatch, (exact, "hermite_normal_form"))
+    assert len(calls["hermite_normal_form"]) == 19
 
 
 def test_corpus_pass_builds_pinned_position_polyhedra(monkeypatch):
@@ -560,19 +556,8 @@ def test_corpus_pass_builds_pinned_position_polyhedra(monkeypatch):
     graphs' tops.  A component with one vertex is realizable by
     construction, so computing its positions to read that verdict (once
     48, 18 one-vertex components a pass) changes the count."""
-    sizes = Counter()
-    positions = graphs.CheckedGraph.positions
-
-    def counted(self):
-        sizes[len(self.graph.vertices)] += 1
-        return positions.func(self)
-
-    prop = cached_property(counted)
-    prop.__set_name__(graphs.CheckedGraph, "positions")
-    monkeypatch.setattr(graphs.CheckedGraph, "positions", prop)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    calls = _cold_pass(monkeypatch, (graphs.CheckedGraph, "positions"))
+    sizes = Counter(len(c.args[0].graph.vertices) for c in calls["positions"])
     assert sum(sizes.values()) == 30
     assert 1 not in sizes, sizes
 
@@ -584,26 +569,10 @@ def test_corpus_pass_certifies_every_cell_intersection(monkeypatch):
     goes to the state cut (once 36 went by containment and 16 by face
     steps a pass), none converts an intersection, and no listed cell is
     named by a ``same_set`` scan."""
-    routes = Counter()
-    by_rows = complexes.Decomposition._cell_by_rows
-
-    def rows(self, p1, p2):
-        q = by_rows(self, p1, p2)
-        routes["rows" if q is not None else "cut"] += 1
-        return q
-
-    def counted(name, original):
-        def wrapper(*args):
-            routes[name] += 1
-            return original(*args)
-        return wrapper
-
-    monkeypatch.setattr(complexes.Decomposition, "_cell_by_rows", rows)
-    for name in ("intersect", "same_set"):
-        monkeypatch.setattr(Polyhedron, name, counted(name, getattr(Polyhedron, name)))
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    calls = _cold_pass(monkeypatch, (complexes.Decomposition, "_cell_by_rows"),
+                       (Polyhedron, "intersect"), (Polyhedron, "same_set"))
+    routes = Counter("rows" if c.result is not None else "cut" for c in calls["_cell_by_rows"])
+    routes.update(name for name in ("intersect", "same_set") for _ in calls[name])
     assert routes == {"rows": 52}
 
 
@@ -614,10 +583,9 @@ def test_corpus_pass_checks_pinned_graphs(monkeypatch):
     checked graph passed on is not checked again.  A report, symmetry group
     or split-edge list that checks its graph again, or a component subgraph
     that is checked (once 39 checks a pass), changes the count."""
-    checked = graph_checks(monkeypatch)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
+    calls = _cold_pass(monkeypatch, (graphs, "validate_graph"))
+    # a graph returned unchanged, already checked, is not counted
+    checked = [c for c in calls["validate_graph"] if c.result is not c.args[1]]
     assert len(checked) == 28
 
 
@@ -627,18 +595,8 @@ def test_corpus_pass_looks_up_pinned_edge_cells(monkeypatch):
     each checked graph.  Reading the split edges off a second lookup per
     edge, or checking a graph again (once 124 calls a pass), changes the
     count."""
-    calls = []
-    original = complexes.Decomposition.intersection_cell
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(complexes.Decomposition, "intersection_cell", counted)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 68
+    calls = _cold_pass(monkeypatch, (complexes.Decomposition, "intersection_cell"))
+    assert len(calls["intersection_cell"]) == 68
 
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
@@ -647,19 +605,12 @@ def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
     stays int from parsing through the cone kernel: a path that turns an
     int vector back into ``Fraction``s (once 1925 calls a pass) changes the
     count."""
-    calls = []
-    original = exact.fr
-
-    def counted(x):
-        calls.append(x)
-        return original(x)
-
-    monkeypatch.setattr(exact, "fr", counted)
-    for case in corpus_cases():
-        got = canonical_json(run_corpus_case(case))
-        assert got == expected_report_path(case["name"]).read_text().strip(), case["name"]
-    assert len(calls) == 18
-    assert all(type(x) is not int for x in calls), calls
+    calls = _cold_pass(monkeypatch, (exact, "fr"))
+    # the pin counts the calls inside ``exact``; ``serialize`` and
+    # ``potential`` bind ``fr`` too and read wire values with it
+    inside = [c.args[0] for c in calls["fr"] if c.via is exact]
+    assert len(inside) == 18
+    assert all(type(x) is not int for x in inside), inside
 
 
 def test_corpus_run_under_optimize_flag():
@@ -1340,6 +1291,20 @@ CLI_ERRORS = [
         "potential", "combine", "--mult", "0", "--split-edges", "1", "--d-black", "0",
         "--sign", "+1", '{"num_vars":0,"terms":[]}'],
      2, "error: multiplicity must be a positive integer"),
+    ("non-rigid multiplicity", lambda t, d, m: [
+        "mult", str(d / "square_plain.dec.json"), str(d / "fig_rigid_gamma2.graph.json")],
+     1, "verdict: non-rigid: the framed tropical symmetry group is infinite"),
+    ("negative count", lambda t, d, m: [
+        "potential", "combine", "--mult", "1", "--split-edges", "-1", "--d-black", "0",
+        "--sign", "+1", _write_json(t / "s.json", {"num_vars": 0, "terms": []})],
+     2, "error: counts must be nonnegative"),
+    # nested past the decoder's recursion limit on every supported version
+    # (3.13 decodes 2000 levels), read in-process
+    ("inline JSON nested too deeply", lambda t, d, m: [
+        "cut", "--normals", _nested(100000), "--constants", "[1]", "--eps", "[1]",
+        "--lambda", "[0]"],
+     2, "error: cannot read inline JSON: maximum recursion depth exceeded while decoding "
+        "a JSON array from a unicode string"),
     ("stored report differs", lambda t, d, m: _corpus_args(m, None, "toric-square"),
      1, "DIFFERS  toric-square"),
     ("stored report missing", lambda t, d, m: _corpus_args(m, "cube-mult", None),
@@ -1386,6 +1351,36 @@ def test_graph_check_diagram_draws_the_witness(fixture_dir, tmp_path):
     assert text.count("fill='#c33'") == 4
     for v in ("v", "vA", "vB", "vC"):
         assert f">{v}</text>" in text
+
+
+@pytest.mark.parametrize("dim, size, shapes", [
+    (1, "width='320.00' height='80.00'", {"circle": 3, "line": 2, "polygon": 0}),
+    (3, "width='416.00' height='380.00'", {"circle": 27, "line": 54, "polygon": 44}),
+], ids=["segment", "cube"])
+def test_cut_diagram_draws_every_dual_cell(tmp_path, dim, size, shapes):
+    """``cut --diagram`` of [0,1]^dim draws each dual cell of the cut once:
+    a vertex as a dot, an edge as a line, a higher cell as an outline.
+    The dual vertices have coordinates in {-1, 0, 1}: the segment lies on
+    the x-axis (a 2-unit wide, flat sketch) and the cube is projected
+    isometrically, to x + 0.4 y by z + 0.25 y (2.8 by 2.5 units)."""
+    svg = tmp_path / "cut.svg"
+    res = run_cli([
+        "cut", "--normals", json.dumps([[s * (i == j) for j in range(dim)]
+                                        for i in range(dim) for s in (-1, 1)]),
+        "--constants", json.dumps([0, 1] * dim), "--eps", json.dumps(["1/10"] * 2 * dim),
+        "--lambda", json.dumps(["1/2"] * dim), "--diagram", str(svg),
+    ])
+    assert res.exit_code == 0, res.output
+    text = svg.read_text()
+    assert text.splitlines()[0] == f"<svg xmlns='http://www.w3.org/2000/svg' {size}>"
+    assert {tag: text.count(f"<{tag} ") for tag in shapes} == shapes
+    assert json.loads(res.output)["num_cells"] == sum(shapes.values())
+
+
+def test_empty_decomposition_draws_the_empty_svg():
+    """A decomposition with no dual cell sketches as the empty SVG."""
+    empty = complexes.Decomposition(2, [], [], [])
+    assert dual_complex_svg(empty) == "<svg xmlns='http://www.w3.org/2000/svg'/>"
 
 
 DISJOINT_CELLS_GRAPH = {

@@ -892,9 +892,9 @@ def test_state_cut_tells_a_line_from_a_point_on_it():
 def test_lies_in_any_reads_the_conversion_zero_sets():
     """A given row of an H-built cone is tight on the whole cone exactly
     when it vanishes on every ray and lineality vector, and its minimal
-    form's state answers as its own does; so does the cone's own read of
-    its zero-sets, on a cone not yet converted and on its minimal form.
-    Only a cone cut out by rows has a state or that read."""
+    form's state answers as its own does; so does the state of a cone not
+    yet converted and of its minimal form.  Only a cone cut out by rows has
+    a state."""
     rng = random.Random(61)
     seen = Counter()
     for _ in range(200):
@@ -909,17 +909,17 @@ def test_lies_in_any_reads_the_conversion_zero_sets():
         for i, a in enumerate(rows):
             tight = not any(sum(x * y for x, y in zip(a, g)) for g in gens)
             assert state.lies_in_any([i]) == minimal.lies_in_any([i]) == tight
-            assert fresh.lies_in_any([i]) == c.minimal().lies_in_any([i]) == tight
+            assert fresh.state().lies_in_any([i]) == c.minimal().state().lies_in_any([i]) == tight
             seen[tight] += 1
         want = any(not any(sum(x * y for x, y in zip(a, g)) for g in gens) for a in rows)
-        for read in (state, minimal, c, c.minimal()):
+        for read in (state, minimal, c.state(), c.minimal().state()):
             assert read.lies_in_any(range(len(rows))) == want
     assert min(seen.values()) >= 100, seen
     for generated in (Cone.from_rays([(1, 0)]), Cone.from_rays([(1, 0)]).minimal()):
         with pytest.raises(RuntimeError):
             generated.state()
         with pytest.raises(RuntimeError):
-            generated.lies_in_any([0])
+            generated.state().lies_in_any([0])
 
 
 def test_minimal_rows_are_the_minimal_forms_rows():

@@ -614,8 +614,8 @@ def test_bools_are_not_rationals(call, flag):
 
 def test_hyperplane_slice_matches_the_eliminated_kernel():
     """``Subspace.hyperplane(c)`` is the span of the kernel of the one row
-    c as two eliminations and two kernels give it, basis and annihilator
-    alike, on seeded integer rows in R^1..R^5, the zero row included."""
+    c as two eliminations and two kernels give it, the same annihilator,
+    on seeded integer rows in R^1..R^5, the zero row included."""
     rng = random.Random(36)
     zero = 0
     for n in range(1, 6):

@@ -108,6 +108,20 @@ def test_witness_at_t_zero_is_caught(monkeypatch):
         vertex_positions(dec, g)
 
 
+def test_a_graph_checked_on_another_decomposition_is_checked_again(square_plain, square_split):
+    """A checked graph passed with the decomposition it was checked on comes
+    back unchanged; passed with another one, its graph is checked again
+    there.  fig_rigid_gamma1 has no split edge on square_plain, whose split
+    set is empty, and e1, e2, e3 on square_split."""
+    g = graph("fig_rigid_gamma1")
+    plain = validate_graph(square_plain, g)
+    assert validate_graph(square_plain, plain) is plain
+    split = validate_graph(square_split, plain)
+    assert split is not plain and split.graph is g and split.dec is square_split
+    assert plain.split_ids == frozenset()
+    assert split.split_ids == {"e1", "e2", "e3"}
+
+
 def test_single_vertex_top_dimensional(square_plain):
     g = TropicalGraph((("v", "Qpp"),), ())
     w = vertex_positions(square_plain, g)

@@ -181,6 +181,21 @@ def test_series_algebra_random():
             assert (a * b).valuation() == a.valuation() + b.valuation()
 
 
+def test_series_of_different_arities_do_not_combine():
+    """``+`` and ``*`` of series in different numbers of variables raise
+    ``arity mismatch``; a rational scalar multiplies from either side."""
+    one = NovikovSeries(1, ((F(1), F(0), (1,)),))
+    two = NovikovSeries(2, ((F(1), F(0), (1, 0)),))
+    for combine in (lambda a, b: a + b, lambda a, b: a * b):
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                combine(a, b)
+    s = NovikovSeries(2, ((F(3), F(1, 2), (1, 0)), (F(-1), F(2), (0, 1))))
+    assert s * 2 == 2 * s == s.scale(2) == s + s
+    assert F(1, 2) * s == s * "1/2" == NovikovSeries(
+        2, ((F(3, 2), F(1, 2), (1, 0)), (F(-1, 2), F(2), (0, 1))))
+
+
 def test_blaschke_leading_order_identity():
     """Feeding the facet-disk inputs (coefficient one, area c_i - <lam,mu_i>,
     monomial mu_i) through the weight aggregator reproduces the potential,

@@ -176,6 +176,20 @@ def test_graph_roundtrip():
         assert [e.direction for e in g2.edges] == [e.direction for e in g.edges]
 
 
+def test_graph_to_dict_writes_the_collapse_block():
+    """A collapse passed to ``graph_to_dict`` is written as the graph's
+    ``collapse`` block, as given; with none the block is absent, and the
+    rest of the graph is written alike."""
+    data = fx.GRAPHS["fig_square_top1"]()
+    g = graph_from_dict(data)
+    plain = graph_to_dict(g)
+    out = graph_to_dict(g, collapse=data["collapse"])
+    assert "collapse" not in plain
+    assert out.pop("collapse") == data["collapse"] == {
+        "vertex_map": {"u0": "v0", "up": "v0", "u2": "v2"}, "to_graph": "fig_square_base"}
+    assert out == plain
+
+
 def test_cone_roundtrip():
     c = Cone.from_rays([(2, 1), (0, 1)])
     c2 = cone_from_dict(cone_to_dict(c))

@@ -73,6 +73,22 @@ def test_library_builds_no_dataclasses():
     assert not found, found
 
 
+def test_library_imports_at_module_level():
+    """No function or method in the library imports: every import sits at
+    a module's top level, where a cycle, if one came in, fails on import
+    rather than on the first call that reaches the import."""
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert any(path.name == "symmetry.py" for path in SOURCES)  # the walk sees the sources
+    assert not found, found
+
+
 def test_cone_direction_path_builds_no_fractions():
     """A cone direction is answered in integers: neither
     ``splitting.cone_condition`` nor ``reports.split_report`` names

@@ -12,6 +12,7 @@ from tropsplit import fixtures as fx
 from tropsplit import reports
 from tropsplit.complexes import cone_of_relative_cell
 from tropsplit.cones import Cone
+from tropsplit.exact import _kernel_int, _rref_int
 from tropsplit.graphs import GraphError
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import graph_from_dict
@@ -341,7 +342,7 @@ def test_cached_split_report_matches_per_direction_reference():
         etas = []
         while len(etas) < 40:
             if len(etas) % 4 == 0:  # a direction inside a genericity subspace
-                basis = rng.choice(fam).basis
+                basis = _kernel_int(_rref_int(rng.choice(fam).annihilator), q.n)
                 eta = [0] * q.n
                 for b in basis:
                     c = F(rng.randint(-3, 3), rng.randint(1, 3))
@@ -397,8 +398,8 @@ def _cube_two_split_edges(cube_split, order):
 
 def test_genericity_family_matches_the_frozen_slicing(square_plain, square_split, cube_split):
     """The family read off the pull table equals the frozen one that sliced
-    the rows of Disc's minimal form again: the same bases, annihilators and
-    labels in the same order.  Checked on the eight split graphs, a graph
+    the rows of Disc's minimal form again and dedupes by a canonical basis
+    of its own: the same annihilators and labels in the same order.  Checked on the eight split graphs, a graph
     with no split edge, the partial orders of the one-edge-at-a-time check,
     and two split edges in R^3 in both orders, where a slice taken at the
     wrong edge shows."""
@@ -887,6 +888,18 @@ def test_iterative_agrees_rejected(square_split):
     qs = _intermediates(square_split, "fig_four_base", _prime_intermediate)
     rep = iterative_split_check(qs, (5, 1))
     assert rep["agrees"] and not rep["direct"]
+
+
+def test_iterative_check_needs_its_intermediates_in_order(square_split):
+    """No intermediate graph, or intermediates that do not split the
+    prefixes of the order in turn, raise ``SplitError``."""
+    qs = _intermediates(square_split, "fig_four_base", fx.fig_four_intermediate)
+    with pytest.raises(SplitError, match="no intermediate graphs"):
+        iterative_split_check([], (5, 1))
+    with pytest.raises(SplitError, match="step 1 does not split the prefix of the order"):
+        iterative_split_check([qs[1], qs[0], *qs[2:]], (5, 1))
+    with pytest.raises(SplitError, match="step 3 does not split the prefix of the order"):
+        iterative_split_check([qs[0], qs[1], qs[3], qs[2]], (5, 1))
 
 
 # -- randomized acceptance family (dimension theorem etc.) ----------------------------------
