@@ -1,21 +1,20 @@
 """Command-line front end.
 
-Exit codes, all decided in ``_Main.invoke``: 0 success, 1 negative verdict,
-2 input error (any ValueError, such as a schema ``InputError``; a write
-failure is an input error too), 3 internal error (any other exception, so
-a crash never reads as a verdict or as bad input).  All reports are
-canonical JSON on stdout (or the -o target); diagnostics go to stderr.
+Exit codes, all decided in ``main``: 0 success, 1 negative verdict, 2
+usage or input error (any ValueError, such as a schema ``InputError``; a
+write failure is an input error too), 3 internal error (any other
+exception, so a crash never reads as a verdict or as bad input).  Reports
+are canonical JSON on stdout (or the -o target); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import traceback
 from importlib import resources
-
-import click
 
 from . import fixtures, reports
 from .complexes import toric_cut
@@ -39,26 +38,83 @@ INPUT_ERROR = 2
 NEGATIVE = 1
 INTERNAL_ERROR = 3
 
+# command words -> (help, function, arguments); a group has no function
+_COMMANDS: dict = {
+    ("corpus",): ("Bundled worked-example regression corpus.", None, ()),
+    ("graph",): ("Tropical graph commands.", None, ()),
+    ("potential",): ("Novikov series commands.", None, ()),
+    ("split",): ("Split tropical graph commands.", None, ()),
+}
 
-class _Integer(click.ParamType):
-    """An integer option, read by ``as_int`` in the grammar of every wire
-    value; a value outside it is a usage error naming the option."""
 
-    name = "integer"
+def _command(words: str, *arguments):
+    """Registers the decorated function as the command ``words``; each of
+    its arguments is an ``add_argument`` call as a (names, keywords) pair."""
+    def register(func):
+        _COMMANDS[tuple(words.split())] = func.__doc__, func, arguments
+        return func
+    return register
 
-    def convert(self, value, param, ctx):
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+class _Integer(argparse.Action):
+    """An integer option, read by ``as_int``; a value it refuses is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
         try:
-            return as_int(value)
+            setattr(namespace, self.dest, as_int(value))
         except ValueError as exc:
-            self.fail(str(exc), param, ctx)
+            raise argparse.ArgumentError(None, f"Invalid value for '{option_string}': {exc}")
 
 
-_INTEGER = _Integer()
+def _parser():
+    """(the parser of every command in ``_COMMANDS``, the options that take a value)"""
+    root = argparse.ArgumentParser(prog="tropsplit", allow_abbrev=False,
+                                   description="Exact combinatorics of split tropical graphs.")
+    subparsers, takes_value = {(): root.add_subparsers(metavar="COMMAND", required=True)}, set()
+    for words, (doc, func, arguments) in sorted(_COMMANDS.items()):
+        parser = subparsers[words[:-1]].add_parser(
+            words[-1], help=doc.split("\n")[0], description=doc, allow_abbrev=False)
+        if func is None:
+            subparsers[words] = parser.add_subparsers(metavar="COMMAND", required=True)
+        for names, kwargs in arguments:
+            action = parser.add_argument(*names, **kwargs)
+            if action.option_strings and action.nargs is None:
+                takes_value.update(action.option_strings)
+        parser.set_defaults(func=func)
+    return root, takes_value
 
 
-def _fail(message: str, code: int = INPUT_ERROR):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def main(argv=None):
+    """Runs one command line (the process's by default) and exits with the code
+    of what its command returns or raises, an internal error with its traceback."""
+    parser, takes_value = _parser()
+    # an option's value is the next token, even one that starts with "-"; the
+    # options go last, so that argparse reads the positionals in one run
+    tokens, words, options = iter(sys.argv[1:] if argv is None else argv), [], []
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        token = token if value is None else f"{token}={value}"
+        (options if token.startswith("-") and token != "-" else words).append(token)
+    code = INPUT_ERROR
+    try:
+        kwargs = vars(parser.parse_args(words + options))
+        code = kwargs.pop("func")(**kwargs) or 0
+    except SystemExit as exc:  # from argparse: --help (0) or a usage error (2)
+        code = exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+    except Exception as exc:
+        print(traceback.format_exc(), end="", file=sys.stderr)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = INTERNAL_ERROR
+    raise SystemExit(code)
 
 
 def _load_json(path: str):
@@ -67,7 +123,7 @@ def _load_json(path: str):
             return json.load(fh)
     # ValueError: not JSON, or not UTF-8; RecursionError: nested too deeply
     except (OSError, ValueError, RecursionError) as exc:
-        _fail(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _load_json_or_inline(arg: str):
@@ -77,7 +133,7 @@ def _load_json_or_inline(arg: str):
     except json.JSONDecodeError:
         return _load_json(arg)
     except RecursionError as exc:
-        _fail(f"cannot read inline JSON: {exc}")
+        raise ValueError(f"cannot read inline JSON: {exc}") from None
 
 
 def _write(path: str, text: str):
@@ -90,7 +146,7 @@ def _emit(report: dict, output: str | None):
     if output:
         _write(output, text + "\n")
     else:
-        click.echo(text)
+        print(text)
 
 
 def _load_dec(path: str):
@@ -99,7 +155,7 @@ def _load_dec(path: str):
     try:
         return data, decomposition_from_dict(data)
     except ValueError as exc:
-        _fail(f"bad decomposition {path}: {exc}")
+        raise ValueError(f"bad decomposition {path}: {exc}") from None
 
 
 def _base_loader(graph_path: str):
@@ -142,45 +198,23 @@ def _potential_report(data: dict) -> dict:
     return reports.potential_report(normals, constants, lam, {"potential_input": data})
 
 
-class _Main(click.Group):
-    """The command group; maps what a command raises to its exit code, an
-    internal error with its traceback on stderr."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except ValueError as exc:
-            _fail(str(exc))
-        except OSError as exc:
-            _fail(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
-        except Exception as exc:
-            click.echo(traceback.format_exc(), err=True, nl=False)
-            _fail(f"internal error: {type(exc).__name__}: {exc}", INTERNAL_ERROR)
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact combinatorics of split tropical graphs."""
-
-
 # ---------------------------------------------------------------------------
 
 
-@main.command("cut")
-@click.option("--normals", required=True, help="JSON file or literal: list of integer normals")
-@click.option("--constants", required=True, help="JSON file or literal: list of rationals")
-@click.option("--eps", required=True, help="JSON file or literal: list of positive rationals")
-@click.option("--lambda", "lambda_", required=True, help="JSON file or literal: interior point")
-@click.option("-o", "--output", default=None,
-              help="write the decomposition file here, ready for the other commands")
-@click.option("--diagram", default=None, help="write an SVG sketch of the dual complex")
+@_command(
+    "cut",
+    _arg("--normals", required=True, help="JSON file or literal: list of integer normals"),
+    _arg("--constants", required=True, help="JSON file or literal: list of rationals"),
+    _arg("--eps", required=True, help="JSON file or literal: list of positive rationals"),
+    _arg("--lambda", dest="lambda_", metavar="LAMBDA", required=True,
+         help="JSON file or literal: interior point"),
+    _arg("-o", "--output", help="write the decomposition file here, ready for the other commands"),
+    _arg("--diagram", help="write an SVG sketch of the dual complex"),
+)
 def cut_cmd(normals, constants, eps, lambda_, output, diagram):
     """Multiple-cut decomposition of a moment polytope.
 
-    The report goes to stdout; -o saves the decomposition itself.
-    """
+    The report goes to stdout; -o saves the decomposition itself."""
     data = {key: _load_json_or_inline(arg) for key, arg in (
         ("normals", normals), ("constants", constants), ("epsilons", eps), ("lambda", lambda_))}
     dec, report = _cut_report(data)
@@ -191,16 +225,8 @@ def cut_cmd(normals, constants, eps, lambda_, output, diagram):
         _write(diagram, dual_complex_svg(dec))
 
 
-@main.group("graph")
-def graph_group():
-    """Tropical graph commands."""
-
-
-@graph_group.command("check")
-@click.argument("dec_path")
-@click.argument("graph_path")
-@click.option("-o", "--output", default=None)
-@click.option("--diagram", default=None, help="SVG of the dual complex with the witness")
+@_command("graph check", _arg("dec_path"), _arg("graph_path"), _arg("-o", "--output"),
+          _arg("--diagram", help="SVG of the dual complex with the witness"))
 def graph_check(dec_path, graph_path, output, diagram):
     """Invariants, realizability and rigidity of a tropical graph."""
     dec_dict, dec = _load_dec(dec_path)
@@ -219,20 +245,13 @@ def graph_check(dec_path, graph_path, output, diagram):
             edges = [e.ends for e in graph.edges]
         _write(diagram, dual_complex_svg(dec, positions, edges))
     if not report["realizable"]:
-        sys.exit(NEGATIVE)
+        return NEGATIVE
 
 
-@main.group("split")
-def split_group():
-    """Split tropical graph commands."""
-
-
-@split_group.command("check")
-@click.argument("dec_path")
-@click.argument("qsplit_path")
-@click.option("--eta", required=True, help="cone direction, comma-separated rationals")
-@click.option("--i-br", default=None, type=_INTEGER, help="broken index for the dimension bookkeeping")
-@click.option("-o", "--output", default=None)
+@_command("split check", _arg("dec_path"), _arg("qsplit_path"),
+          _arg("--eta", required=True, help="cone direction, comma-separated rationals"),
+          _arg("--i-br", action=_Integer, help="broken index for the dimension bookkeeping"),
+          _arg("-o", "--output"))
 def split_check(dec_path, qsplit_path, eta, i_br, output):
     """Relative-position cone, discrepancy cone, cone condition, rigidity."""
     dec_dict, dec = _load_dec(dec_path)
@@ -241,27 +260,19 @@ def split_check(dec_path, qsplit_path, eta, i_br, output):
     report = reports.split_report(q, eta_vec, inputs, i_br=i_br)
     _emit(report, output)
     if not report["accepted"]:
-        sys.exit(NEGATIVE)
+        return NEGATIVE
 
 
-@main.command("symmetry")
-@click.argument("dec_path")
-@click.argument("graph_path")
-@click.option("--framed", is_flag=True, default=False)
-@click.option("-o", "--output", default=None)
+@_command("symmetry", _arg("dec_path"), _arg("graph_path"),
+          _arg("--framed", action="store_true"), _arg("-o", "--output"))
 def symmetry_cmd(dec_path, graph_path, framed, output):
     """Dimension, torsion, and component splitting of the symmetry group."""
     dec_dict, dec = _load_dec(dec_path)
-    report = _symmetry_report(
-        dec, dec_dict, _load_json(graph_path), framed, _base_loader(graph_path)
-    )
-    _emit(report, output)
+    graph_dict = _load_json(graph_path)
+    _emit(_symmetry_report(dec, dec_dict, graph_dict, framed, _base_loader(graph_path)), output)
 
 
-@main.command("mult")
-@click.argument("dec_path")
-@click.argument("qsplit_path")
-@click.option("-o", "--output", default=None)
+@_command("mult", _arg("dec_path"), _arg("qsplit_path"), _arg("-o", "--output"))
 def mult_cmd(dec_path, qsplit_path, output):
     """Multiplicity: order of the framed tropical symmetry group."""
     dec_dict, dec = _load_dec(dec_path)
@@ -269,21 +280,13 @@ def mult_cmd(dec_path, qsplit_path, output):
     try:
         report = reports.mult_report(q, inputs)
     except GraphError as exc:
-        click.echo(f"verdict: {exc}", err=True)
-        sys.exit(NEGATIVE)
+        print(f"verdict: {exc}", file=sys.stderr)
+        return NEGATIVE
     _emit(report, output)
 
 
-@main.group("potential")
-def potential_group():
-    """Novikov series commands."""
-
-
-@potential_group.command("bg")
-@click.option("--normals", required=True)
-@click.option("--constants", required=True)
-@click.option("--lambda", "lambda_", required=True)
-@click.option("-o", "--output", default=None)
+@_command("potential bg", _arg("--normals", required=True), _arg("--constants", required=True),
+          _arg("--lambda", dest="lambda_", metavar="LAMBDA", required=True), _arg("-o", "--output"))
 def potential_bg(normals, constants, lambda_, output):
     """Batyrev-Givental potential of a moment polytope."""
     data = {key: _load_json_or_inline(arg) for key, arg in (
@@ -291,18 +294,15 @@ def potential_bg(normals, constants, lambda_, output):
     _emit(_potential_report(data), output)
 
 
-@potential_group.command("combine")
-@click.option("--mult", "mult_", required=True, type=_INTEGER)
-@click.option("--split-edges", "split_edges_", required=True, type=_INTEGER)
-@click.option("--d-black", required=True, type=_INTEGER)
-@click.option("--sign", required=True, type=click.Choice(["+1", "-1"]))
-@click.argument("series_paths", nargs=-1, required=True)
-@click.option("-o", "--output", default=None)
-def potential_combine(mult_, split_edges_, d_black, sign, series_paths, output):
+@_command("potential combine", *(_arg(opt, required=True, action=_Integer)
+                                  for opt in ("--mult", "--split-edges", "--d-black")),
+          _arg("--sign", required=True, choices=["+1", "-1"]),
+          _arg("series_paths", nargs="+"), _arg("-o", "--output"))
+def potential_combine(mult, split_edges, d_black, sign, series_paths, output):
     """Split composition weight: scaled product of component series."""
     data_in = [_load_json_or_inline(path) for path in series_paths]
     series = [series_from_dict(data) for data in data_in]
-    combined = split_contribution(mult_, split_edges_, d_black, int(sign), series)
+    combined = split_contribution(mult, split_edges, d_black, int(sign), series)
     report = reports.combine_report(combined, {"series": data_in})
     _emit(report, output)
 
@@ -379,37 +379,30 @@ def expected_report_path(name: str):
     return resources.files("tropsplit").joinpath("corpus", f"{name}.expected.json")
 
 
-@main.group("corpus")
-def corpus_group():
-    """Bundled worked-example regression corpus."""
-
-
-@corpus_group.command("run")
+@_command("corpus run")
 def corpus_run():
     """Re-run every bundled fixture and diff against the stored reports."""
     failures = 0
     for case in corpus_cases():
         name = case["name"]
         got = canonical_json(run_corpus_case(case))
-        path = expected_report_path(name)
         try:
-            want = path.read_text(encoding="utf-8").strip()
+            want = expected_report_path(name).read_text(encoding="utf-8").strip()
         except FileNotFoundError:
-            click.echo(f"MISSING  {name} (no stored report)")
+            print(f"MISSING  {name} (no stored report)")
             failures += 1
             continue
         if got == want:
-            click.echo(f"ok       {name}")
+            print(f"ok       {name}")
         else:
-            click.echo(f"DIFFERS  {name}")
+            print(f"DIFFERS  {name}")
             failures += 1
     if failures:
-        click.echo(f"{failures} corpus case(s) failed", err=True)
-        sys.exit(NEGATIVE)
+        print(f"{failures} corpus case(s) failed", file=sys.stderr)
+        return NEGATIVE
 
 
-@corpus_group.command("export")
-@click.argument("directory")
+@_command("corpus export", _arg("directory"))
 def corpus_export(directory):
     """Write the bundled fixture inputs (decompositions, graphs, toric data)
     as JSON files into DIRECTORY."""
@@ -424,11 +417,11 @@ def corpus_export(directory):
     for name in ("toric_square", "toric_cube", "hirzebruch_two"):
         text = canonical_json(getattr(fixtures, name)())
         _write(os.path.join(directory, f"{name}.json"), text + "\n")
-    click.echo(f"fixtures written to {directory}")
+    print(f"fixtures written to {directory}")
 
 
-@corpus_group.command("regenerate")
-@click.option("--corpus-dir", default=None, help="write into this directory instead of the package")
+@_command("corpus regenerate",
+          _arg("--corpus-dir", help="write into this directory instead of the package"))
 def corpus_regenerate(corpus_dir):
     """Rewrite the stored expected reports (development helper)."""
     for case in corpus_cases():
@@ -438,7 +431,7 @@ def corpus_regenerate(corpus_dir):
         else:
             path = str(expected_report_path(case["name"]))
         _write(path, got + "\n")
-        click.echo(f"wrote    {case['name']}")
+        print(f"wrote    {case['name']}")
 
 
 if __name__ == "__main__":

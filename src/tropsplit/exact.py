@@ -16,6 +16,7 @@ cache a property; the library's other value types are NamedTuples.
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -62,7 +63,8 @@ def as_int(x) -> int:
     """Exact value of an int, an integral ``Fraction`` or an integer string.
 
     Bools, floats, non-integral values and strings outside ``fr``'s
-    grammar raise ValueError; nothing is rounded.
+    grammar raise ValueError, which shows the value cut to 80 characters;
+    nothing is rounded.
     """
     if type(x) is int:
         return x
@@ -71,7 +73,12 @@ def as_int(x) -> int:
     except (ValueError, ZeroDivisionError):
         q = None
     if q is None or q.denominator != 1:
-        raise ValueError(f"expected an integer, got {x!r}")
+        try:
+            shown = repr(x)
+        except RecursionError:  # nested deeper than repr reaches
+            shown = reprlib.repr(x)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        raise ValueError(f"expected an integer, got {shown}")
     return q.numerator
 
 

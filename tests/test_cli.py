@@ -10,11 +10,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from tropsplit import complexes, cones, exact, graphs
 from tropsplit import fixtures as fx
-from tropsplit.cli import corpus_cases, expected_report_path, main, run_corpus_case
+from tropsplit.cli import corpus_cases, expected_report_path, run_corpus_case
 from tropsplit.diagram import dual_complex_svg
 from tropsplit.polyhedra import Polyhedron
 from tropsplit.serialize import canonical_json
@@ -23,15 +23,9 @@ from tropsplit.serialize import canonical_json
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fixtures")
-    runner = CliRunner()
-    result = runner.invoke(main, ["corpus", "export", str(path)])
+    result = run_cli(["corpus", "export", str(path)])
     assert result.exit_code == 0, result.output
     return path
-
-
-def run_cli(args):
-    runner = CliRunner()
-    return runner.invoke(main, args)
 
 
 def test_graph_check_ok(fixture_dir):
@@ -242,6 +236,49 @@ def test_integer_options_read_3_in_the_wire_grammar(fixture_dir, option, value):
     else:
         coeff = "3" if option == "--mult" else "1/6"
         assert report["series"] == [{"coeff": coeff, "area": "1", "monomial": []}]
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_option_error_cuts_a_long_value(fixture_dir, option):
+    """A 2000-entry list given to an integer option exits 2 with one error
+    line that shows the value cut to 80 characters, not repeated whole."""
+    value = json.dumps([0] * 2000)
+    res = run_cli(_integer_option_args(fixture_dir, option, value))
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].endswith(
+        f"Invalid value for '{option}': expected an integer, got {repr(value)[:77]}...")
+
+
+SQUARE_SPLIT = ["split", "check", "{}/square_split.dec.json", "{}/fig_square_top1.graph.json"]
+ONE_TERM = '{"num_vars":0,"terms":[{"coeff":"1","area":"1","monomial":[]}]}'
+
+
+@pytest.mark.parametrize("args, code, shown", [
+    (SQUARE_SPLIT[:3] + ["{}/missing.graph.json", "--eta", "-1,1"], 2,
+     "error: cannot read {}/missing.graph.json"),
+    (SQUARE_SPLIT + ["--eta", "1,-1", "--i-br", "-3"], 0, '"i_br":-3'),
+    (["potential", "combine", "--mult", "1", "--split-edges", "0", "--d-black", "0",
+      "--sign", "-1", ONE_TERM], 0, '"coeff":"-1"'),
+    (["potential", "combine", ONE_TERM, "--mult", "1", "--split-edges", "0", "--d-black", "0",
+      "--sign", "+1", ONE_TERM], 0, '"area":"2"'),
+    (SQUARE_SPLIT + ["--et", "1,1"], 2, ""),
+    (SQUARE_SPLIT + ["--eta", "1,-1", "--i-b", "3"], 2, ""),
+    (["graph"], 2, ""),
+    (["nosuch"], 2, ""),
+    (["--help"], 0, "symmetry"),
+], ids=["eta starting with a dash", "negative i-br", "negative sign", "series around options",
+        "abbreviated eta", "abbreviated i-br", "bare group", "unknown command", "help"])
+def test_command_line_parsing(fixture_dir, args, code, shown):
+    """An option's value is the next token even when it starts with "-",
+    and positionals may sit on either side of options; an abbreviated
+    option, a group with no command and an unknown command are usage
+    errors (exit 2, nothing on stdout); ``--help`` exits 0."""
+    res = run_cli([arg.replace("{}", str(fixture_dir)) for arg in args])
+    assert res.exit_code == code, res.output
+    assert shown.replace("{}", str(fixture_dir)) in res.output
+    if code == 2:
+        assert res.stdout == "" and res.stderr, res.output
 
 
 @pytest.mark.parametrize("normal, constant", [("[0,0]", "1"), ("[-1,0]", "0"), ("[1,1]", "10")])
@@ -601,16 +638,15 @@ def test_corpus_pass_looks_up_pinned_edge_cells(monkeypatch):
 
 def test_corpus_pass_makes_pinned_fraction_coercions(monkeypatch):
     """One pass over the corpus, each case cold, gives the stored bytes
-    with 18 ``exact.fr`` calls, all on non-integral input.  Integral data
-    stays int from parsing through the cone kernel: a path that turns an
-    int vector back into ``Fraction``s (once 1925 calls a pass) changes the
-    count."""
+    with 103 ``exact.fr`` calls, all on non-integral input: 18 inside
+    ``exact``, and 57 in ``serialize`` and 28 in ``potential``, which bind
+    ``fr`` too and read wire values with it.  Integral data stays int from
+    parsing through the cone kernel: a path that turns an int vector back
+    into ``Fraction``s (once 1925 calls a pass) changes a count."""
     calls = _cold_pass(monkeypatch, (exact, "fr"))
-    # the pin counts the calls inside ``exact``; ``serialize`` and
-    # ``potential`` bind ``fr`` too and read wire values with it
-    inside = [c.args[0] for c in calls["fr"] if c.via is exact]
-    assert len(inside) == 18
-    assert all(type(x) is not int for x in inside), inside
+    made = Counter(c.via.__name__ for c in calls["fr"])
+    assert made == {"tropsplit.exact": 18, "tropsplit.serialize": 57, "tropsplit.potential": 28}
+    assert not [c.args[0] for c in calls["fr"] if type(c.args[0]) is int]
 
 
 def test_corpus_run_under_optimize_flag():

@@ -11,11 +11,10 @@ error), never 3 (internal error) and never with a traceback.
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tropsplit.cli import main
+from conftest import run_cli
 
 # (command and the file it reads, the other arguments); "{}" is the mutated
 # file, and every other name is an exported file
@@ -54,7 +53,7 @@ RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "3/4"])
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
     path = tmp_path_factory.mktemp("exported")
-    result = CliRunner().invoke(main, ["corpus", "export", str(path)])
+    result = run_cli(["corpus", "export", str(path)])
     assert result.exit_code == 0, result.output
     return path
 
@@ -134,7 +133,7 @@ def test_mutated_corpus_inputs_keep_the_exit_code_contract(
     # beside the exported files, so a collapse's to_graph reference resolves
     target = exported / ("mutant." + name)
     target.write_text(json.dumps(mutant))
-    result = CliRunner().invoke(main, _args(run, exported, target))
+    result = run_cli(_args(run, exported, target))
     assert result.exit_code in (0, 1, 2), (name, path, op, value, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         name, path, op, value, repr(result.exception))

@@ -13,6 +13,7 @@ from tropsplit.exact import (
     _kernel_int,
     _lead,
     _rref_int,
+    as_int,
     fr,
     imat,
     invariant_factors,
@@ -551,6 +552,31 @@ def test_imat_rejects_inexact_integers(bad):
 def test_imat_keeps_exact_integers():
     assert imat(((1, Fraction(4, 2), "-3"),)) == ((1, 2, -3),)
     assert all(type(x) is int for x in imat(((Fraction(6, 3), "7"),))[0])
+
+
+@pytest.mark.parametrize("bad", [1.5, None, Fraction(1, 2), "x" * 78, [0] * 26, {"b": [1.5], "a": 0}])
+def test_as_int_shows_a_short_value_whole(bad):
+    """A value whose repr is at most 80 characters is shown as repr shows it."""
+    assert len(repr(bad)) <= 80
+    with pytest.raises(ValueError) as info:
+        as_int(bad)
+    assert str(info.value) == f"expected an integer, got {bad!r}"
+
+
+def test_as_int_cuts_a_long_or_deep_value():
+    """A longer value is cut to 80 characters, and a value nested deeper
+    than ``repr`` reaches is shown seven levels deep: the message stays one
+    short line, and never raises ``RecursionError`` itself."""
+    for bad in ([0] * 27, [0] * 2000, "x" * 79):
+        with pytest.raises(ValueError) as info:
+            as_int(bad)
+        assert str(info.value) == f"expected an integer, got {repr(bad)[:77]}..."
+    deep = []
+    for _ in range(100000):
+        deep = [deep]
+    with pytest.raises(ValueError) as info:
+        as_int(deep)
+    assert str(info.value) == "expected an integer, got [[[[[[[...]]]]]]]"
 
 
 # -- the integer fast path of primitive ------------------------------------------

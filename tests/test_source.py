@@ -89,6 +89,27 @@ def test_library_imports_at_module_level():
     assert not found, found
 
 
+def test_library_imports_only_the_standard_library():
+    """Every module the library imports is ``tropsplit`` itself or in the
+    standard library, so that the library and the CLI run on a bare
+    interpreter and ``pyproject.toml`` declares no dependency."""
+    seen, found = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["tropsplit"] if node.level else [node.module]
+            else:
+                continue
+            for top in {m.split(".")[0] for m in modules}:
+                seen.add(top)
+                if top not in sys.stdlib_module_names | {"tropsplit"}:
+                    found.append(f"{path.name}:{node.lineno} {top}")
+    assert {"tropsplit", "fractions", "argparse"} <= seen  # the walk sees the imports
+    assert not found, found
+
+
 def test_cone_direction_path_builds_no_fractions():
     """A cone direction is answered in integers: neither
     ``splitting.cone_condition`` nor ``reports.split_report`` names
@@ -274,8 +295,8 @@ def test_tests_import_only_what_ci_installs():
     imports is in the standard library, is ``tropsplit``, is a local
     module (a test file, or a ``perfbench`` module its tests put on the
     path), or is a distribution that both ``pip install .[test]`` (the
-    project's dependencies and its ``test`` extra) and the ``tier1`` CI
-    job install: otherwise a test file fails to collect in CI.  A module
+    ``test`` extra; the project itself depends on nothing) and the
+    ``tier1`` CI job install: otherwise a test file fails to collect in CI.  A module
     that the file asks for with ``pytest.importorskip`` is exempt.  Read
     as text: the tier-1 environment may have neither a TOML nor a YAML
     parser."""
@@ -293,7 +314,9 @@ def test_tests_import_only_what_ci_installs():
     tier1 = workflow[workflow.index("\n  tier1:"):].split("\n  readme-example:")[0]
     (install,) = [line for line in tier1.splitlines() if "pip install" in line]
     ci = set(install.split("pip install", 1)[1].split())
-    assert {"click", "pytest", "sympy", "hypothesis"} <= extra & ci, (extra, ci)
+    (dependencies,) = [line for line in pyproject if line.startswith("dependencies =")]
+    assert not listed(dependencies), dependencies
+    assert {"pytest", "sympy", "hypothesis"} <= extra & ci, (extra, ci)
     found = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
