@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import traceback
-from importlib import resources
+from pathlib import Path
 
 from . import fixtures, reports
 from .complexes import toric_cut
@@ -375,8 +375,8 @@ def run_corpus_case(case: dict) -> dict:
     raise ValueError(f"unknown corpus case kind {kind}")
 
 
-def expected_report_path(name: str):
-    return resources.files("tropsplit").joinpath("corpus", f"{name}.expected.json")
+def expected_report_path(name: str) -> Path:
+    return Path(__file__).parent / "corpus" / f"{name}.expected.json"
 
 
 @_command("corpus run")

@@ -110,13 +110,17 @@ class Decomposition:
 
     def cell(self, pid: str) -> Polyhedron:
         if pid not in self._geom:
+            self._known(pid)
             p = self.polytopes[pid]
             self._geom[pid] = Polyhedron.from_hrep(self.ambient_dim, ineqs=p.ineqs)
         return self._geom[pid]
 
     def dual(self, pid: str) -> Polyhedron:
         if pid not in self._dual_geom:
-            d = self.dual_cells[pid]
+            self._known(pid)
+            d = self.dual_cells.get(pid)
+            if d is None:
+                raise DecompositionError(f"cell {pid} has no dual cell")
             self._dual_geom[pid] = Polyhedron.from_vrep(
                 self.ambient_dim, vertices=d.vertices, rays=d.rays
             )
@@ -177,7 +181,7 @@ class Decomposition:
         """The rows r (r.(x, t) >= 0) that cut the cell's homogenization
         cone out: its cone's given rows (for a cut's cell those the walk
         cut), primitive, with no conversion, ``t >= 0`` left out
-        (``stated_rows``)."""
+        (``stated_rows``), built once: the audit reads them per pair."""
         rows = self._rows.get(pid)
         if rows is None:
             given, _ = self.cell(pid).cone.given_rows()
@@ -236,12 +240,9 @@ class Decomposition:
 
     # validation ----------------------------------------------------------------
 
-    def validate(self, geometric: bool = True) -> None:
-        """Check the decomposition invariants; raises DecompositionError.
-
-        With geometric=False the quadratic all-pairs intersection audit is
-        skipped (structural checks only).
-        """
+    def validate(self) -> None:
+        """Check the decomposition invariants, the all-pairs intersection
+        audit last; raises DecompositionError."""
         n = self.ambient_dim
         for pid, p in self.polytopes.items():
             geom = self.cell(pid)
@@ -249,9 +250,7 @@ class Decomposition:
                 raise DecompositionError(f"cell {pid} is empty")
             if p.dim is not None and geom.dim() != p.dim:
                 raise DecompositionError(f"cell {pid} has dim {geom.dim()}, not {p.dim}")
-            if pid not in self.dual_cells:
-                raise DecompositionError(f"cell {pid} has no dual cell")
-            dual = self.dual(pid)
+            dual = self.dual(pid)  # raises for a cell with no dual cell
             if geom.dim() + dual.dim() != n:
                 raise DecompositionError(
                     f"cell {pid}: dim {geom.dim()} + dual dim {dual.dim()} != {n}"
@@ -262,11 +261,7 @@ class Decomposition:
             dual_dirs = self.dual(pid).direction_space()
             if any(_dot(u, v) for u in self.cell(pid).direction_space() for v in dual_dirs):
                 raise DecompositionError(f"dual cell of {pid} is not orthogonal to {pid}")
-        # poset: antisymmetry
-        faces = self._faces
-        cycles = sorted((q, p) for p in faces for q in faces[p] if q != p and p in faces[q])
-        if cycles:
-            raise DecompositionError("face poset has a cycle through %s,%s" % cycles[0])
+        self._check_acyclic()
         # listed pairs are geometric faces, and dual faces reverse
         for q, p in sorted(self.face_pairs):
             if q == p:
@@ -277,9 +272,15 @@ class Decomposition:
                 raise DecompositionError(
                     f"dual of {p} is not a face of dual of {q}"
                 )
-        if geometric:
-            for p1, p2 in itertools.combinations(sorted(self.polytopes), 2):
-                self.intersection_cell(p1, p2)  # raises when violated
+        for p1, p2 in itertools.combinations(sorted(self.polytopes), 2):
+            self.intersection_cell(p1, p2)  # raises when violated
+
+    def _check_acyclic(self) -> None:
+        """Raise DecompositionError naming the face poset's smallest cycle."""
+        faces = self._faces
+        cycles = sorted((q, p) for p in faces for q in faces[p] if q != p and p in faces[q])
+        if cycles:
+            raise DecompositionError("face poset has a cycle through %s,%s" % cycles[0])
 
 
 def relative_cell_rows(dec: Decomposition, pv: str, pkv: str) -> tuple[list, list]:

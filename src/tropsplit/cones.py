@@ -558,14 +558,6 @@ class Cone:
         c = self if self._rows_given else self.minimal()
         return c.rays, c.lineality
 
-    def minimal_rows(self) -> tuple[tuple, tuple]:
-        """``minimal()``'s facets and equality basis, the other side of
-        ``key()``: a cone built from generators reads its converted side
-        and a conversion's cone its read-off, with no minimal form built;
-        only a cone built from rows needs one."""
-        c = self.minimal() if self._rows_given else self
-        return c.ineqs, c.eqs
-
     def given_rows(self) -> tuple[tuple, tuple]:
         """Rows ``a.x >= 0`` and an equality basis that cut the cone out: the
         given ones, or those its conversion cut (a walked cell's own rows,

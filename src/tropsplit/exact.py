@@ -40,18 +40,31 @@ _RATIONAL = re.compile(
     r"\s*[-+]?(?:\d+(?:/\d+)?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*", re.ASCII)
 
 
+def _shown(x) -> str:
+    """``repr(x)``, ``reprlib``'s when too deep, cut to 80 characters."""
+    try:
+        shown = repr(x)
+    except RecursionError:
+        shown = reprlib.repr(x)
+    return shown if len(shown) <= 80 else shown[:77] + "..."
+
+
 def fr(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction.
 
     Floats raise TypeError and bools ValueError: neither is an exact
-    rational.  A string outside the rational grammar raises ValueError.
+    rational.  A string outside the rational grammar or with a zero
+    denominator raises ValueError, which shows it cut (``_shown``).
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         if _RATIONAL.fullmatch(x) is None:
-            raise ValueError(f"not a rational: {x!r}")
-        return Fraction(x)
+            raise ValueError(f"not a rational: {_shown(x)}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {_shown(x)}") from None
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
     if isinstance(x, bool):
@@ -70,15 +83,10 @@ def as_int(x) -> int:
         return x
     try:
         q = fr(x) if isinstance(x, (Fraction, str)) else None
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         q = None
     if q is None or q.denominator != 1:
-        try:
-            shown = repr(x)
-        except RecursionError:  # nested deeper than repr reaches
-            shown = reprlib.repr(x)
-        shown = shown if len(shown) <= 80 else shown[:77] + "..."
-        raise ValueError(f"expected an integer, got {shown}")
+        raise ValueError(f"expected an integer, got {_shown(x)}")
     return q.numerator
 
 

@@ -211,8 +211,8 @@ class CheckedGraph(Value):
         each r.(x, t) >= 0 needed strictly, then ``t >= 0``, and the
         equalities (``Polyhedron.from_rows``).  ``graph_rows`` lays them
         out with t shared by every block: each vertex block takes its dual
-        cell's minimal homogenized rows (``Polyhedron.rows``, kept with the
-        cell), primitive, so no row is paired, read or scaled again, and
+        cell's minimal homogenized rows (``Polyhedron.rows``, read off the
+        cell's kept minimal cone), primitive, so no row is paired, read or scaled again, and
         each tropical edge adds its line's equalities and the strict row of
         its multiplier.
 

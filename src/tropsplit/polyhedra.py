@@ -15,7 +15,7 @@ t > 0 scaled to t = 1, as ``Fraction`` tuples, built when read;
 recession rays and lineality lie at t = 0 and stay the cone's primitive
 integer tuples.  ``Polyhedron.from_rows`` builds from homogenized rows,
 appending ``t >= 0`` last, and ``Polyhedron.rows`` reads the minimal ones
-back without it (``stated_rows``), once per polyhedron; ``from_hrep`` and
+back without it (``stated_rows``); ``from_hrep`` and
 ``hrep`` take and give pairs.
 """
 
@@ -64,12 +64,12 @@ def _difference(g, h) -> tuple:
 class Polyhedron:
     """Immutable polyhedron in R^n, stored as its homogenization cone."""
 
-    __slots__ = ("ambient_dim", "cone", "_directions", "_rows")
+    __slots__ = ("ambient_dim", "cone", "_directions")
 
     def __init__(self, ambient_dim: int, cone: Cone):
         self.ambient_dim = as_int(ambient_dim)
         self.cone = cone
-        self._directions = self._rows = None
+        self._directions = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, ineqs=(), eqs=()):
@@ -120,13 +120,11 @@ class Polyhedron:
 
     def rows(self) -> tuple[tuple, tuple]:
         """The minimal homogenized rows r (r.(x, t) >= 0, or = 0 for the
-        equalities), primitive, without ``t >= 0``: read off the cone's
-        minimal rows once and kept.  An empty polyhedron keeps the
-        equality ``t = 0``."""
-        if self._rows is None:
-            ineqs, eqs = self.cone.minimal_rows()
-            self._rows = stated_rows(ineqs), eqs
-        return self._rows
+        equalities), primitive, without ``t >= 0``: ``minimal()``'s, read
+        in place off a cone built from generators.  An empty polyhedron
+        keeps the equality ``t = 0``."""
+        c = self.cone.minimal() if self.cone._rows_given else self.cone
+        return stated_rows(c.ineqs), c.eqs
 
     def hrep(self) -> tuple[list, list]:
         """Minimal inequalities [(a, b)] (a.x <= b) and equalities, as

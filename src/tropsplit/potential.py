@@ -97,7 +97,9 @@ def bg_potential(normals, constants, lam) -> NovikovSeries:
     per facet of the moment polytope, for lam strictly interior.  Every
     row must be a facet: a zero, repeated or redundant row raises.  A
     normal must be primitive: scaling a row by k would scale its term's
-    exponents by k and leave the polytope as it is."""
+    exponents by k and leave the polytope as it is.  On a polytope whose
+    fan is not smooth this is only the smooth-disk part: orbifold disks
+    add terms (Cho & Poddar)."""
     normals = imat(normals)
     constants = ratvec(constants)
     if len(normals) != len(constants) or not normals:

@@ -13,7 +13,7 @@ import marshal
 from . import __version__
 from .complexes import Decomposition, is_tropical_fiber
 from .exact import as_int
-from .graphs import split_edges, validate_graph, vertex_positions
+from .graphs import validate_graph
 from .potential import NovikovSeries, bg_potential, leading_terms
 from .serialize import (
     canonical_json,
@@ -25,7 +25,7 @@ from .serialize import (
     vec_str,
     vec_str_over,
 )
-from .splitting import QuasiSplitGraph, cone_condition, index_shift, is_rigid_split
+from .splitting import QuasiSplitGraph, index_shift, is_split_graph
 from .symmetry import component_splitting, multiplicity, symmetry_group
 
 
@@ -72,8 +72,8 @@ def _head(command: str, inputs: dict) -> dict:
 
 
 def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
-    graph = validate_graph(dec, graph)
-    w = vertex_positions(dec, graph)
+    checked = validate_graph(dec, graph)
+    w = checked.positions
     out = _head("graph-check", inputs)
     out.update(
         {
@@ -84,42 +84,42 @@ def graph_report(dec: Decomposition, graph, inputs: dict) -> dict:
             "vertex_order": list(w.vertex_order),
             "witness": vec_str(w.witness) if w.witness is not None else None,
             "rigid": w.dim == 0 if w.realizable else None,
-            "split_edges": list(split_edges(dec, graph)),
+            "split_edges": list(checked.split_order()),
         }
     )
     return out
 
 
 def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
-    """The ``split-check`` report of q for the cone direction eta.
-
-    Its values are computed in the order they always were (the wire forms
-    of w, Disc and D in that order) and laid out in sorted key order, as
-    are those of ``index_shift`` and of each wire form, so that the
-    encoder's key sort is one linear pass per dict."""
+    """The ``split-check`` report of q for the cone direction eta, with the
+    ``SplitGraphVerdict`` of ``is_split_graph``.  The wire forms of w and
+    Disc are built first, so w's dimension is read off its rows, and the
+    values are laid out in sorted key order, as are those of
+    ``index_shift`` and of each wire form, so that the encoder's key sort
+    is one linear pass per dict."""
     eta = tuple(eta)  # read once: the direction tested is the one written
-    cc = cone_condition(q, eta)
     digests = _input_digests(inputs)
     eta_str = vec_str(eta)
     split_order = list(q.split_order)
     w_cone = cone_to_dict(q.w)
-    w_dim = q.w.minimal().dim()
     disc_cone = cone_to_dict(q.disc.disc)
+    verdict = is_split_graph(q, eta)
+    cc = verdict.cone_condition
+    w_dim = q.w.minimal().dim()
     projected = [vec_str_over(p, cc.den) for p in cc.projected_num]
     scalings_cone = cone_to_dict(cc.D)
     violations = [cc.certificate.labels[i] for i in cc.certificate.violations]
-    rigid = is_rigid_split(q)
     shift = {}
     if i_br is not None:
         i_split, i_red = index_shift(q, i_br)
         shift["index_shift"] = {"i_br": as_int(i_br), "i_red": i_red, "i_split": i_split}
     return {
-        "accepted": cc.holds and cc.certified,
+        "accepted": verdict.accepted,
         "command": "split-check",
         "cone_condition_holds": cc.holds,
         "disc_cone": disc_cone,
         "disc_dim": cc.disc_dim,
-        "disc_dim_matches": cc.disc_dim == cc.expected_disc_dim,
+        "disc_dim_matches": verdict.disc_dim_matches,
         "eta": eta_str,
         "expected_disc_dim": cc.expected_disc_dim,
         "genericity_certified": cc.certified,
@@ -127,7 +127,7 @@ def split_report(q: QuasiSplitGraph, eta, inputs: dict, i_br=None) -> dict:
         **shift,
         "inputs": digests,
         "projected_eta": projected,
-        "rigid_split": rigid,
+        "rigid_split": verdict.rigid,
         "scalings_cone": scalings_cone,
         "split_order": split_order,
         "tool": "tropsplit",

@@ -47,10 +47,7 @@ def parse_rat(x) -> int | Fraction:
     if isinstance(x, bool):
         raise ValueError("expected a rational, got a bool")
     if isinstance(x, (int, str)):
-        try:
-            q = fr(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        q = fr(x)
     elif isinstance(x, Fraction):
         q = x
     else:

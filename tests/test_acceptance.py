@@ -173,7 +173,7 @@ def test_criterion_7():
         t["normals"], [F(c) for c in t["constants"]], [F(e) for e in t["epsilons"]], lam
     )
     assert sum(1 for p in dec.polytopes.values() if p.dim == 2) == 9
-    dec.validate(geometric=True)  # dual complex invariants, all pairs
+    dec.validate()  # dual complex invariants, all pairs
     assert is_tropical_fiber(dec, inner, lam)
     W = bg_potential(t["normals"], [F(c) for c in t["constants"]], lam)
     assert len(W.terms) == len(t["normals"])

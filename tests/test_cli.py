@@ -305,6 +305,18 @@ def test_potential_bg_with_a_non_primitive_normal_exits_two():
     assert res.output == "error: row 0: normal [2, 0] is not primitive\n"
 
 
+def test_potential_bg_with_a_long_constant_exits_two_on_one_short_line():
+    """A 5000-character string among the constants exits 2 with one error
+    line that shows the value cut to 80 characters, not repeated whole."""
+    res = run_cli([
+        "potential", "bg", "--normals", "[[-1,0],[1,0],[0,-1],[0,1]]",
+        "--constants", json.dumps(["x" * 5000, 1, 0, 1]), "--lambda", '["1/2","1/2"]',
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr == f"error: not a rational: {repr('x' * 5000)[:77]}...\n"
+
+
 def test_malformed_json_exits_two(tmp_path, fixture_dir):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -1169,7 +1181,7 @@ def test_validate_error_does_not_depend_on_the_hash_seed(fixture_dir):
         "for extra in sys.argv[2:]:\n"
         "    dec = decomposition_from_dict({**data, 'faces': data['faces'] + json.loads(extra)})\n"
         "    try:\n"
-        "        dec.validate(geometric=False)\n"
+        "        dec.validate()\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )

@@ -152,6 +152,20 @@ def test_intersection_cell_names_an_unknown_cell(p1, p2, unknown):
     assert dec._isect_cache == dec._rows == dec._geom == {}
 
 
+def test_cell_and_dual_name_an_unknown_cell_or_a_missing_dual():
+    """An id the decomposition does not list, and a cell listed without a
+    dual cell, are input errors, not a ``KeyError``."""
+    data = fx.square_complex(split=())
+    data["dual_cells"] = [d for d in data["dual_cells"] if d["id"] != "Qmm"]
+    dec = decomposition_from_dict(data)
+    for read in (dec.cell, dec.dual):
+        with pytest.raises(DecompositionError, match="^unknown cell nope$"):
+            read("nope")
+    with pytest.raises(DecompositionError, match="^cell Qmm has no dual cell$"):
+        dec.dual("Qmm")
+    assert dec.cell("Qmm").dim() == 2
+
+
 def test_in_normal_lattice_names_an_unknown_cell(square_split):
     with pytest.raises(DecompositionError, match="^unknown cell nope$"):
         square_split.in_normal_lattice("nope", (1, 0))
@@ -170,7 +184,7 @@ def test_toric_cut_square():
     top = [p for p in dec.polytopes.values() if p.dim == 2]
     assert len(top) == 9
     assert len(dec.polytopes) == 25
-    dec.validate(geometric=True)
+    dec.validate()
     # dual complex is the 3x3-vertex square complex: dual vertices form
     # the grid {-1,0,1}^2 and the inner dual cell is the origin
     assert dec.dual(inner).vertices == [vec((0, 0))]
@@ -187,7 +201,7 @@ def test_toric_cut_cube():
     )
     top = [p for p in dec.polytopes.values() if p.dim == 3]
     assert len(top) == 27
-    dec.validate(geometric=False)
+    dec.validate()
     assert is_tropical_fiber(dec, inner, [F(1, 2)] * 3)
 
 
@@ -200,7 +214,7 @@ def test_toric_cut_hirzebruch():
     )
     top = [p for p in dec.polytopes.values() if p.dim == 2]
     assert len(top) == 9
-    dec.validate(geometric=True)
+    dec.validate()
     assert is_tropical_fiber(dec, inner, [F(x) for x in h["lambda"]])
 
 
@@ -560,7 +574,7 @@ def test_validation_catches_wrong_dual_identification():
             d["vertices"] = [["0", "0"], ["0", "1"]]  # left side, wrong
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError):
-        dec.validate(geometric=False)
+        dec.validate()
 
 
 def test_validation_catches_wrong_dual_dimension():
@@ -570,7 +584,7 @@ def test_validation_catches_wrong_dual_dimension():
             d["vertices"] = [["0", "0"], ["1", "0"]]  # segment, not square
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError):
-        dec.validate(geometric=False)
+        dec.validate()
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
@@ -588,7 +602,7 @@ def test_validation_catches_a_dual_that_is_not_orthogonal(reverse):
         data["dual_cells"].reverse()
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError, match="^dual cell of Hxm is not orthogonal to Hxm$"):
-        dec.validate(geometric=False)
+        dec.validate()
 
 
 def _cell(data, pid):
@@ -614,15 +628,29 @@ def test_validation_names_the_broken_invariant(edit, message):
     edit(data)
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError, match=message):
-        dec.validate(geometric=False)
+        dec.validate()
 
 
 @pytest.mark.parametrize("name", ["toric_cube", "toric_hexagonal_prism"])
 def test_cut_duals_are_orthogonal(name):
-    """Each cut cell's dual runs orthogonal to it: the structural checks
-    pass on the cube and prism cuts as on the bundled decompositions."""
+    """Each cut cell's dual runs orthogonal to it: ``validate()`` passes
+    on the cube and prism cuts as on the bundled decompositions."""
     dec, _ = _cut(name)
-    dec.validate(geometric=False)
+    dec.validate()
+
+
+def test_intersection_audit_builds_each_cells_rows_once(monkeypatch):
+    """The all-pairs audit compares row sets pair after pair; each cell's
+    set is built once and kept (7,750 pairs on the cube cut)."""
+    from tropsplit import complexes
+
+    built = Counter()
+    real = complexes.stated_rows
+    monkeypatch.setattr(complexes, "stated_rows",
+                        lambda rows: built.update([rows]) or real(rows))
+    dec, _ = _cut("toric_cube")
+    dec.validate()
+    assert 0 < sum(built.values()) == len(dec._rows) <= len(dec.polytopes)
 
 
 def test_intersection_audit_catches_missing_cell():
@@ -633,7 +661,7 @@ def test_intersection_audit_catches_missing_cell():
     data["split_set"] = []
     dec = decomposition_from_dict(data)
     with pytest.raises(DecompositionError):
-        dec.validate(geometric=True)
+        dec.validate()
 
 
 def test_intersection_cell_needs_no_minimal_cone(monkeypatch):
@@ -948,8 +976,8 @@ SQUARE = (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1))
 def test_face_table_matches_the_closure_reference_on_seeded_posets():
     """Up to eight copies of one square with seeded face pairs (chains,
     cycles and self-loops among them) give the frozen closure's answers,
-    and ``validate`` names the cycle the frozen scan of sorted pairs
-    named."""
+    and ``validate``'s cycle scan (``_check_acyclic``) names the cycle
+    the frozen scan of sorted pairs named."""
     rng = random.Random(26)
     cycles = 0
     for _ in range(300):
@@ -960,12 +988,12 @@ def test_face_table_matches_the_closure_reference_on_seeded_posets():
         _face_posets_agree(dec)
         want = oracles.poset_cycle(dec)
         try:
-            dec.validate(geometric=False)
+            dec._check_acyclic()
             got = None
         except DecompositionError as exc:
             got = str(exc)
         if want is None:
-            assert got is None or got.startswith("reflexive face pair"), got
+            assert got is None, got
         else:
             assert got == want
             cycles += 1

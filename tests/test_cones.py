@@ -16,7 +16,7 @@ from tropsplit.cones import (
     is_increasing_inductive,
     normal_cone_at_first_axis,
 )
-from tropsplit.polyhedra import Polyhedron
+from tropsplit.polyhedra import Polyhedron, stated_rows
 
 # -- conversions ---------------------------------------------------------------
 
@@ -923,10 +923,10 @@ def test_lies_in_any_reads_the_conversion_zero_sets():
 
 
 def test_minimal_rows_are_the_minimal_forms_rows():
-    """``minimal_rows()`` is ``minimal()``'s facets and equality basis for
-    a cone built from rows, from generators and walked, and a cone built
-    from generators answers from its converted side with no minimal form
-    built.  A polyhedron's rows are read once and kept."""
+    """A polyhedron's ``rows()`` are its cone's ``minimal()`` facets, all
+    but ``t >= 0``, and equality basis, for a cone built from rows, from
+    generators and walked, and a cone built from generators answers from
+    its converted side with no minimal form built."""
     rng = random.Random(62)
     for _ in range(100):
         n = rng.randint(1, 4)
@@ -936,12 +936,11 @@ def test_minimal_rows_are_the_minimal_forms_rows():
                      lambda: Cone.from_rays(vecs, extra, ambient_dim=n),
                      lambda: cones.DDState.space(n).cut(*map(tuple, vecs)).cone()):
             m = make().minimal()
-            assert make().minimal_rows() == (m.ineqs, m.eqs)
-        gens = Cone.from_rays(vecs, extra, ambient_dim=n)
-        gens.minimal_rows()
-        assert gens._minimal is None
+            assert Polyhedron(n - 1, make()).rows() == (stated_rows(m.ineqs), m.eqs)
+        gens = Polyhedron(n - 1, Cone.from_rays(vecs, extra, ambient_dim=n))
+        gens.rows()
+        assert gens.cone._minimal is None
     square = Polyhedron.from_vrep(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert square.rows() is square.rows()
     assert square.rows() == (((-1, 0, 1), (0, -1, 1), (0, 1, 0), (1, 0, 0)), ())
 
 

@@ -22,6 +22,7 @@ from tropsplit.exact import (
     primitive,
     quotient_projection,
     rank,
+    ratvec,
     rref,
     saturate,
     saturated_kernel_lattice,
@@ -30,6 +31,7 @@ from tropsplit.exact import (
     solve,
     unimodular_completion,
 )
+from tropsplit.serialize import parse_rat
 
 # -- Smith normal form -------------------------------------------------------
 
@@ -577,6 +579,29 @@ def test_as_int_cuts_a_long_or_deep_value():
     with pytest.raises(ValueError) as info:
         as_int(deep)
     assert str(info.value) == "expected an integer, got [[[[[[[...]]]]]]]"
+
+
+COERCIONS = {"fr": fr, "ratvec": lambda x: ratvec([x]), "as_int": as_int,
+             "parse_rat": parse_rat}
+
+
+@pytest.mark.parametrize("name", sorted(COERCIONS))
+def test_coercions_refuse_a_zero_denominator(name):
+    """``fr`` alone turns a zero denominator into a ValueError, and every
+    coercion that reads a string through it raises the same."""
+    with pytest.raises(ValueError):
+        COERCIONS[name]("1/0")
+
+
+@pytest.mark.parametrize("name", sorted(COERCIONS))
+def test_coercions_cut_a_long_value(name):
+    """A 5000-character string outside the rational grammar gives one
+    short line, its message's words and the value cut to 80 characters
+    (``as_int``'s 25 characters of words are the most)."""
+    with pytest.raises(ValueError) as info:
+        COERCIONS[name]("x" * 5000)
+    assert str(info.value).endswith(repr("x" * 5000)[:77] + "...")
+    assert len(str(info.value)) <= 25 + 80
 
 
 # -- the integer fast path of primitive ------------------------------------------

@@ -222,7 +222,7 @@ def test_a_cell_dim_is_read_as_an_exact_integer():
         p["dim"] = str(dec.cell(p["id"]).dim())
     dec = decomposition_from_dict(data)
     assert all(type(p.dim) is int for p in dec.polytopes.values())
-    dec.validate(geometric=False)
+    dec.validate()
     for bad in ("one", "1/2", 1.0, True):
         data["polytopes"][0]["dim"] = bad
         with pytest.raises(ValueError):

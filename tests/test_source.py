@@ -167,6 +167,21 @@ def _names(node) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def test_each_rule_and_verdict_held_once():
+    """``exact.fr`` alone turns a zero denominator into a ValueError: no
+    other module names ``ZeroDivisionError``.  ``reports`` prints the
+    ``SplitGraphVerdict`` of ``splitting.is_split_graph`` and derives no
+    part of it again: it names neither ``cone_condition`` nor
+    ``is_rigid_split``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    named = sorted(m for m, tree in trees.items() if "ZeroDivisionError" in _names(tree))
+    assert named == ["exact"]
+    called = set().union(*(_names(node.func) for node in ast.walk(trees["reports"])
+                           if isinstance(node, ast.Call)))
+    assert "is_split_graph" in called  # the walk sees the calls
+    assert not called & {"cone_condition", "is_rigid_split"}
+
+
 def test_one_input_boundary():
     """The wire schema lives in ``serialize``: no other module raises its
     ``InputError``.  The CLI maps exceptions to exit codes by type in one
@@ -235,7 +250,7 @@ def test_every_ci_job_has_a_timeout():
             job = jobs.setdefault(line.strip()[:-1], [])
         elif line.startswith("    timeout-minutes:"):
             job.append(int(line.split(":")[1]))
-    assert sorted(jobs) == ["corpus-reports", "installed-package", "readme-example", "tier1"]
+    assert sorted(jobs) == ["bare-interpreter", "installed-package", "tier1"]
     assert all(len(m) == 1 and 0 < m[0] <= 30 for m in jobs.values()), jobs
 
 
@@ -311,7 +326,7 @@ def test_tests_import_only_what_ci_installs():
     extra = {re.split("[<>=!~ ]", d)[0] for line in pyproject
              if line.startswith(("dependencies =", "test =")) for d in listed(line)}
     workflow = (root / ".github/workflows/tests.yml").read_text(encoding="utf-8")
-    tier1 = workflow[workflow.index("\n  tier1:"):].split("\n  readme-example:")[0]
+    tier1 = workflow[workflow.index("\n  tier1:"):].split("\n  bare-interpreter:")[0]
     (install,) = [line for line in tier1.splitlines() if "pip install" in line]
     ci = set(install.split("pip install", 1)[1].split())
     (dependencies,) = [line for line in pyproject if line.startswith("dependencies =")]
